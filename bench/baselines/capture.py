@@ -92,12 +92,12 @@ def run_throughput(binary: pathlib.Path) -> dict:
 
 # The pinned streaming run whose deterministic metrics are baselined:
 # glovebin input (so the planning pass is index-served and rewound passes
-# block-seek) through the bordered sharded strategy with a reconcile
-# chunk budget small enough to force several rewound passes.
+# block-seek) through the bordered sharded strategy, with a batch budget
+# (500 users x 2 workers) small enough to force several rewound shard and
+# reconcile passes.
 STREAMING_SYNTH = ["--users=20000", "--days=1", "--seed=3"]
 STREAMING_RUN = [
     "--strategy=sharded", "--shard-users=500", "--shard-workers=2",
-    "--reconcile-chunk-users=4000",
 ]
 
 

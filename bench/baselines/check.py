@@ -34,7 +34,7 @@ re-capture.
 
 The gate finishes with a baseline-free executor-parity check: the same
 pinned streaming sharded run through --executor=inprocess and
---executor=process --exec-workers=2 must produce byte-identical output
+--executor=process --shard-workers=2 must produce byte-identical output
 (skipped when the example or worker binary is not built).
 
 Usage:
@@ -118,7 +118,7 @@ def check_executor_parity(build_dir: str) -> list:
         outputs = {}
         for label, flags in (
                 ("inprocess", ["--executor=inprocess"]),
-                ("process", ["--executor=process", "--exec-workers=2"])):
+                ("process", ["--executor=process", "--shard-workers=2"])):
             out = work / f"anon-{label}.csv"
             result = subprocess.run(
                 [str(example), f"--input={csv}", f"--output={out}"]

@@ -6,12 +6,12 @@
 //   GLOVE_USERS=20000 ./build/bench/bench_executor
 //
 // The process executor ships dataset indices out and finalized groups
-// back while workers re-read their shard slices from the shared glovebin
-// file, so its overhead is the wire protocol plus per-worker io — the
-// table shows what that costs (or saves, on multi-core machines) relative
-// to the shared-memory pool.  The "identical" column is deterministic and
-// doubles as the baseline's parity record: it must read "yes" on every
-// machine.
+// back while workers re-read their shard and reconcile slices from the
+// shared glovebin file, so its overhead is the wire protocol plus
+// per-worker io — the table shows what that costs (or saves, on
+// multi-core machines) relative to the shared-memory pool.  The
+// "identical" column is deterministic and doubles as the baseline's parity
+// record: it must read "yes" on every machine.
 
 #include <chrono>
 #include <filesystem>
@@ -46,13 +46,13 @@ struct Measured {
 
 Measured run(const Engine& engine, const std::string& input,
              const std::string& output, shard::ExecutorKind executor,
-             std::size_t exec_workers) {
+             std::size_t workers) {
   api::RunConfig config;
   config.strategy = api::kStrategySharded;
   config.k = 2;
   config.sharded.max_shard_users = 500;
   config.sharded.executor = executor;
-  config.sharded.exec_workers = exec_workers;
+  config.sharded.workers = workers;
 
   const auto source = api::open_dataset_source(input);
   const auto sink = api::make_dataset_sink(output, "csv");

@@ -2,12 +2,13 @@
 // (GLOVE full/chunked/pruned, incremental updates, the W4M baseline, the
 // sharded backend) implements to plug into the Engine.
 //
-// Two run shapes exist.  Every strategy implements the dataset-in shape
-// (`run`); strategies that can consume a rewindable DatasetSource without
-// materializing it whole additionally set `supports_streaming()` and
-// implement `run_streaming` — the Engine routes streaming runs there and
-// transparently falls back to collect-then-run for everything else, so
-// strategies opt in gradually.
+// Two run shapes exist, and a strategy implements one of them.  The
+// dataset-in shape (`run`) serves strategies that need the dataset whole;
+// strategies that consume a rewindable DatasetSource without materializing
+// it set `supports_streaming()` and implement `run_streaming` instead.
+// The Engine routes every run of a streaming strategy there — in-memory
+// datasets included, through a MemorySource — and collects the source
+// first for everything else.
 
 #ifndef GLOVE_API_ANONYMIZER_HPP
 #define GLOVE_API_ANONYMIZER_HPP
@@ -95,10 +96,17 @@ class Anonymizer {
   /// util::CancelledError (mapped to kCancelled by the Engine),
   /// util::DatasetError (kInvalidDataset), std::invalid_argument
   /// (kInvalidConfig) or any std::exception (kInternal); the Engine owns
-  /// the mapping so strategies can lean on the legacy throwing core.
+  /// the mapping so strategies can lean on the throwing core.  Only
+  /// called when not `supports_streaming()`.
   [[nodiscard]] virtual StrategyOutcome run(
       const cdr::FingerprintDataset& data, const RunConfig& config,
-      const RunContext& context) const = 0;
+      const RunContext& context) const {
+    (void)data;
+    (void)config;
+    (void)context;
+    throw std::logic_error{"strategy '" + std::string{name()} +
+                           "' does not implement dataset runs"};
+  }
 
   /// True when `run_streaming` consumes the source incrementally (bounded
   /// memory) instead of needing the dataset whole.  The Engine collects

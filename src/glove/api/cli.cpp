@@ -51,14 +51,11 @@ void define_run_flags(util::Flags& flags, const Engine& engine,
   flags.define("shard-users", "2000",
                "max fingerprints per shard for --strategy=sharded");
   flags.define("shard-workers", "0",
-               "shard worker threads (0 = GLOVE_THREADS / hardware "
+               "sharded executor workers: threads, or worker daemons with "
+               "--executor=process (0 = GLOVE_THREADS / hardware "
                "concurrency)");
   flags.define("halo-km", "1",
                "border strip width in km deferred to reconciliation");
-  flags.define("reconcile-chunk-users", "0",
-               "deferred fingerprints materialized per halo-reconcile pass "
-               "in streaming sharded runs (0 = shard batch budget; output "
-               "is identical for every value)");
   flags.define_enum("border", "halo", {"halo", "none"},
                     "sharded border policy: defer border fingerprints "
                     "('halo') or keep them in their home shard ('none')");
@@ -66,9 +63,6 @@ void define_run_flags(util::Flags& flags, const Engine& engine,
                     "sharded execution backend: thread pool ('inprocess') "
                     "or forked glove_shard_worker daemons ('process'; "
                     "streaming file runs only, byte-identical output)");
-  flags.define("exec-workers", "0",
-               "worker daemons for --executor=process (0 = GLOVE_THREADS / "
-               "hardware concurrency)");
   flags.define("report", "",
                "write the run report to this path (.json or .csv)");
 }
@@ -122,25 +116,18 @@ RunConfig run_config_from_flags(const util::Flags& flags) {
   config.sharded.tile_size_m = flags.get_double("tile-km") * 1'000.0;
   const long long shard_users = flags.get_int("shard-users");
   const long long shard_workers = flags.get_int("shard-workers");
-  const long long reconcile_chunk = flags.get_int("reconcile-chunk-users");
-  const long long exec_workers = flags.get_int("exec-workers");
-  if (shard_users < 0 || shard_workers < 0 || reconcile_chunk < 0 ||
-      exec_workers < 0) {
+  if (shard_users < 0 || shard_workers < 0) {
     // Without this check the size_t cast would wrap a negative flag to
     // ~2^64 — for workers that drives thread/process creation, not just a
     // bound.
     throw std::invalid_argument{
-        "--shard-users, --shard-workers, --reconcile-chunk-users and "
-        "--exec-workers must be non-negative"};
+        "--shard-users and --shard-workers must be non-negative"};
   }
   config.sharded.max_shard_users = static_cast<std::size_t>(shard_users);
   config.sharded.workers = static_cast<std::size_t>(shard_workers);
-  config.sharded.reconcile_chunk_users =
-      static_cast<std::size_t>(reconcile_chunk);
   config.sharded.executor = flags.get("executor") == "process"
                                 ? shard::ExecutorKind::kProcess
                                 : shard::ExecutorKind::kInProcess;
-  config.sharded.exec_workers = static_cast<std::size_t>(exec_workers);
   config.sharded.halo_m = flags.get_double("halo-km") * 1'000.0;
   config.sharded.border = flags.get("border") == "none"
                               ? shard::BorderPolicy::kNone

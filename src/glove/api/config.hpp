@@ -66,29 +66,22 @@ struct RunConfig {
     double tile_size_m = 25'000.0;
     /// Load-balancing target: fingerprints per shard; must be >= k.
     std::size_t max_shard_users = 2'000;
-    /// Shard-scheduler worker threads; 0 = shared-pool default
-    /// (GLOVE_THREADS when set, else hardware concurrency).  The output
-    /// is byte-identical for every worker count.
+    /// Executor workers (in-process threads or glove_shard_worker
+    /// daemons); 0 = shared-pool default (GLOVE_THREADS when set, else
+    /// hardware concurrency).  The output is byte-identical for every
+    /// worker count.
     std::size_t workers = 0;
     /// Border handling: kHalo defers fingerprints near a foreign tile to
     /// the reconciliation pass; kNone keeps everything in its home shard.
     shard::BorderPolicy border = shard::BorderPolicy::kHalo;
     /// Border strip width for kHalo, metres.
     double halo_m = 1'000.0;
-    /// Streaming runs: deferred fingerprints materialized per
-    /// halo-reconciliation pass (whole reconcile chunks per pass; 0 = the
-    /// shard batch budget).  Does not change the output bytes — only how
-    /// many rewound passes the reconciliation spends.
-    std::size_t reconcile_chunk_users = 0;
-    /// Shard execution backend: kInProcess runs shards on the scheduler's
-    /// thread pool (the default); kProcess forks glove_shard_worker
-    /// daemons that re-read their shard slices from the file backing the
-    /// source (streaming file runs only).  The output is byte-identical
-    /// across backends.
+    /// Execution backend for shard and reconcile jobs: kInProcess runs
+    /// them on a thread pool (the default); kProcess forks
+    /// glove_shard_worker daemons that re-read their slices from the file
+    /// backing the source (streaming file runs only).  The output is
+    /// byte-identical across backends.
     shard::ExecutorKind executor = shard::ExecutorKind::kInProcess;
-    /// Worker count for the process executor; 0 = shared-pool default
-    /// (GLOVE_THREADS when set, else hardware concurrency).
-    std::size_t exec_workers = 0;
     /// Explicit glove_shard_worker binary path; empty = discover via
     /// $GLOVE_SHARD_WORKER_BIN, then next to the running executable.
     std::string worker_binary;

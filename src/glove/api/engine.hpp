@@ -18,8 +18,7 @@
 // everything else transparently collects the source first.  One call
 // drives every registered Anonymizer behind a uniform validated config,
 // progress callback, cooperative cancellation and a serializable run
-// report.  The pre-Engine free functions (core::anonymize & friends)
-// remain as deprecated shims.
+// report.
 
 #ifndef GLOVE_API_ENGINE_HPP
 #define GLOVE_API_ENGINE_HPP

@@ -82,9 +82,7 @@ ConfigEcho echo_config(const RunConfig& config) {
   echo.sharded_workers = config.sharded.workers;
   echo.sharded_border = border_policy_name(config.sharded.border);
   echo.sharded_halo_m = config.sharded.halo_m;
-  echo.sharded_reconcile_chunk_users = config.sharded.reconcile_chunk_users;
   echo.sharded_executor = executor_kind_echo(config.sharded.executor);
-  echo.sharded_exec_workers = config.sharded.exec_workers;
   echo.w4m_delta_m = config.w4m.delta_m;
   echo.w4m_trash_fraction = config.w4m.trash_fraction;
   echo.w4m_chunk_size = config.w4m.chunk_size;
@@ -126,12 +124,7 @@ stats::Json report_json(const RunReport& report) {
                     static_cast<std::uint64_t>(echo.sharded_workers))
                .set("border", echo.sharded_border)
                .set("halo_m", echo.sharded_halo_m)
-               .set("reconcile_chunk_users",
-                    static_cast<std::uint64_t>(
-                        echo.sharded_reconcile_chunk_users))
-               .set("executor", echo.sharded_executor)
-               .set("exec_workers",
-                    static_cast<std::uint64_t>(echo.sharded_exec_workers)))
+               .set("executor", echo.sharded_executor))
       .set("w4m", stats::Json::object()
                       .set("delta_m", echo.w4m_delta_m)
                       .set("trash_fraction", echo.w4m_trash_fraction)
@@ -189,7 +182,7 @@ stats::Json report_json(const RunReport& report) {
       .set("peak_rss_bytes", report.peak_rss_bytes);
 
   stats::Json doc = stats::Json::object();
-  doc.set("schema", "glove.run_report.v7")
+  doc.set("schema", "glove.run_report.v8")
       .set("strategy", report.strategy)
       .set("dataset", report.dataset_name)
       .set("config", std::move(config))

@@ -57,7 +57,7 @@ struct ShardTimingRow {
 /// round-robin assignment is deterministic).
 struct ExecWorkerRow {
   std::uint64_t worker = 0;        ///< 0-based worker index
-  std::uint64_t jobs = 0;          ///< shard jobs dispatched to it
+  std::uint64_t jobs = 0;          ///< shard + reconcile jobs sent to it
   std::uint64_t fingerprints = 0;  ///< fingerprints across those jobs
   std::uint64_t groups = 0;        ///< anonymized groups it returned
   double busy_seconds = 0.0;       ///< summed per-job wall clock
@@ -82,9 +82,7 @@ struct ConfigEcho {
   std::size_t sharded_workers = 0;
   std::string sharded_border;
   double sharded_halo_m = 0.0;
-  std::size_t sharded_reconcile_chunk_users = 0;
   std::string sharded_executor;
-  std::size_t sharded_exec_workers = 0;
   double w4m_delta_m = 0.0;
   double w4m_trash_fraction = 0.0;
   std::size_t w4m_chunk_size = 0;

@@ -9,7 +9,6 @@
 #include "glove/core/glove.hpp"
 #include "glove/core/incremental.hpp"
 #include "glove/core/scalability.hpp"
-#include "glove/shard/shard.hpp"
 #include "glove/shard/stream.hpp"
 
 namespace glove::api {
@@ -209,44 +208,27 @@ class ShardedStrategy final : public Anonymizer {
       return Error{ErrorCode::kInvalidConfig,
                    "sharded.max_shard_users must be at least k"};
     }
-    // The scheduler spawns this many threads; an absurd value is a config
-    // mistake (e.g. an integer wrap), not a parallelism request.
+    // The executor spawns this many threads or processes; an absurd value
+    // is a config mistake (e.g. an integer wrap), not a parallelism
+    // request.
     if (config.sharded.workers > 4'096) {
       return Error{ErrorCode::kInvalidConfig,
                    "sharded.workers must be at most 4096 (0 = hardware "
-                   "concurrency)"};
-    }
-    // Same sanity bound for the process executor's daemon count.
-    if (config.sharded.exec_workers > 4'096) {
-      return Error{ErrorCode::kInvalidConfig,
-                   "sharded.exec_workers must be at most 4096 (0 = hardware "
                    "concurrency)"};
     }
     return std::nullopt;
   }
   bool supports_streaming() const noexcept override { return true; }
 
-  StrategyOutcome run(const cdr::FingerprintDataset& data,
-                      const RunConfig& config,
-                      const RunContext& context) const override {
-    shard::ShardedResult result = shard::anonymize_sharded(
-        data, to_shard_config(config), context.hooks);
-    StrategyOutcome outcome =
-        outcome_from_stats(result.stats, result.shard_timings);
-    attach_exec(outcome, std::move(result.exec_kind), result.exec_workers,
-                result.exec_worker_stats);
-    outcome.anonymized = std::move(result.anonymized);
-    return outcome;
-  }
-
   StrategyOutcome run_streaming(DatasetSource& source, const RunConfig& config,
                                 const RunContext& context,
                                 DatasetSink& sink) const override {
     // The sharded pipeline is the first true streaming consumer: tile
-    // histogram and border split from a bounds-only first pass, shard
-    // batches materialized on later passes, groups pushed to the sink as
-    // shards finish.
-    sink.begin(shard::sharded_output_name(source.name(), config.k));
+    // histogram and border split from a bounds-only first pass, shard and
+    // reconcile batches materialized on later passes, groups pushed to the
+    // sink as batches finish.  In-memory datasets arrive here too, through
+    // the Engine's MemorySource.
+    sink.begin(source.name() + "-sharded-k" + std::to_string(config.k));
     SourceStream stream{source};
     shard::StreamShardedResult result = shard::anonymize_sharded_stream(
         stream, to_shard_config(config),
@@ -298,9 +280,7 @@ class ShardedStrategy final : public Anonymizer {
     sharded.workers = config.sharded.workers;
     sharded.border = config.sharded.border;
     sharded.halo_m = config.sharded.halo_m;
-    sharded.reconcile_chunk_users = config.sharded.reconcile_chunk_users;
     sharded.executor = config.sharded.executor;
-    sharded.exec_workers = config.sharded.exec_workers;
     sharded.worker_binary = config.sharded.worker_binary;
     return sharded;
   }

@@ -117,11 +117,6 @@ double linear_st_distance(const cdr::Fingerprint& a,
 }
 
 W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
-                        const W4MConfig& config) {
-  return anonymize_w4m(data, config, {});
-}
-
-W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
                         const W4MConfig& config,
                         const util::RunHooks& hooks) {
   if (config.k < 2) {

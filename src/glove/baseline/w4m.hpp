@@ -81,12 +81,7 @@ struct W4MResult {
 /// throws std::invalid_argument otherwise.  Deterministic.
 [[nodiscard]] W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
                                       const W4MConfig& config,
-                                      const util::RunHooks& hooks);
-
-/// Deprecated entry point: prefer glove::Engine::run (strategy
-/// "w4m-baseline") or the hooks overload above.
-[[nodiscard]] W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
-                                      const W4MConfig& config);
+                                      const util::RunHooks& hooks = {});
 
 /// Linear spatiotemporal distance between two trajectories (exposed for
 /// tests): time-average Euclidean distance between the two moving points

@@ -348,11 +348,6 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   return anonymize_impl(data, config, hooks, /*lazy_init=*/false);
 }
 
-GloveResult anonymize(const cdr::FingerprintDataset& data,
-                      const GloveConfig& config) {
-  return anonymize_impl(data, config, {}, /*lazy_init=*/false);
-}
-
 GloveResult anonymize_pruned(const cdr::FingerprintDataset& data,
                              const GloveConfig& config,
                              const util::RunHooks& hooks) {

@@ -89,13 +89,7 @@ struct GloveResult {
 /// with util::CancelledError before any output dataset is materialized.
 [[nodiscard]] GloveResult anonymize(const cdr::FingerprintDataset& data,
                                     const GloveConfig& config,
-                                    const util::RunHooks& hooks);
-
-/// Deprecated entry point: prefer glove::Engine::run (strategy "full") or
-/// the hooks overload above.  Kept as a thin shim; equivalent to
-/// anonymize(data, config, {}).
-[[nodiscard]] GloveResult anonymize(const cdr::FingerprintDataset& data,
-                                    const GloveConfig& config);
+                                    const util::RunHooks& hooks = {});
 
 /// Checks the k-anonymity postcondition: every fingerprint in `data` hides
 /// at least k members.  (Each member publishes the group's fingerprint, so

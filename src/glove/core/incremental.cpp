@@ -13,12 +13,6 @@ namespace glove::core {
 
 UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
                               const cdr::FingerprintDataset& new_users,
-                              const GloveConfig& config) {
-  return anonymize_update(published, new_users, config, {});
-}
-
-UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
-                              const cdr::FingerprintDataset& new_users,
                               const GloveConfig& config,
                               const util::RunHooks& hooks) {
   if (!is_k_anonymous(published, config.k)) {

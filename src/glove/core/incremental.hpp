@@ -48,13 +48,7 @@ struct UpdateResult {
 [[nodiscard]] UpdateResult anonymize_update(
     const cdr::FingerprintDataset& published,
     const cdr::FingerprintDataset& new_users, const GloveConfig& config,
-    const util::RunHooks& hooks);
-
-/// Deprecated entry point: prefer glove::Engine::run (strategy
-/// "incremental") or the hooks overload above.
-[[nodiscard]] UpdateResult anonymize_update(
-    const cdr::FingerprintDataset& published,
-    const cdr::FingerprintDataset& new_users, const GloveConfig& config);
+    const util::RunHooks& hooks = {});
 
 }  // namespace glove::core
 

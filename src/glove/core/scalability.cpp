@@ -143,11 +143,6 @@ std::vector<KGapEntry> k_gaps_pruned(const cdr::FingerprintDataset& data,
 }
 
 GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
-                              const ChunkedConfig& config) {
-  return anonymize_chunked(data, config, {});
-}
-
-GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
                               const ChunkedConfig& config,
                               const util::RunHooks& hooks) {
   if (config.chunk_size < config.glove.k) {
@@ -198,9 +193,7 @@ GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
       chunk.push_back(data[keys[i].index]);
     }
     const cdr::FingerprintDataset chunk_data{std::move(chunk)};
-    const GloveResult part =
-        config.pruned ? anonymize_pruned(chunk_data, config.glove, inner)
-                      : anonymize(chunk_data, config.glove, inner);
+    const GloveResult part = anonymize(chunk_data, config.glove, inner);
     for (const cdr::Fingerprint& fp : part.anonymized.fingerprints()) {
       output.push_back(fp);
     }

@@ -59,13 +59,6 @@ struct ChunkedConfig {
   /// Users per chunk; each chunk is anonymized independently.  Must be
   /// >= glove.k.
   std::size_t chunk_size = 2'000;
-  /// Run each chunk through the lazy-lower-bound `anonymize_pruned`
-  /// variant instead of the all-exact initialization.  Output is
-  /// byte-identical either way (pruned is exact); only the evaluation
-  /// counters and timings differ.  The sharded backend's reconciliation
-  /// pass enables this because its input is geographically spread — the
-  /// case bounding-box pruning is strongest on.
-  bool pruned = false;
 };
 
 /// Runs GLOVE independently on locality-sorted chunks and concatenates the
@@ -75,11 +68,7 @@ struct ChunkedConfig {
 /// chunks and inside each chunk's greedy loop.
 [[nodiscard]] GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
                                             const ChunkedConfig& config,
-                                            const util::RunHooks& hooks);
-
-/// Deprecated entry point: prefer glove::Engine::run (strategy "chunked").
-[[nodiscard]] GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
-                                            const ChunkedConfig& config);
+                                            const util::RunHooks& hooks = {});
 
 /// Exact GLOVE with a bounding-box-pruned initialization (implemented in
 /// glove.cpp beside the shared greedy loop): the initial candidate heap is

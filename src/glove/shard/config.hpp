@@ -30,7 +30,7 @@ enum class BorderPolicy {
   kNone,
 };
 
-/// Which ShardExecutor backend runs the shard batches.  Both produce
+/// Which ShardExecutor backend runs the GLOVE jobs.  Both produce
 /// byte-identical output for identical input and configuration; only the
 /// address-space layout differs.
 enum class ExecutorKind {
@@ -60,11 +60,13 @@ struct ShardConfig {
   /// stays one shard — shrink `tile_size_m` instead).  Must be >= glove.k.
   std::size_t max_shard_users = 2'000;
 
-  /// Shard-scheduler worker threads; 0 follows the shared-pool default
-  /// (GLOVE_THREADS when set, else hardware concurrency).  The per-shard
-  /// inner loops additionally use the shared pool, exactly like the
-  /// non-sharded strategies.  Output is identical for every worker count
-  /// (byte-stable determinism is tested).
+  /// Executor workers — threads of the in-process executor, daemons of
+  /// the process executor; 0 follows the shared-pool default
+  /// (GLOVE_THREADS when set, else hardware concurrency).  Also sizes the
+  /// batch budget (max_shard_users x workers fingerprints materialized per
+  /// pass).  The per-job inner loops additionally use the shared pool,
+  /// exactly like the non-sharded strategies.  Output is identical for
+  /// every worker count (byte-stable determinism is tested).
   std::size_t workers = 0;
 
   BorderPolicy border = BorderPolicy::kHalo;
@@ -74,25 +76,8 @@ struct ShardConfig {
   /// margin, touches a tile owned by a different shard.
   double halo_m = 1'000.0;
 
-  /// Streaming-run budget for the halo-reconciliation phase: at most this
-  /// many deferred fingerprints are materialized per rewound
-  /// reconciliation pass (passes close on whole reconcile units — the
-  /// >=k pass-throughs, each locality-sorted GLOVE chunk, the leftover
-  /// tail — and a single unit larger than the budget still forms its own
-  /// pass).  0 = the shard batch budget (max_shard_users x scheduler
-  /// workers).  Only pass boundaries move: the reconciliation GLOVE
-  /// chunking itself is fixed by max_shard_users, so the output bytes are
-  /// identical for every budget.
-  std::size_t reconcile_chunk_users = 0;
-
   /// Shard execution backend; see ExecutorKind.
   ExecutorKind executor = ExecutorKind::kInProcess;
-
-  /// Worker-process count for ExecutorKind::kProcess; 0 follows the
-  /// shared-pool default (GLOVE_THREADS when set, else hardware
-  /// concurrency).  Ignored by the in-process executor, whose threads are
-  /// governed by `workers`.
-  std::size_t exec_workers = 0;
 
   /// Path of the glove_shard_worker binary for ExecutorKind::kProcess.
   /// Empty = discover: $GLOVE_SHARD_WORKER_BIN, then well-known locations

@@ -1,9 +1,11 @@
 #include "glove/shard/exec/executor.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "glove/shard/exec/inprocess.hpp"
 #include "glove/shard/exec/process_pool.hpp"
+#include "glove/util/thread_pool.hpp"
 
 namespace glove::shard::exec {
 
@@ -19,10 +21,15 @@ std::string_view executor_kind_name(ExecutorKind kind) noexcept {
 
 std::unique_ptr<ShardExecutor> make_shard_executor(
     const ShardConfig& config, const std::optional<std::string>& source_path,
-    std::uint64_t total_fingerprints, std::size_t shard_count) {
+    std::uint64_t total_fingerprints, std::size_t job_count) {
+  // Never more workers than jobs, so none is idle by construction.
+  std::size_t workers = config.workers;
+  if (workers == 0) workers = util::ThreadPool::shared().size();
+  workers = std::min(std::max<std::size_t>(workers, 1),
+                     std::max<std::size_t>(job_count, 1));
   switch (config.executor) {
     case ExecutorKind::kInProcess:
-      return std::make_unique<InProcessExecutor>(config, shard_count);
+      return std::make_unique<InProcessExecutor>(config.glove, workers);
     case ExecutorKind::kProcess:
       if (!source_path.has_value()) {
         throw std::invalid_argument{
@@ -31,7 +38,7 @@ std::unique_ptr<ShardExecutor> make_shard_executor(
             "shared file, which an in-memory source does not have"};
       }
       return std::make_unique<ProcessPoolExecutor>(
-          config, *source_path, total_fingerprints, shard_count);
+          config, *source_path, total_fingerprints, workers);
   }
   throw std::invalid_argument{"unknown shard executor kind"};
 }

@@ -1,6 +1,7 @@
 // The shard execution seam: the streaming pipeline plans batches and
-// materializes (or names) shard member slices, a ShardExecutor turns each
-// slice into finalized groups.  Two backends implement it — the in-process
+// materializes (or names) member slices — shards and reconcile chunks
+// alike — and a ShardExecutor turns each slice into finalized groups with
+// the same pruned GLOVE run.  Two backends implement it — the in-process
 // thread pool the backend always had, and a coordinator/worker process
 // pool — and both must produce byte-identical groups for identical jobs,
 // so the choice is an operational knob, never a semantic one.
@@ -25,7 +26,9 @@
 
 namespace glove::shard::exec {
 
-/// One serialized unit of shard work: shard `shard` of the current plan.
+/// One serialized unit of GLOVE work: shard `shard` of the current plan,
+/// or reconcile chunk `shard` of the reconcile plan when `reconcile` is
+/// set (traced as stream.reconcile.chunk instead of stream.shard).
 /// `member_ids` names the slice (dataset indices in planned member order);
 /// `inputs` carries the materialized fingerprints when the caller
 /// materializes (executors whose `reads_source()` is true re-read the
@@ -33,6 +36,7 @@ namespace glove::shard::exec {
 /// empty).
 struct ShardJob {
   std::size_t shard = 0;
+  bool reconcile = false;
   const std::vector<std::uint32_t>* member_ids = nullptr;
   std::vector<cdr::Fingerprint> inputs;
 };
@@ -95,14 +99,16 @@ class ShardExecutor {
 /// Human-readable executor name for reports and error messages.
 [[nodiscard]] std::string_view executor_kind_name(ExecutorKind kind) noexcept;
 
-/// Builds the executor `config` selects.  `source_path` is the file
-/// backing the stream (nullopt for in-memory sources); the process
-/// executor requires it and throws std::invalid_argument otherwise.
-/// `total_fingerprints` is the pass-1 count (workers validate their
-/// re-reads against it); `shard_count` caps the resolved parallelism.
+/// Builds the executor `config` selects, with `config.workers` threads or
+/// processes (0 = the shared-pool default: GLOVE_THREADS when set, else
+/// hardware concurrency) capped at `job_count`, the run's total GLOVE job
+/// count.  `source_path` is the file backing the stream (nullopt for
+/// in-memory sources); the process executor requires it and throws
+/// std::invalid_argument otherwise.  `total_fingerprints` is the pass-1
+/// count (workers validate their re-reads against it).
 [[nodiscard]] std::unique_ptr<ShardExecutor> make_shard_executor(
     const ShardConfig& config, const std::optional<std::string>& source_path,
-    std::uint64_t total_fingerprints, std::size_t shard_count);
+    std::uint64_t total_fingerprints, std::size_t job_count);
 
 }  // namespace glove::shard::exec
 

@@ -1,12 +1,10 @@
 #include "glove/shard/exec/inprocess.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "glove/cdr/dataset.hpp"
 #include "glove/core/scalability.hpp"
-#include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
 #include "glove/util/parallel.hpp"
 
@@ -22,25 +20,13 @@ double seconds_since(Clock::time_point start) {
 
 }  // namespace
 
-InProcessExecutor::InProcessExecutor(const ShardConfig& config,
-                                     std::size_t shard_count)
-    : glove_{config.glove},
-      scheduler_{[&] {
-        std::size_t requested = config.workers;
-        if (requested == 0) requested = util::ThreadPool::shared().size();
-        return std::min(std::max<std::size_t>(requested, 1),
-                        std::max<std::size_t>(shard_count, 1));
-      }()} {}
+InProcessExecutor::InProcessExecutor(const core::GloveConfig& glove,
+                                     std::size_t workers)
+    : glove_{glove}, scheduler_{workers} {}
 
 std::vector<ShardResult> InProcessExecutor::run_batch(
     std::vector<ShardJob> jobs, const ShardResultFn& on_result,
     const util::RunHooks& hooks) {
-  // Same deterministic plane counters the pre-seam batch loop kept (the
-  // totals surface in the run report's "obs" section).
-  static const obs::Counter c_shards = obs::counter("stream.shards_run");
-  static const obs::Histogram h_shard_members =
-      obs::histogram("stream.shard.members");
-
   std::vector<ShardResult> results(jobs.size());
   util::RunHooks inner;
   inner.cancel = hooks.cancel;
@@ -54,12 +40,10 @@ std::vector<ShardResult> InProcessExecutor::run_batch(
           const std::size_t members = job.inputs.size();
           out.timing.shard = job.shard;
           out.timing.input_fingerprints = members;
-          if (job.inputs.empty()) continue;
-          GLOVE_SPAN_NAMED(shard_span, "stream.shard");
-          shard_span.arg("shard", job.shard);
-          shard_span.arg("members", members);
-          c_shards.add();
-          h_shard_members.observe(members);
+          GLOVE_SPAN_NAMED(job_span, job.reconcile ? "stream.reconcile.chunk"
+                                                   : "stream.shard");
+          job_span.arg(job.reconcile ? "chunk" : "shard", job.shard);
+          job_span.arg("members", members);
           const auto start = Clock::now();
           core::GloveResult run = core::anonymize_pruned(
               cdr::FingerprintDataset{std::move(job.inputs)}, glove_, inner);
@@ -67,7 +51,7 @@ std::vector<ShardResult> InProcessExecutor::run_batch(
           out.timing.merge_seconds = run.stats.merge_seconds;
           out.timing.total_seconds = seconds_since(start);
           out.timing.output_groups = run.anonymized.size();
-          shard_span.arg("groups", run.anonymized.size());
+          job_span.arg("groups", run.anonymized.size());
           out.groups = std::move(run.anonymized.mutable_fingerprints());
           out.stats = run.stats;
           on_result(out);

@@ -1,6 +1,6 @@
-// The default ShardExecutor: runs shard jobs on an in-process thread
-// pool, exactly the execution path the streaming backend always had (and
-// byte-identical to it).
+// The default ShardExecutor: runs shard and reconcile jobs on an
+// in-process thread pool, exactly the execution path the streaming backend
+// always had (and byte-identical to it).
 
 #ifndef GLOVE_SHARD_EXEC_INPROCESS_HPP
 #define GLOVE_SHARD_EXEC_INPROCESS_HPP
@@ -15,9 +15,9 @@ namespace glove::shard::exec {
 
 class InProcessExecutor final : public ShardExecutor {
  public:
-  /// `config.workers` sizes the pool (0 = shared-pool default), clamped
-  /// to `shard_count` so no thread is ever idle by construction.
-  InProcessExecutor(const ShardConfig& config, std::size_t shard_count);
+  /// Runs every job through core::anonymize_pruned with `glove` on a pool
+  /// of `workers` threads (resolved by make_shard_executor).
+  InProcessExecutor(const core::GloveConfig& glove, std::size_t workers);
 
   [[nodiscard]] std::string_view kind() const noexcept override {
     return "inprocess";

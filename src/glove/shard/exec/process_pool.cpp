@@ -1,6 +1,5 @@
 #include "glove/shard/exec/process_pool.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "glove/obs/metrics.hpp"
-#include "glove/util/thread_pool.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -74,37 +72,28 @@ namespace {
       what + ": " + std::error_code(errno, std::generic_category()).message()};
 }
 
-std::size_t resolve_worker_count(const ShardConfig& config,
-                                 std::size_t shard_count) {
-  std::size_t requested = config.exec_workers;
-  if (requested == 0) requested = util::ThreadPool::shared().size();
-  return std::min(std::max<std::size_t>(requested, 1),
-                  std::max<std::size_t>(shard_count, 1));
-}
-
 }  // namespace
 
 ProcessPoolExecutor::ProcessPoolExecutor(const ShardConfig& config,
                                          std::string source_path,
                                          std::uint64_t total_fingerprints,
-                                         std::size_t shard_count)
+                                         std::size_t workers)
     : worker_binary_{resolve_worker_binary(config.worker_binary)} {
   hello_.source_path = std::move(source_path);
   hello_.expected_fingerprints = total_fingerprints;
   hello_.glove = config.glove;
 
   static const obs::Counter c_spawned = obs::counter("exec.workers_spawned");
-  const std::size_t count = resolve_worker_count(config, shard_count);
-  workers_.resize(count);
+  workers_.resize(workers);
   try {
-    for (std::size_t i = 0; i < count; ++i) spawn_worker(i);
+    for (std::size_t i = 0; i < workers; ++i) spawn_worker(i);
     // Handshake after all spawns so a version or source mismatch names
     // the first worker that rejected it.
     const std::vector<std::uint8_t> hello = encode_hello(hello_);
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < workers; ++i) {
       write_frame(workers_[i].fd, FrameType::kHello, hello);
     }
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < workers; ++i) {
       Frame frame;
       if (!read_frame(workers_[i].fd, frame)) {
         fail_worker(i, "exited during the hello handshake");
@@ -223,12 +212,7 @@ void ProcessPoolExecutor::fail_worker(std::size_t worker,
 std::vector<ShardResult> ProcessPoolExecutor::run_batch(
     std::vector<ShardJob> jobs, const ShardResultFn& on_result,
     const util::RunHooks& hooks) {
-  // Mirrors the in-process executor's deterministic plane counters so the
-  // run report's "obs" section stays executor-independent, plus the
-  // dispatch accounting specific to this backend.
-  static const obs::Counter c_shards = obs::counter("stream.shards_run");
-  static const obs::Histogram h_shard_members =
-      obs::histogram("stream.shard.members");
+  // Dispatch accounting specific to this backend.
   static const obs::Counter c_jobs = obs::counter("exec.jobs_dispatched");
 
   std::vector<ShardResult> results(jobs.size());
@@ -299,8 +283,6 @@ std::vector<ShardResult> ProcessPoolExecutor::run_batch(
                            std::to_string(job.shard));
       }
       const std::size_t members = job.member_ids->size();
-      c_shards.add();
-      h_shard_members.observe(members);
       // Fold the worker's counter increments (the core.heap.* and
       // source-side counters that ticked in its address space) into this
       // process's registry: the engine's before/after delta then reports

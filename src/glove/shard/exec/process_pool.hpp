@@ -26,12 +26,12 @@ namespace glove::shard::exec {
 
 class ProcessPoolExecutor final : public ShardExecutor {
  public:
-  /// Spawns the worker daemons and completes the hello handshake; throws
-  /// on any spawn or handshake failure (POSIX-only: other platforms throw
-  /// std::invalid_argument immediately).
+  /// Spawns `workers` worker daemons (resolved by make_shard_executor)
+  /// and completes the hello handshake; throws on any spawn or handshake
+  /// failure (POSIX-only: other platforms throw std::invalid_argument
+  /// immediately).
   ProcessPoolExecutor(const ShardConfig& config, std::string source_path,
-                      std::uint64_t total_fingerprints,
-                      std::size_t shard_count);
+                      std::uint64_t total_fingerprints, std::size_t workers);
   ~ProcessPoolExecutor() override;
 
   ProcessPoolExecutor(const ProcessPoolExecutor&) = delete;

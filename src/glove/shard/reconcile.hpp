@@ -1,35 +1,27 @@
-// Cross-shard reconciliation: the deterministic final pass that makes the
+// Cross-shard reconciliation: the deterministic final phase that makes the
 // sharded output k-anonymous as a whole.
 //
-// Its input is every fingerprint the runner deferred (border fingerprints
-// under BorderPolicy::kHalo plus whole shards whose kept set fell below
-// k).  Groups already at or above k pass straight through; the sub-k rest
-// is anonymized together over locality-sorted chunks (so cross-tile
-// candidate pairs — the reason the fingerprints were deferred — are merge
-// candidates again).  A remainder smaller than k falls back to the
-// configured leftover policy: absorbed into the nearest finalized group,
-// or suppressed.
+// Its input is every fingerprint the border split deferred (border
+// fingerprints under BorderPolicy::kHalo plus whole shards whose kept set
+// fell below k).  Groups already at or above k pass straight through; the
+// sub-k rest is anonymized together over locality-sorted chunks (so
+// cross-tile candidate pairs — the reason the fingerprints were deferred —
+// are merge candidates again).  A remainder smaller than k falls back to
+// the configured leftover policy: absorbed into the nearest finalized
+// group, or suppressed.
 //
-// Two call shapes expose the same algorithm:
-//
-//   * reconcile_leftovers — the monolithic form over materialized
-//     leftovers (the in-memory wrapper and the rare buffered-absorb tail
-//     of a streaming run);
-//   * plan_reconcile + reconcile_chunk — the chunk-resumable form the
-//     streaming pipeline drives: the schedule is computed from
-//     per-leftover bounding geometry and group sizes alone (both already
-//     resident after the pass-1 scan), then each GLOVE chunk is
-//     materialized by its own rewound pass and fed through
-//     reconcile_chunk.  Chunk membership, member order and per-chunk
-//     execution are exactly anonymize_chunked's, so the two shapes emit
-//     identical bytes.
+// The schedule is planned from per-leftover bounding geometry and group
+// sizes alone (both resident after the pass-1 scan).  The streaming
+// pipeline runs each GLOVE chunk as an executor job, exactly like a shard;
+// chunk membership and member order are anonymize_chunked's, so the chunks
+// together reproduce one anonymize_chunked run over the sub-k set.  The
+// policy tail runs last, over the groups the run holds back for it.
 
 #ifndef GLOVE_SHARD_RECONCILE_HPP
 #define GLOVE_SHARD_RECONCILE_HPP
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -39,16 +31,6 @@
 #include "glove/util/hooks.hpp"
 
 namespace glove::shard {
-
-struct ReconcileStats {
-  /// Groups produced by the reconciliation GLOVE run.
-  std::size_t reconciled_groups = 0;
-  /// Leftovers merged into an existing shard-output group.
-  std::size_t absorbed = 0;
-  /// Inner GLOVE counters of the reconciliation run.
-  core::GloveStats glove;
-  double seconds = 0.0;
-};
 
 /// The reconciliation schedule, derived from per-leftover bounding
 /// geometry and group sizes alone — never the samples.  Every entry is a
@@ -82,39 +64,19 @@ struct ReconcilePlan {
     std::span<const core::FingerprintBounds> bounds,
     std::span<const std::uint32_t> group_sizes, const ShardConfig& config);
 
-/// Runs the reconciliation GLOVE over one planned chunk.  `members` must
-/// hold the chunk's fingerprints in planned order; finalized groups are
-/// handed to `emit` in output order and the inner counters (including the
-/// chunk's input/output dataset shape) accumulate into `stats`.  Driving
-/// every chunk of a plan through this reproduces anonymize_chunked over
-/// the whole sub-k set byte for byte — each chunk is an independent
-/// pruned-GLOVE run.  `hooks` forward into the inner run (progress in the
-/// inner run's own units; adapt before calling when a different scale is
-/// reported upstream).
-void reconcile_chunk(std::vector<cdr::Fingerprint> members,
-                     const ShardConfig& config, ReconcileStats& stats,
-                     const std::function<void(cdr::Fingerprint&&)>& emit,
-                     const util::RunHooks& hooks);
-
-/// Counts one suppressed sub-k leftover into `stats`: its hidden users as
-/// discarded, its original samples (summed contributors) as deleted — the
-/// single deletion definition every suppression path shares.  Used by the
-/// monolithic tail below and by the streaming pipeline's tail unit.
-void count_suppressed_leftover(const cdr::Fingerprint& leftover,
-                               ReconcileStats& stats);
-
-/// Reconciles `leftovers` against the shard outputs in `anonymized`
-/// (modified in place: reconciled groups are appended, absorbing groups
-/// are replaced).  Deterministic: leftovers keep their (shard, member)
-/// order and absorption scans groups in stable order with strict-minimum
-/// tie-breaking.  Progress is reported in leftovers consumed out of
-/// `leftovers.size()` (fractional within a running GLOVE chunk);
-/// cancellation is polled between chunks, inside each chunk's loops and
-/// between absorbs.
-[[nodiscard]] ReconcileStats reconcile_leftovers(
-    std::vector<cdr::Fingerprint> leftovers,
-    std::vector<cdr::Fingerprint>& anonymized, const ShardConfig& config,
-    const util::RunHooks& hooks);
+/// Applies the configured leftover policy to the plan's tail (`tail` holds
+/// its fingerprints in plan order).  kMergeIntoNearest merges each one
+/// into the minimum-stretch group of `groups`, which is modified in place
+/// (absorption scans groups in stable order with strict-minimum
+/// tie-breaking); kSuppress counts each one's hidden users as discarded
+/// and its original samples (summed contributors) as deleted — the single
+/// deletion definition every suppression path shares.  Cost counters
+/// accumulate into `stats`; returns how many leftovers were absorbed.
+/// Cancellation is polled between leftovers.
+std::size_t reconcile_tail(std::vector<cdr::Fingerprint> tail,
+                           std::vector<cdr::Fingerprint>& groups,
+                           const ShardConfig& config, core::GloveStats& stats,
+                           const util::RunHooks& hooks);
 
 }  // namespace glove::shard
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -13,7 +14,10 @@
 #include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
 #include "glove/shard/exec/executor.hpp"
+#include "glove/shard/planner.hpp"
 #include "glove/shard/reconcile.hpp"
+#include "glove/shard/runner.hpp"
+#include "glove/shard/tiling.hpp"
 #include "glove/util/parallel.hpp"
 
 namespace glove::shard {
@@ -122,6 +126,16 @@ std::uint64_t materialize_pass(
   return index;
 }
 
+/// One entry of the run's ordered unit list: a shard job, or a piece of
+/// the reconcile plan.  `ids` are dataset indices in member order.
+enum class UnitKind { kShard, kPassthrough, kChunk, kTail };
+
+struct Unit {
+  UnitKind kind;
+  std::size_t index;  ///< shard index, or reconcile chunk index
+  std::vector<std::uint32_t> ids;
+};
+
 }  // namespace
 
 StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
@@ -144,14 +158,17 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   hooks.throw_if_cancelled();
 
   // Deterministic plane counters (counts only — they surface in the run
-  // report's "obs" section); the per-shard counters live with the
-  // executors that run the shards.
+  // report's "obs" section), kept here so they are executor-independent.
   static const obs::Counter c_batches = obs::counter("stream.shard_batches");
+  static const obs::Counter c_shards = obs::counter("stream.shards_run");
+  static const obs::Histogram h_shard_members =
+      obs::histogram("stream.shard.members");
   static const obs::Counter c_chunks = obs::counter("stream.reconcile_chunks");
 
   StreamShardedResult result;
 
-  // --- Pass 1: bounds-only scan, tile, plan, split borders.
+  // --- Pass 1: bounds-only scan, tile, plan, split borders, plan the
+  // reconciliation.
   const auto plan_start = Clock::now();
   StreamScan scan;
   {
@@ -184,222 +201,33 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   result.stats.tile_size_m = tiling.tile_size_m;
 
   const ShardPlan plan = ShardPlanner{resolved}.plan(tiling);
-  const BorderSplit split = split_borders(tiling, plan, resolved);
+  BorderSplit split = split_borders(tiling, plan, resolved);
   const std::size_t shard_count = plan.shards.size();
   result.stats.tiles = plan.tiles;
   result.stats.shards = shard_count;
-  result.stats.plan_seconds = seconds_since(plan_start);
-  hooks.throw_if_cancelled();
 
+  // The ordered unit list: each non-empty kept set as a shard job, then
+  // the reconcile plan over the deferred leftovers in (shard, member)
+  // order, planned from their pass-1 bounds and group sizes alone.
+  std::vector<Unit> units;
+  std::size_t job_count = 0;
   result.shard_timings.resize(shard_count);
-  std::size_t deferred_total = 0;
-  std::size_t subk_deferred = 0;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    result.shard_timings[s].shard = s;
-    result.shard_timings[s].input_fingerprints = split.kept[s].size();
-    result.shard_timings[s].deferred = split.deferred[s].size();
-    deferred_total += split.deferred[s].size();
-    for (const std::uint32_t id : split.deferred[s]) {
-      if (scan.group_sizes[id] < resolved.glove.k) ++subk_deferred;
-    }
-  }
-  result.stats.deferred_fingerprints = deferred_total;
-
-  // Absorbing a sub-k tail (fewer than k deferred singles under
-  // kMergeIntoNearest) rewrites the nearest already-finalized group, so
-  // nothing may leave before reconciliation; that rare case buffers the
-  // output groups instead of streaming them out (and materializes its
-  // leftovers during the shard batch passes — they are at most k-1 sub-k
-  // fingerprints plus the >=k pass-throughs).  Every other tail shape
-  // only appends, so groups flow to the emitter as shards complete and
-  // the deferred leftovers are materialized later, chunk by chunk, by the
-  // streaming reconciliation passes.
-  const bool buffered =
-      resolved.glove.leftover_policy ==
-          core::LeftoverPolicy::kMergeIntoNearest &&
-      subk_deferred > 0 && subk_deferred < resolved.glove.k;
-
-  std::uint64_t emitted_groups = 0;
-  std::uint64_t emitted_samples = 0;
-  std::vector<cdr::Fingerprint> held;  // buffered mode only
-  const auto deliver = [&](cdr::Fingerprint&& fp) {
-    if (buffered) {
-      held.push_back(std::move(fp));
-      return;
-    }
-    ++emitted_groups;
-    emitted_samples += fp.size();
-    emit(std::move(fp));
-  };
-
-  // --- Passes 2..: materialize and run contiguous shard batches through
-  // the configured ShardExecutor.  The batch budget caps resident
-  // fingerprints at roughly one shard per executor worker, which also
-  // keeps the workers busy.
-  const std::unique_ptr<exec::ShardExecutor> executor =
-      exec::make_shard_executor(resolved, source.file_path(), n, shard_count);
-  const std::size_t batch_budget = std::max<std::size_t>(
-      resolved.max_shard_users * executor->workers(), 1);
-  // Executors that re-read the source themselves (process pool) receive
-  // the member ids only; the coordinator then materializes nothing for
-  // the kept sets (the buffered tail still fetches its leftovers here).
-  const bool local_inputs = !executor->reads_source();
-
-  const std::uint64_t total_work = n + 1;  // +1: the final reconcile tick
-  hooks.report(0, total_work);
-  std::vector<cdr::Fingerprint> leftovers;  // buffered mode only
-  if (buffered) leftovers.reserve(deferred_total);
-  std::mutex progress_mutex;
-  std::uint64_t done = 0;
-  const cdr::FingerprintDataset* inmem = source.materialized();
-
-  for (std::size_t first = 0; first < shard_count;) {
-    // Close the batch before the budget breaks; a single oversized shard
-    // still forms its own batch.  Deferred fingerprints ride along (and
-    // count against the budget) only in buffered mode — the streaming
-    // reconciliation materializes them in its own passes otherwise.
-    std::size_t last = first;
-    std::size_t batch_members = 0;
-    while (last < shard_count) {
-      std::size_t members = split.kept[last].size();
-      if (buffered) members += split.deferred[last].size();
-      if (last > first && batch_members + members > batch_budget) break;
-      batch_members += members;
-      ++last;
-    }
-    GLOVE_SPAN_NAMED(batch_span, "stream.shard_batch");
-    batch_span.arg("first_shard", first);
-    batch_span.arg("shards", last - first);
-    batch_span.arg("members", batch_members);
-    c_batches.add();
-    if (obs::log_verbose()) {
-      obs::log_info("stream.batch",
-                    obs::log_kv("first_shard", first) + ' ' +
-                        obs::log_kv("shards", last - first) + ' ' +
-                        obs::log_kv("members", batch_members));
-    }
-
-    // Materialized sources hand fingerprints out by index (one copy per
-    // batch member, as the pre-streaming runner did); true streams are
-    // re-read whole, keeping only this batch's members.
-    std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id;
-    std::vector<cdr::Fingerprint> store;
-    if (inmem == nullptr && (local_inputs || buffered)) {
-      slot_of_id.reserve(batch_members);
-      std::uint32_t next_slot = 0;
-      for (std::size_t s = first; s < last; ++s) {
-        if (local_inputs) {
-          for (const std::uint32_t id : split.kept[s]) {
-            slot_of_id[id] = next_slot++;
-          }
-        }
-        if (buffered) {
-          for (const std::uint32_t id : split.deferred[s]) {
-            slot_of_id[id] = next_slot++;
-          }
-        }
-      }
-      store.resize(next_slot);
-      result.pass_fingerprints.push_back(
-          materialize_pass(source, slot_of_id, store, n, hooks));
-    }
-    const auto fetch = [&](std::uint32_t id) -> cdr::Fingerprint {
-      if (inmem != nullptr) return (*inmem)[id];
-      return std::move(store[slot_of_id.at(id)]);
-    };
-
-    // Buffered leftovers keep their (shard, member) order across batches.
-    if (buffered) {
-      for (std::size_t s = first; s < last; ++s) {
-        for (const std::uint32_t id : split.deferred[s]) {
-          leftovers.push_back(fetch(id));
-        }
-      }
-    }
-
-    // Serialize the batch into shard jobs (empty kept sets run nothing
-    // and keep their zeroed timing row) and hand it to the executor;
-    // results come back in job = shard order.
-    std::vector<exec::ShardJob> jobs;
-    jobs.reserve(last - first);
-    for (std::size_t s = first; s < last; ++s) {
-      if (split.kept[s].empty()) continue;
-      exec::ShardJob job;
-      job.shard = s;
-      job.member_ids = &split.kept[s];
-      if (local_inputs) {
-        job.inputs.reserve(split.kept[s].size());
-        for (const std::uint32_t id : split.kept[s]) {
-          job.inputs.push_back(fetch(id));
-        }
-      }
-      jobs.push_back(std::move(job));
-    }
-    store.clear();
-    store.shrink_to_fit();
-
-    const exec::ShardResultFn on_result = [&](const exec::ShardResult& r) {
-      const std::lock_guard lock{progress_mutex};
-      done += r.timing.input_fingerprints;
-      hooks.report(done, total_work);
-    };
-    std::vector<exec::ShardResult> batch_results =
-        executor->run_batch(std::move(jobs), on_result, hooks);
-
-    for (exec::ShardResult& r : batch_results) {
-      result.stats.glove.accumulate_costs(r.stats);
-      ShardTiming& timing = result.shard_timings[r.timing.shard];
-      timing.init_seconds = r.timing.init_seconds;
-      timing.merge_seconds = r.timing.merge_seconds;
-      timing.total_seconds = r.timing.total_seconds;
-      timing.output_groups = r.timing.output_groups;
-      for (cdr::Fingerprint& fp : r.groups) {
-        deliver(std::move(fp));
-      }
-    }
-    first = last;
-  }
-
-  // --- Reconcile cross-shard leftovers.  Appended groups (deferred >= k
-  // pass-throughs, then the chunked reconciliation output) trail the
-  // shard groups exactly as in the buffered layout.
-  hooks.throw_if_cancelled();
-  GLOVE_SPAN_NAMED(reconcile_span, "stream.reconcile");
-  reconcile_span.arg("deferred", deferred_total);
-  if (buffered) {
-    // Progress inside the reconcile is reported in leftover units; shift
-    // it past the kept fingerprints already counted.
-    const ReconcileStats reconcile = reconcile_leftovers(
-        std::move(leftovers), held, resolved,
-        util::subrange_hooks(hooks, done, deferred_total, total_work));
-    result.stats.glove.accumulate_costs(reconcile.glove);
-    result.stats.reconciled_groups = reconcile.reconciled_groups;
-    result.stats.absorbed_leftovers = reconcile.absorbed;
-    result.stats.reconcile_seconds = reconcile.seconds;
-    for (cdr::Fingerprint& fp : held) {
-      ++emitted_groups;
-      emitted_samples += fp.size();
-      emit(std::move(fp));
-    }
-  } else {
-    // Streaming reconciliation: plan the whole phase from pass-1 residue
-    // (per-fingerprint bounds kept by the tiling, group sizes from the
-    // scan), then materialize one budget's worth of reconcile units per
-    // rewound pass — the leftover analogue of the shard batches.  No
-    // fingerprint is held before the pass that consumes it, so the
-    // O(borders) term of the old whole-materialize reconcile is gone.
-    const auto reconcile_start = Clock::now();
-    ReconcileStats rstats;
-
-    // Leftover ids in (shard, member) order — the exact sequence the
-    // buffered path would materialize.
+  {
     std::vector<std::uint32_t> leftover_ids;
-    leftover_ids.reserve(deferred_total);
     for (std::size_t s = 0; s < shard_count; ++s) {
-      for (const std::uint32_t id : split.deferred[s]) {
-        leftover_ids.push_back(id);
+      ShardTiming& timing = result.shard_timings[s];
+      timing.shard = s;
+      timing.input_fingerprints = split.kept[s].size();
+      timing.deferred = split.deferred[s].size();
+      leftover_ids.insert(leftover_ids.end(), split.deferred[s].begin(),
+                          split.deferred[s].end());
+      if (!split.kept[s].empty()) {
+        units.push_back({UnitKind::kShard, s, std::move(split.kept[s])});
       }
     }
+    result.stats.deferred_fingerprints = leftover_ids.size();
+    job_count = units.size();
+
     std::vector<core::FingerprintBounds> leftover_bounds;
     std::vector<std::uint32_t> leftover_sizes;
     leftover_bounds.reserve(leftover_ids.size());
@@ -410,118 +238,210 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
     }
     const ReconcilePlan rplan =
         plan_reconcile(leftover_bounds, leftover_sizes, resolved);
-
-    // One pass materializes whole units in phase order: the >= k
-    // pass-throughs, each GLOVE chunk, then the policy tail.  (The tail
-    // here is suppress-only: a sub-k tail under kMergeIntoNearest took
-    // the buffered branch above.)
-    enum class UnitKind { kPassthrough, kChunk, kTail };
-    struct Unit {
-      UnitKind kind;
-      const std::vector<std::uint32_t>* positions;
+    const auto ids_at = [&](const std::vector<std::uint32_t>& positions) {
+      std::vector<std::uint32_t> ids;
+      ids.reserve(positions.size());
+      for (const std::uint32_t position : positions) {
+        ids.push_back(leftover_ids[position]);
+      }
+      return ids;
     };
-    std::vector<Unit> units;
-    units.reserve(rplan.chunks.size() + 2);
     if (!rplan.passthrough.empty()) {
-      units.push_back({UnitKind::kPassthrough, &rplan.passthrough});
+      units.push_back({UnitKind::kPassthrough, 0, ids_at(rplan.passthrough)});
     }
-    for (const std::vector<std::uint32_t>& chunk : rplan.chunks) {
-      units.push_back({UnitKind::kChunk, &chunk});
+    for (std::size_t c = 0; c < rplan.chunks.size(); ++c) {
+      units.push_back({UnitKind::kChunk, c, ids_at(rplan.chunks[c])});
     }
+    job_count += rplan.chunks.size();
     if (!rplan.tail.empty()) {
-      units.push_back({UnitKind::kTail, &rplan.tail});
+      units.push_back({UnitKind::kTail, 0, ids_at(rplan.tail)});
     }
-    const std::size_t reconcile_budget =
-        resolved.reconcile_chunk_users > 0 ? resolved.reconcile_chunk_users
-                                           : batch_budget;
+  }
+  result.stats.plan_seconds = seconds_since(plan_start);
+  hooks.throw_if_cancelled();
 
-    const std::function<void(cdr::Fingerprint&&)> emit_group = deliver;
-    for (std::size_t first_u = 0; first_u < units.size();) {
-      std::size_t last_u = first_u;
-      std::size_t pass_members = 0;
-      while (last_u < units.size()) {
-        const std::size_t members = units[last_u].positions->size();
-        if (last_u > first_u && pass_members + members > reconcile_budget) {
-          break;
-        }
-        pass_members += members;
-        ++last_u;
-      }
-      GLOVE_SPAN_NAMED(pass_span, "stream.reconcile.pass");
-      pass_span.arg("units", last_u - first_u);
-      pass_span.arg("members", pass_members);
-      if (obs::log_verbose()) {
-        obs::log_info("stream.reconcile",
-                      obs::log_kv("units", last_u - first_u) + ' ' +
-                          obs::log_kv("members", pass_members));
-      }
+  // Absorbing a sub-k tail (fewer than k sub-k leftovers under
+  // kMergeIntoNearest) rewrites the nearest already-finalized group, so
+  // that rare run holds every group back until the tail is absorbed.
+  // Every other shape only appends, so groups flow to the emitter as
+  // their batch completes.
+  const bool hold = resolved.glove.leftover_policy ==
+                        core::LeftoverPolicy::kMergeIntoNearest &&
+                    !units.empty() && units.back().kind == UnitKind::kTail;
+  std::uint64_t emitted_groups = 0;
+  std::uint64_t emitted_samples = 0;
+  std::vector<cdr::Fingerprint> held;
+  const auto deliver = [&](cdr::Fingerprint&& fp) {
+    if (hold) {
+      held.push_back(std::move(fp));
+      return;
+    }
+    ++emitted_groups;
+    emitted_samples += fp.size();
+    emit(std::move(fp));
+  };
 
-      std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id;
-      std::vector<cdr::Fingerprint> store;
-      if (inmem == nullptr) {
-        slot_of_id.reserve(pass_members);
-        store.resize(pass_members);
-        std::uint32_t next_slot = 0;
-        for (std::size_t u = first_u; u < last_u; ++u) {
-          for (const std::uint32_t position : *units[u].positions) {
-            slot_of_id[leftover_ids[position]] = next_slot++;
-          }
+  // --- Passes 2..: run the units in batches through the configured
+  // ShardExecutor.  The batch budget caps resident fingerprints at roughly
+  // one shard per executor worker, which also keeps the workers busy.
+  const std::unique_ptr<exec::ShardExecutor> executor =
+      exec::make_shard_executor(resolved, source.file_path(), n, job_count);
+  const std::size_t budget = std::max<std::size_t>(
+      resolved.max_shard_users * executor->workers(), 1);
+  // Executors that re-read the source themselves (process pool) receive
+  // the member ids only; the coordinator then materializes just the units
+  // it emits or absorbs itself (pass-throughs and the policy tail).
+  const bool local_inputs = !executor->reads_source();
+  const cdr::FingerprintDataset* inmem = source.materialized();
+
+  const std::uint64_t total_work = n + 1;  // +1: the final tick
+  hooks.report(0, total_work);
+  std::mutex progress_mutex;
+  std::uint64_t done = 0;
+  const auto advance = [&](std::uint64_t fingerprints) {
+    const std::lock_guard lock{progress_mutex};
+    done += fingerprints;
+    hooks.report(done, total_work);
+  };
+  const exec::ShardResultFn on_result = [&](const exec::ShardResult& r) {
+    advance(r.timing.input_fingerprints);
+  };
+
+  std::vector<cdr::Fingerprint> tail;
+  std::optional<obs::Span> reconcile_span;
+  Clock::time_point reconcile_start;
+  for (std::size_t first = 0; first < units.size();) {
+    hooks.throw_if_cancelled();
+    // Close the batch before the budget breaks; a single oversized unit
+    // still forms its own batch, and a reconcile unit never joins a shard
+    // batch, so the two phases stay sequential.
+    const bool reconcile = units[first].kind != UnitKind::kShard;
+    std::size_t last = first;
+    std::size_t members = 0;
+    while (last < units.size()) {
+      const Unit& unit = units[last];
+      if (last > first && ((unit.kind != UnitKind::kShard) != reconcile ||
+                           members + unit.ids.size() > budget)) {
+        break;
+      }
+      members += unit.ids.size();
+      ++last;
+    }
+    if (reconcile && !reconcile_span) {
+      reconcile_start = Clock::now();
+      reconcile_span.emplace("stream.reconcile");
+      reconcile_span->arg("deferred", result.stats.deferred_fingerprints);
+    }
+    GLOVE_SPAN_NAMED(batch_span, reconcile ? "stream.reconcile.pass"
+                                           : "stream.shard_batch");
+    batch_span.arg("first_unit", first);
+    batch_span.arg("units", last - first);
+    batch_span.arg("members", members);
+    if (!reconcile) c_batches.add();
+    if (obs::log_verbose()) {
+      obs::log_info(reconcile ? "stream.reconcile" : "stream.batch",
+                    obs::log_kv("first_unit", first) + ' ' +
+                        obs::log_kv("units", last - first) + ' ' +
+                        obs::log_kv("members", members));
+    }
+
+    // Materialized sources hand fingerprints out by index (one copy per
+    // batch member); true streams are re-read once per batch, keeping
+    // only the members the coordinator needs.
+    std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id;
+    std::vector<cdr::Fingerprint> store;
+    if (inmem == nullptr) {
+      slot_of_id.reserve(members);
+      std::uint32_t next_slot = 0;
+      for (std::size_t u = first; u < last; ++u) {
+        const UnitKind kind = units[u].kind;
+        const bool job = kind == UnitKind::kShard || kind == UnitKind::kChunk;
+        if (job && !local_inputs) continue;
+        for (const std::uint32_t id : units[u].ids) {
+          slot_of_id[id] = next_slot++;
         }
+      }
+      if (next_slot > 0) {
+        store.resize(next_slot);
         result.pass_fingerprints.push_back(
             materialize_pass(source, slot_of_id, store, n, hooks));
-        ++result.stats.reconcile_passes;
+        if (reconcile) ++result.stats.reconcile_passes;
       }
-      const auto fetch = [&](std::uint32_t id) -> cdr::Fingerprint {
-        if (inmem != nullptr) return (*inmem)[id];
-        return std::move(store[slot_of_id.at(id)]);
-      };
-
-      for (std::size_t u = first_u; u < last_u; ++u) {
-        const Unit& unit = units[u];
-        switch (unit.kind) {
-          case UnitKind::kPassthrough: {
-            for (const std::uint32_t position : *unit.positions) {
-              deliver(fetch(leftover_ids[position]));
-            }
-            done += unit.positions->size();
-            hooks.report(done, total_work);
-            break;
-          }
-          case UnitKind::kChunk: {
-            hooks.throw_if_cancelled();
-            GLOVE_SPAN_NAMED(chunk_span, "stream.reconcile.chunk");
-            chunk_span.arg("members", unit.positions->size());
-            c_chunks.add();
-            std::vector<cdr::Fingerprint> members;
-            members.reserve(unit.positions->size());
-            for (const std::uint32_t position : *unit.positions) {
-              members.push_back(fetch(leftover_ids[position]));
-            }
-            reconcile_chunk(std::move(members), resolved, rstats, emit_group,
-                            util::subrange_hooks(hooks, done,
-                                                 unit.positions->size(),
-                                                 total_work));
-            done += unit.positions->size();
-            hooks.report(done, total_work);
-            break;
-          }
-          case UnitKind::kTail: {
-            for (const std::uint32_t position : *unit.positions) {
-              count_suppressed_leftover(fetch(leftover_ids[position]),
-                                        rstats);
-              hooks.report(++done, total_work);
-            }
-            break;
-          }
-        }
-      }
-      first_u = last_u;
     }
+    const auto fetch = [&](std::uint32_t id) -> cdr::Fingerprint {
+      if (inmem != nullptr) return (*inmem)[id];
+      return std::move(store[slot_of_id.at(id)]);
+    };
 
-    result.stats.glove.accumulate_costs(rstats.glove);
-    result.stats.reconciled_groups = rstats.reconciled_groups;
-    result.stats.absorbed_leftovers = rstats.absorbed;
+    // Serialize the GLOVE units into jobs.  Pass-throughs leave at once
+    // (they open the reconcile list, so no earlier output is pending) and
+    // the tail waits for the end of the run.
+    std::vector<exec::ShardJob> jobs;
+    for (std::size_t u = first; u < last; ++u) {
+      Unit& unit = units[u];
+      if (unit.kind == UnitKind::kPassthrough) {
+        for (const std::uint32_t id : unit.ids) deliver(fetch(id));
+        advance(unit.ids.size());
+        continue;
+      }
+      if (unit.kind == UnitKind::kTail) {
+        for (const std::uint32_t id : unit.ids) tail.push_back(fetch(id));
+        continue;
+      }
+      if (unit.kind == UnitKind::kShard) {
+        c_shards.add();
+        h_shard_members.observe(unit.ids.size());
+      } else {
+        c_chunks.add();
+      }
+      exec::ShardJob job;
+      job.shard = unit.index;
+      job.reconcile = unit.kind == UnitKind::kChunk;
+      job.member_ids = &unit.ids;
+      if (local_inputs) {
+        job.inputs.reserve(unit.ids.size());
+        for (const std::uint32_t id : unit.ids) job.inputs.push_back(fetch(id));
+      }
+      jobs.push_back(std::move(job));
+    }
+    store.clear();
+    store.shrink_to_fit();
+
+    // Results come back in job order, which is unit order.
+    std::vector<exec::ShardResult> batch_results =
+        executor->run_batch(std::move(jobs), on_result, hooks);
+    for (exec::ShardResult& r : batch_results) {
+      result.stats.glove.accumulate_costs(r.stats);
+      if (reconcile) {
+        result.stats.reconciled_groups += r.groups.size();
+      } else {
+        ShardTiming& timing = result.shard_timings[r.timing.shard];
+        timing.init_seconds = r.timing.init_seconds;
+        timing.merge_seconds = r.timing.merge_seconds;
+        timing.total_seconds = r.timing.total_seconds;
+        timing.output_groups = r.timing.output_groups;
+      }
+      for (cdr::Fingerprint& fp : r.groups) deliver(std::move(fp));
+    }
+    first = last;
+  }
+  hooks.throw_if_cancelled();
+
+  // --- The leftover-policy tail, over the held groups when it absorbs.
+  if (!tail.empty()) {
+    const std::size_t tail_size = tail.size();
+    result.stats.absorbed_leftovers = reconcile_tail(
+        std::move(tail), held, resolved, result.stats.glove, hooks);
+    advance(tail_size);
+  }
+  if (reconcile_span) {
     result.stats.reconcile_seconds = seconds_since(reconcile_start);
+    reconcile_span.reset();
+  }
+  for (cdr::Fingerprint& fp : held) {
+    ++emitted_groups;
+    emitted_samples += fp.size();
+    emit(std::move(fp));
   }
 
   result.stats.glove.output_groups = emitted_groups;

@@ -1,28 +1,31 @@
-// Streaming execution of the sharded backend: the run boundary for
-// datasets larger than RAM.
+// glove::shard — the spatially-sharded anonymization backend, streamed:
+// the run boundary for datasets larger than RAM.
+//
+//   tile -> plan -> run shard jobs -> reconcile borders
+//
+// The quadratic costs of GLOVE (the |M|^2/2 candidate matrix and the
+// greedy merge loop, paper Sec. 6.3) are confined to spatial shards of
+// bounded size, so populations far beyond the single-matrix limit become
+// tractable.  The output is k-anonymous as a whole and byte-stable across
+// worker counts, executors and budgets.
 //
 //   pass 1  — scan the stream once, keeping only per-fingerprint bounding
-//             geometry (+ group size): enough to tile, plan shards and
-//             compute the kept/deferred border split without ever holding
-//             the samples;
-//   pass 2+ — rewind and re-scan once per shard batch, materializing only
-//             the fingerprints of the shards currently running; finished
-//             groups are pushed to the emitter as each batch completes
-//             and freed immediately;
-//   pass N+ — rewind once per reconciliation chunk batch: the deferred
-//             border leftovers are partitioned into locality-sorted GLOVE
-//             chunks from their pass-1 bounds alone and each pass
-//             materializes one budget's worth (reconcile_chunk_users),
-//             mirroring the shard batches.
+//             geometry (+ group size): enough to tile, plan shards, split
+//             borders and plan the reconciliation of the deferred border
+//             leftovers without ever holding the samples;
+//   pass 2+ — one ordered unit list (the shard jobs, then the reconcile
+//             plan's pass-throughs, GLOVE chunks and policy tail) runs in
+//             batches of at most max_shard_users x workers fingerprints.
+//             Each batch rewinds the stream once, materializing only its
+//             own members, and hands its GLOVE jobs to the ShardExecutor;
+//             groups leave in unit order as each batch completes.  A
+//             reconcile unit never joins a shard batch, so the two phases
+//             stay sequential.
 //
-// Peak sample memory is O(largest batch) — bounded by max_shard_users x
-// scheduler workers for the shard phase and by reconcile_chunk_users for
-// the halo reconciliation — instead of O(dataset) or O(borders).  The
-// output is byte-identical to the in-memory pipeline (anonymize_sharded
-// is now a thin wrapper over this core) for every budget, including the
-// rare absorb-leftovers tail case, which falls back to buffering the
-// output groups because absorption may rewrite any already-finalized
-// group.
+// Peak sample memory is O(largest batch) instead of O(dataset) or
+// O(borders).  The rare absorb tail (fewer than k sub-k leftovers under
+// kMergeIntoNearest) may rewrite any finalized group, so that run holds
+// its groups back until the tail is absorbed.
 
 #ifndef GLOVE_SHARD_STREAM_HPP
 #define GLOVE_SHARD_STREAM_HPP
@@ -36,8 +39,8 @@
 
 #include "glove/cdr/binio.hpp"
 #include "glove/cdr/dataset.hpp"
+#include "glove/shard/config.hpp"
 #include "glove/shard/exec/executor.hpp"
-#include "glove/shard/shard.hpp"
 #include "glove/util/hooks.hpp"
 
 namespace glove::shard {
@@ -100,8 +103,7 @@ class FingerprintStream {
   }
 };
 
-/// In-memory adapter: streams an existing dataset (copies on yield), the
-/// bridge the legacy dataset-in/dataset-out API uses.
+/// In-memory adapter: streams an existing dataset (copies on yield).
 class DatasetStream final : public FingerprintStream {
  public:
   explicit DatasetStream(const cdr::FingerprintDataset& data) noexcept
@@ -128,22 +130,42 @@ class DatasetStream final : public FingerprintStream {
 /// Receives finalized k-anonymous groups in output order.
 using GroupEmitter = std::function<void(cdr::Fingerprint&&)>;
 
+/// Decomposition and phase accounting of a sharded run, on top of the
+/// aggregated inner GLOVE counters.
+struct ShardedStats {
+  core::GloveStats glove;
+  std::size_t tiles = 0;
+  std::size_t shards = 0;
+  std::size_t deferred_fingerprints = 0;
+  std::size_t reconciled_groups = 0;
+  std::size_t absorbed_leftovers = 0;
+  /// Rewound passes over the source spent materializing reconcile batches
+  /// (true — non-materialized — sources only, and only for the units the
+  /// coordinator reads itself).
+  std::size_t reconcile_passes = 0;
+  /// Tile edge actually used: the configured tile_size_m, or the
+  /// density-derived choice when the config asked for adaptive (0).
+  double tile_size_m = 0.0;
+  double plan_seconds = 0.0;       ///< streaming scan + tiling + planning
+  double reconcile_seconds = 0.0;  ///< cross-shard reconciliation phase
+};
+
 struct StreamShardedResult {
   ShardedStats stats;
   /// Per-shard sizes and wall-clock, in shard order.
   std::vector<ShardTiming> shard_timings;
-  /// Fingerprints read from the stream on each pass (the planning scan,
-  /// one entry per shard-batch materialization pass, then one per
-  /// reconciliation chunk pass — stats.reconcile_passes counts those).
-  /// A materialized() source is never re-streamed, so it reports the
-  /// single scan pass.  An index-capable stream (fetch()) reports, for
-  /// each rewound pass, only the fingerprints that pass materialized —
-  /// strictly fewer than the scan's full count.  Under the process
-  /// executor the shard batches are read worker-side, so only the
-  /// planning and reconciliation passes appear here.
+  /// Fingerprints read from the stream on each pass: the planning scan,
+  /// then one entry per batch that materialized anything on the
+  /// coordinator — shard batches first, then reconcile batches
+  /// (stats.reconcile_passes counts those).  A materialized() source is
+  /// never re-streamed, so it reports the single scan pass.  An
+  /// index-capable stream (fetch()) reports, for each rewound pass, only
+  /// the fingerprints that pass materialized.  Under the process executor
+  /// the GLOVE jobs are read worker-side, so only the planning pass and
+  /// the passes for pass-throughs and the policy tail appear here.
   std::vector<std::uint64_t> pass_fingerprints;
-  /// Which ShardExecutor ran the shard batches ("inprocess", "process")
-  /// and its resolved parallelism, for the run report's "exec" section.
+  /// Which ShardExecutor ran the GLOVE jobs ("inprocess", "process") and
+  /// its resolved parallelism, for the run report's "exec" section.
   std::string exec_kind;
   std::uint64_t exec_workers = 0;
   /// Per-worker accounting (process executor only; empty otherwise).
@@ -156,10 +178,10 @@ struct StreamShardedResult {
 /// max_shard_users >= glove.k (std::invalid_argument otherwise); a stream
 /// holding fewer than k fingerprints raises util::DatasetError.
 /// Deterministic for a given stream content and configuration,
-/// independent of `workers` and of batch boundaries (shard and reconcile
-/// budgets alike).  Progress units are input fingerprints — kept ones as
-/// their shard completes, deferred ones as reconciliation consumes them —
-/// plus one final reconcile tick; cancellation aborts with
+/// independent of `workers`, the executor and batch boundaries.  Progress
+/// units are input fingerprints — kept ones as their shard completes,
+/// deferred ones as reconciliation consumes them — plus one final tick;
+/// cancellation aborts with
 /// util::CancelledError (groups already emitted stay with the emitter —
 /// file sinks may hold a partial dataset on failure).
 [[nodiscard]] StreamShardedResult anonymize_sharded_stream(

@@ -8,7 +8,6 @@
 #ifndef GLOVE_UTIL_HOOKS_HPP
 #define GLOVE_UTIL_HOOKS_HPP
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -80,32 +79,6 @@ struct RunHooks {
     if (cancelled()) throw CancelledError{};
   }
 };
-
-/// Sub-progress adapter: hooks for an inner loop whose whole run covers
-/// `span` outer units starting at `base`, reported against `grand_total`.
-/// The inner (done, total) ratio is scaled onto the span with floor
-/// rounding, so the outer `done` stays monotone; cancellation is shared.
-/// Used by multi-phase drivers (e.g. the sharded reconciliation) to fold
-/// inner-loop progress into one coherent outer scale.
-inline RunHooks subrange_hooks(const RunHooks& outer, std::uint64_t base,
-                               std::uint64_t span,
-                               std::uint64_t grand_total) {
-  RunHooks inner;
-  inner.cancel = outer.cancel;
-  if (outer.progress) {
-    inner.progress = [fn = outer.progress, base, span, grand_total](
-                         std::uint64_t done, std::uint64_t total) {
-      const std::uint64_t scaled =
-          total == 0 ? 0
-                     : static_cast<std::uint64_t>(
-                           static_cast<double>(span) *
-                           (static_cast<double>(done) /
-                            static_cast<double>(total)));
-      fn(base + std::min(scaled, span), grand_total);
-    };
-  }
-  return inner;
-}
 
 }  // namespace glove::util
 

@@ -8,7 +8,6 @@
 #ifndef GLOVE_UTIL_PARALLEL_HPP
 #define GLOVE_UTIL_PARALLEL_HPP
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -37,33 +36,33 @@ void parallel_for(ThreadPool& pool, std::size_t count, const Body& body,
     return;
   }
 
-  std::atomic<std::size_t> remaining{tasks};
-  std::mutex done_mutex;
+  // `remaining` and `first_error` are guarded by `mutex`.  A task touches
+  // these stack locals for the last time while holding the mutex, so the
+  // waiter cannot observe completion (and destroy them by returning)
+  // before the last task is done with them.
+  std::mutex mutex;
   std::condition_variable done_cv;
+  std::size_t remaining = tasks;
   std::exception_ptr first_error;
-  std::mutex error_mutex;
 
   for (std::size_t t = 0; t < tasks; ++t) {
     const std::size_t begin = t * chunk;
     const std::size_t end = begin + chunk < count ? begin + chunk : count;
     pool.submit([&, begin, end] {
+      std::exception_ptr error;
       try {
         body(begin, end);
       } catch (...) {
-        const std::lock_guard lock{error_mutex};
-        if (!first_error) first_error = std::current_exception();
+        error = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const std::lock_guard lock{done_mutex};
-        done_cv.notify_all();
-      }
+      const std::lock_guard lock{mutex};
+      if (error && !first_error) first_error = error;
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
 
-  std::unique_lock lock{done_mutex};
-  done_cv.wait(lock, [&] {
-    return remaining.load(std::memory_order_acquire) == 0;
-  });
+  std::unique_lock lock{mutex};
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

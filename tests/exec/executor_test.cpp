@@ -1,10 +1,10 @@
 // End-to-end guarantees of the pluggable shard-execution boundary: the
-// process executor (forked glove_shard_worker daemons re-reading shard
-// slices from the shared file) produces byte-identical output to the
-// in-process thread pool across worker counts and both dataset formats,
-// surfaces worker crashes as typed errors carrying the worker's stderr
-// tail (no hang, no orphan processes, no leaked spill files), and rejects
-// configurations it cannot serve (in-memory sources).
+// process executor (forked glove_shard_worker daemons re-reading shard and
+// reconcile slices from the shared file) produces byte-identical output to
+// the in-process thread pool across worker counts and both dataset
+// formats, surfaces worker crashes as typed errors carrying the worker's
+// stderr tail (no hang, no orphan processes, no leaked spill files), and
+// rejects configurations it cannot serve (in-memory sources).
 //
 // The worker binary path arrives via the GLOVE_SHARD_WORKER_BIN compile
 // definition, so the suite exercises the same discovery override
@@ -45,7 +45,7 @@ RunConfig sharded_config(shard::ExecutorKind executor, std::size_t workers) {
   config.sharded.max_shard_users = 16;
   config.sharded.border = shard::BorderPolicy::kHalo;
   config.sharded.executor = executor;
-  config.sharded.exec_workers = workers;
+  config.sharded.workers = workers;
   config.sharded.worker_binary = GLOVE_SHARD_WORKER_BIN;
   return config;
 }
@@ -128,26 +128,70 @@ TEST(ShardExecutor, ProcessMatchesInProcessAcrossWorkersAndFormats) {
       EXPECT_EQ(report.exec_kind, "process") << label;
       EXPECT_EQ(report.exec_workers, workers) << label;
       // Deterministic round-robin accounting: every job, fingerprint and
-      // group is attributed to exactly one worker.
+      // group is attributed to exactly one worker — the shard jobs plus
+      // the reconcile chunks, which run on the same workers.
       ASSERT_EQ(report.exec_worker_stats.size(), workers) << label;
+      std::uint64_t jobs = 0;
       std::uint64_t fingerprints = 0;
       std::uint64_t groups = 0;
       for (const ExecWorkerRow& row : report.exec_worker_stats) {
+        jobs += row.jobs;
         fingerprints += row.fingerprints;
         groups += row.groups;
       }
+      std::uint64_t shard_jobs = 0;
       std::uint64_t shard_inputs = 0;
       std::uint64_t shard_groups = 0;
       for (const ShardTimingRow& row : report.shard_timings) {
+        shard_jobs += row.input_fingerprints > 0 ? 1 : 0;
         shard_inputs += row.input_fingerprints;
         shard_groups += row.output_groups;
       }
-      EXPECT_EQ(fingerprints, shard_inputs) << label;
-      EXPECT_EQ(groups, shard_groups) << label;
+      // Every fingerprint here is a single user, so no deferred leftover
+      // passes through and none is left for the policy tail: each one
+      // runs in a reconcile chunk.
+      const auto reconciled = static_cast<std::uint64_t>(
+          find_metric(report, "reconciled_groups"));
+      const auto deferred = static_cast<std::uint64_t>(
+          find_metric(report, "deferred_fingerprints"));
+      std::uint64_t chunks = 0;
+      for (const auto& [name, value] : report.obs_counters) {
+        if (name == "stream.reconcile_chunks") chunks = value;
+      }
+      ASSERT_GT(reconciled, 0u) << label;
+      EXPECT_GT(chunks, 0u) << label;
+      EXPECT_EQ(jobs, shard_jobs + chunks) << label;
+      EXPECT_EQ(fingerprints, shard_inputs + deferred) << label;
+      EXPECT_EQ(groups, shard_groups + reconciled) << label;
     }
   }
   EXPECT_EQ(live_child_processes(), 0u);
   EXPECT_EQ(leaked_spill_files(), 0u);
+}
+
+TEST(ShardExecutor, ProcessRunMatchesTheAbsorbedTailGolden) {
+  // Fewer than k deferred sub-k leftovers under kMergeIntoNearest: the
+  // tail is absorbed into the nearest finalized group, so every group is
+  // held until the run ends.  The process executor must publish the same
+  // blessed bytes as the in-process streams (tests/shard/stream_test).
+  const test::TempDir dir;
+  const std::string csv = dir.file("data.csv");
+  cdr::write_dataset_file(csv, test::small_synth_dataset(40));
+
+  RunConfig config = sharded_config(shard::ExecutorKind::kProcess, 2);
+  config.k = 4;
+  config.sharded.halo_m = 500.0;
+  const Engine engine;
+  const auto source = open_dataset_source(csv);
+  MemorySink sink;
+  const auto result = engine.run(*source, sink, config);
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  EXPECT_GT(find_metric(result.value(), "absorbed_leftovers"), 0.0);
+  cdr::FingerprintDataset out = std::move(sink).take_dataset();
+  out.set_name("civ-like-sharded-k4");
+  test::expect_matches_golden("sharded_absorb_synth40_k4.csv",
+                              test::dataset_to_csv(out));
+  EXPECT_EQ(live_child_processes(), 0u);
 }
 
 TEST(ShardExecutor, InProcessReportsItsKindInTheRunReport) {

@@ -1,8 +1,8 @@
-// The chunk-resumable reconciliation: the schedule planned from bounding
-// geometry and group sizes alone (the streaming pipeline's pass-1
-// residue) must reproduce the monolithic reconcile_leftovers byte for
-// byte, and the leftover-policy counters must keep the shared
-// original-samples definition of deletion.
+// The reconciliation plan and its policy tail: the schedule planned from
+// bounding geometry and group sizes alone (the streaming pipeline's pass-1
+// residue) must reproduce chunked GLOVE over the sub-k set byte for byte,
+// and the tail counters must keep the shared original-samples definition
+// of deletion.
 
 #include "glove/shard/reconcile.hpp"
 
@@ -14,6 +14,7 @@
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
 #include "glove/core/glove.hpp"
+#include "glove/core/scalability.hpp"
 
 namespace glove::shard {
 namespace {
@@ -111,49 +112,47 @@ TEST(ReconcilePlan, MisalignedSpansAreRejected) {
       std::invalid_argument);
 }
 
-TEST(Reconcile, ChunkResumableMatchesMonolithicByteForByte) {
-  // Drive the plan chunk by chunk (the streaming pipeline's shape) and
-  // compare against one monolithic reconcile_leftovers call over the
-  // same leftovers.
+TEST(Reconcile, PlannedChunksReproduceChunkedGloveByteForByte) {
+  // Each planned chunk runs as an independent pruned-GLOVE job (the
+  // executor's shape); concatenated in chunk order their groups must match
+  // one anonymize_chunked run over the same sub-k set.
   const cdr::FingerprintDataset data = test::small_synth_dataset(24);
-  std::vector<cdr::Fingerprint> leftovers{data.fingerprints().begin(),
-                                          data.fingerprints().end()};
+  const std::vector<cdr::Fingerprint> leftovers{data.fingerprints().begin(),
+                                                data.fingerprints().end()};
   const ShardConfig config = reconcile_config(/*k=*/2, /*max_shard_users=*/5);
-
-  std::vector<cdr::Fingerprint> monolithic;
-  const ReconcileStats whole = reconcile_leftovers(
-      {data.fingerprints().begin(), data.fingerprints().end()}, monolithic,
-      config, {});
-
   const ReconcilePlan plan =
       plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), config);
-  ASSERT_GE(plan.chunks.size(), 2u);  // the resumable path really resumes
-  std::vector<cdr::Fingerprint> resumable;
-  ReconcileStats stats;
+  ASSERT_TRUE(plan.passthrough.empty());
+  ASSERT_GE(plan.chunks.size(), 2u);  // several jobs, not one
+
+  std::vector<cdr::Fingerprint> planned;
+  core::GloveStats stats;
   for (const std::vector<std::uint32_t>& chunk : plan.chunks) {
     std::vector<cdr::Fingerprint> members;
     for (const std::uint32_t position : chunk) {
-      members.push_back(std::move(leftovers[position]));
+      members.push_back(leftovers[position]);
     }
-    reconcile_chunk(
-        std::move(members), config, stats,
-        [&](cdr::Fingerprint&& fp) { resumable.push_back(std::move(fp)); },
-        {});
+    core::GloveResult part = core::anonymize_pruned(
+        cdr::FingerprintDataset{std::move(members)}, config.glove);
+    stats.accumulate_costs(part.stats);
+    for (cdr::Fingerprint& fp : part.anonymized.mutable_fingerprints()) {
+      planned.push_back(std::move(fp));
+    }
   }
 
-  EXPECT_EQ(test::dataset_to_csv(cdr::FingerprintDataset{std::move(resumable)}),
-            test::dataset_to_csv(
-                cdr::FingerprintDataset{std::move(monolithic)}));
-  EXPECT_EQ(stats.reconciled_groups, whole.reconciled_groups);
-  EXPECT_EQ(stats.glove.merges, whole.glove.merges);
-  EXPECT_EQ(stats.glove.input_users, whole.glove.input_users);
-  EXPECT_EQ(stats.glove.input_samples, whole.glove.input_samples);
-  EXPECT_EQ(stats.glove.output_groups, whole.glove.output_groups);
-  EXPECT_EQ(stats.glove.output_samples, whole.glove.output_samples);
-  EXPECT_EQ(stats.glove.deleted_samples, whole.glove.deleted_samples);
+  core::ChunkedConfig chunked;
+  chunked.glove = config.glove;
+  chunked.chunk_size = config.max_shard_users;
+  const core::GloveResult reference = core::anonymize_chunked(data, chunked);
+  EXPECT_EQ(test::dataset_to_csv(cdr::FingerprintDataset{std::move(planned)}),
+            test::dataset_to_csv(cdr::FingerprintDataset{
+                {reference.anonymized.fingerprints().begin(),
+                 reference.anonymized.fingerprints().end()}}));
+  EXPECT_EQ(stats.merges, reference.stats.merges);
+  EXPECT_EQ(stats.deleted_samples, reference.stats.deleted_samples);
 }
 
-TEST(Reconcile, SuppressedTailCountsOriginalSamplesDeleted) {
+TEST(ReconcileTail, SuppressCountsOriginalSamplesDeleted) {
   // One sub-k leftover whose samples each represent two original samples
   // (a previously merged pair): suppression must count contributors, the
   // same definition the core greedy loop and the W4M trash bin use.
@@ -164,40 +163,41 @@ TEST(Reconcile, SuppressedTailCountsOriginalSamplesDeleted) {
   const std::uint64_t original_samples = leftover.total_contributors();
   ASSERT_EQ(original_samples, 4u);
 
-  std::vector<cdr::Fingerprint> leftovers;
-  leftovers.push_back(std::move(leftover));
-  std::vector<cdr::Fingerprint> anonymized;
-  anonymized.push_back(cdr::Fingerprint{
+  std::vector<cdr::Fingerprint> tail;
+  tail.push_back(std::move(leftover));
+  std::vector<cdr::Fingerprint> groups;
+  groups.push_back(cdr::Fingerprint{
       {1u, 2u}, {test::cell(0.0, 0.0, 0.0), test::cell(0.0, 100.0, 3.0)}});
 
   ShardConfig config = reconcile_config(/*k=*/2);
   config.glove.leftover_policy = core::LeftoverPolicy::kSuppress;
-  const ReconcileStats stats =
-      reconcile_leftovers(std::move(leftovers), anonymized, config, {});
-  EXPECT_EQ(stats.glove.discarded_fingerprints, 1u);
-  EXPECT_EQ(stats.glove.deleted_samples, original_samples);
-  EXPECT_EQ(anonymized.size(), 1u);  // nothing appended
+  core::GloveStats stats;
+  EXPECT_EQ(reconcile_tail(std::move(tail), groups, config, stats, {}), 0u);
+  EXPECT_EQ(stats.discarded_fingerprints, 1u);
+  EXPECT_EQ(stats.deleted_samples, original_samples);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].group_size(), 2u);  // untouched
 }
 
-TEST(Reconcile, AbsorbTailMergesIntoNearestGroup) {
-  std::vector<cdr::Fingerprint> leftovers;
-  leftovers.push_back(user_at(9, 0.1, 0.0));
-  std::vector<cdr::Fingerprint> anonymized;
-  anonymized.push_back(cdr::Fingerprint{
+TEST(ReconcileTail, AbsorbMergesIntoNearestGroup) {
+  std::vector<cdr::Fingerprint> tail;
+  tail.push_back(user_at(9, 0.1, 0.0));
+  std::vector<cdr::Fingerprint> groups;
+  groups.push_back(cdr::Fingerprint{
       {1u, 2u}, {test::cell(0.0, 0.0, 0.0), test::cell(100.0, 0.0, 3.0)}});
-  anonymized.push_back(cdr::Fingerprint{
+  groups.push_back(cdr::Fingerprint{
       {3u, 4u},
       {test::cell(90'000.0, 0.0, 0.0), test::cell(90'100.0, 0.0, 3.0)}});
 
   const ShardConfig config = reconcile_config(/*k=*/2);
-  const ReconcileStats stats =
-      reconcile_leftovers(std::move(leftovers), anonymized, config, {});
-  EXPECT_EQ(stats.absorbed, 1u);
-  EXPECT_EQ(stats.glove.merges, 1u);
-  ASSERT_EQ(anonymized.size(), 2u);
+  core::GloveStats stats;
+  EXPECT_EQ(reconcile_tail(std::move(tail), groups, config, stats, {}), 1u);
+  EXPECT_EQ(stats.merges, 1u);
+  EXPECT_EQ(stats.discarded_fingerprints, 0u);
+  ASSERT_EQ(groups.size(), 2u);
   // The co-located group (not the 90 km one) absorbed the leftover.
-  EXPECT_EQ(anonymized[0].group_size(), 3u);
-  EXPECT_EQ(anonymized[1].group_size(), 2u);
+  EXPECT_EQ(groups[0].group_size(), 3u);
+  EXPECT_EQ(groups[1].group_size(), 2u);
 }
 
 }  // namespace

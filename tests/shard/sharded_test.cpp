@@ -3,12 +3,13 @@
 // counts, bounded accuracy cost versus the single-matrix `full` run, and
 // the Engine integration (validation, metrics, per-shard timing rows).
 
-#include "glove/shard/shard.hpp"
+#include "glove/shard/stream.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fixtures.hpp"
@@ -32,6 +33,22 @@ ShardConfig small_shard_config(std::uint32_t k = 2) {
   return config;
 }
 
+/// Runs the sharded pipeline over an in-memory dataset and collects the
+/// groups under the canonical output name ("<name>-sharded-k<k>").
+cdr::FingerprintDataset run_sharded(const cdr::FingerprintDataset& data,
+                                    const ShardConfig& config,
+                                    StreamShardedResult* result = nullptr) {
+  DatasetStream stream{data};
+  std::vector<cdr::Fingerprint> groups;
+  StreamShardedResult streamed = anonymize_sharded_stream(
+      stream, config,
+      [&](cdr::Fingerprint&& fp) { groups.push_back(std::move(fp)); });
+  if (result != nullptr) *result = std::move(streamed);
+  return cdr::FingerprintDataset{
+      std::move(groups),
+      data.name() + "-sharded-k" + std::to_string(config.glove.k)};
+}
+
 std::vector<cdr::UserId> sorted_members(const cdr::FingerprintDataset& data) {
   std::vector<cdr::UserId> users;
   for (const cdr::Fingerprint& fp : data.fingerprints()) {
@@ -48,11 +65,11 @@ TEST(Sharded, OutputIsKAnonymousAndLosesNoUser) {
                                       BorderPolicy::kNone}) {
       ShardConfig config = small_shard_config(k);
       config.border = border;
-      const ShardedResult result = anonymize_sharded(data, config);
-      EXPECT_TRUE(core::is_k_anonymous(result.anonymized, k))
+      StreamShardedResult result;
+      const cdr::FingerprintDataset out = run_sharded(data, config, &result);
+      EXPECT_TRUE(core::is_k_anonymous(out, k))
           << "k=" << k << " border=" << static_cast<int>(border);
-      EXPECT_EQ(sorted_members(result.anonymized), sorted_members(data))
-          << "k=" << k;
+      EXPECT_EQ(sorted_members(out), sorted_members(data)) << "k=" << k;
       EXPECT_GE(result.stats.shards, 2u);
     }
   }
@@ -63,9 +80,9 @@ TEST(Sharded, MatchesGoldenDataset) {
   // golden was blessed on the dedicated-pool backend (PR 3) and the
   // streaming rewrite must reproduce it byte for byte.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
-  const ShardedResult result = anonymize_sharded(data, small_shard_config());
-  test::expect_matches_golden("sharded_synth60_k2.csv",
-                              test::dataset_to_csv(result.anonymized));
+  test::expect_matches_golden(
+      "sharded_synth60_k2.csv",
+      test::dataset_to_csv(run_sharded(data, small_shard_config())));
 }
 
 TEST(Sharded, ByteStableAcrossWorkerCounts) {
@@ -74,8 +91,7 @@ TEST(Sharded, ByteStableAcrossWorkerCounts) {
   for (const std::size_t workers : {1u, 2u, 4u}) {
     ShardConfig config = small_shard_config();
     config.workers = workers;
-    const ShardedResult result = anonymize_sharded(data, config);
-    const std::string csv = test::dataset_to_csv(result.anonymized);
+    const std::string csv = test::dataset_to_csv(run_sharded(data, config));
     if (reference.empty()) {
       reference = csv;
     } else {
@@ -88,10 +104,11 @@ TEST(Sharded, SuppressLeftoverPolicyIsHonoured) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(50);
   ShardConfig config = small_shard_config(3);
   config.glove.leftover_policy = core::LeftoverPolicy::kSuppress;
-  const ShardedResult result = anonymize_sharded(data, config);
-  EXPECT_TRUE(core::is_k_anonymous(result.anonymized, 3));
+  StreamShardedResult result;
+  const cdr::FingerprintDataset out = run_sharded(data, config, &result);
+  EXPECT_TRUE(core::is_k_anonymous(out, 3));
   // Users either survive in a group or are counted as discarded.
-  EXPECT_EQ(sorted_members(result.anonymized).size() +
+  EXPECT_EQ(sorted_members(out).size() +
                 result.stats.glove.discarded_fingerprints,
             data.size());
 }
@@ -113,12 +130,12 @@ TEST(Sharded, AccuracyStaysWithinToleranceOfFull) {
   const auto full_summary =
       core::summarize_accuracy(core::measure_accuracy(full.anonymized));
 
-  ShardConfig config = small_shard_config(2);
-  const ShardedResult sharded = anonymize_sharded(data, config);
+  const cdr::FingerprintDataset sharded =
+      run_sharded(data, small_shard_config(2));
   const auto sharded_summary =
-      core::summarize_accuracy(core::measure_accuracy(sharded.anonymized));
+      core::summarize_accuracy(core::measure_accuracy(sharded));
 
-  EXPECT_TRUE(core::is_k_anonymous(sharded.anonymized, 2));
+  EXPECT_TRUE(core::is_k_anonymous(sharded, 2));
   // Tiling cost: allow up to 3x the full run's median accuracy loss plus
   // one grid cell / one minute of slack for quantization noise.
   EXPECT_LE(sharded_summary.median_position_m,

@@ -1,5 +1,5 @@
 // The sharded streaming core: a text-backed stream (parse-on-every-pass,
-// like the file source) must reproduce the in-memory pipeline byte for
+// like the file source) must reproduce an in-memory DatasetStream byte for
 // byte, batching must not change the output, per-pass accounting must add
 // up, and a stream that changes size between passes must be rejected.
 
@@ -8,8 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
+#include <map>
 #include <optional>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -18,7 +19,8 @@
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
 #include "glove/cdr/io.hpp"
-#include "glove/shard/shard.hpp"
+#include "glove/obs/metrics.hpp"
+#include "glove/obs/span.hpp"
 
 namespace glove::shard {
 namespace {
@@ -69,7 +71,10 @@ TEST(ShardStream, TextBackedStreamMatchesInMemoryPipeline) {
   cdr::write_dataset_csv(serialized, data);
 
   const ShardConfig config = small_config();
-  const ShardedResult reference = anonymize_sharded(data, config);
+  DatasetStream memory{data};
+  StreamShardedResult reference;
+  std::vector<cdr::Fingerprint> reference_groups =
+      run_stream(memory, config, &reference);
 
   TextStream stream{serialized.str()};
   StreamShardedResult streamed;
@@ -77,9 +82,8 @@ TEST(ShardStream, TextBackedStreamMatchesInMemoryPipeline) {
       run_stream(stream, config, &streamed);
 
   EXPECT_EQ(test::dataset_to_csv(cdr::FingerprintDataset{std::move(groups)}),
-            test::dataset_to_csv(cdr::FingerprintDataset{
-                {reference.anonymized.fingerprints().begin(),
-                 reference.anonymized.fingerprints().end()}}));
+            test::dataset_to_csv(
+                cdr::FingerprintDataset{std::move(reference_groups)}));
   EXPECT_EQ(streamed.stats.glove.output_groups,
             reference.stats.glove.output_groups);
   EXPECT_EQ(streamed.stats.deferred_fingerprints,
@@ -188,46 +192,66 @@ TEST(ShardStream, AdaptiveTileSizeResolvesFromTheScanPass) {
             test::dataset_to_csv(cdr::FingerprintDataset{std::move(groups)}));
 }
 
-TEST(ShardStream, BorderedReconcileBudgetsAreByteIdenticalToInMemory) {
-  // The streaming reconciliation (deferred leftovers materialized chunk
-  // by chunk on rewound passes) must reproduce the in-memory pipeline —
-  // and the blessed pre-refactor golden — for every reconcile budget and
-  // worker count.  The budget only moves pass boundaries.
+TEST(ShardStream, BorderedRunsMatchTheGoldenForEveryWorkerCount) {
+  // The bordered reconciliation (deferred leftovers materialized by the
+  // reconcile batches and run as executor jobs) must reproduce the
+  // blessed golden for every worker count — the worker count moves batch
+  // boundaries, never bytes.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   std::ostringstream serialized;
   cdr::write_dataset_csv(serialized, data);
-  const ShardConfig config = small_config();
-
-  const ShardedResult reference = anonymize_sharded(data, config);
-  test::expect_matches_golden("sharded_synth60_k2.csv",
-                              test::dataset_to_csv(reference.anonymized));
-  // Streamed groups are compared name-stripped (the emitter yields bare
-  // fingerprints; the Engine adds the dataset name at the sink).
-  const std::string reference_csv = test::dataset_to_csv(
-      cdr::FingerprintDataset{{reference.anonymized.fingerprints().begin(),
-                               reference.anonymized.fingerprints().end()}});
-  ASSERT_GT(reference.stats.deferred_fingerprints, 0u);
-
-  for (const std::size_t budget :
-       {std::size_t{1}, std::size_t{0},
-        std::numeric_limits<std::size_t>::max()}) {
-    for (const std::size_t workers : {1u, 4u}) {
-      ShardConfig bordered = config;
-      bordered.reconcile_chunk_users = budget;
-      bordered.workers = workers;
-      TextStream stream{serialized.str()};
-      StreamShardedResult result;
-      std::vector<cdr::Fingerprint> groups =
-          run_stream(stream, bordered, &result);
-      EXPECT_EQ(test::dataset_to_csv(
-                    cdr::FingerprintDataset{std::move(groups)}),
-                reference_csv)
-          << "budget=" << budget << " workers=" << workers;
-      EXPECT_EQ(result.stats.deferred_fingerprints,
-                reference.stats.deferred_fingerprints);
-      EXPECT_GE(result.stats.reconcile_passes, 1u);
-    }
+  for (const std::size_t workers : {1u, 2u, 4u, 64u}) {
+    ShardConfig config = small_config();
+    config.workers = workers;
+    TextStream stream{serialized.str()};
+    StreamShardedResult result;
+    std::vector<cdr::Fingerprint> groups = run_stream(stream, config, &result);
+    test::expect_matches_golden(
+        "sharded_synth60_k2.csv",
+        test::dataset_to_csv(cdr::FingerprintDataset{std::move(groups),
+                                                     "civ-like-sharded-k2"}));
+    EXPECT_GT(result.stats.deferred_fingerprints, 0u) << "workers=" << workers;
+    EXPECT_GT(result.stats.reconciled_groups, 0u) << "workers=" << workers;
+    EXPECT_GE(result.stats.reconcile_passes, 1u) << "workers=" << workers;
   }
+}
+
+TEST(ShardStream, AbsorbedTailMatchesGoldenFromEveryStream) {
+  // Fewer than k deferred sub-k leftovers under kMergeIntoNearest: the
+  // tail is absorbed into the nearest finalized group, so every group is
+  // held until the run ends.  The re-parsing text stream and the
+  // in-memory dataset must both publish the blessed bytes.
+  const cdr::FingerprintDataset data = test::small_synth_dataset(40);
+  std::ostringstream serialized;
+  cdr::write_dataset_csv(serialized, data);
+  const ShardConfig config = small_config(/*k=*/4);
+  ASSERT_EQ(config.glove.leftover_policy,
+            core::LeftoverPolicy::kMergeIntoNearest);
+
+  TextStream text_stream{serialized.str()};
+  DatasetStream memory_stream{data};
+  for (FingerprintStream* stream :
+       {static_cast<FingerprintStream*>(&text_stream),
+        static_cast<FingerprintStream*>(&memory_stream)}) {
+    StreamShardedResult result;
+    std::vector<cdr::Fingerprint> groups = run_stream(*stream, config, &result);
+    EXPECT_GT(result.stats.absorbed_leftovers, 0u);
+    EXPECT_LT(result.stats.deferred_fingerprints, config.glove.k);
+    EXPECT_GE(result.stats.shards, 2u);
+    test::expect_matches_golden(
+        "sharded_absorb_synth40_k4.csv",
+        test::dataset_to_csv(cdr::FingerprintDataset{std::move(groups),
+                                                     "civ-like-sharded-k4"}));
+  }
+}
+
+/// A wide halo over small shards defers enough sub-k fingerprints for
+/// several reconcile GLOVE chunks.
+ShardConfig many_chunks_config() {
+  ShardConfig config = small_config();
+  config.max_shard_users = 8;
+  config.halo_m = 2'000.0;
+  return config;
 }
 
 TEST(ShardStream, ReconcilePassAccountingAddsUp) {
@@ -235,20 +259,14 @@ TEST(ShardStream, ReconcilePassAccountingAddsUp) {
   std::ostringstream serialized;
   cdr::write_dataset_csv(serialized, data);
 
-  // A wide halo over small shards defers enough sub-k fingerprints for
-  // several GLOVE chunks, so the budget really moves pass boundaries.
-  ShardConfig base = small_config();
-  base.max_shard_users = 8;
-  base.halo_m = 2'000.0;
-
-  // Tightest budget: every reconcile unit gets its own rewound pass.
-  ShardConfig tight = base;
+  // Tightest budget (one worker, so max_shard_users fingerprints per
+  // batch): every reconcile chunk gets its own rewound pass.
+  ShardConfig tight = many_chunks_config();
   tight.workers = 1;
-  tight.reconcile_chunk_users = 1;
   TextStream stream{serialized.str()};
   StreamShardedResult tight_result;
   (void)run_stream(stream, tight, &tight_result);
-  ASSERT_GE(tight_result.stats.reconcile_passes, 1u);
+  ASSERT_GE(tight_result.stats.reconcile_passes, 2u);
   // Planning scan + >= 1 shard batch + the reconcile passes, every pass
   // streaming the full dataset.
   EXPECT_GE(tight_result.pass_fingerprints.size(),
@@ -257,16 +275,14 @@ TEST(ShardStream, ReconcilePassAccountingAddsUp) {
     EXPECT_EQ(count, data.size());
   }
 
-  // Unbounded budget: the whole reconcile phase in one pass.
-  ShardConfig wide = base;
-  wide.workers = 1;
-  wide.reconcile_chunk_users = std::numeric_limits<std::size_t>::max();
+  // A budget that swallows the plan: one shard batch, one reconcile pass.
+  ShardConfig wide = many_chunks_config();
+  wide.workers = 64;
   TextStream wide_stream{serialized.str()};
   StreamShardedResult wide_result;
   (void)run_stream(wide_stream, wide, &wide_result);
   EXPECT_EQ(wide_result.stats.reconcile_passes, 1u);
-  EXPECT_GT(tight_result.stats.reconcile_passes,
-            wide_result.stats.reconcile_passes);
+  EXPECT_EQ(wide_result.pass_fingerprints.size(), 3u);
 
   // Materialized sources fetch leftovers by index: no rewound passes.
   DatasetStream memory_stream{data};
@@ -275,6 +291,66 @@ TEST(ShardStream, ReconcilePassAccountingAddsUp) {
   EXPECT_EQ(memory_result.stats.reconcile_passes, 0u);
   EXPECT_EQ(memory_result.pass_fingerprints,
             (std::vector<std::uint64_t>{data.size()}));
+}
+
+TEST(ShardStream, TraceShowsEveryReconcileChunkInsideTheReconcilePhase) {
+  // Reconcile chunks run as executor jobs, on the executor's threads.  The
+  // trace must still show one stream.reconcile.chunk span per chunk, each
+  // within the caller's single stream.reconcile span, while the
+  // stream.shard_batch spans and counter cover shard batches only.
+  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
+  std::ostringstream serialized;
+  cdr::write_dataset_csv(serialized, data);
+  ShardConfig config = many_chunks_config();
+  config.workers = 2;
+  TextStream stream{serialized.str()};
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  obs::start_tracing();
+  StreamShardedResult result;
+  (void)run_stream(stream, config, &result);
+  const std::string doc = obs::stop_tracing_and_render();
+  const auto deltas = obs::counter_delta(before, obs::snapshot_metrics());
+  const auto counter = [&](const std::string& name) {
+    for (const auto& [key, value] : deltas) {
+      if (key == name) return value;
+    }
+    return std::uint64_t{0};
+  };
+
+  // Begin and end timestamps per span name (spans of one name never nest
+  // in each other here, so the counts pair up).
+  std::map<std::string, std::vector<double>> begins;
+  std::map<std::string, std::vector<double>> ends;
+  const std::regex event{
+      R"re(\{"name": "([a-z0-9_.]+)","cat": "glove",)re"
+      R"re("ph": "([BE])","ts": ([0-9.eE+-]+))re"};
+  for (std::sregex_iterator it{doc.begin(), doc.end(), event}, end;
+       it != end; ++it) {
+    auto& stamps = (*it)[2] == "B" ? begins : ends;
+    stamps[(*it)[1]].push_back(std::stod((*it)[3]));
+  }
+
+  const std::uint64_t chunks = counter("stream.reconcile_chunks");
+  ASSERT_GE(chunks, 2u);
+  EXPECT_EQ(begins["stream.reconcile.chunk"].size(), chunks);
+  EXPECT_EQ(ends["stream.reconcile.chunk"].size(), chunks);
+  ASSERT_EQ(begins["stream.reconcile"].size(), 1u);
+  ASSERT_EQ(ends["stream.reconcile"].size(), 1u);
+  for (const double ts : begins["stream.reconcile.chunk"]) {
+    EXPECT_GE(ts, begins["stream.reconcile"][0]);
+  }
+  for (const double ts : ends["stream.reconcile.chunk"]) {
+    EXPECT_LE(ts, ends["stream.reconcile"][0]);
+  }
+  EXPECT_EQ(begins["stream.reconcile.pass"].size(),
+            result.stats.reconcile_passes);
+  EXPECT_EQ(begins["stream.shard_batch"].size(),
+            counter("stream.shard_batches"));
+  EXPECT_EQ(begins["stream.shard"].size(), counter("stream.shards_run"));
+  // Every pass is the planning scan, a shard batch or a reconcile batch.
+  EXPECT_EQ(result.pass_fingerprints.size(),
+            1 + counter("stream.shard_batches") +
+                result.stats.reconcile_passes);
 }
 
 TEST(ShardStream, ProgressCountsDeferredFingerprintsDuringReconcile) {
@@ -305,17 +381,16 @@ TEST(ShardStream, CancellationFiresMidReconcileChunk) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   std::ostringstream serialized;
   cdr::write_dataset_csv(serialized, data);
-  ShardConfig config = small_config();
-  config.workers = 1;
-  config.reconcile_chunk_users = 1;  // one GLOVE chunk per rewound pass
+  ShardConfig config = many_chunks_config();
+  config.workers = 1;  // one reconcile GLOVE chunk per batch
 
   // Probe run: learn where the reconcile phase starts (progress counts
-  // kept fingerprints first) and confirm a reconciliation GLOVE actually
-  // runs, so the cancel below lands inside a chunk.
+  // kept fingerprints first) and confirm several reconcile chunks run, so
+  // the cancel below lands between them.
   TextStream probe{serialized.str()};
   StreamShardedResult full;
   (void)run_stream(probe, config, &full);
-  ASSERT_GT(full.stats.reconciled_groups, 0u);
+  ASSERT_GE(full.stats.reconcile_passes, 2u);
   const std::uint64_t kept =
       data.size() - full.stats.deferred_fingerprints;
 

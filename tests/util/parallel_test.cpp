@@ -167,6 +167,26 @@ TEST(ParallelFor, ManyConcurrentLoopsOnSharedPool) {
   }
 }
 
+TEST(ParallelFor, BackToBackTinyLoopsNeverTouchAFinishedLoop) {
+  // Near-empty bodies make the last task finish right as the caller wakes
+  // up: a task that signalled completion outside the loop's mutex could
+  // still be locking it after the caller returned and destroyed it.
+  // ASan and TSan flag that use-after-return; this loop gives them
+  // thousands of chances.
+  ThreadPool pool{4};
+  std::atomic<std::size_t> visited{0};
+  constexpr std::size_t kLoops = 5'000;
+  for (std::size_t loop = 0; loop < kLoops; ++loop) {
+    parallel_for(
+        pool, 8,
+        [&](std::size_t begin, std::size_t end) {
+          visited.fetch_add(end - begin, std::memory_order_relaxed);
+        },
+        /*min_chunk=*/1);
+  }
+  EXPECT_EQ(visited.load(), kLoops * 8);
+}
+
 TEST(ParallelFor, SingleWorkerPoolStillCompletes) {
   // workers == 1 exercises the inline/task boundary arithmetic.
   ThreadPool pool{1};

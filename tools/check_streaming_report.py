@@ -5,14 +5,20 @@ Reads the JSON run report written by `anonymize_csv --report=...` for a
 file-to-file (CsvFileSource -> CsvFileSink) run and asserts:
 
   * the data plane really was file-to-file (io.source/io.sink);
-  * the source was streamed in multiple passes (planning scan + shard
-    batches + halo-reconcile chunk passes), each covering the full
-    dataset;
+  * the source was streamed in multiple passes, each covering the full
+    dataset.  The pass model: one planning scan, then one rewound pass
+    per batch of the run's ordered unit list — shard batches first, then
+    reconcile batches (the >= k pass-throughs, the locality-sorted GLOVE
+    chunks and the leftover-policy tail).  Every batch holds whole units
+    under the same budget, --shard-users x --shard-workers fingerprints,
+    and a reconcile unit never shares a batch with a shard;
   * the reconciliation itself streamed: the report counts at least
     --min-reconcile-passes rewound reconcile passes (set 0 for
     --border=none runs, which defer nothing), and they are a strict
     subset of the total passes (a planning scan and at least one shard
-    batch always precede them);
+    batch always precede them).  Under --executor=process the workers
+    read the GLOVE jobs themselves, so only batches holding pass-throughs
+    or the tail count here — check in-process runs;
   * the process's peak resident set stayed below the given fraction of
     the dataset's *materialized* size — the memory a collect-first run
     pays just to hold the samples (56 bytes each: 6 doubles + the
@@ -52,7 +58,7 @@ def main() -> int:
                         help="allowed peak RSS as a fraction of the "
                              "materialized dataset floor (default 0.5)")
     parser.add_argument("--min-reconcile-passes", type=int, default=1,
-                        help="required halo-reconcile chunk passes "
+                        help="required rewound reconcile passes "
                              "(default 1; use 0 for --border=none runs)")
     parser.add_argument("--indexed", action="store_true",
                         help="expect a glovebin-input run and verify the "
@@ -123,7 +129,7 @@ def main() -> int:
     reconcile_passes = int(metrics.get("reconcile_passes", 0))
     if reconcile_passes < args.min_reconcile_passes:
         failures.append(
-            f"expected >= {args.min_reconcile_passes} halo-reconcile chunk "
+            f"expected >= {args.min_reconcile_passes} rewound reconcile "
             f"passes, report counts {reconcile_passes} — the bordered "
             "reconciliation did not stream")
     # Planning scan + >= 1 shard batch always precede the reconcile

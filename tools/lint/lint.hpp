@@ -37,9 +37,7 @@
 //
 // The analysis is a tokenizer pass (comments/strings/raw strings handled,
 // template arguments matched structurally), which keeps the tool
-// dependency-free and fast.  When built with GLOVE_LINT_WITH_LIBCLANG and
-// libclang headers are present, an AST cross-check pass refines
-// unordered-iteration findings (see clang_engine.cpp).
+// dependency-free and fast.
 
 #ifndef GLOVE_TOOLS_LINT_LINT_HPP
 #define GLOVE_TOOLS_LINT_LINT_HPP

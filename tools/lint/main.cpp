@@ -10,17 +10,14 @@
 // units named by compile_commands.json, so generated or out-of-tree TUs
 // are covered too).  Exit status: 0 clean, 1 findings, 2 usage/io error.
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "clang_engine.hpp"
 #include "json.hpp"
 #include "lint.hpp"
 #include "schema.hpp"
@@ -221,56 +218,6 @@ int main(int argc, char** argv) {
       if (opt.verbose) {
         std::cerr << "linted " << rel << " (" << file_findings.size()
                   << " findings)\n";
-      }
-    }
-
-    // Optional AST cross-check: type-level certainty for emission-layer
-    // TUs, using the exact compiler arguments CMake recorded.
-    if (glove::lint::ast_available() && !opt.compile_commands.empty()) {
-      const JsonValue doc = glove::lint::parse_json(
-          glove::lint::read_file(opt.compile_commands));
-      for (const JsonValue& entry : doc.array) {
-        const JsonValue* file = entry.find("file");
-        if (file == nullptr || file->kind != JsonValue::Kind::kString) {
-          continue;
-        }
-        const std::string rel = relative_to_root(file->string, root);
-        if (rel.empty() || !glove::lint::classify_path(rel).emission_layer) {
-          continue;
-        }
-        std::vector<std::string> args;
-        if (const JsonValue* list = entry.find("arguments");
-            list != nullptr && list->kind == JsonValue::Kind::kArray) {
-          for (std::size_t k = 1; k < list->array.size(); ++k) {
-            args.push_back(list->array[k].string);
-          }
-        } else if (const JsonValue* cmd = entry.find("command");
-                   cmd != nullptr &&
-                   cmd->kind == JsonValue::Kind::kString) {
-          // Whitespace split is adequate for CMake-generated commands.
-          std::istringstream split{cmd->string};
-          std::string word;
-          split >> word;  // drop the compiler itself
-          while (split >> word) args.push_back(word);
-        }
-        std::vector<Finding> ast_findings;
-        const glove::lint::LexResult file_lex =
-            glove::lint::lex(glove::lint::read_file(file->string));
-        const std::vector<glove::lint::Annotation> annotations =
-            glove::lint::parse_annotations(file_lex.comments, rel,
-                                           ast_findings);
-        glove::lint::ast_check_unordered_iteration(
-            file->string, rel, args, annotations, ast_findings);
-        // Only add AST findings the tokenizer did not already report for
-        // the same line.
-        for (Finding& f : ast_findings) {
-          const bool duplicate = std::any_of(
-              findings.begin(), findings.end(), [&](const Finding& g) {
-                return g.file == f.file && g.line == f.line &&
-                       g.rule == f.rule;
-              });
-          if (!duplicate) findings.push_back(std::move(f));
-        }
       }
     }
 
