@@ -1,6 +1,7 @@
 #include "glove/core/glove.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -21,28 +22,40 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Min-heap entry: candidate merge of nodes `a` and `b`.  Entries are lazy
-/// in two ways: a node consumed by a merge invalidates all its pending
-/// entries (detected on pop via the `alive` flags), and — in the pruned
-/// variant — an entry may carry only a bounding-box *lower bound* on the
-/// stretch (`exact == false`), refined to the true value when it reaches
-/// the top of the heap.
+/// Bit 31 of PairEntry::a: set when the entry's stretch is exact.  Node
+/// ids stay below 2^31 because inputs are capped at kMaxFingerprints.
+constexpr std::uint32_t kExactBit = std::uint32_t{1} << 31;
+/// Merges append nodes, so ids reach 2n; 2^30 inputs keep them below
+/// kExactBit.
+constexpr std::size_t kMaxFingerprints = std::size_t{1} << 30;
+
+/// Min-heap entry (16 bytes): candidate merge of nodes `a` and `b`.
+/// Entries are lazy in two ways: a node consumed by a merge invalidates all
+/// its pending entries (detected on pop, and dropped in bulk by the greedy
+/// loop's compaction), and — in the pruned variant — an entry may carry
+/// only a bounding-box *lower bound* on the stretch, refined to the true
+/// value when it reaches the top of the heap.
+///
+/// `a` holds the node id with kExactBit folded in, so the plain
+/// (stretch, a, b) order is (stretch, bound before exact, a, b): at equal
+/// value a bound must pop before an exact entry, since its true stretch may
+/// tie and only after refinement can the (a, b) tie-break pick the same
+/// pair the all-exact heap would.
 struct PairEntry {
   double stretch;
-  std::uint32_t a;
+  std::uint32_t a;  ///< node id | kExactBit when `stretch` is exact
   std::uint32_t b;
-  bool exact = true;
+
+  [[nodiscard]] std::uint32_t node_a() const { return a & ~kExactBit; }
+  [[nodiscard]] bool exact() const { return (a & kExactBit) != 0; }
 
   friend bool operator>(const PairEntry& lhs, const PairEntry& rhs) {
     if (lhs.stretch != rhs.stretch) return lhs.stretch > rhs.stretch;
-    // At equal value a bound must pop before an exact entry: its true
-    // stretch may tie, and only after refinement can the (a, b) tie-break
-    // pick the same pair the all-exact heap would.
-    if (lhs.exact != rhs.exact) return lhs.exact;
     if (lhs.a != rhs.a) return lhs.a > rhs.a;  // deterministic tie-break
     return lhs.b > rhs.b;
   }
 };
+static_assert(sizeof(PairEntry) == 16);
 
 /// Cancellation poll interval inside parallel init chunks (elements).
 constexpr std::size_t kCancelPollMask = 0x1FFF;
@@ -56,6 +69,10 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
   if (data.size() < config.k) {
     throw std::invalid_argument{
         "dataset smaller than the target anonymity level k"};
+  }
+  if (data.size() >= kMaxFingerprints) {
+    throw std::invalid_argument{
+        "GLOVE supports fewer than 2^30 fingerprints per run"};
   }
 
   GloveResult result;
@@ -112,6 +129,11 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
         /*min_chunk=*/64);
   }
 
+  // Sample pairs scanned by exact evaluations (core.stretch.sample_pairs):
+  // parallel sections add one tally per chunk here, the serial loop counts
+  // into `serial_pairs`.
+  std::atomic<std::uint64_t> parallel_pairs{0};
+
   std::vector<PairEntry> heap;
   const std::size_t pairs =
       open.size() >= 2 ? open.size() * (open.size() - 1) / 2 : 0;
@@ -123,6 +145,7 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
     // Row-major enumeration of the strict upper triangle, parallel by pair
     // index: pair p -> (i, j) with i < j.
     util::parallel_for(pairs, [&](std::size_t begin, std::size_t end) {
+      std::uint64_t chunk_pairs = 0;
       for (std::size_t p = begin; p < end; ++p) {
         if ((p & kCancelPollMask) == 0) hooks.throw_if_cancelled();
         // Invert p = i*(2n-i-1)/2 + (j-i-1): estimate row i analytically,
@@ -144,13 +167,14 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
         const std::uint32_t b = open[j];
         if (lazy_init) {
           heap[p] = PairEntry{
-              stretch_lower_bound(bounds[a], bounds[b], config.limits), a, b,
-              /*exact=*/false};
+              stretch_lower_bound(bounds[a], bounds[b], config.limits), a, b};
         } else {
-          heap[p] = PairEntry{
-              fingerprint_stretch(nodes[a], nodes[b], config.limits), a, b};
+          heap[p] = PairEntry{fingerprint_stretch(nodes[a], nodes[b],
+                                                  config.limits, &chunk_pairs),
+                              a | kExactBit, b};
         }
       }
+      parallel_pairs.fetch_add(chunk_pairs, std::memory_order_relaxed);
     });
     if (!lazy_init) stats.stretch_evaluations += pairs;
   }
@@ -169,11 +193,20 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
   static const obs::Counter c_refined = obs::counter("core.heap.refined");
   static const obs::Counter c_stale = obs::counter("core.heap.stale_skips");
   static const obs::Counter c_pushed = obs::counter("core.heap.pushed");
+  static const obs::Counter c_purged = obs::counter("core.heap.purged");
+  static const obs::Counter c_sample_pairs =
+      obs::counter("core.stretch.sample_pairs");
   if (pairs > 0) c_seeded.add(pairs);
   std::uint64_t popped = 0;
   std::uint64_t refined = 0;
   std::uint64_t stale = 0;
   std::uint64_t pushed = 0;
+  std::uint64_t purged = 0;
+  std::uint64_t serial_pairs = 0;
+
+  const auto is_stale = [&](const PairEntry& e) {
+    return !is_open(e.node_a()) || !is_open(e.b);
+  };
 
   // --- Greedy loop (Alg. 1 l. 4-15).
   const auto merge_start = Clock::now();
@@ -182,6 +215,18 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
   std::vector<PairEntry> fresh;  // scratch for new pairs of a merged node
   while (open_count >= 2) {
     hooks.throw_if_cancelled();
+    // Compaction.  Each live pair has exactly one entry, so fewer than
+    // open_count^2 / 2 entries are live; once the heap holds more than
+    // open_count^2 entries, at least half are stale.  Dropping them and
+    // re-heapifying cannot change the live pop sequence (the entry order
+    // is a strict total order), and the heap at least halves each time,
+    // so all compactions together cost O(entries ever pushed).
+    if (open_count * open_count < heap.size()) {
+      const std::size_t before = heap.size();
+      std::erase_if(heap, is_stale);
+      purged += before - heap.size();
+      std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+    }
     // Pop the minimum-stretch pair of still-open nodes, refining lower
     // bounds that surface at the top.
     PairEntry top{};
@@ -191,14 +236,14 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
       top = heap.back();
       heap.pop_back();
       ++popped;
-      if (!is_open(top.a) || !is_open(top.b)) {
+      if (is_stale(top)) {
         ++stale;
         continue;
       }
-      if (!top.exact) {
-        top.stretch =
-            fingerprint_stretch(nodes[top.a], nodes[top.b], config.limits);
-        top.exact = true;
+      if (!top.exact()) {
+        top.stretch = fingerprint_stretch(nodes[top.node_a()], nodes[top.b],
+                                          config.limits, &serial_pairs);
+        top.a |= kExactBit;
         ++stats.stretch_evaluations;
         ++refined;
         heap.push_back(top);
@@ -213,12 +258,14 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
     }
 
     // Merge and install the new node.
-    alive[top.a] = false;
-    alive[top.b] = false;
+    const std::uint32_t a = top.node_a();
+    const std::uint32_t b = top.b;
+    alive[a] = false;
+    alive[b] = false;
     open_count -= 2;
     MergeStats merge_stats;
-    cdr::Fingerprint merged = merge_fingerprints(nodes[top.a], nodes[top.b],
-                                                 merge_options, &merge_stats);
+    cdr::Fingerprint merged =
+        merge_fingerprints(nodes[a], nodes[b], merge_options, &merge_stats);
     stats.deleted_samples += merge_stats.suppressed_original_samples;
     ++stats.merges;
     const auto m_id = static_cast<std::uint32_t>(nodes.size());
@@ -249,18 +296,20 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
         fresh[t] = PairEntry{stretch_lower_bound(bounds[m_id],
                                                  bounds[targets[t]],
                                                  config.limits),
-                             m_id, targets[t], /*exact=*/false};
+                             m_id, targets[t]};
       }
     } else {
       util::parallel_for(
           targets.size(),
           [&](std::size_t begin, std::size_t end) {
+            std::uint64_t chunk_pairs = 0;
             for (std::size_t t = begin; t < end; ++t) {
-              fresh[t] = PairEntry{fingerprint_stretch(nodes[m_id],
-                                                       nodes[targets[t]],
-                                                       config.limits),
-                                   m_id, targets[t]};
+              fresh[t] = PairEntry{
+                  fingerprint_stretch(nodes[m_id], nodes[targets[t]],
+                                      config.limits, &chunk_pairs),
+                  m_id | kExactBit, targets[t]};
             }
+            parallel_pairs.fetch_add(chunk_pairs, std::memory_order_relaxed);
           },
           /*min_chunk=*/16);
       stats.stretch_evaluations += targets.size();
@@ -272,10 +321,6 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
     pushed += fresh.size();
     hooks.report(pairs + (initial_open - open_count), total_work);
   }
-  if (popped > 0) c_popped.add(popped);
-  if (refined > 0) c_refined.add(refined);
-  if (stale > 0) c_stale.add(stale);
-  if (pushed > 0) c_pushed.add(pushed);
 
   // --- Leftover handling (unspecified in Alg. 1; see DESIGN.md).
   if (open_count == 1) {
@@ -294,8 +339,8 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
         std::uint32_t best_id = finalized.front();
         double best = std::numeric_limits<double>::infinity();
         for (const std::uint32_t id : finalized) {
-          const double d =
-              fingerprint_stretch(nodes[leftover], nodes[id], config.limits);
+          const double d = fingerprint_stretch(nodes[leftover], nodes[id],
+                                               config.limits, &serial_pairs);
           ++stats.stretch_evaluations;
           if (d < best) {
             best = d;
@@ -324,6 +369,13 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
     }
   }
   stats.merge_seconds = seconds_since(merge_start);
+  if (popped > 0) c_popped.add(popped);
+  if (refined > 0) c_refined.add(refined);
+  if (stale > 0) c_stale.add(stale);
+  if (pushed > 0) c_pushed.add(pushed);
+  if (purged > 0) c_purged.add(purged);
+  const std::uint64_t scanned = parallel_pairs.load() + serial_pairs;
+  if (scanned > 0) c_sample_pairs.add(scanned);
   hooks.report(total_work, total_work);
 
   // --- Collect output.

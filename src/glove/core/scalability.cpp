@@ -43,6 +43,27 @@ double axis_gap(double lo_a, double hi_a, double lo_b, double hi_b) {
   return 0.0;
 }
 
+/// Upper end of a bounding interval stored as (lo, len).  fingerprint_bounds
+/// keeps the exact lowest sample edge but only the rounded length, so
+/// lo + len can land below the highest sample edge by up to about
+/// 2^-53 * (|len| + |lo + len|) — an absolute error that a relative margin
+/// on a tiny gap cannot absorb.  Padding by 2^-50 of that sum puts the end
+/// back at or above every sample edge the interval covers.
+double upper_end(double lo, double len) {
+  const double hi = lo + len;
+  return hi + 0x1p-50 * (std::abs(len) + std::abs(hi));
+}
+
+/// Relative margin of stretch_lower_bound.  In exact arithmetic the gap
+/// bound never exceeds any sample pair's stretch, but fingerprint_stretch
+/// rounds differently: the pair weights wa + wb need not sum to 1, each
+/// sample term rounds its own sums, and eq. 10 sums and averages n
+/// per-sample terms.  On these non-negative values every step adds a
+/// relative error of at most 2^-53, about n + 20 steps in all, so scaling
+/// the bound by 1 - 2^-30 keeps it at or below the computed stretch for
+/// fingerprints of up to ~2^22 samples.
+constexpr double kRoundingMargin = 1.0 - 0x1p-30;
+
 }  // namespace
 
 std::uint64_t locality_sort_key(const FingerprintBounds& bounds) noexcept {
@@ -64,16 +85,21 @@ double stretch_lower_bound(const FingerprintBounds& a,
   // merge a pair, each rectangle must grow at least across the gap between
   // the boxes (in the weighted two-direction sum of eq. 4, *both*
   // directions must bridge the gap, so the weighted sum is >= the gap).
-  const double gap_x =
-      axis_gap(a.box.x, a.box.x_end(), b.box.x, b.box.x_end());
-  const double gap_y =
-      axis_gap(a.box.y, a.box.y_end(), b.box.y, b.box.y_end());
-  const double gap_t = axis_gap(a.interval.t, a.interval.t_end(),
-                                b.interval.t, b.interval.t_end());
+  // The padded upper ends and kRoundingMargin keep the bound at or below
+  // the *computed* stretch, which is what the lazy heap's exactness and
+  // the pruned scans rely on.
+  const double gap_x = axis_gap(a.box.x, upper_end(a.box.x, a.box.dx),
+                                b.box.x, upper_end(b.box.x, b.box.dx));
+  const double gap_y = axis_gap(a.box.y, upper_end(a.box.y, a.box.dy),
+                                b.box.y, upper_end(b.box.y, b.box.dy));
+  const double gap_t =
+      axis_gap(a.interval.t, upper_end(a.interval.t, a.interval.dt),
+               b.interval.t, upper_end(b.interval.t, b.interval.dt));
   const double phi_sigma =
       std::min((gap_x + gap_y) / limits.phi_max_sigma_m, 1.0);
   const double phi_tau = std::min(gap_t / limits.phi_max_tau_min, 1.0);
-  return limits.w_sigma * phi_sigma + limits.w_tau * phi_tau;
+  return (limits.w_sigma * phi_sigma + limits.w_tau * phi_tau) *
+         kRoundingMargin;
 }
 
 std::vector<KGapEntry> k_gaps_pruned(const cdr::FingerprintDataset& data,

@@ -99,9 +99,15 @@ struct PairWeights {
 /// longer fingerprint, the minimum-effort sample of the shorter one;
 /// averaged over the longer fingerprint.  Symmetric in its arguments.
 /// Returns 0 when either fingerprint is empty (nothing left to anonymize).
-[[nodiscard]] double fingerprint_stretch(const cdr::Fingerprint& a,
-                                         const cdr::Fingerprint& b,
-                                         const StretchLimits& limits) noexcept;
+/// Each sample's match search skips inner samples whose start-time gap
+/// alone already costs at least the best match so far; the result is
+/// bit-identical to scanning all m_a * m_b sample pairs.  When
+/// `sample_pairs` is non-null, the number of sample pairs actually
+/// evaluated is added to it.
+[[nodiscard]] double fingerprint_stretch(
+    const cdr::Fingerprint& a, const cdr::Fingerprint& b,
+    const StretchLimits& limits,
+    std::uint64_t* sample_pairs = nullptr) noexcept;
 
 }  // namespace glove::core
 

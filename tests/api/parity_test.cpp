@@ -18,6 +18,7 @@
 #include "glove/core/glove.hpp"
 #include "glove/core/incremental.hpp"
 #include "glove/core/scalability.hpp"
+#include "glove/obs/metrics.hpp"
 
 namespace glove::api {
 namespace {
@@ -47,14 +48,41 @@ TEST_P(ParityTest, FullMatchesFreeFunction) {
   }
 }
 
+/// Ties everywhere: copies of identical fingerprints and co-located ones
+/// (same places and times, different sample counts), so many candidate
+/// pairs share a stretch and the (a, b) tie-break picks the merges.
+cdr::FingerprintDataset tie_heavy_dataset() {
+  using test::cell;
+  std::vector<cdr::Fingerprint> fps;
+  cdr::UserId id = 0;
+  for (int copy = 0; copy < 4; ++copy) {
+    fps.emplace_back(id++, std::vector<cdr::Sample>{cell(0, 0, 0),
+                                                    cell(100, 0, 300)});
+  }
+  for (int copy = 0; copy < 3; ++copy) {
+    fps.emplace_back(id++, std::vector<cdr::Sample>{cell(0, 0, 0)});
+    fps.emplace_back(id++, std::vector<cdr::Sample>{cell(100, 0, 300)});
+  }
+  for (int copy = 0; copy < 4; ++copy) {
+    fps.emplace_back(id++, std::vector<cdr::Sample>{cell(5'000, 0, 600),
+                                                    cell(5'000, 0, 600)});
+    fps.emplace_back(id++, std::vector<cdr::Sample>{cell(5'000, 0, 600)});
+  }
+  fps.emplace_back(id++, std::vector<cdr::Sample>{cell(40'000, 0, 2'000)});
+  return cdr::FingerprintDataset{std::move(fps), "ties"};
+}
+
 TEST_P(ParityTest, PrunedMatchesFullFreeFunction) {
   // pruned-kgap is *exact*: the lazy lower-bound initialization must
-  // reproduce the all-exact heap's output byte for byte.
+  // reproduce the all-exact heap's output byte for byte.  Both heaps
+  // compact once most entries are stale; that too must leave the pop
+  // order, and so the output, unchanged.
   const Engine engine;
   const std::uint32_t k = GetParam();
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
   for (const auto& data :
        {test::paired_dataset(), test::small_synth_dataset(40),
-        test::random_dataset(25, 7)}) {
+        test::random_dataset(25, 7), tie_heavy_dataset()}) {
     RunConfig config;
     config.strategy = kStrategyPrunedKGap;
     config.k = k;
@@ -63,6 +91,8 @@ TEST_P(ParityTest, PrunedMatchesFullFreeFunction) {
     EXPECT_EQ(engine_csv(engine, data, config),
               test::dataset_to_csv(core::anonymize(data, legacy).anonymized));
   }
+  EXPECT_GT(obs::snapshot_metrics().counter_value("core.heap.purged"),
+            before.counter_value("core.heap.purged"));
 }
 
 TEST_P(ParityTest, ChunkedMatchesFreeFunction) {
@@ -117,7 +147,8 @@ TEST_P(ParityTest, IncrementalMatchesFreeFunction) {
                     .anonymized));
 }
 
-INSTANTIATE_TEST_SUITE_P(KLevels, ParityTest, ::testing::Values(2u, 3u));
+// k = 5 merges nodes that stay open, so fresh pairs enter the heap.
+INSTANTIATE_TEST_SUITE_P(KLevels, ParityTest, ::testing::Values(2u, 3u, 5u));
 
 TEST(Parity, StreamingBoundaryMatchesLegacyOverloadForEveryStrategy) {
   // File-to-file runs must publish byte-identical datasets to the legacy

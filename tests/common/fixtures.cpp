@@ -20,6 +20,13 @@ cdr::Sample box(double x, double dx, double y, double dy, double t,
   return s;
 }
 
+cdr::Fingerprint group_fingerprint(std::uint32_t size, cdr::UserId first,
+                                   std::vector<cdr::Sample> samples) {
+  std::vector<cdr::UserId> members(size);
+  for (std::uint32_t i = 0; i < size; ++i) members[i] = first + i;
+  return cdr::Fingerprint{std::move(members), std::move(samples)};
+}
+
 cdr::FingerprintDataset paired_dataset() {
   std::vector<cdr::Fingerprint> fps;
   const auto add_pair = [&](cdr::UserId base, double ox, double ot) {

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "glove/cdr/dataset.hpp"
 #include "glove/cdr/sample.hpp"
@@ -23,6 +24,10 @@ namespace glove::test {
 /// Fully explicit sample: rectangle [x, x+dx] x [y, y+dy] over [t, t+dt].
 [[nodiscard]] cdr::Sample box(double x, double dx, double y, double dy,
                               double t, double dt);
+
+/// A fingerprint hiding `size` users with consecutive ids from `first`.
+[[nodiscard]] cdr::Fingerprint group_fingerprint(
+    std::uint32_t size, cdr::UserId first, std::vector<cdr::Sample> samples);
 
 /// Seven users: three pairs of near-identical fingerprints at mutual
 /// distance ~5 km / ~10 h, plus one far outlier (user 6).  The pairs are

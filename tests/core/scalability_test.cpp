@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
+#include "common/fixtures.hpp"
 #include "glove/synth/generator.hpp"
+#include "glove/util/rng.hpp"
 
 namespace glove::core {
 namespace {
@@ -50,9 +54,65 @@ TEST(StretchLowerBound, NeverExceedsTrueStretch) {
       const double lb = stretch_lower_bound(fingerprint_bounds(a),
                                             fingerprint_bounds(b), {});
       const double d = fingerprint_stretch(a, b, {});
-      EXPECT_LE(lb, d + 1e-12);
+      EXPECT_LE(lb, d);
     }
   }
+}
+
+/// Zero-extent sample (the CSV reader accepts dx = dy = dt = 0).
+cdr::Sample point(double x, double y, double t) {
+  return test::box(x, 0.0, y, 0.0, t, 0.0);
+}
+
+void expect_bound_at_most_stretch(const cdr::Fingerprint& a,
+                                  const cdr::Fingerprint& b) {
+  const double lb =
+      stretch_lower_bound(fingerprint_bounds(a), fingerprint_bounds(b), {});
+  EXPECT_LE(lb, fingerprint_stretch(a, b, {}));
+}
+
+TEST(StretchLowerBound, PointSamplesWithUnequalGroupsDoNotOvershoot) {
+  // The pair weights 1/9 and 8/9 do not round to a sum of 1, so the gap
+  // bound computed without a margin lands one ulp above the stretch.
+  const cdr::Fingerprint a{
+      0u, {point(217.43645178263716, 3516.91044301918, 157.4398745511656)}};
+  const cdr::Fingerprint b = test::group_fingerprint(
+      8, 1, {point(4915.938586548369, 2965.918651900288, 68.13967874227251)});
+  expect_bound_at_most_stretch(a, b);
+  expect_bound_at_most_stretch(b, a);
+}
+
+TEST(StretchLowerBound, SeededPointSampleSweepNeverOvershoots) {
+  util::Xoshiro256 rng{99};
+  for (int i = 0; i < 2'000; ++i) {
+    const auto na = static_cast<std::uint32_t>(1 + util::uniform_index(rng, 8));
+    auto nb = static_cast<std::uint32_t>(1 + util::uniform_index(rng, 7));
+    if (nb >= na) ++nb;  // unequal group sizes
+    const auto random_point = [&] {
+      return point(util::uniform(rng, 0.0, 10'000.0),
+                   util::uniform(rng, 0.0, 10'000.0),
+                   util::uniform(rng, 0.0, 480.0));
+    };
+    const cdr::Fingerprint a =
+        test::group_fingerprint(na, 0, {random_point()});
+    const cdr::Fingerprint b =
+        test::group_fingerprint(nb, 100, {random_point()});
+    expect_bound_at_most_stretch(a, b);
+  }
+}
+
+TEST(StretchLowerBound, BoxEndRoundingDoesNotWidenTheGap) {
+  // a spans [lo, hi] in x; its bounding box stores hi - lo, and
+  // lo + (hi - lo) rounds ~5e-11 below hi.  b sits one ulp right of hi, so
+  // an unpadded box end would report a gap 10^5 times the true one.
+  const double lo = -766136.8727868479;
+  const double hi = 2.550690257394217;
+  const double next = std::nextafter(hi, 10.0);
+  const cdr::Fingerprint a{0u, {point(lo, 0, 0), point(hi, 0, 0)}};
+  const cdr::Fingerprint b{
+      1u, {point(next, 0, 0), point(next, 0, 0), point(next, 0, 0)}};
+  expect_bound_at_most_stretch(a, b);
+  expect_bound_at_most_stretch(b, a);
 }
 
 TEST(KGapsPruned, MatchesBruteForceGaps) {

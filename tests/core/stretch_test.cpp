@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "common/fixtures.hpp"
+#include "glove/util/rng.hpp"
 
 namespace glove::core {
 namespace {
@@ -175,6 +179,170 @@ TEST_P(StretchGapSweep, BoundedAndMonotone) {
 INSTANTIATE_TEST_SUITE_P(Gaps, StretchGapSweep,
                          ::testing::Values(0.0, 10.0, 100.0, 1'000.0,
                                            5'000.0, 20'000.0, 100'000.0));
+
+// --- Time-window pruning is exact: fingerprint_stretch must equal the
+// unpruned O(m_a * m_b) scan bit for bit (EXPECT_EQ on the double).
+
+/// Reference eq. 10: every sample pair of one direction.
+double full_scan_directed(const cdr::Fingerprint& outer,
+                          const cdr::Fingerprint& inner,
+                          const StretchLimits& limits) {
+  const PairWeights weights =
+      pair_weights(outer.group_size(), inner.group_size());
+  double total = 0.0;
+  for (const cdr::Sample& so : outer.samples()) {
+    double best = 2.0;
+    for (const cdr::Sample& si : inner.samples()) {
+      const double d = sample_stretch(so, si, weights, limits).total();
+      if (d < best) best = d;
+    }
+    total += best;
+  }
+  return total / static_cast<double>(outer.size());
+}
+
+double full_scan_stretch(const cdr::Fingerprint& a, const cdr::Fingerprint& b,
+                         const StretchLimits& limits) {
+  if (a.empty() || b.empty()) return 0.0;
+  if (a.size() > b.size()) return full_scan_directed(a, b, limits);
+  if (b.size() > a.size()) return full_scan_directed(b, a, limits);
+  return (full_scan_directed(a, b, limits) +
+          full_scan_directed(b, a, limits)) /
+         2.0;
+}
+
+void expect_full_scan_value(const cdr::Fingerprint& a,
+                            const cdr::Fingerprint& b,
+                            const StretchLimits& limits = {}) {
+  EXPECT_EQ(fingerprint_stretch(a, b, limits), full_scan_stretch(a, b, limits));
+  EXPECT_EQ(fingerprint_stretch(b, a, limits), full_scan_stretch(b, a, limits));
+}
+
+TEST(PrunedStretch, StartTimeTiesWithDifferentLengths) {
+  const cdr::Fingerprint a{0u, {test::box(0, 100, 0, 100, 100, 1),
+                                test::box(300, 100, 0, 100, 100, 45),
+                                test::box(900, 100, 0, 100, 100, 300),
+                                test::box(50, 100, 0, 100, 400, 1)}};
+  const cdr::Fingerprint b{1u, {test::box(600, 100, 0, 100, 100, 5),
+                                test::box(0, 100, 0, 100, 100, 120),
+                                test::box(0, 100, 0, 100, 130, 1)}};
+  expect_full_scan_value(a, b);
+}
+
+TEST(PrunedStretch, OuterStartEqualsInnerStart) {
+  const cdr::Fingerprint a{0u, {cell(0, 0, 60), cell(2'000, 0, 61),
+                                cell(4'000, 0, 600)}};
+  const cdr::Fingerprint b{1u, {cell(3'000, 0, 59), cell(100, 0, 60),
+                                cell(0, 0, 61), cell(0, 0, 600)}};
+  expect_full_scan_value(a, b);
+}
+
+TEST(PrunedStretch, NegativeStartTimes) {
+  const cdr::Fingerprint a{0u, {cell(0, 0, -2'000), cell(500, 0, -30),
+                                cell(0, 0, 15)}};
+  const cdr::Fingerprint b{1u, {cell(800, 0, -1'990), cell(0, 0, -1.5)}};
+  expect_full_scan_value(a, b);
+}
+
+TEST(PrunedStretch, MergedSamplesSpanningHours) {
+  // A long merged interval starting early can be the best match for a
+  // sample far past its start; only its start time orders the scan.
+  const cdr::Fingerprint a = test::group_fingerprint(
+      3, 0, {test::box(0, 2'000, 0, 2'000, 0, 600),
+             test::box(10'000, 500, 0, 500, 700, 240)});
+  const cdr::Fingerprint b{10u, {cell(500, 500, 590), cell(9'000, 0, 300),
+                                 cell(500, 500, 1'500)}};
+  expect_full_scan_value(a, b);
+}
+
+TEST(PrunedStretch, UnequalGroupSizesWeighTheGapSides) {
+  const cdr::Fingerprint a{0u, {cell(0, 0, 0), cell(1'000, 0, 240),
+                                cell(0, 0, 500)}};
+  const cdr::Fingerprint b = test::group_fingerprint(
+      7, 10, {cell(0, 0, 200), cell(900, 0, 260), cell(0, 0, 1'400),
+              cell(4'000, 0, 1'450)});
+  expect_full_scan_value(a, b);
+}
+
+TEST(PrunedStretch, NoEarlyBreakWhileBestExceedsTheTemporalWeight) {
+  // The near-in-time candidate is spatially saturated (best ~ 0.5 + a
+  // little), so the temporally saturated floor (w_tau = 0.5) never reaches
+  // best: the scan must go on to the far-in-time, co-located minimum.
+  const cdr::Fingerprint a{0u, {cell(0, 0, 0), cell(0, 0, 1), cell(0, 0, 2)}};
+  const cdr::Fingerprint b{1u, {cell(100'000, 0, 10), cell(0, 0, 2'000)}};
+  expect_full_scan_value(a, b);
+  EXPECT_EQ(fingerprint_stretch(a, b, {}), 0.5);
+}
+
+TEST(PrunedStretch, ZeroTemporalWeightScansEveryPairUntilAnExactMatch) {
+  StretchLimits limits;
+  limits.w_tau = 0.0;
+  const cdr::Fingerprint a{0u, {cell(0, 0, 0), cell(5'000, 0, 3'000)}};
+  const cdr::Fingerprint b{1u, {cell(5'000, 0, 10), cell(300, 0, 4'000),
+                                cell(0, 0, 9'000)}};
+  expect_full_scan_value(a, b, limits);
+}
+
+TEST(PrunedStretch, ZeroExtentSamples) {
+  const cdr::Fingerprint a{0u, {test::box(10, 0, 20, 0, 5, 0),
+                                test::box(10, 0, 20, 0, 5, 0),
+                                test::box(700, 0, 20, 0, 90, 0)}};
+  const cdr::Fingerprint b = test::group_fingerprint(
+      2, 5, {test::box(10, 0, 20, 0, 5, 0), test::box(650, 0, 0, 0, 95, 0)});
+  expect_full_scan_value(a, b);
+}
+
+TEST(PrunedStretch, SeededSweepMatchesFullScan) {
+  // Random fingerprints of 1-60 samples: clustered start times (minute
+  // grid, so ties are common), negative starts, lengths from 0 to hours,
+  // zero and wide extents, group sizes 1-8, both default and tight
+  // saturation limits.
+  util::Xoshiro256 rng{2024};
+  const auto random_fp = [&](cdr::UserId first) {
+    const std::size_t n = 1 + util::uniform_index(rng, 60);
+    const double origin = util::uniform(rng, -3'000.0, 3'000.0);
+    std::vector<cdr::Sample> samples;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t =
+          origin + std::floor(util::uniform(rng, 0.0, 3'000.0) / 10.0) * 10.0;
+      const double dt = util::uniform_index(rng, 4) == 0
+                            ? 0.0
+                            : std::floor(util::uniform(rng, 1.0, 400.0));
+      const double side = util::uniform_index(rng, 3) == 0
+                              ? 0.0
+                              : util::uniform(rng, 100.0, 8'000.0);
+      samples.push_back(test::box(util::uniform(rng, 0.0, 30'000.0), side,
+                                  util::uniform(rng, 0.0, 30'000.0), side, t,
+                                  dt));
+    }
+    const auto group =
+        static_cast<std::uint32_t>(1 + util::uniform_index(rng, 8));
+    return test::group_fingerprint(group, first, std::move(samples));
+  };
+  StretchLimits tight;
+  tight.phi_max_sigma_m = 2'000.0;
+  tight.phi_max_tau_min = 60.0;
+  for (int i = 0; i < 300; ++i) {
+    const cdr::Fingerprint a = random_fp(0);
+    const cdr::Fingerprint b = random_fp(100);
+    expect_full_scan_value(a, b);
+    expect_full_scan_value(a, b, tight);
+  }
+}
+
+TEST(PrunedStretch, CountsOnlyTheSamplePairsItEvaluates) {
+  // Identical fingerprints whose samples lie hours apart: every sample's
+  // exact match sits at the pivot, and the next sample's start gap alone
+  // already costs more than 0, so each direction evaluates one pair per
+  // sample.  The out-count accumulates.
+  std::vector<cdr::Sample> samples;
+  for (int i = 0; i < 10; ++i) samples.push_back(cell(i * 100.0, 0, i * 300.0));
+  const cdr::Fingerprint a{0u, samples};
+  const cdr::Fingerprint b{1u, samples};
+  std::uint64_t pairs = 5;
+  EXPECT_EQ(fingerprint_stretch(a, b, {}, &pairs), 0.0);
+  EXPECT_EQ(pairs, 5u + 2u * 10u);
+}
 
 }  // namespace
 }  // namespace glove::core
