@@ -79,10 +79,6 @@ int main() {
       core::SuppressionThresholds{15'000.0, 360.0};
   add_row(table, "suppression 15km/6h", run(engine, civ, with_suppression));
 
-  api::RunConfig pruned = base;
-  pruned.strategy = api::kStrategyPrunedKGap;
-  add_row(table, "pruned init (exact)", run(engine, civ, pruned));
-
   // Input-order sensitivity: shuffle the dataset and re-run.
   util::Xoshiro256 rng{scale.seed * 7 + 5};
   std::vector<cdr::Fingerprint> shuffled{civ.fingerprints().begin(),

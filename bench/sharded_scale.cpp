@@ -1,7 +1,7 @@
 // Sharded-vs-single-matrix scaling harness (ROADMAP "Sharded k-gap /
-// merge"): runs the same population through --strategy=full, pruned-kgap
-// and sharded, printing wall-clocks, speedups, decomposition counters and
-// the per-shard timing table from the run report.
+// merge"): runs the same population through --strategy=full and sharded,
+// printing wall-clocks, speedups, decomposition counters and the per-shard
+// timing table from the run report.
 //
 //   GLOVE_USERS=5000 GLOVE_THREADS=8 ./build/bench/bench_sharded_scale
 //
@@ -51,15 +51,14 @@ int main() {
   const bench::Scale scale = bench::resolve_scale(/*default_users=*/1'500,
                                                   /*default_days=*/3.0);
   const cdr::FingerprintDataset data = bench::make_civ(scale);
-  bench::print_banner("sharded scaling (full vs pruned vs sharded, k=2)",
-                      data);
+  bench::print_banner("sharded scaling (full vs sharded, k=2)", data);
 
   stats::TextTable table{"Wall-clock and accuracy by strategy"};
   table.header({"strategy", "seconds", "speedup", "groups", "pos median",
                 "time median"});
   double baseline = 0.0;
   Measured sharded_run{};
-  for (const std::string strategy : {"full", "pruned-kgap", "sharded"}) {
+  for (const std::string strategy : {"full", "sharded"}) {
     const Measured m = run(engine, data, strategy);
     if (baseline == 0.0) baseline = m.seconds;
     if (strategy == "sharded") sharded_run = m;

@@ -3,7 +3,7 @@
 // k-anonymize through glove::Engine and write the publishable dataset.
 //
 //   ./build/examples/example_anonymize_csv input.csv output.csv --k=2
-//       [--strategy=full|chunked|pruned-kgap|sharded|incremental|w4m-baseline]
+//       [--strategy=full|chunked|sharded|incremental|w4m-baseline]
 //       [--origin-lat=6.82 --origin-lon=-5.28] [--suppress-km=15]
 //       [--suppress-hours=6] [--report=run.json]
 //       [--trace-out=trace.json] [--verbose]

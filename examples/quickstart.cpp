@@ -6,7 +6,7 @@
 //   4. verify k-anonymity and report the accuracy that survived.
 //
 // Build & run:  ./build/examples/example_quickstart [--users=N] [--k=K]
-//               [--strategy=full|chunked|pruned-kgap|...]
+//               [--strategy=full|chunked|sharded|...]
 
 #include <iostream>
 

@@ -1,5 +1,5 @@
 // Anonymizer: the common abstract interface every anonymization strategy
-// (GLOVE full/chunked/pruned, incremental updates, the W4M baseline, the
+// (GLOVE full/chunked, incremental updates, the W4M baseline, the
 // sharded backend) implements to plug into the Engine.
 //
 // Two run shapes exist, and a strategy implements one of them.  The

@@ -20,7 +20,6 @@ namespace glove::api {
 /// Built-in strategy names (the registry accepts additional ones).
 inline constexpr std::string_view kStrategyFull = "full";
 inline constexpr std::string_view kStrategyChunked = "chunked";
-inline constexpr std::string_view kStrategyPrunedKGap = "pruned-kgap";
 inline constexpr std::string_view kStrategyIncremental = "incremental";
 inline constexpr std::string_view kStrategyW4M = "w4m-baseline";
 inline constexpr std::string_view kStrategySharded = "sharded";

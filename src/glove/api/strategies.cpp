@@ -76,27 +76,6 @@ class FullStrategy final : public Anonymizer {
   }
 };
 
-class PrunedStrategy final : public Anonymizer {
- public:
-  std::string_view name() const noexcept override {
-    return kStrategyPrunedKGap;
-  }
-  std::string_view description() const noexcept override {
-    return "exact GLOVE with bounding-box-pruned (lazy lower-bound) "
-           "initialization; identical output, fewer stretch evaluations";
-  }
-  std::optional<Error> validate(const cdr::FingerprintDataset& data,
-                                const RunConfig& config) const override {
-    return require_at_least_k(data, config);
-  }
-  StrategyOutcome run(const cdr::FingerprintDataset& data,
-                      const RunConfig& config,
-                      const RunContext& context) const override {
-    return from_glove_result(
-        core::anonymize_pruned(data, to_glove_config(config), context.hooks));
-  }
-};
-
 class ChunkedStrategy final : public Anonymizer {
  public:
   std::string_view name() const noexcept override { return kStrategyChunked; }
@@ -397,7 +376,6 @@ class W4MStrategy final : public Anonymizer {
 void register_builtin_strategies(Engine& engine) {
   engine.register_strategy(std::make_unique<FullStrategy>());
   engine.register_strategy(std::make_unique<ChunkedStrategy>());
-  engine.register_strategy(std::make_unique<PrunedStrategy>());
   engine.register_strategy(std::make_unique<ShardedStrategy>());
   engine.register_strategy(std::make_unique<IncrementalStrategy>());
   engine.register_strategy(std::make_unique<W4MStrategy>());

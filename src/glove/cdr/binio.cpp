@@ -466,7 +466,8 @@ void GlovebinReader::read_blocks(
         }
         std::vector<Sample> samples;
         samples.resize(sample_count);
-        for (Sample& s : samples) {
+        for (std::size_t j = 0; j < samples.size(); ++j) {
+          Sample& s = samples[j];
           s.sigma.x = get_f64(cursor);
           s.sigma.dx = get_f64(cursor + 8);
           s.sigma.y = get_f64(cursor + 16);
@@ -475,6 +476,13 @@ void GlovebinReader::read_blocks(
           s.tau.dt = get_f64(cursor + 40);
           s.contributors = get_u32(cursor + 48);
           if (s.contributors == 0) throw std::invalid_argument{context};
+          check_sample(s, context);
+          // from_time_sorted trusts the stored order, and the stretch
+          // kernel's time-window pruning relies on it.
+          if (j > 0 && by_time(s, samples[j - 1])) {
+            throw std::invalid_argument{context +
+                                        ": samples out of time order"};
+          }
           cursor += kSampleBytes;
         }
         fn(block.first + i, Fingerprint::from_time_sorted(

@@ -108,6 +108,9 @@ void decode_cdr_row(const std::vector<std::string_view>& fields,
   event.time_min = util::parse_double(fields[1], context);
   event.antenna.lat_deg = util::parse_double(fields[2], context);
   event.antenna.lon_deg = util::parse_double(fields[3], context);
+  require_finite(event.time_min, "time", context);
+  require_finite(event.antenna.lat_deg, "lat", context);
+  require_finite(event.antenna.lon_deg, "lon", context);
 }
 
 }  // namespace
@@ -255,6 +258,7 @@ bool DatasetStreamReader::next_run(std::string& key,
       throw std::invalid_argument{context + ": contributors must be >= 1"};
     }
     s.contributors = static_cast<std::uint32_t>(contributors);
+    check_sample(s, context);
 
     if (members.empty()) {
       // First row of this run.

@@ -1,11 +1,10 @@
 #include "glove/core/glove.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "glove/core/scalability.hpp"
@@ -32,9 +31,9 @@ constexpr std::size_t kMaxFingerprints = std::size_t{1} << 30;
 /// Min-heap entry (16 bytes): candidate merge of nodes `a` and `b`.
 /// Entries are lazy in two ways: a node consumed by a merge invalidates all
 /// its pending entries (detected on pop, and dropped in bulk by the greedy
-/// loop's compaction), and — in the pruned variant — an entry may carry
-/// only a bounding-box *lower bound* on the stretch, refined to the true
-/// value when it reaches the top of the heap.
+/// loop's compaction), and an entry starts out carrying only a bounding-box
+/// *lower bound* on the stretch, refined to the true value when it reaches
+/// the top of the heap.
 ///
 /// `a` holds the node id with kExactBit folded in, so the plain
 /// (stretch, a, b) order is (stretch, bound before exact, a, b): at equal
@@ -60,9 +59,23 @@ static_assert(sizeof(PairEntry) == 16);
 /// Cancellation poll interval inside parallel init chunks (elements).
 constexpr std::size_t kCancelPollMask = 0x1FFF;
 
-GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
-                           const GloveConfig& config,
-                           const util::RunHooks& hooks, bool lazy_init) {
+const obs::Counter& sample_pairs_counter() {
+  static const obs::Counter counter = obs::counter("core.stretch.sample_pairs");
+  return counter;
+}
+
+}  // namespace
+
+MergeOptions merge_options(const GloveConfig& config) {
+  MergeOptions options;
+  options.limits = config.limits;
+  options.reshape = config.reshape;
+  options.suppression = config.suppression;
+  return options;
+}
+
+GloveResult anonymize(const cdr::FingerprintDataset& data,
+                      const GloveConfig& config, const util::RunHooks& hooks) {
   if (config.k < 2) {
     throw std::invalid_argument{"GLOVE requires k >= 2"};
   }
@@ -80,10 +93,7 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
   stats.input_users = data.total_users();
   stats.input_samples = data.total_samples();
 
-  MergeOptions merge_options;
-  merge_options.limits = config.limits;
-  merge_options.reshape = config.reshape;
-  merge_options.suppression = config.suppression;
+  const MergeOptions options = merge_options(config);
 
   // Node store: input fingerprints first, merged fingerprints appended.
   std::vector<cdr::Fingerprint> nodes{data.fingerprints().begin(),
@@ -102,37 +112,28 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
     if (nodes[id].group_size() >= config.k) finalized.push_back(id);
   }
 
-  // --- Initialization: stretch effort for all open pairs (Alg. 1 l. 1-2).
-  // The pruned variant seeds the heap with bounding-box lower bounds
-  // instead of exact efforts; bounds refine lazily on pop, so far-apart
-  // pairs are never evaluated exactly.  Output is identical either way.
+  // --- Initialization: one candidate per open pair (Alg. 1 l. 1-2),
+  // seeded with the bounding-box lower bound of its stretch effort.  Bounds
+  // refine to the exact stretch when they reach the top of the heap, so
+  // far-apart pairs are never evaluated exactly, and the pop order (hence
+  // the output) is the one an all-exact heap would give.
   const auto init_start = Clock::now();
   std::vector<std::uint32_t> open;
   for (std::uint32_t id = 0; id < nodes.size(); ++id) {
     if (is_open(id)) open.push_back(id);
   }
 
-  // Per-node bounding-geometry cache (lazy variant only): computed once per
-  // node — including nodes created by merges later on — so every candidate
-  // pair can be seeded with a cheap lower bound instead of an exact
-  // O(m_a * m_b) stretch evaluation.
-  std::vector<FingerprintBounds> bounds;
-  if (lazy_init) {
-    bounds.resize(nodes.size());
-    util::parallel_for(
-        open.size(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            bounds[open[i]] = fingerprint_bounds(nodes[open[i]]);
-          }
-        },
-        /*min_chunk=*/64);
-  }
-
-  // Sample pairs scanned by exact evaluations (core.stretch.sample_pairs):
-  // parallel sections add one tally per chunk here, the serial loop counts
-  // into `serial_pairs`.
-  std::atomic<std::uint64_t> parallel_pairs{0};
+  // Per-node bounding-geometry cache: computed once per node, including
+  // the nodes merges create later on.
+  std::vector<FingerprintBounds> bounds(nodes.size());
+  util::parallel_for(
+      open.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          bounds[open[i]] = fingerprint_bounds(nodes[open[i]]);
+        }
+      },
+      /*min_chunk=*/64);
 
   std::vector<PairEntry> heap;
   const std::size_t pairs =
@@ -145,7 +146,6 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
     // Row-major enumeration of the strict upper triangle, parallel by pair
     // index: pair p -> (i, j) with i < j.
     util::parallel_for(pairs, [&](std::size_t begin, std::size_t end) {
-      std::uint64_t chunk_pairs = 0;
       for (std::size_t p = begin; p < end; ++p) {
         if ((p & kCancelPollMask) == 0) hooks.throw_if_cancelled();
         // Invert p = i*(2n-i-1)/2 + (j-i-1): estimate row i analytically,
@@ -165,18 +165,10 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
         const std::size_t j = p - offset(i) + i + 1;
         const std::uint32_t a = open[i];
         const std::uint32_t b = open[j];
-        if (lazy_init) {
-          heap[p] = PairEntry{
-              stretch_lower_bound(bounds[a], bounds[b], config.limits), a, b};
-        } else {
-          heap[p] = PairEntry{fingerprint_stretch(nodes[a], nodes[b],
-                                                  config.limits, &chunk_pairs),
-                              a | kExactBit, b};
-        }
+        heap[p] = PairEntry{
+            stretch_lower_bound(bounds[a], bounds[b], config.limits), a, b};
       }
-      parallel_pairs.fetch_add(chunk_pairs, std::memory_order_relaxed);
     });
-    if (!lazy_init) stats.stretch_evaluations += pairs;
   }
   std::make_heap(heap.begin(), heap.end(), std::greater<>{});
   stats.init_seconds = seconds_since(init_start);
@@ -194,15 +186,13 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
   static const obs::Counter c_stale = obs::counter("core.heap.stale_skips");
   static const obs::Counter c_pushed = obs::counter("core.heap.pushed");
   static const obs::Counter c_purged = obs::counter("core.heap.purged");
-  static const obs::Counter c_sample_pairs =
-      obs::counter("core.stretch.sample_pairs");
   if (pairs > 0) c_seeded.add(pairs);
   std::uint64_t popped = 0;
   std::uint64_t refined = 0;
   std::uint64_t stale = 0;
   std::uint64_t pushed = 0;
   std::uint64_t purged = 0;
-  std::uint64_t serial_pairs = 0;
+  std::uint64_t sample_pairs = 0;
 
   const auto is_stale = [&](const PairEntry& e) {
     return !is_open(e.node_a()) || !is_open(e.b);
@@ -212,7 +202,6 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
   const auto merge_start = Clock::now();
   const std::size_t initial_open = open.size();
   std::size_t open_count = open.size();
-  std::vector<PairEntry> fresh;  // scratch for new pairs of a merged node
   while (open_count >= 2) {
     hooks.throw_if_cancelled();
     // Compaction.  Each live pair has exactly one entry, so fewer than
@@ -242,7 +231,7 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
       }
       if (!top.exact()) {
         top.stretch = fingerprint_stretch(nodes[top.node_a()], nodes[top.b],
-                                          config.limits, &serial_pairs);
+                                          config.limits, &sample_pairs);
         top.a |= kExactBit;
         ++stats.stretch_evaluations;
         ++refined;
@@ -265,13 +254,13 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
     open_count -= 2;
     MergeStats merge_stats;
     cdr::Fingerprint merged =
-        merge_fingerprints(nodes[a], nodes[b], merge_options, &merge_stats);
+        merge_fingerprints(nodes[a], nodes[b], options, &merge_stats);
     stats.deleted_samples += merge_stats.suppressed_original_samples;
     ++stats.merges;
     const auto m_id = static_cast<std::uint32_t>(nodes.size());
     nodes.push_back(std::move(merged));
     alive.push_back(true);
-    if (lazy_init) bounds.push_back(fingerprint_bounds(nodes[m_id]));
+    bounds.push_back(fingerprint_bounds(nodes[m_id]));
 
     if (nodes[m_id].group_size() >= config.k) {
       finalized.push_back(m_id);
@@ -280,110 +269,44 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
     }
     ++open_count;
 
-    // Alg. 1 l. 10-13: stretch from the new node to every open node.  The
-    // lazy variant seeds these pairs with bounding-box lower bounds from
-    // the per-node cache (refined on pop, like the initial heap), so a
-    // merge costs O(open) cheap bound evaluations instead of O(open)
-    // exact O(m_a * m_b) ones.
-    std::vector<std::uint32_t> targets;
-    targets.reserve(open_count);
+    // Alg. 1 l. 10-13: stretch from the new node to every open node,
+    // seeded with lower bounds from the per-node cache (refined on pop,
+    // like the initial heap), so a merge costs O(open) cheap bound
+    // evaluations instead of O(open) exact O(m_a * m_b) ones.
     for (std::uint32_t id = 0; id < m_id; ++id) {
-      if (is_open(id)) targets.push_back(id);
-    }
-    fresh.resize(targets.size());
-    if (lazy_init) {
-      for (std::size_t t = 0; t < targets.size(); ++t) {
-        fresh[t] = PairEntry{stretch_lower_bound(bounds[m_id],
-                                                 bounds[targets[t]],
-                                                 config.limits),
-                             m_id, targets[t]};
-      }
-    } else {
-      util::parallel_for(
-          targets.size(),
-          [&](std::size_t begin, std::size_t end) {
-            std::uint64_t chunk_pairs = 0;
-            for (std::size_t t = begin; t < end; ++t) {
-              fresh[t] = PairEntry{
-                  fingerprint_stretch(nodes[m_id], nodes[targets[t]],
-                                      config.limits, &chunk_pairs),
-                  m_id | kExactBit, targets[t]};
-            }
-            parallel_pairs.fetch_add(chunk_pairs, std::memory_order_relaxed);
-          },
-          /*min_chunk=*/16);
-      stats.stretch_evaluations += targets.size();
-    }
-    for (const PairEntry& e : fresh) {
-      heap.push_back(e);
+      if (!is_open(id)) continue;
+      heap.push_back(PairEntry{
+          stretch_lower_bound(bounds[m_id], bounds[id], config.limits), m_id,
+          id});
       std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+      ++pushed;
     }
-    pushed += fresh.size();
     hooks.report(pairs + (initial_open - open_count), total_work);
   }
 
-  // --- Leftover handling (unspecified in Alg. 1; see DESIGN.md).
-  if (open_count == 1) {
-    hooks.throw_if_cancelled();
-    std::uint32_t leftover = 0;
-    for (std::uint32_t id = 0; id < nodes.size(); ++id) {
-      if (is_open(id)) leftover = id;
-    }
-    switch (config.leftover_policy) {
-      case LeftoverPolicy::kMergeIntoNearest: {
-        if (finalized.empty()) {
-          // Cannot happen for data.size() >= k >= 2: the loop only exits
-          // with one open node after at least one group reached k.
-          throw std::logic_error{"no finalized group to absorb leftover"};
-        }
-        std::uint32_t best_id = finalized.front();
-        double best = std::numeric_limits<double>::infinity();
-        for (const std::uint32_t id : finalized) {
-          const double d = fingerprint_stretch(nodes[leftover], nodes[id],
-                                               config.limits, &serial_pairs);
-          ++stats.stretch_evaluations;
-          if (d < best) {
-            best = d;
-            best_id = id;
-          }
-        }
-        MergeStats merge_stats;
-        cdr::Fingerprint merged = merge_fingerprints(
-            nodes[leftover], nodes[best_id], merge_options, &merge_stats);
-        stats.deleted_samples += merge_stats.suppressed_original_samples;
-        ++stats.merges;
-        alive[leftover] = false;
-        alive[best_id] = false;
-        nodes.push_back(std::move(merged));
-        alive.push_back(true);
-        std::replace(finalized.begin(), finalized.end(), best_id,
-                     static_cast<std::uint32_t>(nodes.size() - 1));
-        break;
-      }
-      case LeftoverPolicy::kSuppress: {
-        alive[leftover] = false;
-        stats.discarded_fingerprints += nodes[leftover].group_size();
-        stats.deleted_samples += nodes[leftover].total_contributors();
-        break;
-      }
-    }
+  // At most one node is still open: the leftover (Alg. 1 leaves it
+  // unspecified; see DESIGN.md).
+  std::vector<cdr::Fingerprint> tail;
+  for (std::uint32_t id = 0; id < nodes.size(); ++id) {
+    if (is_open(id)) tail.push_back(std::move(nodes[id]));
   }
+
+  // --- Collect output, then apply the leftover policy to it.
+  std::vector<cdr::Fingerprint> output;
+  output.reserve(finalized.size());
+  for (const std::uint32_t id : finalized) {
+    output.push_back(std::move(nodes[id]));
+  }
+  absorb_leftovers(std::move(tail), output, config, stats, hooks);
   stats.merge_seconds = seconds_since(merge_start);
   if (popped > 0) c_popped.add(popped);
   if (refined > 0) c_refined.add(refined);
   if (stale > 0) c_stale.add(stale);
   if (pushed > 0) c_pushed.add(pushed);
   if (purged > 0) c_purged.add(purged);
-  const std::uint64_t scanned = parallel_pairs.load() + serial_pairs;
-  if (scanned > 0) c_sample_pairs.add(scanned);
+  if (sample_pairs > 0) sample_pairs_counter().add(sample_pairs);
   hooks.report(total_work, total_work);
 
-  // --- Collect output.
-  std::vector<cdr::Fingerprint> output;
-  output.reserve(finalized.size());
-  for (const std::uint32_t id : finalized) {
-    if (alive[id]) output.push_back(nodes[id]);
-  }
   stats.output_groups = output.size();
   cdr::FingerprintDataset anonymized{std::move(output),
                                      data.name() + "-k" +
@@ -393,17 +316,40 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
   return result;
 }
 
-}  // namespace
-
-GloveResult anonymize(const cdr::FingerprintDataset& data,
-                      const GloveConfig& config, const util::RunHooks& hooks) {
-  return anonymize_impl(data, config, hooks, /*lazy_init=*/false);
-}
-
-GloveResult anonymize_pruned(const cdr::FingerprintDataset& data,
-                             const GloveConfig& config,
+std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
+                             std::vector<cdr::Fingerprint>& groups,
+                             const GloveConfig& config, GloveStats& stats,
                              const util::RunHooks& hooks) {
-  return anonymize_impl(data, config, hooks, /*lazy_init=*/true);
+  if (config.leftover_policy == LeftoverPolicy::kSuppress) {
+    for (const cdr::Fingerprint& leftover : tail) {
+      stats.discarded_fingerprints += leftover.group_size();
+      stats.deleted_samples += leftover.total_contributors();
+    }
+    return 0;
+  }
+  if (tail.empty()) return 0;
+  if (groups.empty()) {
+    // Unreachable for validated inputs: a run that leaves a sub-k leftover
+    // has finalized at least one group.
+    throw std::logic_error{"no group to absorb leftovers into"};
+  }
+  std::vector<FingerprintBounds> group_bounds = bounds_of(groups);
+  const MergeOptions options = merge_options(config);
+  std::uint64_t sample_pairs = 0;
+  for (const cdr::Fingerprint& leftover : tail) {
+    hooks.throw_if_cancelled();
+    const std::size_t g =
+        nearest_group(leftover, groups, group_bounds, config.limits,
+                      &stats.stretch_evaluations, &sample_pairs)
+            .index;
+    MergeStats merge_stats;
+    groups[g] = merge_fingerprints(leftover, groups[g], options, &merge_stats);
+    group_bounds[g] = fingerprint_bounds(groups[g]);
+    stats.deleted_samples += merge_stats.suppressed_original_samples;
+    ++stats.merges;
+  }
+  if (sample_pairs > 0) sample_pairs_counter().add(sample_pairs);
+  return tail.size();
 }
 
 bool is_k_anonymous(const cdr::FingerprintDataset& data, std::uint32_t k) {

@@ -6,8 +6,10 @@
 #ifndef GLOVE_CORE_GLOVE_HPP
 #define GLOVE_CORE_GLOVE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "glove/cdr/dataset.hpp"
 #include "glove/core/merge.hpp"
@@ -39,6 +41,10 @@ struct GloveConfig {
   LeftoverPolicy leftover_policy = LeftoverPolicy::kMergeIntoNearest;
 };
 
+/// The merge options GLOVE runs with: `config`'s limits, reshape and
+/// suppression.
+[[nodiscard]] MergeOptions merge_options(const GloveConfig& config);
+
 /// Run counters for the paper's cost accounting (Tab. 2 rows and Sec. 6.3).
 struct GloveStats {
   std::uint64_t input_users = 0;
@@ -52,7 +58,8 @@ struct GloveStats {
   std::uint64_t discarded_fingerprints = 0;
   /// Fingerprint-stretch evaluations performed (throughput accounting).
   std::uint64_t stretch_evaluations = 0;
-  double init_seconds = 0.0;   ///< initial |M|^2/2 stretch matrix
+  /// Heap seeding: per-fingerprint bounds and the |M|^2/2 pair bounds.
+  double init_seconds = 0.0;
   double merge_seconds = 0.0;  ///< greedy loop
 
   /// Adds `part`'s per-run cost counters (merges, deletions, discards,
@@ -83,13 +90,33 @@ struct GloveResult {
 /// otherwise.  Deterministic for a given input and configuration,
 /// independent of thread count.
 ///
-/// Progress units: initial pair evaluations plus fingerprints closed by
+/// The candidate heap is seeded with stretch_lower_bound values, and an
+/// entry is refined to its exact stretch when it reaches the top, so
+/// distant pairs are never evaluated exactly; the merges are those of a
+/// heap holding every exact stretch.  The final sub-k leftover, if any,
+/// goes through absorb_leftovers over the finished groups.
+///
+/// Progress units: initial candidate pairs plus fingerprints closed by
 /// the greedy loop; `done` is monotone non-decreasing and reaches `total`
 /// on completion.  Cancellation is polled between work units and aborts
 /// with util::CancelledError before any output dataset is materialized.
 [[nodiscard]] GloveResult anonymize(const cdr::FingerprintDataset& data,
                                     const GloveConfig& config,
                                     const util::RunHooks& hooks = {});
+
+/// Applies config.leftover_policy to sub-k leftovers that have nobody left
+/// to pair with (GLOVE's last open fingerprint, or a sharded run's
+/// reconcile tail).  kMergeIntoNearest merges each leftover, in order, into
+/// its nearest_group of `groups` as merge_fingerprints(leftover, group),
+/// in place; std::logic_error when `groups` is empty.  kSuppress counts
+/// each leftover's users as discarded and its original samples (summed
+/// contributors) as deleted.  Cost counters accumulate into `stats`;
+/// returns how many leftovers were absorbed.  Cancellation is polled
+/// between leftovers.
+std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
+                             std::vector<cdr::Fingerprint>& groups,
+                             const GloveConfig& config, GloveStats& stats,
+                             const util::RunHooks& hooks = {});
 
 /// Checks the k-anonymity postcondition: every fingerprint in `data` hides
 /// at least k members.  (Each member publishes the group's fingerprint, so

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "glove/core/scalability.hpp"
 #include "glove/util/parallel.hpp"
 
 namespace glove::core {
@@ -48,19 +49,17 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
 
   std::vector<cdr::Fingerprint> groups{published.fingerprints().begin(),
                                        published.fingerprints().end()};
-
-  MergeOptions merge_options;
-  merge_options.limits = config.limits;
-  merge_options.reshape = config.reshape;
-  merge_options.suppression = config.suppression;
+  // Bounding geometry per group, kept current as joins widen the groups,
+  // so each nearest-group search skips distant groups.
+  std::vector<FingerprintBounds> group_bounds = bounds_of(groups);
+  const MergeOptions options = merge_options(config);
 
   // Decide each newcomer's fate: nearest existing group vs nearest fellow
   // newcomer.  Computed in parallel, applied sequentially (joins mutate
   // groups, so they are replayed in deterministic order).
   const std::size_t n = new_users.size();
   struct Choice {
-    double to_group = std::numeric_limits<double>::infinity();
-    std::size_t group = 0;
+    NearestGroup group{0, std::numeric_limits<double>::infinity()};
     double to_peer = std::numeric_limits<double>::infinity();
   };
   // Progress: n decision units (parallel phase) then n placement units.
@@ -75,13 +74,9 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
         for (std::size_t i = begin; i < end; ++i) {
           hooks.throw_if_cancelled();
           Choice& choice = choices[i];
-          for (std::size_t g = 0; g < groups.size(); ++g) {
-            const double d =
-                fingerprint_stretch(new_users[i], groups[g], config.limits);
-            if (d < choice.to_group) {
-              choice.to_group = d;
-              choice.group = g;
-            }
+          if (!groups.empty()) {
+            choice.group = nearest_group(new_users[i], groups, group_bounds,
+                                         config.limits);
           }
           for (std::size_t j = 0; j < n; ++j) {
             if (j == i) continue;
@@ -108,10 +103,11 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
   for (std::size_t i = 0; i < n; ++i) {
     hooks.throw_if_cancelled();
     const bool join = !groups.empty() &&
-                      (choices[i].to_group <= choices[i].to_peer);
+                      (choices[i].group.stretch <= choices[i].to_peer);
     if (join) {
-      cdr::Fingerprint& group = groups[choices[i].group];
-      group = merge_fingerprints(group, new_users[i], merge_options);
+      const std::size_t g = choices[i].group.index;
+      groups[g] = merge_fingerprints(groups[g], new_users[i], options);
+      group_bounds[g] = fingerprint_bounds(groups[g]);
       ++result.stats.joined_existing_groups;
       hooks.report(static_cast<std::uint64_t>(n) + ++placed, total_work);
     } else {
@@ -136,18 +132,12 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
         throw std::invalid_argument{
             "not enough users in total to reach the anonymity level"};
       }
-      std::size_t best = 0;
-      double best_d = std::numeric_limits<double>::infinity();
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        const double d =
-            fingerprint_stretch(straggler, groups[g], config.limits);
-        if (d < best_d) {
-          best_d = d;
-          best = g;
-        }
-      }
-      groups[best] = merge_fingerprints(groups[best], straggler,
-                                        merge_options);
+      // Not absorb_leftovers: the group comes first in the merge here,
+      // which decides member order when sample counts tie.
+      const std::size_t g =
+          nearest_group(straggler, groups, group_bounds, config.limits).index;
+      groups[g] = merge_fingerprints(groups[g], straggler, options);
+      group_bounds[g] = fingerprint_bounds(groups[g]);
       ++result.stats.joined_existing_groups;
     }
   }

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "glove/geo/geo.hpp"
 #include "glove/util/parallel.hpp"
@@ -14,7 +16,10 @@ namespace glove::core {
 
 FingerprintBounds fingerprint_bounds(const cdr::Fingerprint& fp) {
   FingerprintBounds bounds;
-  if (fp.empty()) return bounds;
+  if (fp.empty()) {
+    bounds.empty = true;
+    return bounds;
+  }
   double x_lo = std::numeric_limits<double>::infinity();
   double x_hi = -x_lo;
   double y_lo = x_lo;
@@ -31,6 +36,20 @@ FingerprintBounds fingerprint_bounds(const cdr::Fingerprint& fp) {
   }
   bounds.box = cdr::SpatialExtent{x_lo, x_hi - x_lo, y_lo, y_hi - y_lo};
   bounds.interval = cdr::TemporalExtent{t_lo, t_hi - t_lo};
+  return bounds;
+}
+
+std::vector<FingerprintBounds> bounds_of(
+    std::span<const cdr::Fingerprint> fingerprints) {
+  std::vector<FingerprintBounds> bounds(fingerprints.size());
+  util::parallel_for(
+      fingerprints.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          bounds[i] = fingerprint_bounds(fingerprints[i]);
+        }
+      },
+      /*min_chunk=*/64);
   return bounds;
 }
 
@@ -86,8 +105,10 @@ double stretch_lower_bound(const FingerprintBounds& a,
   // the boxes (in the weighted two-direction sum of eq. 4, *both*
   // directions must bridge the gap, so the weighted sum is >= the gap).
   // The padded upper ends and kRoundingMargin keep the bound at or below
-  // the *computed* stretch, which is what the lazy heap's exactness and
-  // the pruned scans rely on.
+  // the *computed* stretch, which is what the lazy heap's exactness,
+  // nearest_group and the pruned k-gap scan rely on.  fingerprint_stretch
+  // is 0 when either side has no samples.
+  if (a.empty || b.empty) return 0.0;
   const double gap_x = axis_gap(a.box.x, upper_end(a.box.x, a.box.dx),
                                 b.box.x, upper_end(b.box.x, b.box.dx));
   const double gap_y = axis_gap(a.box.y, upper_end(a.box.y, a.box.dy),
@@ -100,6 +121,77 @@ double stretch_lower_bound(const FingerprintBounds& a,
   const double phi_tau = std::min(gap_t / limits.phi_max_tau_min, 1.0);
   return (limits.w_sigma * phi_sigma + limits.w_tau * phi_tau) *
          kRoundingMargin;
+}
+
+NearestGroup nearest_group(const cdr::Fingerprint& fp,
+                           std::span<const cdr::Fingerprint> groups,
+                           std::span<const FingerprintBounds> group_bounds,
+                           const StretchLimits& limits,
+                           std::uint64_t* evaluations,
+                           std::uint64_t* sample_pairs) {
+  if (groups.empty() || groups.size() != group_bounds.size()) {
+    throw std::invalid_argument{
+        "nearest_group needs a non-empty group list and one bounds entry "
+        "per group"};
+  }
+  const FingerprintBounds bounds = fingerprint_bounds(fp);
+  // A min-heap over (bound, index) yields the order a full sort would, but
+  // only the prefix the search actually visits is ever ordered.
+  std::vector<std::pair<double, std::size_t>> order;
+  order.reserve(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    order.emplace_back(stretch_lower_bound(bounds, group_bounds[g], limits),
+                       g);
+  }
+  std::make_heap(order.begin(), order.end(), std::greater<>{});
+
+  NearestGroup best{order.front().second,
+                    std::numeric_limits<double>::infinity()};
+  std::uint64_t evaluated = 0;
+  while (!order.empty()) {
+    std::pop_heap(order.begin(), order.end(), std::greater<>{});
+    const auto [bound, g] = order.back();
+    order.pop_back();
+    // A stretch is never below its bound: past the best stretch no later
+    // candidate can beat or tie it.
+    if (bound > best.stretch) break;
+    const double d = fingerprint_stretch(fp, groups[g], limits, sample_pairs);
+    ++evaluated;
+    if (d < best.stretch || (d == best.stretch && g < best.index)) {
+      best = NearestGroup{g, d};
+    }
+  }
+  if (evaluations != nullptr) *evaluations += evaluated;
+  return best;
+}
+
+std::vector<std::vector<std::uint32_t>> locality_chunks(
+    std::span<const FingerprintBounds> bounds, std::size_t chunk_size,
+    std::uint32_t k) {
+  if (chunk_size == 0 || chunk_size < k) {
+    throw std::invalid_argument{"chunk size must be at least k"};
+  }
+  if (bounds.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument{"locality_chunks takes fewer than 2^32 items"};
+  }
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keys;
+  keys.reserve(bounds.size());
+  for (std::uint32_t p = 0; p < bounds.size(); ++p) {
+    keys.emplace_back(locality_sort_key(bounds[p]), p);
+  }
+  std::sort(keys.begin(), keys.end());
+
+  std::vector<std::vector<std::uint32_t>> chunks;
+  for (std::size_t begin = 0; begin < keys.size();) {
+    std::size_t end = std::min(begin + chunk_size, keys.size());
+    // Never leave a tail smaller than k: extend the last chunk instead.
+    if (keys.size() - end < k) end = keys.size();
+    std::vector<std::uint32_t>& chunk = chunks.emplace_back();
+    chunk.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) chunk.push_back(keys[i].second);
+    begin = end;
+  }
+  return chunks;
 }
 
 std::vector<KGapEntry> k_gaps_pruned(const cdr::FingerprintDataset& data,
@@ -171,29 +263,15 @@ std::vector<KGapEntry> k_gaps_pruned(const cdr::FingerprintDataset& data,
 GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
                               const ChunkedConfig& config,
                               const util::RunHooks& hooks) {
-  if (config.chunk_size < config.glove.k) {
-    throw std::invalid_argument{"chunk size must be at least k"};
-  }
   if (data.size() < config.glove.k) {
     throw std::invalid_argument{
         "dataset smaller than the target anonymity level k"};
   }
 
-  // Locality sort: interleave the bits of the quantized bounding-box
-  // centre (Morton order), so chunks hold geographically close users.
-  struct Key {
-    std::uint64_t morton;
-    std::size_t index;
-  };
-  std::vector<Key> keys;
-  keys.reserve(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    keys.push_back(Key{locality_sort_key(fingerprint_bounds(data[i])), i});
-  }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.morton != b.morton) return a.morton < b.morton;
-    return a.index < b.index;
-  });
+  // Locality chunks (locality_chunks checks chunk_size >= k): Morton
+  // order of the bounding-box centres, so chunks hold co-located users.
+  const std::vector<std::vector<std::uint32_t>> chunks = locality_chunks(
+      bounds_of(data.fingerprints()), config.chunk_size, config.glove.k);
 
   GloveResult total;
   total.stats.input_users = data.total_users();
@@ -205,27 +283,21 @@ GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
   util::RunHooks inner;
   inner.cancel = hooks.cancel;
 
-  std::size_t begin = 0;
-  while (begin < keys.size()) {
+  std::size_t done = 0;
+  for (const std::vector<std::uint32_t>& positions : chunks) {
     hooks.throw_if_cancelled();
-    std::size_t end = std::min(begin + config.chunk_size, keys.size());
-    // Never leave a tail smaller than k: extend the last chunk instead.
-    if (keys.size() - end < config.glove.k && end < keys.size()) {
-      end = keys.size();
-    }
     std::vector<cdr::Fingerprint> chunk;
-    chunk.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      chunk.push_back(data[keys[i].index]);
-    }
-    const cdr::FingerprintDataset chunk_data{std::move(chunk)};
-    const GloveResult part = anonymize(chunk_data, config.glove, inner);
-    for (const cdr::Fingerprint& fp : part.anonymized.fingerprints()) {
-      output.push_back(fp);
+    chunk.reserve(positions.size());
+    for (const std::uint32_t p : positions) chunk.push_back(data[p]);
+    GloveResult part =
+        anonymize(cdr::FingerprintDataset{std::move(chunk)}, config.glove,
+                  inner);
+    for (cdr::Fingerprint& fp : part.anonymized.mutable_fingerprints()) {
+      output.push_back(std::move(fp));
     }
     total.stats.accumulate_costs(part.stats);
-    begin = end;
-    hooks.report(begin, keys.size());
+    done += positions.size();
+    hooks.report(done, data.size());
   }
 
   total.anonymized = cdr::FingerprintDataset{

@@ -1,7 +1,7 @@
 // The shard execution seam: the streaming pipeline plans batches and
 // materializes (or names) member slices — shards and reconcile chunks
 // alike — and a ShardExecutor turns each slice into finalized groups with
-// the same pruned GLOVE run.  Two backends implement it — the in-process
+// the same core::anonymize run.  Two backends implement it — the in-process
 // thread pool the backend always had, and a coordinator/worker process
 // pool — and both must produce byte-identical groups for identical jobs,
 // so the choice is an operational knob, never a semantic one.

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "glove/cdr/dataset.hpp"
-#include "glove/core/scalability.hpp"
+#include "glove/core/glove.hpp"
 #include "glove/obs/span.hpp"
 #include "glove/util/parallel.hpp"
 
@@ -45,7 +45,7 @@ std::vector<ShardResult> InProcessExecutor::run_batch(
           job_span.arg(job.reconcile ? "chunk" : "shard", job.shard);
           job_span.arg("members", members);
           const auto start = Clock::now();
-          core::GloveResult run = core::anonymize_pruned(
+          core::GloveResult run = core::anonymize(
               cdr::FingerprintDataset{std::move(job.inputs)}, glove_, inner);
           out.timing.init_seconds = run.stats.init_seconds;
           out.timing.merge_seconds = run.stats.merge_seconds;

@@ -15,8 +15,8 @@ namespace glove::shard::exec {
 
 class InProcessExecutor final : public ShardExecutor {
  public:
-  /// Runs every job through core::anonymize_pruned with `glove` on a pool
-  /// of `workers` threads (resolved by make_shard_executor).
+  /// Runs every job through core::anonymize with `glove` on a pool of
+  /// `workers` threads (resolved by make_shard_executor).
   InProcessExecutor(const core::GloveConfig& glove, std::size_t workers);
 
   [[nodiscard]] std::string_view kind() const noexcept override {

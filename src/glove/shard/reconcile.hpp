@@ -13,9 +13,10 @@
 // The schedule is planned from per-leftover bounding geometry and group
 // sizes alone (both resident after the pass-1 scan).  The streaming
 // pipeline runs each GLOVE chunk as an executor job, exactly like a shard;
-// chunk membership and member order are anonymize_chunked's, so the chunks
-// together reproduce one anonymize_chunked run over the sub-k set.  The
-// policy tail runs last, over the groups the run holds back for it.
+// the chunks come from core::locality_chunks, as anonymize_chunked's do,
+// so together they reproduce one anonymize_chunked run over the sub-k
+// set.  The policy tail runs last, through core::absorb_leftovers over the
+// groups the run holds back for it.
 
 #ifndef GLOVE_SHARD_RECONCILE_HPP
 #define GLOVE_SHARD_RECONCILE_HPP
@@ -25,10 +26,8 @@
 #include <span>
 #include <vector>
 
-#include "glove/cdr/fingerprint.hpp"
 #include "glove/core/scalability.hpp"
 #include "glove/shard/config.hpp"
-#include "glove/util/hooks.hpp"
 
 namespace glove::shard {
 
@@ -41,11 +40,9 @@ struct ReconcilePlan {
   /// Leftovers already hiding >= k users (possible when the input is a
   /// re-anonymization): passed through unchanged, in leftover order.
   std::vector<std::uint32_t> passthrough;
-  /// When at least k sub-k leftovers exist: the sub-k positions,
-  /// locality-sorted by core::locality_sort_key (ties broken by leftover
-  /// order — exactly anonymize_chunked's key) and partitioned into GLOVE
-  /// chunks of max(max_shard_users, k) members, never leaving a tail
-  /// smaller than k.
+  /// When at least k sub-k leftovers exist: the sub-k positions cut by
+  /// core::locality_chunks into GLOVE chunks of max(max_shard_users, k)
+  /// members (ties in the locality key broken by leftover order).
   std::vector<std::vector<std::uint32_t>> chunks;
   /// When fewer than k sub-k leftovers exist: their positions in leftover
   /// order, handled by the configured leftover policy (absorb into the
@@ -63,20 +60,6 @@ struct ReconcilePlan {
 [[nodiscard]] ReconcilePlan plan_reconcile(
     std::span<const core::FingerprintBounds> bounds,
     std::span<const std::uint32_t> group_sizes, const ShardConfig& config);
-
-/// Applies the configured leftover policy to the plan's tail (`tail` holds
-/// its fingerprints in plan order).  kMergeIntoNearest merges each one
-/// into the minimum-stretch group of `groups`, which is modified in place
-/// (absorption scans groups in stable order with strict-minimum
-/// tie-breaking); kSuppress counts each one's hidden users as discarded
-/// and its original samples (summed contributors) as deleted — the single
-/// deletion definition every suppression path shares.  Cost counters
-/// accumulate into `stats`; returns how many leftovers were absorbed.
-/// Cancellation is polled between leftovers.
-std::size_t reconcile_tail(std::vector<cdr::Fingerprint> tail,
-                           std::vector<cdr::Fingerprint>& groups,
-                           const ShardConfig& config, core::GloveStats& stats,
-                           const util::RunHooks& hooks);
 
 }  // namespace glove::shard
 

@@ -18,7 +18,6 @@
 #include "glove/shard/reconcile.hpp"
 #include "glove/shard/runner.hpp"
 #include "glove/shard/tiling.hpp"
-#include "glove/util/parallel.hpp"
 
 namespace glove::shard {
 
@@ -52,7 +51,7 @@ StreamScan scan_stream(FingerprintStream& source,
     for (const cdr::FingerprintSummary& s : summaries) {
       scan.bounds.push_back(core::FingerprintBounds{
           cdr::SpatialExtent{s.x, s.dx, s.y, s.dy},
-          cdr::TemporalExtent{s.t, s.dt}});
+          cdr::TemporalExtent{s.t, s.dt}, s.sample_count == 0});
       scan.group_sizes.push_back(s.group_size);
       scan.users += s.group_size;
       scan.samples += s.sample_count;
@@ -62,15 +61,7 @@ StreamScan scan_stream(FingerprintStream& source,
   if (const cdr::FingerprintDataset* data = source.materialized()) {
     // Materialized sources are scanned by index with parallel bounds
     // computation — the pre-streaming runner's exact setup, no copies.
-    scan.bounds.resize(data->size());
-    util::parallel_for(
-        data->size(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            scan.bounds[i] = core::fingerprint_bounds((*data)[i]);
-          }
-        },
-        /*min_chunk=*/64);
+    scan.bounds = core::bounds_of(data->fingerprints());
     scan.group_sizes.reserve(data->size());
     for (const cdr::Fingerprint& fp : data->fingerprints()) {
       scan.group_sizes.push_back(fp.group_size());
@@ -430,8 +421,8 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   // --- The leftover-policy tail, over the held groups when it absorbs.
   if (!tail.empty()) {
     const std::size_t tail_size = tail.size();
-    result.stats.absorbed_leftovers = reconcile_tail(
-        std::move(tail), held, resolved, result.stats.glove, hooks);
+    result.stats.absorbed_leftovers = core::absorb_leftovers(
+        std::move(tail), held, resolved.glove, result.stats.glove, hooks);
     advance(tail_size);
   }
   if (reconcile_span) {

@@ -27,7 +27,7 @@ struct Tile {
 
 /// The tiling of one dataset.  The per-fingerprint bounds cache is kept
 /// because the runner's border test reuses it (and merged-node bounds in
-/// the per-shard pruned runs derive from the same computation).
+/// the per-shard GLOVE runs derive from the same computation).
 struct Tiling {
   double tile_size_m = 0.0;
   /// Occupied tiles in Morton order of their cells (deterministic).

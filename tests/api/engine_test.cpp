@@ -117,8 +117,8 @@ TEST(Engine, ProgressIsMonotoneAndCompletes) {
   // "incremental" matters here: its decision phase reports from
   // parallel_for worker threads, the hardest case for monotonicity —
   // as does "sharded", whose shard jobs complete on scheduler workers.
-  for (const char* strategy : {"full", "chunked", "pruned-kgap", "sharded",
-                               "incremental", "w4m-baseline"}) {
+  for (const char* strategy :
+       {"full", "chunked", "sharded", "incremental", "w4m-baseline"}) {
     RunConfig config;
     config.strategy = strategy;
     config.chunked.chunk_size = 16;

@@ -11,6 +11,7 @@
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
+#include "common/naive_glove.hpp"
 #include "common/temp_dir.hpp"
 #include "glove/api/engine.hpp"
 #include "glove/cdr/io.hpp"
@@ -72,11 +73,11 @@ cdr::FingerprintDataset tie_heavy_dataset() {
   return cdr::FingerprintDataset{std::move(fps), "ties"};
 }
 
-TEST_P(ParityTest, PrunedMatchesFullFreeFunction) {
-  // pruned-kgap is *exact*: the lazy lower-bound initialization must
-  // reproduce the all-exact heap's output byte for byte.  Both heaps
-  // compact once most entries are stale; that too must leave the pop
-  // order, and so the output, unchanged.
+TEST_P(ParityTest, FullMatchesNaiveGreedyReference) {
+  // The lazy heap is *exact*: seeding with lower bounds and refining on
+  // pop must reproduce exhaustive Alg. 1 with all-exact stretches byte for
+  // byte.  The heap also compacts once most entries are stale; that too
+  // must leave the pop order, and so the output, unchanged.
   const Engine engine;
   const std::uint32_t k = GetParam();
   const obs::MetricsSnapshot before = obs::snapshot_metrics();
@@ -84,15 +85,38 @@ TEST_P(ParityTest, PrunedMatchesFullFreeFunction) {
        {test::paired_dataset(), test::small_synth_dataset(40),
         test::random_dataset(25, 7), tie_heavy_dataset()}) {
     RunConfig config;
-    config.strategy = kStrategyPrunedKGap;
     config.k = k;
-    core::GloveConfig legacy;
-    legacy.k = k;
+    core::GloveConfig reference;
+    reference.k = k;
     EXPECT_EQ(engine_csv(engine, data, config),
-              test::dataset_to_csv(core::anonymize(data, legacy).anonymized));
+              test::dataset_to_csv(test::naive_glove(data, reference)));
   }
   EXPECT_GT(obs::snapshot_metrics().counter_value("core.heap.purged"),
             before.counter_value("core.heap.purged"));
+}
+
+TEST_P(ParityTest, FullMatchesNaiveGreedyReferenceUnderSuppression) {
+  // Tight suppression thresholds empty some merged groups entirely.  An
+  // emptied group has stretch 0 to everything, so its bound must be 0 too,
+  // or the lazy heap and the nearest-group search would pass it over.
+  const Engine engine;
+  const std::uint32_t k = GetParam();
+  std::size_t emptied = 0;
+  for (const auto& data :
+       {test::small_synth_dataset(40), test::small_synth_dataset(30, 3.0, 9)}) {
+    RunConfig config;
+    config.k = k;
+    config.suppression = core::SuppressionThresholds{2'000.0, 30.0};
+    core::GloveConfig reference;
+    reference.k = k;
+    reference.suppression = config.suppression;
+    const cdr::FingerprintDataset expected = test::naive_glove(data, reference);
+    for (const cdr::Fingerprint& fp : expected.fingerprints()) {
+      if (fp.empty()) ++emptied;
+    }
+    EXPECT_EQ(engine_csv(engine, data, config), test::dataset_to_csv(expected));
+  }
+  EXPECT_GT(emptied, 0u);
 }
 
 TEST_P(ParityTest, ChunkedMatchesFreeFunction) {
@@ -163,7 +187,7 @@ TEST(Parity, StreamingBoundaryMatchesLegacyOverloadForEveryStrategy) {
   parsed.set_name(in_path);  // a CsvFileSource names its dataset by path
 
   for (const char* strategy :
-       {"full", "chunked", "pruned-kgap", "sharded", "w4m-baseline"}) {
+       {"full", "chunked", "sharded", "w4m-baseline"}) {
     RunConfig config;
     config.strategy = strategy;
     config.k = 2;

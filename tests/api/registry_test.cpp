@@ -1,4 +1,4 @@
-// Strategy registry: the six built-ins are registered, lookups work, and
+// Strategy registry: the five built-ins are registered, lookups work, and
 // external strategies (the drop-in point for future distributed/streaming
 // backends) can be added or replace built-ins without touching callers.
 
@@ -16,8 +16,7 @@ TEST(Registry, BuiltinStrategiesAreRegistered) {
   const Engine engine;
   const std::vector<std::string> names = engine.strategies();
   const std::vector<std::string> expected{"chunked", "full", "incremental",
-                                          "pruned-kgap", "sharded",
-                                          "w4m-baseline"};
+                                          "sharded", "w4m-baseline"};
   EXPECT_EQ(names, expected);  // strategies() returns sorted names
   for (const std::string& name : expected) {
     const Anonymizer* strategy = engine.find(name);

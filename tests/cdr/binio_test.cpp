@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -217,6 +219,85 @@ TEST(Glovebin, ReaderRejectsCorruptBlockPayload) {
               std::string::npos)
         << e.what();
   }
+}
+
+/// A one-fingerprint glovebin file with samples at t = 0 and t = 10.  The
+/// record starts after the 16-byte header: member_count, sample_count, one
+/// member id, then six doubles and a u32 contributors count per sample.
+std::string two_sample_glovebin(const test::TempDir& dir) {
+  const std::string path = dir.file("two_samples.glovebin");
+  write_dataset_glovebin_file(
+      path, FingerprintDataset{{Fingerprint{1u, {test::cell(0, 0, 0),
+                                                 test::cell(500, 0, 10)}}},
+                               "two"});
+  return path;
+}
+
+constexpr std::size_t kFirstSampleAt = 16 + 4 + 4 + 4;
+constexpr std::size_t kSampleBytes = 6 * 8 + 4;
+
+/// Overwrites the `field`-th double (0-5: x, dx, y, dy, t, dt) of sample
+/// `sample` with `value`, little-endian.
+void patch_double(std::string& bytes, std::size_t sample, std::size_t field,
+                  double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  const std::size_t at = kFirstSampleAt + sample * kSampleBytes + 8 * field;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<char>((bits >> (8 * i)) & 0xffu);
+  }
+}
+
+void expect_block_rejected(const std::string& path, const std::string& what) {
+  try {
+    (void)read_dataset_glovebin_file(path);
+    ADD_FAILURE() << "expected std::invalid_argument (" << what << ")";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(path + ": corrupt glovebin block 0"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+  }
+}
+
+TEST(Glovebin, ReaderRejectsNonFiniteSampleFields) {
+  test::TempDir dir;
+  const std::string path = two_sample_glovebin(dir);
+  const std::string valid = read_file(path);
+  for (std::size_t field = 0; field < 6; ++field) {
+    for (const double value : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+      std::string bytes = valid;
+      patch_double(bytes, 1, field, value);
+      write_file(path, bytes);
+      expect_block_rejected(path, "must be finite");
+    }
+  }
+}
+
+TEST(Glovebin, ReaderRejectsNegativeExtents) {
+  test::TempDir dir;
+  const std::string path = two_sample_glovebin(dir);
+  const std::string valid = read_file(path);
+  for (const std::size_t field : {1u, 3u, 5u}) {  // dx, dy, dt
+    std::string bytes = valid;
+    patch_double(bytes, 0, field, -1.0);
+    write_file(path, bytes);
+    expect_block_rejected(path, "must be non-negative");
+  }
+}
+
+TEST(Glovebin, ReaderRejectsSamplesOutOfTimeOrder) {
+  // Readers hand samples to Fingerprint::from_time_sorted without
+  // re-sorting, and the stretch kernel prunes by that order.
+  test::TempDir dir;
+  const std::string path = two_sample_glovebin(dir);
+  std::string bytes = read_file(path);
+  std::swap_ranges(bytes.begin() + kFirstSampleAt,
+                   bytes.begin() + kFirstSampleAt + kSampleBytes,
+                   bytes.begin() + kFirstSampleAt + kSampleBytes);
+  write_file(path, bytes);
+  expect_block_rejected(path, "out of time order");
 }
 
 TEST(Glovebin, FromTimeSortedPreservesSampleOrderAndRejectsEmptyGroups) {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
+#include <string>
 #include <vector>
 
 #include "common/fixtures.hpp"
@@ -374,6 +375,79 @@ TEST(FileIo, ParseFailuresReportPathAndLineNumber) {
     const std::string message = e.what();
     EXPECT_NE(message.find(cdr_path), std::string::npos) << message;
     EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  }
+}
+
+/// Expects `read` to throw std::invalid_argument naming `path`, line 2
+/// and `what`.
+template <typename Read>
+void expect_row_rejected(Read&& read, const std::string& path,
+                         const std::string& what) {
+  try {
+    read();
+    ADD_FAILURE() << "expected std::invalid_argument (" << what << ")";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+  }
+}
+
+/// A valid two-row dataset CSV whose second row has `field` (1-6: x, dx,
+/// y, dy, t, dt) replaced by `value`.
+std::string dataset_with_field(std::size_t field, const std::string& value) {
+  std::vector<std::string> row{"1", "0", "100", "0", "100", "10", "1", "1"};
+  row[field] = value;
+  std::string text = "1,0,100,0,100,5,1,1\n";
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    text += (i == 0 ? "" : ",") + row[i];
+  }
+  return text + "\n";
+}
+
+TEST(DatasetIo, RejectsNonFiniteSampleFields) {
+  // NaN would break the candidate heap's strict weak order, and an
+  // infinite coordinate the stretch lower bound.
+  const test::TempDir dir;
+  const std::string path = dir.file("non_finite.csv");
+  for (std::size_t field = 1; field <= 6; ++field) {
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      std::ofstream{path} << dataset_with_field(field, value);
+      expect_row_rejected([&] { (void)read_dataset_file(path); }, path,
+                          "must be finite");
+    }
+  }
+}
+
+TEST(DatasetIo, RejectsNegativeExtents) {
+  const test::TempDir dir;
+  const std::string path = dir.file("negative_extent.csv");
+  for (const std::size_t field : {2u, 4u, 6u}) {  // dx, dy, dt
+    std::ofstream{path} << dataset_with_field(field, "-0.5");
+    expect_row_rejected([&] { (void)read_dataset_file(path); }, path,
+                        "must be non-negative");
+  }
+  // Negative coordinates are ordinary positions west/south of the origin.
+  for (const std::size_t field : {1u, 3u, 5u}) {
+    std::ofstream{path} << dataset_with_field(field, "-0.5");
+    EXPECT_NO_THROW((void)read_dataset_file(path));
+  }
+}
+
+TEST(CdrIo, RejectsNonFiniteTimeOrPosition) {
+  for (std::size_t field = 1; field <= 3; ++field) {
+    for (const char* value : {"nan", "inf"}) {
+      std::vector<std::string> row{"2", "10", "6.8", "-5.3"};
+      row[field] = value;
+      std::istringstream in{"1,10,6.8,-5.3\n" + row[0] + "," + row[1] + "," +
+                            row[2] + "," + row[3] + "\n"};
+      CdrEventReader reader{in, "trace.csv"};
+      CdrEvent event;
+      ASSERT_TRUE(reader.next(event));
+      expect_row_rejected([&] { (void)reader.next(event); }, "trace.csv",
+                          "must be finite");
+    }
   }
 }
 

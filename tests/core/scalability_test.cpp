@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -39,6 +40,19 @@ TEST(StretchLowerBound, ZeroForOverlappingBoxes) {
   EXPECT_DOUBLE_EQ(stretch_lower_bound(fingerprint_bounds(a),
                                        fingerprint_bounds(b), {}),
                    0.0);
+}
+
+TEST(StretchLowerBound, ZeroForEmptyFingerprints) {
+  // A group suppression emptied merges with anything at stretch 0.
+  const cdr::Fingerprint empty{std::vector<cdr::UserId>{1u, 2u}, {}};
+  const cdr::Fingerprint far{3u, {cell(90'000, 90'000, 5'000)}};
+  ASSERT_EQ(fingerprint_stretch(empty, far, {}), 0.0);
+  EXPECT_EQ(stretch_lower_bound(fingerprint_bounds(empty),
+                                fingerprint_bounds(far), {}),
+            0.0);
+  EXPECT_EQ(stretch_lower_bound(fingerprint_bounds(far),
+                                fingerprint_bounds(empty), {}),
+            0.0);
 }
 
 TEST(StretchLowerBound, NeverExceedsTrueStretch) {
@@ -113,6 +127,110 @@ TEST(StretchLowerBound, BoxEndRoundingDoesNotWidenTheGap) {
       1u, {point(next, 0, 0), point(next, 0, 0), point(next, 0, 0)}};
   expect_bound_at_most_stretch(a, b);
   expect_bound_at_most_stretch(b, a);
+}
+
+/// The first minimum-stretch group a full scan in index order finds.
+NearestGroup full_scan_nearest(const cdr::Fingerprint& fp,
+                               const std::vector<cdr::Fingerprint>& groups) {
+  NearestGroup best{0, std::numeric_limits<double>::infinity()};
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const double d = fingerprint_stretch(fp, groups[g], {});
+    if (d < best.stretch) best = NearestGroup{g, d};
+  }
+  return best;
+}
+
+TEST(NearestGroup, SeededLatticeSweepMatchesFullScan) {
+  // Samples on a coarse lattice, mirrored around the origin, so many
+  // groups tie at the minimum stretch while rounding gives them different
+  // bounds; a few groups are empty (stretch 0 to anything).  The search
+  // must return the full scan's index and stretch bit for bit, and still
+  // skip the distant groups.
+  util::Xoshiro256 rng{411};
+  const auto lattice = [&](std::uint64_t steps, double step) {
+    const auto i = static_cast<double>(util::uniform_index(rng, 2 * steps + 1));
+    return (i - static_cast<double>(steps)) * step;
+  };
+  const auto random_fingerprint = [&](std::uint32_t size, cdr::UserId first) {
+    std::vector<cdr::Sample> samples;
+    const std::uint64_t count = 1 + util::uniform_index(rng, 3);
+    if (size > 1 && util::uniform_index(rng, 12) == 0) {
+      return test::group_fingerprint(size, first, {});  // suppressed away
+    }
+    const bool far = util::uniform_index(rng, 4) == 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      samples.push_back(cell(lattice(far ? 40 : 4, 1'000.0),
+                             lattice(far ? 40 : 4, 1'000.0),
+                             60.0 * (2.0 + lattice(2, 1.0))));
+    }
+    return test::group_fingerprint(size, first, std::move(samples));
+  };
+
+  std::uint64_t evaluations = 0;
+  std::uint64_t sample_pairs = 0;
+  std::uint64_t candidates = 0;
+  int decisive_ties = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<cdr::Fingerprint> groups;
+    std::vector<FingerprintBounds> bounds;
+    const std::uint64_t count = 2 + util::uniform_index(rng, 30);
+    for (std::uint64_t g = 0; g < count; ++g) {
+      const auto size = static_cast<std::uint32_t>(
+          2 + util::uniform_index(rng, 3));
+      groups.push_back(random_fingerprint(size, static_cast<cdr::UserId>(
+                                                    10 * (g + 1))));
+      bounds.push_back(fingerprint_bounds(groups.back()));
+    }
+    const cdr::Fingerprint leftover = random_fingerprint(1, 0);
+
+    const NearestGroup expected = full_scan_nearest(leftover, groups);
+    const NearestGroup found = nearest_group(leftover, groups, bounds, {},
+                                             &evaluations, &sample_pairs);
+    EXPECT_EQ(found.index, expected.index) << "trial " << trial;
+    EXPECT_EQ(found.stretch, expected.stretch) << "trial " << trial;
+    candidates += count;
+
+    // A tie is decisive when a later tied group has a strictly lower bound
+    // than the first: visiting by bound alone would pick it.
+    const FingerprintBounds own = fingerprint_bounds(leftover);
+    const double first_bound =
+        stretch_lower_bound(own, bounds[expected.index], {});
+    for (std::size_t g = expected.index + 1; g < groups.size(); ++g) {
+      if (fingerprint_stretch(leftover, groups[g], {}) == expected.stretch &&
+          stretch_lower_bound(own, bounds[g], {}) < first_bound) {
+        ++decisive_ties;
+        break;
+      }
+    }
+  }
+  EXPECT_LT(evaluations, candidates);
+  EXPECT_GT(sample_pairs, 0u);
+  EXPECT_GT(decisive_ties, 0);
+}
+
+TEST(NearestGroup, RejectsEmptyOrMisalignedGroups) {
+  const cdr::Fingerprint fp{0u, {cell(0, 0, 0)}};
+  const std::vector<cdr::Fingerprint> none;
+  EXPECT_THROW((void)nearest_group(fp, none, {}, {}), std::invalid_argument);
+  const std::vector<cdr::Fingerprint> one{fp};
+  EXPECT_THROW((void)nearest_group(fp, one, {}, {}), std::invalid_argument);
+}
+
+TEST(LocalityChunks, SortsByKeyThenPositionAndNeverLeavesASubKTail) {
+  // Positions 0..4 sit at descending x, so their keys run in reverse
+  // position order; 5 and 6 share 2's key, and ties keep position order.
+  // Runs of 3 at k = 2 would leave a 1-position tail, so the last run
+  // takes it.
+  std::vector<FingerprintBounds> bounds;
+  for (const double x_km : {60.0, 50.0, 30.0, 20.0, 10.0, 30.0, 30.0}) {
+    bounds.push_back(
+        fingerprint_bounds(cdr::Fingerprint{0u, {cell(x_km * 1e3, 0, 0)}}));
+  }
+  EXPECT_EQ(locality_chunks(bounds, 3, 2),
+            (std::vector<std::vector<std::uint32_t>>{{4, 3, 2},
+                                                     {5, 6, 1, 0}}));
+  EXPECT_THROW((void)locality_chunks(bounds, 1, 2), std::invalid_argument);
+  EXPECT_TRUE(locality_chunks({}, 3, 2).empty());
 }
 
 TEST(KGapsPruned, MatchesBruteForceGaps) {

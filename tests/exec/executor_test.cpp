@@ -210,7 +210,7 @@ TEST(ShardExecutor, InProcessReportsItsKindInTheRunReport) {
 }
 
 TEST(ShardExecutor, ProcessObsCountersFoldIntoTheCoordinatorReport) {
-  // The core.heap.* counters tick inside anonymize_pruned — in process
+  // The core.heap.* counters tick inside core::anonymize — in process
   // mode that is the *worker's* address space, so their presence in the
   // coordinator's report proves the delta fold-back works.
   const test::TempDir dir;

@@ -1,8 +1,9 @@
 // The reconciliation plan and its policy tail: the schedule planned from
 // bounding geometry and group sizes alone (the streaming pipeline's pass-1
 // residue) must reproduce chunked GLOVE over the sub-k set byte for byte,
-// and the tail counters must keep the shared original-samples definition
-// of deletion.
+// and the tail (core::absorb_leftovers) must keep the shared
+// original-samples definition of deletion and absorb into the first
+// nearest group.
 
 #include "glove/shard/reconcile.hpp"
 
@@ -113,8 +114,8 @@ TEST(ReconcilePlan, MisalignedSpansAreRejected) {
 }
 
 TEST(Reconcile, PlannedChunksReproduceChunkedGloveByteForByte) {
-  // Each planned chunk runs as an independent pruned-GLOVE job (the
-  // executor's shape); concatenated in chunk order their groups must match
+  // Each planned chunk runs as an independent GLOVE job (the executor's
+  // shape); concatenated in chunk order their groups must match
   // one anonymize_chunked run over the same sub-k set.
   const cdr::FingerprintDataset data = test::small_synth_dataset(24);
   const std::vector<cdr::Fingerprint> leftovers{data.fingerprints().begin(),
@@ -132,7 +133,7 @@ TEST(Reconcile, PlannedChunksReproduceChunkedGloveByteForByte) {
     for (const std::uint32_t position : chunk) {
       members.push_back(leftovers[position]);
     }
-    core::GloveResult part = core::anonymize_pruned(
+    core::GloveResult part = core::anonymize(
         cdr::FingerprintDataset{std::move(members)}, config.glove);
     stats.accumulate_costs(part.stats);
     for (cdr::Fingerprint& fp : part.anonymized.mutable_fingerprints()) {
@@ -172,7 +173,9 @@ TEST(ReconcileTail, SuppressCountsOriginalSamplesDeleted) {
   ShardConfig config = reconcile_config(/*k=*/2);
   config.glove.leftover_policy = core::LeftoverPolicy::kSuppress;
   core::GloveStats stats;
-  EXPECT_EQ(reconcile_tail(std::move(tail), groups, config, stats, {}), 0u);
+  EXPECT_EQ(core::absorb_leftovers(std::move(tail), groups, config.glove,
+                                   stats),
+            0u);
   EXPECT_EQ(stats.discarded_fingerprints, 1u);
   EXPECT_EQ(stats.deleted_samples, original_samples);
   ASSERT_EQ(groups.size(), 1u);
@@ -191,11 +194,45 @@ TEST(ReconcileTail, AbsorbMergesIntoNearestGroup) {
 
   const ShardConfig config = reconcile_config(/*k=*/2);
   core::GloveStats stats;
-  EXPECT_EQ(reconcile_tail(std::move(tail), groups, config, stats, {}), 1u);
+  EXPECT_EQ(core::absorb_leftovers(std::move(tail), groups, config.glove,
+                                   stats),
+            1u);
   EXPECT_EQ(stats.merges, 1u);
   EXPECT_EQ(stats.discarded_fingerprints, 0u);
   ASSERT_EQ(groups.size(), 2u);
   // The co-located group (not the 90 km one) absorbed the leftover.
+  EXPECT_EQ(groups[0].group_size(), 3u);
+  EXPECT_EQ(groups[1].group_size(), 2u);
+}
+
+TEST(ReconcileTail, ExactTieAbsorbsIntoFirstGroup) {
+  // A leftover at the origin between two 2-user groups 5 km east and
+  // west: both sit at exactly the same stretch, but the rounding of the
+  // box ends gives the second group the lower bound, so it is evaluated
+  // first.  The tie still goes to the lower index, as a full scan in group
+  // order would decide it.
+  const cdr::Fingerprint leftover{9u, {test::cell(0.0, 0.0, 0.0)}};
+  std::vector<cdr::Fingerprint> groups;
+  groups.push_back(test::group_fingerprint(2, 1, {test::cell(5'000.0, 0, 0)}));
+  groups.push_back(
+      test::group_fingerprint(2, 3, {test::cell(-5'000.0, 0, 0)}));
+
+  const core::StretchLimits limits;
+  ASSERT_EQ(core::fingerprint_stretch(leftover, groups[0], limits), 0.125);
+  ASSERT_EQ(core::fingerprint_stretch(leftover, groups[1], limits), 0.125);
+  const core::FingerprintBounds bounds = core::fingerprint_bounds(leftover);
+  ASSERT_LT(core::stretch_lower_bound(bounds,
+                                      core::fingerprint_bounds(groups[1]),
+                                      limits),
+            core::stretch_lower_bound(bounds,
+                                      core::fingerprint_bounds(groups[0]),
+                                      limits));
+
+  std::vector<cdr::Fingerprint> tail{leftover};
+  core::GloveStats stats;
+  EXPECT_EQ(core::absorb_leftovers(std::move(tail), groups,
+                                   reconcile_config(/*k=*/2).glove, stats),
+            1u);
   EXPECT_EQ(groups[0].group_size(), 3u);
   EXPECT_EQ(groups[1].group_size(), 2u);
 }

@@ -29,7 +29,7 @@
 
 #include "glove/api/source.hpp"
 #include "glove/cdr/dataset.hpp"
-#include "glove/core/scalability.hpp"
+#include "glove/core/glove.hpp"
 #include "glove/obs/metrics.hpp"
 #include "glove/shard/exec/proto.hpp"
 #include "glove/util/hooks.hpp"
@@ -137,7 +137,7 @@ int worker_loop(int fd) {
           std::vector<cdr::Fingerprint> inputs = materialize_slice(
               *source, request.member_ids, hello.expected_fingerprints,
               hooks);
-          core::GloveResult run = core::anonymize_pruned(
+          core::GloveResult run = core::anonymize(
               cdr::FingerprintDataset{std::move(inputs)}, hello.glove, hooks);
           exec::ShardDoneReply reply;
           reply.shard = request.shard;
