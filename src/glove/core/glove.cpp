@@ -125,15 +125,7 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
 
   // Per-node bounding-geometry cache: computed once per node, including
   // the nodes merges create later on.
-  std::vector<FingerprintBounds> bounds(nodes.size());
-  util::parallel_for(
-      open.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          bounds[open[i]] = fingerprint_bounds(nodes[open[i]]);
-        }
-      },
-      /*min_chunk=*/64);
+  std::vector<FingerprintBounds> bounds = bounds_of(nodes);
 
   std::vector<PairEntry> heap;
   const std::size_t pairs =

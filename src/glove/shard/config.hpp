@@ -63,10 +63,11 @@ struct ShardConfig {
   /// Executor workers — threads of the in-process executor, daemons of
   /// the process executor; 0 follows the shared-pool default
   /// (GLOVE_THREADS when set, else hardware concurrency).  Also sizes the
-  /// batch budget (max_shard_users x workers fingerprints materialized per
-  /// pass).  The per-job inner loops additionally use the shared pool,
-  /// exactly like the non-sharded strategies.  Output is identical for
-  /// every worker count (byte-stable determinism is tested).
+  /// batch budget of re-read sources (max_shard_users x workers
+  /// fingerprints materialized per pass).  The per-job inner loops
+  /// additionally use the shared pool, exactly like the non-sharded
+  /// strategies.  Output is identical for every worker count (byte-stable
+  /// determinism is tested).
   std::size_t workers = 0;
 
   BorderPolicy border = BorderPolicy::kHalo;

@@ -21,7 +21,8 @@ std::string_view executor_kind_name(ExecutorKind kind) noexcept {
 
 std::unique_ptr<ShardExecutor> make_shard_executor(
     const ShardConfig& config, const std::optional<std::string>& source_path,
-    std::uint64_t total_fingerprints, std::size_t job_count) {
+    const cdr::FingerprintDataset* resident, std::uint64_t total_fingerprints,
+    std::size_t job_count) {
   // Never more workers than jobs, so none is idle by construction.
   std::size_t workers = config.workers;
   if (workers == 0) workers = util::ThreadPool::shared().size();
@@ -29,7 +30,8 @@ std::unique_ptr<ShardExecutor> make_shard_executor(
                      std::max<std::size_t>(job_count, 1));
   switch (config.executor) {
     case ExecutorKind::kInProcess:
-      return std::make_unique<InProcessExecutor>(config.glove, workers);
+      return std::make_unique<InProcessExecutor>(config.glove, workers,
+                                                 resident);
     case ExecutorKind::kProcess:
       if (!source_path.has_value()) {
         throw std::invalid_argument{

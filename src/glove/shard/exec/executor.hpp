@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "glove/cdr/dataset.hpp"
 #include "glove/cdr/fingerprint.hpp"
 #include "glove/core/glove.hpp"
 #include "glove/shard/config.hpp"
@@ -31,9 +32,8 @@ namespace glove::shard::exec {
 /// set (traced as stream.reconcile.chunk instead of stream.shard).
 /// `member_ids` names the slice (dataset indices in planned member order);
 /// `inputs` carries the materialized fingerprints when the caller
-/// materializes (executors whose `reads_source()` is true re-read the
-/// slice from the shared source file themselves and receive `inputs`
-/// empty).
+/// materializes (executors whose `reads_source()` is true read the slice
+/// from the source themselves and receive `inputs` empty).
 struct ShardJob {
   std::size_t shard = 0;
   bool reconcile = false;
@@ -74,11 +74,12 @@ class ShardExecutor {
   /// Stable identifier for the run report ("inprocess", "process").
   [[nodiscard]] virtual std::string_view kind() const noexcept = 0;
 
-  /// Resolved parallelism; the caller sizes shard batches from it.
+  /// Resolved parallelism; the caller sizes the batches of re-read
+  /// sources from it.
   [[nodiscard]] virtual std::size_t workers() const noexcept = 0;
 
-  /// True when the executor materializes shard inputs itself by
-  /// re-reading the shared source file; the caller then leaves
+  /// True when the executor materializes shard inputs itself, from the
+  /// shared source file or the resident dataset; the caller then leaves
   /// ShardJob::inputs empty and skips its own materialization pass.
   [[nodiscard]] virtual bool reads_source() const noexcept = 0;
 
@@ -104,11 +105,14 @@ class ShardExecutor {
 /// hardware concurrency) capped at `job_count`, the run's total GLOVE job
 /// count.  `source_path` is the file backing the stream (nullopt for
 /// in-memory sources); the process executor requires it and throws
-/// std::invalid_argument otherwise.  `total_fingerprints` is the pass-1
-/// count (workers validate their re-reads against it).
+/// std::invalid_argument otherwise.  `resident` is the stream's
+/// materialized dataset, if any: the in-process executor then copies each
+/// job's members from it as the job starts.  `total_fingerprints` is the
+/// pass-1 count (workers validate their re-reads against it).
 [[nodiscard]] std::unique_ptr<ShardExecutor> make_shard_executor(
     const ShardConfig& config, const std::optional<std::string>& source_path,
-    std::uint64_t total_fingerprints, std::size_t job_count);
+    const cdr::FingerprintDataset* resident, std::uint64_t total_fingerprints,
+    std::size_t job_count);
 
 }  // namespace glove::shard::exec
 

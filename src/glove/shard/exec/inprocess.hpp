@@ -16,8 +16,12 @@ namespace glove::shard::exec {
 class InProcessExecutor final : public ShardExecutor {
  public:
   /// Runs every job through core::anonymize with `glove` on a pool of
-  /// `workers` threads (resolved by make_shard_executor).
-  InProcessExecutor(const core::GloveConfig& glove, std::size_t workers);
+  /// `workers` threads (resolved by make_shard_executor).  With a
+  /// `resident` dataset (which must outlive the executor) each job copies
+  /// its members from it when it starts, so a batch holds only the inputs
+  /// of the jobs running.
+  InProcessExecutor(const core::GloveConfig& glove, std::size_t workers,
+                    const cdr::FingerprintDataset* resident = nullptr);
 
   [[nodiscard]] std::string_view kind() const noexcept override {
     return "inprocess";
@@ -25,7 +29,9 @@ class InProcessExecutor final : public ShardExecutor {
   [[nodiscard]] std::size_t workers() const noexcept override {
     return scheduler_.size();
   }
-  [[nodiscard]] bool reads_source() const noexcept override { return false; }
+  [[nodiscard]] bool reads_source() const noexcept override {
+    return resident_ != nullptr;
+  }
 
   std::vector<ShardResult> run_batch(std::vector<ShardJob> jobs,
                                      const ShardResultFn& on_result,
@@ -33,6 +39,7 @@ class InProcessExecutor final : public ShardExecutor {
 
  private:
   core::GloveConfig glove_;
+  const cdr::FingerprintDataset* resident_;
   util::ThreadPool scheduler_;
 };
 

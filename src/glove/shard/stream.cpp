@@ -273,17 +273,22 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   };
 
   // --- Passes 2..: run the units in batches through the configured
-  // ShardExecutor.  The batch budget caps resident fingerprints at roughly
-  // one shard per executor worker, which also keeps the workers busy.
+  // ShardExecutor.  Batches exist for sources that are re-read: one pass
+  // materializes a batch, and the budget caps what it holds at roughly one
+  // shard per executor worker.  A materialized source is never re-read —
+  // the executor copies each job's members from it as the job starts — so
+  // its whole unit list is one batch, and reconcile chunks (planned from
+  // pass-1 bounds alone) run beside the shard jobs instead of after them.
+  const cdr::FingerprintDataset* inmem = source.materialized();
   const std::unique_ptr<exec::ShardExecutor> executor =
-      exec::make_shard_executor(resolved, source.file_path(), n, job_count);
+      exec::make_shard_executor(resolved, source.file_path(), inmem, n,
+                                job_count);
   const std::size_t budget = std::max<std::size_t>(
       resolved.max_shard_users * executor->workers(), 1);
-  // Executors that re-read the source themselves (process pool) receive
-  // the member ids only; the coordinator then materializes just the units
-  // it emits or absorbs itself (pass-throughs and the policy tail).
+  // Executors that read the source themselves receive the member ids
+  // only; the coordinator then materializes just the units it emits or
+  // absorbs itself (pass-throughs and the policy tail).
   const bool local_inputs = !executor->reads_source();
-  const cdr::FingerprintDataset* inmem = source.materialized();
 
   const std::uint64_t total_work = n + 1;  // +1: the final tick
   hooks.report(0, total_work);
@@ -303,34 +308,39 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   Clock::time_point reconcile_start;
   for (std::size_t first = 0; first < units.size();) {
     hooks.throw_if_cancelled();
-    // Close the batch before the budget breaks; a single oversized unit
-    // still forms its own batch, and a reconcile unit never joins a shard
-    // batch, so the two phases stay sequential.
-    const bool reconcile = units[first].kind != UnitKind::kShard;
+    // For a re-read source, close the batch before the budget breaks (a
+    // single oversized unit still forms its own batch) and never let a
+    // reconcile unit join a shard batch, so the two phases stay
+    // sequential.
+    const bool shard_batch = units[first].kind == UnitKind::kShard;
     std::size_t last = first;
     std::size_t members = 0;
     while (last < units.size()) {
       const Unit& unit = units[last];
-      if (last > first && ((unit.kind != UnitKind::kShard) != reconcile ||
-                           members + unit.ids.size() > budget)) {
+      if (inmem == nullptr && last > first &&
+          ((unit.kind == UnitKind::kShard) != shard_batch ||
+           members + unit.ids.size() > budget)) {
         break;
       }
       members += unit.ids.size();
       ++last;
     }
-    if (reconcile && !reconcile_span) {
+    // Units run shards first, so a batch holds reconcile work iff its
+    // last unit is not a shard.  The reconcile phase starts with the
+    // first such batch.
+    if (units[last - 1].kind != UnitKind::kShard && !reconcile_span) {
       reconcile_start = Clock::now();
       reconcile_span.emplace("stream.reconcile");
       reconcile_span->arg("deferred", result.stats.deferred_fingerprints);
     }
-    GLOVE_SPAN_NAMED(batch_span, reconcile ? "stream.reconcile.pass"
-                                           : "stream.shard_batch");
+    GLOVE_SPAN_NAMED(batch_span, shard_batch ? "stream.shard_batch"
+                                             : "stream.reconcile.pass");
     batch_span.arg("first_unit", first);
     batch_span.arg("units", last - first);
     batch_span.arg("members", members);
-    if (!reconcile) c_batches.add();
+    if (shard_batch) c_batches.add();
     if (obs::log_verbose()) {
-      obs::log_info(reconcile ? "stream.reconcile" : "stream.batch",
+      obs::log_info(shard_batch ? "stream.batch" : "stream.reconcile",
                     obs::log_kv("first_unit", first) + ' ' +
                         obs::log_kv("units", last - first) + ' ' +
                         obs::log_kv("members", members));
@@ -356,7 +366,7 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
         store.resize(next_slot);
         result.pass_fingerprints.push_back(
             materialize_pass(source, slot_of_id, store, n, hooks));
-        if (reconcile) ++result.stats.reconcile_passes;
+        if (!shard_batch) ++result.stats.reconcile_passes;
       }
     }
     const auto fetch = [&](std::uint32_t id) -> cdr::Fingerprint {
@@ -364,15 +374,17 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
       return std::move(store[slot_of_id.at(id)]);
     };
 
-    // Serialize the GLOVE units into jobs.  Pass-throughs leave at once
-    // (they open the reconcile list, so no earlier output is pending) and
-    // the tail waits for the end of the run.
+    // Serialize the GLOVE units into jobs; pass-throughs wait for the
+    // groups of the units before them, and the tail for the end of the
+    // run.
     std::vector<exec::ShardJob> jobs;
+    std::vector<cdr::Fingerprint> passthrough;
     for (std::size_t u = first; u < last; ++u) {
       Unit& unit = units[u];
       if (unit.kind == UnitKind::kPassthrough) {
-        for (const std::uint32_t id : unit.ids) deliver(fetch(id));
-        advance(unit.ids.size());
+        for (const std::uint32_t id : unit.ids) {
+          passthrough.push_back(fetch(id));
+        }
         continue;
       }
       if (unit.kind == UnitKind::kTail) {
@@ -398,12 +410,21 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
     store.clear();
     store.shrink_to_fit();
 
-    // Results come back in job order, which is unit order.
+    // Results come back in job order; deliver them in unit order.
     std::vector<exec::ShardResult> batch_results =
         executor->run_batch(std::move(jobs), on_result, hooks);
-    for (exec::ShardResult& r : batch_results) {
+    auto next_result = batch_results.begin();
+    for (std::size_t u = first; u < last; ++u) {
+      const UnitKind kind = units[u].kind;
+      if (kind == UnitKind::kPassthrough) {
+        for (cdr::Fingerprint& fp : passthrough) deliver(std::move(fp));
+        advance(passthrough.size());
+        continue;
+      }
+      if (kind == UnitKind::kTail) continue;
+      exec::ShardResult& r = *next_result++;
       result.stats.glove.accumulate_costs(r.stats);
-      if (reconcile) {
+      if (kind == UnitKind::kChunk) {
         result.stats.reconciled_groups += r.groups.size();
       } else {
         ShardTiming& timing = result.shard_timings[r.timing.shard];

@@ -20,7 +20,10 @@
 //             own members, and hands its GLOVE jobs to the ShardExecutor;
 //             groups leave in unit order as each batch completes.  A
 //             reconcile unit never joins a shard batch, so the two phases
-//             stay sequential.
+//             stay sequential.  A materialized() stream is never rewound:
+//             its whole unit list is one batch, the executor copies each
+//             job's members as the job starts, and reconcile chunks run
+//             beside the shard jobs.
 //
 // Peak sample memory is O(largest batch) instead of O(dataset) or
 // O(borders).  The rare absorb tail (fewer than k sub-k leftovers under
@@ -62,9 +65,9 @@ class FingerprintStream {
 
   /// Zero-copy escape hatch: when the stream is backed by an already
   /// materialized dataset, returns it and the pipeline reads fingerprints
-  /// by index (copying only the shard batches it runs, exactly like the
-  /// pre-streaming runner) instead of re-streaming the whole sequence per
-  /// batch.  Byte-identical output either way.  nullptr for true streams.
+  /// by index (the executor copies each job's members as the job starts)
+  /// instead of re-streaming the whole sequence per batch.  Byte-identical
+  /// output either way.  nullptr for true streams.
   [[nodiscard]] virtual const cdr::FingerprintDataset* materialized()
       const noexcept {
     return nullptr;

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "glove/util/parallel.hpp"
-
 namespace glove::shard {
 
 std::uint64_t morton_code(geo::GridCell cell) noexcept {
@@ -114,17 +112,8 @@ Tiling build_tiling_from_bounds(std::vector<core::FingerprintBounds> bounds,
 
 Tiling build_tiling(const cdr::FingerprintDataset& data, double tile_size_m,
                     std::size_t max_shard_users) {
-  std::vector<core::FingerprintBounds> bounds(data.size());
-  util::parallel_for(
-      data.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          bounds[i] = core::fingerprint_bounds(data[i]);
-        }
-      },
-      /*min_chunk=*/64);
-  return build_tiling_from_bounds(std::move(bounds), tile_size_m,
-                                  max_shard_users);
+  return build_tiling_from_bounds(core::bounds_of(data.fingerprints()),
+                                  tile_size_m, max_shard_users);
 }
 
 }  // namespace glove::shard

@@ -4,7 +4,9 @@
 // the in-process thread pool across worker counts and both dataset
 // formats, surfaces worker crashes as typed errors carrying the worker's
 // stderr tail (no hang, no orphan processes, no leaked spill files), and
-// rejects configurations it cannot serve (in-memory sources).
+// rejects configurations it cannot serve (in-memory sources).  The
+// in-process pool returns each job's groups in job order whatever order
+// it starts the jobs in.
 //
 // The worker binary path arrives via the GLOVE_SHARD_WORKER_BIN compile
 // definition, so the suite exercises the same discovery override
@@ -31,6 +33,7 @@
 #include "glove/cdr/io.hpp"
 #include "glove/core/glove.hpp"
 #include "glove/shard/config.hpp"
+#include "glove/shard/exec/inprocess.hpp"
 
 namespace glove::api {
 namespace {
@@ -207,6 +210,55 @@ TEST(ShardExecutor, InProcessReportsItsKindInTheRunReport) {
   EXPECT_EQ(report.exec_kind, "inprocess");
   EXPECT_GE(report.exec_workers, 1u);
   EXPECT_TRUE(report.exec_worker_stats.empty());
+}
+
+TEST(ShardExecutor, InProcessResultsKeepJobOrderWhateverTheStartOrder) {
+  // The in-process executor starts the largest jobs first and, over a
+  // resident dataset, copies each job's members itself.  Neither may
+  // change a job's groups or the slot its result lands in.
+  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
+  core::GloveConfig glove;
+  glove.k = 2;
+  // Slices of rising size, so largest-first starts them in reverse.
+  std::vector<std::vector<std::uint32_t>> slices;
+  std::uint32_t next = 0;
+  for (const std::uint32_t size : {4u, 8u, 12u, 16u}) {
+    std::vector<std::uint32_t>& ids = slices.emplace_back();
+    for (std::uint32_t i = 0; i < size; ++i) ids.push_back(next++);
+  }
+  const auto slice_of = [&](std::size_t s) {
+    std::vector<cdr::Fingerprint> inputs;
+    for (const std::uint32_t id : slices[s]) inputs.push_back(data[id]);
+    return cdr::FingerprintDataset{std::move(inputs)};
+  };
+
+  for (const cdr::FingerprintDataset* resident : {
+           static_cast<const cdr::FingerprintDataset*>(nullptr), &data}) {
+    shard::exec::InProcessExecutor executor{glove, 2, resident};
+    EXPECT_EQ(executor.reads_source(), resident != nullptr);
+    std::vector<shard::exec::ShardJob> jobs;
+    for (std::size_t s = 0; s < slices.size(); ++s) {
+      shard::exec::ShardJob& job = jobs.emplace_back();
+      job.shard = s;
+      job.member_ids = &slices[s];
+      if (resident == nullptr) {
+        job.inputs = std::move(slice_of(s).mutable_fingerprints());
+      }
+    }
+    std::vector<shard::exec::ShardResult> results = executor.run_batch(
+        std::move(jobs), [](const shard::exec::ShardResult&) {}, {});
+    ASSERT_EQ(results.size(), slices.size());
+    for (std::size_t s = 0; s < slices.size(); ++s) {
+      EXPECT_EQ(results[s].timing.shard, s);
+      EXPECT_EQ(results[s].timing.input_fingerprints, slices[s].size());
+      const cdr::FingerprintDataset expected =
+          core::anonymize(slice_of(s), glove).anonymized;
+      EXPECT_EQ(test::dataset_to_csv(cdr::FingerprintDataset{
+                    std::move(results[s].groups), expected.name()}),
+                test::dataset_to_csv(expected))
+          << "job " << s << (resident != nullptr ? " (resident)" : "");
+    }
+  }
 }
 
 TEST(ShardExecutor, ProcessObsCountersFoldIntoTheCoordinatorReport) {

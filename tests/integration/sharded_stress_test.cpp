@@ -105,8 +105,10 @@ TEST(ShardedStress, ShardedBeatsFullWallClockByThreeX) {
       data.size() / 8, sharded.k, 2'000);
   const double sharded_seconds = run_seconds(engine, data, sharded);
 
-  // The sharding advantage is algorithmic (tiled quadratic cost), not
-  // just parallel speedup, so 3x holds even on few cores at this scale.
+  // Both strategies run the same lower-bound-seeded GLOVE heap.  Tiling
+  // cuts the exact work (about 2x at 800 users), and the shard and
+  // reconcile jobs of an in-memory run share one batch on the workers, so
+  // the margin needs the tiling and a few cores together.
   EXPECT_LE(sharded_seconds * 3.0, full_seconds)
       << "sharded " << sharded_seconds << "s vs full " << full_seconds
       << "s on " << data.size() << " fingerprints";

@@ -19,8 +19,12 @@
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
 #include "glove/cdr/io.hpp"
+#include "glove/core/glove.hpp"
 #include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
+#include "glove/shard/planner.hpp"
+#include "glove/shard/runner.hpp"
+#include "glove/shard/tiling.hpp"
 
 namespace glove::shard {
 namespace {
@@ -254,6 +258,32 @@ ShardConfig many_chunks_config() {
   return config;
 }
 
+/// Begin and end timestamps per span name of a rendered trace (spans of
+/// one name never nest in each other here, so the counts pair up).
+using SpanStamps = std::map<std::string, std::vector<double>>;
+std::pair<SpanStamps, SpanStamps> span_stamps(const std::string& doc) {
+  SpanStamps begins;
+  SpanStamps ends;
+  const std::regex event{
+      R"re(\{"name": "([a-z0-9_.]+)","cat": "glove",)re"
+      R"re("ph": "([BE])","ts": ([0-9.eE+-]+))re"};
+  for (std::sregex_iterator it{doc.begin(), doc.end(), event}, end;
+       it != end; ++it) {
+    auto& stamps = (*it)[2] == "B" ? begins : ends;
+    stamps[(*it)[1]].push_back(std::stod((*it)[3]));
+  }
+  return {std::move(begins), std::move(ends)};
+}
+
+std::uint64_t counter_delta(const obs::MetricsSnapshot& before,
+                            const std::string& name) {
+  for (const auto& [key, value] :
+       obs::counter_delta(before, obs::snapshot_metrics())) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
 TEST(ShardStream, ReconcilePassAccountingAddsUp) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   std::ostringstream serialized;
@@ -308,27 +338,10 @@ TEST(ShardStream, TraceShowsEveryReconcileChunkInsideTheReconcilePhase) {
   obs::start_tracing();
   StreamShardedResult result;
   (void)run_stream(stream, config, &result);
-  const std::string doc = obs::stop_tracing_and_render();
-  const auto deltas = obs::counter_delta(before, obs::snapshot_metrics());
+  auto [begins, ends] = span_stamps(obs::stop_tracing_and_render());
   const auto counter = [&](const std::string& name) {
-    for (const auto& [key, value] : deltas) {
-      if (key == name) return value;
-    }
-    return std::uint64_t{0};
+    return counter_delta(before, name);
   };
-
-  // Begin and end timestamps per span name (spans of one name never nest
-  // in each other here, so the counts pair up).
-  std::map<std::string, std::vector<double>> begins;
-  std::map<std::string, std::vector<double>> ends;
-  const std::regex event{
-      R"re(\{"name": "([a-z0-9_.]+)","cat": "glove",)re"
-      R"re("ph": "([BE])","ts": ([0-9.eE+-]+))re"};
-  for (std::sregex_iterator it{doc.begin(), doc.end(), event}, end;
-       it != end; ++it) {
-    auto& stamps = (*it)[2] == "B" ? begins : ends;
-    stamps[(*it)[1]].push_back(std::stod((*it)[3]));
-  }
 
   const std::uint64_t chunks = counter("stream.reconcile_chunks");
   ASSERT_GE(chunks, 2u);
@@ -351,6 +364,101 @@ TEST(ShardStream, TraceShowsEveryReconcileChunkInsideTheReconcilePhase) {
   EXPECT_EQ(result.pass_fingerprints.size(),
             1 + counter("stream.shard_batches") +
                 result.stats.reconcile_passes);
+}
+
+TEST(ShardStream, MaterializedSourceRunsEveryUnitInOneBatch) {
+  // A materialized source is never re-streamed, so nothing bounds a
+  // batch: the shard jobs and the reconcile chunks share one batch (one
+  // stream.shard_batch span, no reconcile pass), every chunk still runs
+  // inside the stream.reconcile span, and the groups match the
+  // multi-batch text-backed run byte for byte.
+  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
+  std::ostringstream serialized;
+  cdr::write_dataset_csv(serialized, data);
+  ShardConfig config = many_chunks_config();
+  config.workers = 2;
+
+  TextStream text_stream{serialized.str()};
+  const obs::MetricsSnapshot text_before = obs::snapshot_metrics();
+  StreamShardedResult text_result;
+  std::vector<cdr::Fingerprint> text_groups =
+      run_stream(text_stream, config, &text_result);
+  ASSERT_GE(counter_delta(text_before, "stream.shard_batches"), 2u);
+  ASSERT_GE(text_result.stats.reconcile_passes, 1u);
+
+  DatasetStream memory_stream{data};
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  obs::start_tracing();
+  StreamShardedResult memory_result;
+  std::vector<cdr::Fingerprint> memory_groups =
+      run_stream(memory_stream, config, &memory_result);
+  auto [begins, ends] = span_stamps(obs::stop_tracing_and_render());
+
+  EXPECT_EQ(counter_delta(before, "stream.shard_batches"), 1u);
+  const std::uint64_t chunks = counter_delta(before, "stream.reconcile_chunks");
+  ASSERT_GE(chunks, 2u);
+  EXPECT_EQ(begins["stream.shard_batch"].size(), 1u);
+  EXPECT_TRUE(begins["stream.reconcile.pass"].empty());
+  EXPECT_EQ(memory_result.stats.reconcile_passes, 0u);
+  ASSERT_EQ(begins["stream.reconcile"].size(), 1u);
+  ASSERT_EQ(ends["stream.reconcile"].size(), 1u);
+  EXPECT_EQ(begins["stream.reconcile.chunk"].size(), chunks);
+  for (const double ts : begins["stream.reconcile.chunk"]) {
+    EXPECT_GE(ts, begins["stream.reconcile"][0]);
+  }
+  for (const double ts : ends["stream.reconcile.chunk"]) {
+    EXPECT_LE(ts, ends["stream.reconcile"][0]);
+  }
+  EXPECT_EQ(memory_result.stats.reconciled_groups,
+            text_result.stats.reconciled_groups);
+  EXPECT_EQ(
+      test::dataset_to_csv(cdr::FingerprintDataset{std::move(memory_groups)}),
+      test::dataset_to_csv(cdr::FingerprintDataset{std::move(text_groups)}));
+}
+
+TEST(ShardStream, PassThroughsKeepTheirPlaceInTheMaterializedBatch) {
+  // Re-anonymizing a partly published dataset: deferred fingerprints that
+  // already hide k users pass through between the shard groups and the
+  // reconcile groups.  In the single batch of a materialized source they
+  // must leave at that same place, as in the text-backed run.
+  const cdr::FingerprintDataset raw = test::small_synth_dataset(80);
+  core::GloveConfig pairs;
+  pairs.k = 2;
+  const std::vector<cdr::Fingerprint> first_users{
+      raw.fingerprints().begin(), raw.fingerprints().begin() + 30};
+  std::vector<cdr::Fingerprint> fingerprints = std::move(
+      core::anonymize(cdr::FingerprintDataset{first_users}, pairs)
+          .anonymized.mutable_fingerprints());
+  fingerprints.insert(fingerprints.end(), raw.fingerprints().begin() + 30,
+                      raw.fingerprints().end());
+  const cdr::FingerprintDataset data{std::move(fingerprints), "partly-k2"};
+  std::ostringstream serialized;
+  cdr::write_dataset_csv(serialized, data);
+  ShardConfig config = many_chunks_config();
+  config.workers = 2;
+
+  // The plan defers at least one fingerprint that already hides k users.
+  const Tiling tiling =
+      build_tiling(data, config.tile_size_m, config.max_shard_users);
+  const BorderSplit split =
+      split_borders(tiling, ShardPlanner{config}.plan(tiling), config);
+  bool passthrough = false;
+  for (const std::vector<std::uint32_t>& deferred : split.deferred) {
+    for (const std::uint32_t id : deferred) {
+      passthrough |= data[id].group_size() >= config.glove.k;
+    }
+  }
+  ASSERT_TRUE(passthrough);
+
+  DatasetStream memory_stream{data};
+  std::vector<cdr::Fingerprint> memory_groups =
+      run_stream(memory_stream, config, nullptr);
+  TextStream text_stream{serialized.str()};
+  std::vector<cdr::Fingerprint> text_groups =
+      run_stream(text_stream, config, nullptr);
+  EXPECT_EQ(
+      test::dataset_to_csv(cdr::FingerprintDataset{std::move(memory_groups)}),
+      test::dataset_to_csv(cdr::FingerprintDataset{std::move(text_groups)}));
 }
 
 TEST(ShardStream, ProgressCountsDeferredFingerprintsDuringReconcile) {
