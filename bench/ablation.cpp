@@ -1,4 +1,4 @@
-// Ablation bench — quantifies the design choices DESIGN.md calls out:
+// Ablation bench — quantifies four design choices of this reproduction:
 //
 //   1. reshaping (Fig. 6b) on vs off: reshaping trades spatial granularity
 //      for a temporally consistent, analyzable dataset;

@@ -59,6 +59,26 @@ static_assert(sizeof(PairEntry) == 16);
 /// Cancellation poll interval inside parallel init chunks (elements).
 constexpr std::size_t kCancelPollMask = 0x1FFF;
 
+/// Largest refinement batch of the greedy loop.
+constexpr std::size_t kMaxRefineBatch = 1024;
+/// Summed m_a * m_b of a refinement batch below which it runs inline:
+/// smaller batches cost less than handing them to the thread pool.  The
+/// batches of an incremental update's few-sample newcomers stay far
+/// below it; nearly all the refinement work of a large run is far above.
+constexpr std::uint64_t kParallelRefineWork = 65'536;
+
+PairEntry pop_min(std::vector<PairEntry>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+  const PairEntry top = heap.back();
+  heap.pop_back();
+  return top;
+}
+
+void push(std::vector<PairEntry>& heap, const PairEntry& entry) {
+  heap.push_back(entry);
+  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+}
+
 const obs::Counter& sample_pairs_counter() {
   static const obs::Counter counter = obs::counter("core.stretch.sample_pairs");
   return counter;
@@ -175,12 +195,15 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   static const obs::Counter c_seeded = obs::counter("core.heap.seeded");
   static const obs::Counter c_popped = obs::counter("core.heap.popped");
   static const obs::Counter c_refined = obs::counter("core.heap.refined");
+  static const obs::Counter c_batches =
+      obs::counter("core.heap.refine_batches");
   static const obs::Counter c_stale = obs::counter("core.heap.stale_skips");
   static const obs::Counter c_pushed = obs::counter("core.heap.pushed");
   static const obs::Counter c_purged = obs::counter("core.heap.purged");
   if (pairs > 0) c_seeded.add(pairs);
   std::uint64_t popped = 0;
   std::uint64_t refined = 0;
+  std::uint64_t batches = 0;
   std::uint64_t stale = 0;
   std::uint64_t pushed = 0;
   std::uint64_t purged = 0;
@@ -188,6 +211,19 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
 
   const auto is_stale = [&](const PairEntry& e) {
     return !is_open(e.node_a()) || !is_open(e.b);
+  };
+
+  // Refinement batch state, reused across batches.
+  std::size_t batch_limit = 1;
+  std::vector<PairEntry> batch;
+  std::vector<double> exact;
+  std::vector<std::uint64_t> batch_pairs;
+  const auto refine = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      exact[i] = fingerprint_stretch(nodes[batch[i].node_a()],
+                                     nodes[batch[i].b], config.limits,
+                                     &batch_pairs[i]);
+    }
   };
 
   // --- Greedy loop (Alg. 1 l. 4-15).
@@ -209,33 +245,77 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
       std::make_heap(heap.begin(), heap.end(), std::greater<>{});
     }
     // Pop the minimum-stretch pair of still-open nodes, refining lower
-    // bounds that surface at the top.
+    // bounds that surface at the top.  A bound at the top is popped with
+    // the live bounds that follow it in heap order, up to the first live
+    // exact entry; the batch is refined in parallel and pushed back as
+    // exact entries.  This cannot change the merge: an exact entry pops
+    // only once its key is below every remaining key, and a remaining
+    // bound's key is at most its pair's exact key (bounds never exceed
+    // the stretch and sort before an exact entry of equal value), so the
+    // popped pair has the least exact (stretch, a, b) of all live pairs,
+    // whichever other pairs were refined.  Batch sizes follow the heap's
+    // own history, never the worker count, so the counters do not depend
+    // on threads: the entries the one-at-a-time loop would also have
+    // refined form a prefix of the batch (each bound sorts below every
+    // exact key refined before it); the batch limit doubles, up to
+    // kMaxRefineBatch, while that prefix is the whole batch, and otherwise
+    // shrinks to the prefix.
     PairEntry top{};
-    bool found = false;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-      top = heap.back();
-      heap.pop_back();
+    for (;;) {
+      if (heap.empty()) {
+        throw std::logic_error{"GLOVE heap exhausted with open nodes left"};
+      }
+      top = pop_min(heap);
       ++popped;
       if (is_stale(top)) {
         ++stale;
         continue;
       }
-      if (!top.exact()) {
-        top.stretch = fingerprint_stretch(nodes[top.node_a()], nodes[top.b],
-                                          config.limits, &sample_pairs);
-        top.a |= kExactBit;
-        ++stats.stretch_evaluations;
-        ++refined;
-        heap.push_back(top);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-        continue;
+      if (top.exact()) break;
+
+      batch.assign(1, top);
+      while (batch.size() < batch_limit && !heap.empty()) {
+        if (heap.front().exact() && !is_stale(heap.front())) break;
+        const PairEntry next = pop_min(heap);
+        ++popped;
+        if (is_stale(next)) {
+          ++stale;
+        } else {
+          batch.push_back(next);
+        }
       }
-      found = true;
-      break;
-    }
-    if (!found) {
-      throw std::logic_error{"GLOVE heap exhausted with open nodes left"};
+      std::uint64_t work = 0;
+      for (const PairEntry& e : batch) {
+        work += std::uint64_t{nodes[e.node_a()].size()} * nodes[e.b].size();
+      }
+      exact.resize(batch.size());
+      batch_pairs.assign(batch.size(), 0);
+      if (work >= kParallelRefineWork) {
+        util::parallel_for(batch.size(), refine, /*min_chunk=*/1);
+      } else {
+        refine(0, batch.size());
+      }
+
+      // Push the batch back as exact entries; `prefix` counts its leading
+      // entries that the one-at-a-time loop refines too.
+      std::size_t prefix = 0;
+      PairEntry lowest_exact{};
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const PairEntry bound = batch[i];
+        const PairEntry entry{exact[i], bound.a | kExactBit, bound.b};
+        if (prefix == i && (i == 0 || lowest_exact > bound)) {
+          ++prefix;
+          if (i == 0 || lowest_exact > entry) lowest_exact = entry;
+        }
+        push(heap, entry);
+        sample_pairs += batch_pairs[i];
+      }
+      batch_limit = prefix == batch.size()
+                        ? std::min(2 * batch_limit, kMaxRefineBatch)
+                        : prefix;
+      stats.stretch_evaluations += batch.size();
+      refined += batch.size();
+      ++batches;
     }
 
     // Merge and install the new node.
@@ -267,17 +347,16 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
     // evaluations instead of O(open) exact O(m_a * m_b) ones.
     for (std::uint32_t id = 0; id < m_id; ++id) {
       if (!is_open(id)) continue;
-      heap.push_back(PairEntry{
-          stretch_lower_bound(bounds[m_id], bounds[id], config.limits), m_id,
-          id});
-      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+      push(heap, PairEntry{stretch_lower_bound(bounds[m_id], bounds[id],
+                                               config.limits),
+                           m_id, id});
       ++pushed;
     }
     hooks.report(pairs + (initial_open - open_count), total_work);
   }
 
-  // At most one node is still open: the leftover (Alg. 1 leaves it
-  // unspecified; see DESIGN.md).
+  // At most one node is still open: the leftover, which Alg. 1 leaves
+  // unspecified; absorb_leftovers applies config.leftover_policy to it.
   std::vector<cdr::Fingerprint> tail;
   for (std::uint32_t id = 0; id < nodes.size(); ++id) {
     if (is_open(id)) tail.push_back(std::move(nodes[id]));
@@ -293,6 +372,7 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   stats.merge_seconds = seconds_since(merge_start);
   if (popped > 0) c_popped.add(popped);
   if (refined > 0) c_refined.add(refined);
+  if (batches > 0) c_batches.add(batches);
   if (stale > 0) c_stale.add(stale);
   if (pushed > 0) c_pushed.add(pushed);
   if (purged > 0) c_purged.add(purged);

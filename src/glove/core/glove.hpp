@@ -19,8 +19,9 @@
 namespace glove::core {
 
 /// What to do with a final fingerprint whose group is still smaller than k
-/// when no other un-anonymized fingerprint is left to pair it with (the
-/// paper's Alg. 1 leaves this case unspecified; see DESIGN.md).
+/// when no other un-anonymized fingerprint is left to pair it with.  The
+/// paper's Alg. 1 leaves this case unspecified; absorb_leftovers applies
+/// the policy.
 enum class LeftoverPolicy {
   /// Merge the leftover group into the nearest already-anonymized
   /// fingerprint; no user is lost (default).
@@ -93,8 +94,11 @@ struct GloveResult {
 /// The candidate heap is seeded with stretch_lower_bound values, and an
 /// entry is refined to its exact stretch when it reaches the top, so
 /// distant pairs are never evaluated exactly; the merges are those of a
-/// heap holding every exact stretch.  The final sub-k leftover, if any,
-/// goes through absorb_leftovers over the finished groups.
+/// heap holding every exact stretch.  Lower bounds that reach the top
+/// together are refined as one batch on util::ThreadPool::shared(), so
+/// the caller must not itself be a task of that pool.  The final sub-k
+/// leftover, if any, goes through absorb_leftovers over the finished
+/// groups.
 ///
 /// Progress units: initial candidate pairs plus fingerprints closed by
 /// the greedy loop; `done` is monotone non-decreasing and reaches `total`

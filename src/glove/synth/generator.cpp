@@ -291,7 +291,7 @@ namespace {
 /// is what makes nearest-neighbour fingerprints spatially co-located and
 /// leaves time as the hard dimension (Sec. 5.3).  Keeping the full 550 km
 /// region with only hundreds of users would instead isolate every user in
-/// space and invert the paper's findings (see DESIGN.md, substitutions).
+/// space and invert the paper's findings.
 void scale_network_to_population(NetworkConfig& network, std::size_t users,
                                  std::size_t ref_users,
                                  std::size_t ref_antennas,

@@ -4,7 +4,7 @@
 // profile and heterogeneous per-user rates.
 //
 // This substrate substitutes the proprietary D4D Ivory Coast and Senegal
-// traces (see DESIGN.md): it reproduces the statistical properties the
+// traces, which are not public: it reproduces the statistical properties the
 // paper's analysis rests on — sparse and bursty temporal sampling, strong
 // spatial locality (median radius of gyration ~2 km), heavy-tailed
 // inter-event times and per-user heterogeneity.

@@ -1,7 +1,7 @@
 // Synthetic radio-access network: antenna sites clustered around cities
 // plus rural scatter, mimicking the antenna layout of the D4D datasets
-// (this library's substitute for the proprietary Orange traces; DESIGN.md
-// documents the substitution).
+// (this library's substitute for the proprietary Orange traces;
+// synth/generator.hpp lists the properties the substitute keeps).
 
 #ifndef GLOVE_SYNTH_NETWORK_HPP
 #define GLOVE_SYNTH_NETWORK_HPP

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
@@ -20,6 +23,7 @@
 #include "glove/core/incremental.hpp"
 #include "glove/core/scalability.hpp"
 #include "glove/obs/metrics.hpp"
+#include "glove/util/rng.hpp"
 
 namespace glove::api {
 namespace {
@@ -49,50 +53,116 @@ TEST_P(ParityTest, FullMatchesFreeFunction) {
   }
 }
 
+/// Appends one tie-heavy cluster at (x, t): `whole` copies of a two-sample
+/// fingerprint, `split` copies of each of its samples alone, and `doubled`
+/// pairs of a doubled and a single sample 5 km east and 10 h later.  User
+/// ids follow the dataset's size.
+void add_tie_cluster(std::vector<cdr::Fingerprint>& fps, double x, double t,
+                     std::size_t whole, std::size_t split,
+                     std::size_t doubled) {
+  using test::cell;
+  const auto add = [&](std::vector<cdr::Sample> samples) {
+    fps.emplace_back(static_cast<cdr::UserId>(fps.size()), std::move(samples));
+  };
+  for (std::size_t copy = 0; copy < whole; ++copy) {
+    add({cell(x, 0, t), cell(x + 100, 0, t + 300)});
+  }
+  for (std::size_t copy = 0; copy < split; ++copy) {
+    add({cell(x, 0, t)});
+    add({cell(x + 100, 0, t + 300)});
+  }
+  for (std::size_t copy = 0; copy < doubled; ++copy) {
+    add({cell(x + 5'000, 0, t + 600), cell(x + 5'000, 0, t + 600)});
+    add({cell(x + 5'000, 0, t + 600)});
+  }
+}
+
 /// Ties everywhere: copies of identical fingerprints and co-located ones
 /// (same places and times, different sample counts), so many candidate
 /// pairs share a stretch and the (a, b) tie-break picks the merges.
 cdr::FingerprintDataset tie_heavy_dataset() {
-  using test::cell;
   std::vector<cdr::Fingerprint> fps;
-  cdr::UserId id = 0;
-  for (int copy = 0; copy < 4; ++copy) {
-    fps.emplace_back(id++, std::vector<cdr::Sample>{cell(0, 0, 0),
-                                                    cell(100, 0, 300)});
-  }
-  for (int copy = 0; copy < 3; ++copy) {
-    fps.emplace_back(id++, std::vector<cdr::Sample>{cell(0, 0, 0)});
-    fps.emplace_back(id++, std::vector<cdr::Sample>{cell(100, 0, 300)});
-  }
-  for (int copy = 0; copy < 4; ++copy) {
-    fps.emplace_back(id++, std::vector<cdr::Sample>{cell(5'000, 0, 600),
-                                                    cell(5'000, 0, 600)});
-    fps.emplace_back(id++, std::vector<cdr::Sample>{cell(5'000, 0, 600)});
-  }
-  fps.emplace_back(id++, std::vector<cdr::Sample>{cell(40'000, 0, 2'000)});
+  add_tie_cluster(fps, 0, 0, 4, 3, 4);
+  fps.emplace_back(static_cast<cdr::UserId>(fps.size()),
+                   std::vector<cdr::Sample>{test::cell(40'000, 0, 2'000)});
   return cdr::FingerprintDataset{std::move(fps), "ties"};
+}
+
+/// The tie_heavy_dataset shape at `clusters` lattice sites 10 km and 20 h
+/// apart (so whole clusters tie with each other too), with 1-4 seeded
+/// copies of each kind per cluster.
+cdr::FingerprintDataset tie_heavy_dataset(std::size_t clusters,
+                                          std::uint64_t seed) {
+  util::Xoshiro256 rng{seed};
+  const auto copies = [&] { return 1 + util::uniform_index(rng, 4); };
+  std::vector<cdr::Fingerprint> fps;
+  for (std::size_t c = 0; c < clusters; ++c) {
+    const double x = 10'000.0 * static_cast<double>(c % 2);
+    const double t = 1'200.0 * static_cast<double>(c / 2);
+    const std::size_t whole = copies();
+    const std::size_t split = copies();
+    add_tie_cluster(fps, x, t, whole, split, copies());
+  }
+  return cdr::FingerprintDataset{std::move(fps), "ties"};
+}
+
+/// How far `name` moved since `before`.
+std::uint64_t counter_delta(const obs::MetricsSnapshot& before,
+                            const char* name) {
+  return obs::snapshot_metrics().counter_value(name) -
+         before.counter_value(name);
 }
 
 TEST_P(ParityTest, FullMatchesNaiveGreedyReference) {
   // The lazy heap is *exact*: seeding with lower bounds and refining on
   // pop must reproduce exhaustive Alg. 1 with all-exact stretches byte for
-  // byte.  The heap also compacts once most entries are stale; that too
-  // must leave the pop order, and so the output, unchanged.
+  // byte.  The heap also compacts once most entries are stale, and it
+  // refines the bounds at its top in batches that it pushes back; neither
+  // may change the pop order, and so the output.  Ties are where a
+  // shortcut would show (a batch's least exact entry can tie with, or lose
+  // the (a, b) tie-break to, an entry the batch did not hold), hence the
+  // seeded sweep of tie-heavy inputs.
   const Engine engine;
   const std::uint32_t k = GetParam();
-  const obs::MetricsSnapshot before = obs::snapshot_metrics();
-  for (const auto& data :
-       {test::paired_dataset(), test::small_synth_dataset(40),
-        test::random_dataset(25, 7), tie_heavy_dataset()}) {
-    RunConfig config;
-    config.k = k;
-    core::GloveConfig reference;
-    reference.k = k;
-    EXPECT_EQ(engine_csv(engine, data, config),
-              test::dataset_to_csv(test::naive_glove(data, reference)));
+  RunConfig config;
+  config.k = k;
+  core::GloveConfig reference;
+  reference.k = k;
+  const auto expected = [&](const cdr::FingerprintDataset& data) {
+    return test::dataset_to_csv(test::naive_glove(data, reference));
+  };
+  std::vector<cdr::FingerprintDataset> inputs{
+      test::paired_dataset(), test::small_synth_dataset(40),
+      test::random_dataset(25, 7), tie_heavy_dataset()};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    inputs.push_back(tie_heavy_dataset(1 + seed % 6, seed));
   }
-  EXPECT_GT(obs::snapshot_metrics().counter_value("core.heap.purged"),
-            before.counter_value("core.heap.purged"));
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(engine_csv(engine, inputs[i], config), expected(inputs[i]))
+        << "input " << i;
+  }
+  EXPECT_GT(counter_delta(before, "core.heap.purged"), 0u);
+
+  // Every bound of the dense input is 0, so every pair is refined and the
+  // batches grow large.  Its fingerprints keep 48 samples, one per 4-hour
+  // slot, through every merge (a merge never has more samples than its
+  // shorter side, so 48-sample groups prove it), so each entry costs
+  // m_a * m_b >= 2,304 sample pairs: a mean batch of 29 or more entries
+  // means that some batch held at least 66,816 sample pairs, past the
+  // 65,536 below which a batch is refined inline, and so ran on the
+  // thread pool.
+  const cdr::FingerprintDataset dense = test::dense_dataset(60, 48, 3);
+  const cdr::FingerprintDataset dense_groups =
+      test::naive_glove(dense, reference);
+  for (const cdr::Fingerprint& group : dense_groups.fingerprints()) {
+    ASSERT_EQ(group.size(), 48u);
+  }
+  const obs::MetricsSnapshot dense_before = obs::snapshot_metrics();
+  EXPECT_EQ(engine_csv(engine, dense, config),
+            test::dataset_to_csv(dense_groups));
+  EXPECT_GE(counter_delta(dense_before, "core.heap.refined"),
+            29 * counter_delta(dense_before, "core.heap.refine_batches"));
 }
 
 TEST_P(ParityTest, FullMatchesNaiveGreedyReferenceUnderSuppression) {

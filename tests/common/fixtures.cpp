@@ -88,4 +88,24 @@ cdr::FingerprintDataset small_synth_dataset(std::size_t users, double days,
   return synth::generate_dataset(config);
 }
 
+cdr::FingerprintDataset dense_dataset(std::size_t users, std::size_t samples,
+                                      std::uint64_t seed) {
+  util::Xoshiro256 rng{seed};
+  const auto draw = [&](std::uint64_t n) {
+    return static_cast<double>(util::uniform_index(rng, n));
+  };
+  std::vector<cdr::Fingerprint> fps;
+  for (std::size_t user = 0; user < users; ++user) {
+    std::vector<cdr::Sample> trace;
+    for (std::size_t i = 0; i < samples; ++i) {
+      const double x = 100.0 * draw(10);
+      const double y = 100.0 * draw(10);
+      const double t = 240.0 * static_cast<double>(i) + draw(30);
+      trace.push_back(cell(x, y, t));
+    }
+    fps.emplace_back(static_cast<cdr::UserId>(user), std::move(trace));
+  }
+  return cdr::FingerprintDataset{std::move(fps), "dense"};
+}
+
 }  // namespace glove::test

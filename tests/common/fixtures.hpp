@@ -54,6 +54,14 @@ namespace glove::test {
 [[nodiscard]] cdr::FingerprintDataset small_synth_dataset(
     std::size_t users = 60, double days = 3.0, std::uint64_t seed = 5);
 
+/// `users` fingerprints of `samples` samples in one 1 km square: sample i
+/// falls in a random 100 m cell within half an hour after hour 4i.  Every
+/// bounding box overlaps every other, so every stretch lower bound is 0
+/// and GLOVE refines every candidate pair.  Deterministic in `seed`.
+[[nodiscard]] cdr::FingerprintDataset dense_dataset(std::size_t users,
+                                                    std::size_t samples,
+                                                    std::uint64_t seed);
+
 }  // namespace glove::test
 
 #endif  // GLOVE_TESTS_COMMON_FIXTURES_HPP

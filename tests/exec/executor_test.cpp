@@ -6,7 +6,8 @@
 // stderr tail (no hang, no orphan processes, no leaked spill files), and
 // rejects configurations it cannot serve (in-memory sources).  The
 // in-process pool returns each job's groups in job order whatever order
-// it starts the jobs in.
+// it starts the jobs in, and its jobs hand large GLOVE refinement batches
+// on to the shared thread pool.
 //
 // The worker binary path arrives via the GLOVE_SHARD_WORKER_BIN compile
 // definition, so the suite exercises the same discovery override
@@ -32,6 +33,7 @@
 #include "glove/api/source.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/core/glove.hpp"
+#include "glove/obs/metrics.hpp"
 #include "glove/shard/config.hpp"
 #include "glove/shard/exec/inprocess.hpp"
 
@@ -258,6 +260,50 @@ TEST(ShardExecutor, InProcessResultsKeepJobOrderWhateverTheStartOrder) {
                 test::dataset_to_csv(expected))
           << "job " << s << (resident != nullptr ? " (resident)" : "");
     }
+  }
+}
+
+TEST(ShardExecutor, InProcessJobsRefineLargeBatchesOnTheSharedPool) {
+  // A job's GLOVE run is a task of the executor's own pool, and it hands
+  // refinement batches of 65,536 sample pairs or more on to the shared
+  // pool.  In dense slices every bound is 0, so every pair is refined, and
+  // at k = 2 every candidate pair joins two 48-sample inputs (m_a * m_b =
+  // 2,304): a mean batch of 29 or more entries means that some batch
+  // crossed to the shared pool.  The groups must still be those of a
+  // direct core::anonymize call on each slice.
+  const cdr::FingerprintDataset data = test::dense_dataset(80, 48, 5);
+  core::GloveConfig glove;
+  glove.k = 2;
+  std::vector<std::vector<std::uint32_t>> slices(2);
+  for (std::uint32_t id = 0; id < data.size(); ++id) {
+    slices[id % 2].push_back(id);
+  }
+  shard::exec::InProcessExecutor executor{glove, 2, &data};
+  std::vector<shard::exec::ShardJob> jobs;
+  for (std::size_t s = 0; s < slices.size(); ++s) {
+    shard::exec::ShardJob& job = jobs.emplace_back();
+    job.shard = s;
+    job.member_ids = &slices[s];
+  }
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  std::vector<shard::exec::ShardResult> results = executor.run_batch(
+      std::move(jobs), [](const shard::exec::ShardResult&) {}, {});
+  const obs::MetricsSnapshot after = obs::snapshot_metrics();
+  EXPECT_GE(after.counter_value("core.heap.refined") -
+                before.counter_value("core.heap.refined"),
+            29 * (after.counter_value("core.heap.refine_batches") -
+                  before.counter_value("core.heap.refine_batches")));
+  ASSERT_EQ(results.size(), slices.size());
+  for (std::size_t s = 0; s < slices.size(); ++s) {
+    std::vector<cdr::Fingerprint> inputs;
+    for (const std::uint32_t id : slices[s]) inputs.push_back(data[id]);
+    const cdr::FingerprintDataset expected =
+        core::anonymize(cdr::FingerprintDataset{std::move(inputs)}, glove)
+            .anonymized;
+    EXPECT_EQ(test::dataset_to_csv(cdr::FingerprintDataset{
+                  std::move(results[s].groups), expected.name()}),
+              test::dataset_to_csv(expected))
+        << "job " << s;
   }
 }
 
