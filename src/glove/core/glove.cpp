@@ -24,29 +24,40 @@ double seconds_since(Clock::time_point start) {
 /// Bit 31 of PairEntry::a: set when the entry's stretch is exact.  Node
 /// ids stay below 2^31 because inputs are capped at kMaxFingerprints.
 constexpr std::uint32_t kExactBit = std::uint32_t{1} << 31;
+/// Bit 31 of PairEntry::b: set when a lower bound is the slot bound (stage
+/// 2 of the cascade), clear while it is still the box bound (stage 1).
+constexpr std::uint32_t kSlotBit = std::uint32_t{1} << 31;
 /// Merges append nodes, so ids reach 2n; 2^30 inputs keep them below
-/// kExactBit.
+/// bit 31.
 constexpr std::size_t kMaxFingerprints = std::size_t{1} << 30;
 
 /// Min-heap entry (16 bytes): candidate merge of nodes `a` and `b`.
 /// Entries are lazy in two ways: a node consumed by a merge invalidates all
 /// its pending entries (detected on pop, and dropped in bulk by the greedy
-/// loop's compaction), and an entry starts out carrying only a bounding-box
-/// *lower bound* on the stretch, refined to the true value when it reaches
-/// the top of the heap.
+/// loop's compaction), and an entry starts out carrying only a *lower
+/// bound* on the stretch, which moves through the box -> slot -> exact
+/// cascade one stage each time it reaches the top of the heap: the box
+/// bound (stretch_lower_bound) is replaced by the larger of it and the slot
+/// bound (slot_lower_bound), and the slot bound by the exact stretch.
 ///
 /// `a` holds the node id with kExactBit folded in, so the plain
-/// (stretch, a, b) order is (stretch, bound before exact, a, b): at equal
-/// value a bound must pop before an exact entry, since its true stretch may
-/// tie and only after refinement can the (a, b) tie-break pick the same
-/// pair the all-exact heap would.
+/// (stretch, a, b) order puts any bound before an exact entry of equal
+/// value.  That is the order the merges need: a bound's true stretch may
+/// tie the exact value, and only once it is exact can the (a, b)
+/// tie-break pick the pair an all-exact heap would.  `b` holds the node id
+/// with kSlotBit folded in; between a box and a slot bound of equal value
+/// the order is only a deterministic tie-break, since both still move on
+/// before any exact entry of that value pops.  Exact entries clear
+/// kSlotBit, so they compare by plain (a, b).
 struct PairEntry {
   double stretch;
   std::uint32_t a;  ///< node id | kExactBit when `stretch` is exact
-  std::uint32_t b;
+  std::uint32_t b;  ///< node id | kSlotBit when `stretch` is a slot bound
 
   [[nodiscard]] std::uint32_t node_a() const { return a & ~kExactBit; }
+  [[nodiscard]] std::uint32_t node_b() const { return b & ~kSlotBit; }
   [[nodiscard]] bool exact() const { return (a & kExactBit) != 0; }
+  [[nodiscard]] bool slot_bound() const { return (b & kSlotBit) != 0; }
 
   friend bool operator>(const PairEntry& lhs, const PairEntry& rhs) {
     if (lhs.stretch != rhs.stretch) return lhs.stretch > rhs.stretch;
@@ -62,9 +73,14 @@ constexpr std::size_t kCancelPollMask = 0x1FFF;
 /// Largest refinement batch of the greedy loop.
 constexpr std::size_t kMaxRefineBatch = 1024;
 /// Summed m_a * m_b of a refinement batch below which it runs inline:
-/// smaller batches cost less than handing them to the thread pool.  The
-/// batches of an incremental update's few-sample newcomers stay far
-/// below it; nearly all the refinement work of a large run is far above.
+/// smaller batches cost less than handing them to the thread pool.  An
+/// entry counts m_a * m_b whichever stage it moves to, so a batch of slot
+/// bounds reaches the pool as readily as one of exact stretches.  On
+/// perfbench's city_halo_k2 (six inputs, 4 vCPUs) 29% of the batches reach
+/// it, carrying 97.5% of the slot-bound work and 65% of the exact work;
+/// counting a slot bound at its S_a * S_b slot pairs instead sent only 8%
+/// there and was no faster (10 alternating pairs: cpu -3%, wall +3%).  The
+/// batches of an incremental update's few-sample newcomers stay below it.
 constexpr std::uint64_t kParallelRefineWork = 65'536;
 
 PairEntry pop_min(std::vector<PairEntry>& heap) {
@@ -143,9 +159,13 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
     if (is_open(id)) open.push_back(id);
   }
 
-  // Per-node bounding-geometry cache: computed once per node, including
-  // the nodes merges create later on.
-  std::vector<FingerprintBounds> bounds = bounds_of(nodes);
+  // Per-node bounds cache for the cascade: computed once per node,
+  // including the open nodes merges create later on, and dropped once the
+  // node is merged away.
+  std::vector<NodeBounds> bounds = node_bounds_of(nodes);
+  const auto box_bound = [&](std::uint32_t a, std::uint32_t b) {
+    return stretch_lower_bound(bounds[a].box, bounds[b].box, config.limits);
+  };
 
   std::vector<PairEntry> heap;
   const std::size_t pairs =
@@ -177,8 +197,7 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
         const std::size_t j = p - offset(i) + i + 1;
         const std::uint32_t a = open[i];
         const std::uint32_t b = open[j];
-        heap[p] = PairEntry{
-            stretch_lower_bound(bounds[a], bounds[b], config.limits), a, b};
+        heap[p] = PairEntry{box_bound(a, b), a, b};
       }
     });
   }
@@ -194,6 +213,8 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   // the loop to keep the pop path free of shared writes.
   static const obs::Counter c_seeded = obs::counter("core.heap.seeded");
   static const obs::Counter c_popped = obs::counter("core.heap.popped");
+  static const obs::Counter c_slot_bounds =
+      obs::counter("core.heap.slot_bounds");
   static const obs::Counter c_refined = obs::counter("core.heap.refined");
   static const obs::Counter c_batches =
       obs::counter("core.heap.refine_batches");
@@ -202,6 +223,7 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   static const obs::Counter c_purged = obs::counter("core.heap.purged");
   if (pairs > 0) c_seeded.add(pairs);
   std::uint64_t popped = 0;
+  std::uint64_t slot_bounds = 0;
   std::uint64_t refined = 0;
   std::uint64_t batches = 0;
   std::uint64_t stale = 0;
@@ -210,19 +232,30 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   std::uint64_t sample_pairs = 0;
 
   const auto is_stale = [&](const PairEntry& e) {
-    return !is_open(e.node_a()) || !is_open(e.b);
+    return !is_open(e.node_a()) || !is_open(e.node_b());
   };
 
-  // Refinement batch state, reused across batches.
+  // Refinement batch state, reused across batches.  `advance` moves each
+  // batch entry one stage along the cascade.
   std::size_t batch_limit = 1;
   std::vector<PairEntry> batch;
-  std::vector<double> exact;
+  std::vector<PairEntry> advanced;
   std::vector<std::uint64_t> batch_pairs;
-  const auto refine = [&](std::size_t begin, std::size_t end) {
+  const auto advance = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      exact[i] = fingerprint_stretch(nodes[batch[i].node_a()],
-                                     nodes[batch[i].b], config.limits,
-                                     &batch_pairs[i]);
+      const PairEntry& e = batch[i];
+      const std::uint32_t a = e.node_a();
+      const std::uint32_t b = e.node_b();
+      if (e.slot_bound()) {
+        const double stretch = fingerprint_stretch(
+            nodes[a], nodes[b], config.limits, &batch_pairs[i]);
+        advanced[i] = PairEntry{stretch, a | kExactBit, b};
+      } else {
+        const double slot_bound = slot_lower_bound(
+            bounds[a].slots, bounds[b].slots, config.limits);
+        const double key = std::max(e.stretch, slot_bound);
+        advanced[i] = PairEntry{key, a, b | kSlotBit};
+      }
     }
   };
 
@@ -244,22 +277,24 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
       purged += before - heap.size();
       std::make_heap(heap.begin(), heap.end(), std::greater<>{});
     }
-    // Pop the minimum-stretch pair of still-open nodes, refining lower
+    // Pop the minimum-stretch pair of still-open nodes, advancing lower
     // bounds that surface at the top.  A bound at the top is popped with
     // the live bounds that follow it in heap order, up to the first live
-    // exact entry; the batch is refined in parallel and pushed back as
-    // exact entries.  This cannot change the merge: an exact entry pops
-    // only once its key is below every remaining key, and a remaining
-    // bound's key is at most its pair's exact key (bounds never exceed
-    // the stretch and sort before an exact entry of equal value), so the
-    // popped pair has the least exact (stretch, a, b) of all live pairs,
-    // whichever other pairs were refined.  Batch sizes follow the heap's
-    // own history, never the worker count, so the counters do not depend
-    // on threads: the entries the one-at-a-time loop would also have
-    // refined form a prefix of the batch (each bound sorts below every
-    // exact key refined before it); the batch limit doubles, up to
-    // kMaxRefineBatch, while that prefix is the whole batch, and otherwise
-    // shrinks to the prefix.
+    // exact entry; the batch is advanced one stage each in parallel (a box
+    // bound to the slot bound, a slot bound to the exact stretch) and
+    // pushed back.  This cannot change the merge: an exact entry pops only
+    // once its key is below every remaining key, and a remaining bound's
+    // key is at most its pair's exact key (neither bound exceeds the
+    // stretch, the slot stage keeps the larger of the two, and any bound
+    // sorts before an exact entry of equal value), so the popped pair has
+    // the least exact (stretch, a, b) of all live pairs, whichever other
+    // pairs were advanced.  Batch sizes follow the heap's own history,
+    // never the worker count, so the counters do not depend on threads:
+    // the entries the one-at-a-time loop would also have advanced form a
+    // prefix of the batch (each bound sorts below every advanced key
+    // before it; advancing only raises a key); the batch limit doubles, up
+    // to kMaxRefineBatch, while that prefix is the whole batch, and
+    // otherwise shrinks to the prefix.
     PairEntry top{};
     for (;;) {
       if (heap.empty()) {
@@ -286,44 +321,49 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
       }
       std::uint64_t work = 0;
       for (const PairEntry& e : batch) {
-        work += std::uint64_t{nodes[e.node_a()].size()} * nodes[e.b].size();
+        work += std::uint64_t{nodes[e.node_a()].size()} *
+                nodes[e.node_b()].size();
       }
-      exact.resize(batch.size());
+      advanced.resize(batch.size());
       batch_pairs.assign(batch.size(), 0);
       if (work >= kParallelRefineWork) {
-        util::parallel_for(batch.size(), refine, /*min_chunk=*/1);
+        util::parallel_for(batch.size(), advance, /*min_chunk=*/1);
       } else {
-        refine(0, batch.size());
+        advance(0, batch.size());
       }
 
-      // Push the batch back as exact entries; `prefix` counts its leading
-      // entries that the one-at-a-time loop refines too.
+      // Push the batch back one stage on; `prefix` counts its leading
+      // entries that the one-at-a-time loop advances too.
       std::size_t prefix = 0;
-      PairEntry lowest_exact{};
+      PairEntry lowest{};
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        const PairEntry bound = batch[i];
-        const PairEntry entry{exact[i], bound.a | kExactBit, bound.b};
-        if (prefix == i && (i == 0 || lowest_exact > bound)) {
+        const PairEntry& entry = advanced[i];
+        if (prefix == i && (i == 0 || lowest > batch[i])) {
           ++prefix;
-          if (i == 0 || lowest_exact > entry) lowest_exact = entry;
+          if (i == 0 || lowest > entry) lowest = entry;
         }
         push(heap, entry);
-        sample_pairs += batch_pairs[i];
+        if (entry.exact()) {
+          ++refined;
+          sample_pairs += batch_pairs[i];
+        } else {
+          ++slot_bounds;
+        }
       }
       batch_limit = prefix == batch.size()
                         ? std::min(2 * batch_limit, kMaxRefineBatch)
                         : prefix;
-      stats.stretch_evaluations += batch.size();
-      refined += batch.size();
       ++batches;
     }
 
     // Merge and install the new node.
     const std::uint32_t a = top.node_a();
-    const std::uint32_t b = top.b;
+    const std::uint32_t b = top.node_b();
     alive[a] = false;
     alive[b] = false;
     open_count -= 2;
+    bounds[a] = NodeBounds{};
+    bounds[b] = NodeBounds{};
     MergeStats merge_stats;
     cdr::Fingerprint merged =
         merge_fingerprints(nodes[a], nodes[b], options, &merge_stats);
@@ -332,7 +372,7 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
     const auto m_id = static_cast<std::uint32_t>(nodes.size());
     nodes.push_back(std::move(merged));
     alive.push_back(true);
-    bounds.push_back(fingerprint_bounds(nodes[m_id]));
+    bounds.emplace_back();
 
     if (nodes[m_id].group_size() >= config.k) {
       finalized.push_back(m_id);
@@ -340,16 +380,15 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
       continue;
     }
     ++open_count;
+    bounds[m_id] = node_bounds(nodes[m_id]);
 
     // Alg. 1 l. 10-13: stretch from the new node to every open node,
-    // seeded with lower bounds from the per-node cache (refined on pop,
+    // seeded with box bounds from the per-node cache (advanced on pop,
     // like the initial heap), so a merge costs O(open) cheap bound
     // evaluations instead of O(open) exact O(m_a * m_b) ones.
     for (std::uint32_t id = 0; id < m_id; ++id) {
       if (!is_open(id)) continue;
-      push(heap, PairEntry{stretch_lower_bound(bounds[m_id], bounds[id],
-                                               config.limits),
-                           m_id, id});
+      push(heap, PairEntry{box_bound(m_id, id), m_id, id});
       ++pushed;
     }
     hooks.report(pairs + (initial_open - open_count), total_work);
@@ -370,7 +409,9 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   }
   absorb_leftovers(std::move(tail), output, config, stats, hooks);
   stats.merge_seconds = seconds_since(merge_start);
+  stats.stretch_evaluations += refined;
   if (popped > 0) c_popped.add(popped);
+  if (slot_bounds > 0) c_slot_bounds.add(slot_bounds);
   if (refined > 0) c_refined.add(refined);
   if (batches > 0) c_batches.add(batches);
   if (stale > 0) c_stale.add(stale);
@@ -405,7 +446,7 @@ std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
     // has finalized at least one group.
     throw std::logic_error{"no group to absorb leftovers into"};
   }
-  std::vector<FingerprintBounds> group_bounds = bounds_of(groups);
+  std::vector<NodeBounds> group_bounds = node_bounds_of(groups);
   const MergeOptions options = merge_options(config);
   std::uint64_t sample_pairs = 0;
   for (const cdr::Fingerprint& leftover : tail) {
@@ -416,7 +457,7 @@ std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
             .index;
     MergeStats merge_stats;
     groups[g] = merge_fingerprints(leftover, groups[g], options, &merge_stats);
-    group_bounds[g] = fingerprint_bounds(groups[g]);
+    group_bounds[g] = node_bounds(groups[g]);
     stats.deleted_samples += merge_stats.suppressed_original_samples;
     ++stats.merges;
   }

@@ -92,11 +92,13 @@ struct GloveResult {
 /// independent of thread count.
 ///
 /// The candidate heap is seeded with stretch_lower_bound values, and an
-/// entry is refined to its exact stretch when it reaches the top, so
-/// distant pairs are never evaluated exactly; the merges are those of a
-/// heap holding every exact stretch.  Lower bounds that reach the top
-/// together are refined as one batch on util::ThreadPool::shared(), so
-/// the caller must not itself be a task of that pool.  The final sub-k
+/// entry that reaches the top moves one stage along the box -> slot ->
+/// exact cascade of scalability.hpp (its slot_lower_bound, then its exact
+/// stretch), so most pairs are never evaluated exactly; the merges are
+/// those of a heap holding every exact stretch.  Lower bounds that reach
+/// the top together are advanced as one batch on
+/// util::ThreadPool::shared(), so the caller must not itself be a task of
+/// that pool.  The final sub-k
 /// leftover, if any, goes through absorb_leftovers over the finished
 /// groups.
 ///

@@ -49,9 +49,9 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
 
   std::vector<cdr::Fingerprint> groups{published.fingerprints().begin(),
                                        published.fingerprints().end()};
-  // Bounding geometry per group, kept current as joins widen the groups,
-  // so each nearest-group search skips distant groups.
-  std::vector<FingerprintBounds> group_bounds = bounds_of(groups);
+  // Box and slot bounds per group, kept current as joins widen the
+  // groups, so each nearest-group search skips distant groups.
+  std::vector<NodeBounds> group_bounds = node_bounds_of(groups);
   const MergeOptions options = merge_options(config);
 
   // Decide each newcomer's fate: nearest existing group vs nearest fellow
@@ -107,7 +107,7 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
     if (join) {
       const std::size_t g = choices[i].group.index;
       groups[g] = merge_fingerprints(groups[g], new_users[i], options);
-      group_bounds[g] = fingerprint_bounds(groups[g]);
+      group_bounds[g] = node_bounds(groups[g]);
       ++result.stats.joined_existing_groups;
       hooks.report(static_cast<std::uint64_t>(n) + ++placed, total_work);
     } else {
@@ -137,7 +137,7 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
       const std::size_t g =
           nearest_group(straggler, groups, group_bounds, config.limits).index;
       groups[g] = merge_fingerprints(groups[g], straggler, options);
-      group_bounds[g] = fingerprint_bounds(groups[g]);
+      group_bounds[g] = node_bounds(groups[g]);
       ++result.stats.joined_existing_groups;
     }
   }

@@ -7,12 +7,33 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "glove/geo/geo.hpp"
 #include "glove/util/parallel.hpp"
 
 namespace glove::core {
+namespace {
+
+/// `per_fingerprint` of every fingerprint, computed in parallel.
+template <typename Result, typename PerFingerprint>
+std::vector<Result> map_in_parallel(
+    std::span<const cdr::Fingerprint> fingerprints,
+    const PerFingerprint& per_fingerprint) {
+  std::vector<Result> results(fingerprints.size());
+  util::parallel_for(
+      fingerprints.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          results[i] = per_fingerprint(fingerprints[i]);
+        }
+      },
+      /*min_chunk=*/64);
+  return results;
+}
+
+}  // namespace
 
 FingerprintBounds fingerprint_bounds(const cdr::Fingerprint& fp) {
   FingerprintBounds bounds;
@@ -41,16 +62,7 @@ FingerprintBounds fingerprint_bounds(const cdr::Fingerprint& fp) {
 
 std::vector<FingerprintBounds> bounds_of(
     std::span<const cdr::Fingerprint> fingerprints) {
-  std::vector<FingerprintBounds> bounds(fingerprints.size());
-  util::parallel_for(
-      fingerprints.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          bounds[i] = fingerprint_bounds(fingerprints[i]);
-        }
-      },
-      /*min_chunk=*/64);
-  return bounds;
+  return map_in_parallel<FingerprintBounds>(fingerprints, fingerprint_bounds);
 }
 
 namespace {
@@ -83,7 +95,101 @@ double upper_end(double lo, double len) {
 /// fingerprints of up to ~2^22 samples.
 constexpr double kRoundingMargin = 1.0 - 0x1p-30;
 
+/// The box-gap term of both bounds, before the rounding margin: what
+/// merging a sample inside one rectangle and interval with a sample inside
+/// another costs at least, given the gaps between them.
+double gap_term(double gap_x, double gap_y, double gap_t,
+                const StretchLimits& limits) {
+  const double phi_sigma =
+      std::min((gap_x + gap_y) / limits.phi_max_sigma_m, 1.0);
+  const double phi_tau = std::min(gap_t / limits.phi_max_tau_min, 1.0);
+  return limits.w_sigma * phi_sigma + limits.w_tau * phi_tau;
+}
+
+double slot_gap(const TimeSlot& a, const TimeSlot& b,
+                const StretchLimits& limits) {
+  return gap_term(axis_gap(a.x_lo, a.x_hi, b.x_lo, b.x_hi),
+                  axis_gap(a.y_lo, a.y_hi, b.y_lo, b.y_hi),
+                  axis_gap(a.t_lo, a.t_hi, b.t_lo, b.t_hi), limits);
+}
+
+/// One direction of slot_lower_bound: for each slot of `outer`, its count
+/// times the least slot_gap to a slot of `inner`, summed and averaged over
+/// `outer`'s samples.
+double directed_slot_bound(const SlotSummary& outer, const SlotSummary& inner,
+                           const StretchLimits& limits) {
+  double total = 0.0;
+  for (const TimeSlot& s : outer.slots) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const TimeSlot& u : inner.slots) {
+      best = std::min(best, slot_gap(s, u, limits));
+    }
+    total += static_cast<double>(s.count) * best;
+  }
+  return total / static_cast<double>(outer.samples);
+}
+
 }  // namespace
+
+SlotSummary slot_summary(const cdr::Fingerprint& fp) {
+  // Samples are sorted by start time, so each slot's samples are one run.
+  const auto slot_of = [](const cdr::Sample& s) {
+    return std::floor(s.tau.t / kSlotMinutes);
+  };
+  const std::span<const cdr::Sample> samples = fp.samples();
+  SlotSummary summary;
+  summary.samples = samples.size();
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (i == 0 || slot_of(samples[i]) != slot_of(samples[i - 1])) ++runs;
+  }
+  summary.slots.reserve(runs);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const cdr::Sample& s = samples[i];
+    if (i == 0 || slot_of(s) != slot_of(samples[i - 1])) {
+      summary.slots.push_back(TimeSlot{s.sigma.x, s.sigma.x_end(), s.sigma.y,
+                                       s.sigma.y_end(), s.tau.t, s.tau.t_end(),
+                                       0});
+    }
+    TimeSlot& slot = summary.slots.back();
+    slot.x_lo = std::min(slot.x_lo, s.sigma.x);
+    slot.x_hi = std::max(slot.x_hi, s.sigma.x_end());
+    slot.y_lo = std::min(slot.y_lo, s.sigma.y);
+    slot.y_hi = std::max(slot.y_hi, s.sigma.y_end());
+    slot.t_hi = std::max(slot.t_hi, s.tau.t_end());
+    ++slot.count;
+  }
+  return summary;
+}
+
+double slot_lower_bound(const SlotSummary& a, const SlotSummary& b,
+                        const StretchLimits& limits) {
+  // eq. 10's choice of direction, and fingerprint_stretch's average at
+  // equal sample counts.  kRoundingMargin covers the rounding of eq. 10
+  // as in stretch_lower_bound; the per-slot products and the sum here add
+  // about S + 2 relative steps of 2^-53, far inside it.
+  if (a.samples == 0 || b.samples == 0) return 0.0;
+  double bound = 0.0;
+  if (a.samples > b.samples) {
+    bound = directed_slot_bound(a, b, limits);
+  } else if (b.samples > a.samples) {
+    bound = directed_slot_bound(b, a, limits);
+  } else {
+    bound = (directed_slot_bound(a, b, limits) +
+             directed_slot_bound(b, a, limits)) /
+            2.0;
+  }
+  return bound * kRoundingMargin;
+}
+
+NodeBounds node_bounds(const cdr::Fingerprint& fp) {
+  return NodeBounds{fingerprint_bounds(fp), slot_summary(fp)};
+}
+
+std::vector<NodeBounds> node_bounds_of(
+    std::span<const cdr::Fingerprint> fingerprints) {
+  return map_in_parallel<NodeBounds>(fingerprints, node_bounds);
+}
 
 std::uint64_t locality_sort_key(const FingerprintBounds& bounds) noexcept {
   // 1 km quantization of the bounding-box centre, offset to keep values
@@ -116,16 +222,12 @@ double stretch_lower_bound(const FingerprintBounds& a,
   const double gap_t =
       axis_gap(a.interval.t, upper_end(a.interval.t, a.interval.dt),
                b.interval.t, upper_end(b.interval.t, b.interval.dt));
-  const double phi_sigma =
-      std::min((gap_x + gap_y) / limits.phi_max_sigma_m, 1.0);
-  const double phi_tau = std::min(gap_t / limits.phi_max_tau_min, 1.0);
-  return (limits.w_sigma * phi_sigma + limits.w_tau * phi_tau) *
-         kRoundingMargin;
+  return gap_term(gap_x, gap_y, gap_t, limits) * kRoundingMargin;
 }
 
 NearestGroup nearest_group(const cdr::Fingerprint& fp,
                            std::span<const cdr::Fingerprint> groups,
-                           std::span<const FingerprintBounds> group_bounds,
+                           std::span<const NodeBounds> group_bounds,
                            const StretchLimits& limits,
                            std::uint64_t* evaluations,
                            std::uint64_t* sample_pairs) {
@@ -134,27 +236,35 @@ NearestGroup nearest_group(const cdr::Fingerprint& fp,
         "nearest_group needs a non-empty group list and one bounds entry "
         "per group"};
   }
-  const FingerprintBounds bounds = fingerprint_bounds(fp);
-  // A min-heap over (bound, index) yields the order a full sort would, but
-  // only the prefix the search actually visits is ever ordered.
-  std::vector<std::pair<double, std::size_t>> order;
+  const NodeBounds own = node_bounds(fp);
+  // A min-heap over (bound, index, slot stage) yields the order a full
+  // sort would, but only the prefix the search actually visits is ever
+  // ordered.  Box-stage candidates come back once with their slot bound.
+  std::vector<std::tuple<double, std::size_t, bool>> order;
   order.reserve(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    order.emplace_back(stretch_lower_bound(bounds, group_bounds[g], limits),
-                       g);
+    order.emplace_back(
+        stretch_lower_bound(own.box, group_bounds[g].box, limits), g, false);
   }
   std::make_heap(order.begin(), order.end(), std::greater<>{});
 
-  NearestGroup best{order.front().second,
+  NearestGroup best{std::get<1>(order.front()),
                     std::numeric_limits<double>::infinity()};
   std::uint64_t evaluated = 0;
   while (!order.empty()) {
     std::pop_heap(order.begin(), order.end(), std::greater<>{});
-    const auto [bound, g] = order.back();
-    order.pop_back();
-    // A stretch is never below its bound: past the best stretch no later
+    const auto [bound, g, slot_stage] = order.back();
+    // A stretch is never below its bounds: past the best stretch no later
     // candidate can beat or tie it.
     if (bound > best.stretch) break;
+    if (!slot_stage) {
+      const NodeBounds& other = group_bounds[g];
+      const double slot = slot_lower_bound(own.slots, other.slots, limits);
+      order.back() = {std::max(bound, slot), g, true};
+      std::push_heap(order.begin(), order.end(), std::greater<>{});
+      continue;
+    }
+    order.pop_back();
     const double d = fingerprint_stretch(fp, groups[g], limits, sample_pairs);
     ++evaluated;
     if (d < best.stretch || (d == best.stretch && g < best.index)) {

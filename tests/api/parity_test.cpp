@@ -106,6 +106,42 @@ cdr::FingerprintDataset tie_heavy_dataset(std::size_t clusters,
   return cdr::FingerprintDataset{std::move(fps), "ties"};
 }
 
+/// Commuters between two shared sites over `days` days: each user leaves
+/// a home cell near (0, 0) at a seeded hour, reaches a work cell near
+/// (6 km, 0) one to three hours later and is home again nine hours after
+/// leaving, each visit a few minutes off its hour.  Every bounding box
+/// spans both sites and every interval spans the days, so every box bound
+/// is 0, but users who keep different hours are far apart slot by slot.
+cdr::FingerprintDataset commuter_dataset(std::size_t users, std::size_t days,
+                                         std::uint64_t seed) {
+  util::Xoshiro256 rng{seed};
+  const auto draw = [&](std::uint64_t from, std::uint64_t count) {
+    return static_cast<double>(from + util::uniform_index(rng, count));
+  };
+  std::vector<cdr::Fingerprint> fps;
+  for (std::size_t user = 0; user < users; ++user) {
+    const double leave = 60.0 * draw(5, 8);
+    const double commute = 60.0 * draw(1, 3);
+    std::vector<cdr::Sample> trace;
+    for (std::size_t day = 0; day < days; ++day) {
+      const double start = 1'440.0 * static_cast<double>(day) + leave;
+      // One draw per statement, so the data does not depend on the
+      // compiler's order of evaluating arguments.
+      const auto visit = [&](double site, double after) {
+        const double x = site + 100.0 * draw(0, 3);
+        const double y = 100.0 * draw(0, 3);
+        const double t = start + after + draw(0, 20);
+        trace.push_back(test::cell(x, y, t));
+      };
+      visit(0.0, 0.0);
+      visit(6'000.0, commute);
+      visit(0.0, 540.0);
+    }
+    fps.emplace_back(static_cast<cdr::UserId>(user), std::move(trace));
+  }
+  return cdr::FingerprintDataset{std::move(fps), "commuters"};
+}
+
 /// How far `name` moved since `before`.
 std::uint64_t counter_delta(const obs::MetricsSnapshot& before,
                             const char* name) {
@@ -144,9 +180,10 @@ TEST_P(ParityTest, FullMatchesNaiveGreedyReference) {
   }
   EXPECT_GT(counter_delta(before, "core.heap.purged"), 0u);
 
-  // Every bound of the dense input is 0, so every pair is refined and the
-  // batches grow large.  Its fingerprints keep 48 samples, one per 4-hour
-  // slot, through every merge (a merge never has more samples than its
+  // Every box bound of the dense input is 0 and its slot bounds are
+  // small, so most pairs are refined and the batches grow large.  Its
+  // fingerprints keep 48 samples, one every four hours, through every
+  // merge (a merge never has more samples than its
   // shorter side, so 48-sample groups prove it), so each entry costs
   // m_a * m_b >= 2,304 sample pairs: a mean batch of 29 or more entries
   // means that some batch held at least 66,816 sample pairs, past the
@@ -163,6 +200,30 @@ TEST_P(ParityTest, FullMatchesNaiveGreedyReference) {
             test::dataset_to_csv(dense_groups));
   EXPECT_GE(counter_delta(dense_before, "core.heap.refined"),
             29 * counter_delta(dense_before, "core.heap.refine_batches"));
+}
+
+TEST_P(ParityTest, FullMatchesNaiveGreedyReferenceWhereTheSlotBoundDecides) {
+  // The box bound is 0 for every commuter pair, so every candidate that
+  // reaches the top moves on to the slot stage, and the slot bound alone
+  // decides which pairs are refined exactly.  A slot bound is no stretch:
+  // merging on it, or letting it pop after an exact entry of equal value,
+  // would change the groups.
+  const Engine engine;
+  const std::uint32_t k = GetParam();
+  RunConfig config;
+  config.k = k;
+  core::GloveConfig reference;
+  reference.k = k;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const cdr::FingerprintDataset data = commuter_dataset(40, 3, seed);
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    EXPECT_EQ(engine_csv(engine, data, config),
+              test::dataset_to_csv(test::naive_glove(data, reference)))
+        << "seed " << seed;
+    EXPECT_GT(counter_delta(before, "core.heap.slot_bounds"),
+              counter_delta(before, "core.heap.refined"))
+        << "seed " << seed;
+  }
 }
 
 TEST_P(ParityTest, FullMatchesNaiveGreedyReferenceUnderSuppression) {

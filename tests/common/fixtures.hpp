@@ -56,8 +56,11 @@ namespace glove::test {
 
 /// `users` fingerprints of `samples` samples in one 1 km square: sample i
 /// falls in a random 100 m cell within half an hour after hour 4i.  Every
-/// bounding box overlaps every other, so every stretch lower bound is 0
-/// and GLOVE refines every candidate pair.  Deterministic in `seed`.
+/// bounding box overlaps every other, so every box bound is 0, and slot i
+/// of one fingerprint is never more than 900 m and half an hour from slot
+/// i of another, so the slot bounds stay small and GLOVE refines most
+/// candidate pairs (86-89% at k = 2 on the suites' inputs).
+/// Deterministic in `seed`.
 [[nodiscard]] cdr::FingerprintDataset dense_dataset(std::size_t users,
                                                     std::size_t samples,
                                                     std::uint64_t seed);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -96,7 +97,10 @@ TEST(StretchLowerBound, PointSamplesWithUnequalGroupsDoNotOvershoot) {
   expect_bound_at_most_stretch(b, a);
 }
 
-TEST(StretchLowerBound, SeededPointSampleSweepNeverOvershoots) {
+/// Calls `check(a, b)` on 2,000 seeded pairs of one-point fingerprints
+/// with unequal group sizes, whose pair weights rarely sum to 1 exactly.
+template <typename Check>
+void for_each_point_pair(Check check) {
   util::Xoshiro256 rng{99};
   for (int i = 0; i < 2'000; ++i) {
     const auto na = static_cast<std::uint32_t>(1 + util::uniform_index(rng, 8));
@@ -111,8 +115,12 @@ TEST(StretchLowerBound, SeededPointSampleSweepNeverOvershoots) {
         test::group_fingerprint(na, 0, {random_point()});
     const cdr::Fingerprint b =
         test::group_fingerprint(nb, 100, {random_point()});
-    expect_bound_at_most_stretch(a, b);
+    check(a, b);
   }
+}
+
+TEST(StretchLowerBound, SeededPointSampleSweepNeverOvershoots) {
+  for_each_point_pair(expect_bound_at_most_stretch);
 }
 
 TEST(StretchLowerBound, BoxEndRoundingDoesNotWidenTheGap) {
@@ -129,6 +137,215 @@ TEST(StretchLowerBound, BoxEndRoundingDoesNotWidenTheGap) {
   expect_bound_at_most_stretch(b, a);
 }
 
+void expect_slot_bound_at_most_stretch(const cdr::Fingerprint& a,
+                                       const cdr::Fingerprint& b,
+                                       const StretchLimits& limits = {}) {
+  EXPECT_LE(slot_lower_bound(slot_summary(a), slot_summary(b), limits),
+            fingerprint_stretch(a, b, limits));
+}
+
+TEST(SlotLowerBound, SummaryGroupsSamplesByStartSlot) {
+  // Slots are [n, n + 1) * kSlotMinutes: a start exactly on a boundary
+  // opens the next slot, negative starts round down, and a sample running
+  // past its slot's end widens t_hi, not the slot.
+  const double w = kSlotMinutes;
+  std::vector<cdr::Sample> samples;
+  samples.push_back(test::box(0, 100, 0, 100, -w - 1, 1));
+  samples.push_back(test::box(500, 0, -300, 200, -1, 3.5 * w));
+  samples.push_back(test::box(-200, 100, 50, 100, -0.5, 0));
+  samples.push_back(test::box(1'000, 100, 0, 100, 0, 1));
+  samples.push_back(test::box(0, 0, 0, 0, w, 2));
+  samples.push_back(test::box(10, 10, 10, 10, 2 * w - 1, 1));
+  const SlotSummary summary = slot_summary(cdr::Fingerprint{0u, samples});
+  EXPECT_EQ(summary.samples, 6u);
+  ASSERT_EQ(summary.slots.size(), 4u);
+  const TimeSlot& before = summary.slots[1];
+  EXPECT_EQ(before.count, 2u);
+  EXPECT_EQ(before.x_lo, -200.0);
+  EXPECT_EQ(before.x_hi, 500.0);
+  EXPECT_EQ(before.y_lo, -300.0);
+  EXPECT_EQ(before.y_hi, 150.0);
+  EXPECT_EQ(before.t_lo, -1.0);
+  EXPECT_EQ(before.t_hi, -1.0 + 3.5 * w);
+  EXPECT_EQ(summary.slots[2].count, 1u);
+  EXPECT_EQ(summary.slots[2].t_lo, 0.0);
+  EXPECT_EQ(summary.slots[3].count, 2u);
+  EXPECT_EQ(summary.slots[3].t_lo, w);
+  EXPECT_EQ(summary.slots[3].t_hi, 2 * w);
+  const cdr::Fingerprint empty{std::vector<cdr::UserId>{1u, 2u}, {}};
+  EXPECT_TRUE(slot_summary(empty).slots.empty());
+}
+
+TEST(SlotLowerBound, ZeroForEmptyFingerprints) {
+  const cdr::Fingerprint empty{std::vector<cdr::UserId>{1u, 2u}, {}};
+  const cdr::Fingerprint far{3u, {cell(90'000, 90'000, 5'000)}};
+  EXPECT_EQ(slot_lower_bound(slot_summary(empty), slot_summary(far), {}), 0.0);
+  EXPECT_EQ(slot_lower_bound(slot_summary(far), slot_summary(empty), {}), 0.0);
+  EXPECT_EQ(slot_lower_bound(slot_summary(empty), slot_summary(empty), {}),
+            0.0);
+}
+
+TEST(SlotLowerBound, SeesTimeTheBoxBoundCannot) {
+  // Two users visit the same two sites on two days, at hours apart: their
+  // boxes and intervals overlap, so the box bound is 0, but no slot of one
+  // shares a slot's time with the other.
+  const auto commuter = [](cdr::UserId user, double hour) {
+    std::vector<cdr::Sample> samples;
+    for (const double day : {0.0, 1'440.0}) {
+      samples.push_back(cell(0, 0, day + 60.0 * hour));
+      samples.push_back(cell(5'000, 0, day + 60.0 * (hour + 9.0)));
+    }
+    return cdr::Fingerprint{user, std::move(samples)};
+  };
+  const cdr::Fingerprint early = commuter(0, 6.0);
+  const cdr::Fingerprint late = commuter(1, 10.0);
+  EXPECT_EQ(stretch_lower_bound(fingerprint_bounds(early),
+                                fingerprint_bounds(late), {}),
+            0.0);
+  const SlotSummary early_slots = slot_summary(early);
+  const double slot = slot_lower_bound(early_slots, slot_summary(late), {});
+  EXPECT_GT(slot, 0.0);
+  EXPECT_LE(slot, fingerprint_stretch(early, late, {}));
+}
+
+TEST(SlotLowerBound, SampleSpanningSlotsKeepsItsEnd) {
+  // A merged sample covers five slots from its start; the other
+  // fingerprint's samples start three slots later at the same place.  The
+  // merged sample's slot must end where the sample ends, or the bound
+  // reports a time gap that the stretch does not pay.
+  const double w = kSlotMinutes;
+  const cdr::Fingerprint merged = test::group_fingerprint(
+      2, 0, {test::box(0, 100, 0, 100, 10.0, 5.0 * w)});
+  const cdr::Fingerprint later{
+      5u, {cell(0, 0, 3.0 * w + 20.0), cell(0, 0, 3.0 * w + 40.0)}};
+  expect_slot_bound_at_most_stretch(merged, later);
+  expect_slot_bound_at_most_stretch(later, merged);
+}
+
+/// A seeded fingerprint for the slot-bound sweeps: 1-30 samples (or
+/// exactly `samples` when non-zero) within `spread` metres of the origin
+/// on each axis, on a minute grid with negative starts, a quarter of them
+/// exactly on a slot boundary; lengths of 0, of minutes to hours, or of
+/// several slots (as merged samples have); zero and wide extents; group
+/// sizes 1-8.
+cdr::Fingerprint random_slotted(util::Xoshiro256& rng, cdr::UserId first,
+                                double spread, std::size_t samples = 0) {
+  const std::size_t n =
+      samples != 0 ? samples : 1 + util::uniform_index(rng, 30);
+  const double origin = util::uniform(rng, -3'000.0, 3'000.0);
+  std::vector<cdr::Sample> trace;
+  for (std::size_t i = 0; i < n; ++i) {
+    double t = 0.0;
+    if (util::uniform_index(rng, 4) == 0) {
+      t = kSlotMinutes * std::floor(util::uniform(rng, -25.0, 25.0));
+    } else {
+      t = origin + 10.0 * std::floor(util::uniform(rng, 0.0, 300.0));
+    }
+    double dt = std::floor(util::uniform(rng, 1.0, 400.0));
+    const std::uint64_t length = util::uniform_index(rng, 4);
+    if (length == 0) {
+      dt = 0.0;
+    } else if (length == 1) {
+      dt = util::uniform(rng, 1.0, 5.0) * kSlotMinutes;
+    }
+    const double side = util::uniform_index(rng, 3) == 0
+                            ? 0.0
+                            : util::uniform(rng, 100.0, 8'000.0);
+    trace.push_back(test::box(util::uniform(rng, 0.0, spread), side,
+                              util::uniform(rng, 0.0, spread), side, t, dt));
+  }
+  const auto group =
+      static_cast<std::uint32_t>(1 + util::uniform_index(rng, 8));
+  return test::group_fingerprint(group, first, std::move(trace));
+}
+
+/// `fp`'s samples as a group of `size` users numbered from `first`.
+cdr::Fingerprint regrouped(const cdr::Fingerprint& fp, std::uint32_t size,
+                           cdr::UserId first) {
+  std::vector<cdr::Sample> samples(fp.samples().begin(), fp.samples().end());
+  return test::group_fingerprint(size, first, std::move(samples));
+}
+
+/// The spread of the slot-bound sweeps' `i`-th pair: co-located, one 1 km
+/// square, or 30 km.
+double sweep_spread(int i) {
+  if (i % 3 == 0) return 0.0;
+  return i % 3 == 1 ? 1'000.0 : 30'000.0;
+}
+
+/// The limit sets of the slot-bound sweeps: PrunedStretch's default and
+/// tight ones, and a purely spatial one (w_tau = 0).
+std::vector<StretchLimits> sweep_limits() {
+  StretchLimits tight;
+  tight.phi_max_sigma_m = 2'000.0;
+  tight.phi_max_tau_min = 60.0;
+  StretchLimits spatial;
+  spatial.w_sigma = 1.0;
+  spatial.w_tau = 0.0;
+  return {StretchLimits{}, tight, spatial};
+}
+
+TEST(SlotLowerBound, SeededSweepNeverOvershoots) {
+  // Brute force: the bound must sit at or below the computed stretch, on
+  // the doubles, with no slack.  Every third pair has equal sample counts
+  // (both directions averaged), every eighth groups of 1 and 7.  A third
+  // of the pairs put every sample at one corner, where time alone decides
+  // the bound, and a third share one 1 km square.
+  util::Xoshiro256 rng{1601};
+  std::size_t positive = 0;
+  for (int i = 0; i < 600; ++i) {
+    const double spread = sweep_spread(i);
+    cdr::Fingerprint a = random_slotted(rng, 0, spread);
+    const std::size_t equal = i % 3 == 0 ? a.size() : 0;
+    cdr::Fingerprint b = random_slotted(rng, 100, spread, equal);
+    if (i % 8 == 0) {
+      a = regrouped(a, 1, 0);
+      b = regrouped(b, 7, 100);
+    }
+    const SlotSummary sa = slot_summary(a);
+    const SlotSummary sb = slot_summary(b);
+    for (const StretchLimits& limits : sweep_limits()) {
+      const double bound = slot_lower_bound(sa, sb, limits);
+      EXPECT_LE(bound, fingerprint_stretch(a, b, limits)) << "pair " << i;
+      EXPECT_EQ(bound, slot_lower_bound(sb, sa, limits)) << "pair " << i;
+      if (bound > 0.0) ++positive;
+    }
+  }
+  EXPECT_GT(positive, 600u);
+}
+
+TEST(SlotLowerBound, SeededPointSampleSweepNeverOvershoots) {
+  // StretchLowerBound's point sweep, where a bound without the rounding
+  // margin overshoots by an ulp.
+  for_each_point_pair([](const cdr::Fingerprint& a, const cdr::Fingerprint& b) {
+    expect_slot_bound_at_most_stretch(a, b);
+  });
+}
+
+TEST(NodeBounds, ParallelBuildMatchesOneByOne) {
+  // 200 fingerprints split into several parallel_for chunks of at least
+  // 64, so the build runs concurrently (and TSan checks it).
+  util::Xoshiro256 rng{1603};
+  std::vector<cdr::Fingerprint> fingerprints;
+  for (cdr::UserId i = 0; i < 200; ++i) {
+    fingerprints.push_back(random_slotted(rng, 10 * i, 30'000.0));
+  }
+  const std::vector<NodeBounds> all = node_bounds_of(fingerprints);
+  ASSERT_EQ(all.size(), fingerprints.size());
+  for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+    const NodeBounds one = node_bounds(fingerprints[i]);
+    EXPECT_EQ(all[i].box.box.x, one.box.box.x) << i;
+    EXPECT_EQ(all[i].box.box.dx, one.box.box.dx) << i;
+    EXPECT_EQ(all[i].box.interval.dt, one.box.interval.dt) << i;
+    EXPECT_EQ(all[i].slots.samples, one.slots.samples) << i;
+    ASSERT_EQ(all[i].slots.slots.size(), one.slots.slots.size()) << i;
+    for (std::size_t s = 0; s < one.slots.slots.size(); ++s) {
+      EXPECT_EQ(all[i].slots.slots[s].t_hi, one.slots.slots[s].t_hi) << i;
+      EXPECT_EQ(all[i].slots.slots[s].count, one.slots.slots[s].count) << i;
+    }
+  }
+}
+
 /// The first minimum-stretch group a full scan in index order finds.
 NearestGroup full_scan_nearest(const cdr::Fingerprint& fp,
                                const std::vector<cdr::Fingerprint>& groups) {
@@ -143,9 +360,11 @@ NearestGroup full_scan_nearest(const cdr::Fingerprint& fp,
 TEST(NearestGroup, SeededLatticeSweepMatchesFullScan) {
   // Samples on a coarse lattice, mirrored around the origin, so many
   // groups tie at the minimum stretch while rounding gives them different
-  // bounds; a few groups are empty (stretch 0 to anything).  The search
-  // must return the full scan's index and stretch bit for bit, and still
-  // skip the distant groups.
+  // bounds; a few groups are empty (stretch 0 to anything).  Start times
+  // spread over several slots, and each group's slot summary is passed, so
+  // the search runs the whole box -> slot -> exact cascade.  It must
+  // return the full scan's index and stretch bit for bit, and still skip
+  // the distant groups.
   util::Xoshiro256 rng{411};
   const auto lattice = [&](std::uint64_t steps, double step) {
     const auto i = static_cast<double>(util::uniform_index(rng, 2 * steps + 1));
@@ -153,7 +372,7 @@ TEST(NearestGroup, SeededLatticeSweepMatchesFullScan) {
   };
   const auto random_fingerprint = [&](std::uint32_t size, cdr::UserId first) {
     std::vector<cdr::Sample> samples;
-    const std::uint64_t count = 1 + util::uniform_index(rng, 3);
+    const std::uint64_t count = 1 + util::uniform_index(rng, 4);
     if (size > 1 && util::uniform_index(rng, 12) == 0) {
       return test::group_fingerprint(size, first, {});  // suppressed away
     }
@@ -161,7 +380,7 @@ TEST(NearestGroup, SeededLatticeSweepMatchesFullScan) {
     for (std::uint64_t i = 0; i < count; ++i) {
       samples.push_back(cell(lattice(far ? 40 : 4, 1'000.0),
                              lattice(far ? 40 : 4, 1'000.0),
-                             60.0 * (2.0 + lattice(2, 1.0))));
+                             60.0 * (6.0 + lattice(6, 1.0))));
     }
     return test::group_fingerprint(size, first, std::move(samples));
   };
@@ -169,17 +388,19 @@ TEST(NearestGroup, SeededLatticeSweepMatchesFullScan) {
   std::uint64_t evaluations = 0;
   std::uint64_t sample_pairs = 0;
   std::uint64_t candidates = 0;
+  std::size_t multi_slot = 0;
   int decisive_ties = 0;
   for (int trial = 0; trial < 300; ++trial) {
     std::vector<cdr::Fingerprint> groups;
-    std::vector<FingerprintBounds> bounds;
+    std::vector<NodeBounds> bounds;
     const std::uint64_t count = 2 + util::uniform_index(rng, 30);
     for (std::uint64_t g = 0; g < count; ++g) {
       const auto size = static_cast<std::uint32_t>(
           2 + util::uniform_index(rng, 3));
       groups.push_back(random_fingerprint(size, static_cast<cdr::UserId>(
                                                     10 * (g + 1))));
-      bounds.push_back(fingerprint_bounds(groups.back()));
+      bounds.push_back(node_bounds(groups.back()));
+      if (bounds.back().slots.slots.size() > 1) ++multi_slot;
     }
     const cdr::Fingerprint leftover = random_fingerprint(1, 0);
 
@@ -190,14 +411,17 @@ TEST(NearestGroup, SeededLatticeSweepMatchesFullScan) {
     EXPECT_EQ(found.stretch, expected.stretch) << "trial " << trial;
     candidates += count;
 
-    // A tie is decisive when a later tied group has a strictly lower bound
-    // than the first: visiting by bound alone would pick it.
-    const FingerprintBounds own = fingerprint_bounds(leftover);
-    const double first_bound =
-        stretch_lower_bound(own, bounds[expected.index], {});
+    // A tie is decisive when a later tied group has a strictly lower
+    // cascade bound than the first: visiting by bound alone would pick it.
+    const NodeBounds own = node_bounds(leftover);
+    const auto cascade_bound = [&](std::size_t g) {
+      return std::max(stretch_lower_bound(own.box, bounds[g].box, {}),
+                      slot_lower_bound(own.slots, bounds[g].slots, {}));
+    };
+    const double first_bound = cascade_bound(expected.index);
     for (std::size_t g = expected.index + 1; g < groups.size(); ++g) {
       if (fingerprint_stretch(leftover, groups[g], {}) == expected.stretch &&
-          stretch_lower_bound(own, bounds[g], {}) < first_bound) {
+          cascade_bound(g) < first_bound) {
         ++decisive_ties;
         break;
       }
@@ -205,6 +429,7 @@ TEST(NearestGroup, SeededLatticeSweepMatchesFullScan) {
   }
   EXPECT_LT(evaluations, candidates);
   EXPECT_GT(sample_pairs, 0u);
+  EXPECT_GT(multi_slot, candidates / 2);
   EXPECT_GT(decisive_ties, 0);
 }
 

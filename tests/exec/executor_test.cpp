@@ -266,10 +266,11 @@ TEST(ShardExecutor, InProcessResultsKeepJobOrderWhateverTheStartOrder) {
 TEST(ShardExecutor, InProcessJobsRefineLargeBatchesOnTheSharedPool) {
   // A job's GLOVE run is a task of the executor's own pool, and it hands
   // refinement batches of 65,536 sample pairs or more on to the shared
-  // pool.  In dense slices every bound is 0, so every pair is refined, and
-  // at k = 2 every candidate pair joins two 48-sample inputs (m_a * m_b =
-  // 2,304): a mean batch of 29 or more entries means that some batch
-  // crossed to the shared pool.  The groups must still be those of a
+  // pool.  In dense slices every box bound is 0 and the slot bounds are
+  // small, so most pairs are refined, and at k = 2 every candidate pair
+  // joins two 48-sample inputs (m_a * m_b = 2,304): a mean of 29 or more
+  // refinements per batch means that some batch crossed to the shared
+  // pool.  The groups must still be those of a
   // direct core::anonymize call on each slice.
   const cdr::FingerprintDataset data = test::dense_dataset(80, 48, 5);
   core::GloveConfig glove;

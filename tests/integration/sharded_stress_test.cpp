@@ -21,6 +21,7 @@
 #include "common/golden.hpp"
 #include "glove/api/engine.hpp"
 #include "glove/core/glove.hpp"
+#include "glove/obs/metrics.hpp"
 #include "glove/synth/generator.hpp"
 #include "glove/util/flags.hpp"
 
@@ -36,6 +37,19 @@ cdr::FingerprintDataset stress_population(std::size_t users) {
   synth::SynthConfig config = synth::civ_like(users, /*seed=*/29);
   config.days = 3.0;
   return synth::generate_dataset(config);
+}
+
+/// The sharded run every stress test makes, scaled down with the
+/// population so reduced-scale runs (TSan job, local smoke) still exercise
+/// multiple shards.
+api::RunConfig sharded_config(const cdr::FingerprintDataset& data) {
+  api::RunConfig config;
+  config.strategy = api::kStrategySharded;
+  config.k = 2;
+  config.sharded.tile_size_m = 10'000.0;
+  config.sharded.max_shard_users = std::clamp<std::size_t>(
+      data.size() / 8, config.k, 2'000);
+  return config;
 }
 
 double run_seconds(const Engine& engine, const cdr::FingerprintDataset& data,
@@ -60,15 +74,7 @@ TEST(ShardedStress, LargePopulationEndToEnd) {
   const cdr::FingerprintDataset data = stress_population(users);
 
   const Engine engine;
-  api::RunConfig config;
-  config.strategy = api::kStrategySharded;
-  config.k = 2;
-  // Scale the decomposition down with the population so reduced-scale
-  // runs (TSan job, local smoke) still exercise multiple shards.
-  config.sharded.tile_size_m = 10'000.0;
-  config.sharded.max_shard_users = std::clamp<std::size_t>(
-      data.size() / 8, config.k, 2'000);
-  const auto result = engine.run(data, config);
+  const auto result = engine.run(data, sharded_config(data));
   ASSERT_TRUE(result.ok()) << result.error().message;
   const api::RunReport& report = result.value();
 
@@ -97,23 +103,52 @@ TEST(ShardedStress, ShardedBeatsFullWallClockByThreeX) {
   full.k = 2;
   const double full_seconds = run_seconds(engine, data, full);
 
-  api::RunConfig sharded;
-  sharded.strategy = api::kStrategySharded;
-  sharded.k = 2;
-  sharded.sharded.tile_size_m = 10'000.0;
-  sharded.sharded.max_shard_users = std::clamp<std::size_t>(
-      data.size() / 8, sharded.k, 2'000);
+  const api::RunConfig sharded = sharded_config(data);
   const double sharded_seconds = run_seconds(engine, data, sharded);
 
-  // Both strategies run the same lower-bound-seeded GLOVE heap, and both
-  // use the idle cores: `full` refines its heap candidates in parallel
-  // batches, and the shard and reconcile jobs of an in-memory run share
-  // one batch on the workers.  The margin comes from tiling cutting the
-  // exact work (about 2x at 800 users) and from the shard jobs keeping the
-  // cores busier than `full`'s batches do; it needs about four free cores.
+  // Both strategies run the same cascaded GLOVE heap, and both use the
+  // idle cores: `full` advances its heap candidates in parallel batches,
+  // and the shard and reconcile jobs of an in-memory run share one batch
+  // on the workers.  With the slot bound, tiling no longer cuts the exact
+  // work at small populations: at 800 users `sharded` scans more sample
+  // pairs than `full` (1.67 M against 1.26 M), and at 3000 only 1.4x
+  // fewer.  The margin comes from what tiling still cuts, the quadratic
+  // candidate state that `full` seeds, sorts and purges
+  // (ShardedSeedsFarFewerCandidatesThanFull), and from the shard jobs
+  // keeping the cores busier than `full`'s batches do; it needs about four
+  // free cores.
   EXPECT_LE(sharded_seconds * 3.0, full_seconds)
       << "sharded " << sharded_seconds << "s vs full " << full_seconds
       << "s on " << data.size() << " fingerprints";
+}
+
+TEST(ShardedStress, ShardedSeedsFarFewerCandidatesThanFull) {
+  // The deterministic half of the 3x wall-clock claim: `full` seeds one
+  // heap candidate per pair of the whole population, `sharded` one per
+  // pair within each shard or reconcile chunk.  Measured on this
+  // population: 10.4x fewer at 800 users, 11.3x at 3000.
+  if (!stress_enabled()) {
+    GTEST_SKIP() << "set GLOVE_STRESS=1 to run the stress pass";
+  }
+  const auto users = static_cast<std::size_t>(
+      util::env_int("GLOVE_SPEEDUP_USERS", 2'000));
+  const cdr::FingerprintDataset data = stress_population(users);
+  const Engine engine;
+  const auto seeded = [&](const api::RunConfig& config) {
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    (void)run_seconds(engine, data, config);
+    return obs::snapshot_metrics().counter_value("core.heap.seeded") -
+           before.counter_value("core.heap.seeded");
+  };
+
+  api::RunConfig full;
+  full.strategy = api::kStrategyFull;
+  full.k = 2;
+  const std::uint64_t full_seeded = seeded(full);
+  const std::uint64_t sharded_seeded = seeded(sharded_config(data));
+  EXPECT_GE(full_seeded, 5 * sharded_seeded)
+      << "sharded seeded " << sharded_seeded << " vs full " << full_seeded
+      << " on " << data.size() << " fingerprints";
 }
 
 TEST(ShardedStress, ByteStableAcrossWorkerCountsAtScale) {
@@ -127,12 +162,7 @@ TEST(ShardedStress, ByteStableAcrossWorkerCountsAtScale) {
 
   std::string reference;
   for (const std::size_t workers : {1u, 4u}) {
-    api::RunConfig config;
-    config.strategy = api::kStrategySharded;
-    config.k = 2;
-    config.sharded.tile_size_m = 10'000.0;
-    config.sharded.max_shard_users = std::clamp<std::size_t>(
-        data.size() / 8, config.k, 2'000);
+    api::RunConfig config = sharded_config(data);
     config.sharded.workers = workers;
     const auto result = engine.run(data, config);
     ASSERT_TRUE(result.ok()) << result.error().message;
