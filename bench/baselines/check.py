@@ -32,11 +32,6 @@ are machine-independent by design, so there is no tolerance: any diff
 means the data plane changed and the baseline needs an intentional
 re-capture.
 
-The gate finishes with a baseline-free executor-parity check: the same
-pinned streaming sharded run through --executor=inprocess and
---executor=process --shard-workers=2 must produce byte-identical output
-(skipped when the example or worker binary is not built).
-
 Usage:
   python3 bench/baselines/check.py --build-dir build [--tolerance 0.15]
                                    [--reference-tolerance 0.5] [--absolute]
@@ -47,9 +42,7 @@ Exit codes: 0 ok, 1 regression, 2 usage/setup error.
 import argparse
 import json
 import pathlib
-import subprocess
 import sys
-import tempfile
 
 import capture  # shares the env pin and the throughput parser
 
@@ -84,63 +77,6 @@ def check_streaming_metrics(build_dir: str) -> list:
             failures.append(
                 f"streaming_metrics.{key}: {now} != baseline {base} "
                 "(deterministic metric; exact match required)")
-    return failures
-
-
-# The pinned run the executor-parity gate repeats under both executors.
-EXECUTOR_SYNTH = ["--users=5000", "--days=1", "--seed=7"]
-EXECUTOR_RUN = ["--strategy=sharded", "--shard-users=500"]
-
-
-def check_executor_parity(build_dir: str) -> list:
-    """Byte-compares the streaming sharded output of the in-process and
-    multi-process shard executors; returns failure strings.
-
-    Self-checking (no baseline file): the coordinator/worker backend is
-    specified to reproduce the in-process thread pool's output
-    byte-for-byte on any machine, so a diff is a data-plane bug, never
-    hardware."""
-    example = pathlib.Path(build_dir) / "examples" / "example_anonymize_csv"
-    worker = pathlib.Path(build_dir) / "tools" / "shard_worker" \
-        / "glove_shard_worker"
-    if not example.is_file() or not worker.is_file():
-        print("note: example_anonymize_csv or glove_shard_worker missing; "
-              "skipping executor parity")
-        return []
-    failures = []
-    with tempfile.TemporaryDirectory() as tmp:
-        work = pathlib.Path(tmp)
-        csv = work / "dataset.csv"
-        subprocess.run(
-            [str(example), f"--synth-dataset={csv}"] + EXECUTOR_SYNTH,
-            capture_output=True, env=capture.bench_env(), timeout=1800,
-            check=True)
-        outputs = {}
-        for label, flags in (
-                ("inprocess", ["--executor=inprocess"]),
-                ("process", ["--executor=process", "--shard-workers=2"])):
-            out = work / f"anon-{label}.csv"
-            result = subprocess.run(
-                [str(example), f"--input={csv}", f"--output={out}"]
-                + EXECUTOR_RUN + flags,
-                capture_output=True, text=True, env=capture.bench_env(),
-                timeout=1800)
-            if result.returncode != 0:
-                failures.append(
-                    f"executor_parity: {label} run failed: "
-                    f"{result.stderr.strip()[-300:]}")
-                continue
-            outputs[label] = out.read_bytes()
-    if len(outputs) == 2:
-        identical = outputs["inprocess"] == outputs["process"]
-        verdict = "ok" if identical else "FAIL"
-        print(f"{verdict:4} executor_parity: process-executor output "
-              + ("byte-identical to inprocess" if identical
-                 else "DIVERGES from inprocess"))
-        if not identical:
-            failures.append(
-                "executor_parity: process executor output differs from "
-                "inprocess (byte identity required)")
     return failures
 
 
@@ -245,7 +181,6 @@ def main() -> int:
               "--only throughput  (then review the diff)")
 
     failures.extend(check_streaming_metrics(args.build_dir))
-    failures.extend(check_executor_parity(args.build_dir))
 
     if failures:
         print("\nbaseline regression detected:", file=sys.stderr)

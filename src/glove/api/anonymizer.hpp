@@ -52,13 +52,9 @@ struct StrategyOutcome {
   /// Fingerprints read from the source on each pass over it (streaming
   /// runs; the Engine records {dataset size} on the collect path).
   std::vector<std::uint64_t> pass_fingerprints;
-  /// Shard execution backend the run used ("inprocess", "process"; empty
-  /// for strategies without the executor seam) and its worker count.
-  std::string exec_kind;
+  /// Threads that ran the shard jobs (sharded); 0 for strategies
+  /// without shard jobs.
   std::uint64_t exec_workers = 0;
-  /// Per-worker accounting of the process executor (empty otherwise);
-  /// serialized as the report's "exec.per_worker" array.
-  std::vector<ExecWorkerRow> exec_worker_stats;
 };
 
 class Anonymizer {

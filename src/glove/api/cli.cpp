@@ -51,18 +51,19 @@ void define_run_flags(util::Flags& flags, const Engine& engine,
   flags.define("shard-users", "2000",
                "max fingerprints per shard for --strategy=sharded");
   flags.define("shard-workers", "0",
-               "sharded executor workers: threads, or worker daemons with "
-               "--executor=process (0 = GLOVE_THREADS / hardware "
-               "concurrency)");
+               "threads that run sharded shard and reconcile jobs (0 = "
+               "GLOVE_THREADS / hardware concurrency)");
   flags.define("halo-km", "1",
                "border strip width in km deferred to reconciliation");
   flags.define_enum("border", "halo", {"halo", "none"},
                     "sharded border policy: defer border fingerprints "
                     "('halo') or keep them in their home shard ('none')");
-  flags.define_enum("executor", "inprocess", {"inprocess", "process"},
-                    "sharded execution backend: thread pool ('inprocess') "
-                    "or forked glove_shard_worker daemons ('process'; "
-                    "streaming file runs only, byte-identical output)");
+  // Sets nothing: sharded jobs always run on an in-process thread pool.
+  // The flag stays because scripts pass --executor=inprocess (perfbench's
+  // city_halo_k2 among them) and an unknown flag is fatal.
+  flags.define_enum("executor", "inprocess", {"inprocess"},
+                    "sharded execution backend (accepted for compatibility; "
+                    "jobs always run on an in-process thread pool)");
   flags.define("report", "",
                "write the run report to this path (.json or .csv)");
 }
@@ -118,16 +119,12 @@ RunConfig run_config_from_flags(const util::Flags& flags) {
   const long long shard_workers = flags.get_int("shard-workers");
   if (shard_users < 0 || shard_workers < 0) {
     // Without this check the size_t cast would wrap a negative flag to
-    // ~2^64 — for workers that drives thread/process creation, not just a
-    // bound.
+    // ~2^64 — for workers that drives thread creation, not just a bound.
     throw std::invalid_argument{
         "--shard-users and --shard-workers must be non-negative"};
   }
   config.sharded.max_shard_users = static_cast<std::size_t>(shard_users);
   config.sharded.workers = static_cast<std::size_t>(shard_workers);
-  config.sharded.executor = flags.get("executor") == "process"
-                                ? shard::ExecutorKind::kProcess
-                                : shard::ExecutorKind::kInProcess;
   config.sharded.halo_m = flags.get_double("halo-km") * 1'000.0;
   config.sharded.border = flags.get("border") == "none"
                               ? shard::BorderPolicy::kNone

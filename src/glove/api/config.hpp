@@ -65,25 +65,15 @@ struct RunConfig {
     double tile_size_m = 25'000.0;
     /// Load-balancing target: fingerprints per shard; must be >= k.
     std::size_t max_shard_users = 2'000;
-    /// Executor workers (in-process threads or glove_shard_worker
-    /// daemons); 0 = shared-pool default (GLOVE_THREADS when set, else
-    /// hardware concurrency).  The output is byte-identical for every
-    /// worker count.
+    /// Threads that run shard and reconcile jobs; 0 = shared-pool
+    /// default (GLOVE_THREADS when set, else hardware concurrency).  The
+    /// output is byte-identical for every worker count.
     std::size_t workers = 0;
     /// Border handling: kHalo defers fingerprints near a foreign tile to
     /// the reconciliation pass; kNone keeps everything in its home shard.
     shard::BorderPolicy border = shard::BorderPolicy::kHalo;
     /// Border strip width for kHalo, metres.
     double halo_m = 1'000.0;
-    /// Execution backend for shard and reconcile jobs: kInProcess runs
-    /// them on a thread pool (the default); kProcess forks
-    /// glove_shard_worker daemons that re-read their slices from the file
-    /// backing the source (streaming file runs only).  The output is
-    /// byte-identical across backends.
-    shard::ExecutorKind executor = shard::ExecutorKind::kInProcess;
-    /// Explicit glove_shard_worker binary path; empty = discover via
-    /// $GLOVE_SHARD_WORKER_BIN, then next to the running executable.
-    std::string worker_binary;
   } sharded;
 
   struct IncrementalSection {

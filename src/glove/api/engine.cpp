@@ -163,9 +163,7 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
     report.config = echo_config(config);
     report.extra_metrics = std::move(outcome.extra_metrics);
     report.shard_timings = std::move(outcome.shard_timings);
-    report.exec_kind = std::move(outcome.exec_kind);
     report.exec_workers = outcome.exec_workers;
-    report.exec_worker_stats = std::move(outcome.exec_worker_stats);
     report.source_kind = source.kind();
     report.sink_kind = sink.kind();
     report.pass_fingerprints = std::move(outcome.pass_fingerprints);

@@ -33,14 +33,6 @@ std::string_view border_policy_name(shard::BorderPolicy policy) {
   return "halo";
 }
 
-std::string_view executor_kind_echo(shard::ExecutorKind kind) {
-  switch (kind) {
-    case shard::ExecutorKind::kInProcess: return "inprocess";
-    case shard::ExecutorKind::kProcess: return "process";
-  }
-  return "inprocess";
-}
-
 }  // namespace
 
 double find_metric(const RunReport& report, std::string_view name,
@@ -82,7 +74,6 @@ ConfigEcho echo_config(const RunConfig& config) {
   echo.sharded_workers = config.sharded.workers;
   echo.sharded_border = border_policy_name(config.sharded.border);
   echo.sharded_halo_m = config.sharded.halo_m;
-  echo.sharded_executor = executor_kind_echo(config.sharded.executor);
   echo.w4m_delta_m = config.w4m.delta_m;
   echo.w4m_trash_fraction = config.w4m.trash_fraction;
   echo.w4m_chunk_size = config.w4m.chunk_size;
@@ -123,8 +114,7 @@ stats::Json report_json(const RunReport& report) {
                .set("workers",
                     static_cast<std::uint64_t>(echo.sharded_workers))
                .set("border", echo.sharded_border)
-               .set("halo_m", echo.sharded_halo_m)
-               .set("executor", echo.sharded_executor))
+               .set("halo_m", echo.sharded_halo_m))
       .set("w4m", stats::Json::object()
                       .set("delta_m", echo.w4m_delta_m)
                       .set("trash_fraction", echo.w4m_trash_fraction)
@@ -182,7 +172,7 @@ stats::Json report_json(const RunReport& report) {
       .set("peak_rss_bytes", report.peak_rss_bytes);
 
   stats::Json doc = stats::Json::object();
-  doc.set("schema", "glove.run_report.v8")
+  doc.set("schema", "glove.run_report.v9")
       .set("strategy", report.strategy)
       .set("dataset", report.dataset_name)
       .set("config", std::move(config))
@@ -205,20 +195,9 @@ stats::Json report_json(const RunReport& report) {
     }
     doc.set("shards", std::move(shards));
   }
-  if (!report.exec_kind.empty()) {
-    stats::Json per_worker = stats::Json::array();
-    for (const ExecWorkerRow& row : report.exec_worker_stats) {
-      per_worker.push(stats::Json::object()
-                          .set("worker", row.worker)
-                          .set("jobs", row.jobs)
-                          .set("fingerprints", row.fingerprints)
-                          .set("groups", row.groups)
-                          .set("busy_seconds", row.busy_seconds));
-    }
-    doc.set("exec", stats::Json::object()
-                        .set("kind", report.exec_kind)
-                        .set("workers", report.exec_workers)
-                        .set("per_worker", std::move(per_worker)));
+  if (report.exec_workers > 0) {
+    doc.set("exec",
+            stats::Json::object().set("workers", report.exec_workers));
   }
   return doc;
 }

@@ -50,19 +50,6 @@ struct ShardTimingRow {
   double total_seconds = 0.0;
 };
 
-/// Per-worker accounting of the shard execution backend, serialized as
-/// the report's "exec.per_worker" array (sharded strategy only; the
-/// in-process executor reports no per-worker rows because its thread
-/// pool's work stealing is timing-dependent, while the process executor's
-/// round-robin assignment is deterministic).
-struct ExecWorkerRow {
-  std::uint64_t worker = 0;        ///< 0-based worker index
-  std::uint64_t jobs = 0;          ///< shard + reconcile jobs sent to it
-  std::uint64_t fingerprints = 0;  ///< fingerprints across those jobs
-  std::uint64_t groups = 0;        ///< anonymized groups it returned
-  double busy_seconds = 0.0;       ///< summed per-job wall clock
-};
-
 /// Scalar echo of the validated configuration the run actually used.
 struct ConfigEcho {
   std::string strategy;
@@ -82,7 +69,6 @@ struct ConfigEcho {
   std::size_t sharded_workers = 0;
   std::string sharded_border;
   double sharded_halo_m = 0.0;
-  std::string sharded_executor;
   double w4m_delta_m = 0.0;
   double w4m_trash_fraction = 0.0;
   std::size_t w4m_chunk_size = 0;
@@ -107,13 +93,9 @@ struct RunReport {
   /// Per-shard timings (sharded strategy only; empty otherwise).
   /// Serialized as "shards" when non-empty.
   std::vector<ShardTimingRow> shard_timings;
-  /// Shard execution backend the run used ("inprocess", "process"; empty
-  /// for strategies without the executor seam), its resolved worker
-  /// count, and per-worker accounting when the backend reports it.
-  /// Serialized as "exec" when exec_kind is non-empty.
-  std::string exec_kind;
+  /// Threads that ran the shard jobs (sharded strategy only; 0
+  /// otherwise).  Serialized as "exec" when non-zero.
   std::uint64_t exec_workers = 0;
-  std::vector<ExecWorkerRow> exec_worker_stats;
   /// Data-plane echo of the run boundary: the source/sink transports
   /// ("memory", "csv-file"), how many fingerprints each pass over the
   /// source streamed (one entry for collect-then-run strategies and for

@@ -106,10 +106,9 @@ class DatasetSource {
     return nullptr;
   }
 
-  /// Path of the file backing this source, when there is one.  The
-  /// process shard executor hands it to its worker daemons so each can
-  /// re-read its shard slice through its own source; in-memory sources
-  /// return nullopt and only support the in-process executor.
+  /// Path of the file backing this source, when there is one.  Nothing in
+  /// src/ calls it and no source in src/ overrides it; it stays because
+  /// perfbench/harness.cpp's timing wrapper overrides it.
   [[nodiscard]] virtual std::optional<std::string> file_path() const {
     return std::nullopt;
   }
@@ -175,9 +174,6 @@ class CsvFileSource final : public DatasetSource {
   [[nodiscard]] std::string name() const override { return path_; }
   bool next(cdr::Fingerprint& fingerprint) override;
   void rewind() override;
-  [[nodiscard]] std::optional<std::string> file_path() const override {
-    return path_;
-  }
 
  private:
   std::string path_;
@@ -214,9 +210,6 @@ class GlovebinSource final : public DatasetSource {
       const std::unordered_map<std::uint32_t, std::uint32_t>& slot_of_id,
       std::vector<cdr::Fingerprint>& store) override;
   [[nodiscard]] const SourceIoStats* io_stats() const noexcept override;
-  [[nodiscard]] std::optional<std::string> file_path() const override {
-    return reader_.path();
-  }
 
  private:
   cdr::GlovebinReader reader_;

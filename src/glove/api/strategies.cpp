@@ -187,9 +187,8 @@ class ShardedStrategy final : public Anonymizer {
       return Error{ErrorCode::kInvalidConfig,
                    "sharded.max_shard_users must be at least k"};
     }
-    // The executor spawns this many threads or processes; an absurd value
-    // is a config mistake (e.g. an integer wrap), not a parallelism
-    // request.
+    // The run spawns this many job threads; an absurd value is a config
+    // mistake (e.g. an integer wrap), not a parallelism request.
     if (config.sharded.workers > 4'096) {
       return Error{ErrorCode::kInvalidConfig,
                    "sharded.workers must be at most 4096 (0 = hardware "
@@ -208,49 +207,19 @@ class ShardedStrategy final : public Anonymizer {
     // sink as batches finish.  In-memory datasets arrive here too, through
     // the Engine's MemorySource.
     sink.begin(source.name() + "-sharded-k" + std::to_string(config.k));
-    SourceStream stream{source};
     shard::StreamShardedResult result = shard::anonymize_sharded_stream(
-        stream, to_shard_config(config),
+        source, to_shard_config(config),
         [&sink](cdr::Fingerprint&& group) { sink.write(std::move(group)); },
         context.hooks);
     sink.finish();
     StrategyOutcome outcome =
         outcome_from_stats(result.stats, result.shard_timings);
-    attach_exec(outcome, std::move(result.exec_kind), result.exec_workers,
-                result.exec_worker_stats);
+    outcome.exec_workers = result.exec_workers;
     outcome.pass_fingerprints = std::move(result.pass_fingerprints);
     return outcome;
   }
 
  private:
-  /// Adapts the api-level source to the shard subsystem's stream concept
-  /// (the shard layer stays independent of the api layer).
-  class SourceStream final : public shard::FingerprintStream {
-   public:
-    explicit SourceStream(DatasetSource& source) noexcept : source_{source} {}
-    bool next(cdr::Fingerprint& fingerprint) override {
-      return source_.next(fingerprint);
-    }
-    void rewind() override { source_.rewind(); }
-    const cdr::FingerprintDataset* materialized() const noexcept override {
-      return source_.materialized();
-    }
-    bool summaries(std::vector<cdr::FingerprintSummary>& out) override {
-      return source_.summaries(out);
-    }
-    std::optional<std::uint64_t> fetch(
-        const std::unordered_map<std::uint32_t, std::uint32_t>& slot_of_id,
-        std::vector<cdr::Fingerprint>& store) override {
-      return source_.fetch(slot_of_id, store);
-    }
-    std::optional<std::string> file_path() const override {
-      return source_.file_path();
-    }
-
-   private:
-    DatasetSource& source_;
-  };
-
   static shard::ShardConfig to_shard_config(const RunConfig& config) {
     shard::ShardConfig sharded;
     sharded.glove = to_glove_config(config);
@@ -259,27 +228,7 @@ class ShardedStrategy final : public Anonymizer {
     sharded.workers = config.sharded.workers;
     sharded.border = config.sharded.border;
     sharded.halo_m = config.sharded.halo_m;
-    sharded.executor = config.sharded.executor;
-    sharded.worker_binary = config.sharded.worker_binary;
     return sharded;
-  }
-
-  static void attach_exec(StrategyOutcome& outcome, std::string exec_kind,
-                          std::uint64_t exec_workers,
-                          const std::vector<shard::exec::ExecWorkerStats>&
-                              worker_stats) {
-    outcome.exec_kind = std::move(exec_kind);
-    outcome.exec_workers = exec_workers;
-    outcome.exec_worker_stats.reserve(worker_stats.size());
-    for (const shard::exec::ExecWorkerStats& w : worker_stats) {
-      ExecWorkerRow row;
-      row.worker = w.worker;
-      row.jobs = w.jobs;
-      row.fingerprints = w.fingerprints;
-      row.groups = w.groups;
-      row.busy_seconds = w.busy_seconds;
-      outcome.exec_worker_stats.push_back(row);
-    }
   }
 
   static StrategyOutcome outcome_from_stats(

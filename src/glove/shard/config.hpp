@@ -9,7 +9,6 @@
 #define GLOVE_SHARD_CONFIG_HPP
 
 #include <cstddef>
-#include <string>
 
 #include "glove/core/glove.hpp"
 
@@ -30,18 +29,6 @@ enum class BorderPolicy {
   kNone,
 };
 
-/// Which ShardExecutor backend runs the GLOVE jobs.  Both produce
-/// byte-identical output for identical input and configuration; only the
-/// address-space layout differs.
-enum class ExecutorKind {
-  /// Today's in-process thread pool (the default).
-  kInProcess,
-  /// Coordinator/worker split: long-lived glove_shard_worker processes
-  /// re-read their shard slices from the shared source file and return
-  /// groups over a socketpair protocol.  Requires a file-backed source.
-  kProcess,
-};
-
 /// Sharded-run configuration.  `glove` carries the shared GLOVE knobs
 /// (k, stretch limits, suppression, reshape, leftover policy); the rest
 /// shapes the spatial decomposition and the scheduler.
@@ -60,14 +47,13 @@ struct ShardConfig {
   /// stays one shard — shrink `tile_size_m` instead).  Must be >= glove.k.
   std::size_t max_shard_users = 2'000;
 
-  /// Executor workers — threads of the in-process executor, daemons of
-  /// the process executor; 0 follows the shared-pool default
-  /// (GLOVE_THREADS when set, else hardware concurrency).  Also sizes the
-  /// batch budget of re-read sources (max_shard_users x workers
-  /// fingerprints materialized per pass).  The per-job inner loops
-  /// additionally use the shared pool, exactly like the non-sharded
-  /// strategies.  Output is identical for every worker count (byte-stable
-  /// determinism is tested).
+  /// Threads of the pool that runs shard and reconcile jobs; 0 follows
+  /// the shared-pool default (GLOVE_THREADS when set, else hardware
+  /// concurrency).  Also sizes the batch budget of re-read sources
+  /// (max_shard_users x workers fingerprints materialized per pass).  The
+  /// per-job inner loops additionally use the shared pool, exactly like
+  /// the non-sharded strategies.  Output is identical for every worker
+  /// count (byte-stable determinism is tested).
   std::size_t workers = 0;
 
   BorderPolicy border = BorderPolicy::kHalo;
@@ -76,14 +62,6 @@ struct ShardConfig {
   /// fingerprint is deferred when its bounding box, inflated by this
   /// margin, touches a tile owned by a different shard.
   double halo_m = 1'000.0;
-
-  /// Shard execution backend; see ExecutorKind.
-  ExecutorKind executor = ExecutorKind::kInProcess;
-
-  /// Path of the glove_shard_worker binary for ExecutorKind::kProcess.
-  /// Empty = discover: $GLOVE_SHARD_WORKER_BIN, then well-known locations
-  /// relative to the running executable.
-  std::string worker_binary;
 };
 
 }  // namespace glove::shard

@@ -1,15 +1,14 @@
-#include "glove/shard/exec/inprocess.hpp"
+#include "glove/shard/jobs.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "glove/cdr/dataset.hpp"
-#include "glove/core/glove.hpp"
 #include "glove/obs/span.hpp"
 #include "glove/util/parallel.hpp"
 
-namespace glove::shard::exec {
+namespace glove::shard {
 
 namespace {
 
@@ -21,54 +20,47 @@ double seconds_since(Clock::time_point start) {
 
 }  // namespace
 
-InProcessExecutor::InProcessExecutor(const core::GloveConfig& glove,
-                                     std::size_t workers,
-                                     const cdr::FingerprintDataset* resident)
-    : glove_{glove}, resident_{resident}, scheduler_{workers} {}
-
-std::vector<ShardResult> InProcessExecutor::run_batch(
-    std::vector<ShardJob> jobs, const ShardResultFn& on_result,
-    const util::RunHooks& hooks) {
-  const auto members_of = [&](const ShardJob& job) {
-    return resident_ != nullptr ? job.member_ids->size() : job.inputs.size();
-  };
-  // Start the largest jobs first (ties in job order): a large job started
-  // last would run on alone while the other workers idle.  Which worker
-  // runs a job never changes its groups.
+std::vector<ShardResult> run_jobs(util::ThreadPool& pool,
+                                  const std::vector<ShardJob>& jobs,
+                                  const MemberFn& member,
+                                  const core::GloveConfig& glove,
+                                  const ShardResultFn& on_result,
+                                  const util::RunHooks& hooks) {
+  // Largest first, ties in job order.  Which thread runs a job never
+  // changes its groups.
   std::vector<std::size_t> order(jobs.size());
   for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t lhs, std::size_t rhs) {
-                     return members_of(jobs[lhs]) > members_of(jobs[rhs]);
+                     return jobs[lhs].members.size() >
+                            jobs[rhs].members.size();
                    });
 
   std::vector<ShardResult> results(jobs.size());
   util::RunHooks inner;
   inner.cancel = hooks.cancel;
   util::parallel_for(
-      scheduler_, order.size(),
+      pool, order.size(),
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t position = begin; position < end; ++position) {
           hooks.throw_if_cancelled();
           const std::size_t j = order[position];
-          ShardJob& job = jobs[j];
+          const ShardJob& job = jobs[j];
           ShardResult& out = results[j];
-          const std::size_t members = members_of(job);
-          out.timing.shard = job.shard;
-          out.timing.input_fingerprints = members;
+          out.timing.shard = job.index;
+          out.timing.input_fingerprints = job.members.size();
           GLOVE_SPAN_NAMED(job_span, job.reconcile ? "stream.reconcile.chunk"
                                                    : "stream.shard");
-          job_span.arg(job.reconcile ? "chunk" : "shard", job.shard);
-          job_span.arg("members", members);
+          job_span.arg(job.reconcile ? "chunk" : "shard", job.index);
+          job_span.arg("members", job.members.size());
           const auto start = Clock::now();
-          if (resident_ != nullptr) {
-            job.inputs.reserve(members);
-            for (const std::uint32_t id : *job.member_ids) {
-              job.inputs.push_back((*resident_)[id]);
-            }
+          std::vector<cdr::Fingerprint> inputs;
+          inputs.reserve(job.members.size());
+          for (const std::uint32_t id : job.members) {
+            inputs.push_back(member(id));
           }
           core::GloveResult run = core::anonymize(
-              cdr::FingerprintDataset{std::move(job.inputs)}, glove_, inner);
+              cdr::FingerprintDataset{std::move(inputs)}, glove, inner);
           out.timing.init_seconds = run.stats.init_seconds;
           out.timing.merge_seconds = run.stats.merge_seconds;
           out.timing.total_seconds = seconds_since(start);
@@ -83,4 +75,4 @@ std::vector<ShardResult> InProcessExecutor::run_batch(
   return results;
 }
 
-}  // namespace glove::shard::exec
+}  // namespace glove::shard

@@ -1,8 +1,46 @@
 #include "glove/shard/planner.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "glove/core/scalability.hpp"
+
 namespace glove::shard {
+
+namespace {
+
+/// Above this many overlapped tiles the fingerprint is a wide wanderer
+/// whose geometry spans a large part of the map; defer it outright rather
+/// than enumerating cells.
+constexpr std::size_t kMaxOverlappedCells = 4096;
+
+/// True when `bounds`, inflated by `halo_m`, touches a tile owned by a
+/// shard other than `home_shard` — the deferral test of
+/// BorderPolicy::kHalo.
+bool crosses_shard_border(const core::FingerprintBounds& bounds,
+                          std::size_t home_shard, const ShardPlan& plan,
+                          double tile_size_m, double halo_m) {
+  const geo::Grid grid{tile_size_m};
+  const geo::GridCell lo = grid.cell_of(geo::PlanarPoint{
+      bounds.box.x - halo_m, bounds.box.y - halo_m});
+  const geo::GridCell hi = grid.cell_of(geo::PlanarPoint{
+      bounds.box.x_end() + halo_m, bounds.box.y_end() + halo_m});
+  const auto span_x = static_cast<std::size_t>(hi.ix - lo.ix) + 1;
+  const auto span_y = static_cast<std::size_t>(hi.iy - lo.iy) + 1;
+  if (span_x * span_y > kMaxOverlappedCells) return true;
+  for (std::int32_t ix = lo.ix; ix <= hi.ix; ++ix) {
+    for (std::int32_t iy = lo.iy; iy <= hi.iy; ++iy) {
+      const auto it = plan.shard_of_cell.find(geo::GridCell{ix, iy});
+      // Unoccupied tiles hold no merge partners and are skipped.
+      if (it != plan.shard_of_cell.end() && it->second != home_shard) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 ShardPlan ShardPlanner::plan(const Tiling& tiling) const {
   const std::size_t k = config_.glove.k;
@@ -55,6 +93,38 @@ ShardPlan ShardPlanner::plan(const Tiling& tiling) const {
     }
   }
   return plan;
+}
+
+BorderSplit split_borders(const Tiling& tiling, const ShardPlan& plan,
+                          const ShardConfig& config) {
+  const std::size_t shard_count = plan.shards.size();
+  BorderSplit split;
+  split.kept.resize(shard_count);
+  split.deferred.resize(shard_count);
+
+  // A single shard has no borders; a shard whose kept set dropped below k
+  // cannot run GLOVE and defers everything.
+  const bool halo = config.border == BorderPolicy::kHalo && shard_count > 1;
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    const PlannedShard& shard = plan.shards[s];
+    std::vector<std::uint32_t>& kept = split.kept[s];
+    std::vector<std::uint32_t>& deferred = split.deferred[s];
+    kept.reserve(shard.members.size());
+    for (const std::uint32_t id : shard.members) {
+      if (halo && crosses_shard_border(tiling.bounds[id], s, plan,
+                                       tiling.tile_size_m, config.halo_m)) {
+        deferred.push_back(id);
+      } else {
+        kept.push_back(id);
+      }
+    }
+    if (kept.size() < config.glove.k) {
+      deferred.insert(deferred.end(), kept.begin(), kept.end());
+      std::sort(deferred.begin(), deferred.end());
+      kept.clear();
+    }
+  }
+  return split;
 }
 
 }  // namespace glove::shard

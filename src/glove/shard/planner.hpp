@@ -1,4 +1,6 @@
-// ShardPlanner: packs Morton-ordered tiles into load-balanced shards.
+// ShardPlanner: packs Morton-ordered tiles into load-balanced shards, and
+// split_borders decides which fingerprints each shard anonymizes itself
+// and which it defers to the cross-shard reconciliation.
 //
 // Invariants of a plan (for any dataset with >= k fingerprints):
 //   * every fingerprint belongs to exactly one shard;
@@ -6,6 +8,11 @@
 //     run), built from whole tiles so the border test stays tile-local;
 //   * shards respect the max_shard_users budget except when forced over it
 //     by the >= k floor or by a single oversized tile.
+//
+// Both decisions depend only on the per-fingerprint bounding geometry,
+// never on the samples themselves, so the streaming pipeline plans the
+// whole run from its first (bounds-only) pass before any fingerprint is
+// materialized.
 
 #ifndef GLOVE_SHARD_PLANNER_HPP
 #define GLOVE_SHARD_PLANNER_HPP
@@ -28,7 +35,8 @@ struct PlannedShard {
 
 struct ShardPlan {
   std::vector<PlannedShard> shards;
-  /// Owning shard of every occupied cell (the runner's border test).
+  /// Owning shard of every occupied cell (the border test of
+  /// split_borders).
   std::unordered_map<geo::GridCell, std::size_t> shard_of_cell;
   std::size_t tiles = 0;
 };
@@ -44,6 +52,26 @@ class ShardPlanner {
  private:
   ShardConfig config_;
 };
+
+/// The serial kept/deferred split of a plan: per shard, the fingerprints
+/// it anonymizes itself and the ones handed to reconciliation (border
+/// fingerprints under BorderPolicy::kHalo — bounding box, inflated by
+/// halo_m, touching a tile owned by another shard — or the whole shard
+/// when its kept set would fall below k).  A single-shard plan has no
+/// borders.  Deterministic for a given tiling and plan, independent of
+/// workers.
+struct BorderSplit {
+  /// Per shard: dataset indices anonymized inside the shard, in planned
+  /// member order.
+  std::vector<std::vector<std::uint32_t>> kept;
+  /// Per shard: dataset indices deferred to reconciliation (member order;
+  /// sorted ascending when a collapsed shard defers everything).
+  std::vector<std::vector<std::uint32_t>> deferred;
+};
+
+[[nodiscard]] BorderSplit split_borders(const Tiling& tiling,
+                                        const ShardPlan& plan,
+                                        const ShardConfig& config);
 
 }  // namespace glove::shard
 

@@ -12,7 +12,7 @@
 //
 // The schedule is planned from per-leftover bounding geometry and group
 // sizes alone (both resident after the pass-1 scan).  The streaming
-// pipeline runs each GLOVE chunk as an executor job, exactly like a shard;
+// pipeline runs each GLOVE chunk as a job, exactly like a shard (run_jobs);
 // the chunks come from core::locality_chunks, as anonymize_chunked's do,
 // so together they reproduce one anonymize_chunked run over the sub-k
 // set.  The policy tail runs last, through core::absorb_leftovers over the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -13,11 +12,10 @@
 #include "glove/obs/log.hpp"
 #include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
-#include "glove/shard/exec/executor.hpp"
 #include "glove/shard/planner.hpp"
 #include "glove/shard/reconcile.hpp"
-#include "glove/shard/runner.hpp"
 #include "glove/shard/tiling.hpp"
+#include "glove/util/thread_pool.hpp"
 
 namespace glove::shard {
 
@@ -39,7 +37,7 @@ struct StreamScan {
   std::uint64_t samples = 0;
 };
 
-StreamScan scan_stream(FingerprintStream& source,
+StreamScan scan_stream(api::DatasetSource& source,
                        const util::RunHooks& hooks) {
   StreamScan scan;
   if (std::vector<cdr::FingerprintSummary> summaries;
@@ -85,7 +83,7 @@ StreamScan scan_stream(FingerprintStream& source,
 /// dataset index appears in `slot_of_id` (into `store`, slot-addressed).
 /// Returns the number of fingerprints the pass yielded.
 std::uint64_t materialize_pass(
-    FingerprintStream& source,
+    api::DatasetSource& source,
     const std::unordered_map<std::uint32_t, std::uint32_t>& slot_of_id,
     std::vector<cdr::Fingerprint>& store, std::size_t expected,
     const util::RunHooks& hooks) {
@@ -129,7 +127,7 @@ struct Unit {
 
 }  // namespace
 
-StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
+StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
                                              const ShardConfig& config,
                                              const GroupEmitter& emit,
                                              const util::RunHooks& hooks) {
@@ -149,7 +147,8 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   hooks.throw_if_cancelled();
 
   // Deterministic plane counters (counts only — they surface in the run
-  // report's "obs" section), kept here so they are executor-independent.
+  // report's "obs" section), kept here so they are independent of the
+  // job threads.
   static const obs::Counter c_batches = obs::counter("stream.shard_batches");
   static const obs::Counter c_shards = obs::counter("stream.shards_run");
   static const obs::Histogram h_shard_members =
@@ -272,23 +271,25 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
     emit(std::move(fp));
   };
 
-  // --- Passes 2..: run the units in batches through the configured
-  // ShardExecutor.  Batches exist for sources that are re-read: one pass
-  // materializes a batch, and the budget caps what it holds at roughly one
-  // shard per executor worker.  A materialized source is never re-read —
-  // the executor copies each job's members from it as the job starts — so
-  // its whole unit list is one batch, and reconcile chunks (planned from
-  // pass-1 bounds alone) run beside the shard jobs instead of after them.
+  // --- Passes 2..: run the units in batches.  Batches exist for sources
+  // that are re-read: one pass materializes a batch, and the budget caps
+  // what it holds at roughly one shard per job thread.  A materialized
+  // source is never re-read — each job copies its members from it as the
+  // job starts — so its whole unit list is one batch, and reconcile chunks
+  // (planned from pass-1 bounds alone) run beside the shard jobs instead
+  // of after them.
   const cdr::FingerprintDataset* inmem = source.materialized();
-  const std::unique_ptr<exec::ShardExecutor> executor =
-      exec::make_shard_executor(resolved, source.file_path(), inmem, n,
-                                job_count);
+  // Never more threads than jobs, so none is idle by construction.  The
+  // pool is the run's own: each job's core::anonymize hands refinement
+  // batches to ThreadPool::shared() and waits for them, so a job must
+  // never run on that pool.
+  std::size_t workers = resolved.workers;
+  if (workers == 0) workers = util::ThreadPool::shared().size();
+  workers = std::min(std::max<std::size_t>(workers, 1),
+                     std::max<std::size_t>(job_count, 1));
+  util::ThreadPool job_pool{workers};
   const std::size_t budget = std::max<std::size_t>(
-      resolved.max_shard_users * executor->workers(), 1);
-  // Executors that read the source themselves receive the member ids
-  // only; the coordinator then materializes just the units it emits or
-  // absorbs itself (pass-throughs and the policy tail).
-  const bool local_inputs = !executor->reads_source();
+      resolved.max_shard_users * workers, 1);
 
   const std::uint64_t total_work = n + 1;  // +1: the final tick
   hooks.report(0, total_work);
@@ -299,7 +300,7 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
     done += fingerprints;
     hooks.report(done, total_work);
   };
-  const exec::ShardResultFn on_result = [&](const exec::ShardResult& r) {
+  const ShardResultFn on_result = [&](const ShardResult& r) {
     advance(r.timing.input_fingerprints);
   };
 
@@ -347,48 +348,44 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
     }
 
     // Materialized sources hand fingerprints out by index (one copy per
-    // batch member); true streams are re-read once per batch, keeping
-    // only the members the coordinator needs.
+    // batch member); other sources are re-read once per batch, keeping
+    // only the batch's members.
     std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id;
     std::vector<cdr::Fingerprint> store;
     if (inmem == nullptr) {
       slot_of_id.reserve(members);
       std::uint32_t next_slot = 0;
       for (std::size_t u = first; u < last; ++u) {
-        const UnitKind kind = units[u].kind;
-        const bool job = kind == UnitKind::kShard || kind == UnitKind::kChunk;
-        if (job && !local_inputs) continue;
         for (const std::uint32_t id : units[u].ids) {
           slot_of_id[id] = next_slot++;
         }
       }
-      if (next_slot > 0) {
-        store.resize(next_slot);
-        result.pass_fingerprints.push_back(
-            materialize_pass(source, slot_of_id, store, n, hooks));
-        if (!shard_batch) ++result.stats.reconcile_passes;
-      }
+      store.resize(next_slot);
+      result.pass_fingerprints.push_back(
+          materialize_pass(source, slot_of_id, store, n, hooks));
+      if (!shard_batch) ++result.stats.reconcile_passes;
     }
-    const auto fetch = [&](std::uint32_t id) -> cdr::Fingerprint {
+    // Each member is taken once: by the coordinator for pass-throughs and
+    // the tail, or by the job that anonymizes it.
+    const MemberFn member = [&](std::uint32_t id) -> cdr::Fingerprint {
       if (inmem != nullptr) return (*inmem)[id];
       return std::move(store[slot_of_id.at(id)]);
     };
 
-    // Serialize the GLOVE units into jobs; pass-throughs wait for the
-    // groups of the units before them, and the tail for the end of the
-    // run.
-    std::vector<exec::ShardJob> jobs;
+    // The GLOVE units become jobs; pass-throughs wait for the groups of
+    // the units before them, and the tail for the end of the run.
+    std::vector<ShardJob> jobs;
     std::vector<cdr::Fingerprint> passthrough;
     for (std::size_t u = first; u < last; ++u) {
-      Unit& unit = units[u];
+      const Unit& unit = units[u];
       if (unit.kind == UnitKind::kPassthrough) {
         for (const std::uint32_t id : unit.ids) {
-          passthrough.push_back(fetch(id));
+          passthrough.push_back(member(id));
         }
         continue;
       }
       if (unit.kind == UnitKind::kTail) {
-        for (const std::uint32_t id : unit.ids) tail.push_back(fetch(id));
+        for (const std::uint32_t id : unit.ids) tail.push_back(member(id));
         continue;
       }
       if (unit.kind == UnitKind::kShard) {
@@ -397,22 +394,12 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
       } else {
         c_chunks.add();
       }
-      exec::ShardJob job;
-      job.shard = unit.index;
-      job.reconcile = unit.kind == UnitKind::kChunk;
-      job.member_ids = &unit.ids;
-      if (local_inputs) {
-        job.inputs.reserve(unit.ids.size());
-        for (const std::uint32_t id : unit.ids) job.inputs.push_back(fetch(id));
-      }
-      jobs.push_back(std::move(job));
+      jobs.push_back({unit.index, unit.kind == UnitKind::kChunk, unit.ids});
     }
-    store.clear();
-    store.shrink_to_fit();
 
     // Results come back in job order; deliver them in unit order.
-    std::vector<exec::ShardResult> batch_results =
-        executor->run_batch(std::move(jobs), on_result, hooks);
+    std::vector<ShardResult> batch_results = run_jobs(
+        job_pool, jobs, member, resolved.glove, on_result, hooks);
     auto next_result = batch_results.begin();
     for (std::size_t u = first; u < last; ++u) {
       const UnitKind kind = units[u].kind;
@@ -422,7 +409,7 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
         continue;
       }
       if (kind == UnitKind::kTail) continue;
-      exec::ShardResult& r = *next_result++;
+      ShardResult& r = *next_result++;
       result.stats.glove.accumulate_costs(r.stats);
       if (kind == UnitKind::kChunk) {
         result.stats.reconciled_groups += r.groups.size();
@@ -458,9 +445,7 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
 
   result.stats.glove.output_groups = emitted_groups;
   result.stats.glove.output_samples = emitted_samples;
-  result.exec_kind = std::string{executor->kind()};
-  result.exec_workers = executor->workers();
-  result.exec_worker_stats = executor->worker_stats();
+  result.exec_workers = job_pool.size();
   hooks.report(total_work, total_work);
   return result;
 }

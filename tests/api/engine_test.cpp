@@ -1,6 +1,6 @@
 // Engine boundary behavior: typed errors on bad input (no throwing across
-// the API), cooperative cancellation with no partial output, and monotone
-// progress reporting.
+// the API), cooperative cancellation with no partial output, monotone
+// progress reporting, and the RunConfig the shared CLI flags build.
 
 #include "glove/api/engine.hpp"
 
@@ -8,10 +8,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/fixtures.hpp"
+#include "glove/api/cli.hpp"
 #include "glove/core/glove.hpp"
+#include "glove/util/flags.hpp"
 
 namespace glove::api {
 namespace {
@@ -205,6 +210,44 @@ TEST(Engine, IncrementalStrategyUpdatesPublishedRelease) {
   EXPECT_TRUE(core::is_k_anonymous(second.value().anonymized, 2));
   EXPECT_EQ(second.value().counters.input_users,
             first.value().counters.input_users + 6);
+}
+
+TEST(Engine, RunConfigFromFlagsParsesTheShardedBenchmarkFlags) {
+  // perfbench's city_halo_k2 flag line.
+  const Engine engine;
+  util::Flags flags{"engine test"};
+  define_run_flags(flags, engine);
+  std::istringstream line{
+      "--strategy=sharded --k=2 --border=halo --tile-km=0 "
+      "--shard-users=2000 --executor=inprocess --shard-workers=4"};
+  std::vector<std::string> args;
+  for (std::string arg; line >> arg;) args.push_back(arg);
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  flags.parse(static_cast<int>(argv.size()), argv.data());
+  const RunConfig config = run_config_from_flags(flags);
+  EXPECT_EQ(config.strategy, kStrategySharded);
+  EXPECT_EQ(config.k, 2u);
+  EXPECT_FALSE(config.suppression.has_value());
+  EXPECT_EQ(config.sharded.border, shard::BorderPolicy::kHalo);
+  EXPECT_EQ(config.sharded.tile_size_m, 0.0);
+  EXPECT_EQ(config.sharded.max_shard_users, 2'000u);
+  EXPECT_EQ(config.sharded.workers, 4u);
+  EXPECT_EQ(config.sharded.halo_m, 1'000.0);  // the --halo-km default
+}
+
+TEST(Engine, ExecutorFlagAcceptsOnlyInProcess) {
+  const Engine engine;
+  util::Flags flags{"engine test"};
+  define_run_flags(flags, engine);
+  const char* const argv[] = {"--executor=process"};
+  try {
+    flags.parse(1, argv);
+    FAIL() << "--executor=process parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "invalid value 'process' for --executor (choices: inprocess)");
+  }
 }
 
 }  // namespace

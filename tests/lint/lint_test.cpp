@@ -122,28 +122,12 @@ TEST(LintFixtures, UnorderedIterationFiresInServeLayer) {
   EXPECT_EQ(count_rule(findings, "unordered-iteration"), 3u);
 }
 
-TEST(LintFixtures, UnorderedIterationFiresInShardExecLayer) {
-  // shard/exec/ serializes shard jobs and merges worker replies; an
-  // unordered walk there would scramble the wire bytes across runs.
+TEST(LintFixtures, UnorderedIterationFiresInShardLayer) {
+  // shard/ plans the units of a run and delivers their groups in unit
+  // order; an unordered walk there would reorder the published groups.
   const auto findings =
-      lint_fixture("unordered_bad.txt", "src/glove/shard/exec/fixture.cpp");
+      lint_fixture("unordered_bad.txt", "src/glove/shard/fixture.cpp");
   EXPECT_EQ(count_rule(findings, "unordered-iteration"), 3u);
-}
-
-TEST(LintFixtures, UnorderedIterationFiresInShardWorkerTool) {
-  // The worker daemon is an emission layer of its own: its replies are
-  // the bytes the coordinator folds into the final output.
-  const auto findings =
-      lint_fixture("unordered_bad.txt", "tools/shard_worker/fixture.cpp");
-  EXPECT_EQ(count_rule(findings, "unordered-iteration"), 3u);
-}
-
-TEST(LintFixtures, ObsNamingFiresInShardWorkerTool) {
-  // Worker counter deltas travel back by name and land in the report's
-  // "obs" section — a bad literal in the worker corrupts it identically.
-  const auto findings =
-      lint_fixture("obs_bad.txt", "tools/shard_worker/fixture.cpp");
-  EXPECT_EQ(count_rule(findings, "obs-naming"), 6u);
 }
 
 TEST(LintFixtures, ObsNamingSilentOnConformingNames) {

@@ -114,9 +114,9 @@ TEST(ReconcilePlan, MisalignedSpansAreRejected) {
 }
 
 TEST(Reconcile, PlannedChunksReproduceChunkedGloveByteForByte) {
-  // Each planned chunk runs as an independent GLOVE job (the executor's
-  // shape); concatenated in chunk order their groups must match
-  // one anonymize_chunked run over the same sub-k set.
+  // Each planned chunk runs as an independent GLOVE job, as run_jobs
+  // runs it; concatenated in chunk order their groups must match one
+  // anonymize_chunked run over the same sub-k set.
   const cdr::FingerprintDataset data = test::small_synth_dataset(24);
   const std::vector<cdr::Fingerprint> leftovers{data.fingerprints().begin(),
                                                 data.fingerprints().end()};

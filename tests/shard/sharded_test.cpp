@@ -15,6 +15,7 @@
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
 #include "glove/api/engine.hpp"
+#include "glove/api/source.hpp"
 #include "glove/core/accuracy.hpp"
 #include "glove/core/glove.hpp"
 
@@ -38,7 +39,7 @@ ShardConfig small_shard_config(std::uint32_t k = 2) {
 cdr::FingerprintDataset run_sharded(const cdr::FingerprintDataset& data,
                                     const ShardConfig& config,
                                     StreamShardedResult* result = nullptr) {
-  DatasetStream stream{data};
+  api::MemorySource stream{data};
   std::vector<cdr::Fingerprint> groups;
   StreamShardedResult streamed = anonymize_sharded_stream(
       stream, config,
@@ -170,6 +171,14 @@ TEST(Sharded, EngineRunProducesMetricsAndShardTimings) {
   const std::string json = api::to_json(report);
   EXPECT_NE(json.find("\"shards\": ["), std::string::npos);
   EXPECT_NE(json.find("\"input_fingerprints\""), std::string::npos);
+
+  // The report closes with the "exec" section, which holds the job
+  // threads and nothing else.
+  EXPECT_GE(report.exec_workers, 1u);
+  const std::string exec = "\n  \"exec\": {\n    \"workers\": " +
+                           std::to_string(report.exec_workers) + "\n  }\n}\n";
+  ASSERT_GE(json.size(), exec.size());
+  EXPECT_EQ(json.substr(json.size() - exec.size()), exec) << json;
 }
 
 TEST(Sharded, EngineValidatesConfig) {

@@ -1,7 +1,7 @@
-// The sharded streaming core: a text-backed stream (parse-on-every-pass,
-// like the file source) must reproduce an in-memory DatasetStream byte for
-// byte, batching must not change the output, per-pass accounting must add
-// up, and a stream that changes size between passes must be rejected.
+// The sharded streaming core: a text-backed source (parse-on-every-pass,
+// like the file source) must reproduce an in-memory api::MemorySource byte
+// for byte, batching must not change the output, per-pass accounting must
+// add up, and a source that changes size between passes must be rejected.
 
 #include "glove/shard/stream.hpp"
 
@@ -13,21 +13,25 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
+#include "glove/api/source.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/core/glove.hpp"
 #include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
 #include "glove/shard/planner.hpp"
-#include "glove/shard/runner.hpp"
 #include "glove/shard/tiling.hpp"
 
 namespace glove::shard {
 namespace {
+
+using api::DatasetSource;
+using api::MemorySource;
 
 ShardConfig small_config(std::uint32_t k = 2) {
   ShardConfig config;
@@ -40,10 +44,14 @@ ShardConfig small_config(std::uint32_t k = 2) {
 
 /// Streams fingerprints out of serialized CSV text, re-parsing on every
 /// pass — the unit-test stand-in for CsvFileSource.
-class TextStream final : public FingerprintStream {
+class TextStream final : public DatasetSource {
  public:
   explicit TextStream(std::string text) : text_{std::move(text)} { rewind(); }
 
+  [[nodiscard]] std::string_view kind() const noexcept override {
+    return "text";
+  }
+  [[nodiscard]] std::string name() const override { return "text"; }
   bool next(cdr::Fingerprint& fingerprint) override {
     return reader_->next(fingerprint);
   }
@@ -58,7 +66,7 @@ class TextStream final : public FingerprintStream {
   std::optional<cdr::DatasetStreamReader> reader_;
 };
 
-std::vector<cdr::Fingerprint> run_stream(FingerprintStream& stream,
+std::vector<cdr::Fingerprint> run_stream(DatasetSource& stream,
                                          const ShardConfig& config,
                                          StreamShardedResult* result_out) {
   std::vector<cdr::Fingerprint> groups;
@@ -75,7 +83,7 @@ TEST(ShardStream, TextBackedStreamMatchesInMemoryPipeline) {
   cdr::write_dataset_csv(serialized, data);
 
   const ShardConfig config = small_config();
-  DatasetStream memory{data};
+  MemorySource memory{data};
   StreamShardedResult reference;
   std::vector<cdr::Fingerprint> reference_groups =
       run_stream(memory, config, &reference);
@@ -149,7 +157,7 @@ TEST(ShardStream, SmallBudgetRunsManyPassesLargeBudgetFew) {
 }
 
 TEST(ShardStream, MaterializedSourceSkipsRestreamingButMatchesOutput) {
-  // An in-memory DatasetStream advertises its backing dataset, so the
+  // An in-memory MemorySource advertises its backing dataset, so the
   // pipeline reads by index: one reported (logical) pass, identical
   // bytes to the text-backed multi-pass run.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
@@ -157,7 +165,7 @@ TEST(ShardStream, MaterializedSourceSkipsRestreamingButMatchesOutput) {
   cdr::write_dataset_csv(serialized, data);
   const ShardConfig config = small_config();
 
-  DatasetStream memory_stream{data};
+  MemorySource memory_stream{data};
   StreamShardedResult memory_result;
   std::vector<cdr::Fingerprint> memory_groups =
       run_stream(memory_stream, config, &memory_result);
@@ -178,7 +186,7 @@ TEST(ShardStream, AdaptiveTileSizeResolvesFromTheScanPass) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   ShardConfig config = small_config();
   config.tile_size_m = 0.0;  // adaptive
-  DatasetStream stream{data};
+  MemorySource stream{data};
   StreamShardedResult result;
   std::vector<cdr::Fingerprint> groups = run_stream(stream, config, &result);
   EXPECT_GE(result.stats.tile_size_m, 1'000.0);
@@ -188,7 +196,7 @@ TEST(ShardStream, AdaptiveTileSizeResolvesFromTheScanPass) {
   // Explicitly configuring the resolved size reproduces the run exactly.
   ShardConfig pinned = small_config();
   pinned.tile_size_m = result.stats.tile_size_m;
-  DatasetStream again{data};
+  MemorySource again{data};
   std::vector<cdr::Fingerprint> pinned_groups =
       run_stream(again, pinned, nullptr);
   EXPECT_EQ(test::dataset_to_csv(
@@ -198,7 +206,7 @@ TEST(ShardStream, AdaptiveTileSizeResolvesFromTheScanPass) {
 
 TEST(ShardStream, BorderedRunsMatchTheGoldenForEveryWorkerCount) {
   // The bordered reconciliation (deferred leftovers materialized by the
-  // reconcile batches and run as executor jobs) must reproduce the
+  // reconcile batches and run as jobs) must reproduce the
   // blessed golden for every worker count — the worker count moves batch
   // boundaries, never bytes.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
@@ -233,10 +241,10 @@ TEST(ShardStream, AbsorbedTailMatchesGoldenFromEveryStream) {
             core::LeftoverPolicy::kMergeIntoNearest);
 
   TextStream text_stream{serialized.str()};
-  DatasetStream memory_stream{data};
-  for (FingerprintStream* stream :
-       {static_cast<FingerprintStream*>(&text_stream),
-        static_cast<FingerprintStream*>(&memory_stream)}) {
+  MemorySource memory_stream{data};
+  for (DatasetSource* stream :
+       {static_cast<DatasetSource*>(&text_stream),
+        static_cast<DatasetSource*>(&memory_stream)}) {
     StreamShardedResult result;
     std::vector<cdr::Fingerprint> groups = run_stream(*stream, config, &result);
     EXPECT_GT(result.stats.absorbed_leftovers, 0u);
@@ -315,7 +323,7 @@ TEST(ShardStream, ReconcilePassAccountingAddsUp) {
   EXPECT_EQ(wide_result.pass_fingerprints.size(), 3u);
 
   // Materialized sources fetch leftovers by index: no rewound passes.
-  DatasetStream memory_stream{data};
+  MemorySource memory_stream{data};
   StreamShardedResult memory_result;
   (void)run_stream(memory_stream, tight, &memory_result);
   EXPECT_EQ(memory_result.stats.reconcile_passes, 0u);
@@ -324,7 +332,7 @@ TEST(ShardStream, ReconcilePassAccountingAddsUp) {
 }
 
 TEST(ShardStream, TraceShowsEveryReconcileChunkInsideTheReconcilePhase) {
-  // Reconcile chunks run as executor jobs, on the executor's threads.  The
+  // Reconcile chunks run as jobs, on the job pool's threads.  The
   // trace must still show one stream.reconcile.chunk span per chunk, each
   // within the caller's single stream.reconcile span, while the
   // stream.shard_batch spans and counter cover shard batches only.
@@ -386,7 +394,7 @@ TEST(ShardStream, MaterializedSourceRunsEveryUnitInOneBatch) {
   ASSERT_GE(counter_delta(text_before, "stream.shard_batches"), 2u);
   ASSERT_GE(text_result.stats.reconcile_passes, 1u);
 
-  DatasetStream memory_stream{data};
+  MemorySource memory_stream{data};
   const obs::MetricsSnapshot before = obs::snapshot_metrics();
   obs::start_tracing();
   StreamShardedResult memory_result;
@@ -450,7 +458,7 @@ TEST(ShardStream, PassThroughsKeepTheirPlaceInTheMaterializedBatch) {
   }
   ASSERT_TRUE(passthrough);
 
-  DatasetStream memory_stream{data};
+  MemorySource memory_stream{data};
   std::vector<cdr::Fingerprint> memory_groups =
       run_stream(memory_stream, config, nullptr);
   TextStream text_stream{serialized.str()};
@@ -466,7 +474,7 @@ TEST(ShardStream, ProgressCountsDeferredFingerprintsDuringReconcile) {
   // report before the final tick covers all n fingerprints, kept and
   // deferred alike (deferred ones used to stall below n).
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
-  DatasetStream stream{data};
+  MemorySource stream{data};
   util::RunHooks hooks;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> reports;
   hooks.progress = [&](std::uint64_t done, std::uint64_t total) {
@@ -517,10 +525,14 @@ TEST(ShardStream, CancellationFiresMidReconcileChunk) {
 TEST(ShardStream, StreamThatShrinksBetweenPassesIsRejected) {
   /// Yields the dataset on the first pass, then one fingerprint fewer on
   /// every later pass — a file truncated mid-run.
-  class ShrinkingStream final : public FingerprintStream {
+  class ShrinkingStream final : public DatasetSource {
    public:
     explicit ShrinkingStream(const cdr::FingerprintDataset& data)
         : data_{&data} {}
+    [[nodiscard]] std::string_view kind() const noexcept override {
+      return "shrinking";
+    }
+    [[nodiscard]] std::string name() const override { return "shrinking"; }
     bool next(cdr::Fingerprint& fingerprint) override {
       const std::size_t limit =
           passes_ == 0 ? data_->size() : data_->size() - 1;
@@ -547,14 +559,14 @@ TEST(ShardStream, StreamThatShrinksBetweenPassesIsRejected) {
 
 TEST(ShardStream, EmptyAndSubKStreamsRaiseDatasetError) {
   const cdr::FingerprintDataset empty;
-  DatasetStream empty_stream{empty};
+  MemorySource empty_stream{empty};
   EXPECT_THROW((void)run_stream(empty_stream, small_config(), nullptr),
                util::DatasetError);
 
   const cdr::FingerprintDataset three = test::small_synth_dataset(3);
   ShardConfig demanding = small_config(100);
   demanding.max_shard_users = 128;  // keep the *config* itself valid
-  DatasetStream short_stream{three};
+  MemorySource short_stream{three};
   EXPECT_THROW((void)run_stream(short_stream, demanding, nullptr),
                util::DatasetError);
 }

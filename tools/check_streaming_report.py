@@ -16,9 +16,7 @@ file-to-file (CsvFileSource -> CsvFileSink) run and asserts:
     --min-reconcile-passes rewound reconcile passes (set 0 for
     --border=none runs, which defer nothing), and they are a strict
     subset of the total passes (a planning scan and at least one shard
-    batch always precede them).  Under --executor=process the workers
-    read the GLOVE jobs themselves, so only batches holding pass-throughs
-    or the tail count here — check in-process runs;
+    batch always precede them);
   * the process's peak resident set stayed below the given fraction of
     the dataset's *materialized* size — the memory a collect-first run
     pays just to hold the samples (56 bytes each: 6 doubles + the

@@ -281,10 +281,7 @@ FileClass classify_path(const std::string& path) {
   };
   cls.emission_layer = under("src/glove/api/") || under("src/glove/shard/") ||
                        under("src/glove/cdr/") || under("src/glove/serve/") ||
-                       under("src/glove/stats/") ||
-                       // The shard-worker daemon emits the same wire bytes
-                       // and obs deltas the coordinator folds into reports.
-                       under("tools/shard_worker/");
+                       under("src/glove/stats/");
   cls.cdr_layer = under("src/glove/cdr/");
   cls.rng_exempt = path == "src/glove/util/rng.hpp";
   return cls;
