@@ -9,13 +9,12 @@
 //      stable across input permutations.
 
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 
 #include "common/bench_common.hpp"
 #include "glove/api/cli.hpp"
 #include "glove/core/accuracy.hpp"
-#include "glove/core/scalability.hpp"
+#include "glove/core/glove.hpp"
 #include "glove/stats/table.hpp"
 #include "glove/util/rng.hpp"
 
@@ -102,34 +101,6 @@ int main() {
 
   table.print(std::cout);
 
-  // Pruned k-gap: exact results, fewer pair evaluations.
-  {
-    stats::TextTable pruning{"Ablation — k-gap bounding-box pruning"};
-    pruning.header({"variant", "pair evals skipped", "median gap",
-                    "runtime"});
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto brute = core::k_gap_values(civ, 2);
-    const auto t1 = std::chrono::steady_clock::now();
-    std::uint64_t skipped = 0;
-    const auto fast = core::k_gaps_pruned(civ, 2, {}, &skipped);
-    const auto t2 = std::chrono::steady_clock::now();
-    const double total_pairs = static_cast<double>(civ.size()) *
-                               static_cast<double>(civ.size() - 1);
-    std::vector<double> fast_gaps;
-    for (const auto& e : fast) fast_gaps.push_back(e.gap);
-    pruning.row({"brute force", "0",
-                 stats::fmt(stats::quantile(brute, 0.5), 3),
-                 stats::fmt(std::chrono::duration<double>(t1 - t0).count(),
-                            2) +
-                     "s"});
-    pruning.row({"bbox-pruned",
-                 stats::fmt_pct(static_cast<double>(skipped) / total_pairs),
-                 stats::fmt(stats::quantile(fast_gaps, 0.5), 3),
-                 stats::fmt(std::chrono::duration<double>(t2 - t1).count(),
-                            2) +
-                     "s"});
-    pruning.print(std::cout);
-  }
   std::cout << "\n  Expectations: reshape-off keeps finer mean granularity "
                "(no overlap unions) but leaves temporally overlapping, "
                "hard-to-analyze samples; suppression cuts the mean errors "

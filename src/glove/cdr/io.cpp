@@ -142,38 +142,45 @@ bool CdrEventTailReader::source_replaced() const {
 #endif
 }
 
-bool CdrEventTailReader::poll(CdrEvent& event) {
-  if (opened_ && source_replaced()) {
-    in_.close();
-    in_ = std::ifstream{};
-    opened_ = false;
-    offset_ = 0;
-    line_no_ = 0;
-  }
+bool CdrEventTailReader::open() {
+  in_ = std::ifstream{path_, std::ios::binary};
+  opened_ = static_cast<bool>(in_);
+  offset_ = 0;
+  line_no_ = 0;
+  at_end_ = false;
   if (!opened_) {
-    in_.open(path_, std::ios::binary);
-    if (!in_) {
-      in_ = std::ifstream{};  // reset state so a later open can succeed
-      return false;
-    }
-    opened_ = true;
-    inode_ = 0;
-#if defined(__unix__) || defined(__APPLE__)
-    struct ::stat st {};
-    if (::stat(path_.c_str(), &st) == 0) {
-      inode_ = static_cast<std::uint64_t>(st.st_ino);
-    }
-#endif
+    in_ = std::ifstream{};  // reset state so a later open can succeed
+    return false;
   }
-  for (;;) {
-    // Re-seek to the first unconsumed byte: clears a sticky eofbit from
-    // the previous poll and skips everything already decoded.
+  inode_ = 0;
+#if defined(__unix__) || defined(__APPLE__)
+  struct ::stat st {};
+  if (::stat(path_.c_str(), &st) == 0) {
+    inode_ = static_cast<std::uint64_t>(st.st_ino);
+  }
+#endif
+  return true;
+}
+
+bool CdrEventTailReader::poll(CdrEvent& event) {
+  if (!opened_ && !open()) return false;
+  if (at_end_) {
+    // Clear the sticky eofbit and re-read from the first unconsumed byte,
+    // so a row that was partial last time is decoded whole.
     in_.clear();
     in_.seekg(static_cast<std::streamoff>(offset_));
+    at_end_ = false;
+  }
+  for (;;) {
     if (!std::getline(in_, line_) || in_.eof()) {
       // Nothing new, or bytes without a terminating newline — a row the
-      // producer is mid-write on.  Leave offset_ at the row start so the
-      // completed row is decoded whole on a later poll.
+      // producer is mid-write on; offset_ stays at the row start.  The
+      // open file is drained, so follow a truncated or replaced path now.
+      if (source_replaced()) {
+        if (!open()) return false;
+        continue;
+      }
+      at_end_ = true;
       return false;
     }
     offset_ += line_.size() + 1;  // +1 for the consumed '\n'

@@ -62,20 +62,23 @@ class CdrEventReader {
 ///   * a missing file is "nothing yet" (poll returns false until it
 ///     appears), so the reader can be started before its producer;
 ///   * a partial trailing line — bytes after the last newline, i.e. a row
-///     the producer is mid-write on — is NOT parsed: poll rewinds to the
-///     row's start and returns false, and the completed row is decoded on
-///     a later poll once its newline lands;
-///   * truncation and rotation are detected per poll: when the file
-///     shrinks below the consumed offset (a producer restarted the feed)
-///     or the path points at a new inode (logrotate moved the old file
-///     away), the reader reopens and consumes the new file from byte 0
-///     instead of seeking past its end or tailing the renamed file
-///     forever.  `rows_read()` stays cumulative across reopens;
+///     the producer is mid-write on — is NOT parsed: poll returns false,
+///     the next poll rewinds to the row's start, and the completed row is
+///     decoded once its newline lands;
+///   * truncation and rotation are detected when a read finds no complete
+///     row: when the file has shrunk below the consumed offset (a producer
+///     restarted the feed) or the path points at a new inode (logrotate
+///     moved the old file away), the reader reopens and consumes the new
+///     file from byte 0 in the same poll, so a rotated file's unread rows
+///     come first, and it never seeks past a new end or tails the renamed
+///     file forever.  `rows_read()` stays cumulative across reopens;
 ///     `line_number()` restarts with the new file.
 ///
 /// Malformed *complete* rows throw std::invalid_argument with the path and
-/// line number prefixed.  Every poll re-seeks to the first unconsumed
-/// byte, so the reader holds O(1 row) state between polls.
+/// line number prefixed.  The stream stays positioned between polls: only
+/// a read that found no complete row costs a stat, and only the poll after
+/// it re-seeks to the first unconsumed byte, so the reader holds O(1 row)
+/// state between polls.
 class CdrEventTailReader {
  public:
   explicit CdrEventTailReader(std::string path) : path_{std::move(path)} {}
@@ -99,13 +102,20 @@ class CdrEventTailReader {
   [[nodiscard]] std::size_t line_number() const noexcept { return line_no_; }
 
  private:
-  /// True when the file was truncated below offset_ or replaced by a new
-  /// inode since the last poll; resets the reader to consume from byte 0.
+  /// Opens path_ to consume from byte 0 and records its inode; false when
+  /// it cannot be opened (yet).
+  bool open();
+
+  /// True when the file was truncated below offset_ or its path names
+  /// another inode, or nothing, since it was opened.
   [[nodiscard]] bool source_replaced() const;
 
   std::string path_;
   std::ifstream in_;
   bool opened_ = false;
+  /// The last read found no complete row: the next poll clears eof and
+  /// re-seeks to offset_, dropping a partial row's bytes.
+  bool at_end_ = false;
   std::uint64_t offset_ = 0;  ///< byte offset of the first unconsumed line
   std::uint64_t inode_ = 0;   ///< inode at open (0 where unsupported)
   std::size_t rows_ = 0;

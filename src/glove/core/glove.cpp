@@ -452,8 +452,9 @@ std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
   for (const cdr::Fingerprint& leftover : tail) {
     hooks.throw_if_cancelled();
     const std::size_t g =
-        nearest_group(leftover, groups, group_bounds, config.limits,
-                      &stats.stretch_evaluations, &sample_pairs)
+        nearest(leftover, groups, group_bounds, config.limits, 1,
+                std::nullopt, &stats.stretch_evaluations, &sample_pairs)
+            .front()
             .index;
     MergeStats merge_stats;
     groups[g] = merge_fingerprints(leftover, groups[g], options, &merge_stats);

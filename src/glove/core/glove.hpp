@@ -113,8 +113,9 @@ struct GloveResult {
 /// Applies config.leftover_policy to sub-k leftovers that have nobody left
 /// to pair with (GLOVE's last open fingerprint, or a sharded run's
 /// reconcile tail).  kMergeIntoNearest merges each leftover, in order, into
-/// its nearest_group of `groups` as merge_fingerprints(leftover, group),
-/// in place; std::logic_error when `groups` is empty.  kSuppress counts
+/// its core::nearest group of `groups` (least stretch, ties to the lower
+/// index) as merge_fingerprints(leftover, group), in place;
+/// std::logic_error when `groups` is empty.  kSuppress counts
 /// each leftover's users as discarded and its original samples (summed
 /// contributors) as deleted.  Cost counters accumulate into `stats`;
 /// returns how many leftovers were absorbed.  Cancellation is polled

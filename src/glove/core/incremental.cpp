@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "glove/core/scalability.hpp"
+#include "glove/obs/metrics.hpp"
 #include "glove/util/parallel.hpp"
 
 namespace glove::core {
@@ -50,17 +52,23 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
   std::vector<cdr::Fingerprint> groups{published.fingerprints().begin(),
                                        published.fingerprints().end()};
   // Box and slot bounds per group, kept current as joins widen the
-  // groups, so each nearest-group search skips distant groups.
+  // groups, and per newcomer, so each nearest search skips distant
+  // candidates.
   std::vector<NodeBounds> group_bounds = node_bounds_of(groups);
+  const std::vector<NodeBounds> newcomer_bounds =
+      node_bounds_of(new_users.fingerprints());
   const MergeOptions options = merge_options(config);
 
   // Decide each newcomer's fate: nearest existing group vs nearest fellow
   // newcomer.  Computed in parallel, applied sequentially (joins mutate
-  // groups, so they are replayed in deterministic order).
+  // groups, so they are replayed in deterministic order).  Each choice
+  // keeps its own search tallies, summed in newcomer order below.
   const std::size_t n = new_users.size();
   struct Choice {
-    NearestGroup group{0, std::numeric_limits<double>::infinity()};
+    Neighbor group{0, std::numeric_limits<double>::infinity()};
     double to_peer = std::numeric_limits<double>::infinity();
+    std::uint64_t evaluations = 0;
+    std::uint64_t sample_pairs = 0;
   };
   // Progress: n decision units (parallel phase) then n placement units.
   const std::uint64_t total_work = 2 * static_cast<std::uint64_t>(n);
@@ -75,16 +83,17 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
           hooks.throw_if_cancelled();
           Choice& choice = choices[i];
           if (!groups.empty()) {
-            choice.group = nearest_group(new_users[i], groups, group_bounds,
-                                         config.limits);
+            choice.group =
+                nearest(new_users[i], groups, group_bounds, config.limits, 1,
+                        std::nullopt, &choice.evaluations,
+                        &choice.sample_pairs)
+                    .front();
           }
-          for (std::size_t j = 0; j < n; ++j) {
-            if (j == i) continue;
-            const double d =
-                fingerprint_stretch(new_users[i], new_users[j],
-                                    config.limits);
-            choice.to_peer = std::min(choice.to_peer, d);
-          }
+          const std::vector<Neighbor> peer =
+              nearest(new_users[i], new_users.fingerprints(), newcomer_bounds,
+                      config.limits, 1, i, &choice.evaluations,
+                      &choice.sample_pairs);
+          if (!peer.empty()) choice.to_peer = peer.front().stretch;
           if (hooks.progress) {
             const std::lock_guard lock{progress_mutex};
             hooks.progress(++decisions_done, total_work);
@@ -92,6 +101,12 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
         }
       },
       /*min_chunk=*/1);
+  std::uint64_t evaluations = 0;
+  std::uint64_t sample_pairs = 0;
+  for (const Choice& choice : choices) {
+    evaluations += choice.evaluations;
+    sample_pairs += choice.sample_pairs;
+  }
 
   // The embedded greedy pass observes only the cancellation token; its
   // own progress would not compose monotonically with the outer units.
@@ -135,13 +150,21 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
       // Not absorb_leftovers: the group comes first in the merge here,
       // which decides member order when sample counts tie.
       const std::size_t g =
-          nearest_group(straggler, groups, group_bounds, config.limits).index;
+          nearest(straggler, groups, group_bounds, config.limits, 1,
+                  std::nullopt, &evaluations, &sample_pairs)
+              .front()
+              .index;
       groups[g] = merge_fingerprints(groups[g], straggler, options);
       group_bounds[g] = node_bounds(groups[g]);
       ++result.stats.joined_existing_groups;
     }
   }
 
+  // After the greedy pass's stats are in, so its count is kept.
+  result.stats.glove.stretch_evaluations += evaluations;
+  if (sample_pairs > 0) {
+    obs::counter("core.stretch.sample_pairs").add(sample_pairs);
+  }
   hooks.report(total_work, total_work);
   result.anonymized = cdr::FingerprintDataset{
       std::move(groups), published.name() + "-updated"};

@@ -27,7 +27,9 @@ struct UpdateStats {
   std::uint64_t new_users = 0;
   std::uint64_t joined_existing_groups = 0;
   std::uint64_t formed_new_groups = 0;
-  GloveStats glove;  ///< stats of the embedded greedy pass (if any)
+  /// Stats of the embedded greedy pass (if any); stretch_evaluations also
+  /// counts the exact evaluations of every placement search.
+  GloveStats glove;
 };
 
 /// Result of an incremental update.

@@ -9,7 +9,6 @@
 
 #include "glove/cdr/dataset.hpp"
 #include "glove/core/stretch.hpp"
-#include "glove/util/hooks.hpp"
 
 namespace glove::core {
 
@@ -22,22 +21,16 @@ struct KGapEntry {
 };
 
 /// Computes Delta_a^k for every fingerprint in `data` (eq. 11): the mean
-/// fingerprint stretch effort to the k-1 nearest other fingerprints.
-/// Work is parallelized across users on the shared thread pool.
+/// fingerprint stretch effort to the k-1 nearest other fingerprints, ties
+/// broken by the lower index.  Each row is one core::nearest search (k-1
+/// neighbours, skipping the row's own fingerprint), so distant pairs are
+/// never evaluated exactly; gaps and neighbour lists equal those of a full
+/// scan bit for bit.  Rows run in parallel on the shared thread pool.
 /// Requires k >= 2 and data.size() >= k; throws std::invalid_argument
 /// otherwise.
 [[nodiscard]] std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
                                             std::uint32_t k,
                                             const StretchLimits& limits = {});
-
-/// As above, with observability hooks threaded into the O(|M|^2) matrix
-/// build: progress units are completed rows (one per fingerprint, reported
-/// under a lock so `done` stays monotone across worker threads), and
-/// cancellation is polled per row, aborting via util::CancelledError.
-[[nodiscard]] std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
-                                            std::uint32_t k,
-                                            const StretchLimits& limits,
-                                            const util::RunHooks& hooks);
 
 /// Convenience: just the gap values, same order as `data`.
 [[nodiscard]] std::vector<double> k_gap_values(

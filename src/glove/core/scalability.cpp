@@ -1,11 +1,9 @@
 #include "glove/core/scalability.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -211,9 +209,9 @@ double stretch_lower_bound(const FingerprintBounds& a,
   // the boxes (in the weighted two-direction sum of eq. 4, *both*
   // directions must bridge the gap, so the weighted sum is >= the gap).
   // The padded upper ends and kRoundingMargin keep the bound at or below
-  // the *computed* stretch, which is what the lazy heap's exactness,
-  // nearest_group and the pruned k-gap scan rely on.  fingerprint_stretch
-  // is 0 when either side has no samples.
+  // the *computed* stretch, which is what the lazy heap's exactness and
+  // nearest rely on.  fingerprint_stretch is 0 when either side has no
+  // samples.
   if (a.empty || b.empty) return 0.0;
   const double gap_x = axis_gap(a.box.x, upper_end(a.box.x, a.box.dx),
                                 b.box.x, upper_end(b.box.x, b.box.dx));
@@ -225,51 +223,57 @@ double stretch_lower_bound(const FingerprintBounds& a,
   return gap_term(gap_x, gap_y, gap_t, limits) * kRoundingMargin;
 }
 
-NearestGroup nearest_group(const cdr::Fingerprint& fp,
-                           std::span<const cdr::Fingerprint> groups,
-                           std::span<const NodeBounds> group_bounds,
-                           const StretchLimits& limits,
-                           std::uint64_t* evaluations,
-                           std::uint64_t* sample_pairs) {
-  if (groups.empty() || groups.size() != group_bounds.size()) {
+std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
+                              std::span<const cdr::Fingerprint> candidates,
+                              std::span<const NodeBounds> bounds,
+                              const StretchLimits& limits, std::size_t count,
+                              std::optional<std::size_t> skip,
+                              std::uint64_t* evaluations,
+                              std::uint64_t* sample_pairs) {
+  if (candidates.empty() || candidates.size() != bounds.size() ||
+      count == 0) {
     throw std::invalid_argument{
-        "nearest_group needs a non-empty group list and one bounds entry "
-        "per group"};
+        "nearest needs a non-empty candidate list, one bounds entry per "
+        "candidate and a count of at least 1"};
   }
   const NodeBounds own = node_bounds(fp);
   // A min-heap over (bound, index, slot stage) yields the order a full
   // sort would, but only the prefix the search actually visits is ever
   // ordered.  Box-stage candidates come back once with their slot bound.
   std::vector<std::tuple<double, std::size_t, bool>> order;
-  order.reserve(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    order.emplace_back(
-        stretch_lower_bound(own.box, group_bounds[g].box, limits), g, false);
+  order.reserve(candidates.size());
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    if (c == skip) continue;
+    order.emplace_back(stretch_lower_bound(own.box, bounds[c].box, limits), c,
+                       false);
   }
   std::make_heap(order.begin(), order.end(), std::greater<>{});
 
-  NearestGroup best{std::get<1>(order.front()),
-                    std::numeric_limits<double>::infinity()};
+  // The best candidates so far, ascending by (stretch, index).
+  std::vector<Neighbor> best;
+  const auto before = [](const Neighbor& x, const Neighbor& y) {
+    return std::tie(x.stretch, x.index) < std::tie(y.stretch, y.index);
+  };
   std::uint64_t evaluated = 0;
   while (!order.empty()) {
     std::pop_heap(order.begin(), order.end(), std::greater<>{});
-    const auto [bound, g, slot_stage] = order.back();
-    // A stretch is never below its bounds: past the best stretch no later
-    // candidate can beat or tie it.
-    if (bound > best.stretch) break;
+    const auto [bound, c, slot_stage] = order.back();
+    // A stretch is never below its bounds: past the count-th best stretch
+    // no later candidate can beat or tie it.
+    if (best.size() == count && bound > best.back().stretch) break;
     if (!slot_stage) {
-      const NodeBounds& other = group_bounds[g];
-      const double slot = slot_lower_bound(own.slots, other.slots, limits);
-      order.back() = {std::max(bound, slot), g, true};
+      const double slot = slot_lower_bound(own.slots, bounds[c].slots, limits);
+      order.back() = {std::max(bound, slot), c, true};
       std::push_heap(order.begin(), order.end(), std::greater<>{});
       continue;
     }
     order.pop_back();
-    const double d = fingerprint_stretch(fp, groups[g], limits, sample_pairs);
+    const Neighbor found{
+        c, fingerprint_stretch(fp, candidates[c], limits, sample_pairs)};
     ++evaluated;
-    if (d < best.stretch || (d == best.stretch && g < best.index)) {
-      best = NearestGroup{g, d};
-    }
+    best.insert(std::upper_bound(best.begin(), best.end(), found, before),
+                found);
+    if (best.size() > count) best.pop_back();
   }
   if (evaluations != nullptr) *evaluations += evaluated;
   return best;
@@ -302,72 +306,6 @@ std::vector<std::vector<std::uint32_t>> locality_chunks(
     begin = end;
   }
   return chunks;
-}
-
-std::vector<KGapEntry> k_gaps_pruned(const cdr::FingerprintDataset& data,
-                                     std::uint32_t k,
-                                     const StretchLimits& limits,
-                                     std::uint64_t* pruned_pairs) {
-  if (k < 2) throw std::invalid_argument{"k-gap requires k >= 2"};
-  if (data.size() < k) {
-    throw std::invalid_argument{
-        "k-gap requires at least k fingerprints in the dataset"};
-  }
-  const std::size_t n = data.size();
-  const std::size_t neighbors = k - 1;
-
-  std::vector<FingerprintBounds> bounds(n);
-  for (std::size_t i = 0; i < n; ++i) bounds[i] = fingerprint_bounds(data[i]);
-
-  std::vector<KGapEntry> result(n);
-  std::atomic<std::uint64_t> pruned{0};
-
-  util::parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<std::pair<double, std::size_t>> order;
-        std::vector<std::pair<double, std::size_t>> best;
-        for (std::size_t a = begin; a < end; ++a) {
-          // Candidates sorted by lower bound; evaluate until the bound
-          // exceeds the current (k-1)-th best true stretch.
-          order.clear();
-          order.reserve(n - 1);
-          for (std::size_t b = 0; b < n; ++b) {
-            if (b == a) continue;
-            order.emplace_back(
-                stretch_lower_bound(bounds[a], bounds[b], limits), b);
-          }
-          std::sort(order.begin(), order.end());
-
-          best.clear();  // max-heap-ish: keep the k-1 smallest true values
-          double kth = std::numeric_limits<double>::infinity();
-          std::uint64_t local_pruned = 0;
-          for (const auto& [lb, b] : order) {
-            if (best.size() >= neighbors && lb >= kth) {
-              ++local_pruned;
-              continue;
-            }
-            const double d = fingerprint_stretch(data[a], data[b], limits);
-            best.emplace_back(d, b);
-            std::sort(best.begin(), best.end());
-            if (best.size() > neighbors) best.pop_back();
-            if (best.size() == neighbors) kth = best.back().first;
-          }
-          pruned.fetch_add(local_pruned, std::memory_order_relaxed);
-
-          KGapEntry& entry = result[a];
-          entry.neighbors.reserve(neighbors);
-          double total = 0.0;
-          for (const auto& [d, b] : best) {
-            total += d;
-            entry.neighbors.push_back(b);
-          }
-          entry.gap = total / static_cast<double>(neighbors);
-        }
-      },
-      /*min_chunk=*/1);
-  if (pruned_pairs != nullptr) *pruned_pairs = pruned.load();
-  return result;
 }
 
 GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,

@@ -1,23 +1,15 @@
 // Scalability variants of the core algorithms.  The paper's full-scale
-// runs (82k-320k users) took ~60 GPU-hours (Sec. 6.3); these variants
-// bound the quadratic costs for large datasets:
+// runs (82k-320k users) took ~60 GPU-hours (Sec. 6.3).  anonymize_chunked
+// bounds the quadratic cost for large datasets: GLOVE over locality-sorted
+// chunks (the same scaling idea as W4M's "LC" variant), ordered by a
+// space-filling curve over bounding-box centres and anonymized
+// independently, so the cost drops to O(chunks * chunk_size^2) while the
+// curve keeps co-located users (the natural merge partners) together.
 //
-//   * k_gaps_pruned — exact k-gap with bounding-box lower-bound pruning:
-//     a pair whose fingerprint bounding boxes are far apart cannot have a
-//     small stretch effort, so the full O(m_a * m_b) evaluation is skipped
-//     once k-1 better candidates are known.  Exact (same output as
-//     core::k_gaps), faster on geographically spread datasets.
-//
-//   * anonymize_chunked — GLOVE over locality-sorted chunks (the same
-//     scaling idea as W4M's "LC" variant): fingerprints are ordered by a
-//     space-filling curve over their bounding-box centres and partitioned
-//     into chunks anonymized independently.  Quadratic cost drops to
-//     O(chunks * chunk_size^2); accuracy degrades only mildly because the
-//     curve keeps co-located users (the natural merge partners) together.
-//
-// Two lower bounds keep every exact GLOVE decision cheap, and the greedy
-// loop and nearest_group pass each candidate through them as a three-stage
-// cascade, the filter-then-refine order of exact time-series search:
+// Two lower bounds keep every exact nearest-neighbour decision cheap, and
+// the greedy loop and nearest pass each candidate through them as a
+// three-stage cascade, the filter-then-refine order of exact time-series
+// search:
 //
 //   1. box: stretch_lower_bound, from each fingerprint's whole bounding box
 //      and time interval (FingerprintBounds).  O(1) per pair, so it seeds
@@ -40,20 +32,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "glove/core/glove.hpp"
-#include "glove/core/kgap.hpp"
 
 namespace glove::core {
-
-/// Exact k-gap with bounding-box pruning.  Identical results to
-/// core::k_gaps (same ties broken the same way); the `pruned_pairs`
-/// output, when non-null, receives the number of pair evaluations skipped.
-[[nodiscard]] std::vector<KGapEntry> k_gaps_pruned(
-    const cdr::FingerprintDataset& data, std::uint32_t k,
-    const StretchLimits& limits = {}, std::uint64_t* pruned_pairs = nullptr);
 
 /// A sound lower bound on fingerprint_stretch(a, b): both fingerprints'
 /// bounding geometries must at least bridge the gap between them for any
@@ -138,28 +123,31 @@ struct NodeBounds {
 [[nodiscard]] std::vector<NodeBounds> node_bounds_of(
     std::span<const cdr::Fingerprint> fingerprints);
 
-/// A group chosen by nearest_group: its index and exact stretch from the
+/// A candidate found by nearest: its index and exact stretch from the
 /// searched fingerprint.
-struct NearestGroup {
+struct Neighbor {
   std::size_t index = 0;
   double stretch = 0.0;
 };
 
-/// The group of `groups` at minimum fingerprint_stretch from `fp`; an
-/// exact tie goes to the lower index, so the result is the first minimum
-/// a full scan in index order finds.  `group_bounds[g]` must be
-/// node_bounds(groups[g]).  Candidates are visited in ascending bound
+/// The `count` candidates nearest to `fp` by fingerprint_stretch, other
+/// than `skip`, in ascending (stretch, index) order: exactly the first
+/// `count` entries of a full scan sorted that way, or all of them when
+/// fewer remain.  The one k-nearest search of core: the k-gap, leftover
+/// absorption and incremental placement all call it.  `bounds[c]` must be
+/// node_bounds(candidates[c]).  Candidates are visited in ascending bound
 /// order through the box -> slot -> exact cascade: a box bound that comes
 /// first is replaced by the larger of it and the slot bound, and a slot
 /// bound that comes first is evaluated exactly.  The search stops at the
-/// first bound above the best stretch, so distant groups are never
-/// evaluated exactly.  Throws std::invalid_argument when `groups` is empty
-/// or the spans differ in length.  Non-null `evaluations` and
-/// `sample_pairs` are incremented by the exact evaluations made and the
-/// sample pairs they scanned.
-[[nodiscard]] NearestGroup nearest_group(
-    const cdr::Fingerprint& fp, std::span<const cdr::Fingerprint> groups,
-    std::span<const NodeBounds> group_bounds, const StretchLimits& limits,
+/// first bound strictly above the count-th best stretch, so distant
+/// candidates are never evaluated exactly.  Throws std::invalid_argument
+/// when `candidates` is empty, the spans differ in length or `count` is 0.
+/// Non-null `evaluations` and `sample_pairs` are incremented by the exact
+/// evaluations made and the sample pairs they scanned.
+[[nodiscard]] std::vector<Neighbor> nearest(
+    const cdr::Fingerprint& fp, std::span<const cdr::Fingerprint> candidates,
+    std::span<const NodeBounds> bounds, const StretchLimits& limits,
+    std::size_t count, std::optional<std::size_t> skip,
     std::uint64_t* evaluations = nullptr,
     std::uint64_t* sample_pairs = nullptr);
 

@@ -562,6 +562,27 @@ TEST(TailIo, RotationReopensTheNewFile) {
   EXPECT_FALSE(reader.poll(event));
 }
 
+TEST(TailIo, RotationDrainsTheOldFileFirst) {
+  // Rows the moved file still holds come before the new file's: the
+  // reader follows the path only once its open file has no complete row.
+  const test::TempDir dir;
+  const std::string path = dir.file("drain.csv");
+  std::ofstream{path} << "1,10,6.8,-5.3\n2,11,6.8,-5.3\n3,12,6.8,-5.3\n";
+  CdrEventTailReader reader{path};
+  CdrEvent event;
+  ASSERT_TRUE(reader.poll(event));
+  EXPECT_EQ(event.user, 1u);
+
+  std::filesystem::rename(path, dir.file("drain.csv.1"));
+  std::ofstream{path} << "5,30,6.8,-5.3\n";
+  for (const std::uint64_t user : {2u, 3u, 5u}) {
+    ASSERT_TRUE(reader.poll(event));
+    EXPECT_EQ(event.user, user);
+  }
+  EXPECT_EQ(reader.rows_read(), 4u);
+  EXPECT_FALSE(reader.poll(event));
+}
+
 TEST(TailIo, MalformedRowThrowsWithPathAndLine) {
   const test::TempDir dir;
   const std::string path = dir.file("bad.csv");

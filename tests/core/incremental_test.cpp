@@ -151,6 +151,8 @@ TEST(IncrementalUpdate, FewerNewcomersThanKAllJoinExistingGroups) {
   EXPECT_EQ(update.stats.formed_new_groups, 0u);
   EXPECT_TRUE(is_k_anonymous(update.anonymized, 3));
   EXPECT_EQ(update.anonymized.total_users(), base.total_users() + 2);
+  // No greedy pass ran: the count is the placement searches' alone.
+  EXPECT_GT(update.stats.glove.stretch_evaluations, 0u);
 }
 
 TEST(IncrementalUpdate, RejectsNewcomerIdAlreadyPublished) {

@@ -2,13 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/fixtures.hpp"
+#include "common/naive_kgap.hpp"
+#include "glove/synth/generator.hpp"
 
 namespace glove::core {
 namespace {
@@ -104,45 +106,51 @@ TEST(KGap, DeterministicAcrossRuns) {
   EXPECT_EQ(a, b);
 }
 
-TEST(KGap, HooksReportMonotoneQuantumProgressAcrossWorkerThreads) {
-  const cdr::FingerprintDataset data = test::small_synth_dataset(40);
-  util::RunHooks hooks;
-  std::mutex observed_mutex;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> observed;
-  hooks.progress = [&](std::uint64_t done, std::uint64_t total) {
-    const std::lock_guard lock{observed_mutex};
-    observed.emplace_back(done, total);
-  };
-  const auto hooked = k_gaps(data, 2, {}, hooks);
-  EXPECT_EQ(hooked.size(), data.size());
-  // Progress is measured in pair evaluations (n*(n-1) total), flushed per
-  // work quantum — at least one report per worker range, never more than
-  // the evaluation count.
-  const std::uint64_t total_evals =
-      static_cast<std::uint64_t>(data.size()) * (data.size() - 1);
-  ASSERT_FALSE(observed.empty());
-  ASSERT_LE(observed.size(), total_evals);
-  std::uint64_t previous = 0;
-  for (const auto& [done, total] : observed) {
-    EXPECT_EQ(total, total_evals);
-    EXPECT_GT(done, previous);  // strictly increasing under the lock
-    previous = done;
-  }
-  EXPECT_EQ(observed.back().first, total_evals);
+TEST(KGap, MatchesNaiveReference) {
+  // Each row of k_gaps is a bounded nearest search; its gaps must equal a
+  // full scan's bit for bit and its neighbour lists entry for entry.  The
+  // inputs: a synthetic population; three copies of each of four
+  // fingerprints, so rows tie exactly at 0 and at the copies' shared
+  // stretch, and only the index breaks the ties; and two clusters 400 km
+  // apart, so the far cluster is pruned from every row.
+  synth::SynthConfig config = synth::civ_like(60, 37);
+  config.days = 3.0;
+  std::vector<std::pair<const char*, cdr::FingerprintDataset>> inputs;
+  inputs.emplace_back("civ_like", synth::generate_dataset(config));
 
-  // Hooked and hookless runs agree (same rows, same parallel decomposition).
-  const auto plain = k_gaps(data, 2);
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_DOUBLE_EQ(hooked[i].gap, plain[i].gap);
+  std::vector<cdr::Fingerprint> copies;
+  for (cdr::UserId u = 0; u < 12; ++u) {
+    const double shape = static_cast<double>(u % 4);
+    copies.emplace_back(u, std::vector<cdr::Sample>{
+                               cell(shape * 300.0, 0, shape * 10.0),
+                               cell(shape * 300.0, 200, 600 + shape * 10.0)});
   }
-}
+  inputs.emplace_back("copies", cdr::FingerprintDataset{std::move(copies)});
 
-TEST(KGap, CancellationAbortsTheMatrixBuild) {
-  const cdr::FingerprintDataset data = test::small_synth_dataset(40);
-  util::RunHooks hooks;
-  hooks.cancel = util::CancellationToken{};
-  hooks.cancel->request_cancel();
-  EXPECT_THROW((void)k_gaps(data, 2, {}, hooks), util::CancelledError);
+  std::vector<cdr::Fingerprint> clusters;
+  for (cdr::UserId u = 0; u < 16; ++u) {
+    const double base = u < 8 ? 0.0 : 400'000.0;
+    clusters.emplace_back(u, std::vector<cdr::Sample>{
+                                 cell(base + u * 100.0, 0, u * 10.0),
+                                 cell(base + u * 100.0, 0, 700 + u * 10.0)});
+  }
+  inputs.emplace_back("clusters",
+                      cdr::FingerprintDataset{std::move(clusters)});
+
+  for (const auto& [name, data] : inputs) {
+    for (const std::uint32_t k : {2u, 3u, 5u}) {
+      const std::vector<KGapEntry> fast = k_gaps(data, k);
+      const std::vector<KGapEntry> naive = test::naive_k_gaps(data, k);
+      ASSERT_EQ(fast.size(), naive.size()) << name << " k=" << k;
+      for (std::size_t i = 0; i < fast.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fast[i].gap),
+                  std::bit_cast<std::uint64_t>(naive[i].gap))
+            << name << " k=" << k << " row " << i;
+        EXPECT_EQ(fast[i].neighbors, naive[i].neighbors)
+            << name << " k=" << k << " row " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "common/fixtures.hpp"
@@ -346,25 +348,31 @@ TEST(NodeBounds, ParallelBuildMatchesOneByOne) {
   }
 }
 
-/// The first minimum-stretch group a full scan in index order finds.
-NearestGroup full_scan_nearest(const cdr::Fingerprint& fp,
-                               const std::vector<cdr::Fingerprint>& groups) {
-  NearestGroup best{0, std::numeric_limits<double>::infinity()};
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const double d = fingerprint_stretch(fp, groups[g], {});
-    if (d < best.stretch) best = NearestGroup{g, d};
+/// Every candidate but `skip`, sorted by (stretch, index): the order
+/// nearest must reproduce.
+std::vector<Neighbor> full_scan(const cdr::Fingerprint& fp,
+                                const std::vector<cdr::Fingerprint>& candidates,
+                                std::optional<std::size_t> skip) {
+  std::vector<Neighbor> all;
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    if (c == skip) continue;
+    all.push_back(Neighbor{c, fingerprint_stretch(fp, candidates[c], {})});
   }
-  return best;
+  std::sort(all.begin(), all.end(), [](const Neighbor& x, const Neighbor& y) {
+    return std::tie(x.stretch, x.index) < std::tie(y.stretch, y.index);
+  });
+  return all;
 }
 
-TEST(NearestGroup, SeededLatticeSweepMatchesFullScan) {
+TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
   // Samples on a coarse lattice, mirrored around the origin, so many
-  // groups tie at the minimum stretch while rounding gives them different
-  // bounds; a few groups are empty (stretch 0 to anything).  Start times
-  // spread over several slots, and each group's slot summary is passed, so
-  // the search runs the whole box -> slot -> exact cascade.  It must
-  // return the full scan's index and stretch bit for bit, and still skip
-  // the distant groups.
+  // candidates tie at the same stretch while rounding gives them different
+  // bounds; a few candidates are empty (stretch 0 to anything).  Start
+  // times spread over several slots, and each candidate's slot summary is
+  // passed, so the search runs the whole box -> slot -> exact cascade.
+  // For 1, 2 and 4 neighbours, with and without a skipped index, it must
+  // return the full scan's first entries bit for bit, and still skip the
+  // distant candidates.
   util::Xoshiro256 rng{411};
   const auto lattice = [&](std::uint64_t steps, double step) {
     const auto i = static_cast<double>(util::uniform_index(rng, 2 * steps + 1));
@@ -385,15 +393,19 @@ TEST(NearestGroup, SeededLatticeSweepMatchesFullScan) {
     return test::group_fingerprint(size, first, std::move(samples));
   };
 
+  const std::vector<std::size_t> counts{1, 2, 4};
   std::uint64_t evaluations = 0;
   std::uint64_t sample_pairs = 0;
   std::uint64_t candidates = 0;
+  std::uint64_t made = 0;
   std::size_t multi_slot = 0;
-  int decisive_ties = 0;
+  std::size_t empty = 0;
+  std::vector<int> decisive_ties(counts.size(), 0);
   for (int trial = 0; trial < 300; ++trial) {
     std::vector<cdr::Fingerprint> groups;
     std::vector<NodeBounds> bounds;
     const std::uint64_t count = 2 + util::uniform_index(rng, 30);
+    made += count;
     for (std::uint64_t g = 0; g < count; ++g) {
       const auto size = static_cast<std::uint32_t>(
           2 + util::uniform_index(rng, 3));
@@ -401,44 +413,66 @@ TEST(NearestGroup, SeededLatticeSweepMatchesFullScan) {
                                                     10 * (g + 1))));
       bounds.push_back(node_bounds(groups.back()));
       if (bounds.back().slots.slots.size() > 1) ++multi_slot;
+      if (groups.back().empty()) ++empty;
     }
     const cdr::Fingerprint leftover = random_fingerprint(1, 0);
-
-    const NearestGroup expected = full_scan_nearest(leftover, groups);
-    const NearestGroup found = nearest_group(leftover, groups, bounds, {},
-                                             &evaluations, &sample_pairs);
-    EXPECT_EQ(found.index, expected.index) << "trial " << trial;
-    EXPECT_EQ(found.stretch, expected.stretch) << "trial " << trial;
-    candidates += count;
-
-    // A tie is decisive when a later tied group has a strictly lower
-    // cascade bound than the first: visiting by bound alone would pick it.
     const NodeBounds own = node_bounds(leftover);
     const auto cascade_bound = [&](std::size_t g) {
       return std::max(stretch_lower_bound(own.box, bounds[g].box, {}),
                       slot_lower_bound(own.slots, bounds[g].slots, {}));
     };
-    const double first_bound = cascade_bound(expected.index);
-    for (std::size_t g = expected.index + 1; g < groups.size(); ++g) {
-      if (fingerprint_stretch(leftover, groups[g], {}) == expected.stretch &&
-          cascade_bound(g) < first_bound) {
-        ++decisive_ties;
-        break;
+
+    const std::size_t skipped = util::uniform_index(rng, groups.size());
+    for (const std::optional<std::size_t> skip :
+         {std::optional<std::size_t>{}, std::optional<std::size_t>{skipped}}) {
+      const std::vector<Neighbor> scan = full_scan(leftover, groups, skip);
+      for (std::size_t which = 0; which < counts.size(); ++which) {
+        const std::size_t wanted = counts[which];
+        const std::vector<Neighbor> found =
+            nearest(leftover, groups, bounds, {}, wanted, skip, &evaluations,
+                    &sample_pairs);
+        ASSERT_EQ(found.size(), std::min(wanted, scan.size()))
+            << "trial " << trial;
+        for (std::size_t i = 0; i < found.size(); ++i) {
+          EXPECT_EQ(found[i].index, scan[i].index) << "trial " << trial;
+          EXPECT_EQ(found[i].stretch, scan[i].stretch) << "trial " << trial;
+        }
+        candidates += scan.size();
+
+        // A tie is decisive when a candidate left out ties the last one
+        // kept with a strictly lower cascade bound: visiting by bound
+        // alone would keep it instead.
+        const Neighbor& last = scan[found.size() - 1];
+        for (std::size_t i = found.size(); i < scan.size(); ++i) {
+          if (scan[i].stretch == last.stretch &&
+              cascade_bound(scan[i].index) < cascade_bound(last.index)) {
+            ++decisive_ties[which];
+            break;
+          }
+        }
       }
     }
   }
   EXPECT_LT(evaluations, candidates);
   EXPECT_GT(sample_pairs, 0u);
-  EXPECT_GT(multi_slot, candidates / 2);
-  EXPECT_GT(decisive_ties, 0);
+  EXPECT_GT(multi_slot, made / 2);
+  EXPECT_GT(empty, 0u);
+  for (std::size_t which = 0; which < counts.size(); ++which) {
+    EXPECT_GT(decisive_ties[which], 0) << "count " << counts[which];
+  }
 }
 
-TEST(NearestGroup, RejectsEmptyOrMisalignedGroups) {
+TEST(Nearest, RejectsEmptyOrMisalignedCandidates) {
   const cdr::Fingerprint fp{0u, {cell(0, 0, 0)}};
   const std::vector<cdr::Fingerprint> none;
-  EXPECT_THROW((void)nearest_group(fp, none, {}, {}), std::invalid_argument);
+  EXPECT_THROW((void)nearest(fp, none, {}, {}, 1, std::nullopt),
+               std::invalid_argument);
   const std::vector<cdr::Fingerprint> one{fp};
-  EXPECT_THROW((void)nearest_group(fp, one, {}, {}), std::invalid_argument);
+  EXPECT_THROW((void)nearest(fp, one, {}, {}, 1, std::nullopt),
+               std::invalid_argument);
+  const std::vector<NodeBounds> one_bounds{node_bounds(fp)};
+  EXPECT_THROW((void)nearest(fp, one, one_bounds, {}, 0, std::nullopt),
+               std::invalid_argument);
 }
 
 TEST(LocalityChunks, SortsByKeyThenPositionAndNeverLeavesASubKTail) {
@@ -456,41 +490,6 @@ TEST(LocalityChunks, SortsByKeyThenPositionAndNeverLeavesASubKTail) {
                                                      {5, 6, 1, 0}}));
   EXPECT_THROW((void)locality_chunks(bounds, 1, 2), std::invalid_argument);
   EXPECT_TRUE(locality_chunks({}, 3, 2).empty());
-}
-
-TEST(KGapsPruned, MatchesBruteForceGaps) {
-  synth::SynthConfig config = synth::civ_like(60, 37);
-  config.days = 3.0;
-  const cdr::FingerprintDataset data = synth::generate_dataset(config);
-  const auto brute = k_gaps(data, 3);
-  std::uint64_t pruned = 0;
-  const auto fast = k_gaps_pruned(data, 3, {}, &pruned);
-  ASSERT_EQ(brute.size(), fast.size());
-  for (std::size_t i = 0; i < brute.size(); ++i) {
-    EXPECT_DOUBLE_EQ(brute[i].gap, fast[i].gap);
-  }
-}
-
-TEST(KGapsPruned, ActuallyPrunesSpreadData) {
-  // Users in two far-apart cities: cross-city pairs must be skipped.
-  std::vector<cdr::Fingerprint> fps;
-  for (cdr::UserId u = 0; u < 10; ++u) {
-    const double base = u < 5 ? 0.0 : 400'000.0;
-    fps.emplace_back(u, std::vector<cdr::Sample>{
-                            cell(base + u * 100.0, 0, u * 10.0),
-                            cell(base + u * 100.0, 0, 700 + u * 10.0)});
-  }
-  std::uint64_t pruned = 0;
-  (void)k_gaps_pruned(cdr::FingerprintDataset{std::move(fps)}, 2, {},
-                      &pruned);
-  EXPECT_GT(pruned, 0u);
-}
-
-TEST(KGapsPruned, RejectsInvalidArguments) {
-  std::vector<cdr::Fingerprint> fps;
-  fps.emplace_back(0u, std::vector<cdr::Sample>{cell(0, 0, 0)});
-  const cdr::FingerprintDataset data{std::move(fps)};
-  EXPECT_THROW((void)k_gaps_pruned(data, 2), std::invalid_argument);
 }
 
 TEST(ChunkedGlove, AchievesKAnonymityPerChunk) {
