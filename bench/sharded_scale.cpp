@@ -86,7 +86,7 @@ int main() {
   stats::TextTable shards{"Per-shard timings (run report 'shards' rows)"};
   shards.header({"shard", "kept", "deferred", "groups", "init s", "merge s",
                  "total s"});
-  for (const api::ShardTimingRow& row : report.shard_timings) {
+  for (const shard::ShardTiming& row : report.shard_timings) {
     shards.row({std::to_string(row.shard),
                 std::to_string(row.input_fingerprints),
                 std::to_string(row.deferred),

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
               << stats::fmt(d.median_radius_of_gyration_m / 1'000.0, 2)
               << " km\n";
 
-    const auto k = static_cast<std::uint32_t>(flags.get_int("k"));
+    const auto k = flags.get_int<std::uint32_t>("k");
     const auto kgaps = core::k_gaps(data, k);
     std::vector<double> gaps;
     gaps.reserve(kgaps.size());

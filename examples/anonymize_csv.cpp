@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
     // Generate a demo trace when no input exists.
     if (flags.positional().empty()) {
       synth::SynthConfig config = synth::civ_like(
-          static_cast<std::size_t>(flags.get_int("demo-users")), 7);
+          flags.get_int<std::size_t>("demo-users"), 7);
       config.days = 5.0;
       const auto events =
           synth::to_latlon_events(synth::generate_events(config), config);

@@ -33,10 +33,8 @@ int main(int argc, char** argv) {
   try {
     synth::SynthConfig config =
         flags.get("preset") == "sen"
-            ? synth::sen_like(
-                  static_cast<std::size_t>(flags.get_int("users")))
-            : synth::civ_like(
-                  static_cast<std::size_t>(flags.get_int("users")));
+            ? synth::sen_like(flags.get_int<std::size_t>("users"))
+            : synth::civ_like(flags.get_int<std::size_t>("users"));
     config.days = flags.get_double("days");
     config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const cdr::FingerprintDataset data = api::synth_dataset_from_flags(flags);
   api::RunConfig config;
   config.strategy = flags.get("strategy");
-  config.k = static_cast<std::uint32_t>(flags.get_int("k"));
+  config.k = flags.get_int<std::uint32_t>("k");
 
   stats::TextTable table{"Suppression threshold sweep (k=" +
                          std::to_string(config.k) + ", " + data.name() + ")"};

@@ -48,7 +48,7 @@ struct StrategyOutcome {
   std::vector<std::pair<std::string, double>> extra_metrics;
   /// Per-shard rows for strategies that decompose the run (sharded);
   /// leave empty otherwise.
-  std::vector<ShardTimingRow> shard_timings;
+  std::vector<shard::ShardTiming> shard_timings;
   /// Fingerprints read from the source on each pass over it (streaming
   /// runs; the Engine records {dataset size} on the collect path).
   std::vector<std::uint64_t> pass_fingerprints;

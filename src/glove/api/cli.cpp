@@ -1,6 +1,7 @@
 #include "glove/api/cli.hpp"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -102,7 +103,7 @@ void finish_observability(const util::Flags& flags, std::ostream& out) {
 RunConfig run_config_from_flags(const util::Flags& flags) {
   RunConfig config;
   config.strategy = flags.get("strategy");
-  config.k = static_cast<std::uint32_t>(flags.get_int("k"));
+  config.k = flags.get_int<std::uint32_t>("k");
   const double suppress_km = flags.get_double("suppress-km");
   const double suppress_hours = flags.get_double("suppress-hours");
   if (suppress_km > 0.0 || suppress_hours > 0.0) {
@@ -112,19 +113,10 @@ RunConfig run_config_from_flags(const util::Flags& flags) {
         suppress_hours > 0.0 ? suppress_hours * 60.0
                              : std::numeric_limits<double>::infinity()};
   }
-  config.chunked.chunk_size =
-      static_cast<std::size_t>(flags.get_int("chunk-size"));
+  config.chunked.chunk_size = flags.get_int<std::size_t>("chunk-size");
   config.sharded.tile_size_m = flags.get_double("tile-km") * 1'000.0;
-  const long long shard_users = flags.get_int("shard-users");
-  const long long shard_workers = flags.get_int("shard-workers");
-  if (shard_users < 0 || shard_workers < 0) {
-    // Without this check the size_t cast would wrap a negative flag to
-    // ~2^64 — for workers that drives thread creation, not just a bound.
-    throw std::invalid_argument{
-        "--shard-users and --shard-workers must be non-negative"};
-  }
-  config.sharded.max_shard_users = static_cast<std::size_t>(shard_users);
-  config.sharded.workers = static_cast<std::size_t>(shard_workers);
+  config.sharded.max_shard_users = flags.get_int<std::size_t>("shard-users");
+  config.sharded.workers = flags.get_int<std::size_t>("shard-workers");
   config.sharded.halo_m = flags.get_double("halo-km") * 1'000.0;
   config.sharded.border = flags.get("border") == "none"
                               ? shard::BorderPolicy::kNone
@@ -146,7 +138,7 @@ void define_synth_flags(util::Flags& flags, std::size_t default_users,
 }
 
 cdr::FingerprintDataset synth_dataset_from_flags(const util::Flags& flags) {
-  const auto users = static_cast<std::size_t>(flags.get_int("users"));
+  const auto users = flags.get_int<std::size_t>("users");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   synth::SynthConfig config = flags.get("preset") == "sen"
                                   ? synth::sen_like(users, seed)
@@ -187,7 +179,7 @@ cdr::FingerprintDataset load_dataset(const std::string& path,
   builder.projection_origin = geo::LatLon{flags.get_double("origin-lat"),
                                           flags.get_double("origin-lon")};
   cdr::FingerprintDataset data = cdr::build_fingerprints(events, builder);
-  data.set_name(path);
+  data.set_name(std::filesystem::path{path}.stem().string());
   return data;
 }
 
@@ -195,17 +187,8 @@ ConvertStats convert_dataset_file(const std::string& input,
                                   const std::string& output,
                                   std::string_view format) {
   const std::unique_ptr<DatasetSource> source = open_dataset_source(input);
-  // Carry the dataset name across so the conversion is lossless header
-  // included: glovebin files store it in the footer, CSVs in the leading
-  // comment.
-  std::string name;
-  if (const auto* bin = dynamic_cast<const GlovebinSource*>(source.get())) {
-    name = bin->dataset_name();
-  } else {
-    name = cdr::sniff_dataset_csv_name(input);
-  }
   const std::unique_ptr<DatasetSink> sink = make_dataset_sink(output, format);
-  sink->begin(name);
+  sink->begin(source->name());
   ConvertStats stats;
   cdr::Fingerprint fp;
   while (source->next(fp)) {

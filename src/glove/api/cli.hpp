@@ -71,14 +71,16 @@ struct ConvertStats {
 /// Converts a fingerprint dataset file between formats: the input is
 /// sniffed by magic bytes (glovebin vs CSV), the output selected by
 /// `format` ("csv"/"glovebin", or "" to pick by the output extension).
-/// The dataset name is carried across, so csv -> glovebin -> csv
+/// The stored dataset name is carried across, so csv -> glovebin -> csv
 /// round-trips byte-identically.  Throws on I/O or parse failure.
 ConvertStats convert_dataset_file(const std::string& input,
                                   const std::string& output,
                                   std::string_view format = {});
 
 /// Reads `path` as a raw CDR trace in the flags-selected format and
-/// builds fingerprints.  Throws on I/O or format errors.
+/// builds fingerprints, naming the dataset by the file's stem ("city" for
+/// traces/city.csv), never by a directory.  Throws on I/O or format
+/// errors.
 [[nodiscard]] cdr::FingerprintDataset load_dataset(const std::string& path,
                                                    const util::Flags& flags);
 

@@ -183,7 +183,7 @@ stats::Json report_json(const RunReport& report) {
       .set("obs", std::move(obs));
   if (!report.shard_timings.empty()) {
     stats::Json shards = stats::Json::array();
-    for (const ShardTimingRow& row : report.shard_timings) {
+    for (const shard::ShardTiming& row : report.shard_timings) {
       shards.push(stats::Json::object()
                       .set("shard", row.shard)
                       .set("input_fingerprints", row.input_fingerprints)

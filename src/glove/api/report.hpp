@@ -13,6 +13,7 @@
 
 #include "glove/api/config.hpp"
 #include "glove/cdr/dataset.hpp"
+#include "glove/shard/jobs.hpp"
 #include "glove/stats/json.hpp"
 
 namespace glove::api {
@@ -36,18 +37,6 @@ struct RunTimings {
   double init_seconds = 0.0;   ///< strategy setup (e.g. stretch matrix)
   double merge_seconds = 0.0;  ///< main loop (greedy merge / clustering)
   double total_seconds = 0.0;  ///< wall clock of Engine::run
-};
-
-/// Per-shard accounting of the `sharded` strategy, serialized as the
-/// report's "shards" array (absent for single-matrix strategies).
-struct ShardTimingRow {
-  std::uint64_t shard = 0;
-  std::uint64_t input_fingerprints = 0;  ///< anonymized inside the shard
-  std::uint64_t deferred = 0;            ///< handed to reconciliation
-  std::uint64_t output_groups = 0;
-  double init_seconds = 0.0;
-  double merge_seconds = 0.0;
-  double total_seconds = 0.0;
 };
 
 /// Scalar echo of the validated configuration the run actually used.
@@ -92,7 +81,7 @@ struct RunReport {
   std::vector<std::pair<std::string, double>> extra_metrics;
   /// Per-shard timings (sharded strategy only; empty otherwise).
   /// Serialized as "shards" when non-empty.
-  std::vector<ShardTimingRow> shard_timings;
+  std::vector<shard::ShardTiming> shard_timings;
   /// Threads that ran the shard jobs (sharded strategy only; 0
   /// otherwise).  Serialized as "exec" when non-zero.
   std::uint64_t exec_workers = 0;

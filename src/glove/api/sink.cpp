@@ -7,21 +7,8 @@
 namespace glove::api {
 
 CsvFileSink::CsvFileSink(std::string path)
-    : path_{std::move(path)}, out_{path_}, writer_{out_} {
+    : path_{std::move(path)}, out_{path_}, writer_{out_, path_} {
   if (!out_) throw std::runtime_error{"cannot open for writing: " + path_};
-}
-
-void CsvFileSink::begin(const std::string& dataset_name) {
-  // Surface an unwritable target (read-only file, full disk) at run
-  // start, not at the first group — or never, for an empty result.  The
-  // stream writer detects the failure but cannot name the file.
-  try {
-    writer_.begin(dataset_name);
-  } catch (const std::runtime_error&) {
-    throw std::runtime_error{"failed writing: " + path_};
-  }
-  out_.flush();
-  if (!out_) throw std::runtime_error{"failed writing: " + path_};
 }
 
 void CsvFileSink::do_write(cdr::Fingerprint group) {

@@ -97,7 +97,8 @@ class MemorySink final : public DatasetSink {
 /// Appends groups to a fingerprint-dataset CSV incrementally, producing
 /// byte-identical files to cdr::write_dataset_file on the same groups.
 /// Throws std::runtime_error (with the path) when the file cannot be
-/// opened or a write fails.
+/// opened or a write fails, and util::DatasetError (with the path) when
+/// the dataset name holds a line break.
 class CsvFileSink final : public DatasetSink {
  public:
   explicit CsvFileSink(std::string path);
@@ -105,7 +106,11 @@ class CsvFileSink final : public DatasetSink {
   [[nodiscard]] std::string_view kind() const noexcept override {
     return "csv-file";
   }
-  void begin(const std::string& dataset_name) override;
+  /// Writes and flushes the header, so an unwritable target (read-only
+  /// file, full disk) fails at run start, not at the first group.
+  void begin(const std::string& dataset_name) override {
+    writer_.begin(dataset_name);
+  }
   void finish() override;
 
  protected:
@@ -121,7 +126,9 @@ class CsvFileSink final : public DatasetSink {
 /// producing byte-identical files to cdr::write_dataset_glovebin_file on
 /// the same groups.  Throws std::runtime_error (with the path) when the
 /// file cannot be opened or a write fails — begin() already flushes the
-/// header, so an unwritable target fails at run start.
+/// header, so an unwritable target fails at run start — and
+/// util::DatasetError (with the path) when the dataset name holds a line
+/// break.
 class GlovebinSink final : public DatasetSink {
  public:
   explicit GlovebinSink(std::string path) : writer_{std::move(path)} {}

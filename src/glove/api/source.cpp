@@ -20,6 +20,8 @@ bool MemorySource::next(cdr::Fingerprint& fingerprint) {
 CsvFileSource::CsvFileSource(std::string path)
     : path_{std::move(path)}, in_{path_}, reader_{in_} {
   if (!in_) throw std::runtime_error{"cannot open for reading: " + path_};
+  name_ = cdr::read_csv_dataset_name(in_);
+  rewind();
 }
 
 bool CsvFileSource::next(cdr::Fingerprint& fingerprint) {

@@ -5,8 +5,10 @@
 // materializes shard batches on later ones) never need the whole dataset
 // in memory.  MemorySource adapts an existing in-memory dataset — the
 // legacy dataset-in/dataset-out Engine overload is a thin wrapper around
-// it — and CsvFileSource streams a fingerprint-dataset CSV straight off
-// disk through cdr::DatasetStreamReader.
+// it — and the file sources are the one way a dataset file is read:
+// CsvFileSource streams a fingerprint-dataset CSV straight off disk
+// through cdr::DatasetStreamReader, GlovebinSource a glovebin file.  Every
+// source is named by the dataset's stored name, never by its path.
 
 #ifndef GLOVE_API_SOURCE_HPP
 #define GLOVE_API_SOURCE_HPP
@@ -47,8 +49,11 @@ class DatasetSource {
   /// recorded in the run report.
   [[nodiscard]] virtual std::string_view kind() const noexcept = 0;
 
-  /// Dataset name carried into reports and output naming (the in-memory
-  /// dataset's name, or the file path).
+  /// The dataset's stored name: the in-memory dataset's name, a CSV
+  /// file's "# glove fingerprint dataset:" header or a glovebin file's
+  /// footer ("" when the input stores none).  It names the release (line
+  /// 1 of a CSV output) and the report's `dataset` field, so a release
+  /// follows the content alone, never the file's path or format.
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Yields the next fingerprint.  Returns false at end of input; may
@@ -159,11 +164,12 @@ class MemorySource final : public DatasetSource {
 };
 
 /// Streams a fingerprint-dataset CSV (the write_dataset_csv format) from
-/// a file, holding O(1 fingerprint) memory.  Throws std::runtime_error
-/// when the file cannot be opened; parse failures carry the path and row
-/// number and surface as util::DatasetError (kInvalidDataset at the
-/// Engine boundary).  `rewind()` seeks back to the start, so the file
-/// can be consumed any number of times.
+/// a file, holding O(1 fingerprint) memory, named by its header comment
+/// (cdr::read_csv_dataset_name).  Throws std::runtime_error when the file
+/// cannot be opened; parse failures carry the path and row number and
+/// surface as util::DatasetError (kInvalidDataset at the Engine
+/// boundary).  `rewind()` seeks back to the start, so the file can be
+/// consumed any number of times.
 class CsvFileSource final : public DatasetSource {
  public:
   explicit CsvFileSource(std::string path);
@@ -171,7 +177,7 @@ class CsvFileSource final : public DatasetSource {
   [[nodiscard]] std::string_view kind() const noexcept override {
     return "csv-file";
   }
-  [[nodiscard]] std::string name() const override { return path_; }
+  [[nodiscard]] std::string name() const override { return name_; }
   bool next(cdr::Fingerprint& fingerprint) override;
   void rewind() override;
 
@@ -179,15 +185,17 @@ class CsvFileSource final : public DatasetSource {
   std::string path_;
   std::ifstream in_;
   cdr::DatasetStreamReader reader_;
+  std::string name_;
 };
 
-/// Streams a glovebin file (cdr/binio.hpp), decoding one block range at a
-/// time, and serves the index fast paths: summaries() reads the footer
-/// instead of the payload and fetch() maps only the blocks holding the
-/// requested fingerprints.  Throws std::runtime_error with the path when
-/// the file cannot be opened or fails validation; corrupt block payloads
-/// surface as util::DatasetError (kInvalidDataset at the Engine
-/// boundary), matching CsvFileSource's malformed-row behavior.
+/// Streams a glovebin file (cdr/binio.hpp), named by its footer, decoding
+/// one block range at a time, and serves the index fast paths:
+/// summaries() reads the footer instead of the payload and fetch() maps
+/// only the blocks holding the requested fingerprints.  Throws
+/// std::runtime_error with the path when the file cannot be opened or
+/// fails validation; corrupt block payloads surface as util::DatasetError
+/// (kInvalidDataset at the Engine boundary), matching CsvFileSource's
+/// malformed-row behavior.
 class GlovebinSource final : public DatasetSource {
  public:
   explicit GlovebinSource(std::string path);
@@ -195,9 +203,7 @@ class GlovebinSource final : public DatasetSource {
   [[nodiscard]] std::string_view kind() const noexcept override {
     return "glovebin-file";
   }
-  [[nodiscard]] std::string name() const override { return reader_.path(); }
-  /// The dataset name stored in the footer (the converter preserves it).
-  [[nodiscard]] const std::string& dataset_name() const noexcept {
+  [[nodiscard]] std::string name() const override {
     return reader_.dataset_name();
   }
   bool next(cdr::Fingerprint& fingerprint) override;

@@ -213,7 +213,7 @@ class ShardedStrategy final : public Anonymizer {
         context.hooks);
     sink.finish();
     StrategyOutcome outcome =
-        outcome_from_stats(result.stats, result.shard_timings);
+        outcome_from_stats(result.stats, std::move(result.shard_timings));
     outcome.exec_workers = result.exec_workers;
     outcome.pass_fingerprints = std::move(result.pass_fingerprints);
     return outcome;
@@ -233,7 +233,7 @@ class ShardedStrategy final : public Anonymizer {
 
   static StrategyOutcome outcome_from_stats(
       const shard::ShardedStats& stats,
-      const std::vector<shard::ShardTiming>& timings) {
+      std::vector<shard::ShardTiming> timings) {
     StrategyOutcome outcome;
     outcome.counters = from_glove_stats(stats.glove);
     outcome.init_seconds = stats.glove.init_seconds;
@@ -249,18 +249,7 @@ class ShardedStrategy final : public Anonymizer {
         {"tile_size_m", stats.tile_size_m},
         {"plan_seconds", stats.plan_seconds},
         {"reconcile_seconds", stats.reconcile_seconds}};
-    outcome.shard_timings.reserve(timings.size());
-    for (const shard::ShardTiming& t : timings) {
-      ShardTimingRow row;
-      row.shard = t.shard;
-      row.input_fingerprints = t.input_fingerprints;
-      row.deferred = t.deferred;
-      row.output_groups = t.output_groups;
-      row.init_seconds = t.init_seconds;
-      row.merge_seconds = t.merge_seconds;
-      row.total_seconds = t.total_seconds;
-      outcome.shard_timings.push_back(row);
-    }
+    outcome.shard_timings = std::move(timings);
     return outcome;
   }
 };

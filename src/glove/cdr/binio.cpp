@@ -121,6 +121,7 @@ void GlovebinWriter::begin(const std::string& dataset_name) {
   if (begun_) {
     throw std::logic_error{path_ + ": GlovebinWriter::begin called twice"};
   }
+  check_dataset_name(dataset_name, path_);
   begun_ = true;
   name_ = dataset_name;
   std::string header;
@@ -264,17 +265,17 @@ namespace {
 GlovebinReader::GlovebinReader(std::string path) : path_{std::move(path)} {
   std::uint64_t file_size = 0;
 #ifdef GLOVE_GLOVEBIN_POSIX
-  fd_ = ::open(path_.c_str(), O_RDONLY);
-  if (fd_ < 0) bad_file(path_, "cannot open for reading");
+  fd_.fd = ::open(path_.c_str(), O_RDONLY);
+  if (fd_.fd < 0) bad_file(path_, "cannot open for reading");
   struct stat st{};
-  if (::fstat(fd_, &st) != 0) bad_file(path_, "cannot stat");
+  if (::fstat(fd_.fd, &st) != 0) bad_file(path_, "cannot stat");
   file_size = static_cast<std::uint64_t>(st.st_size);
   const auto read_exact = [&](std::uint64_t offset, std::uint64_t len,
                               void* dst) {
     std::uint64_t done = 0;
     while (done < len) {
       const ::ssize_t got =
-          ::pread(fd_, static_cast<char*>(dst) + done, len - done,
+          ::pread(fd_.fd, static_cast<char*>(dst) + done, len - done,
                   static_cast<::off_t>(offset + done));
       if (got <= 0) bad_file(path_, "truncated read");
       done += static_cast<std::uint64_t>(got);
@@ -378,14 +379,15 @@ GlovebinReader::GlovebinReader(std::string path) : path_{std::move(path)} {
     bad_file(path_, "corrupt glovebin trailer (name length)");
   }
   name_.assign(reinterpret_cast<const char*>(p), name_len);
+  check_dataset_name(name_, path_);
 
   payload_begin_ = kHeaderBytes;
   payload_end_ = summaries_offset;
 }
 
-GlovebinReader::~GlovebinReader() {
+GlovebinReader::Descriptor::~Descriptor() {
 #ifdef GLOVE_GLOVEBIN_POSIX
-  if (fd_ >= 0) ::close(fd_);
+  if (fd >= 0) ::close(fd);
 #endif
 }
 
@@ -420,7 +422,7 @@ void GlovebinReader::read_blocks(
   const std::uint64_t map_begin = range_begin & ~(page - 1);
   const std::uint64_t map_len = range_end - map_begin;
   void* mapped = ::mmap(nullptr, static_cast<std::size_t>(map_len), PROT_READ,
-                        MAP_PRIVATE, fd_, static_cast<::off_t>(map_begin));
+                        MAP_PRIVATE, fd_.fd, static_cast<::off_t>(map_begin));
   if (mapped == MAP_FAILED) bad_file(path_, "mmap failed");
   base = static_cast<const unsigned char*>(mapped) +
          (range_begin - map_begin);
@@ -505,7 +507,7 @@ void GlovebinReader::read_blocks(
   blocks_read_ += last_block - first_block;
 }
 
-// --- Bulk conveniences ---------------------------------------------------
+// --- Bulk writer ----------------------------------------------------------
 
 void write_dataset_glovebin_file(const std::string& path,
                                  const FingerprintDataset& data,
@@ -514,20 +516,6 @@ void write_dataset_glovebin_file(const std::string& path,
   writer.begin(data.name());
   for (const Fingerprint& fp : data.fingerprints()) writer.write(fp);
   writer.finish();
-}
-
-FingerprintDataset read_dataset_glovebin_file(const std::string& path) {
-  GlovebinReader reader{path};
-  std::vector<Fingerprint> fingerprints;
-  fingerprints.resize(static_cast<std::size_t>(reader.fingerprint_count()));
-  reader.read_blocks(0, static_cast<std::size_t>(reader.block_count()),
-                     [&](std::uint64_t id, Fingerprint&& fp) {
-                       fingerprints[static_cast<std::size_t>(id)] =
-                           std::move(fp);
-                     });
-  FingerprintDataset data{std::move(fingerprints)};
-  data.set_name(reader.dataset_name());
-  return data;
 }
 
 }  // namespace glove::cdr

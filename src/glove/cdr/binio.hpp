@@ -18,6 +18,9 @@
 //            (offset/length/fingerprint range/min-max locality_sort_key/
 //            merged bounds per block — rewound passes map only the blocks
 //            that hold the fingerprints they need), then the dataset name
+//            (verbatim, "" when unnamed; a name with a line break is
+//            rejected on write and on open, as it would become line 1 of
+//            a CSV release)
 //   trailer  counts + footer offsets + magic again, fixed size at EOF
 //
 // The reader maps (or on non-POSIX platforms reads) one block range at a
@@ -97,7 +100,9 @@ class GlovebinWriter {
       std::string path,
       std::uint32_t block_fingerprints = kGlovebinDefaultBlockFingerprints);
 
-  /// Writes the header and records the dataset name for the footer.
+  /// Writes the header and records the dataset name for the footer;
+  /// throws util::DatasetError with the path when the name holds a line
+  /// break (check_dataset_name).
   void begin(const std::string& dataset_name);
 
   /// Appends one fingerprint (samples in its stored, time-sorted order).
@@ -133,16 +138,17 @@ class GlovebinWriter {
 /// payloads are mapped page-aligned per read_blocks() call and unmapped
 /// after decoding, so peak address space stays O(largest requested block
 /// range), never O(file).  Throws std::runtime_error with the path on
-/// open/validation failure and on corrupt block payloads.
+/// open/validation failure, util::DatasetError when the stored name holds
+/// a line break, and std::invalid_argument on corrupt block payloads.
+/// Programs read glovebin datasets through api::GlovebinSource, which
+/// wraps it.
 class GlovebinReader {
  public:
   explicit GlovebinReader(std::string path);
-  ~GlovebinReader();
 
   GlovebinReader(const GlovebinReader&) = delete;
   GlovebinReader& operator=(const GlovebinReader&) = delete;
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] const std::string& dataset_name() const noexcept {
     return name_;
   }
@@ -192,18 +198,24 @@ class GlovebinReader {
   std::uint64_t payload_end_ = 0;
   std::uint64_t blocks_read_ = 0;
   std::uint64_t bytes_mapped_ = 0;
-  int fd_ = -1;  ///< POSIX descriptor; -1 when using the stream fallback
+  /// POSIX descriptor; -1 when using the stream fallback.  A member that
+  /// closes it, so a constructor that rejects the file does not leak it.
+  struct Descriptor {
+    int fd = -1;
+    Descriptor() = default;
+    Descriptor(const Descriptor&) = delete;
+    Descriptor& operator=(const Descriptor&) = delete;
+    ~Descriptor();
+  };
+  Descriptor fd_;
 };
 
-/// Bulk conveniences mirroring the CSV pair: whole-dataset write/read.
-/// write preserves each fingerprint's stored sample order; read returns
-/// fingerprints in file order.  Both throw std::runtime_error with the
-/// path on failure.
+/// Whole-dataset writer mirroring write_dataset_file: preserves each
+/// fingerprint's stored sample order and throws std::runtime_error with
+/// the path on failure.
 void write_dataset_glovebin_file(
     const std::string& path, const FingerprintDataset& data,
     std::uint32_t block_fingerprints = kGlovebinDefaultBlockFingerprints);
-[[nodiscard]] FingerprintDataset read_dataset_glovebin_file(
-    const std::string& path);
 
 }  // namespace glove::cdr
 

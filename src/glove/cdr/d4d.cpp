@@ -135,7 +135,8 @@ AntennaTable read_d4d_antennas(std::istream& in) {
     if (fields.size() != 3) {
       throw std::invalid_argument{context + ": expected 3 fields"};
     }
-    const long long id = util::parse_int(fields[0], context);
+    const auto id = util::parse_integer<long long>(fields[0], "antenna id",
+                                                   context);
     const double lat = util::parse_double(fields[1], context);
     const double lon = util::parse_double(fields[2], context);
     if (!table.emplace(id, geo::LatLon{lat, lon}).second) {
@@ -159,11 +160,7 @@ D4DTrace read_d4d_trace(std::istream& in, const AntennaTable& antennas) {
       throw std::invalid_argument{context + ": expected 3 fields"};
     }
     D4DRecord record;
-    const long long user = util::parse_int(fields[0], context);
-    if (user < 0) {
-      throw std::invalid_argument{context + ": negative user id"};
-    }
-    record.user = static_cast<UserId>(user);
+    record.user = util::parse_integer<UserId>(fields[0], "user id", context);
     try {
       record.time_min = parse_d4d_timestamp_min(fields[1]);
     } catch (const std::invalid_argument& e) {
@@ -171,7 +168,8 @@ D4DTrace read_d4d_trace(std::istream& in, const AntennaTable& antennas) {
       // to the offending row.
       throw std::invalid_argument{context + ": " + e.what()};
     }
-    record.antenna = util::parse_int(fields[2], context);
+    record.antenna =
+        util::parse_integer<long long>(fields[2], "antenna id", context);
     if (!antennas.contains(record.antenna)) {
       throw std::invalid_argument{context + ": unknown antenna id " +
                                   std::to_string(record.antenna)};

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "glove/util/hooks.hpp"
 #include "glove/util/rng.hpp"
 
 namespace glove::cdr {
@@ -28,6 +29,13 @@ double FingerprintDataset::mean_fingerprint_length() const noexcept {
   if (fingerprints_.empty()) return 0.0;
   return static_cast<double>(total_samples()) /
          static_cast<double>(fingerprints_.size());
+}
+
+void check_dataset_name(std::string_view name, const std::string& path) {
+  if (name.find_first_of("\r\n") != std::string_view::npos) {
+    throw util::DatasetError{(path.empty() ? "" : path + ": ") +
+                             "dataset name contains a line break"};
+  }
 }
 
 FingerprintDataset::TimeSpan FingerprintDataset::time_span() const noexcept {

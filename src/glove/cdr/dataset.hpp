@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "glove/cdr/fingerprint.hpp"
@@ -62,6 +63,12 @@ class FingerprintDataset {
   std::vector<Fingerprint> fingerprints_;
   std::string name_;
 };
+
+/// Throws util::DatasetError naming `path` when `name` holds a line break.
+/// A stored name becomes line 1 of every CSV release made from the
+/// dataset, so both dataset writers and the glovebin footer decoder check
+/// it.
+void check_dataset_name(std::string_view name, const std::string& path);
 
 /// Keeps only users with at least `min_samples_per_day` samples per day on
 /// average — the preliminary screening applied to d4d-civ (Sec. 3).

@@ -4,9 +4,9 @@
 #include <charconv>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
@@ -38,41 +38,26 @@ std::string join_members(std::span<const UserId> members) {
   return out;
 }
 
+/// `context` names the row ("dataset row at line N"); CsvFileSource
+/// prefixes the path.
 std::vector<UserId> parse_members(std::string_view field,
-                                  std::size_t line_no) {
+                                  const std::string& context) {
   std::vector<UserId> members;
   std::size_t start = 0;
   for (std::size_t i = 0; i <= field.size(); ++i) {
     if (i == field.size() || field[i] == '+') {
-      const std::string_view part = field.substr(start, i - start);
-      const long long id = util::parse_int(
-          part, "members field at line " + std::to_string(line_no));
-      if (id < 0) {
-        // glove-lint: allow(throw-context, stream-level parse error; the
-        // file wrappers rethrow with the path prefixed via
-        // with_path_context)
-        throw std::invalid_argument{"negative user id at line " +
-                                    std::to_string(line_no)};
-      }
-      members.push_back(static_cast<UserId>(id));
+      members.push_back(util::parse_integer<UserId>(
+          field.substr(start, i - start), "member id", context));
       start = i + 1;
     }
-  }
-  if (members.empty()) {
-    // glove-lint: allow(throw-context, stream-level parse error; file
-    // wrappers rethrow with the path prefixed via with_path_context)
-    throw std::invalid_argument{"empty members field at line " +
-                                std::to_string(line_no)};
   }
   std::vector<UserId> sorted = members;
   std::sort(sorted.begin(), sorted.end());
   const auto duplicate = std::adjacent_find(sorted.begin(), sorted.end());
   if (duplicate != sorted.end()) {
-    // glove-lint: allow(throw-context, stream-level parse error; file
-    // wrappers rethrow with the path prefixed via with_path_context)
-    throw std::invalid_argument{
-        "duplicate user id " + std::to_string(*duplicate) +
-        " in members field at line " + std::to_string(line_no)};
+    throw std::invalid_argument{context + ": duplicate user id " +
+                                std::to_string(*duplicate) +
+                                " in members field"};
   }
   return members;
 }
@@ -100,11 +85,7 @@ void decode_cdr_row(const std::vector<std::string_view>& fields,
     throw std::invalid_argument{context + ": expected 4 fields, got " +
                                 std::to_string(fields.size())};
   }
-  const long long user = util::parse_int(fields[0], context);
-  if (user < 0) {
-    throw std::invalid_argument{context + ": negative user id"};
-  }
-  event.user = static_cast<UserId>(user);
+  event.user = util::parse_integer<UserId>(fields[0], "user id", context);
   event.time_min = util::parse_double(fields[1], context);
   event.antenna.lat_deg = util::parse_double(fields[2], context);
   event.antenna.lon_deg = util::parse_double(fields[3], context);
@@ -206,15 +187,13 @@ std::vector<CdrEvent> read_cdr_csv(std::istream& in) {
 }
 
 void DatasetStreamWriter::begin(const std::string& dataset_name) {
-  writer_.comment("glove fingerprint dataset: " +
-                  (dataset_name.empty() ? std::string{"unnamed"}
-                                        : dataset_name));
+  check_dataset_name(dataset_name, path_);
+  writer_.comment("glove fingerprint dataset: " + dataset_name);
   writer_.comment("members,x,dx,y,dy,t,dt,contributors");
   out_->flush();
   if (!*out_) {
-    // glove-lint: allow(throw-context, the stream writer cannot name the
-    // file; CsvFileSink::begin catches this and rethrows with the path)
-    throw std::runtime_error{"failed writing dataset header"};
+    throw std::runtime_error{"failed writing dataset header" +
+                             (path_.empty() ? "" : " to " + path_)};
   }
 }
 
@@ -234,18 +213,24 @@ void write_dataset_csv(std::ostream& out, const FingerprintDataset& data) {
   for (const Fingerprint& fp : data.fingerprints()) writer.write(fp);
 }
 
-bool DatasetStreamReader::next_run(std::string& key,
-                                   std::vector<UserId>& members,
-                                   std::vector<Sample>& samples) {
-  key.clear();
-  members.clear();
-  samples.clear();
-  if (have_pending_) {
-    key = std::move(pending_key_);
-    members = std::move(pending_members_);
-    samples = std::move(pending_samples_);
-    have_pending_ = false;
+std::string read_csv_dataset_name(std::istream& in) {
+  constexpr std::string_view prefix{"# glove fingerprint dataset: "};
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    if (line[0] != '#') break;  // data before the header comment
+    if (line.starts_with(prefix)) return line.substr(prefix.size());
   }
+  return {};
+}
+
+bool DatasetStreamReader::next(Fingerprint& fingerprint) {
+  // A run starts with the row that ended the previous one, if any.
+  std::string key = std::exchange(pending_key_, {});
+  std::vector<UserId> members = std::exchange(pending_members_, {});
+  std::vector<Sample> samples;
+  if (!members.empty()) samples.push_back(pending_sample_);
   while (reader_.next(fields_)) {
     const std::string context =
         "dataset row at line " + std::to_string(reader_.line_number());
@@ -260,79 +245,31 @@ bool DatasetStreamReader::next_run(std::string& key,
     s.sigma.dy = util::parse_double(fields_[4], context);
     s.tau.t = util::parse_double(fields_[5], context);
     s.tau.dt = util::parse_double(fields_[6], context);
-    const long long contributors = util::parse_int(fields_[7], context);
-    if (contributors <= 0) {
-      throw std::invalid_argument{context + ": contributors must be >= 1"};
-    }
-    s.contributors = static_cast<std::uint32_t>(contributors);
+    s.contributors = util::parse_integer<std::uint32_t>(
+        fields_[7], "contributors", context, 1);
     check_sample(s, context);
 
     if (members.empty()) {
-      // First row of this run.
       key.assign(fields_[0]);
-      members = parse_members(fields_[0], reader_.line_number());
-      samples.push_back(s);
-      continue;
+      members = parse_members(fields_[0], context);
+    } else if (key != fields_[0]) {
+      // A new key starts the next run: hold its first row back.
+      pending_key_.assign(fields_[0]);
+      pending_members_ = parse_members(fields_[0], context);
+      pending_sample_ = s;
+      break;
     }
-    if (key == fields_[0]) {
-      samples.push_back(s);
-      continue;
-    }
-    // A new key starts the next run; buffer its first row for later.
-    pending_key_.assign(fields_[0]);
-    pending_members_ = parse_members(fields_[0], reader_.line_number());
-    pending_samples_.assign(1, s);
-    have_pending_ = true;
-    return true;
+    samples.push_back(s);
   }
-  return !members.empty();
+  if (members.empty()) return false;
+  fingerprint = Fingerprint{std::move(members), std::move(samples)};
+  return true;
 }
 
 void DatasetStreamReader::rewind() {
   reader_.rewind();
   pending_key_.clear();
   pending_members_.clear();
-  pending_samples_.clear();
-  have_pending_ = false;
-}
-
-bool DatasetStreamReader::next(Fingerprint& fingerprint) {
-  std::string key;
-  std::vector<UserId> members;
-  std::vector<Sample> samples;
-  if (!next_run(key, members, samples)) return false;
-  fingerprint = Fingerprint{std::move(members), std::move(samples)};
-  return true;
-}
-
-FingerprintDataset read_dataset_csv(std::istream& in) {
-  // Stream runs and coalesce non-contiguous runs of the same key,
-  // preserving the first-seen group order (and the file's sample row
-  // order within each group) of the historical whole-file reader.
-  DatasetStreamReader reader{in};
-  std::map<std::string, std::size_t> group_index;
-  std::vector<std::vector<UserId>> group_members;
-  std::vector<std::vector<Sample>> group_samples;
-  std::string key;
-  std::vector<UserId> members;
-  std::vector<Sample> samples;
-  while (reader.next_run(key, members, samples)) {
-    auto [it, inserted] = group_index.try_emplace(key, group_members.size());
-    if (inserted) {
-      group_members.push_back(std::move(members));
-      group_samples.push_back(std::move(samples));
-    } else {
-      std::vector<Sample>& existing = group_samples[it->second];
-      existing.insert(existing.end(), samples.begin(), samples.end());
-    }
-  }
-  std::vector<Fingerprint> fingerprints;
-  fingerprints.reserve(group_members.size());
-  for (std::size_t i = 0; i < group_members.size(); ++i) {
-    fingerprints.emplace_back(std::move(group_members[i]),
-                              std::move(group_samples[i]));
-  }
-  return FingerprintDataset{std::move(fingerprints)};
 }
 
 namespace {
@@ -379,28 +316,6 @@ void write_dataset_file(const std::string& path,
   if (!out) throw std::runtime_error{"cannot open for writing: " + path};
   write_dataset_csv(out, data);
   require_writable(out, path);
-}
-
-std::string sniff_dataset_csv_name(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) return {};
-  std::string line;
-  const std::string_view prefix{"# glove fingerprint dataset: "};
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line[0] != '#') return {};  // data before the header comment
-    if (line.size() > prefix.size() &&
-        std::string_view{line}.substr(0, prefix.size()) == prefix) {
-      return line.substr(prefix.size());
-    }
-  }
-  return {};
-}
-
-FingerprintDataset read_dataset_file(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error{"cannot open for reading: " + path};
-  return with_path_context(path, [&] { return read_dataset_csv(in); });
 }
 
 }  // namespace glove::cdr

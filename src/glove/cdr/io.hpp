@@ -2,10 +2,13 @@
 //
 // Two formats:
 //   * raw CDR trace:      user_id, time_min, lat_deg, lon_deg
-//   * fingerprint dataset: user ids ('+'-joined for merged groups), followed
-//     by one row per sample: group_id, x, dx, y, dy, t, dt, contributors
+//   * fingerprint dataset: a "# glove fingerprint dataset: NAME" header
+//     comment, then one row per sample: members ('+'-joined user ids of
+//     the group), x, dx, y, dy, t, dt, contributors
 // Both are plain comma-separated numeric files with '#' comments, mirroring
-// the flat traces distributed by the D4D challenge.
+// the flat traces distributed by the D4D challenge.  A fingerprint dataset
+// is read one way only, by DatasetStreamReader (api::CsvFileSource wraps
+// it with the stored name and the path).
 
 #ifndef GLOVE_CDR_IO_HPP
 #define GLOVE_CDR_IO_HPP
@@ -14,6 +17,7 @@
 #include <fstream>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "glove/cdr/builder.hpp"
@@ -135,15 +139,19 @@ void write_dataset_csv(std::ostream& out, const FingerprintDataset& data);
 /// Streaming fingerprint writer: emits the dataset header once, then one
 /// group at a time, producing byte-identical files to `write_dataset_csv`
 /// (which is a thin loop over this) while holding O(1 group) memory — the
-/// emit side of file-to-file anonymization runs.
+/// emit side of file-to-file anonymization runs.  `path` only names the
+/// target in error messages ("" for anonymous streams).
 class DatasetStreamWriter {
  public:
-  explicit DatasetStreamWriter(std::ostream& out) : out_{&out}, writer_{out} {}
+  explicit DatasetStreamWriter(std::ostream& out, std::string path = {})
+      : out_{&out}, writer_{out}, path_{std::move(path)} {}
 
-  /// Writes the two header comment lines.  Call once, before any group.
-  /// Flushes and throws std::runtime_error when the stream rejects them,
-  /// so an unwritable target fails at run start instead of surfacing at
-  /// the first group — or never, for an empty result.
+  /// Writes the two header comment lines, the first storing
+  /// `dataset_name` verbatim (check_dataset_name rejects a name with a
+  /// line break).  Call once, before any group.  Flushes and throws
+  /// std::runtime_error when the stream rejects them, so an unwritable
+  /// target fails at run start instead of surfacing at the first group —
+  /// or never, for an empty result.
   void begin(const std::string& dataset_name);
 
   /// Appends one fingerprint's sample rows.
@@ -152,29 +160,28 @@ class DatasetStreamWriter {
  private:
   std::ostream* out_;
   util::CsvWriter writer_;
+  std::string path_;
 };
 
-/// Streaming fingerprint reader: yields one fingerprint per contiguous
-/// run of rows sharing a members key, holding O(1 fingerprint) memory.
-/// Files written by `write_dataset_csv` keep each group's rows contiguous,
-/// so streaming over them is lossless; inputs that interleave group rows
-/// yield one fingerprint per run (the bulk `read_dataset_csv` coalesces
-/// such runs and preserves the historical first-seen group order).
+/// The dataset name a fingerprint CSV stores in its
+/// "# glove fingerprint dataset: NAME" header comment, a trailing '\r'
+/// stripped, or "" when the comments before the first data row hold no
+/// such line.  Consumes the lines it reads: rewind the stream after.
+[[nodiscard]] std::string read_csv_dataset_name(std::istream& in);
+
+/// The fingerprint-dataset CSV decoder: yields one fingerprint per
+/// contiguous run of rows sharing a members key, holding O(1 fingerprint)
+/// memory.  Files written by `write_dataset_csv` keep each group's rows
+/// contiguous, so streaming over them is lossless; an input that
+/// interleaves group rows yields one fingerprint per run, in file order.
 class DatasetStreamReader {
  public:
   explicit DatasetStreamReader(std::istream& in) : reader_{in} {}
 
   /// Reads the next fingerprint.  Returns false at end of input; throws
-  /// std::invalid_argument on malformed rows.
+  /// std::invalid_argument naming the line on malformed rows, including
+  /// ids and counts that do not fit their field.
   bool next(Fingerprint& fingerprint);
-
-  /// Raw-run variant: the members key (e.g. "3+7"), parsed member ids and
-  /// samples in file row order, without constructing a Fingerprint (and
-  /// hence without its time-sort).  `read_dataset_csv` coalesces runs
-  /// through this so its sample ordering stays byte-identical to the
-  /// historical whole-file reader.
-  bool next_run(std::string& key, std::vector<UserId>& members,
-                std::vector<Sample>& samples);
 
   /// Restarts from the beginning of the stream, including after EOF, so
   /// two-pass consumers (shard planning, then shard materialization) can
@@ -185,32 +192,24 @@ class DatasetStreamReader {
  private:
   util::CsvReader reader_;
   std::vector<std::string_view> fields_;
-  std::string pending_key_;  ///< key of the buffered next run
+  /// First row of the next run, read while ending the current one;
+  /// pending_members_ is empty when no row is held back.
+  std::string pending_key_;
   std::vector<UserId> pending_members_;
-  std::vector<Sample> pending_samples_;
-  bool have_pending_ = false;
+  Sample pending_sample_;
 };
 
-/// Reads a fingerprint dataset written by `write_dataset_csv`.
-[[nodiscard]] FingerprintDataset read_dataset_csv(std::istream& in);
-
-/// The dataset name recorded in a fingerprint CSV's leading
-/// "# glove fingerprint dataset: NAME" comment, or "" when the file has
-/// no such header (or cannot be read) — lets format converters carry the
-/// name across without parsing the data.  Note write_dataset_csv stores
-/// "unnamed" for empty names.
-[[nodiscard]] std::string sniff_dataset_csv_name(const std::string& path);
-
-/// File-path convenience wrappers; throw std::runtime_error when the file
-/// cannot be opened or written, and rethrow parse failures with the
-/// offending path prefixed (row numbers are already in the parser
-/// messages), so callers reading several files can tell which one failed.
+/// File-path convenience writers and the CDR trace reader; throw
+/// std::runtime_error when the file cannot be opened or written, and
+/// rethrow parse failures with the offending path prefixed (row numbers
+/// are already in the parser messages), so callers reading several files
+/// can tell which one failed.  Read a fingerprint dataset file through
+/// api::open_dataset_source.
 void write_cdr_file(const std::string& path,
                     const std::vector<CdrEvent>& events);
 [[nodiscard]] std::vector<CdrEvent> read_cdr_file(const std::string& path);
 void write_dataset_file(const std::string& path,
                         const FingerprintDataset& data);
-[[nodiscard]] FingerprintDataset read_dataset_file(const std::string& path);
 
 }  // namespace glove::cdr
 

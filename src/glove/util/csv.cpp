@@ -87,15 +87,4 @@ double parse_double(std::string_view field, std::string_view context) {
   return value;
 }
 
-long long parse_int(std::string_view field, std::string_view context) {
-  long long value{};
-  const auto [ptr, ec] =
-      std::from_chars(field.data(), field.data() + field.size(), value);
-  if (ec != std::errc{} || ptr != field.data() + field.size()) {
-    throw std::invalid_argument{"bad integer field '" + std::string{field} +
-                                "' in " + std::string{context}};
-  }
-  return value;
-}
-
 }  // namespace glove::util

@@ -7,7 +7,11 @@
 #ifndef GLOVE_UTIL_CSV_HPP
 #define GLOVE_UTIL_CSV_HPP
 
+#include <charconv>
+#include <concepts>
 #include <iosfwd>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,9 +71,26 @@ class CsvWriter {
 [[nodiscard]] double parse_double(std::string_view field,
                                   std::string_view context);
 
-/// Parses a non-negative integer, throwing std::invalid_argument on failure.
-[[nodiscard]] long long parse_int(std::string_view field,
-                                  std::string_view context);
+/// Parses a base-10 integer that fits T and is at least `min`.  Anything
+/// else throws std::invalid_argument naming `what` (the field) and
+/// `context` (the row's line, or the command line), so a value too large
+/// for T is rejected instead of truncated.
+template <std::integral T>
+[[nodiscard]] T parse_integer(std::string_view field, std::string_view what,
+                              std::string_view context,
+                              T min = std::numeric_limits<T>::min()) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < min) {
+    throw std::invalid_argument{
+        "bad " + std::string{what} + " '" + std::string{field} + "' in " +
+        std::string{context} + ": expected an integer in [" +
+        std::to_string(min) + ", " +
+        std::to_string(std::numeric_limits<T>::max()) + "]"};
+  }
+  return value;
+}
 
 }  // namespace glove::util
 

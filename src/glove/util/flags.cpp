@@ -113,10 +113,6 @@ double Flags::get_double(std::string_view name) const {
   return parse_double(entry(name).value, name);
 }
 
-long long Flags::get_int(std::string_view name) const {
-  return parse_int(entry(name).value, name);
-}
-
 bool Flags::get_bool(std::string_view name) const {
   const std::string& v = entry(name).value;
   return v == "true" || v == "1" || v == "yes" || v == "on";

@@ -7,11 +7,14 @@
 #ifndef GLOVE_UTIL_FLAGS_HPP
 #define GLOVE_UTIL_FLAGS_HPP
 
+#include <concepts>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "glove/util/csv.hpp"
 
 namespace glove::util {
 
@@ -40,7 +43,14 @@ class Flags {
 
   [[nodiscard]] const std::string& get(std::string_view name) const;
   [[nodiscard]] double get_double(std::string_view name) const;
-  [[nodiscard]] long long get_int(std::string_view name) const;
+  /// The flag's value as a T, range-checked by parse_integer: a value
+  /// that does not fit T throws std::invalid_argument naming the flag,
+  /// never a truncation.
+  template <std::integral T = long long>
+  [[nodiscard]] T get_int(std::string_view name) const {
+    return parse_integer<T>(get(name), "--" + std::string{name},
+                            "command line");
+  }
   [[nodiscard]] bool get_bool(std::string_view name) const;
 
   /// Positional (non-flag) arguments in order of appearance.

@@ -8,13 +8,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/fixtures.hpp"
+#include "common/temp_dir.hpp"
 #include "glove/api/cli.hpp"
+#include "glove/cdr/io.hpp"
 #include "glove/core/glove.hpp"
 #include "glove/util/flags.hpp"
 
@@ -234,6 +237,37 @@ TEST(Engine, RunConfigFromFlagsParsesTheShardedBenchmarkFlags) {
   EXPECT_EQ(config.sharded.max_shard_users, 2'000u);
   EXPECT_EQ(config.sharded.workers, 4u);
   EXPECT_EQ(config.sharded.halo_m, 1'000.0);  // the --halo-km default
+}
+
+TEST(Engine, RunConfigFromFlagsRejectsValuesThatDoNotFitTheirField) {
+  // --k=4294967298 used to wrap to k=2 and run; --chunk-size=-1 to ~2^64.
+  const Engine engine;
+  for (const char* arg : {"--k=4294967298", "--k=-1", "--chunk-size=-1",
+                          "--shard-workers=-1"}) {
+    util::Flags flags{"engine test"};
+    define_run_flags(flags, engine);
+    const char* const argv[] = {arg};
+    flags.parse(1, argv);
+    const std::string name{arg, std::string_view{arg}.find('=')};
+    try {
+      (void)run_config_from_flags(flags);
+      ADD_FAILURE() << arg << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Engine, LoadDatasetNamesATraceByItsStem) {
+  const test::TempDir dir;
+  std::filesystem::create_directory(dir.file("traces"));
+  const std::string path = dir.file("traces/city.csv");
+  cdr::write_cdr_file(path, {{1u, 10.0, geo::LatLon{6.8, -5.3}}});
+  util::Flags flags{"engine test"};
+  define_input_flags(flags);
+  flags.parse(0, nullptr);
+  EXPECT_EQ(load_dataset(path, flags).name(), "city");
 }
 
 TEST(Engine, ExecutorFlagAcceptsOnlyInProcess) {

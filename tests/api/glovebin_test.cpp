@@ -53,8 +53,7 @@ TEST(GlovebinSource, StreamsRewindsAndReportsIdentity) {
 
   GlovebinSource source{path};
   EXPECT_EQ(source.kind(), "glovebin-file");
-  EXPECT_EQ(source.name(), path);
-  EXPECT_EQ(source.dataset_name(), data.name());
+  EXPECT_EQ(source.name(), data.name());  // the footer's, not the path
   ASSERT_TRUE(source.size_hint().has_value());
   EXPECT_EQ(*source.size_hint(), data.size());
 
@@ -73,7 +72,7 @@ TEST(OpenDatasetSource, SniffsMagicBytesNotExtensions) {
   const cdr::FingerprintDataset data = test::grouped_io_dataset();
 
   // A glovebin payload deliberately named .csv: the sniffer must pick the
-  // binary source (parity tests rely on identically-named inputs).
+  // binary source.
   const std::string disguised = dir.file("data.csv");
   cdr::write_dataset_glovebin_file(disguised, data);
   EXPECT_EQ(open_dataset_source(disguised)->kind(), "glovebin-file");
@@ -81,6 +80,16 @@ TEST(OpenDatasetSource, SniffsMagicBytesNotExtensions) {
   const std::string plain = dir.file("plain.glovebin");
   cdr::write_dataset_file(plain, data);
   EXPECT_EQ(open_dataset_source(plain)->kind(), "csv-file");
+}
+
+TEST(OpenDatasetSource, UnnamedDatasetReadsBackUnnamedFromBothFormats) {
+  const test::TempDir dir;
+  cdr::FingerprintDataset data = test::grouped_io_dataset();
+  data.set_name("");
+  cdr::write_dataset_file(dir.file("u.csv"), data);
+  cdr::write_dataset_glovebin_file(dir.file("u.glovebin"), data);
+  EXPECT_EQ(open_dataset_source(dir.file("u.csv"))->name(), "");
+  EXPECT_EQ(open_dataset_source(dir.file("u.glovebin"))->name(), "");
 }
 
 TEST(MakeDatasetSink, PicksFormatByExtensionOrOverride) {
@@ -148,14 +157,13 @@ TEST(ConvertDatasetFile, CsvGlovebinCsvRoundTripIsByteIdentical) {
 
   const ConvertStats to_csv = convert_dataset_file(bin, csv_out);
   EXPECT_EQ(to_csv.fingerprints, data.size());
-  // The dataset name rides the glovebin footer, so even the CSV header
-  // comment survives the round trip.
+  // The dataset name rides the glovebin footer (the source's name), so
+  // even the CSV header comment survives the round trip.
   EXPECT_EQ(read_file(csv_out), read_file(csv_in));
 }
 
 /// Streams `path` through the Engine into a MemorySink and returns the
-/// output dataset renamed to `renamed` (output names embed the input
-/// path, which legitimately differs between the two spellings).
+/// output dataset.
 cdr::FingerprintDataset run_streamed(const Engine& engine,
                                      const RunConfig& config,
                                      const std::string& path,
@@ -166,9 +174,7 @@ cdr::FingerprintDataset run_streamed(const Engine& engine,
   EXPECT_TRUE(result.ok()) << config.strategy << ": "
                            << result.error().message;
   if (report_out != nullptr) *report_out = std::move(result).value();
-  cdr::FingerprintDataset out = std::move(sink).take_dataset();
-  out.set_name("parity");
-  return out;
+  return std::move(sink).take_dataset();
 }
 
 TEST(GlovebinParity, EveryStrategyMatchesTheCsvSpellingByteForByte) {
@@ -194,6 +200,45 @@ TEST(GlovebinParity, EveryStrategyMatchesTheCsvSpellingByteForByte) {
     EXPECT_EQ(test::dataset_to_csv(from_bin), test::dataset_to_csv(from_csv))
         << strategy;
   }
+}
+
+TEST(GlovebinParity, ReleaseFollowsTheContentNotThePathOrFormat) {
+  // One dataset stored as a/x.csv and as b/y.glovebin: a sharded run from
+  // each, file to file, publishes the same bytes, line 1 included, and
+  // the two reports name the same dataset.
+  const test::TempDir dir;
+  std::filesystem::create_directory(dir.file("a"));
+  std::filesystem::create_directory(dir.file("b"));
+  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
+  const std::string csv = dir.file("a/x.csv");
+  const std::string bin = dir.file("b/y.glovebin");
+  cdr::write_dataset_file(csv, data);
+  cdr::write_dataset_glovebin_file(bin, data, /*block_fingerprints=*/8);
+
+  const Engine engine;
+  RunConfig config;
+  config.strategy = kStrategySharded;
+  config.k = 2;
+  config.sharded.tile_size_m = 5'000.0;
+  config.sharded.max_shard_users = 16;
+  std::vector<std::string> releases;
+  std::vector<std::string> names;
+  for (const std::string& input : {csv, bin}) {
+    const std::string output = input + ".release.csv";
+    const auto source = open_dataset_source(input);
+    {
+      CsvFileSink sink{output};
+      const auto result = engine.run(*source, sink, config);
+      ASSERT_TRUE(result.ok()) << input << ": " << result.error().message;
+      names.push_back(result.value().dataset_name);
+    }
+    releases.push_back(read_file(output));
+  }
+  EXPECT_EQ(names[0], data.name());
+  EXPECT_EQ(names[1], names[0]);
+  EXPECT_EQ(releases[0].substr(0, releases[0].find('\n')),
+            "# glove fingerprint dataset: " + data.name() + "-sharded-k2");
+  EXPECT_EQ(releases[1], releases[0]);
 }
 
 TEST(GlovebinParity, BorderedShardedStreamingAcrossBudgetsAndWorkers) {

@@ -314,8 +314,7 @@ TEST(Parity, StreamingBoundaryMatchesLegacyOverloadForEveryStrategy) {
   const test::TempDir dir;
   const std::string in_path = dir.file("in.csv");
   cdr::write_dataset_file(in_path, test::small_synth_dataset(50));
-  cdr::FingerprintDataset parsed = cdr::read_dataset_file(in_path);
-  parsed.set_name(in_path);  // a CsvFileSource names its dataset by path
+  const cdr::FingerprintDataset parsed = test::read_dataset(in_path);
 
   for (const char* strategy :
        {"full", "chunked", "sharded", "w4m-baseline"}) {

@@ -59,7 +59,7 @@ TEST(CsvFileSource, StreamsAFileAndRewindsAfterEof) {
 
   CsvFileSource source{path};
   EXPECT_EQ(source.kind(), "csv-file");
-  EXPECT_EQ(source.name(), path);
+  EXPECT_EQ(source.name(), data.name());  // the header's, not the path
   EXPECT_FALSE(source.size_hint().has_value());
   EXPECT_EQ(drain(source).size(), data.size());
 
@@ -161,7 +161,7 @@ TEST(EngineStreaming, CollectFallbackRunsNonStreamingStrategiesFileToFile) {
   EXPECT_EQ(sink.groups_written(), report.counters.output_groups);
   EXPECT_GT(report.peak_rss_bytes, 0u);
 
-  const cdr::FingerprintDataset published = cdr::read_dataset_file(out_path);
+  const cdr::FingerprintDataset published = test::read_dataset(out_path);
   EXPECT_TRUE(core::is_k_anonymous(published, 2));
 }
 
@@ -193,7 +193,7 @@ TEST(EngineStreaming, ShardedStreamsInMultiplePassesAndStaysKAnonymous) {
   }
   EXPECT_EQ(report.counters.input_users, data.size());
   EXPECT_TRUE(
-      core::is_k_anonymous(cdr::read_dataset_file(out_path), 2));
+      core::is_k_anonymous(test::read_dataset(out_path), 2));
 }
 
 TEST(EngineStreaming, EmptySourceIsInvalidDataset) {

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -22,6 +24,7 @@
 #include "common/temp_dir.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/core/scalability.hpp"
+#include "glove/util/hooks.hpp"
 
 namespace glove::cdr {
 namespace {
@@ -62,7 +65,7 @@ TEST(Glovebin, RoundTripIsByteExact) {
         test::random_dataset(40, 11)}) {
     const std::string path = dir.file(data.name() + ".glovebin");
     write_dataset_glovebin_file(path, data);
-    const FingerprintDataset back = read_dataset_glovebin_file(path);
+    const FingerprintDataset back = test::read_dataset(path);
     EXPECT_EQ(back.name(), data.name());
     ASSERT_EQ(back.size(), data.size());
     for (std::size_t i = 0; i < data.size(); ++i) {
@@ -73,6 +76,31 @@ TEST(Glovebin, RoundTripIsByteExact) {
     // double survived bit for bit and every sample kept its position.
     EXPECT_EQ(test::dataset_to_csv(back), test::dataset_to_csv(data))
         << data.name();
+  }
+}
+
+TEST(Glovebin, NameWithALineBreakIsRejectedOnWriteAndOnOpen) {
+  // The stored name becomes line 1 of a CSV release made from the file.
+  test::TempDir dir;
+  GlovebinWriter writer{dir.file("write.glovebin")};
+  EXPECT_THROW(writer.begin("x\n9,0,1,"), util::DatasetError);
+
+  // A footer holding one anyway: patch an 8-byte name just before the
+  // 48-byte trailer.
+  const std::string path = dir.file("footer.glovebin");
+  write_dataset_glovebin_file(path, FingerprintDataset{{}, "x_9,0,1,"});
+  std::string bytes = read_file(path);
+  const std::size_t name_at = bytes.size() - 48 - 8;
+  ASSERT_EQ(bytes.substr(name_at, 8), "x_9,0,1,");
+  bytes[name_at + 1] = '\n';
+  write_file(path, bytes);
+  try {
+    GlovebinReader reader{path};
+    FAIL() << "expected util::DatasetError";
+  } catch (const util::DatasetError& e) {
+    EXPECT_NE(std::string{e.what()}.find(path + ": dataset name"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -192,6 +220,24 @@ TEST(Glovebin, ReaderRejectsMissingAndStructurallyBrokenFiles) {
   EXPECT_THROW(GlovebinReader{bad_version}, std::runtime_error);
 }
 
+TEST(Glovebin, RejectedOpenClosesTheFile) {
+  // The reader validates a file after opening it; each rejected open used
+  // to leak its descriptor.
+  if (!std::filesystem::exists("/proc/self/fd")) GTEST_SKIP();
+  test::TempDir dir;
+  const std::string path = dir.file("bad.glovebin");
+  write_file(path, std::string(100, 'x'));  // no magic
+  const auto open_files = [] {
+    return std::distance(std::filesystem::directory_iterator{"/proc/self/fd"},
+                         std::filesystem::directory_iterator{});
+  };
+  const auto before = open_files();
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_THROW(GlovebinReader{path}, std::runtime_error);
+  }
+  EXPECT_EQ(open_files(), before);
+}
+
 TEST(Glovebin, ReaderRejectsCorruptBlockPayload) {
   test::TempDir dir;
   std::vector<Fingerprint> fingerprints;
@@ -212,7 +258,7 @@ TEST(Glovebin, ReaderRejectsCorruptBlockPayload) {
 
   GlovebinReader reader{path};  // footer is intact, open succeeds
   try {
-    (void)read_dataset_glovebin_file(path);
+    (void)test::read_dataset(path);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string{e.what()}.find("corrupt glovebin block 0"),
@@ -249,7 +295,7 @@ void patch_double(std::string& bytes, std::size_t sample, std::size_t field,
 
 void expect_block_rejected(const std::string& path, const std::string& what) {
   try {
-    (void)read_dataset_glovebin_file(path);
+    (void)test::read_dataset(path);
     ADD_FAILURE() << "expected std::invalid_argument (" << what << ")";
   } catch (const std::invalid_argument& e) {
     const std::string message = e.what();

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace glove::cdr {
 namespace {
@@ -101,6 +102,21 @@ TEST(D4DTrace, RejectsUnknownAntenna) {
   std::istringstream in{"7,2011-12-05 07:30:00,99\n"};
   EXPECT_THROW((void)read_d4d_trace(in, two_antennas()),
                std::invalid_argument);
+}
+
+TEST(D4DTrace, RejectsUserIdTooLargeForItsField) {
+  // 4294967296 used to wrap to user 0.
+  std::istringstream in{"7,2011-12-05 07:30:00,10\n"
+                        "4294967296,2011-12-05 08:30:00,10\n"};
+  try {
+    (void)read_d4d_trace(in, two_antennas());
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("user id '4294967296'"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  }
 }
 
 TEST(D4DTrace, EmptyInputYieldsEmptyTrace) {

@@ -9,11 +9,13 @@
 #include <stdexcept>
 #include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
 #include "common/temp_dir.hpp"
+#include "glove/util/hooks.hpp"
 
 namespace glove::cdr {
 namespace {
@@ -53,9 +55,9 @@ TEST(DatasetIo, RoundTripPreservesStructure) {
   const FingerprintDataset data = test::grouped_io_dataset();
   std::ostringstream out;
   write_dataset_csv(out, data);
-  std::istringstream in{out.str()};
-  const FingerprintDataset back = read_dataset_csv(in);
+  const FingerprintDataset back = test::read_dataset_text(out.str());
 
+  EXPECT_EQ(back.name(), "io-test");
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].group_size(), 2u);
   EXPECT_EQ(back[0].members()[0], 1u);
@@ -70,35 +72,52 @@ TEST(DatasetIo, RoundTripPreservesStructure) {
 }
 
 TEST(DatasetIo, RejectsWrongFieldCount) {
-  std::istringstream in{"1,2,3,4\n"};
-  EXPECT_THROW((void)read_dataset_csv(in), std::invalid_argument);
+  EXPECT_THROW((void)test::read_dataset_text("1,2,3,4\n"),
+               std::invalid_argument);
 }
 
 TEST(DatasetIo, RejectsNonPositiveContributors) {
-  std::istringstream in{"1,0,100,0,100,0,1,0\n"};
-  EXPECT_THROW((void)read_dataset_csv(in), std::invalid_argument);
+  EXPECT_THROW((void)test::read_dataset_text("1,0,100,0,100,0,1,0\n"),
+               std::invalid_argument);
+}
+
+TEST(DatasetIo, RejectsIdsAndCountsTooLargeForTheirField) {
+  // Both used to be truncated to 32 bits: user 4294967296 became user 0,
+  // 4294967297 contributors became 1.
+  for (const auto& [text, what] :
+       {std::pair{"4294967296,0,100,0,100,5,1,1\n", "member id"},
+        std::pair{"7,0,100,0,100,5,1,4294967297\n", "contributors"}}) {
+    try {
+      (void)test::read_dataset_text(std::string{"7,0,100,0,100,1,1,1\n"} +
+                                    text);
+      ADD_FAILURE() << "expected std::invalid_argument for: " << text;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(what), std::string::npos) << message;
+      EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(DatasetIo, ParsesJoinedMembers) {
-  std::istringstream in{"10+20+30,0,100,0,100,5,1,1\n"};
-  const FingerprintDataset data = read_dataset_csv(in);
+  const FingerprintDataset data =
+      test::read_dataset_text("10+20+30,0,100,0,100,5,1,1\n");
   ASSERT_EQ(data.size(), 1u);
   EXPECT_EQ(data[0].group_size(), 3u);
   EXPECT_EQ(data[0].members()[2], 30u);
 }
 
 TEST(DatasetIo, RejectsEmptyMembersField) {
-  std::istringstream in{",0,100,0,100,5,1,1\n"};
-  EXPECT_THROW((void)read_dataset_csv(in), std::invalid_argument);
+  EXPECT_THROW((void)test::read_dataset_text(",0,100,0,100,5,1,1\n"),
+               std::invalid_argument);
 }
 
 TEST(DatasetIo, RejectsDuplicateMemberIds) {
   // A duplicated id would double-count the group size k relies on.
   for (const char* text : {"7+7,0,100,0,100,5,1,1\n",
                            "3+7+3,0,100,0,100,5,1,1\n"}) {
-    std::istringstream in{text};
     try {
-      (void)read_dataset_csv(in);
+      (void)test::read_dataset_text(text);
       FAIL() << "expected std::invalid_argument for: " << text;
     } catch (const std::invalid_argument& e) {
       const std::string message = e.what();
@@ -126,8 +145,7 @@ TEST(DatasetIo, WriteReadWriteIsIdempotent) {
 
   std::ostringstream first;
   write_dataset_csv(first, data);
-  std::istringstream in{first.str()};
-  const FingerprintDataset back = read_dataset_csv(in);
+  const FingerprintDataset back = test::read_dataset_text(first.str());
   ASSERT_EQ(back.size(), 1u);
   ASSERT_EQ(back[0].size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -145,10 +163,48 @@ TEST(DatasetIo, WriteReadWriteIsIdempotent) {
   EXPECT_EQ(second.str(), expected.str());
 }
 
+TEST(DatasetIo, NameReadsBackFromTheHeaderComment) {
+  // A CRLF file's '\r' is not part of the name; a file whose comments
+  // before the first row hold no header is unnamed.
+  for (const auto& [text, name] :
+       {std::pair{"# glove fingerprint dataset: city\n# members\n7,0\n",
+                  "city"},
+        std::pair{"# glove fingerprint dataset: city\r\n7,0\r\n", "city"},
+        std::pair{"# note\n\n# glove fingerprint dataset:  a b \n", " a b "},
+        std::pair{"7,0\n# glove fingerprint dataset: late\n", ""},
+        std::pair{"", ""}}) {
+    std::istringstream in{text};
+    EXPECT_EQ(read_csv_dataset_name(in), name) << text;
+  }
+}
+
+TEST(DatasetIo, WriterStoresTheNameVerbatimAndRejectsLineBreaks) {
+  for (const std::string name : {"", "civ-like-sharded-k2"}) {
+    std::ostringstream out;
+    write_dataset_csv(out, FingerprintDataset{{}, name});
+    std::istringstream in{out.str()};
+    EXPECT_EQ(read_csv_dataset_name(in), name);
+  }
+  // A name is line 1 of the file: a break in it would start data rows.
+  for (const char* name : {"x\n9,0,1,", "x\ry"}) {
+    std::ostringstream out;
+    DatasetStreamWriter writer{out, "out.csv"};
+    try {
+      writer.begin(name);
+      ADD_FAILURE() << "expected util::DatasetError";
+    } catch (const util::DatasetError& e) {
+      EXPECT_NE(std::string{e.what()}.find("out.csv: dataset name"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(out.str(), "");
+  }
+}
+
 TEST(FileIo, MissingFileThrows) {
   EXPECT_THROW((void)read_cdr_file("/nonexistent/path.csv"),
                std::runtime_error);
-  EXPECT_THROW((void)read_dataset_file("/nonexistent/path.csv"),
+  EXPECT_THROW((void)test::read_dataset("/nonexistent/path.csv"),
                std::runtime_error);
 }
 
@@ -166,7 +222,7 @@ TEST(FileIo, TempDirKeepsConcurrentSuitesApart) {
   const test::TempDir b;
   EXPECT_NE(a.path(), b.path());
   write_dataset_file(a.file("data.csv"), test::grouped_io_dataset());
-  EXPECT_THROW((void)read_dataset_file(b.file("data.csv")),
+  EXPECT_THROW((void)test::read_dataset(b.file("data.csv")),
                std::runtime_error);
 }
 
@@ -206,14 +262,11 @@ TEST(StreamingIo, CdrEventReaderMatchesBulkReader) {
 
 TEST(StreamingIo, DatasetStreamReaderYieldsOneFingerprintPerRun) {
   // Files written by write_dataset_csv keep group rows contiguous, so the
-  // streaming reader reproduces the bulk reader exactly — while holding
-  // only one fingerprint at a time.
+  // streaming reader reproduces the written dataset exactly — while
+  // holding only one fingerprint at a time.
   const FingerprintDataset data = test::small_synth_dataset(10);
   std::ostringstream out;
   write_dataset_csv(out, data);
-
-  std::istringstream bulk_in{out.str()};
-  const FingerprintDataset bulk = read_dataset_csv(bulk_in);
 
   std::istringstream stream_in{out.str()};
   DatasetStreamReader reader{stream_in};
@@ -221,33 +274,26 @@ TEST(StreamingIo, DatasetStreamReaderYieldsOneFingerprintPerRun) {
   Fingerprint fp;
   while (reader.next(fp)) streamed.push_back(std::move(fp));
 
-  ASSERT_EQ(streamed.size(), bulk.size());
-  EXPECT_EQ(test::dataset_to_csv(FingerprintDataset{std::move(streamed)}),
-            test::dataset_to_csv(bulk));
+  ASSERT_EQ(streamed.size(), data.size());
+  EXPECT_EQ(test::dataset_to_csv(
+                FingerprintDataset{std::move(streamed), data.name()}),
+            out.str());
 }
 
-TEST(StreamingIo, BulkReaderCoalescesInterleavedRuns) {
-  // Interleaved group rows: the streaming reader reports one fingerprint
-  // per contiguous run, while the bulk reader preserves the historical
-  // merge-by-key-in-first-seen-order behaviour.
-  const std::string text =
+TEST(StreamingIo, InterleavedRunsReadAsOneFingerprintEach) {
+  // Interleaved group rows: the one dataset reader yields one fingerprint
+  // per contiguous run, in file order, and never coalesces the two runs
+  // of user 7 — what the file holds is what a release made from it holds.
+  const FingerprintDataset data = test::read_dataset_text(
       "7,0,100,0,100,10,1,1\n"
       "9,500,100,500,100,20,1,1\n"
-      "7,0,100,0,100,30,1,1\n";
-
-  std::istringstream stream_in{text};
-  DatasetStreamReader reader{stream_in};
-  Fingerprint fp;
-  std::size_t runs = 0;
-  while (reader.next(fp)) ++runs;
-  EXPECT_EQ(runs, 3u);
-
-  std::istringstream bulk_in{text};
-  const FingerprintDataset bulk = read_dataset_csv(bulk_in);
-  ASSERT_EQ(bulk.size(), 2u);
-  EXPECT_EQ(bulk[0].members()[0], 7u);
-  EXPECT_EQ(bulk[0].size(), 2u);  // both runs of user 7 coalesced
-  EXPECT_EQ(bulk[1].members()[0], 9u);
+      "7,0,100,0,100,30,1,1\n");
+  ASSERT_EQ(data.size(), 3u);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(data[i].members()[0], i == 1 ? 9u : 7u) << i;
+    EXPECT_EQ(data[i].size(), 1u) << i;
+  }
+  EXPECT_DOUBLE_EQ(data[2].samples()[0].tau.t, 30.0);
 }
 
 TEST(StreamingIo, StreamReaderRejectsMalformedRows) {
@@ -358,7 +404,7 @@ TEST(FileIo, ParseFailuresReportPathAndLineNumber) {
   std::ofstream{dataset_path}
       << "1,0,100,0,100,10,1,1\n1,0,100,0,100,oops,1,1\n";
   try {
-    (void)read_dataset_file(dataset_path);
+    (void)test::read_dataset(dataset_path);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string message = e.what();
@@ -414,7 +460,7 @@ TEST(DatasetIo, RejectsNonFiniteSampleFields) {
   for (std::size_t field = 1; field <= 6; ++field) {
     for (const char* value : {"nan", "inf", "-inf"}) {
       std::ofstream{path} << dataset_with_field(field, value);
-      expect_row_rejected([&] { (void)read_dataset_file(path); }, path,
+      expect_row_rejected([&] { (void)test::read_dataset(path); }, path,
                           "must be finite");
     }
   }
@@ -425,13 +471,13 @@ TEST(DatasetIo, RejectsNegativeExtents) {
   const std::string path = dir.file("negative_extent.csv");
   for (const std::size_t field : {2u, 4u, 6u}) {  // dx, dy, dt
     std::ofstream{path} << dataset_with_field(field, "-0.5");
-    expect_row_rejected([&] { (void)read_dataset_file(path); }, path,
+    expect_row_rejected([&] { (void)test::read_dataset(path); }, path,
                         "must be non-negative");
   }
   // Negative coordinates are ordinary positions west/south of the origin.
   for (const std::size_t field : {1u, 3u, 5u}) {
     std::ofstream{path} << dataset_with_field(field, "-0.5");
-    EXPECT_NO_THROW((void)read_dataset_file(path));
+    EXPECT_NO_THROW((void)test::read_dataset(path));
   }
 }
 
@@ -449,6 +495,16 @@ TEST(CdrIo, RejectsNonFiniteTimeOrPosition) {
                           "must be finite");
     }
   }
+}
+
+TEST(CdrIo, RejectsUserIdTooLargeForItsField) {
+  // 4294967296 used to wrap to user 0.
+  std::istringstream in{"1,10,6.8,-5.3\n4294967296,10,6.8,-5.3\n"};
+  CdrEventReader reader{in, "trace.csv"};
+  CdrEvent event;
+  ASSERT_TRUE(reader.next(event));
+  expect_row_rejected([&] { (void)reader.next(event); }, "trace.csv",
+                      "user id '4294967296'");
 }
 
 TEST(StreamingIo, EventReaderPrefixesPathOnMalformedRows) {

@@ -5,8 +5,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <fstream>
 #include <string>
 
+#include "glove/api/source.hpp"
 #include "glove/cdr/io.hpp"
 
 namespace glove::test {
@@ -36,12 +38,23 @@ std::string TempDir::file(std::string_view name) const {
   return (path_ / name).string();
 }
 
+cdr::FingerprintDataset read_dataset(const std::string& path) {
+  return api::collect(*api::open_dataset_source(path));
+}
+
+cdr::FingerprintDataset read_dataset_text(std::string_view text) {
+  const TempDir dir;
+  const std::string path = dir.file("dataset.csv");
+  std::ofstream{path, std::ios::binary} << text;
+  return read_dataset(path);
+}
+
 cdr::FingerprintDataset dataset_file_roundtrip(
     const TempDir& dir, const cdr::FingerprintDataset& data,
     std::string_view name) {
   const std::string path = dir.file(name);
   cdr::write_dataset_file(path, data);
-  return cdr::read_dataset_file(path);
+  return read_dataset(path);
 }
 
 }  // namespace glove::test

@@ -1,5 +1,6 @@
-// RAII scratch directory for tests doing real file I/O, plus CSV
-// round-trip helpers built on it.
+// RAII scratch directory for tests doing real file I/O, plus the dataset
+// file readers built on it: tests read a dataset file the one way the
+// program does, through api::open_dataset_source.
 
 #ifndef GLOVE_TESTS_COMMON_TEMP_DIR_HPP
 #define GLOVE_TESTS_COMMON_TEMP_DIR_HPP
@@ -33,6 +34,17 @@ class TempDir {
  private:
   std::filesystem::path path_;
 };
+
+/// Reads the dataset file at `path`, CSV or glovebin, as the program does:
+/// api::collect(*api::open_dataset_source(path)).  Named by the file's
+/// stored name; throws as the source does (std::runtime_error when the
+/// file cannot be opened, util::DatasetError with path and line on a
+/// malformed row).
+[[nodiscard]] cdr::FingerprintDataset read_dataset(const std::string& path);
+
+/// Writes dataset CSV `text` to a scratch file and reads it with
+/// read_dataset.
+[[nodiscard]] cdr::FingerprintDataset read_dataset_text(std::string_view text);
 
 /// Writes `data` to `name` inside `dir` with write_dataset_file and reads it
 /// back, returning the reloaded dataset.

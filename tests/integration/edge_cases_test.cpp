@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "common/fixtures.hpp"
+#include "common/temp_dir.hpp"
 #include "glove/baseline/w4m.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/core/accuracy.hpp"
@@ -132,8 +133,8 @@ TEST(EdgeCases, W4MWithKEqualUsers) {
 }
 
 TEST(EdgeCases, DatasetCsvWithOnlyComments) {
-  std::istringstream in{"# empty trace\n# nothing here\n"};
-  const cdr::FingerprintDataset data = cdr::read_dataset_csv(in);
+  const cdr::FingerprintDataset data =
+      test::read_dataset_text("# empty trace\n# nothing here\n");
   EXPECT_TRUE(data.empty());
 }
 

@@ -5,10 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
+#include "common/temp_dir.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/core/glove.hpp"
 #include "glove/core/kgap.hpp"
@@ -111,8 +110,8 @@ TEST(Golden, DatasetCsvRoundTripIsExactOnRandomData) {
   // Property: write -> read is the identity on structure and values.
   const cdr::FingerprintDataset data = test::random_dataset(15, /*seed=*/404);
 
-  std::istringstream in{test::dataset_to_csv(data)};
-  const cdr::FingerprintDataset back = cdr::read_dataset_csv(in);
+  const cdr::FingerprintDataset back =
+      test::read_dataset_text(test::dataset_to_csv(data));
   test::expect_datasets_near(back, data);
 }
 

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/temp_dir.hpp"
 #include "glove/analysis/anonymizability.hpp"
 #include "glove/analysis/descriptors.hpp"
 #include "glove/cdr/io.hpp"
@@ -73,8 +74,7 @@ TEST(Pipeline, AnonymizedDatasetSurvivesFileRoundTrip) {
 
   std::ostringstream out;
   cdr::write_dataset_csv(out, glove.anonymized);
-  std::istringstream in{out.str()};
-  const cdr::FingerprintDataset back = cdr::read_dataset_csv(in);
+  const cdr::FingerprintDataset back = test::read_dataset_text(out.str());
 
   ASSERT_EQ(back.size(), glove.anonymized.size());
   EXPECT_EQ(back.total_users(), glove.anonymized.total_users());

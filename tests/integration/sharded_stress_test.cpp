@@ -83,7 +83,7 @@ TEST(ShardedStress, LargePopulationEndToEnd) {
   EXPECT_GE(api::find_metric(report, "shards"), 2.0);
   EXPECT_FALSE(report.shard_timings.empty());
   std::uint64_t covered = 0;
-  for (const api::ShardTimingRow& row : report.shard_timings) {
+  for (const shard::ShardTiming& row : report.shard_timings) {
     covered += row.input_fingerprints + row.deferred;
   }
   EXPECT_EQ(covered, data.size());

@@ -109,7 +109,7 @@ TEST(ServeDaemon, BatchRunPublishesKAnonymousEpochs) {
   ASSERT_EQ(snapshots.size(), 3u);
   for (const std::string& path : snapshots) {
     EXPECT_TRUE(
-        core::is_k_anonymous(cdr::read_dataset_file(path), 2u))
+        core::is_k_anonymous(test::read_dataset(path), 2u))
         << path;
   }
 }
@@ -127,9 +127,9 @@ TEST(ServeDaemon, PublishedGroupsOnlyWidenAcrossEpochs) {
   ASSERT_GE(snapshots.size(), 2u);
   for (std::size_t i = 1; i < snapshots.size(); ++i) {
     const cdr::FingerprintDataset before =
-        cdr::read_dataset_file(snapshots[i - 1]);
+        test::read_dataset(snapshots[i - 1]);
     const cdr::FingerprintDataset after =
-        cdr::read_dataset_file(snapshots[i]);
+        test::read_dataset(snapshots[i]);
     for (const cdr::Fingerprint& old_group : before.fingerprints()) {
       const std::set<cdr::UserId> old_members{old_group.members().begin(),
                                               old_group.members().end()};

@@ -162,7 +162,7 @@ TEST(Sharded, EngineRunProducesMetricsAndShardTimings) {
             api::find_metric(report, "shards"));
   ASSERT_GE(report.shard_timings.size(), 2u);
   std::uint64_t covered = 0;
-  for (const api::ShardTimingRow& row : report.shard_timings) {
+  for (const shard::ShardTiming& row : report.shard_timings) {
     covered += row.input_fingerprints + row.deferred;
   }
   EXPECT_EQ(covered, report.counters.input_users);

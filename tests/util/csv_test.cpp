@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace glove::util {
 namespace {
@@ -92,14 +94,34 @@ TEST(ParseDouble, RejectsGarbage) {
   EXPECT_THROW((void)parse_double("", "ctx"), std::invalid_argument);
 }
 
-TEST(ParseInt, ParsesValidIntegers) {
-  EXPECT_EQ(parse_int("42", "test"), 42);
-  EXPECT_EQ(parse_int("-7", "test"), -7);
+TEST(ParseInteger, ParsesValidIntegers) {
+  EXPECT_EQ(parse_integer<long long>("42", "n", "test"), 42);
+  EXPECT_EQ(parse_integer<long long>("-7", "n", "test"), -7);
+  EXPECT_EQ(parse_integer<std::uint32_t>("4294967295", "n", "test"),
+            4'294'967'295u);
 }
 
-TEST(ParseInt, RejectsGarbage) {
-  EXPECT_THROW((void)parse_int("4.2", "ctx"), std::invalid_argument);
-  EXPECT_THROW((void)parse_int("x", "ctx"), std::invalid_argument);
+TEST(ParseInteger, RejectsGarbage) {
+  EXPECT_THROW((void)parse_integer<long long>("4.2", "n", "ctx"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_integer<long long>("x", "n", "ctx"),
+               std::invalid_argument);
+}
+
+TEST(ParseInteger, RejectsValuesOutsideTheFieldNamingIt) {
+  // Out of range is an error, never a truncation to the field's type.
+  for (const char* field : {"4294967296", "-1", "0"}) {
+    try {
+      (void)parse_integer<std::uint32_t>(field, "contributors",
+                                         "row at line 3", 1);
+      ADD_FAILURE() << field << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string{e.what()},
+                "bad contributors '" + std::string{field} +
+                    "' in row at line 3: expected an integer in [1, "
+                    "4294967295]");
+    }
+  }
 }
 
 }  // namespace

@@ -37,9 +37,8 @@ glove::serve::ServeConfig config_from_flags(const glove::util::Flags& flags) {
   serve::ServeConfig config;
   config.input_path = flags.get("input");
   config.follow = flags.get_bool("follow");
-  config.poll_interval_ms = static_cast<int>(flags.get_int("poll-ms"));
-  config.queue_capacity =
-      static_cast<std::size_t>(flags.get_int("queue-capacity"));
+  config.poll_interval_ms = flags.get_int<int>("poll-ms");
+  config.queue_capacity = flags.get_int<std::size_t>("queue-capacity");
   config.window_min = flags.get_double("window-min");
   config.out_dir = flags.get("out-dir");
   config.snapshot_format = flags.get("snapshot-format");
