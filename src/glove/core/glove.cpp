@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -21,77 +24,69 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Bit 31 of PairEntry::a: set when the entry's stretch is exact.  Node
-/// ids stay below 2^31 because inputs are capped at kMaxFingerprints.
+/// Bit 31 of NodeKey::a: set when the key is an exact stretch.  Node ids
+/// stay below 2^31 because inputs are capped at kMaxFingerprints.
 constexpr std::uint32_t kExactBit = std::uint32_t{1} << 31;
-/// Bit 31 of PairEntry::b: set when a lower bound is the slot bound (stage
-/// 2 of the cascade), clear while it is still the box bound (stage 1).
-constexpr std::uint32_t kSlotBit = std::uint32_t{1} << 31;
 /// Merges append nodes, so ids reach 2n; 2^30 inputs keep them below
 /// bit 31.
 constexpr std::size_t kMaxFingerprints = std::size_t{1} << 30;
 
-/// Min-heap entry (16 bytes): candidate merge of nodes `a` and `b`.
-/// Entries are lazy in two ways: a node consumed by a merge invalidates all
-/// its pending entries (detected on pop, and dropped in bulk by the greedy
-/// loop's compaction), and an entry starts out carrying only a *lower
-/// bound* on the stretch, which moves through the box -> slot -> exact
-/// cascade one stage each time it reaches the top of the heap: the box
-/// bound (stretch_lower_bound) is replaced by the larger of it and the slot
-/// bound (slot_lower_bound), and the slot bound by the exact stretch.
+/// Min-heap key (16 bytes) of one open node: a lower bound on the least
+/// exact (stretch, a, b) among the open pairs the node owns.  Pair {x, y}
+/// with x > y belongs to x, the newer node, and its (a, b) is the one
+/// test::naive_glove orders pairs by: (y, x) when both are inputs, (x, y)
+/// otherwise.  A merge only takes pairs away from older nodes and gives
+/// the new node all of its own, so a key never has to be lowered.
 ///
-/// `a` holds the node id with kExactBit folded in, so the plain
-/// (stretch, a, b) order puts any bound before an exact entry of equal
+/// An exact key names its pair, with kExactBit folded into `a`, so the
+/// plain (value, a, b) order puts any bound before an exact key of equal
 /// value.  That is the order the merges need: a bound's true stretch may
 /// tie the exact value, and only once it is exact can the (a, b)
-/// tie-break pick the pair an all-exact heap would.  `b` holds the node id
-/// with kSlotBit folded in; between a box and a slot bound of equal value
-/// the order is only a deterministic tie-break, since both still move on
-/// before any exact entry of that value pops.  Exact entries clear
-/// kSlotBit, so they compare by plain (a, b).
-struct PairEntry {
-  double stretch;
-  std::uint32_t a;  ///< node id | kExactBit when `stretch` is exact
-  std::uint32_t b;  ///< node id | kSlotBit when `stretch` is a slot bound
+/// tie-break pick the pair an all-exact heap would.  Once its partner has
+/// merged away, an exact key is still a valid bound on the owner's other
+/// pairs: they all sort after it.  A bound key names only its owner, in
+/// both `a` and `b`.
+struct NodeKey {
+  double value;
+  std::uint32_t a;  ///< pair's first node | kExactBit, or the owner
+  std::uint32_t b;  ///< pair's second node, or the owner
 
-  [[nodiscard]] std::uint32_t node_a() const { return a & ~kExactBit; }
-  [[nodiscard]] std::uint32_t node_b() const { return b & ~kSlotBit; }
   [[nodiscard]] bool exact() const { return (a & kExactBit) != 0; }
-  [[nodiscard]] bool slot_bound() const { return (b & kSlotBit) != 0; }
+  [[nodiscard]] std::uint32_t node_a() const { return a & ~kExactBit; }
+  [[nodiscard]] std::uint32_t owner() const { return std::max(node_a(), b); }
+  /// The pair's older node; exact keys only.
+  [[nodiscard]] std::uint32_t partner() const { return std::min(node_a(), b); }
 
-  friend bool operator>(const PairEntry& lhs, const PairEntry& rhs) {
-    if (lhs.stretch != rhs.stretch) return lhs.stretch > rhs.stretch;
+  friend bool operator>(const NodeKey& lhs, const NodeKey& rhs) {
+    if (lhs.value != rhs.value) return lhs.value > rhs.value;
     if (lhs.a != rhs.a) return lhs.a > rhs.a;  // deterministic tie-break
     return lhs.b > rhs.b;
   }
 };
-static_assert(sizeof(PairEntry) == 16);
+static_assert(sizeof(NodeKey) == 16);
 
-/// Cancellation poll interval inside parallel init chunks (elements).
-constexpr std::size_t kCancelPollMask = 0x1FFF;
+/// Largest rescan batch of the greedy loop.
+constexpr std::size_t kMaxRescanBatch = 1024;
+/// Work of a rescan batch below which it runs inline: smaller batches
+/// cost less than handing them to the thread pool.  A rescan of node x
+/// counts its candidates times x's samples: its box bounds scale with the
+/// candidates, and the exact stretches it evaluates with both.  Measured
+/// on perfbench's inputs (4 vCPUs, alternating runs): on city_halo_k2
+/// every cut-off from 32,768 to 2,097,152 gave the same wall and cpu time
+/// within noise, while running every batch inline took ~45% more wall
+/// time and ~8% less cpu; serve_replay_k5 ran 8-13% longer inline.  The
+/// lowest of those cut-offs keeps the most parallelism for small jobs.
+constexpr std::uint64_t kParallelRescanWork = 32'768;
 
-/// Largest refinement batch of the greedy loop.
-constexpr std::size_t kMaxRefineBatch = 1024;
-/// Summed m_a * m_b of a refinement batch below which it runs inline:
-/// smaller batches cost less than handing them to the thread pool.  An
-/// entry counts m_a * m_b whichever stage it moves to, so a batch of slot
-/// bounds reaches the pool as readily as one of exact stretches.  On
-/// perfbench's city_halo_k2 (six inputs, 4 vCPUs) 29% of the batches reach
-/// it, carrying 97.5% of the slot-bound work and 65% of the exact work;
-/// counting a slot bound at its S_a * S_b slot pairs instead sent only 8%
-/// there and was no faster (10 alternating pairs: cpu -3%, wall +3%).  The
-/// batches of an incremental update's few-sample newcomers stay below it.
-constexpr std::uint64_t kParallelRefineWork = 65'536;
-
-PairEntry pop_min(std::vector<PairEntry>& heap) {
+NodeKey pop_min(std::vector<NodeKey>& heap) {
   std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-  const PairEntry top = heap.back();
+  const NodeKey top = heap.back();
   heap.pop_back();
   return top;
 }
 
-void push(std::vector<PairEntry>& heap, const PairEntry& entry) {
-  heap.push_back(entry);
+void push(std::vector<NodeKey>& heap, const NodeKey& key) {
+  heap.push_back(key);
   std::push_heap(heap.begin(), heap.end(), std::greater<>{});
 }
 
@@ -148,66 +143,66 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
     if (nodes[id].group_size() >= config.k) finalized.push_back(id);
   }
 
-  // --- Initialization: one candidate per open pair (Alg. 1 l. 1-2),
-  // seeded with the bounding-box lower bound of its stretch effort.  Bounds
-  // refine to the exact stretch when they reach the top of the heap, so
-  // far-apart pairs are never evaluated exactly, and the pop order (hence
-  // the output) is the one an all-exact heap would give.
+  // --- Initialization (Alg. 1 l. 1-2): each open node's key starts as
+  // its least box bound to the older open nodes, whose pairs it owns.  A
+  // key moves on to the exact stretch of the node's nearest older node
+  // only when it reaches the top of the heap, so far-apart pairs are never
+  // evaluated exactly, and the merges (hence the output) are the ones a
+  // heap of every exact pair would give.
   const auto init_start = Clock::now();
+  // Open node ids, ascending, so the older open nodes of x are the ids
+  // before it.
   std::vector<std::uint32_t> open;
   for (std::uint32_t id = 0; id < nodes.size(); ++id) {
     if (is_open(id)) open.push_back(id);
   }
+  const auto older_open = [&](std::uint32_t x) {
+    return std::span<const std::uint32_t>{open}.first(static_cast<std::size_t>(
+        std::lower_bound(open.begin(), open.end(), x) - open.begin()));
+  };
 
   // Per-node bounds cache for the cascade: computed once per node,
   // including the open nodes merges create later on, and dropped once the
   // node is merged away.
   std::vector<NodeBounds> bounds = node_bounds_of(nodes);
-  const auto box_bound = [&](std::uint32_t a, std::uint32_t b) {
-    return stretch_lower_bound(bounds[a].box, bounds[b].box, config.limits);
+  const auto least_box_bound = [&](std::uint32_t x,
+                                   std::span<const std::uint32_t> others) {
+    double least = std::numeric_limits<double>::infinity();
+    for (const std::uint32_t y : others) {
+      least = std::min(least, stretch_lower_bound(bounds[x].box, bounds[y].box,
+                                                  config.limits));
+    }
+    return least;
   };
 
-  std::vector<PairEntry> heap;
-  const std::size_t pairs =
-      open.size() >= 2 ? open.size() * (open.size() - 1) / 2 : 0;
-  // Work units for progress: initial pairs plus open nodes to close.
-  const std::uint64_t total_work =
-      static_cast<std::uint64_t>(pairs) + open.size();
-  if (pairs > 0) {
-    heap.resize(pairs);
-    // Row-major enumeration of the strict upper triangle, parallel by pair
-    // index: pair p -> (i, j) with i < j.
-    util::parallel_for(pairs, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t p = begin; p < end; ++p) {
-        if ((p & kCancelPollMask) == 0) hooks.throw_if_cancelled();
-        // Invert p = i*(2n-i-1)/2 + (j-i-1): estimate row i analytically,
-        // then fix rounding so that offsets(i) <= p < offsets(i+1).
-        const double n = static_cast<double>(open.size());
-        const double estimate =
-            n - 0.5 -
-            std::sqrt(std::max(0.0, (n - 0.5) * (n - 0.5) -
-                                        2.0 * static_cast<double>(p)));
-        std::size_t i = static_cast<std::size_t>(std::max(0.0, estimate));
-        if (i > open.size() - 2) i = open.size() - 2;
-        auto offset = [&](std::size_t row) {
-          return row * (2 * open.size() - row - 1) / 2;
-        };
-        while (offset(i + 1) <= p) ++i;
-        while (i > 0 && offset(i) > p) --i;
-        const std::size_t j = p - offset(i) + i + 1;
-        const std::uint32_t a = open[i];
-        const std::uint32_t b = open[j];
-        heap[p] = PairEntry{box_bound(a, b), a, b};
-      }
-    });
-  }
+  const std::size_t rows = open.size();
+  const std::size_t pairs = rows >= 2 ? rows * (rows - 1) / 2 : 0;
+  // Work units for progress: seeded pairs plus open nodes to close.
+  const std::uint64_t total_work = static_cast<std::uint64_t>(pairs) + rows;
+  // Every open node but the oldest owns a pair.  Row r bounds r pairs, so
+  // each step takes rows i and rows - 1 - i together.
+  std::vector<NodeKey> heap(rows >= 2 ? rows - 1 : 0);
+  util::parallel_for(
+      (rows + 1) / 2,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          hooks.throw_if_cancelled();
+          for (const std::size_t row : {i, rows - 1 - i}) {
+            if (row == 0) continue;
+            const std::uint32_t x = open[row];
+            heap[row - 1] = NodeKey{
+                least_box_bound(x, std::span{open}.first(row)), x, x};
+          }
+        }
+      },
+      /*min_chunk=*/64);
   std::make_heap(heap.begin(), heap.end(), std::greater<>{});
   stats.init_seconds = seconds_since(init_start);
   hooks.throw_if_cancelled();
   hooks.report(pairs, total_work);
 
   // Candidate-churn accounting: how much of the heap's traffic is useful
-  // (refines, fresh pairs) vs wasted (stale pops of dead nodes).  All
+  // (rescans, fresh keys) vs wasted (stale pops of merged nodes).  All
   // deterministic for a given input/config, so the totals surface in the
   // run report's "obs" section; tallied locally and folded in once after
   // the loop to keep the pop path free of shared writes.
@@ -218,188 +213,174 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   static const obs::Counter c_refined = obs::counter("core.heap.refined");
   static const obs::Counter c_batches =
       obs::counter("core.heap.refine_batches");
+  static const obs::Counter c_pool_batches =
+      obs::counter("core.heap.pool_batches");
   static const obs::Counter c_stale = obs::counter("core.heap.stale_skips");
   static const obs::Counter c_pushed = obs::counter("core.heap.pushed");
-  static const obs::Counter c_purged = obs::counter("core.heap.purged");
   if (pairs > 0) c_seeded.add(pairs);
   std::uint64_t popped = 0;
-  std::uint64_t slot_bounds = 0;
-  std::uint64_t refined = 0;
   std::uint64_t batches = 0;
+  std::uint64_t pool_batches = 0;
   std::uint64_t stale = 0;
   std::uint64_t pushed = 0;
-  std::uint64_t purged = 0;
-  std::uint64_t sample_pairs = 0;
+  SearchTally tally;
 
-  const auto is_stale = [&](const PairEntry& e) {
-    return !is_open(e.node_a()) || !is_open(e.node_b());
+  // The slot bounds and exact stretches each node's rescans computed for
+  // the pairs it owns, pruned as partners merge away and freed once the
+  // node itself merges.
+  std::vector<std::vector<KnownStretch>> known(nodes.size());
+
+  // Rescan batch state, reused across batches.  `rescan` recomputes each
+  // batch key as the exact stretch of its owner's nearest older open
+  // node, or leaves it out when the owner has none left.
+  std::size_t batch_limit = 1;
+  std::vector<NodeKey> batch;
+  std::vector<std::optional<NodeKey>> rescanned;
+  std::vector<SearchTally> tallies;
+  const auto rescan = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t x = batch[i].owner();
+      const std::span<const std::uint32_t> older = older_open(x);
+      if (older.empty()) {
+        rescanned[i].reset();
+        known[x] = std::vector<KnownStretch>{};
+        continue;
+      }
+      const Neighbor found =
+          nearest(nodes[x], bounds[x], nodes, bounds, older, config.limits, 1,
+                  std::nullopt, &tallies[i], &known[x])
+              .front();
+      const auto y = static_cast<std::uint32_t>(found.index);
+      rescanned[i] = x < data.size() ? NodeKey{found.stretch, y | kExactBit, x}
+                                     : NodeKey{found.stretch, x | kExactBit, y};
+    }
   };
 
-  // Refinement batch state, reused across batches.  `advance` moves each
-  // batch entry one stage along the cascade.
-  std::size_t batch_limit = 1;
-  std::vector<PairEntry> batch;
-  std::vector<PairEntry> advanced;
-  std::vector<std::uint64_t> batch_pairs;
-  const auto advance = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const PairEntry& e = batch[i];
-      const std::uint32_t a = e.node_a();
-      const std::uint32_t b = e.node_b();
-      if (e.slot_bound()) {
-        const double stretch = fingerprint_stretch(
-            nodes[a], nodes[b], config.limits, &batch_pairs[i]);
-        advanced[i] = PairEntry{stretch, a | kExactBit, b};
-      } else {
-        const double slot_bound = slot_lower_bound(
-            bounds[a].slots, bounds[b].slots, config.limits);
-        const double key = std::max(e.stretch, slot_bound);
-        advanced[i] = PairEntry{key, a, b | kSlotBit};
-      }
-    }
+  const auto names_open_pair = [&](const NodeKey& key) {
+    return key.exact() && is_open(key.partner());
   };
 
   // --- Greedy loop (Alg. 1 l. 4-15).
   const auto merge_start = Clock::now();
-  const std::size_t initial_open = open.size();
-  std::size_t open_count = open.size();
-  while (open_count >= 2) {
+  while (open.size() >= 2) {
     hooks.throw_if_cancelled();
-    // Compaction.  Each live pair has exactly one entry, so fewer than
-    // open_count^2 / 2 entries are live; once the heap holds more than
-    // open_count^2 entries, at least half are stale.  Dropping them and
-    // re-heapifying cannot change the live pop sequence (the entry order
-    // is a strict total order), and the heap at least halves each time,
-    // so all compactions together cost O(entries ever pushed).
-    if (open_count * open_count < heap.size()) {
-      const std::size_t before = heap.size();
-      std::erase_if(heap, is_stale);
-      purged += before - heap.size();
-      std::make_heap(heap.begin(), heap.end(), std::greater<>{});
-    }
-    // Pop the minimum-stretch pair of still-open nodes, advancing lower
-    // bounds that surface at the top.  A bound at the top is popped with
-    // the live bounds that follow it in heap order, up to the first live
-    // exact entry; the batch is advanced one stage each in parallel (a box
-    // bound to the slot bound, a slot bound to the exact stretch) and
-    // pushed back.  This cannot change the merge: an exact entry pops only
-    // once its key is below every remaining key, and a remaining bound's
-    // key is at most its pair's exact key (neither bound exceeds the
-    // stretch, the slot stage keeps the larger of the two, and any bound
-    // sorts before an exact entry of equal value), so the popped pair has
-    // the least exact (stretch, a, b) of all live pairs, whichever other
-    // pairs were advanced.  Batch sizes follow the heap's own history,
-    // never the worker count, so the counters do not depend on threads:
-    // the entries the one-at-a-time loop would also have advanced form a
-    // prefix of the batch (each bound sorts below every advanced key
-    // before it; advancing only raises a key); the batch limit doubles, up
-    // to kMaxRefineBatch, while that prefix is the whole batch, and
+    // Pop the least key of an open node.  An exact key whose partner is
+    // still open names the pair to merge: every other key is at most the
+    // least exact pair of its owner, and the node heap holds them all.
+    // Any other key (a bound, or an exact key whose partner merged away)
+    // is popped with the keys that follow it in heap order, up to the
+    // first such exact key; the batch is rescanned in parallel and pushed
+    // back.  A rescan only raises a key, and a merge never comes straight
+    // from a batch, so this cannot change the merge.  Batch sizes follow
+    // the heap's own history, never the worker count, so the counters do
+    // not depend on threads: the keys the one-at-a-time loop would also
+    // have rescanned form a prefix of the batch (each sorts below every
+    // rescanned key before it); the batch limit doubles, up to
+    // kMaxRescanBatch, while that prefix is the whole batch, and
     // otherwise shrinks to the prefix.
-    PairEntry top{};
+    NodeKey top{};
     for (;;) {
       if (heap.empty()) {
         throw std::logic_error{"GLOVE heap exhausted with open nodes left"};
       }
       top = pop_min(heap);
       ++popped;
-      if (is_stale(top)) {
+      if (!is_open(top.owner())) {
         ++stale;
         continue;
       }
-      if (top.exact()) break;
+      if (names_open_pair(top)) break;
 
       batch.assign(1, top);
       while (batch.size() < batch_limit && !heap.empty()) {
-        if (heap.front().exact() && !is_stale(heap.front())) break;
-        const PairEntry next = pop_min(heap);
+        const NodeKey& front = heap.front();
+        if (is_open(front.owner()) && names_open_pair(front)) break;
+        const NodeKey next = pop_min(heap);
         ++popped;
-        if (is_stale(next)) {
-          ++stale;
-        } else {
+        if (is_open(next.owner())) {
           batch.push_back(next);
+        } else {
+          ++stale;
         }
       }
       std::uint64_t work = 0;
-      for (const PairEntry& e : batch) {
-        work += std::uint64_t{nodes[e.node_a()].size()} *
-                nodes[e.node_b()].size();
+      for (const NodeKey& key : batch) {
+        work += std::uint64_t{older_open(key.owner()).size()} *
+                nodes[key.owner()].size();
       }
-      advanced.resize(batch.size());
-      batch_pairs.assign(batch.size(), 0);
-      if (work >= kParallelRefineWork) {
-        util::parallel_for(batch.size(), advance, /*min_chunk=*/1);
+      rescanned.resize(batch.size());
+      tallies.assign(batch.size(), SearchTally{});
+      if (work >= kParallelRescanWork) {
+        util::parallel_for(batch.size(), rescan, /*min_chunk=*/1);
+        ++pool_batches;
       } else {
-        advance(0, batch.size());
+        rescan(0, batch.size());
       }
 
-      // Push the batch back one stage on; `prefix` counts its leading
-      // entries that the one-at-a-time loop advances too.
+      // Push the rescanned keys back; `prefix` counts the batch's leading
+      // keys that the one-at-a-time loop rescans too.
       std::size_t prefix = 0;
-      PairEntry lowest{};
+      std::optional<NodeKey> lowest;
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        const PairEntry& entry = advanced[i];
-        if (prefix == i && (i == 0 || lowest > batch[i])) {
+        const std::optional<NodeKey>& key = rescanned[i];
+        if (prefix == i && (!lowest || *lowest > batch[i])) {
           ++prefix;
-          if (i == 0 || lowest > entry) lowest = entry;
+          if (key && (!lowest || *lowest > *key)) lowest = key;
         }
-        push(heap, entry);
-        if (entry.exact()) {
-          ++refined;
-          sample_pairs += batch_pairs[i];
-        } else {
-          ++slot_bounds;
+        if (key) {
+          push(heap, *key);
+          ++pushed;
         }
+        tally += tallies[i];
       }
       batch_limit = prefix == batch.size()
-                        ? std::min(2 * batch_limit, kMaxRefineBatch)
+                        ? std::min(2 * batch_limit, kMaxRescanBatch)
                         : prefix;
       ++batches;
     }
 
     // Merge and install the new node.
     const std::uint32_t a = top.node_a();
-    const std::uint32_t b = top.node_b();
+    const std::uint32_t b = top.b;
     alive[a] = false;
     alive[b] = false;
-    open_count -= 2;
+    std::erase_if(open, [&](std::uint32_t id) { return id == a || id == b; });
     bounds[a] = NodeBounds{};
     bounds[b] = NodeBounds{};
+    known[a] = std::vector<KnownStretch>{};
+    known[b] = std::vector<KnownStretch>{};
     MergeStats merge_stats;
     cdr::Fingerprint merged =
         merge_fingerprints(nodes[a], nodes[b], options, &merge_stats);
+    nodes[a] = cdr::Fingerprint{};
+    nodes[b] = cdr::Fingerprint{};
     stats.deleted_samples += merge_stats.suppressed_original_samples;
     ++stats.merges;
     const auto m_id = static_cast<std::uint32_t>(nodes.size());
     nodes.push_back(std::move(merged));
     alive.push_back(true);
     bounds.emplace_back();
+    known.emplace_back();
 
     if (nodes[m_id].group_size() >= config.k) {
       finalized.push_back(m_id);
-      hooks.report(pairs + (initial_open - open_count), total_work);
-      continue;
+    } else {
+      // Alg. 1 l. 10-13: the new node owns its pairs to every open node,
+      // and its key starts as their least box bound.
+      bounds[m_id] = node_bounds(nodes[m_id]);
+      if (!open.empty()) {
+        push(heap, NodeKey{least_box_bound(m_id, open), m_id, m_id});
+        ++pushed;
+      }
+      open.push_back(m_id);
     }
-    ++open_count;
-    bounds[m_id] = node_bounds(nodes[m_id]);
-
-    // Alg. 1 l. 10-13: stretch from the new node to every open node,
-    // seeded with box bounds from the per-node cache (advanced on pop,
-    // like the initial heap), so a merge costs O(open) cheap bound
-    // evaluations instead of O(open) exact O(m_a * m_b) ones.
-    for (std::uint32_t id = 0; id < m_id; ++id) {
-      if (!is_open(id)) continue;
-      push(heap, PairEntry{box_bound(m_id, id), m_id, id});
-      ++pushed;
-    }
-    hooks.report(pairs + (initial_open - open_count), total_work);
+    hooks.report(pairs + (rows - open.size()), total_work);
   }
 
   // At most one node is still open: the leftover, which Alg. 1 leaves
   // unspecified; absorb_leftovers applies config.leftover_policy to it.
   std::vector<cdr::Fingerprint> tail;
-  for (std::uint32_t id = 0; id < nodes.size(); ++id) {
-    if (is_open(id)) tail.push_back(std::move(nodes[id]));
-  }
+  for (const std::uint32_t id : open) tail.push_back(std::move(nodes[id]));
 
   // --- Collect output, then apply the leftover policy to it.
   std::vector<cdr::Fingerprint> output;
@@ -409,15 +390,15 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   }
   absorb_leftovers(std::move(tail), output, config, stats, hooks);
   stats.merge_seconds = seconds_since(merge_start);
-  stats.stretch_evaluations += refined;
+  stats.stretch_evaluations += tally.evaluations;
   if (popped > 0) c_popped.add(popped);
-  if (slot_bounds > 0) c_slot_bounds.add(slot_bounds);
-  if (refined > 0) c_refined.add(refined);
+  if (tally.slot_bounds > 0) c_slot_bounds.add(tally.slot_bounds);
+  if (tally.evaluations > 0) c_refined.add(tally.evaluations);
   if (batches > 0) c_batches.add(batches);
+  if (pool_batches > 0) c_pool_batches.add(pool_batches);
   if (stale > 0) c_stale.add(stale);
   if (pushed > 0) c_pushed.add(pushed);
-  if (purged > 0) c_purged.add(purged);
-  if (sample_pairs > 0) sample_pairs_counter().add(sample_pairs);
+  if (tally.sample_pairs > 0) sample_pairs_counter().add(tally.sample_pairs);
   hooks.report(total_work, total_work);
 
   stats.output_groups = output.size();
@@ -447,13 +428,14 @@ std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
     throw std::logic_error{"no group to absorb leftovers into"};
   }
   std::vector<NodeBounds> group_bounds = node_bounds_of(groups);
+  const std::vector<std::uint32_t> every_group = every_id(groups.size());
   const MergeOptions options = merge_options(config);
-  std::uint64_t sample_pairs = 0;
+  SearchTally tally;
   for (const cdr::Fingerprint& leftover : tail) {
     hooks.throw_if_cancelled();
     const std::size_t g =
-        nearest(leftover, groups, group_bounds, config.limits, 1,
-                std::nullopt, &stats.stretch_evaluations, &sample_pairs)
+        nearest(leftover, node_bounds(leftover), groups, group_bounds,
+                every_group, config.limits, 1, std::nullopt, &tally)
             .front()
             .index;
     MergeStats merge_stats;
@@ -462,7 +444,8 @@ std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
     stats.deleted_samples += merge_stats.suppressed_original_samples;
     ++stats.merges;
   }
-  if (sample_pairs > 0) sample_pairs_counter().add(sample_pairs);
+  stats.stretch_evaluations += tally.evaluations;
+  if (tally.sample_pairs > 0) sample_pairs_counter().add(tally.sample_pairs);
   return tail.size();
 }
 

@@ -59,7 +59,8 @@ struct GloveStats {
   std::uint64_t discarded_fingerprints = 0;
   /// Fingerprint-stretch evaluations performed (throughput accounting).
   std::uint64_t stretch_evaluations = 0;
-  /// Heap seeding: per-fingerprint bounds and the |M|^2/2 pair bounds.
+  /// Heap seeding: per-fingerprint bounds and the |M|^2/2 box bounds
+  /// whose least per node seeds the node's key.
   double init_seconds = 0.0;
   double merge_seconds = 0.0;  ///< greedy loop
 
@@ -91,18 +92,20 @@ struct GloveResult {
 /// otherwise.  Deterministic for a given input and configuration,
 /// independent of thread count.
 ///
-/// The candidate heap is seeded with stretch_lower_bound values, and an
-/// entry that reaches the top moves one stage along the box -> slot ->
-/// exact cascade of scalability.hpp (its slot_lower_bound, then its exact
-/// stretch), so most pairs are never evaluated exactly; the merges are
-/// those of a heap holding every exact stretch.  Lower bounds that reach
-/// the top together are advanced as one batch on
-/// util::ThreadPool::shared(), so the caller must not itself be a task of
-/// that pool.  The final sub-k
+/// The candidate heap holds one key per open node, never one entry per
+/// pair, so its state is O(|M|): pair {x, y} belongs to the newer node,
+/// and a node's key is a lower bound on its least pair, seeded with the
+/// least stretch_lower_bound.  A key that reaches the top without naming
+/// an open pair is recomputed by one nearest search over the node's older
+/// open nodes, through the box -> slot -> exact cascade of
+/// scalability.hpp, so most pairs are never evaluated exactly; the merges
+/// are those of a heap holding every exact stretch.  Keys that reach the
+/// top together are rescanned as one batch on util::ThreadPool::shared(),
+/// so the caller must not itself be a task of that pool.  The final sub-k
 /// leftover, if any, goes through absorb_leftovers over the finished
 /// groups.
 ///
-/// Progress units: initial candidate pairs plus fingerprints closed by
+/// Progress units: seeded candidate pairs plus fingerprints closed by
 /// the greedy loop; `done` is monotone non-decreasing and reaches `total`
 /// on completion.  Cancellation is polled between work units and aborts
 /// with util::CancelledError before any output dataset is materialized.

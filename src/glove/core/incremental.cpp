@@ -67,14 +67,15 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
   struct Choice {
     Neighbor group{0, std::numeric_limits<double>::infinity()};
     double to_peer = std::numeric_limits<double>::infinity();
-    std::uint64_t evaluations = 0;
-    std::uint64_t sample_pairs = 0;
+    SearchTally tally;
   };
   // Progress: n decision units (parallel phase) then n placement units.
   const std::uint64_t total_work = 2 * static_cast<std::uint64_t>(n);
   std::mutex progress_mutex;
   std::uint64_t decisions_done = 0;
 
+  const std::vector<std::uint32_t> every_group = every_id(groups.size());
+  const std::vector<std::uint32_t> every_newcomer = every_id(n);
   std::vector<Choice> choices(n);
   util::parallel_for(
       n,
@@ -84,15 +85,16 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
           Choice& choice = choices[i];
           if (!groups.empty()) {
             choice.group =
-                nearest(new_users[i], groups, group_bounds, config.limits, 1,
-                        std::nullopt, &choice.evaluations,
-                        &choice.sample_pairs)
+                nearest(new_users[i], newcomer_bounds[i], groups, group_bounds,
+                        every_group, config.limits, 1, std::nullopt,
+                        &choice.tally)
                     .front();
           }
           const std::vector<Neighbor> peer =
-              nearest(new_users[i], new_users.fingerprints(), newcomer_bounds,
-                      config.limits, 1, i, &choice.evaluations,
-                      &choice.sample_pairs);
+              nearest(new_users[i], newcomer_bounds[i],
+                      new_users.fingerprints(), newcomer_bounds,
+                      every_newcomer, config.limits, 1,
+                      static_cast<std::uint32_t>(i), &choice.tally);
           if (!peer.empty()) choice.to_peer = peer.front().stretch;
           if (hooks.progress) {
             const std::lock_guard lock{progress_mutex};
@@ -101,12 +103,8 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
         }
       },
       /*min_chunk=*/1);
-  std::uint64_t evaluations = 0;
-  std::uint64_t sample_pairs = 0;
-  for (const Choice& choice : choices) {
-    evaluations += choice.evaluations;
-    sample_pairs += choice.sample_pairs;
-  }
+  SearchTally tally;
+  for (const Choice& choice : choices) tally += choice.tally;
 
   // The embedded greedy pass observes only the cancellation token; its
   // own progress would not compose monotonically with the outer units.
@@ -150,8 +148,8 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
       // Not absorb_leftovers: the group comes first in the merge here,
       // which decides member order when sample counts tie.
       const std::size_t g =
-          nearest(straggler, groups, group_bounds, config.limits, 1,
-                  std::nullopt, &evaluations, &sample_pairs)
+          nearest(straggler, node_bounds(straggler), groups, group_bounds,
+                  every_group, config.limits, 1, std::nullopt, &tally)
               .front()
               .index;
       groups[g] = merge_fingerprints(groups[g], straggler, options);
@@ -161,9 +159,9 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
   }
 
   // After the greedy pass's stats are in, so its count is kept.
-  result.stats.glove.stretch_evaluations += evaluations;
-  if (sample_pairs > 0) {
-    obs::counter("core.stretch.sample_pairs").add(sample_pairs);
+  result.stats.glove.stretch_evaluations += tally.evaluations;
+  if (tally.sample_pairs > 0) {
+    obs::counter("core.stretch.sample_pairs").add(tally.sample_pairs);
   }
   hooks.report(total_work, total_work);
   result.anonymized = cdr::FingerprintDataset{

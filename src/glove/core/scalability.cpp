@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -209,7 +210,7 @@ double stretch_lower_bound(const FingerprintBounds& a,
   // the boxes (in the weighted two-direction sum of eq. 4, *both*
   // directions must bridge the gap, so the weighted sum is >= the gap).
   // The padded upper ends and kRoundingMargin keep the bound at or below
-  // the *computed* stretch, which is what the lazy heap's exactness and
+  // the *computed* stretch, which is what the greedy loop's heap keys and
   // nearest rely on.  fingerprint_stretch is 0 when either side has no
   // samples.
   if (a.empty || b.empty) return 0.0;
@@ -224,37 +225,67 @@ double stretch_lower_bound(const FingerprintBounds& a,
 }
 
 std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
+                              const NodeBounds& own,
                               std::span<const cdr::Fingerprint> candidates,
                               std::span<const NodeBounds> bounds,
+                              std::span<const std::uint32_t> ids,
                               const StretchLimits& limits, std::size_t count,
-                              std::optional<std::size_t> skip,
-                              std::uint64_t* evaluations,
-                              std::uint64_t* sample_pairs) {
-  if (candidates.empty() || candidates.size() != bounds.size() ||
-      count == 0) {
+                              std::optional<std::uint32_t> skip,
+                              SearchTally* tally,
+                              std::vector<KnownStretch>* known) {
+  if (ids.empty() || candidates.size() != bounds.size() || count == 0) {
     throw std::invalid_argument{
         "nearest needs a non-empty candidate list, one bounds entry per "
         "candidate and a count of at least 1"};
   }
-  const NodeBounds own = node_bounds(fp);
-  // A min-heap over (bound, index, slot stage) yields the order a full
-  // sort would, but only the prefix the search actually visits is ever
-  // ordered.  Box-stage candidates come back once with their slot bound.
-  std::vector<std::tuple<double, std::size_t, bool>> order;
-  order.reserve(candidates.size());
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    if (c == skip) continue;
-    order.emplace_back(stretch_lower_bound(own.box, bounds[c].box, limits), c,
-                       false);
-  }
-  std::make_heap(order.begin(), order.end(), std::greater<>{});
-
   // The best candidates so far, ascending by (stretch, index).
   std::vector<Neighbor> best;
   const auto before = [](const Neighbor& x, const Neighbor& y) {
     return std::tie(x.stretch, x.index) < std::tie(y.stretch, y.index);
   };
-  std::uint64_t evaluated = 0;
+  const auto keep = [&](const Neighbor& found) {
+    best.insert(std::upper_bound(best.begin(), best.end(), found, before),
+                found);
+    if (best.size() > count) best.pop_back();
+  };
+
+  // A min-heap over (bound, id, slot stage) yields the order a full sort
+  // would, but only the prefix the search actually visits is ever
+  // ordered.  Box-stage candidates come back once with their slot bound.
+  // Known values enter at their stage: a slot bound in the heap, an exact
+  // stretch straight among the best.  `kept` counts the known values
+  // still named, compacted to the front of `known` in id order.
+  std::vector<std::tuple<double, std::uint32_t, bool>> order;
+  order.reserve(ids.size());
+  std::size_t kept = 0;
+  std::size_t next_known = 0;
+  for (const std::uint32_t c : ids) {
+    if (c >= candidates.size()) {
+      throw std::invalid_argument{"nearest: candidate id out of range"};
+    }
+    if (c == skip) continue;
+    if (known != nullptr) {
+      while (next_known < known->size() && (*known)[next_known].id < c) {
+        ++next_known;
+      }
+      if (next_known < known->size() && (*known)[next_known].id == c) {
+        const KnownStretch value = (*known)[next_known++];
+        (*known)[kept++] = value;
+        if (value.exact) {
+          keep(Neighbor{c, value.value});
+        } else {
+          order.emplace_back(value.value, c, true);
+        }
+        continue;
+      }
+    }
+    order.emplace_back(stretch_lower_bound(own.box, bounds[c].box, limits), c,
+                       false);
+  }
+  std::make_heap(order.begin(), order.end(), std::greater<>{});
+
+  SearchTally done;
+  std::vector<KnownStretch> fresh;  // values computed here, for `known`
   while (!order.empty()) {
     std::pop_heap(order.begin(), order.end(), std::greater<>{});
     const auto [bound, c, slot_stage] = order.back();
@@ -262,21 +293,53 @@ std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
     // no later candidate can beat or tie it.
     if (best.size() == count && bound > best.back().stretch) break;
     if (!slot_stage) {
-      const double slot = slot_lower_bound(own.slots, bounds[c].slots, limits);
-      order.back() = {std::max(bound, slot), c, true};
+      const double slot =
+          std::max(bound, slot_lower_bound(own.slots, bounds[c].slots, limits));
+      ++done.slot_bounds;
+      if (known != nullptr) fresh.push_back(KnownStretch{slot, c, false});
+      order.back() = {slot, c, true};
       std::push_heap(order.begin(), order.end(), std::greater<>{});
       continue;
     }
     order.pop_back();
     const Neighbor found{
-        c, fingerprint_stretch(fp, candidates[c], limits, sample_pairs)};
-    ++evaluated;
-    best.insert(std::upper_bound(best.begin(), best.end(), found, before),
-                found);
-    if (best.size() > count) best.pop_back();
+        c, fingerprint_stretch(fp, candidates[c], limits, &done.sample_pairs)};
+    ++done.evaluations;
+    if (known != nullptr) fresh.push_back(KnownStretch{found.stretch, c, true});
+    keep(found);
   }
-  if (evaluations != nullptr) *evaluations += evaluated;
+
+  if (known != nullptr) {
+    // Fold this search's values into the kept ones, in a buffer of about
+    // the final size.  A stable merge by id puts each id's values in the
+    // order they were computed, so the last one of each id is the
+    // furthest along the cascade.
+    const auto by_id = [](const KnownStretch& x, const KnownStretch& y) {
+      return x.id < y.id;
+    };
+    const auto same_id = [](const KnownStretch& x, const KnownStretch& y) {
+      return x.id == y.id;
+    };
+    std::stable_sort(fresh.begin(), fresh.end(), by_id);
+    const auto kept_end = known->begin() + static_cast<std::ptrdiff_t>(kept);
+    std::vector<KnownStretch> merged(kept + fresh.size());
+    std::merge(known->begin(), kept_end, fresh.begin(), fresh.end(),
+               merged.begin(), by_id);
+    merged.erase(merged.begin(),
+                 std::unique(merged.rbegin(), merged.rend(), same_id).base());
+    *known = std::move(merged);
+  }
+  if (tally != nullptr) *tally += done;
   return best;
+}
+
+std::vector<std::uint32_t> every_id(std::size_t count) {
+  if (count > std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1) {
+    throw std::invalid_argument{"nearest takes at most 2^32 candidates"};
+  }
+  std::vector<std::uint32_t> ids(count);
+  std::iota(ids.begin(), ids.end(), std::uint32_t{0});
+  return ids;
 }
 
 std::vector<std::vector<std::uint32_t>> locality_chunks(

@@ -12,9 +12,10 @@
 // search:
 //
 //   1. box: stretch_lower_bound, from each fingerprint's whole bounding box
-//      and time interval (FingerprintBounds).  O(1) per pair, so it seeds
-//      all |M|^2/2 candidates, but a multi-day fingerprint's interval spans
-//      the whole trace and carries no time information.
+//      and time interval (FingerprintBounds).  O(1) per pair, so GLOVE
+//      computes it for all |M|^2/2 pairs to seed one heap key per node,
+//      but a multi-day fingerprint's interval spans the whole trace and
+//      carries no time information.
 //   2. slot: slot_lower_bound, from each fingerprint's SlotSummary — the
 //      rectangle, interval and count of the samples starting in each fixed
 //      kSlotMinutes slot.  Eq. 10 averages per-sample minima, so for each
@@ -24,8 +25,10 @@
 //      O(m_a * m_b) and far tighter than the box.
 //   3. exact: fingerprint_stretch (eq. 10).
 //
-// A candidate moves to the next stage only when its current bound is the
-// least key left, so most pairs stop at the box or the slot stage.
+// nearest moves a candidate to the next stage only when its current bound
+// is the least one left, so most pairs stop at the box or the slot stage;
+// GLOVE's greedy loop searches from a node only when the node's heap key
+// is the least one left.
 
 #ifndef GLOVE_CORE_SCALABILITY_HPP
 #define GLOVE_CORE_SCALABILITY_HPP
@@ -130,26 +133,62 @@ struct Neighbor {
   double stretch = 0.0;
 };
 
-/// The `count` candidates nearest to `fp` by fingerprint_stretch, other
-/// than `skip`, in ascending (stretch, index) order: exactly the first
-/// `count` entries of a full scan sorted that way, or all of them when
-/// fewer remain.  The one k-nearest search of core: the k-gap, leftover
-/// absorption and incremental placement all call it.  `bounds[c]` must be
-/// node_bounds(candidates[c]).  Candidates are visited in ascending bound
-/// order through the box -> slot -> exact cascade: a box bound that comes
-/// first is replaced by the larger of it and the slot bound, and a slot
-/// bound that comes first is evaluated exactly.  The search stops at the
-/// first bound strictly above the count-th best stretch, so distant
-/// candidates are never evaluated exactly.  Throws std::invalid_argument
-/// when `candidates` is empty, the spans differ in length or `count` is 0.
-/// Non-null `evaluations` and `sample_pairs` are incremented by the exact
-/// evaluations made and the sample pairs they scanned.
+/// A cascade value that a nearest search computed for one candidate: its
+/// slot-stage bound, or its exact stretch.  A later search from the same
+/// fingerprint reuses it instead of computing it again.
+struct KnownStretch {
+  double value = 0.0;
+  std::uint32_t id = 0;  ///< the candidate's index
+  bool exact = false;    ///< `value` is the exact stretch, not a bound
+};
+
+/// Work counts of nearest searches.
+struct SearchTally {
+  std::uint64_t slot_bounds = 0;   ///< box bounds advanced to the slot bound
+  std::uint64_t evaluations = 0;   ///< exact stretch evaluations
+  std::uint64_t sample_pairs = 0;  ///< sample pairs those evaluations scanned
+
+  SearchTally& operator+=(const SearchTally& other) {
+    slot_bounds += other.slot_bounds;
+    evaluations += other.evaluations;
+    sample_pairs += other.sample_pairs;
+    return *this;
+  }
+};
+
+/// The `count` candidates nearest to `fp` by fingerprint_stretch among
+/// the candidates `ids` names, other than `skip`, in ascending (stretch,
+/// index) order: exactly the first `count` entries of a full scan of them
+/// sorted that way, or all of them when fewer remain.  The one k-nearest
+/// search of core: GLOVE's greedy loop, the k-gap, leftover absorption and
+/// incremental placement all call it.  `own` must be node_bounds(fp) and
+/// `bounds[c]` node_bounds(candidates[c]).  Candidates are visited in
+/// ascending bound order through the box -> slot -> exact cascade: a box
+/// bound that comes first is replaced by the larger of it and the slot
+/// bound, and a slot bound that comes first is evaluated exactly.  The
+/// search stops at the first bound strictly above the count-th best
+/// stretch, so distant candidates are never evaluated exactly.
+///
+/// A non-null `known` holds the values that earlier searches from `fp`
+/// computed, ascending by id, and `ids` must then be ascending too.  The
+/// search takes those values instead of computing them, drops the ones
+/// whose id `ids` no longer names, and adds the ones it computes.  The
+/// result is the same with or without it.
+///
+/// Throws std::invalid_argument when `ids` is empty or holds an id past
+/// the candidates, the spans differ in length or `count` is 0.  A non-null
+/// `tally` counts the work done.
 [[nodiscard]] std::vector<Neighbor> nearest(
-    const cdr::Fingerprint& fp, std::span<const cdr::Fingerprint> candidates,
-    std::span<const NodeBounds> bounds, const StretchLimits& limits,
-    std::size_t count, std::optional<std::size_t> skip,
-    std::uint64_t* evaluations = nullptr,
-    std::uint64_t* sample_pairs = nullptr);
+    const cdr::Fingerprint& fp, const NodeBounds& own,
+    std::span<const cdr::Fingerprint> candidates,
+    std::span<const NodeBounds> bounds, std::span<const std::uint32_t> ids,
+    const StretchLimits& limits, std::size_t count,
+    std::optional<std::uint32_t> skip = std::nullopt,
+    SearchTally* tally = nullptr, std::vector<KnownStretch>* known = nullptr);
+
+/// 0, 1, ..., count - 1: the ids that make nearest search every
+/// candidate.  Throws std::invalid_argument when count is above 2^32.
+[[nodiscard]] std::vector<std::uint32_t> every_id(std::size_t count);
 
 /// The locality-sort key: the Morton interleave of the bounding-box centre
 /// quantized to 1 km.  Also stored in the glovebin block index.

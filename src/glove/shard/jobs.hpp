@@ -63,8 +63,8 @@ using ShardResultFn = std::function<void(const ShardResult&)>;
 /// alone while the other threads idle.  Each job takes its members from
 /// `member` as it starts, so a job copying from a resident dataset holds
 /// its inputs only while it runs.  `pool` must not be
-/// util::ThreadPool::shared(): core::anonymize hands refinement batches
-/// to the shared pool and waits for them.  Returns the results in job
+/// util::ThreadPool::shared(): core::anonymize hands rescan batches to
+/// the shared pool and waits for them.  Returns the results in job
 /// order, whatever order the jobs ran in, and the groups of a job never
 /// depend on the pool or the start order.  Cancellation propagates from
 /// `hooks.cancel` (util::CancelledError).

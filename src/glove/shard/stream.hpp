@@ -3,9 +3,10 @@
 //
 //   tile -> plan -> run shard jobs -> reconcile borders
 //
-// The quadratic costs of GLOVE (the |M|^2/2 candidate matrix and the
-// greedy merge loop, paper Sec. 6.3) are confined to spatial shards of
-// bounded size, so populations far beyond the single-matrix limit become
+// The quadratic costs of GLOVE (the |M|^2/2 box bounds that seed its node
+// heap, the O(|M|) scan of each rescan and the greedy merge loop, paper
+// Sec. 6.3) are confined to spatial shards of bounded size, so
+// populations far beyond what one GLOVE run can afford become
 // tractable.  The output is k-anonymous as a whole and byte-stable across
 // worker counts and budgets.
 //

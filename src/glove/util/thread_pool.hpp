@@ -1,6 +1,6 @@
 // Fixed-size worker pool used to parallelize the O(|M|^2) stretch-effort
 // computations that dominate GLOVE's running time: heap seeding and the
-// greedy loop's refinement batches.  Sec. 6.3 of the paper maps the same
+// greedy loop's rescan batches.  Sec. 6.3 of the paper maps the same
 // computations onto CUDA; this pool is the CPU substitute.
 
 #ifndef GLOVE_UTIL_THREAD_POOL_HPP

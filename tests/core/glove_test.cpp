@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
 #include "common/fixtures.hpp"
 #include "glove/core/accuracy.hpp"
+#include "glove/obs/metrics.hpp"
 
 namespace glove::core {
 namespace {
@@ -127,6 +129,32 @@ TEST(Glove, StatsAreConsistent) {
   EXPECT_EQ(result.stats.output_samples, result.anonymized.total_samples());
   EXPECT_GE(result.stats.merges, 3u);
   EXPECT_GT(result.stats.stretch_evaluations, 0u);
+}
+
+TEST(Glove, HeapHoldsOneKeyPerNodeNotOnePerPair) {
+  // Seeding bounds every pair of open inputs but keeps one key per input
+  // that has an older one; after that, keys enter only as rescan results
+  // or new open nodes (`pushed`).  Each key is popped at most once, so
+  // pops stay within (n - 1) + pushed, where a heap of pair entries pops
+  // one per pair it ever refines or drops.
+  for (const std::uint32_t k : {2u, 5u}) {
+    const cdr::FingerprintDataset input = test::small_synth_dataset(60);
+    GloveConfig config;
+    config.k = k;
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    (void)anonymize(input, config);
+    const obs::MetricsSnapshot after = obs::snapshot_metrics();
+    const auto moved = [&](const char* name) {
+      return after.counter_value(name) - before.counter_value(name);
+    };
+    const std::uint64_t n = input.size();
+    EXPECT_EQ(moved("core.heap.seeded"), n * (n - 1) / 2) << "k=" << k;
+    EXPECT_GT(moved("core.heap.refine_batches"), 0u) << "k=" << k;
+    EXPECT_LE(moved("core.heap.popped"), (n - 1) + moved("core.heap.pushed"))
+        << "k=" << k;
+    EXPECT_LE(moved("core.heap.stale_skips"), moved("core.heap.popped"))
+        << "k=" << k;
+  }
 }
 
 TEST(Glove, RejectsInvalidArguments) {

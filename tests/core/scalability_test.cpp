@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -352,9 +354,10 @@ TEST(NodeBounds, ParallelBuildMatchesOneByOne) {
 /// nearest must reproduce.
 std::vector<Neighbor> full_scan(const cdr::Fingerprint& fp,
                                 const std::vector<cdr::Fingerprint>& candidates,
-                                std::optional<std::size_t> skip) {
+                                std::optional<std::uint32_t> skip,
+                                std::span<const std::uint32_t> ids) {
   std::vector<Neighbor> all;
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
+  for (const std::uint32_t c : ids) {
     if (c == skip) continue;
     all.push_back(Neighbor{c, fingerprint_stretch(fp, candidates[c], {})});
   }
@@ -394,8 +397,7 @@ TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
   };
 
   const std::vector<std::size_t> counts{1, 2, 4};
-  std::uint64_t evaluations = 0;
-  std::uint64_t sample_pairs = 0;
+  SearchTally tally;
   std::uint64_t candidates = 0;
   std::uint64_t made = 0;
   std::size_t multi_slot = 0;
@@ -422,15 +424,16 @@ TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
                       slot_lower_bound(own.slots, bounds[g].slots, {}));
     };
 
-    const std::size_t skipped = util::uniform_index(rng, groups.size());
-    for (const std::optional<std::size_t> skip :
-         {std::optional<std::size_t>{}, std::optional<std::size_t>{skipped}}) {
-      const std::vector<Neighbor> scan = full_scan(leftover, groups, skip);
+    const std::vector<std::uint32_t> ids = every_id(groups.size());
+    const auto skipped =
+        static_cast<std::uint32_t>(util::uniform_index(rng, groups.size()));
+    using Skip = std::optional<std::uint32_t>;
+    for (const Skip skip : {Skip{}, Skip{skipped}}) {
+      const std::vector<Neighbor> scan = full_scan(leftover, groups, skip, ids);
       for (std::size_t which = 0; which < counts.size(); ++which) {
         const std::size_t wanted = counts[which];
-        const std::vector<Neighbor> found =
-            nearest(leftover, groups, bounds, {}, wanted, skip, &evaluations,
-                    &sample_pairs);
+        const std::vector<Neighbor> found = nearest(
+            leftover, own, groups, bounds, ids, {}, wanted, skip, &tally);
         ASSERT_EQ(found.size(), std::min(wanted, scan.size()))
             << "trial " << trial;
         for (std::size_t i = 0; i < found.size(); ++i) {
@@ -453,8 +456,9 @@ TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
       }
     }
   }
-  EXPECT_LT(evaluations, candidates);
-  EXPECT_GT(sample_pairs, 0u);
+  EXPECT_LT(tally.evaluations, candidates);
+  EXPECT_GT(tally.slot_bounds, 0u);
+  EXPECT_GT(tally.sample_pairs, 0u);
   EXPECT_GT(multi_slot, made / 2);
   EXPECT_GT(empty, 0u);
   for (std::size_t which = 0; which < counts.size(); ++which) {
@@ -462,17 +466,100 @@ TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
   }
 }
 
+TEST(Nearest, KnownValuesKeepTheResultAndSpareTheWork) {
+  // GLOVE's greedy loop searches from one node again and again as its
+  // candidates merge away, keeping the values each search computed.  Over
+  // a shrinking candidate list, a search given those values must return
+  // what a fresh search returns, with no more work; and the values kept
+  // must be the candidates still named, ascending by id, each slot bound
+  // at most the exact stretch and each exact value the stretch itself.
+  util::Xoshiro256 rng{97};
+  const auto lattice = [&](std::uint64_t steps, double step) {
+    const auto i = static_cast<double>(util::uniform_index(rng, 2 * steps + 1));
+    return (i - static_cast<double>(steps)) * step;
+  };
+  const auto random_fingerprint = [&](cdr::UserId user) {
+    std::vector<cdr::Sample> samples;
+    const std::uint64_t count = 1 + util::uniform_index(rng, 4);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      samples.push_back(cell(lattice(4, 1'000.0), lattice(4, 1'000.0),
+                             60.0 * (6.0 + lattice(6, 1.0))));
+    }
+    return cdr::Fingerprint{user, std::move(samples)};
+  };
+
+  std::uint64_t fresh_evaluations = 0;
+  std::uint64_t known_evaluations = 0;
+  std::uint64_t exact_known = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<cdr::Fingerprint> candidates;
+    const std::uint64_t count = 2 + util::uniform_index(rng, 40);
+    for (std::uint64_t c = 0; c < count; ++c) {
+      candidates.push_back(random_fingerprint(static_cast<cdr::UserId>(c + 1)));
+    }
+    const std::vector<NodeBounds> bounds = node_bounds_of(candidates);
+    const cdr::Fingerprint fp = random_fingerprint(0);
+    const NodeBounds own = node_bounds(fp);
+    std::vector<std::uint32_t> ids = every_id(candidates.size());
+    std::vector<KnownStretch> known;
+    while (!ids.empty()) {
+      SearchTally fresh;
+      SearchTally reused;
+      const std::vector<Neighbor> expected = nearest(
+          fp, own, candidates, bounds, ids, {}, 1, std::nullopt, &fresh);
+      const std::vector<Neighbor> found =
+          nearest(fp, own, candidates, bounds, ids, {}, 1, std::nullopt,
+                  &reused, &known);
+      ASSERT_EQ(found.size(), 1u) << "trial " << trial;
+      EXPECT_EQ(found[0].index, expected[0].index) << "trial " << trial;
+      EXPECT_EQ(found[0].stretch, expected[0].stretch) << "trial " << trial;
+      EXPECT_LE(reused.evaluations, fresh.evaluations) << "trial " << trial;
+      EXPECT_LE(reused.slot_bounds, fresh.slot_bounds) << "trial " << trial;
+      fresh_evaluations += fresh.evaluations;
+      known_evaluations += reused.evaluations;
+      for (std::size_t i = 0; i < known.size(); ++i) {
+        const KnownStretch& value = known[i];
+        EXPECT_TRUE(std::binary_search(ids.begin(), ids.end(), value.id));
+        if (i > 0) {
+          EXPECT_LT(known[i - 1].id, value.id);
+        }
+        const double stretch =
+            fingerprint_stretch(fp, candidates[value.id], {});
+        if (value.exact) {
+          EXPECT_EQ(value.value, stretch);
+          ++exact_known;
+        } else {
+          EXPECT_LE(value.value, stretch);
+        }
+      }
+      // The nearest candidate merges away, and so does a random other.
+      std::erase(ids, static_cast<std::uint32_t>(found[0].index));
+      if (!ids.empty()) {
+        ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(
+                                    util::uniform_index(rng, ids.size())));
+      }
+    }
+  }
+  EXPECT_GT(exact_known, 0u);
+  EXPECT_LT(known_evaluations, fresh_evaluations);
+}
+
 TEST(Nearest, RejectsEmptyOrMisalignedCandidates) {
   const cdr::Fingerprint fp{0u, {cell(0, 0, 0)}};
-  const std::vector<cdr::Fingerprint> none;
-  EXPECT_THROW((void)nearest(fp, none, {}, {}, 1, std::nullopt),
-               std::invalid_argument);
+  const NodeBounds own = node_bounds(fp);
   const std::vector<cdr::Fingerprint> one{fp};
-  EXPECT_THROW((void)nearest(fp, one, {}, {}, 1, std::nullopt),
+  const std::vector<NodeBounds> one_bounds{own};
+  const std::vector<std::uint32_t> first{0};
+  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, {}, {}, 1),
                std::invalid_argument);
-  const std::vector<NodeBounds> one_bounds{node_bounds(fp)};
-  EXPECT_THROW((void)nearest(fp, one, one_bounds, {}, 0, std::nullopt),
+  EXPECT_THROW((void)nearest(fp, own, one, {}, first, {}, 1),
                std::invalid_argument);
+  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, first, {}, 0),
+               std::invalid_argument);
+  const std::vector<std::uint32_t> past{1};
+  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, past, {}, 1),
+               std::invalid_argument);
+  EXPECT_EQ(every_id(3), (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
 TEST(LocalityChunks, SortsByKeyThenPositionAndNeverLeavesASubKTail) {
