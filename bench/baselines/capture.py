@@ -93,8 +93,8 @@ def run_throughput(binary: pathlib.Path) -> dict:
 # The pinned streaming run whose deterministic metrics are baselined:
 # glovebin input (so the planning pass is index-served and rewound passes
 # block-seek) through the bordered sharded strategy, with a batch budget
-# (500 users x 2 workers) small enough to force several rewound shard and
-# reconcile passes.
+# (500 users x 2 workers) small enough to force many rewound passes, the
+# shard jobs' and then the reconcile chunks'.
 STREAMING_SYNTH = ["--users=20000", "--days=1", "--seed=3"]
 STREAMING_RUN = [
     "--strategy=sharded", "--shard-users=500", "--shard-workers=2",
@@ -136,8 +136,6 @@ def run_streaming_metrics(build_dir: pathlib.Path) -> dict:
             "pass_blocks": io["pass_blocks"],
             "file_blocks": io["file_blocks"],
             "blocks_read": io["blocks_read"],
-            "reconcile_passes": int(report["metrics"].get(
-                "reconcile_passes", 0)),
             "counters": report["counters"],
             "obs": report["obs"],
         },

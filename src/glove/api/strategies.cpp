@@ -245,7 +245,6 @@ class ShardedStrategy final : public Anonymizer {
          static_cast<double>(stats.deferred_fingerprints)},
         {"reconciled_groups", static_cast<double>(stats.reconciled_groups)},
         {"absorbed_leftovers", static_cast<double>(stats.absorbed_leftovers)},
-        {"reconcile_passes", static_cast<double>(stats.reconcile_passes)},
         {"tile_size_m", stats.tile_size_m},
         {"plan_seconds", stats.plan_seconds},
         {"reconcile_seconds", stats.reconcile_seconds}};

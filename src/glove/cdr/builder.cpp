@@ -62,6 +62,18 @@ FingerprintDataset build_from_planar(const std::vector<PlanarEvent>& events,
 
 }  // namespace
 
+void check_antenna(const geo::LatLon& antenna, const std::string& context) {
+  // The negated comparisons reject NaN too.
+  if (!(std::abs(antenna.lat_deg) <= 90.0)) {
+    throw std::invalid_argument{context +
+                                ": lat must be finite and in [-90, 90]"};
+  }
+  if (!(std::abs(antenna.lon_deg) <= 180.0)) {
+    throw std::invalid_argument{context +
+                                ": lon must be finite and in [-180, 180]"};
+  }
+}
+
 FingerprintDataset build_fingerprints(const std::vector<CdrEvent>& events,
                                       const BuilderConfig& config) {
   const geo::LambertAzimuthalEqualArea projection{config.projection_origin};

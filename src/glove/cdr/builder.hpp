@@ -6,6 +6,7 @@
 #ifndef GLOVE_CDR_BUILDER_HPP
 #define GLOVE_CDR_BUILDER_HPP
 
+#include <string>
 #include <vector>
 
 #include "glove/cdr/dataset.hpp"
@@ -19,6 +20,11 @@ struct CdrEvent {
   double time_min = 0.0;  ///< minutes from the dataset epoch
   geo::LatLon antenna;    ///< antenna position (decimal degrees)
 };
+
+/// The trace readers' antenna check: lat finite and in [-90, 90], lon
+/// finite and in [-180, 180] degrees.  Throws std::invalid_argument
+/// prefixed by `context`, which names the source and the offending row.
+void check_antenna(const geo::LatLon& antenna, const std::string& context);
 
 /// A CDR event already expressed in projected planar coordinates; useful
 /// when the trace source works natively in metres (e.g. the synthesizer).

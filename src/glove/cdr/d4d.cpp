@@ -139,6 +139,7 @@ AntennaTable read_d4d_antennas(std::istream& in) {
                                                    context);
     const double lat = util::parse_double(fields[1], context);
     const double lon = util::parse_double(fields[2], context);
+    check_antenna(geo::LatLon{lat, lon}, context);
     if (!table.emplace(id, geo::LatLon{lat, lon}).second) {
       throw std::invalid_argument{context + ": duplicate antenna id " +
                                   std::to_string(id)};

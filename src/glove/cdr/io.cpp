@@ -90,8 +90,7 @@ void decode_cdr_row(const std::vector<std::string_view>& fields,
   event.antenna.lat_deg = util::parse_double(fields[2], context);
   event.antenna.lon_deg = util::parse_double(fields[3], context);
   require_finite(event.time_min, "time", context);
-  require_finite(event.antenna.lat_deg, "lat", context);
-  require_finite(event.antenna.lon_deg, "lon", context);
+  check_antenna(event.antenna, context);
 }
 
 }  // namespace

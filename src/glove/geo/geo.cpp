@@ -1,6 +1,7 @@
 #include "glove/geo/geo.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -10,6 +11,18 @@ namespace {
 
 constexpr double kDegToRad = std::numbers::pi / 180.0;
 constexpr double kRadToDeg = 180.0 / std::numbers::pi;
+
+/// floor(coordinate / cell), refused when it does not fit an int32_t cell
+/// index: casting it would be undefined behaviour.
+std::int32_t cell_index(double coordinate_m, double cell_m) {
+  const double index = std::floor(coordinate_m / cell_m);
+  // The negated comparison rejects NaN too.
+  if (!(index >= std::numeric_limits<std::int32_t>::min() &&
+        index <= std::numeric_limits<std::int32_t>::max())) {
+    throw std::out_of_range{"Grid::cell_of: coordinate off the int32 grid"};
+  }
+  return static_cast<std::int32_t>(index);
+}
 
 }  // namespace
 
@@ -81,9 +94,8 @@ Grid::Grid(double cell_size_m) : cell_m_{cell_size_m} {
   }
 }
 
-GridCell Grid::cell_of(PlanarPoint p) const noexcept {
-  return GridCell{static_cast<std::int32_t>(std::floor(p.x_m / cell_m_)),
-                  static_cast<std::int32_t>(std::floor(p.y_m / cell_m_))};
+GridCell Grid::cell_of(PlanarPoint p) const {
+  return GridCell{cell_index(p.x_m, cell_m_), cell_index(p.y_m, cell_m_)};
 }
 
 PlanarPoint Grid::cell_origin(GridCell c) const noexcept {
@@ -94,7 +106,7 @@ PlanarPoint Grid::cell_center(GridCell c) const noexcept {
   return PlanarPoint{(c.ix + 0.5) * cell_m_, (c.iy + 0.5) * cell_m_};
 }
 
-PlanarPoint Grid::snap(PlanarPoint p) const noexcept {
+PlanarPoint Grid::snap(PlanarPoint p) const {
   return cell_origin(cell_of(p));
 }
 

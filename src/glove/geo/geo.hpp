@@ -85,8 +85,8 @@ class Grid {
 
   [[nodiscard]] double cell_size_m() const noexcept { return cell_m_; }
 
-  /// Cell containing a planar point.
-  [[nodiscard]] GridCell cell_of(PlanarPoint p) const noexcept;
+  /// Cell containing a planar point (std::out_of_range off the int32 grid).
+  [[nodiscard]] GridCell cell_of(PlanarPoint p) const;
 
   /// South-west corner of a cell, i.e. the (x, y) the paper's sample tuple
   /// sigma carries together with dx = dy = cell size.
@@ -96,7 +96,7 @@ class Grid {
   [[nodiscard]] PlanarPoint cell_center(GridCell c) const noexcept;
 
   /// Snaps a planar point to its cell's south-west corner.
-  [[nodiscard]] PlanarPoint snap(PlanarPoint p) const noexcept;
+  [[nodiscard]] PlanarPoint snap(PlanarPoint p) const;
 
  private:
   double cell_m_;

@@ -271,13 +271,12 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
     emit(std::move(fp));
   };
 
-  // --- Passes 2..: run the units in batches.  Batches exist for sources
-  // that are re-read: one pass materializes a batch, and the budget caps
-  // what it holds at roughly one shard per job thread.  A materialized
-  // source is never re-read — each job copies its members from it as the
-  // job starts — so its whole unit list is one batch, and reconcile chunks
-  // (planned from pass-1 bounds alone) run beside the shard jobs instead
-  // of after them.
+  // --- Passes 2..: run the units in batches: units in order, each batch
+  // closed before its members pass the budget (an oversized unit forms its
+  // own), whatever their kind.  A re-read source rewinds once per batch,
+  // so the budget caps one pass at about one shard per job thread.  A
+  // materialized source is never re-read (each job copies its members as
+  // it starts), so its budget is all n fingerprints: one batch.
   const cdr::FingerprintDataset* inmem = source.materialized();
   // Never more threads than jobs, so none is idle by construction.  The
   // pool is the run's own: each job's core::anonymize hands refinement
@@ -288,8 +287,8 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   workers = std::min(std::max<std::size_t>(workers, 1),
                      std::max<std::size_t>(job_count, 1));
   util::ThreadPool job_pool{workers};
-  const std::size_t budget = std::max<std::size_t>(
-      resolved.max_shard_users * workers, 1);
+  const std::size_t budget =
+      inmem != nullptr ? n : resolved.max_shard_users * workers;
 
   const std::uint64_t total_work = n + 1;  // +1: the final tick
   hooks.report(0, total_work);
@@ -305,46 +304,23 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   };
 
   std::vector<cdr::Fingerprint> tail;
-  std::optional<obs::Span> reconcile_span;
-  Clock::time_point reconcile_start;
   for (std::size_t first = 0; first < units.size();) {
     hooks.throw_if_cancelled();
-    // For a re-read source, close the batch before the budget breaks (a
-    // single oversized unit still forms its own batch) and never let a
-    // reconcile unit join a shard batch, so the two phases stay
-    // sequential.
-    const bool shard_batch = units[first].kind == UnitKind::kShard;
-    std::size_t last = first;
-    std::size_t members = 0;
-    while (last < units.size()) {
-      const Unit& unit = units[last];
-      if (inmem == nullptr && last > first &&
-          ((unit.kind == UnitKind::kShard) != shard_batch ||
-           members + unit.ids.size() > budget)) {
-        break;
-      }
-      members += unit.ids.size();
+    std::size_t last = first + 1;
+    std::size_t members = units[first].ids.size();
+    while (last < units.size() && members + units[last].ids.size() <= budget) {
+      members += units[last].ids.size();
       ++last;
     }
-    // Units run shards first, so a batch holds reconcile work iff its
-    // last unit is not a shard.  The reconcile phase starts with the
-    // first such batch.
-    if (units[last - 1].kind != UnitKind::kShard && !reconcile_span) {
-      reconcile_start = Clock::now();
-      reconcile_span.emplace("stream.reconcile");
-      reconcile_span->arg("deferred", result.stats.deferred_fingerprints);
-    }
-    GLOVE_SPAN_NAMED(batch_span, shard_batch ? "stream.shard_batch"
-                                             : "stream.reconcile.pass");
+    GLOVE_SPAN_NAMED(batch_span, "stream.shard_batch");
     batch_span.arg("first_unit", first);
     batch_span.arg("units", last - first);
     batch_span.arg("members", members);
-    if (shard_batch) c_batches.add();
+    c_batches.add();
     if (obs::log_verbose()) {
-      obs::log_info(shard_batch ? "stream.batch" : "stream.reconcile",
-                    obs::log_kv("first_unit", first) + ' ' +
-                        obs::log_kv("units", last - first) + ' ' +
-                        obs::log_kv("members", members));
+      obs::log_info("stream.batch", obs::log_kv("first_unit", first) + ' ' +
+                                        obs::log_kv("units", last - first) +
+                                        ' ' + obs::log_kv("members", members));
     }
 
     // Materialized sources hand fingerprints out by index (one copy per
@@ -363,7 +339,6 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
       store.resize(next_slot);
       result.pass_fingerprints.push_back(
           materialize_pass(source, slot_of_id, store, n, hooks));
-      if (!shard_batch) ++result.stats.reconcile_passes;
     }
     // Each member is taken once: by the coordinator for pass-throughs and
     // the tail, or by the job that anonymizes it.
@@ -372,46 +347,40 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
       return std::move(store[slot_of_id.at(id)]);
     };
 
-    // The GLOVE units become jobs; pass-throughs wait for the groups of
-    // the units before them, and the tail for the end of the run.
+    // The GLOVE units become jobs.
     std::vector<ShardJob> jobs;
-    std::vector<cdr::Fingerprint> passthrough;
+    for (std::size_t u = first; u < last; ++u) {
+      const Unit& unit = units[u];
+      if (unit.kind == UnitKind::kShard) {
+        c_shards.add();
+        h_shard_members.observe(unit.ids.size());
+      } else if (unit.kind == UnitKind::kChunk) {
+        c_chunks.add();
+      } else {
+        continue;
+      }
+      jobs.push_back({unit.index, unit.kind == UnitKind::kChunk, unit.ids});
+    }
+
+    // Results come back in job order; deliver them in unit order, with
+    // the pass-throughs at their place and the tail kept for the end.
+    std::vector<ShardResult> batch_results = run_jobs(
+        job_pool, jobs, member, resolved.glove, on_result, hooks);
+    auto next_result = batch_results.begin();
     for (std::size_t u = first; u < last; ++u) {
       const Unit& unit = units[u];
       if (unit.kind == UnitKind::kPassthrough) {
-        for (const std::uint32_t id : unit.ids) {
-          passthrough.push_back(member(id));
-        }
+        for (const std::uint32_t id : unit.ids) deliver(member(id));
+        advance(unit.ids.size());
         continue;
       }
       if (unit.kind == UnitKind::kTail) {
         for (const std::uint32_t id : unit.ids) tail.push_back(member(id));
         continue;
       }
-      if (unit.kind == UnitKind::kShard) {
-        c_shards.add();
-        h_shard_members.observe(unit.ids.size());
-      } else {
-        c_chunks.add();
-      }
-      jobs.push_back({unit.index, unit.kind == UnitKind::kChunk, unit.ids});
-    }
-
-    // Results come back in job order; deliver them in unit order.
-    std::vector<ShardResult> batch_results = run_jobs(
-        job_pool, jobs, member, resolved.glove, on_result, hooks);
-    auto next_result = batch_results.begin();
-    for (std::size_t u = first; u < last; ++u) {
-      const UnitKind kind = units[u].kind;
-      if (kind == UnitKind::kPassthrough) {
-        for (cdr::Fingerprint& fp : passthrough) deliver(std::move(fp));
-        advance(passthrough.size());
-        continue;
-      }
-      if (kind == UnitKind::kTail) continue;
       ShardResult& r = *next_result++;
       result.stats.glove.accumulate_costs(r.stats);
-      if (kind == UnitKind::kChunk) {
+      if (unit.kind == UnitKind::kChunk) {
         result.stats.reconciled_groups += r.groups.size();
       } else {
         ShardTiming& timing = result.shard_timings[r.timing.shard];
@@ -426,16 +395,17 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   }
   hooks.throw_if_cancelled();
 
-  // --- The leftover-policy tail, over the held groups when it absorbs.
+  // --- The leftover-policy tail, over the held groups when it absorbs:
+  // the one reconcile step that waits for every batch.
   if (!tail.empty()) {
     const std::size_t tail_size = tail.size();
+    GLOVE_SPAN_NAMED(reconcile_span, "stream.reconcile");
+    reconcile_span.arg("leftovers", tail_size);
+    const auto reconcile_start = Clock::now();
     result.stats.absorbed_leftovers = core::absorb_leftovers(
         std::move(tail), held, resolved.glove, result.stats.glove, hooks);
     advance(tail_size);
-  }
-  if (reconcile_span) {
     result.stats.reconcile_seconds = seconds_since(reconcile_start);
-    reconcile_span.reset();
   }
   for (cdr::Fingerprint& fp : held) {
     ++emitted_groups;

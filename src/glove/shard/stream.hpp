@@ -16,15 +16,14 @@
 //             leftovers without ever holding the samples;
 //   pass 2+ — one ordered unit list (the shard jobs, then the reconcile
 //             plan's pass-throughs, GLOVE chunks and policy tail) runs in
-//             batches of at most max_shard_users x workers fingerprints.
-//             Each batch rewinds the source once, materializing only its
-//             own members, and hands its GLOVE jobs to run_jobs; groups
-//             leave in unit order as each batch completes.  A reconcile
-//             unit never joins a shard batch, so the two phases stay
-//             sequential.  A materialized() source is never rewound: its
-//             whole unit list is one batch, each job copies its members
-//             as it starts, and reconcile chunks run beside the shard
-//             jobs.
+//             batches cut by one rule: units in order, each batch closed
+//             before its members pass the budget, whatever their kind.
+//             A re-read source rewinds once per batch, materializing only
+//             its members, under a budget of max_shard_users x workers
+//             fingerprints; a materialized() source is never rewound, and
+//             its budget is the whole unit list.  Each batch hands its
+//             GLOVE jobs to run_jobs; groups leave in unit order as each
+//             batch completes.
 //
 // Peak sample memory is O(largest batch) instead of O(dataset) or
 // O(borders).  The rare absorb tail (fewer than k sub-k leftovers under
@@ -58,14 +57,11 @@ struct ShardedStats {
   std::size_t deferred_fingerprints = 0;
   std::size_t reconciled_groups = 0;
   std::size_t absorbed_leftovers = 0;
-  /// Rewound passes over the source spent materializing reconcile batches
-  /// (non-materialized sources only).
-  std::size_t reconcile_passes = 0;
   /// Tile edge actually used: the configured tile_size_m, or the
   /// density-derived choice when the config asked for adaptive (0).
   double tile_size_m = 0.0;
   double plan_seconds = 0.0;       ///< streaming scan + tiling + planning
-  double reconcile_seconds = 0.0;  ///< cross-shard reconciliation phase
+  double reconcile_seconds = 0.0;  ///< the absorb tail, after the batches
 };
 
 struct StreamShardedResult {
@@ -73,9 +69,9 @@ struct StreamShardedResult {
   /// Per-shard sizes and wall-clock, in shard order.
   std::vector<ShardTiming> shard_timings;
   /// Fingerprints read from the source on each pass: the planning scan,
-  /// then one entry per batch — shard batches first, then reconcile
-  /// batches (stats.reconcile_passes counts those).  A materialized()
-  /// source is never re-streamed, so it reports the single scan pass.  An
+  /// then one entry per batch (the stream.shard_batches counter), so a
+  /// re-read source reports 1 + batches passes.  A materialized() source
+  /// is never re-streamed, so it reports the single scan pass.  An
   /// index-capable source (fetch()) reports, for each rewound pass, only
   /// the fingerprints that pass materialized.
   std::vector<std::uint64_t> pass_fingerprints;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "common/temp_dir.hpp"
 
 namespace glove::cdr {
 namespace {
@@ -75,6 +78,42 @@ TEST(D4DAntennas, RejectsDuplicatesAndBadRows) {
   EXPECT_THROW((void)read_d4d_antennas(dup), std::invalid_argument);
   std::istringstream bad{"1,5.0\n"};
   EXPECT_THROW((void)read_d4d_antennas(bad), std::invalid_argument);
+}
+
+TEST(D4DAntennas, RejectsCoordinatesOffTheGlobe) {
+  // util::parse_double accepts nan and inf, and a position off the globe
+  // projects to a meaningless (for NaN, undefined) grid cell.
+  for (const char* row : {"7,nan,-5.2", "7,6.8,nan", "7,inf,-5.2",
+                          "7,90.5,-5.2", "7,-91,-5.2", "7,6.8,180.5",
+                          "7,6.8,-1e300"}) {
+    std::istringstream in{std::string{"1,6.8,-5.3\n"} + row + "\n"};
+    try {
+      (void)read_d4d_antennas(in);
+      ADD_FAILURE() << "accepted " << row;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+      EXPECT_NE(message.find("must be finite and in"), std::string::npos)
+          << message;
+    }
+  }
+  std::istringstream edges{"1,90,180\n2,-90,-180\n"};
+  EXPECT_EQ(read_d4d_antennas(edges).size(), 2u);
+}
+
+TEST(D4DFiles, NanAntennaLatitudeFailsWithThePathAndLine) {
+  const test::TempDir dir;
+  const std::string antennas = dir.file("ant.csv");
+  std::ofstream{antennas} << "1,nan,-5.2\n2,6.8,-5.3\n";
+  try {
+    (void)read_d4d_antennas_file(antennas);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(antennas), std::string::npos) << message;
+    EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("lat must be finite"), std::string::npos) << message;
+  }
 }
 
 AntennaTable two_antennas() {

@@ -497,6 +497,20 @@ TEST(CdrIo, RejectsNonFiniteTimeOrPosition) {
   }
 }
 
+TEST(CdrIo, RejectsPositionsOffTheGlobe) {
+  // A finite position off the globe projects to a meaningless grid cell.
+  const test::TempDir dir;
+  const std::string path = dir.file("trace.csv");
+  for (const char* position : {"1e300,-5.3", "-90.5,-5.3", "6.8,181",
+                               "6.8,-1e300"}) {
+    std::ofstream{path} << "1,10,6.8,-5.3\n2,10," << position << "\n";
+    expect_row_rejected([&] { (void)read_cdr_file(path); }, path,
+                        "must be finite and in");
+  }
+  std::ofstream{path} << "1,10,90,180\n2,10,-90,-180\n";
+  EXPECT_EQ(read_cdr_file(path).size(), 2u);
+}
+
 TEST(CdrIo, RejectsUserIdTooLargeForItsField) {
   // 4294967296 used to wrap to user 0.
   std::istringstream in{"1,10,6.8,-5.3\n4294967296,10,6.8,-5.3\n"};

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -35,6 +36,17 @@ TEST(Grid, NegativeCoordinatesFloorCorrectly) {
   const GridCell c = grid.cell_of({-0.5, -150.0});
   EXPECT_EQ(c.ix, -1);
   EXPECT_EQ(c.iy, -2);
+}
+
+TEST(Grid, CellOfRefusesAnIndexOutsideInt32) {
+  const Grid grid{100.0};
+  for (const double bad : {std::nan(""), 1e300, -1e300, 100.0 * 2147483648.0,
+                           -100.0 * 2147483649.0}) {
+    EXPECT_THROW((void)grid.cell_of({bad, 0.0}), std::out_of_range) << bad;
+    EXPECT_THROW((void)grid.cell_of({0.0, bad}), std::out_of_range) << bad;
+  }
+  EXPECT_EQ(grid.cell_of({100.0 * 2147483647.0 + 50.0, 0.0}).ix, 2147483647);
+  EXPECT_EQ(grid.cell_of({0.0, -100.0 * 2147483648.0}).iy, -2147483647 - 1);
 }
 
 TEST(Grid, CellOriginIsSouthWestCorner) {

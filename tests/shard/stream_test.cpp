@@ -77,6 +77,15 @@ std::vector<cdr::Fingerprint> run_stream(DatasetSource& stream,
   return groups;
 }
 
+std::uint64_t counter_delta(const obs::MetricsSnapshot& before,
+                            const std::string& name) {
+  for (const auto& [key, value] :
+       obs::counter_delta(before, obs::snapshot_metrics())) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
 TEST(ShardStream, TextBackedStreamMatchesInMemoryPipeline) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   std::ostringstream serialized;
@@ -138,22 +147,25 @@ TEST(ShardStream, SmallBudgetRunsManyPassesLargeBudgetFew) {
   ShardConfig tight = small_config();
   tight.workers = 1;  // budget = max_shard_users
   TextStream stream_a{serialized.str()};
+  const obs::MetricsSnapshot tight_before = obs::snapshot_metrics();
   StreamShardedResult tight_result;
   (void)run_stream(stream_a, tight, &tight_result);
+  const std::uint64_t tight_batches =
+      counter_delta(tight_before, "stream.shard_batches");
 
   ShardConfig wide = small_config();
   wide.workers = 64;  // budget swallows the whole plan
   TextStream stream_b{serialized.str()};
+  const obs::MetricsSnapshot wide_before = obs::snapshot_metrics();
   StreamShardedResult wide_result;
   (void)run_stream(stream_b, wide, &wide_result);
 
   EXPECT_GT(tight_result.pass_fingerprints.size(),
             wide_result.pass_fingerprints.size());
-  // scan + one shard batch + one reconcile pass (deferred fingerprints
-  // are materialized by the reconcile phase, not with the batches).
+  // The planning scan, then one pass per batch.
+  EXPECT_EQ(tight_result.pass_fingerprints.size(), 1 + tight_batches);
   EXPECT_EQ(wide_result.pass_fingerprints.size(),
-            2u + wide_result.stats.reconcile_passes);
-  EXPECT_LE(wide_result.stats.reconcile_passes, 1u);
+            1 + counter_delta(wide_before, "stream.shard_batches"));
 }
 
 TEST(ShardStream, MaterializedSourceSkipsRestreamingButMatchesOutput) {
@@ -205,10 +217,10 @@ TEST(ShardStream, AdaptiveTileSizeResolvesFromTheScanPass) {
 }
 
 TEST(ShardStream, BorderedRunsMatchTheGoldenForEveryWorkerCount) {
-  // The bordered reconciliation (deferred leftovers materialized by the
-  // reconcile batches and run as jobs) must reproduce the
-  // blessed golden for every worker count — the worker count moves batch
-  // boundaries, never bytes.
+  // The bordered reconciliation (deferred leftovers materialized with
+  // the batches and run as jobs) must reproduce the blessed golden for
+  // every worker count — the worker count moves batch boundaries, never
+  // bytes.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   std::ostringstream serialized;
   cdr::write_dataset_csv(serialized, data);
@@ -216,6 +228,7 @@ TEST(ShardStream, BorderedRunsMatchTheGoldenForEveryWorkerCount) {
     ShardConfig config = small_config();
     config.workers = workers;
     TextStream stream{serialized.str()};
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
     StreamShardedResult result;
     std::vector<cdr::Fingerprint> groups = run_stream(stream, config, &result);
     test::expect_matches_golden(
@@ -224,7 +237,9 @@ TEST(ShardStream, BorderedRunsMatchTheGoldenForEveryWorkerCount) {
                                                      "civ-like-sharded-k2"}));
     EXPECT_GT(result.stats.deferred_fingerprints, 0u) << "workers=" << workers;
     EXPECT_GT(result.stats.reconciled_groups, 0u) << "workers=" << workers;
-    EXPECT_GE(result.stats.reconcile_passes, 1u) << "workers=" << workers;
+    EXPECT_EQ(result.pass_fingerprints.size(),
+              1 + counter_delta(before, "stream.shard_batches"))
+        << "workers=" << workers;
   }
 }
 
@@ -283,59 +298,55 @@ std::pair<SpanStamps, SpanStamps> span_stamps(const std::string& doc) {
   return {std::move(begins), std::move(ends)};
 }
 
-std::uint64_t counter_delta(const obs::MetricsSnapshot& before,
-                            const std::string& name) {
-  for (const auto& [key, value] :
-       obs::counter_delta(before, obs::snapshot_metrics())) {
-    if (key == name) return value;
+/// Whether `ts` lies within one of the `name` spans (spans the caller's
+/// thread opened one after another, so their begins and ends pair up).
+bool inside_a(SpanStamps& begins, SpanStamps& ends, const std::string& name,
+              double ts) {
+  const std::vector<double>& from = begins[name];
+  const std::vector<double>& to = ends[name];
+  for (std::size_t i = 0; i < from.size() && i < to.size(); ++i) {
+    if (from[i] <= ts && ts <= to[i]) return true;
   }
-  return 0;
+  return false;
 }
 
-TEST(ShardStream, ReconcilePassAccountingAddsUp) {
+TEST(ShardStream, PassAccountingAddsUp) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   std::ostringstream serialized;
   cdr::write_dataset_csv(serialized, data);
 
   // Tightest budget (one worker, so max_shard_users fingerprints per
-  // batch): every reconcile chunk gets its own rewound pass.
+  // batch): every reconcile chunk gets a batch, and so a rewound pass, of
+  // its own.
   ShardConfig tight = many_chunks_config();
   tight.workers = 1;
   TextStream stream{serialized.str()};
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
   StreamShardedResult tight_result;
   (void)run_stream(stream, tight, &tight_result);
-  ASSERT_GE(tight_result.stats.reconcile_passes, 2u);
-  // Planning scan + >= 1 shard batch + the reconcile passes, every pass
-  // streaming the full dataset.
-  EXPECT_GE(tight_result.pass_fingerprints.size(),
-            2u + tight_result.stats.reconcile_passes);
+  ASSERT_GE(counter_delta(before, "stream.reconcile_chunks"), 2u);
+  // The planning scan, then one pass per batch, every pass streaming the
+  // full dataset.
+  EXPECT_EQ(tight_result.pass_fingerprints.size(),
+            1 + counter_delta(before, "stream.shard_batches"));
   for (const std::uint64_t count : tight_result.pass_fingerprints) {
     EXPECT_EQ(count, data.size());
   }
 
-  // A budget that swallows the plan: one shard batch, one reconcile pass.
-  ShardConfig wide = many_chunks_config();
-  wide.workers = 64;
-  TextStream wide_stream{serialized.str()};
-  StreamShardedResult wide_result;
-  (void)run_stream(wide_stream, wide, &wide_result);
-  EXPECT_EQ(wide_result.stats.reconcile_passes, 1u);
-  EXPECT_EQ(wide_result.pass_fingerprints.size(), 3u);
-
-  // Materialized sources fetch leftovers by index: no rewound passes.
+  // Materialized sources fetch every member by index: no rewound passes.
   MemorySource memory_stream{data};
   StreamShardedResult memory_result;
   (void)run_stream(memory_stream, tight, &memory_result);
-  EXPECT_EQ(memory_result.stats.reconcile_passes, 0u);
   EXPECT_EQ(memory_result.pass_fingerprints,
             (std::vector<std::uint64_t>{data.size()}));
 }
 
-TEST(ShardStream, TraceShowsEveryReconcileChunkInsideTheReconcilePhase) {
-  // Reconcile chunks run as jobs, on the job pool's threads.  The
-  // trace must still show one stream.reconcile.chunk span per chunk, each
-  // within the caller's single stream.reconcile span, while the
-  // stream.shard_batch spans and counter cover shard batches only.
+TEST(ShardStream, TraceShowsEveryReconcileChunkInsideABatch) {
+  // Reconcile chunks run as jobs, on the job pool's threads, inside the
+  // batches the shard jobs run in.  The trace must show one
+  // stream.reconcile.chunk span per chunk, each within a
+  // stream.shard_batch span, one such span per batch, and no
+  // stream.reconcile span: that one times only the absorb tail.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   std::ostringstream serialized;
   cdr::write_dataset_csv(serialized, data);
@@ -355,31 +366,69 @@ TEST(ShardStream, TraceShowsEveryReconcileChunkInsideTheReconcilePhase) {
   ASSERT_GE(chunks, 2u);
   EXPECT_EQ(begins["stream.reconcile.chunk"].size(), chunks);
   EXPECT_EQ(ends["stream.reconcile.chunk"].size(), chunks);
-  ASSERT_EQ(begins["stream.reconcile"].size(), 1u);
-  ASSERT_EQ(ends["stream.reconcile"].size(), 1u);
   for (const double ts : begins["stream.reconcile.chunk"]) {
-    EXPECT_GE(ts, begins["stream.reconcile"][0]);
+    EXPECT_TRUE(inside_a(begins, ends, "stream.shard_batch", ts));
   }
   for (const double ts : ends["stream.reconcile.chunk"]) {
-    EXPECT_LE(ts, ends["stream.reconcile"][0]);
+    EXPECT_TRUE(inside_a(begins, ends, "stream.shard_batch", ts));
   }
-  EXPECT_EQ(begins["stream.reconcile.pass"].size(),
-            result.stats.reconcile_passes);
+  EXPECT_TRUE(begins["stream.reconcile"].empty());
+  EXPECT_EQ(result.stats.reconcile_seconds, 0.0);
   EXPECT_EQ(begins["stream.shard_batch"].size(),
             counter("stream.shard_batches"));
   EXPECT_EQ(begins["stream.shard"].size(), counter("stream.shards_run"));
-  // Every pass is the planning scan, a shard batch or a reconcile batch.
+  // Every pass is the planning scan or a batch.
   EXPECT_EQ(result.pass_fingerprints.size(),
-            1 + counter("stream.shard_batches") +
-                result.stats.reconcile_passes);
+            1 + counter("stream.shard_batches"));
+}
+
+TEST(ShardStream, WideBudgetRunsTheReconcileChunksInTheShardBatch) {
+  // One batch rule for every source: a budget that swallows the plan
+  // gives a re-read source a single batch, its reconcile chunks beside
+  // its shard jobs, so the run reads the source twice and publishes the
+  // materialized run's bytes.
+  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
+  std::ostringstream serialized;
+  cdr::write_dataset_csv(serialized, data);
+  ShardConfig config = many_chunks_config();
+  config.workers = 64;
+
+  MemorySource memory_stream{data};
+  std::vector<cdr::Fingerprint> memory_groups =
+      run_stream(memory_stream, config, nullptr);
+
+  TextStream text_stream{serialized.str()};
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  obs::start_tracing();
+  StreamShardedResult text_result;
+  std::vector<cdr::Fingerprint> text_groups =
+      run_stream(text_stream, config, &text_result);
+  auto [begins, ends] = span_stamps(obs::stop_tracing_and_render());
+
+  EXPECT_EQ(text_result.pass_fingerprints.size(), 2u);
+  EXPECT_EQ(counter_delta(before, "stream.shard_batches"), 1u);
+  ASSERT_EQ(begins["stream.shard_batch"].size(), 1u);
+  ASSERT_EQ(ends["stream.shard_batch"].size(), 1u);
+  ASSERT_GE(begins["stream.reconcile.chunk"].size(), 2u);
+  ASSERT_FALSE(begins["stream.shard"].empty());
+  for (const std::string name : {"stream.shard", "stream.reconcile.chunk"}) {
+    for (const double ts : begins[name]) {
+      EXPECT_TRUE(inside_a(begins, ends, "stream.shard_batch", ts)) << name;
+    }
+    for (const double ts : ends[name]) {
+      EXPECT_TRUE(inside_a(begins, ends, "stream.shard_batch", ts)) << name;
+    }
+  }
+  EXPECT_EQ(
+      test::dataset_to_csv(cdr::FingerprintDataset{std::move(text_groups)}),
+      test::dataset_to_csv(cdr::FingerprintDataset{std::move(memory_groups)}));
 }
 
 TEST(ShardStream, MaterializedSourceRunsEveryUnitInOneBatch) {
-  // A materialized source is never re-streamed, so nothing bounds a
-  // batch: the shard jobs and the reconcile chunks share one batch (one
-  // stream.shard_batch span, no reconcile pass), every chunk still runs
-  // inside the stream.reconcile span, and the groups match the
-  // multi-batch text-backed run byte for byte.
+  // A materialized source is never re-streamed, so its budget is the
+  // whole unit list: the shard jobs and the reconcile chunks share one
+  // batch (one stream.shard_batch span holding every chunk), and the
+  // groups match the multi-batch text-backed run byte for byte.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   std::ostringstream serialized;
   cdr::write_dataset_csv(serialized, data);
@@ -391,8 +440,10 @@ TEST(ShardStream, MaterializedSourceRunsEveryUnitInOneBatch) {
   StreamShardedResult text_result;
   std::vector<cdr::Fingerprint> text_groups =
       run_stream(text_stream, config, &text_result);
-  ASSERT_GE(counter_delta(text_before, "stream.shard_batches"), 2u);
-  ASSERT_GE(text_result.stats.reconcile_passes, 1u);
+  const std::uint64_t text_batches =
+      counter_delta(text_before, "stream.shard_batches");
+  ASSERT_GE(text_batches, 2u);
+  EXPECT_EQ(text_result.pass_fingerprints.size(), 1 + text_batches);
 
   MemorySource memory_stream{data};
   const obs::MetricsSnapshot before = obs::snapshot_metrics();
@@ -405,17 +456,16 @@ TEST(ShardStream, MaterializedSourceRunsEveryUnitInOneBatch) {
   EXPECT_EQ(counter_delta(before, "stream.shard_batches"), 1u);
   const std::uint64_t chunks = counter_delta(before, "stream.reconcile_chunks");
   ASSERT_GE(chunks, 2u);
-  EXPECT_EQ(begins["stream.shard_batch"].size(), 1u);
-  EXPECT_TRUE(begins["stream.reconcile.pass"].empty());
-  EXPECT_EQ(memory_result.stats.reconcile_passes, 0u);
-  ASSERT_EQ(begins["stream.reconcile"].size(), 1u);
-  ASSERT_EQ(ends["stream.reconcile"].size(), 1u);
+  ASSERT_EQ(begins["stream.shard_batch"].size(), 1u);
+  ASSERT_EQ(ends["stream.shard_batch"].size(), 1u);
+  EXPECT_EQ(memory_result.pass_fingerprints,
+            (std::vector<std::uint64_t>{data.size()}));
   EXPECT_EQ(begins["stream.reconcile.chunk"].size(), chunks);
   for (const double ts : begins["stream.reconcile.chunk"]) {
-    EXPECT_GE(ts, begins["stream.reconcile"][0]);
+    EXPECT_GE(ts, begins["stream.shard_batch"][0]);
   }
   for (const double ts : ends["stream.reconcile.chunk"]) {
-    EXPECT_LE(ts, ends["stream.reconcile"][0]);
+    EXPECT_LE(ts, ends["stream.shard_batch"][0]);
   }
   EXPECT_EQ(memory_result.stats.reconciled_groups,
             text_result.stats.reconciled_groups);
@@ -500,13 +550,14 @@ TEST(ShardStream, CancellationFiresMidReconcileChunk) {
   ShardConfig config = many_chunks_config();
   config.workers = 1;  // one reconcile GLOVE chunk per batch
 
-  // Probe run: learn where the reconcile phase starts (progress counts
+  // Probe run: learn where the reconcile work starts (progress counts
   // kept fingerprints first) and confirm several reconcile chunks run, so
   // the cancel below lands between them.
   TextStream probe{serialized.str()};
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
   StreamShardedResult full;
   (void)run_stream(probe, config, &full);
-  ASSERT_GE(full.stats.reconcile_passes, 2u);
+  ASSERT_GE(counter_delta(before, "stream.reconcile_chunks"), 2u);
   const std::uint64_t kept =
       data.size() - full.stats.deferred_fingerprints;
 

@@ -7,16 +7,16 @@ file-to-file (CsvFileSource -> CsvFileSink) run and asserts:
   * the data plane really was file-to-file (io.source/io.sink);
   * the source was streamed in multiple passes, each covering the full
     dataset.  The pass model: one planning scan, then one rewound pass
-    per batch of the run's ordered unit list — shard batches first, then
-    reconcile batches (the >= k pass-throughs, the locality-sorted GLOVE
-    chunks and the leftover-policy tail).  Every batch holds whole units
-    under the same budget, --shard-users x --shard-workers fingerprints,
-    and a reconcile unit never shares a batch with a shard;
-  * the reconciliation itself streamed: the report counts at least
-    --min-reconcile-passes rewound reconcile passes (set 0 for
-    --border=none runs, which defer nothing), and they are a strict
-    subset of the total passes (a planning scan and at least one shard
-    batch always precede them);
+    per batch of the run's ordered unit list (the shard jobs, then the
+    deferred leftovers' >= k pass-throughs, locality-sorted GLOVE chunks
+    and leftover-policy tail).  One rule cuts every batch: units in
+    order, each batch closed before its members pass the budget
+    (--shard-users x --shard-workers fingerprints), whatever their kind,
+    so a reconcile chunk may share a batch with shards.  The report
+    therefore holds exactly 1 + obs["stream.shard_batches"] passes;
+  * the reconciliation itself ran: when the run deferred fingerprints,
+    obs["stream.reconcile_chunks"] counts at least one reconcile GLOVE
+    chunk;
   * the process's peak resident set stayed below the given fraction of
     the dataset's *materialized* size — the memory a collect-first run
     pays just to hold the samples (56 bytes each: 6 doubles + the
@@ -55,9 +55,6 @@ def main() -> int:
     parser.add_argument("--max-rss-fraction", type=float, default=0.5,
                         help="allowed peak RSS as a fraction of the "
                              "materialized dataset floor (default 0.5)")
-    parser.add_argument("--min-reconcile-passes", type=int, default=1,
-                        help="required rewound reconcile passes "
-                             "(default 1; use 0 for --border=none runs)")
     parser.add_argument("--indexed", action="store_true",
                         help="expect a glovebin-input run and verify the "
                              "block-seek fast path (pass_blocks/"
@@ -72,6 +69,7 @@ def main() -> int:
 
     io = doc.get("io", {})
     counters = doc.get("counters", {})
+    obs = doc.get("obs", {})
     failures = []
 
     expected_source = "glovebin-file" if args.indexed else "csv-file"
@@ -123,19 +121,15 @@ def main() -> int:
         print(f"block seeks: {file_blocks} blocks in file; per pass "
               f"{pass_blocks} ({bytes_mapped / 2**20:.1f} MiB mapped)")
 
-    metrics = doc.get("metrics", {})
-    reconcile_passes = int(metrics.get("reconcile_passes", 0))
-    if reconcile_passes < args.min_reconcile_passes:
-        failures.append(
-            f"expected >= {args.min_reconcile_passes} rewound reconcile "
-            f"passes, report counts {reconcile_passes} — the bordered "
-            "reconciliation did not stream")
-    # Planning scan + >= 1 shard batch always precede the reconcile
-    # passes, so they must account for strictly fewer than len - 2.
-    if reconcile_passes > max(0, len(passes) - 2):
-        failures.append(
-            f"reconcile_passes={reconcile_passes} does not leave room for "
-            f"the planning scan and a shard batch in {len(passes)} passes")
+    batches = int(obs.get("stream.shard_batches", 0))
+    if len(passes) != 1 + batches:
+        failures.append(f"{len(passes)} passes are not the planning scan "
+                        f"plus one per batch ({batches} batches)")
+    deferred = int(doc.get("metrics", {}).get("deferred_fingerprints", 0))
+    chunks = int(obs.get("stream.reconcile_chunks", 0))
+    if deferred > 0 and chunks < 1:
+        failures.append(f"{deferred} fingerprints were deferred but no "
+                        "reconcile chunk ran")
 
     samples = counters.get("input_samples", 0)
     floor = samples * BYTES_PER_SAMPLE
@@ -147,7 +141,7 @@ def main() -> int:
     ceiling = int(floor * args.max_rss_fraction)
     print(f"passes over the source: {len(passes)} x "
           f"{passes[0] if passes else 0} fingerprints "
-          f"({reconcile_passes} reconcile)")
+          f"({batches} batches, {chunks} reconcile chunks)")
     print(f"materialized floor: {samples:,} samples -> {floor / 2**20:.1f} "
           f"MiB; peak rss {peak / 2**20:.1f} MiB "
           f"(ceiling {ceiling / 2**20:.1f} MiB)")
