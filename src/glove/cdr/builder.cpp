@@ -22,6 +22,21 @@ struct SampleKey {
   }
 };
 
+/// floor(time_min / step_min), refused when it does not fit a long long
+/// minute index: casting it would be undefined behaviour.
+long long minute_index(double time_min, double step_min) {
+  const double index = std::floor(time_min / step_min);
+  // 2^63 is the first double past the range; the negated comparison
+  // rejects NaN too.
+  if (!(index >= -0x1p63 && index < 0x1p63)) {
+    // glove-lint: allow(throw-context, an event's time has no file at this
+    // layer; the readers check finiteness with the path)
+    throw std::out_of_range{
+        "build_fingerprints: event time off the minute index range"};
+  }
+  return static_cast<long long>(index);
+}
+
 FingerprintDataset build_from_planar(const std::vector<PlanarEvent>& events,
                                      const BuilderConfig& config) {
   if (!(config.grid_cell_m > 0.0) || !(config.time_step_min > 0.0)) {
@@ -35,8 +50,7 @@ FingerprintDataset build_from_planar(const std::vector<PlanarEvent>& events,
   std::map<UserId, std::map<SampleKey, Sample>> per_user;
   for (const PlanarEvent& ev : events) {
     const geo::GridCell cell = grid.cell_of(ev.position);
-    const auto minute = static_cast<long long>(
-        std::floor(ev.time_min / config.time_step_min));
+    const long long minute = minute_index(ev.time_min, config.time_step_min);
     const SampleKey key{cell, minute};
     auto& samples = per_user[ev.user];
     if (config.deduplicate && samples.contains(key)) continue;

@@ -48,11 +48,15 @@ struct BuilderConfig {
   bool deduplicate = true;
 };
 
-/// Builds a fingerprint dataset from geographic CDR events.
+/// Builds a fingerprint dataset from geographic CDR events.  Throws
+/// std::out_of_range when an event's grid cell or minute index
+/// (floor(time_min / time_step_min)) does not fit its integer type, NaN
+/// included, as geo::Grid::cell_of does for a coordinate.
 [[nodiscard]] FingerprintDataset build_fingerprints(
     const std::vector<CdrEvent>& events, const BuilderConfig& config);
 
-/// Builds a fingerprint dataset from planar events (already projected).
+/// Builds a fingerprint dataset from planar events (already projected),
+/// with the same refusals.
 [[nodiscard]] FingerprintDataset build_fingerprints(
     const std::vector<PlanarEvent>& events, const BuilderConfig& config);
 

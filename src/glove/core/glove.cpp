@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <limits>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -69,7 +69,7 @@ static_assert(sizeof(NodeKey) == 16);
 constexpr std::size_t kMaxRescanBatch = 1024;
 /// Work of a rescan batch below which it runs inline: smaller batches
 /// cost less than handing them to the thread pool.  A rescan of node x
-/// counts its candidates times x's samples: its box bounds scale with the
+/// counts its candidates times x's samples: its grid work grows with the
 /// candidates, and the exact stretches it evaluates with both.  Measured
 /// on perfbench's inputs (4 vCPUs, alternating runs): on city_halo_k2
 /// every cut-off from 32,768 to 2,097,152 gave the same wall and cpu time
@@ -88,11 +88,6 @@ NodeKey pop_min(std::vector<NodeKey>& heap) {
 void push(std::vector<NodeKey>& heap, const NodeKey& key) {
   heap.push_back(key);
   std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-}
-
-const obs::Counter& sample_pairs_counter() {
-  static const obs::Counter counter = obs::counter("core.stretch.sample_pairs");
-  return counter;
 }
 
 }  // namespace
@@ -163,37 +158,34 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
 
   // Per-node bounds cache for the cascade: computed once per node,
   // including the open nodes merges create later on, and dropped once the
-  // node is merged away.
+  // node is merged away.  The grid holds the open nodes, and every search
+  // and key below goes through it.
   std::vector<NodeBounds> bounds = node_bounds_of(nodes);
-  const auto least_box_bound = [&](std::uint32_t x,
-                                   std::span<const std::uint32_t> others) {
-    double least = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t y : others) {
-      least = std::min(least, stretch_lower_bound(bounds[x].box, bounds[y].box,
-                                                  config.limits));
-    }
-    return least;
-  };
+  CandidateGrid grid{bounds, open};
 
   const std::size_t rows = open.size();
   const std::size_t pairs = rows >= 2 ? rows * (rows - 1) / 2 : 0;
   // Work units for progress: seeded pairs plus open nodes to close.
   const std::uint64_t total_work = static_cast<std::uint64_t>(pairs) + rows;
-  // Every open node but the oldest owns a pair.  Row r bounds r pairs, so
-  // each step takes rows i and rows - 1 - i together.
+  // Every open node but the oldest owns a pair; its key is one grid query
+  // over the open nodes before it.
   std::vector<NodeKey> heap(rows >= 2 ? rows - 1 : 0);
+  SearchTally tally;
+  std::mutex tally_mutex;
   util::parallel_for(
-      (rows + 1) / 2,
+      heap.size(),
       [&](std::size_t begin, std::size_t end) {
+        SearchTally part;
         for (std::size_t i = begin; i < end; ++i) {
           hooks.throw_if_cancelled();
-          for (const std::size_t row : {i, rows - 1 - i}) {
-            if (row == 0) continue;
-            const std::uint32_t x = open[row];
-            heap[row - 1] = NodeKey{
-                least_box_bound(x, std::span{open}.first(row)), x, x};
-          }
+          const std::uint32_t x = open[i + 1];
+          heap[i] = NodeKey{
+              grid.least_box_bound(bounds[x].box, bounds, config.limits, x,
+                                   &part),
+              x, x};
         }
+        const std::lock_guard lock{tally_mutex};
+        tally += part;
       },
       /*min_chunk=*/64);
   std::make_heap(heap.begin(), heap.end(), std::greater<>{});
@@ -223,7 +215,6 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   std::uint64_t pool_batches = 0;
   std::uint64_t stale = 0;
   std::uint64_t pushed = 0;
-  SearchTally tally;
 
   // The slot bounds and exact stretches each node's rescans computed for
   // the pairs it owns, pruned as partners merge away and freed once the
@@ -240,15 +231,14 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   const auto rescan = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint32_t x = batch[i].owner();
-      const std::span<const std::uint32_t> older = older_open(x);
-      if (older.empty()) {
+      if (older_open(x).empty()) {
         rescanned[i].reset();
         known[x] = std::vector<KnownStretch>{};
         continue;
       }
       const Neighbor found =
-          nearest(nodes[x], bounds[x], nodes, bounds, older, config.limits, 1,
-                  std::nullopt, &tallies[i], &known[x])
+          nearest(nodes[x], bounds[x], nodes, bounds, grid, config.limits, 1,
+                  std::nullopt, &tallies[i], &known[x], x)
               .front();
       const auto y = static_cast<std::uint32_t>(found.index);
       rescanned[i] = x < data.size() ? NodeKey{found.stretch, y | kExactBit, x}
@@ -345,6 +335,8 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
     alive[a] = false;
     alive[b] = false;
     std::erase_if(open, [&](std::uint32_t id) { return id == a || id == b; });
+    grid.erase(a);
+    grid.erase(b);
     bounds[a] = NodeBounds{};
     bounds[b] = NodeBounds{};
     known[a] = std::vector<KnownStretch>{};
@@ -369,10 +361,13 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
       // and its key starts as their least box bound.
       bounds[m_id] = node_bounds(nodes[m_id]);
       if (!open.empty()) {
-        push(heap, NodeKey{least_box_bound(m_id, open), m_id, m_id});
+        push(heap, NodeKey{grid.least_box_bound(bounds[m_id].box, bounds,
+                                                config.limits, m_id, &tally),
+                           m_id, m_id});
         ++pushed;
       }
       open.push_back(m_id);
+      grid.insert(m_id, bounds[m_id].box);
     }
     hooks.report(pairs + (rows - open.size()), total_work);
   }
@@ -398,7 +393,7 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   if (pool_batches > 0) c_pool_batches.add(pool_batches);
   if (stale > 0) c_stale.add(stale);
   if (pushed > 0) c_pushed.add(pushed);
-  if (tally.sample_pairs > 0) sample_pairs_counter().add(tally.sample_pairs);
+  add_search_counters(tally);
   hooks.report(total_work, total_work);
 
   stats.output_groups = output.size();
@@ -428,24 +423,25 @@ std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
     throw std::logic_error{"no group to absorb leftovers into"};
   }
   std::vector<NodeBounds> group_bounds = node_bounds_of(groups);
-  const std::vector<std::uint32_t> every_group = every_id(groups.size());
+  CandidateGrid grid{group_bounds};
   const MergeOptions options = merge_options(config);
   SearchTally tally;
   for (const cdr::Fingerprint& leftover : tail) {
     hooks.throw_if_cancelled();
     const std::size_t g =
-        nearest(leftover, node_bounds(leftover), groups, group_bounds,
-                every_group, config.limits, 1, std::nullopt, &tally)
+        nearest(leftover, node_bounds(leftover), groups, group_bounds, grid,
+                config.limits, 1, std::nullopt, &tally)
             .front()
             .index;
     MergeStats merge_stats;
     groups[g] = merge_fingerprints(leftover, groups[g], options, &merge_stats);
     group_bounds[g] = node_bounds(groups[g]);
+    grid.widen(static_cast<std::uint32_t>(g), group_bounds[g].box);
     stats.deleted_samples += merge_stats.suppressed_original_samples;
     ++stats.merges;
   }
   stats.stretch_evaluations += tally.evaluations;
-  if (tally.sample_pairs > 0) sample_pairs_counter().add(tally.sample_pairs);
+  add_search_counters(tally);
   return tail.size();
 }
 

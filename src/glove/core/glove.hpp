@@ -59,8 +59,9 @@ struct GloveStats {
   std::uint64_t discarded_fingerprints = 0;
   /// Fingerprint-stretch evaluations performed (throughput accounting).
   std::uint64_t stretch_evaluations = 0;
-  /// Heap seeding: per-fingerprint bounds and the |M|^2/2 box bounds
-  /// whose least per node seeds the node's key.
+  /// Heap seeding: per-fingerprint bounds, the candidate grid, and each
+  /// node's least box bound to its older open nodes, one grid query per
+  /// node.
   double init_seconds = 0.0;
   double merge_seconds = 0.0;  ///< greedy loop
 
@@ -95,10 +96,12 @@ struct GloveResult {
 /// The candidate heap holds one key per open node, never one entry per
 /// pair, so its state is O(|M|): pair {x, y} belongs to the newer node,
 /// and a node's key is a lower bound on its least pair, seeded with the
-/// least stretch_lower_bound.  A key that reaches the top without naming
-/// an open pair is recomputed by one nearest search over the node's older
-/// open nodes, through the box -> slot -> exact cascade of
-/// scalability.hpp, so most pairs are never evaluated exactly; the merges
+/// least stretch_lower_bound.  The open nodes sit in one CandidateGrid
+/// (scalability.hpp): each seeded or new node's key is a least-box-bound
+/// query on it, and a key that reaches the top without naming an open
+/// pair is recomputed by one nearest search over the node's older open
+/// nodes in it, through the cell -> box -> slot -> exact cascade, so most
+/// pairs are never bounded by their boxes or evaluated exactly; the merges
 /// are those of a heap holding every exact stretch.  Keys that reach the
 /// top together are rescanned as one batch on util::ThreadPool::shared(),
 /// so the caller must not itself be a task of that pool.  The final sub-k

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "glove/core/scalability.hpp"
-#include "glove/obs/metrics.hpp"
 #include "glove/util/parallel.hpp"
 
 namespace glove::core {
@@ -74,8 +73,8 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
   std::mutex progress_mutex;
   std::uint64_t decisions_done = 0;
 
-  const std::vector<std::uint32_t> every_group = every_id(groups.size());
-  const std::vector<std::uint32_t> every_newcomer = every_id(n);
+  CandidateGrid group_grid{group_bounds};
+  const CandidateGrid newcomer_grid{newcomer_bounds};
   std::vector<Choice> choices(n);
   util::parallel_for(
       n,
@@ -86,14 +85,14 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
           if (!groups.empty()) {
             choice.group =
                 nearest(new_users[i], newcomer_bounds[i], groups, group_bounds,
-                        every_group, config.limits, 1, std::nullopt,
+                        group_grid, config.limits, 1, std::nullopt,
                         &choice.tally)
                     .front();
           }
           const std::vector<Neighbor> peer =
               nearest(new_users[i], newcomer_bounds[i],
                       new_users.fingerprints(), newcomer_bounds,
-                      every_newcomer, config.limits, 1,
+                      newcomer_grid, config.limits, 1,
                       static_cast<std::uint32_t>(i), &choice.tally);
           if (!peer.empty()) choice.to_peer = peer.front().stretch;
           if (hooks.progress) {
@@ -121,6 +120,7 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
       const std::size_t g = choices[i].group.index;
       groups[g] = merge_fingerprints(groups[g], new_users[i], options);
       group_bounds[g] = node_bounds(groups[g]);
+      group_grid.widen(static_cast<std::uint32_t>(g), group_bounds[g].box);
       ++result.stats.joined_existing_groups;
       hooks.report(static_cast<std::uint64_t>(n) + ++placed, total_work);
     } else {
@@ -149,20 +149,19 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
       // which decides member order when sample counts tie.
       const std::size_t g =
           nearest(straggler, node_bounds(straggler), groups, group_bounds,
-                  every_group, config.limits, 1, std::nullopt, &tally)
+                  group_grid, config.limits, 1, std::nullopt, &tally)
               .front()
               .index;
       groups[g] = merge_fingerprints(groups[g], straggler, options);
       group_bounds[g] = node_bounds(groups[g]);
+      group_grid.widen(static_cast<std::uint32_t>(g), group_bounds[g].box);
       ++result.stats.joined_existing_groups;
     }
   }
 
   // After the greedy pass's stats are in, so its count is kept.
   result.stats.glove.stretch_evaluations += tally.evaluations;
-  if (tally.sample_pairs > 0) {
-    obs::counter("core.stretch.sample_pairs").add(tally.sample_pairs);
-  }
+  add_search_counters(tally);
   hooks.report(total_work, total_work);
   result.anonymized = cdr::FingerprintDataset{
       std::move(groups), published.name() + "-updated"};

@@ -17,7 +17,7 @@ std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
   }
   const std::span<const cdr::Fingerprint> fingerprints = data.fingerprints();
   const std::vector<NodeBounds> bounds = node_bounds_of(fingerprints);
-  const std::vector<std::uint32_t> ids = every_id(fingerprints.size());
+  const CandidateGrid grid{bounds};
   const std::size_t neighbors = k - 1;
   std::vector<KGapEntry> result(data.size());
   util::parallel_for(
@@ -28,7 +28,7 @@ std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
           entry.neighbors.reserve(neighbors);
           double total = 0.0;
           for (const Neighbor& n :
-               nearest(fingerprints[a], bounds[a], fingerprints, bounds, ids,
+               nearest(fingerprints[a], bounds[a], fingerprints, bounds, grid,
                        limits, neighbors, static_cast<std::uint32_t>(a))) {
             total += n.stretch;
             entry.neighbors.push_back(n.index);

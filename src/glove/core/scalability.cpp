@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "glove/geo/geo.hpp"
+#include "glove/obs/metrics.hpp"
 #include "glove/util/parallel.hpp"
 
 namespace glove::core {
@@ -224,20 +225,229 @@ double stretch_lower_bound(const FingerprintBounds& a,
   return gap_term(gap_x, gap_y, gap_t, limits) * kRoundingMargin;
 }
 
+namespace {
+
+/// A bounding geometry's padded ends, as stretch_lower_bound compares them.
+struct PaddedBox {
+  double x_lo, x_hi, y_lo, y_hi, t_lo, t_hi;
+};
+
+PaddedBox padded(const FingerprintBounds& b) {
+  return PaddedBox{b.box.x,
+                   upper_end(b.box.x, b.box.dx),
+                   b.box.y,
+                   upper_end(b.box.y, b.box.dy),
+                   b.interval.t,
+                   upper_end(b.interval.t, b.interval.dt)};
+}
+
+/// Cells along one axis of a grid of about `cells` cells over an extent
+/// of `along` by `across`, so that the cells come out about square.
+std::uint32_t axis_cells(double along, double across, std::size_t cells) {
+  const auto most = static_cast<double>(cells);
+  if (!(along > 0.0)) return 1;
+  if (!(across > 0.0)) return static_cast<std::uint32_t>(most);
+  const double split = std::round(std::sqrt(most * along / across));
+  return static_cast<std::uint32_t>(std::clamp(split, 1.0, most));
+}
+
+/// The cell index of `v` along an axis of `cells` cells of `width` from
+/// `origin`, clamped to the edge cells (NaN to the first).
+std::uint32_t axis_index(double v, double origin, double width,
+                         std::uint32_t cells) {
+  if (cells == 1) return 0;
+  const double index = std::floor((v - origin) / width);
+  if (!(index > 0.0)) return 0;
+  const auto last = static_cast<double>(cells - 1);
+  return index >= last ? cells - 1 : static_cast<std::uint32_t>(index);
+}
+
+/// 0, 1, ..., count - 1.
+std::vector<std::uint32_t> every_id(std::size_t count) {
+  if (count > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument{"a candidate grid takes fewer than 2^32 ids"};
+  }
+  std::vector<std::uint32_t> ids(count);
+  std::iota(ids.begin(), ids.end(), std::uint32_t{0});
+  return ids;
+}
+
+}  // namespace
+
+CandidateGrid::CandidateGrid(std::span<const NodeBounds> bounds)
+    : CandidateGrid(bounds, every_id(bounds.size())) {}
+
+CandidateGrid::CandidateGrid(std::span<const NodeBounds> bounds,
+                             std::span<const std::uint32_t> ids) {
+  double x_lo = std::numeric_limits<double>::infinity();
+  double x_hi = -x_lo;
+  double y_lo = x_lo;
+  double y_hi = -x_lo;
+  for (const std::uint32_t id : ids) {
+    if (id >= bounds.size()) {
+      throw std::invalid_argument{"candidate grid: id out of range"};
+    }
+    const FingerprintBounds& b = bounds[id].box;
+    if (b.empty) continue;
+    const double cx = b.box.x + b.box.dx / 2;
+    const double cy = b.box.y + b.box.dy / 2;
+    x_lo = std::min(x_lo, cx);
+    x_hi = std::max(x_hi, cx);
+    y_lo = std::min(y_lo, cy);
+    y_hi = std::max(y_hi, cy);
+  }
+  if (x_lo <= x_hi) {
+    const std::size_t cells =
+        std::max<std::size_t>(1, (ids.size() + kGridCellMembers - 1) /
+                                     kGridCellMembers);
+    const double width = x_hi - x_lo;
+    const double height = y_hi - y_lo;
+    columns_ = axis_cells(width, height, cells);
+    rows_ = height > 0.0 ? static_cast<std::uint32_t>(
+                               (cells + columns_ - 1) / columns_)
+                         : 1;
+    x0_ = x_lo;
+    y0_ = y_lo;
+    width_ = width / columns_;
+    height_ = height / rows_;
+  }
+  cell_at_.assign(std::size_t{columns_} * rows_, kNoCell);
+  for (const std::uint32_t id : ids) insert(id, bounds[id].box);
+}
+
+std::uint32_t CandidateGrid::position_of(const FingerprintBounds& box) const {
+  if (box.empty) return 0;
+  return axis_index(box.box.y + box.box.dy / 2, y0_, height_, rows_) *
+             columns_ +
+         axis_index(box.box.x + box.box.dx / 2, x0_, width_, columns_);
+}
+
+void CandidateGrid::cover(Cell& cell, const FingerprintBounds& box) {
+  if (box.empty) {
+    cell.holds_empty = true;
+    return;
+  }
+  const PaddedBox p = padded(box);
+  cell.x_lo = std::min(cell.x_lo, p.x_lo);
+  cell.x_hi = std::max(cell.x_hi, p.x_hi);
+  cell.y_lo = std::min(cell.y_lo, p.y_lo);
+  cell.y_hi = std::max(cell.y_hi, p.y_hi);
+  cell.t_lo = std::min(cell.t_lo, p.t_lo);
+  cell.t_hi = std::max(cell.t_hi, p.t_hi);
+}
+
+void CandidateGrid::insert(std::uint32_t id, const FingerprintBounds& box) {
+  if (id == kNoCell) {
+    throw std::invalid_argument{"a candidate grid takes ids below 2^32 - 1"};
+  }
+  if (contains(id)) {
+    throw std::invalid_argument{"candidate grid: id inserted twice"};
+  }
+  std::uint32_t& slot = cell_at_[position_of(box)];
+  if (slot == kNoCell) {
+    slot = static_cast<std::uint32_t>(cells_.size());
+    cells_.emplace_back();
+  }
+  Cell& cell = cells_[slot];
+  cell.members.insert(
+      std::upper_bound(cell.members.begin(), cell.members.end(), id), id);
+  cover(cell, box);
+  if (cell_of_.size() <= id) cell_of_.resize(std::size_t{id} + 1, kNoCell);
+  cell_of_[id] = slot;
+  ++size_;
+}
+
+void CandidateGrid::erase(std::uint32_t id) {
+  if (!contains(id)) return;
+  std::vector<std::uint32_t>& members = cells_[cell_of_[id]].members;
+  members.erase(std::lower_bound(members.begin(), members.end(), id));
+  cell_of_[id] = kNoCell;
+  --size_;
+}
+
+void CandidateGrid::widen(std::uint32_t id, const FingerprintBounds& box) {
+  if (!contains(id)) {
+    throw std::invalid_argument{"candidate grid: widening a non-member"};
+  }
+  cover(cells_[cell_of_[id]], box);
+}
+
+CandidateGrid::CellHeap CandidateGrid::cell_heap(const FingerprintBounds& own,
+                                                 const StretchLimits& limits,
+                                                 std::uint32_t below,
+                                                 SearchTally& tally) const {
+  CellHeap heap;
+  heap.reserve(cells_.size());
+  const PaddedBox p = padded(own);
+  for (std::uint32_t c = 0; c < cells_.size(); ++c) {
+    const Cell& cell = cells_[c];
+    if (cell.members.empty() || cell.members.front() >= below) continue;
+    // stretch_lower_bound against the union: each gap is at most the gap
+    // to any member's padded box, and the gap term and margin only keep
+    // that order.
+    const double bound =
+        own.empty || cell.holds_empty
+            ? 0.0
+            : gap_term(axis_gap(p.x_lo, p.x_hi, cell.x_lo, cell.x_hi),
+                       axis_gap(p.y_lo, p.y_hi, cell.y_lo, cell.y_hi),
+                       axis_gap(p.t_lo, p.t_hi, cell.t_lo, cell.t_hi),
+                       limits) *
+                  kRoundingMargin;
+    heap.emplace_back(bound, c);
+  }
+  tally.cell_bounds += heap.size();
+  std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+  return heap;
+}
+
+double CandidateGrid::least_box_bound(const FingerprintBounds& own,
+                                      std::span<const NodeBounds> bounds,
+                                      const StretchLimits& limits,
+                                      std::uint32_t below,
+                                      SearchTally* tally) const {
+  SearchTally done;
+  CellHeap cells = cell_heap(own, limits, below, done);
+  double least = std::numeric_limits<double>::infinity();
+  // A cell whose bound is not below the least so far holds no lower one.
+  while (!cells.empty() && cells.front().first < least) {
+    std::pop_heap(cells.begin(), cells.end(), std::greater<>{});
+    for (const std::uint32_t m : cells_[cells.back().second].members) {
+      if (m >= below) break;
+      least = std::min(least, stretch_lower_bound(own, bounds[m].box, limits));
+      ++done.box_bounds;
+    }
+    cells.pop_back();
+  }
+  if (tally != nullptr) *tally += done;
+  return least;
+}
+
 std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
                               const NodeBounds& own,
                               std::span<const cdr::Fingerprint> candidates,
                               std::span<const NodeBounds> bounds,
-                              std::span<const std::uint32_t> ids,
+                              const CandidateGrid& grid,
                               const StretchLimits& limits, std::size_t count,
                               std::optional<std::uint32_t> skip,
                               SearchTally* tally,
-                              std::vector<KnownStretch>* known) {
-  if (ids.empty() || candidates.size() != bounds.size() || count == 0) {
+                              std::vector<KnownStretch>* known,
+                              std::uint32_t below) {
+  if (grid.size() == 0 || candidates.size() != bounds.size() || count == 0) {
     throw std::invalid_argument{
-        "nearest needs a non-empty candidate list, one bounds entry per "
+        "nearest needs a non-empty candidate grid, one bounds entry per "
         "candidate and a count of at least 1"};
   }
+  if (grid.cell_of_.size() > candidates.size() &&
+      std::any_of(grid.cell_of_.begin() +
+                      static_cast<std::ptrdiff_t>(candidates.size()),
+                  grid.cell_of_.end(), [](std::uint32_t cell) {
+                    return cell != CandidateGrid::kNoCell;
+                  })) {
+    throw std::invalid_argument{"nearest: candidate id out of range"};
+  }
+  const auto considered = [&](std::uint32_t c) {
+    return c < below && c != skip;
+  };
   // The best candidates so far, ascending by (stretch, index).
   std::vector<Neighbor> best;
   const auto before = [](const Neighbor& x, const Neighbor& y) {
@@ -254,44 +464,64 @@ std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
   // ordered.  Box-stage candidates come back once with their slot bound.
   // Known values enter at their stage: a slot bound in the heap, an exact
   // stretch straight among the best.  `kept` counts the known values
-  // still named, compacted to the front of `known` in id order.
+  // still considered, compacted to the front of `known` in id order.
   std::vector<std::tuple<double, std::uint32_t, bool>> order;
-  order.reserve(ids.size());
   std::size_t kept = 0;
-  std::size_t next_known = 0;
-  for (const std::uint32_t c : ids) {
-    if (c >= candidates.size()) {
-      throw std::invalid_argument{"nearest: candidate id out of range"};
-    }
-    if (c == skip) continue;
-    if (known != nullptr) {
-      while (next_known < known->size() && (*known)[next_known].id < c) {
-        ++next_known;
-      }
-      if (next_known < known->size() && (*known)[next_known].id == c) {
-        const KnownStretch value = (*known)[next_known++];
-        (*known)[kept++] = value;
-        if (value.exact) {
-          keep(Neighbor{c, value.value});
-        } else {
-          order.emplace_back(value.value, c, true);
-        }
-        continue;
+  if (known != nullptr) {
+    for (const KnownStretch value : *known) {
+      if (!considered(value.id) || !grid.contains(value.id)) continue;
+      (*known)[kept++] = value;
+      if (value.exact) {
+        keep(Neighbor{value.id, value.value});
+      } else {
+        order.emplace_back(value.value, value.id, true);
       }
     }
-    order.emplace_back(stretch_lower_bound(own.box, bounds[c].box, limits), c,
-                       false);
+    std::make_heap(order.begin(), order.end(), std::greater<>{});
   }
-  std::make_heap(order.begin(), order.end(), std::greater<>{});
+  const auto is_known = [&](std::uint32_t c) {
+    const auto first = known->begin();
+    return std::binary_search(
+        first, first + static_cast<std::ptrdiff_t>(kept), KnownStretch{0, c},
+        [](const KnownStretch& x, const KnownStretch& y) {
+          return x.id < y.id;
+        });
+  };
 
   SearchTally done;
+  // Unopened cells, least bound first.  Every considered candidate with
+  // no known value sits in one, with a box bound at or above the cell's.
+  CandidateGrid::CellHeap cells =
+      grid.cell_heap(own.box, limits, below, done);
   std::vector<KnownStretch> fresh;  // values computed here, for `known`
-  while (!order.empty()) {
-    std::pop_heap(order.begin(), order.end(), std::greater<>{});
-    const auto [bound, c, slot_stage] = order.back();
+  for (;;) {
+    // A cell whose bound is at or below the heap's least value might hold
+    // a smaller one: it opens first, so every value taken from the heap is
+    // the least of all candidates left.
+    const bool opens = !cells.empty() &&
+                       (order.empty() ||
+                        cells.front().first <= std::get<0>(order.front()));
+    if (!opens && order.empty()) break;
     // A stretch is never below its bounds: past the count-th best stretch
     // no later candidate can beat or tie it.
-    if (best.size() == count && bound > best.back().stretch) break;
+    const double least =
+        opens ? cells.front().first : std::get<0>(order.front());
+    if (best.size() == count && least > best.back().stretch) break;
+    if (opens) {
+      std::pop_heap(cells.begin(), cells.end(), std::greater<>{});
+      for (const std::uint32_t c : grid.cells_[cells.back().second].members) {
+        if (c >= below) break;
+        if (c == skip || (known != nullptr && is_known(c))) continue;
+        order.emplace_back(stretch_lower_bound(own.box, bounds[c].box, limits),
+                           c, false);
+        std::push_heap(order.begin(), order.end(), std::greater<>{});
+        ++done.box_bounds;
+      }
+      cells.pop_back();
+      continue;
+    }
+    std::pop_heap(order.begin(), order.end(), std::greater<>{});
+    const auto [bound, c, slot_stage] = order.back();
     if (!slot_stage) {
       const double slot =
           std::max(bound, slot_lower_bound(own.slots, bounds[c].slots, limits));
@@ -333,13 +563,16 @@ std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
   return best;
 }
 
-std::vector<std::uint32_t> every_id(std::size_t count) {
-  if (count > std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1) {
-    throw std::invalid_argument{"nearest takes at most 2^32 candidates"};
-  }
-  std::vector<std::uint32_t> ids(count);
-  std::iota(ids.begin(), ids.end(), std::uint32_t{0});
-  return ids;
+void add_search_counters(const SearchTally& tally) {
+  static const obs::Counter c_cell_bounds =
+      obs::counter("core.stretch.cell_bounds");
+  static const obs::Counter c_box_bounds =
+      obs::counter("core.stretch.box_bounds");
+  static const obs::Counter c_sample_pairs =
+      obs::counter("core.stretch.sample_pairs");
+  if (tally.cell_bounds > 0) c_cell_bounds.add(tally.cell_bounds);
+  if (tally.box_bounds > 0) c_box_bounds.add(tally.box_bounds);
+  if (tally.sample_pairs > 0) c_sample_pairs.add(tally.sample_pairs);
 }
 
 std::vector<std::vector<std::uint32_t>> locality_chunks(

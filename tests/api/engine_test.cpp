@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -268,6 +269,23 @@ TEST(Engine, LoadDatasetNamesATraceByItsStem) {
   define_input_flags(flags);
   flags.parse(0, nullptr);
   EXPECT_EQ(load_dataset(path, flags).name(), "city");
+}
+
+TEST(Engine, LoadDatasetRefusesAMinuteIndexOffItsRange) {
+  // The flat reader takes any finite time; a time whose minute index does
+  // not fit a long long used to publish a group at t = -2^63.
+  const test::TempDir dir;
+  const std::string path = dir.file("flat.csv");
+  util::Flags flags{"engine test"};
+  define_input_flags(flags);
+  flags.parse(0, nullptr);
+  for (const char* time : {"1e300", "-1e300", "9.3e18"}) {
+    std::ofstream{path} << "10,0,6.8,-5.3\n11," << time
+                        << ",6.8,-5.3\n12,7,6.8,-5.2\n";
+    EXPECT_THROW((void)load_dataset(path, flags), std::out_of_range) << time;
+  }
+  std::ofstream{path} << "10,0,6.8,-5.3\n11,9.2e18,6.8,-5.3\n";
+  EXPECT_EQ(load_dataset(path, flags).size(), 2u);
 }
 
 TEST(Engine, ExecutorFlagAcceptsOnlyInProcess) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace glove::cdr {
 namespace {
@@ -118,6 +120,32 @@ TEST(Builder, NegativeCoordinatesSupported) {
   const Sample& s = data[0].samples()[0];
   EXPECT_DOUBLE_EQ(s.sigma.x, -200.0);
   EXPECT_DOUBLE_EQ(s.sigma.y, -300.0);
+}
+
+TEST(Builder, RefusesAMinuteIndexOffItsRange) {
+  // floor(time / step) must fit the long long minute index, as a cell
+  // index must fit int32 (geo::Grid::cell_of); glove_serve builds each
+  // epoch's fingerprints through the geographic overload.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double time : {1e300, -1e300, 0x1p63, nan}) {
+    const std::vector<CdrEvent> events{{10u, 0.0, geo::LatLon{6.8, -5.3}},
+                                       {11u, time, geo::LatLon{6.8, -5.3}}};
+    EXPECT_THROW((void)build_fingerprints(events, BuilderConfig{}),
+                 std::out_of_range)
+        << time;
+    const std::vector<PlanarEvent> planar{{10u, time, {0.0, 0.0}}};
+    EXPECT_THROW((void)build_fingerprints(planar, planar_config()),
+                 std::out_of_range)
+        << time;
+  }
+  // The extreme indices that fit are kept: -2^63 exactly, and the largest
+  // double below 2^63.
+  const std::vector<PlanarEvent> edges{
+      {0u, -0x1p63, {0.0, 0.0}}, {1u, 0x1p63 - 1024.0, {0.0, 0.0}}};
+  const FingerprintDataset data = build_fingerprints(edges, planar_config());
+  ASSERT_EQ(data.size(), 2u);
+  EXPECT_EQ(data[0].samples()[0].tau.t, -0x1p63);
+  EXPECT_EQ(data[1].samples()[0].tau.t, 0x1p63 - 1024.0);
 }
 
 }  // namespace

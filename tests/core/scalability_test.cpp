@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <span>
@@ -13,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/eager_nearest.hpp"
 #include "common/fixtures.hpp"
 #include "glove/synth/generator.hpp"
 #include "glove/util/rng.hpp"
@@ -367,37 +370,80 @@ std::vector<Neighbor> full_scan(const cdr::Fingerprint& fp,
   return all;
 }
 
-TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
-  // Samples on a coarse lattice, mirrored around the origin, so many
-  // candidates tie at the same stretch while rounding gives them different
-  // bounds; a few candidates are empty (stretch 0 to anything).  Start
-  // times spread over several slots, and each candidate's slot summary is
-  // passed, so the search runs the whole box -> slot -> exact cascade.
-  // For 1, 2 and 4 neighbours, with and without a skipped index, it must
-  // return the full scan's first entries bit for bit, and still skip the
-  // distant candidates.
-  util::Xoshiro256 rng{411};
+/// 0, 1, ..., count - 1.
+std::vector<std::uint32_t> every_id(std::size_t count) {
+  std::vector<std::uint32_t> ids(count);
+  std::iota(ids.begin(), ids.end(), std::uint32_t{0});
+  return ids;
+}
+
+/// A seeded fingerprint of 1-4 samples on a coarse lattice mirrored around
+/// the origin, so many candidates tie at one stretch while rounding gives
+/// them different bounds: within 4 km of the origin, or for a quarter of
+/// them 40 km; start times over several slots.  A group (size > 1) has no
+/// samples one time in twelve, as a group suppression can leave it.
+cdr::Fingerprint lattice_fingerprint(util::Xoshiro256& rng, std::uint32_t size,
+                                     cdr::UserId first) {
   const auto lattice = [&](std::uint64_t steps, double step) {
     const auto i = static_cast<double>(util::uniform_index(rng, 2 * steps + 1));
     return (i - static_cast<double>(steps)) * step;
   };
-  const auto random_fingerprint = [&](std::uint32_t size, cdr::UserId first) {
-    std::vector<cdr::Sample> samples;
-    const std::uint64_t count = 1 + util::uniform_index(rng, 4);
-    if (size > 1 && util::uniform_index(rng, 12) == 0) {
-      return test::group_fingerprint(size, first, {});  // suppressed away
-    }
-    const bool far = util::uniform_index(rng, 4) == 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      samples.push_back(cell(lattice(far ? 40 : 4, 1'000.0),
-                             lattice(far ? 40 : 4, 1'000.0),
-                             60.0 * (6.0 + lattice(6, 1.0))));
-    }
-    return test::group_fingerprint(size, first, std::move(samples));
-  };
+  std::vector<cdr::Sample> samples;
+  const std::uint64_t count = 1 + util::uniform_index(rng, 4);
+  if (size > 1 && util::uniform_index(rng, 12) == 0) {
+    return test::group_fingerprint(size, first, {});  // suppressed away
+  }
+  const bool far = util::uniform_index(rng, 4) == 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    samples.push_back(cell(lattice(far ? 40 : 4, 1'000.0),
+                           lattice(far ? 40 : 4, 1'000.0),
+                           60.0 * (6.0 + lattice(6, 1.0))));
+  }
+  return test::group_fingerprint(size, first, std::move(samples));
+}
 
+/// The grid search must do the eager cascade's work exactly, and bound no
+/// more boxes than it.
+void expect_same_cascade(const SearchTally& grid, const SearchTally& eager,
+                         int trial) {
+  EXPECT_EQ(grid.slot_bounds, eager.slot_bounds) << "trial " << trial;
+  EXPECT_EQ(grid.evaluations, eager.evaluations) << "trial " << trial;
+  EXPECT_EQ(grid.sample_pairs, eager.sample_pairs) << "trial " << trial;
+  EXPECT_LE(grid.box_bounds, eager.box_bounds) << "trial " << trial;
+  EXPECT_EQ(eager.cell_bounds, 0u) << "trial " << trial;
+}
+
+void expect_same_neighbors(const std::vector<Neighbor>& found,
+                           const std::vector<Neighbor>& expected, int trial) {
+  ASSERT_EQ(found.size(), expected.size()) << "trial " << trial;
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    EXPECT_EQ(found[i].index, expected[i].index) << "trial " << trial;
+    EXPECT_EQ(found[i].stretch, expected[i].stretch) << "trial " << trial;
+  }
+}
+
+void expect_same_known(const std::vector<KnownStretch>& found,
+                       const std::vector<KnownStretch>& expected, int trial) {
+  ASSERT_EQ(found.size(), expected.size()) << "trial " << trial;
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    EXPECT_EQ(found[i].id, expected[i].id) << "trial " << trial;
+    EXPECT_EQ(found[i].value, expected[i].value) << "trial " << trial;
+    EXPECT_EQ(found[i].exact, expected[i].exact) << "trial " << trial;
+  }
+}
+
+TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
+  // Lattice fingerprints, so many candidates tie at the same stretch while
+  // rounding gives them different bounds; a few candidates are empty
+  // (stretch 0 to anything).  Start times spread over several slots, so
+  // the search runs the whole box -> slot -> exact cascade.  For 1, 2 and
+  // 4 neighbours, with and without a skipped index, it must return the
+  // full scan's first entries bit for bit, do the eager cascade's work,
+  // and still skip the distant candidates.
+  util::Xoshiro256 rng{411};
   const std::vector<std::size_t> counts{1, 2, 4};
   SearchTally tally;
+  SearchTally eager_tally;
   std::uint64_t candidates = 0;
   std::uint64_t made = 0;
   std::size_t multi_slot = 0;
@@ -411,19 +457,20 @@ TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
     for (std::uint64_t g = 0; g < count; ++g) {
       const auto size = static_cast<std::uint32_t>(
           2 + util::uniform_index(rng, 3));
-      groups.push_back(random_fingerprint(size, static_cast<cdr::UserId>(
-                                                    10 * (g + 1))));
+      groups.push_back(lattice_fingerprint(
+          rng, size, static_cast<cdr::UserId>(10 * (g + 1))));
       bounds.push_back(node_bounds(groups.back()));
       if (bounds.back().slots.slots.size() > 1) ++multi_slot;
       if (groups.back().empty()) ++empty;
     }
-    const cdr::Fingerprint leftover = random_fingerprint(1, 0);
+    const cdr::Fingerprint leftover = lattice_fingerprint(rng, 1, 0);
     const NodeBounds own = node_bounds(leftover);
     const auto cascade_bound = [&](std::size_t g) {
       return std::max(stretch_lower_bound(own.box, bounds[g].box, {}),
                       slot_lower_bound(own.slots, bounds[g].slots, {}));
     };
 
+    const CandidateGrid grid{bounds};
     const std::vector<std::uint32_t> ids = every_id(groups.size());
     const auto skipped =
         static_cast<std::uint32_t>(util::uniform_index(rng, groups.size()));
@@ -432,14 +479,22 @@ TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
       const std::vector<Neighbor> scan = full_scan(leftover, groups, skip, ids);
       for (std::size_t which = 0; which < counts.size(); ++which) {
         const std::size_t wanted = counts[which];
+        SearchTally one;
+        SearchTally eager;
         const std::vector<Neighbor> found = nearest(
-            leftover, own, groups, bounds, ids, {}, wanted, skip, &tally);
+            leftover, own, groups, bounds, grid, {}, wanted, skip, &one);
+        const std::vector<Neighbor> expected = test::eager_nearest(
+            leftover, own, groups, bounds, ids, {}, wanted, skip, &eager);
         ASSERT_EQ(found.size(), std::min(wanted, scan.size()))
             << "trial " << trial;
         for (std::size_t i = 0; i < found.size(); ++i) {
           EXPECT_EQ(found[i].index, scan[i].index) << "trial " << trial;
           EXPECT_EQ(found[i].stretch, scan[i].stretch) << "trial " << trial;
         }
+        expect_same_neighbors(found, expected, trial);
+        expect_same_cascade(one, eager, trial);
+        tally += one;
+        eager_tally += eager;
         candidates += scan.size();
 
         // A tie is decisive when a candidate left out ties the last one
@@ -459,6 +514,8 @@ TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
   EXPECT_LT(tally.evaluations, candidates);
   EXPECT_GT(tally.slot_bounds, 0u);
   EXPECT_GT(tally.sample_pairs, 0u);
+  EXPECT_GT(tally.cell_bounds, 0u);
+  EXPECT_LT(tally.box_bounds, eager_tally.box_bounds);
   EXPECT_GT(multi_slot, made / 2);
   EXPECT_GT(empty, 0u);
   for (std::size_t which = 0; which < counts.size(); ++which) {
@@ -469,10 +526,11 @@ TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
 TEST(Nearest, KnownValuesKeepTheResultAndSpareTheWork) {
   // GLOVE's greedy loop searches from one node again and again as its
   // candidates merge away, keeping the values each search computed.  Over
-  // a shrinking candidate list, a search given those values must return
-  // what a fresh search returns, with no more work; and the values kept
-  // must be the candidates still named, ascending by id, each slot bound
-  // at most the exact stretch and each exact value the stretch itself.
+  // a shrinking grid, a search given those values must return what a
+  // fresh search returns, with no more work, and keep exactly the values
+  // the eager cascade keeps: the candidates still in the grid, ascending
+  // by id, each slot bound at most the exact stretch and each exact value
+  // the stretch itself.
   util::Xoshiro256 rng{97};
   const auto lattice = [&](std::uint64_t steps, double step) {
     const auto i = static_cast<double>(util::uniform_index(rng, 2 * steps + 1));
@@ -500,19 +558,27 @@ TEST(Nearest, KnownValuesKeepTheResultAndSpareTheWork) {
     const std::vector<NodeBounds> bounds = node_bounds_of(candidates);
     const cdr::Fingerprint fp = random_fingerprint(0);
     const NodeBounds own = node_bounds(fp);
+    CandidateGrid grid{bounds};
     std::vector<std::uint32_t> ids = every_id(candidates.size());
     std::vector<KnownStretch> known;
+    std::vector<KnownStretch> eager_known;
     while (!ids.empty()) {
       SearchTally fresh;
       SearchTally reused;
+      SearchTally eager;
       const std::vector<Neighbor> expected = nearest(
-          fp, own, candidates, bounds, ids, {}, 1, std::nullopt, &fresh);
+          fp, own, candidates, bounds, grid, {}, 1, std::nullopt, &fresh);
       const std::vector<Neighbor> found =
-          nearest(fp, own, candidates, bounds, ids, {}, 1, std::nullopt,
+          nearest(fp, own, candidates, bounds, grid, {}, 1, std::nullopt,
                   &reused, &known);
+      const std::vector<Neighbor> eager_found =
+          test::eager_nearest(fp, own, candidates, bounds, ids, {}, 1,
+                              std::nullopt, &eager, &eager_known);
       ASSERT_EQ(found.size(), 1u) << "trial " << trial;
-      EXPECT_EQ(found[0].index, expected[0].index) << "trial " << trial;
-      EXPECT_EQ(found[0].stretch, expected[0].stretch) << "trial " << trial;
+      expect_same_neighbors(found, expected, trial);
+      expect_same_neighbors(found, eager_found, trial);
+      expect_same_cascade(reused, eager, trial);
+      expect_same_known(known, eager_known, trial);
       EXPECT_LE(reused.evaluations, fresh.evaluations) << "trial " << trial;
       EXPECT_LE(reused.slot_bounds, fresh.slot_bounds) << "trial " << trial;
       fresh_evaluations += fresh.evaluations;
@@ -533,11 +599,17 @@ TEST(Nearest, KnownValuesKeepTheResultAndSpareTheWork) {
         }
       }
       // The nearest candidate merges away, and so does a random other.
-      std::erase(ids, static_cast<std::uint32_t>(found[0].index));
+      std::vector<std::uint32_t> gone{
+          static_cast<std::uint32_t>(found[0].index)};
+      std::erase(ids, gone[0]);
       if (!ids.empty()) {
-        ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(
-                                    util::uniform_index(rng, ids.size())));
+        const auto other =
+            ids.begin() + static_cast<std::ptrdiff_t>(
+                              util::uniform_index(rng, ids.size()));
+        gone.push_back(*other);
+        ids.erase(other);
       }
+      for (const std::uint32_t id : gone) grid.erase(id);
     }
   }
   EXPECT_GT(exact_known, 0u);
@@ -549,17 +621,309 @@ TEST(Nearest, RejectsEmptyOrMisalignedCandidates) {
   const NodeBounds own = node_bounds(fp);
   const std::vector<cdr::Fingerprint> one{fp};
   const std::vector<NodeBounds> one_bounds{own};
-  const std::vector<std::uint32_t> first{0};
-  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, {}, {}, 1),
+  const CandidateGrid grid{one_bounds};
+  CandidateGrid emptied{one_bounds};
+  emptied.erase(0);
+  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, emptied, {}, 1),
                std::invalid_argument);
-  EXPECT_THROW((void)nearest(fp, own, one, {}, first, {}, 1),
+  EXPECT_THROW((void)nearest(fp, own, one, {}, grid, {}, 1),
                std::invalid_argument);
-  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, first, {}, 0),
+  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, grid, {}, 0),
                std::invalid_argument);
-  const std::vector<std::uint32_t> past{1};
+  const std::vector<NodeBounds> two_bounds{own, own};
+  const CandidateGrid past{two_bounds};
   EXPECT_THROW((void)nearest(fp, own, one, one_bounds, past, {}, 1),
                std::invalid_argument);
-  EXPECT_EQ(every_id(3), (std::vector<std::uint32_t>{0, 1, 2}));
+  // Only the candidate itself, skipped: nothing to return.
+  EXPECT_TRUE(nearest(fp, own, one, one_bounds, grid, {}, 1, 0u).empty());
+}
+
+TEST(CandidateGrid, RejectsBadIds) {
+  const std::vector<NodeBounds> bounds{node_bounds(
+      cdr::Fingerprint{0u, {cell(0, 0, 0)}})};
+  const std::vector<std::uint32_t> past{1};
+  EXPECT_THROW((CandidateGrid{bounds, past}), std::invalid_argument);
+  CandidateGrid grid{bounds};
+  EXPECT_TRUE(grid.contains(0));
+  EXPECT_FALSE(grid.contains(1));
+  EXPECT_THROW(grid.insert(0, bounds[0].box), std::invalid_argument);
+  EXPECT_THROW(grid.widen(1, bounds[0].box), std::invalid_argument);
+  grid.erase(0);
+  EXPECT_FALSE(grid.contains(0));
+  EXPECT_EQ(grid.size(), 0u);
+}
+
+TEST(CandidateGrid, SearchDoesTheEagerCascadesWorkAsTheGridChanges) {
+  // Grids over a random part of the candidates, then changed the ways
+  // their users change them: members inserted after the build, some far
+  // outside its extent; members widened by a merge (leftover absorption,
+  // incremental joins); members erased (the greedy loop).  Every search,
+  // for 1, 2 and 4 neighbours, with and without a skipped member and an
+  // id limit, must return the eager cascade's neighbours and do its
+  // slot, exact and sample-pair work exactly.
+  util::Xoshiro256 rng{2207};
+  const MergeOptions options;
+  const std::vector<std::size_t> counts{1, 2, 4};
+  SearchTally tally;
+  SearchTally eager_tally;
+  std::size_t searches = 0;
+  std::size_t inserted_outside = 0;
+  std::size_t widened = 0;
+  std::size_t limited = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    std::vector<cdr::Fingerprint> candidates;
+    const std::uint64_t n = 2 + util::uniform_index(rng, 80);
+    for (std::uint64_t c = 0; c < n; ++c) {
+      candidates.push_back(lattice_fingerprint(
+          rng, static_cast<std::uint32_t>(1 + util::uniform_index(rng, 3)),
+          static_cast<cdr::UserId>(10 * (c + 1))));
+    }
+    std::vector<NodeBounds> bounds = node_bounds_of(candidates);
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t c = 0; c < n; ++c) {
+      if (c == 0 || util::uniform_index(rng, 4) != 0) ids.push_back(c);
+    }
+    CandidateGrid grid{bounds, ids};
+
+    // Inserted later: half of them 100-300 km out, past any extent the
+    // lattice gives.
+    const std::uint64_t later = util::uniform_index(rng, 8);
+    for (std::uint64_t i = 0; i < later; ++i) {
+      const auto id = static_cast<std::uint32_t>(candidates.size());
+      cdr::Fingerprint fp = lattice_fingerprint(rng, 2, 10 * (id + 1));
+      if (util::uniform_index(rng, 2) == 0) {
+        const double out = util::uniform(rng, 100'000.0, 300'000.0);
+        fp = test::group_fingerprint(
+            2, 10 * (id + 1),
+            {cell(out, -out / 2, 360.0), cell(out, 0, 600.0)});
+        ++inserted_outside;
+      }
+      candidates.push_back(std::move(fp));
+      bounds.push_back(node_bounds(candidates.back()));
+      grid.insert(id, bounds.back().box);
+      ids.push_back(id);
+    }
+    // Widened: a member absorbs another fingerprint and keeps its cell.
+    const std::uint64_t widen = util::uniform_index(rng, 4);
+    for (std::uint64_t i = 0; i < widen; ++i) {
+      const std::uint32_t g = ids[util::uniform_index(rng, ids.size())];
+      const cdr::Fingerprint other = lattice_fingerprint(rng, 1, 5);
+      candidates[g] = merge_fingerprints(candidates[g], other, options);
+      bounds[g] = node_bounds(candidates[g]);
+      grid.widen(g, bounds[g].box);
+      ++widened;
+    }
+    // Erased: merged away.
+    const std::uint64_t erase = util::uniform_index(rng, ids.size());
+    for (std::uint64_t i = 0; i < erase && ids.size() > 1; ++i) {
+      const auto at = ids.begin() + static_cast<std::ptrdiff_t>(
+                                        util::uniform_index(rng, ids.size()));
+      grid.erase(*at);
+      ids.erase(at);
+    }
+    ASSERT_EQ(grid.size(), ids.size());
+
+    for (int query = 0; query < 3; ++query) {
+      const cdr::Fingerprint fp = lattice_fingerprint(
+          rng, static_cast<std::uint32_t>(1 + util::uniform_index(rng, 3)), 1);
+      const NodeBounds own = node_bounds(fp);
+      const std::uint32_t skipped = ids[util::uniform_index(rng, ids.size())];
+      const std::uint32_t limit = ids[util::uniform_index(rng, ids.size())];
+      using Skip = std::optional<std::uint32_t>;
+      for (const Skip skip : {Skip{}, Skip{skipped}}) {
+        for (const std::uint32_t below :
+             {std::numeric_limits<std::uint32_t>::max(), limit}) {
+          std::vector<std::uint32_t> scope;
+          for (const std::uint32_t id : ids) {
+            if (id < below && id != skip) scope.push_back(id);
+          }
+          if (below == limit) ++limited;
+          for (const std::size_t wanted : counts) {
+            SearchTally one;
+            const std::vector<Neighbor> found =
+                nearest(fp, own, candidates, bounds, grid, {}, wanted, skip,
+                        &one, nullptr, below);
+            if (scope.empty()) {
+              EXPECT_TRUE(found.empty()) << "trial " << trial;
+              continue;
+            }
+            SearchTally eager;
+            const std::vector<Neighbor> expected = test::eager_nearest(
+                fp, own, candidates, bounds, scope, {}, wanted, std::nullopt,
+                &eager);
+            expect_same_neighbors(found, expected, trial);
+            expect_same_cascade(one, eager, trial);
+            tally += one;
+            eager_tally += eager;
+            ++searches;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(searches, 2'000u);
+  EXPECT_GT(inserted_outside, 50u);
+  EXPECT_GT(widened, 50u);
+  EXPECT_GT(limited, 100u);
+  EXPECT_GT(tally.evaluations, 0u);
+  EXPECT_LT(tally.box_bounds, eager_tally.box_bounds);
+}
+
+TEST(CandidateGrid, ShrinkingOpenSetWithKnownDoesTheEagerCascadesWork) {
+  // The greedy loop's use: node x searches the open nodes older than it,
+  // keeping its values across searches, while nodes merge away and merged
+  // nodes join the grid.  Each search must return the eager cascade's
+  // neighbour over the same open nodes, do its work exactly and keep the
+  // same values.
+  util::Xoshiro256 rng{2209};
+  const MergeOptions options;
+  std::size_t searches = 0;
+  std::size_t reused = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<cdr::Fingerprint> nodes;
+    const std::uint64_t n = 4 + util::uniform_index(rng, 60);
+    for (std::uint64_t c = 0; c < n; ++c) {
+      nodes.push_back(lattice_fingerprint(
+          rng, 1 + static_cast<std::uint32_t>(util::uniform_index(rng, 2)),
+          static_cast<cdr::UserId>(10 * (c + 1))));
+    }
+    std::vector<NodeBounds> bounds = node_bounds_of(nodes);
+    std::vector<std::uint32_t> open = every_id(nodes.size());
+    CandidateGrid grid{bounds, open};
+    std::vector<std::vector<KnownStretch>> known(nodes.size());
+    std::vector<std::vector<KnownStretch>> eager_known(nodes.size());
+    while (open.size() >= 2) {
+      // A node with older open nodes searches them.
+      const std::uint32_t x =
+          open[1 + util::uniform_index(rng, open.size() - 1)];
+      const std::vector<std::uint32_t> older{
+          open.begin(), std::lower_bound(open.begin(), open.end(), x)};
+      if (!known[x].empty()) ++reused;
+      SearchTally one;
+      SearchTally eager;
+      const std::vector<Neighbor> found =
+          nearest(nodes[x], bounds[x], nodes, bounds, grid, {}, 1,
+                  std::nullopt, &one, &known[x], x);
+      const std::vector<Neighbor> expected =
+          test::eager_nearest(nodes[x], bounds[x], nodes, bounds, older, {}, 1,
+                              std::nullopt, &eager, &eager_known[x]);
+      expect_same_neighbors(found, expected, trial);
+      expect_same_cascade(one, eager, trial);
+      expect_same_known(known[x], eager_known[x], trial);
+      ++searches;
+      ASSERT_EQ(found.size(), 1u);
+      // Half the time x merges with its nearest older node into a new
+      // open node; otherwise a random open node merges away alone.
+      if (util::uniform_index(rng, 2) == 0) {
+        const auto y = static_cast<std::uint32_t>(found[0].index);
+        const auto m = static_cast<std::uint32_t>(nodes.size());
+        nodes.push_back(merge_fingerprints(nodes[y], nodes[x], options));
+        bounds.push_back(node_bounds(nodes.back()));
+        known.emplace_back();
+        eager_known.emplace_back();
+        for (const std::uint32_t id : {x, y}) {
+          grid.erase(id);
+          std::erase(open, id);
+        }
+        grid.insert(m, bounds[m].box);
+        open.push_back(m);
+      } else {
+        const std::uint32_t gone = open[util::uniform_index(rng, open.size())];
+        grid.erase(gone);
+        std::erase(open, gone);
+      }
+    }
+  }
+  EXPECT_GT(searches, 500u);
+  EXPECT_GT(reused, 100u);
+}
+
+TEST(CandidateGrid, GreedySeededAndNewNodeKeysEqualTheEagerLeastBoxBound) {
+  // GLOVE seeds node x's key with the least box bound to the open nodes
+  // before it, and a merged node's key with the least box bound to every
+  // open node: both are least_box_bound queries on its grid, and must
+  // equal a scan of those nodes bit for bit, while bounding far fewer
+  // boxes than the n(n-1)/2 pairs.
+  // Even trials are lattice fingerprints (ties, empty groups, all in a
+  // few cells); odd ones users around homes spread over 60 km, where the
+  // grid's cut is counted.
+  util::Xoshiro256 rng{2211};
+  const MergeOptions options;
+  const auto around_home = [&](cdr::UserId user) {
+    const double home_x = util::uniform(rng, 0.0, 60'000.0);
+    const double home_y = util::uniform(rng, 0.0, 60'000.0);
+    std::vector<cdr::Sample> samples;
+    const std::uint64_t count = 1 + util::uniform_index(rng, 5);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      samples.push_back(cell(home_x + util::uniform(rng, -1'500.0, 1'500.0),
+                             home_y + util::uniform(rng, -1'500.0, 1'500.0),
+                             std::floor(util::uniform(rng, 0.0, 1'440.0))));
+    }
+    std::sort(samples.begin(), samples.end(),
+              [](const cdr::Sample& x, const cdr::Sample& y) {
+                return x.tau.t < y.tau.t;
+              });
+    return cdr::Fingerprint{user, std::move(samples)};
+  };
+  std::uint64_t pairs = 0;
+  std::uint64_t seeded = 0;
+  std::uint64_t keyed = 0;
+  SearchTally tally;
+  for (int trial = 0; trial < 12; ++trial) {
+    std::vector<cdr::Fingerprint> nodes;
+    const std::uint64_t n = 50 + util::uniform_index(rng, 350);
+    for (std::uint64_t c = 0; c < n; ++c) {
+      const auto user = static_cast<cdr::UserId>(10 * c);
+      nodes.push_back(trial % 2 == 0 ? lattice_fingerprint(rng, 2, user)
+                                     : around_home(user));
+    }
+    SearchTally trial_tally;
+    std::vector<NodeBounds> bounds = node_bounds_of(nodes);
+    std::vector<std::uint32_t> open = every_id(nodes.size());
+    const CandidateGrid seeding{bounds, open};
+    for (std::size_t row = 1; row < open.size(); ++row) {
+      const std::uint32_t x = open[row];
+      const double key = seeding.least_box_bound(bounds[x].box, bounds, {}, x,
+                                                 &trial_tally);
+      const double expected = test::eager_least_box_bound(
+          bounds[x].box, bounds, std::span{open}.first(row), {});
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(key),
+                std::bit_cast<std::uint64_t>(expected))
+          << "trial " << trial << " node " << x;
+      ++seeded;
+    }
+    CandidateGrid grid = seeding;
+    while (open.size() >= 3) {
+      const std::uint32_t a = open[util::uniform_index(rng, open.size())];
+      std::erase(open, a);
+      const std::uint32_t b = open[util::uniform_index(rng, open.size())];
+      std::erase(open, b);
+      grid.erase(a);
+      grid.erase(b);
+      const auto m = static_cast<std::uint32_t>(nodes.size());
+      nodes.push_back(merge_fingerprints(nodes[a], nodes[b], options));
+      bounds.push_back(node_bounds(nodes.back()));
+      const double key =
+          grid.least_box_bound(bounds[m].box, bounds, {}, m, &trial_tally);
+      const double expected =
+          test::eager_least_box_bound(bounds[m].box, bounds, open, {});
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(key),
+                std::bit_cast<std::uint64_t>(expected))
+          << "trial " << trial << " node " << m;
+      ++keyed;
+      grid.insert(m, bounds[m].box);
+      open.push_back(m);
+    }
+    if (trial % 2 == 1) {
+      // The seeding's pairs and every merged node's pairs to the open set.
+      pairs += n * (n - 1) / 2 + (n / 2) * (n / 2);
+      tally += trial_tally;
+    }
+  }
+  EXPECT_GT(seeded, 1'000u);
+  EXPECT_GT(keyed, 500u);
+  EXPECT_GT(tally.cell_bounds, 0u);
+  EXPECT_LT(tally.box_bounds, pairs / 4);
 }
 
 TEST(LocalityChunks, SortsByKeyThenPositionAndNeverLeavesASubKTail) {
