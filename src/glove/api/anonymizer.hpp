@@ -8,7 +8,9 @@
 // it set `supports_streaming()` and implement `run_streaming` instead.
 // The Engine routes every run of a streaming strategy there — in-memory
 // datasets included, through a MemorySource — and collects the source
-// first for everything else.
+// first for everything else.  A strategy validates only its configuration;
+// a bad dataset is refused by the code that consumes it, which throws
+// util::DatasetError (kInvalidDataset) in either shape.
 
 #ifndef GLOVE_API_ANONYMIZER_HPP
 #define GLOVE_API_ANONYMIZER_HPP
@@ -77,18 +79,7 @@ class Anonymizer {
     return std::nullopt;
   }
 
-  /// Strategy-specific *dataset* validation (enough fingerprints, right
-  /// shape).  Only callable when the dataset is materialized — the
-  /// collect path and the legacy overload; streaming strategies enforce
-  /// the same constraints mid-stream via util::DatasetError.
-  [[nodiscard]] virtual std::optional<Error> validate(
-      const cdr::FingerprintDataset& data, const RunConfig& config) const {
-    (void)data;
-    (void)config;
-    return std::nullopt;
-  }
-
-  /// Runs the strategy on a materialized dataset.  May throw
+  /// Runs the strategy on a materialized, non-empty dataset.  May throw
   /// util::CancelledError (mapped to kCancelled by the Engine),
   /// util::DatasetError (kInvalidDataset), std::invalid_argument
   /// (kInvalidConfig) or any std::exception (kInternal); the Engine owns

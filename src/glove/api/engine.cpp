@@ -75,8 +75,7 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
   }
 
   // --- Shared configuration validation; strategies add their own checks.
-  // Dataset-shaped validation happens once the data is in reach: upfront
-  // on the collect path, mid-stream (util::DatasetError) when streaming.
+  // The code that consumes the data refuses it (util::DatasetError).
   {
     GLOVE_SPAN("engine.validate");
     if (config.k < 2) {
@@ -134,9 +133,6 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
                                                                : collected;
         if (data.empty()) {
           return Error{ErrorCode::kInvalidDataset, "input dataset is empty"};
-        }
-        if (std::optional<Error> error = strategy->validate(data, config)) {
-          return *std::move(error);
         }
         outcome = strategy->run(data, config, context);
         outcome.pass_fingerprints = {data.size()};

@@ -49,7 +49,8 @@ class Engine {
 
   /// Primary run boundary: streams fingerprints from `source` and pushes
   /// finalized groups to `sink`.  Never throws on bad input or
-  /// cancellation — those come back as typed errors; the returned
+  /// cancellation — those come back as typed errors, a bad dataset as
+  /// kInvalidDataset from every strategy and run shape; the returned
   /// report's `anonymized` dataset is empty (the sink owns the output)
   /// and its source/sink kinds and per-pass counts describe the data
   /// plane.  On error the sink may hold partial output (a file sink's

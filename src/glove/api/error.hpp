@@ -20,8 +20,8 @@ enum class ErrorCode {
   kInvalidConfig,
   /// RunConfig::strategy names no registered Anonymizer.
   kUnknownStrategy,
-  /// The input dataset cannot be anonymized as configured (empty, or
-  /// smaller than the target anonymity level).
+  /// The input dataset cannot be anonymized as configured (malformed,
+  /// empty, smaller than k, ...): util::DatasetError from its consumer.
   kInvalidDataset,
   /// The run was cancelled via its CancellationToken; no output was
   /// produced.

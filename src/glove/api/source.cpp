@@ -71,14 +71,10 @@ bool GlovebinSource::next(cdr::Fingerprint& fingerprint) {
     read_span.arg("blocks", last - next_block_);
     buffer_.clear();
     buffer_cursor_ = 0;
-    try {
-      reader_.read_blocks(next_block_, last,
-                          [&](std::uint64_t, cdr::Fingerprint&& fp) {
-                            buffer_.push_back(std::move(fp));
-                          });
-    } catch (const std::invalid_argument& e) {
-      throw util::DatasetError{e.what()};  // reader messages carry the path
-    }
+    reader_.read_blocks(next_block_, last,
+                        [&](std::uint64_t, cdr::Fingerprint&& fp) {
+                          buffer_.push_back(std::move(fp));
+                        });
     next_block_ = last;
   }
   fingerprint = std::move(buffer_[buffer_cursor_++]);
@@ -127,17 +123,13 @@ std::optional<std::uint64_t> GlovebinSource::fetch(
     throw_if_cancelled();
     std::size_t e = b;
     while (e < needed.size() && needed[e] != 0) ++e;
-    try {
-      reader_.read_blocks(b, e, [&](std::uint64_t id, cdr::Fingerprint&& fp) {
-        const auto it = slot_of_id.find(static_cast<std::uint32_t>(id));
-        if (it != slot_of_id.end()) {
-          store[it->second] = std::move(fp);
-          ++fetched;
-        }
-      });
-    } catch (const std::invalid_argument& error) {
-      throw util::DatasetError{error.what()};
-    }
+    reader_.read_blocks(b, e, [&](std::uint64_t id, cdr::Fingerprint&& fp) {
+      const auto it = slot_of_id.find(static_cast<std::uint32_t>(id));
+      if (it != slot_of_id.end()) {
+        store[it->second] = std::move(fp);
+        ++fetched;
+      }
+    });
     pass_blocks += e - b;
     b = e;
   }

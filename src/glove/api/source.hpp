@@ -193,9 +193,9 @@ class CsvFileSource final : public DatasetSource {
 /// summaries() reads the footer instead of the payload and fetch() maps
 /// only the blocks holding the requested fingerprints.  Throws
 /// std::runtime_error with the path when the file cannot be opened or
-/// fails validation; corrupt block payloads surface as util::DatasetError
-/// (kInvalidDataset at the Engine boundary), matching CsvFileSource's
-/// malformed-row behavior.
+/// fails validation; the reader's util::DatasetError for a corrupt block
+/// payload (kInvalidDataset at the Engine boundary) passes through,
+/// matching CsvFileSource's malformed-row behavior.
 class GlovebinSource final : public DatasetSource {
  public:
   explicit GlovebinSource(std::string path);

@@ -47,26 +47,11 @@ StrategyOutcome from_glove_result(core::GloveResult result) {
   return outcome;
 }
 
-std::optional<Error> require_at_least_k(const cdr::FingerprintDataset& data,
-                                        const RunConfig& config) {
-  if (data.size() < config.k) {
-    return Error{ErrorCode::kInvalidDataset,
-                 "dataset holds " + std::to_string(data.size()) +
-                     " fingerprints, fewer than the target anonymity level " +
-                     std::to_string(config.k)};
-  }
-  return std::nullopt;
-}
-
 class FullStrategy final : public Anonymizer {
  public:
   std::string_view name() const noexcept override { return kStrategyFull; }
   std::string_view description() const noexcept override {
     return "GLOVE greedy k-anonymization over the full pair matrix (Alg. 1)";
-  }
-  std::optional<Error> validate(const cdr::FingerprintDataset& data,
-                                const RunConfig& config) const override {
-    return require_at_least_k(data, config);
   }
   StrategyOutcome run(const cdr::FingerprintDataset& data,
                       const RunConfig& config,
@@ -89,10 +74,6 @@ class ChunkedStrategy final : public Anonymizer {
     }
     return std::nullopt;
   }
-  std::optional<Error> validate(const cdr::FingerprintDataset& data,
-                                const RunConfig& config) const override {
-    return require_at_least_k(data, config);
-  }
   StrategyOutcome run(const cdr::FingerprintDataset& data,
                       const RunConfig& config,
                       const RunContext& context) const override {
@@ -112,29 +93,6 @@ class IncrementalStrategy final : public Anonymizer {
   std::string_view description() const noexcept override {
     return "incremental update: newcomers join a published release without "
            "regrouping existing users";
-  }
-  std::optional<Error> validate(const cdr::FingerprintDataset& data,
-                                const RunConfig& config) const override {
-    for (const cdr::Fingerprint& fp : data.fingerprints()) {
-      if (fp.group_size() != 1) {
-        return Error{ErrorCode::kInvalidDataset,
-                     "incremental input must hold single-user fingerprints "
-                     "(the newcomers); found a group of " +
-                         std::to_string(fp.group_size())};
-      }
-    }
-    const cdr::FingerprintDataset* published = config.incremental.published;
-    if (published == nullptr || published->empty()) {
-      // Starting from scratch: the newcomers must form groups on their own.
-      return require_at_least_k(data, config);
-    }
-    if (!core::is_k_anonymous(*published, config.k)) {
-      return Error{ErrorCode::kInvalidDataset,
-                   "incremental.published does not satisfy the configured "
-                   "anonymity level k=" +
-                       std::to_string(config.k)};
-    }
-    return std::nullopt;
   }
   StrategyOutcome run(const cdr::FingerprintDataset& data,
                       const RunConfig& config,
@@ -273,10 +231,6 @@ class W4MStrategy final : public Anonymizer {
                    "w4m.chunk_size must be at least k"};
     }
     return std::nullopt;
-  }
-  std::optional<Error> validate(const cdr::FingerprintDataset& data,
-                                const RunConfig& config) const override {
-    return require_at_least_k(data, config);
   }
   StrategyOutcome run(const cdr::FingerprintDataset& data,
                       const RunConfig& config,

@@ -122,10 +122,7 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
   if (config.k < 2) {
     throw std::invalid_argument{"W4M requires k >= 2"};
   }
-  if (data.size() < config.k) {
-    throw std::invalid_argument{
-        "dataset smaller than the target anonymity level k"};
-  }
+  util::check_dataset_size(data.size(), config.k);
   if (config.chunk_size < config.k) {
     throw std::invalid_argument{"chunk size must be at least k"};
   }

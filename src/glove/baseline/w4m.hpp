@@ -77,8 +77,9 @@ struct W4MResult {
 
 /// Runs W4M-LC with observability hooks: progress counts trajectories
 /// consumed by clustering plus cluster members published; cancellation is
-/// polled per pivot and per cluster.  Requires data.size() >= k >= 2;
-/// throws std::invalid_argument otherwise.  Deterministic.
+/// polled per pivot and per cluster.  Requires k >= 2 and chunk_size >= k
+/// (std::invalid_argument otherwise) and data.size() >= k
+/// (util::DatasetError otherwise).  Deterministic.
 [[nodiscard]] W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
                                       const W4MConfig& config,
                                       const util::RunHooks& hooks = {});

@@ -5,12 +5,14 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 // The writer stores each fingerprint's exact planning geometry in the
 // footer so a sharded run's pass 1 can read the index instead of the
-// payload.  Those values must be bit-identical to what the streamed scan
-// computes, so they come from the same functions (core::scalability); the
+// payload, and the reader checks every decoded fingerprint against it.
+// Those values must be bit-identical to what the streamed scan computes,
+// so they come from the same functions (core::scalability); the
 // dependency lives in this .cpp only — binio.hpp stays a pure cdr header.
 #include "glove/core/scalability.hpp"
 
@@ -32,6 +34,8 @@ constexpr std::uint64_t kTrailerBytes = 48;  // 5 u64 + magic
 constexpr std::uint64_t kSummaryBytes = 56;  // 6 f64 + 2 u32
 constexpr std::uint64_t kBlockEntryBytes = 96;  // 6 u64 + 6 f64
 constexpr std::uint64_t kSampleBytes = 52;      // 6 f64 + contributors
+// No padding in memory either, so memcmp compares summaries bit for bit.
+static_assert(sizeof(FingerprintSummary) == kSummaryBytes);
 
 // Explicit little-endian byte assembly: endian-independent, and compilers
 // lower it to single moves on little-endian hosts.
@@ -76,6 +80,21 @@ void append_summary(std::string& out, const FingerprintSummary& s) {
   put_f64(out, s.dt);
   put_u32(out, s.group_size);
   put_u32(out, s.sample_count);
+}
+
+/// The footer summary of `fp`, whose core::fingerprint_bounds are `bounds`.
+FingerprintSummary summary_of(const Fingerprint& fp,
+                              const core::FingerprintBounds& bounds) {
+  FingerprintSummary summary;
+  summary.x = bounds.box.x;
+  summary.dx = bounds.box.dx;
+  summary.y = bounds.box.y;
+  summary.dy = bounds.box.dy;
+  summary.t = bounds.interval.t;
+  summary.dt = bounds.interval.dt;
+  summary.group_size = fp.group_size();
+  summary.sample_count = static_cast<std::uint32_t>(fp.size());
+  return summary;
 }
 
 void append_block(std::string& out, const GlovebinBlock& b) {
@@ -141,15 +160,7 @@ void GlovebinWriter::write(const Fingerprint& fingerprint) {
   }
   const core::FingerprintBounds bounds =
       core::fingerprint_bounds(fingerprint);
-  FingerprintSummary summary;
-  summary.x = bounds.box.x;
-  summary.dx = bounds.box.dx;
-  summary.y = bounds.box.y;
-  summary.dy = bounds.box.dy;
-  summary.t = bounds.interval.t;
-  summary.dt = bounds.interval.dt;
-  summary.group_size = fingerprint.group_size();
-  summary.sample_count = static_cast<std::uint32_t>(fingerprint.size());
+  const FingerprintSummary summary = summary_of(fingerprint, bounds);
 
   if (block_count_ == 0) {
     pending_ = GlovebinBlock{};
@@ -449,7 +460,7 @@ void GlovebinReader::read_blocks(
       const std::string context =
           path_ + ": corrupt glovebin block " + std::to_string(bi);
       for (std::uint64_t i = 0; i < block.count; ++i) {
-        if (end - cursor < 8) throw std::invalid_argument{context};
+        if (end - cursor < 8) throw util::DatasetError{context};
         const std::uint32_t member_count = get_u32(cursor);
         const std::uint32_t sample_count = get_u32(cursor + 4);
         cursor += 8;
@@ -458,7 +469,7 @@ void GlovebinReader::read_blocks(
             std::uint64_t{sample_count} * kSampleBytes;
         if (member_count == 0 ||
             static_cast<std::uint64_t>(end - cursor) < need) {
-          throw std::invalid_argument{context};
+          throw util::DatasetError{context};
         }
         std::vector<UserId> members;
         members.reserve(member_count);
@@ -466,6 +477,7 @@ void GlovebinReader::read_blocks(
           members.push_back(get_u32(cursor));
           cursor += 4;
         }
+        check_members(members, context);
         std::vector<Sample> samples;
         samples.resize(sample_count);
         for (std::size_t j = 0; j < samples.size(); ++j) {
@@ -477,20 +489,31 @@ void GlovebinReader::read_blocks(
           s.tau.t = get_f64(cursor + 32);
           s.tau.dt = get_f64(cursor + 40);
           s.contributors = get_u32(cursor + 48);
-          if (s.contributors == 0) throw std::invalid_argument{context};
+          if (s.contributors == 0) throw util::DatasetError{context};
           check_sample(s, context);
           // from_time_sorted trusts the stored order, and the stretch
           // kernel's time-window pruning relies on it.
           if (j > 0 && by_time(s, samples[j - 1])) {
-            throw std::invalid_argument{context +
-                                        ": samples out of time order"};
+            throw util::DatasetError{context + ": samples out of time order"};
           }
           cursor += kSampleBytes;
         }
-        fn(block.first + i, Fingerprint::from_time_sorted(
-                                std::move(members), std::move(samples)));
+        Fingerprint fp = Fingerprint::from_time_sorted(std::move(members),
+                                                       std::move(samples));
+        // Pass 1 of a sharded run plans from the footer alone, so the
+        // stored summary must be fp's, bit for bit.
+        const std::uint64_t id = block.first + i;
+        const FingerprintSummary decoded =
+            summary_of(fp, core::fingerprint_bounds(fp));
+        if (std::memcmp(&decoded, &summaries_[static_cast<std::size_t>(id)],
+                        sizeof decoded) != 0) {
+          throw util::DatasetError{context + ": fingerprint " +
+                                   std::to_string(id) +
+                                   " does not match its footer summary"};
+        }
+        fn(id, std::move(fp));
       }
-      if (cursor != end) throw std::invalid_argument{context};
+      if (cursor != end) throw util::DatasetError{context};
     }
   } catch (...) {
 #ifdef GLOVE_GLOVEBIN_POSIX

@@ -138,8 +138,8 @@ class GlovebinWriter {
 /// payloads are mapped page-aligned per read_blocks() call and unmapped
 /// after decoding, so peak address space stays O(largest requested block
 /// range), never O(file).  Throws std::runtime_error with the path on
-/// open/validation failure, util::DatasetError when the stored name holds
-/// a line break, and std::invalid_argument on corrupt block payloads.
+/// open/validation failure, and util::DatasetError naming the path when
+/// the stored name holds a line break or a block payload is corrupt.
 /// Programs read glovebin datasets through api::GlovebinSource, which
 /// wraps it.
 class GlovebinReader {
@@ -177,6 +177,8 @@ class GlovebinReader {
   /// mmap per run.  Fingerprints are reconstructed with
   /// Fingerprint::from_time_sorted — byte-identical to what the CSV path
   /// fed through the Fingerprint constructor when the file was written.
+  /// A record is corrupt if it fails cdr::check_members, cdr::check_sample
+  /// or time order, or differs from its footer summary in any bit.
   void read_blocks(
       std::size_t first_block, std::size_t last_block,
       const std::function<void(std::uint64_t, Fingerprint&&)>& fn);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace glove::cdr {
 
@@ -56,6 +57,18 @@ void Fingerprint::sort_samples() {
 void Fingerprint::absorb_members(const Fingerprint& other) {
   members_.insert(members_.end(), other.members_.begin(),
                   other.members_.end());
+}
+
+void check_members(std::span<const UserId> members,
+                   const std::string& context) {
+  if (members.size() < 2) return;
+  std::vector<UserId> sorted{members.begin(), members.end()};
+  std::sort(sorted.begin(), sorted.end());
+  const auto duplicate = std::adjacent_find(sorted.begin(), sorted.end());
+  if (duplicate != sorted.end()) {
+    throw util::DatasetError{context + ": duplicate user id " +
+                             std::to_string(*duplicate) + " in members field"};
+  }
 }
 
 }  // namespace glove::cdr

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "glove/cdr/sample.hpp"
@@ -75,6 +76,11 @@ class Fingerprint {
   std::vector<UserId> members_;
   std::vector<Sample> samples_;
 };
+
+/// The decoders' member check: a repeated id would publish its user alone.
+/// Throws util::DatasetError prefixed by `context` (source and row/block).
+void check_members(std::span<const UserId> members,
+                   const std::string& context);
 
 }  // namespace glove::cdr
 

@@ -1,6 +1,5 @@
 #include "glove/cdr/io.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <filesystem>
 #include <fstream>
@@ -51,14 +50,7 @@ std::vector<UserId> parse_members(std::string_view field,
       start = i + 1;
     }
   }
-  std::vector<UserId> sorted = members;
-  std::sort(sorted.begin(), sorted.end());
-  const auto duplicate = std::adjacent_find(sorted.begin(), sorted.end());
-  if (duplicate != sorted.end()) {
-    throw std::invalid_argument{context + ": duplicate user id " +
-                                std::to_string(*duplicate) +
-                                " in members field"};
-  }
+  check_members(members, context);
   return members;
 }
 

@@ -12,9 +12,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "glove/util/hooks.hpp"
 
 namespace glove::cdr {
 
@@ -78,19 +79,19 @@ struct Sample {
   return a.tau.t < b.tau.t_end() && b.tau.t < a.tau.t_end();
 }
 
-/// Throws std::invalid_argument ("<context>: <what> must be finite") when
-/// a decoded value is NaN or infinite.
+/// Throws util::DatasetError ("<context>: <what> must be finite") when a
+/// decoded value is NaN or infinite.
 inline void require_finite(double value, std::string_view what,
                            const std::string& context) {
   if (!std::isfinite(value)) {
-    throw std::invalid_argument{context + ": " + std::string{what} +
-                                " must be finite"};
+    throw util::DatasetError{context + ": " + std::string{what} +
+                             " must be finite"};
   }
 }
 
 /// The dataset decoders' sample check: every field finite and dx, dy, dt
 /// non-negative, the geometry the stretch lower bound (and so every exact
-/// GLOVE decision) relies on.  Throws std::invalid_argument prefixed by
+/// GLOVE decision) relies on.  Throws util::DatasetError prefixed by
 /// `context`, which names the source and the offending row or block.
 inline void check_sample(const Sample& s, const std::string& context) {
   require_finite(s.sigma.x, "x", context);
@@ -100,8 +101,7 @@ inline void check_sample(const Sample& s, const std::string& context) {
   require_finite(s.tau.t, "t", context);
   require_finite(s.tau.dt, "dt", context);
   if (s.sigma.dx < 0.0 || s.sigma.dy < 0.0 || s.tau.dt < 0.0) {
-    throw std::invalid_argument{context +
-                                ": dx, dy and dt must be non-negative"};
+    throw util::DatasetError{context + ": dx, dy and dt must be non-negative"};
   }
 }
 

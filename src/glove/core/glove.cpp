@@ -7,6 +7,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -105,13 +106,10 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   if (config.k < 2) {
     throw std::invalid_argument{"GLOVE requires k >= 2"};
   }
-  if (data.size() < config.k) {
-    throw std::invalid_argument{
-        "dataset smaller than the target anonymity level k"};
-  }
+  util::check_dataset_size(data.size(), config.k);
   if (data.size() >= kMaxFingerprints) {
-    throw std::invalid_argument{
-        "GLOVE supports fewer than 2^30 fingerprints per run"};
+    throw util::DatasetError{"dataset holds " + std::to_string(data.size()) +
+                             " fingerprints; GLOVE takes fewer than 2^30"};
   }
 
   GloveResult result;

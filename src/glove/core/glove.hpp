@@ -88,10 +88,10 @@ struct GloveResult {
 };
 
 /// Runs GLOVE on `data` with observability hooks threaded into the hot
-/// loops.  Requires data.size() >= k >= 2 (a dataset smaller than the
-/// target crowd cannot be k-anonymized); throws std::invalid_argument
-/// otherwise.  Deterministic for a given input and configuration,
-/// independent of thread count.
+/// loops.  Requires k >= 2 (std::invalid_argument otherwise) and
+/// k <= data.size() < 2^30 (a dataset smaller than the target crowd
+/// cannot be k-anonymized; util::DatasetError otherwise).  Deterministic
+/// for a given input and configuration, independent of thread count.
 ///
 /// The candidate heap holds one key per open node, never one entry per
 /// pair, so its state is O(|M|): pair {x, y} belongs to the newer node,

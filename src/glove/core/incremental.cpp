@@ -4,7 +4,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,30 +17,34 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
                               const cdr::FingerprintDataset& new_users,
                               const GloveConfig& config,
                               const util::RunHooks& hooks) {
-  if (!is_k_anonymous(published, config.k)) {
-    throw std::invalid_argument{
-        "published dataset does not satisfy the configured k"};
-  }
-  for (const cdr::Fingerprint& fp : new_users.fingerprints()) {
-    if (fp.group_size() != 1) {
-      throw std::invalid_argument{"new users must be single-user records"};
-    }
-  }
   // Reject id collisions across the two inputs up front: a "newcomer"
   // already inside a published group would be double-counted, and the
   // released groups would overlap — exactly the cross-release linkage
   // the incremental update exists to prevent.
   std::vector<cdr::UserId> published_ids;
-  for (const cdr::Fingerprint& fp : published.fingerprints()) {
-    published_ids.insert(published_ids.end(), fp.members().begin(),
-                         fp.members().end());
+  for (std::size_t g = 0; g < published.size(); ++g) {
+    const std::span<const cdr::UserId> members = published[g].members();
+    if (members.size() < config.k) {
+      throw util::DatasetError{
+          "published release is not k-anonymous: group " + std::to_string(g) +
+          " hides " + std::to_string(members.size()) +
+          " users, fewer than the anonymity level " + std::to_string(config.k)};
+    }
+    published_ids.insert(published_ids.end(), members.begin(), members.end());
   }
   std::sort(published_ids.begin(), published_ids.end());
-  for (const cdr::Fingerprint& fp : new_users.fingerprints()) {
+  for (std::size_t i = 0; i < new_users.size(); ++i) {
+    const std::span<const cdr::UserId> members = new_users[i].members();
+    if (members.size() != 1) {
+      throw util::DatasetError{
+          "new users must be single-user fingerprints; fingerprint " +
+          std::to_string(i) + " is a group of " +
+          std::to_string(members.size())};
+    }
     if (std::binary_search(published_ids.begin(), published_ids.end(),
-                           fp.members().front())) {
-      throw std::invalid_argument{
-          "user id " + std::to_string(fp.members().front()) +
+                           members.front())) {
+      throw util::DatasetError{
+          "user id " + std::to_string(members.front()) +
           " appears in both the published release and the new users"};
     }
   }
@@ -139,12 +143,12 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
       groups.push_back(fp);
     }
   } else {
+    // With no published group to join, too few newcomers to form one.
+    if (groups.empty() && !peer_pool.empty()) {
+      util::check_dataset_size(peer_pool.size(), config.k);
+    }
     for (const cdr::Fingerprint& straggler : peer_pool) {
       hooks.throw_if_cancelled();
-      if (groups.empty()) {
-        throw std::invalid_argument{
-            "not enough users in total to reach the anonymity level"};
-      }
       // Not absorb_leftovers: the group comes first in the merge here,
       // which decides member order when sample counts tie.
       const std::size_t g =

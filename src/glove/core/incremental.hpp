@@ -39,9 +39,10 @@ struct UpdateResult {
 };
 
 /// Adds `new_users` (group size 1 each) to the already-k-anonymized
-/// `published` dataset.  Requires `published` to satisfy config.k and the
+/// `published` dataset.  Requires `published` to satisfy config.k, the
 /// newcomers to be single-user fingerprints whose ids do not appear in
-/// any published group; throws std::invalid_argument otherwise.
+/// any published group, and k newcomers when nothing is published;
+/// throws util::DatasetError naming the group, fingerprint or id otherwise.
 ///
 /// A newcomer joins its nearest existing group when that is cheaper than
 /// its nearest fellow newcomer (or when too few newcomers remain to form a

@@ -193,10 +193,12 @@ std::vector<NodeBounds> node_bounds_of(
 
 std::uint64_t locality_sort_key(const FingerprintBounds& bounds) noexcept {
   // 1 km quantization of the bounding-box centre, offset to keep values
-  // positive, then Morton-interleaved.
+  // positive and clamped to uint32 (NaN to 0), then Morton-interleaved.
   const auto quantize = [](double v) {
+    constexpr auto kTop =
+        static_cast<double>(std::numeric_limits<std::uint32_t>::max());
     const double q = v / 1'000.0 + 1'000'000.0;
-    return static_cast<std::uint32_t>(std::max(0.0, q));
+    return static_cast<std::uint32_t>(std::min(std::max(0.0, q), kTop));
   };
   const std::uint32_t qx = quantize(bounds.box.x + bounds.box.dx / 2);
   const std::uint32_t qy = quantize(bounds.box.y + bounds.box.dy / 2);
@@ -248,7 +250,9 @@ std::uint32_t axis_cells(double along, double across, std::size_t cells) {
   if (!(along > 0.0)) return 1;
   if (!(across > 0.0)) return static_cast<std::uint32_t>(most);
   const double split = std::round(std::sqrt(most * along / across));
-  return static_cast<std::uint32_t>(std::clamp(split, 1.0, most));
+  // NaN (an infinite extent over an infinite one) takes one cell too.
+  if (!(split > 1.0)) return 1;
+  return static_cast<std::uint32_t>(std::min(split, most));
 }
 
 /// The cell index of `v` along an axis of `cells` cells of `width` from
@@ -607,10 +611,7 @@ std::vector<std::vector<std::uint32_t>> locality_chunks(
 GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
                               const ChunkedConfig& config,
                               const util::RunHooks& hooks) {
-  if (data.size() < config.glove.k) {
-    throw std::invalid_argument{
-        "dataset smaller than the target anonymity level k"};
-  }
+  util::check_dataset_size(data.size(), config.glove.k);
 
   // Locality chunks (locality_chunks checks chunk_size >= k): Morton
   // order of the bounding-box centres, so chunks hold co-located users.

@@ -316,7 +316,8 @@ class CandidateGrid {
 void add_search_counters(const SearchTally& tally);
 
 /// The locality-sort key: the Morton interleave of the bounding-box centre
-/// quantized to 1 km.  Also stored in the glovebin block index.
+/// quantized to 1 km, each axis offset by 10^6 km and clamped to
+/// [0, 2^32 - 1] cells.  Also stored in the glovebin block index.
 [[nodiscard]] std::uint64_t locality_sort_key(
     const FingerprintBounds& bounds) noexcept;
 
@@ -340,7 +341,8 @@ struct ChunkedConfig {
 
 /// Runs GLOVE independently on locality-sorted chunks and concatenates the
 /// results.  Every output group still hides >= k users (chunk sizes are
-/// adjusted so no chunk is smaller than k).  Stats are aggregated.
+/// adjusted so no chunk is smaller than k).  A dataset smaller than k
+/// throws util::DatasetError.  Stats are aggregated.
 /// Progress units are input fingerprints; cancellation is polled between
 /// chunks and inside each chunk's greedy loop.
 [[nodiscard]] GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,

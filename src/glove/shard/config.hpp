@@ -23,9 +23,10 @@ enum class BorderPolicy {
   /// they can merge with partners from any shard.  Default: preserves the
   /// cross-tile pairs the tiling would otherwise cut.
   kHalo,
-  /// Anonymize every fingerprint inside its home shard.  Fastest; border
-  /// users may pay extra stretch because cross-shard pairs are never
-  /// considered.
+  /// Anonymize every fingerprint inside its home shard.  Not faster than
+  /// kHalo: on 8k- and 20k-user inputs it used 20-37% more cpu (ROADMAP
+  /// findings).  Border users may pay extra stretch because cross-shard
+  /// pairs are never considered.
   kNone,
 };
 

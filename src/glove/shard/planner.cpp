@@ -1,9 +1,9 @@
 #include "glove/shard/planner.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "glove/core/scalability.hpp"
+#include "glove/util/hooks.hpp"
 
 namespace glove::shard {
 
@@ -14,17 +14,19 @@ namespace {
 /// than enumerating cells.
 constexpr std::size_t kMaxOverlappedCells = 4096;
 
-/// True when `bounds`, inflated by `halo_m`, touches a tile owned by a
-/// shard other than `home_shard` — the deferral test of
+/// True when the bounds of fingerprint `id`, inflated by `halo_m`, touch
+/// a tile owned by a shard other than `home_shard` — the deferral test of
 /// BorderPolicy::kHalo.
 bool crosses_shard_border(const core::FingerprintBounds& bounds,
-                          std::size_t home_shard, const ShardPlan& plan,
-                          double tile_size_m, double halo_m) {
+                          std::uint32_t id, std::size_t home_shard,
+                          const ShardPlan& plan, double tile_size_m,
+                          double halo_m) {
   const geo::Grid grid{tile_size_m};
-  const geo::GridCell lo = grid.cell_of(geo::PlanarPoint{
-      bounds.box.x - halo_m, bounds.box.y - halo_m});
-  const geo::GridCell hi = grid.cell_of(geo::PlanarPoint{
-      bounds.box.x_end() + halo_m, bounds.box.y_end() + halo_m});
+  const geo::PlanarPoint low{bounds.box.x - halo_m, bounds.box.y - halo_m};
+  const geo::PlanarPoint high{bounds.box.x_end() + halo_m,
+                              bounds.box.y_end() + halo_m};
+  const geo::GridCell lo = tile_of(grid, low, id);
+  const geo::GridCell hi = tile_of(grid, high, id);
   const auto span_x = static_cast<std::size_t>(hi.ix - lo.ix) + 1;
   const auto span_y = static_cast<std::size_t>(hi.iy - lo.iy) + 1;
   if (span_x * span_y > kMaxOverlappedCells) return true;
@@ -46,10 +48,7 @@ ShardPlan ShardPlanner::plan(const Tiling& tiling) const {
   const std::size_t k = config_.glove.k;
   std::size_t total = 0;
   for (const Tile& tile : tiling.tiles) total += tile.members.size();
-  if (total < k) {
-    throw std::invalid_argument{
-        "dataset smaller than the target anonymity level k"};
-  }
+  util::check_dataset_size(total, k);
 
   ShardPlan plan;
   plan.tiles = tiling.tiles.size();
@@ -111,7 +110,7 @@ BorderSplit split_borders(const Tiling& tiling, const ShardPlan& plan,
     std::vector<std::uint32_t>& deferred = split.deferred[s];
     kept.reserve(shard.members.size());
     for (const std::uint32_t id : shard.members) {
-      if (halo && crosses_shard_border(tiling.bounds[id], s, plan,
+      if (halo && crosses_shard_border(tiling.bounds[id], id, s, plan,
                                        tiling.tile_size_m, config.halo_m)) {
         deferred.push_back(id);
       } else {

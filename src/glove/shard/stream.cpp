@@ -171,10 +171,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   const std::size_t n = scan.bounds.size();
   result.pass_fingerprints.push_back(n);
   if (n == 0) throw util::DatasetError{"input dataset is empty"};
-  if (n < config.glove.k) {
-    throw util::DatasetError{
-        "dataset smaller than the target anonymity level k"};
-  }
+  util::check_dataset_size(n, config.glove.k);
   result.stats.glove.input_users = scan.users;
   result.stats.glove.input_samples = scan.samples;
 

@@ -3,12 +3,12 @@
 //
 //   tile -> plan -> run shard jobs -> reconcile borders
 //
-// The quadratic costs of GLOVE (the |M|^2/2 box bounds that seed its node
-// heap, the O(|M|) scan of each rescan and the greedy merge loop, paper
-// Sec. 6.3) are confined to spatial shards of bounded size, so
-// populations far beyond what one GLOVE run can afford become
-// tractable.  The output is k-anonymous as a whole and byte-stable across
-// worker counts and budgets.
+// The costs of GLOVE that grow with the population of one run (the
+// greedy merge loop over its open nodes, paper Sec. 6.3, and the
+// candidate grid each of its rescans searches) are confined to spatial
+// shards of bounded size, so populations far beyond what one GLOVE run
+// can afford become tractable.  The output is k-anonymous as a whole and
+// byte-stable across worker counts and budgets.
 //
 //   pass 1  — scan the source once, keeping only per-fingerprint bounding
 //             geometry (+ group size): enough to tile, plan shards, split
@@ -83,8 +83,9 @@ struct StreamShardedResult {
 /// to `emit` as they are finalized.  Requires glove.k >= 2, tile_size_m
 /// >= 0 (0 = adaptive from observed anchor density), halo_m >= 0 and
 /// max_shard_users >= glove.k (std::invalid_argument otherwise); a source
-/// holding fewer than k fingerprints, or one whose fingerprint count
-/// changes between passes, raises util::DatasetError.  Deterministic for
+/// holding fewer than k fingerprints, one whose fingerprint count changes
+/// between passes, or a fingerprint off the tile grid (tile_of) raises
+/// util::DatasetError.  Deterministic for
 /// a given source content and configuration, independent of `workers`
 /// and batch boundaries.  Progress units are input fingerprints — kept
 /// ones as their shard completes, deferred ones as reconciliation

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+
+#include "glove/util/hooks.hpp"
 
 namespace glove::shard {
 
@@ -15,6 +18,16 @@ std::uint64_t morton_code(geo::GridCell cell) noexcept {
     return static_cast<std::uint32_t>(v) ^ 0x8000'0000U;
   };
   return geo::morton_interleave(bias(cell.ix), bias(cell.iy));
+}
+
+geo::GridCell tile_of(const geo::Grid& grid, geo::PlanarPoint point,
+                      std::uint64_t id) {
+  try {
+    return grid.cell_of(point);
+  } catch (const std::out_of_range& e) {
+    throw util::DatasetError{"fingerprint " + std::to_string(id) +
+                             " lies off the tile grid: " + e.what()};
+  }
 }
 
 double choose_tile_size(std::span<const core::FingerprintBounds> bounds,
@@ -68,8 +81,8 @@ double choose_tile_size(std::span<const core::FingerprintBounds> bounds,
     const geo::Grid grid{tile};
     std::unordered_map<geo::GridCell, std::size_t> occupancy;
     std::size_t densest = 0;
-    for (const geo::PlanarPoint& anchor : anchors) {
-      densest = std::max(densest, ++occupancy[grid.cell_of(anchor)]);
+    for (std::size_t i = 0; i < anchors.size(); ++i) {
+      densest = std::max(densest, ++occupancy[tile_of(grid, anchors[i], i)]);
     }
     if (densest <= budget) break;
     tile = std::max(tile / 2.0, kMinM);
@@ -96,7 +109,7 @@ Tiling build_tiling_from_bounds(std::vector<core::FingerprintBounds> bounds,
     const core::FingerprintBounds& b = tiling.bounds[i];
     const geo::PlanarPoint anchor{b.box.x + b.box.dx / 2.0,
                                   b.box.y + b.box.dy / 2.0};
-    const geo::GridCell cell = grid.cell_of(anchor);
+    const geo::GridCell cell = tile_of(grid, anchor, i);
     const auto [it, inserted] = tile_of_cell.try_emplace(cell,
                                                          tiling.tiles.size());
     if (inserted) tiling.tiles.push_back(Tile{cell, {}});

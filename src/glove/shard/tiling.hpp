@@ -40,6 +40,11 @@ struct Tiling {
 /// bias-mapped so the interleave stays monotone per axis).
 [[nodiscard]] std::uint64_t morton_code(geo::GridCell cell) noexcept;
 
+/// The tile of `grid` holding `point`, a point of fingerprint `id`; a point
+/// off the int32 grid of cells throws util::DatasetError naming `id`.
+[[nodiscard]] geo::GridCell tile_of(const geo::Grid& grid,
+                                    geo::PlanarPoint point, std::uint64_t id);
+
 /// Adaptive tile edge from the observed anchor density: targets a
 /// fingerprints-per-tile band derived from `max_shard_users` (several
 /// tiles per shard, so the planner keeps packing granularity), assuming
@@ -55,7 +60,8 @@ struct Tiling {
 /// streaming path's first pass), taking ownership of them.  tile_size_m
 /// == 0 selects `choose_tile_size`; the size actually used is recorded in
 /// Tiling::tile_size_m.  Deterministic single-threaded bookkeeping;
-/// requires tile_size_m >= 0 (std::invalid_argument otherwise).
+/// requires tile_size_m >= 0 (std::invalid_argument otherwise) and every
+/// anchor on the grid (util::DatasetError otherwise, see tile_of).
 [[nodiscard]] Tiling build_tiling_from_bounds(
     std::vector<core::FingerprintBounds> bounds, double tile_size_m,
     std::size_t max_shard_users);

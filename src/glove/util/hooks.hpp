@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 namespace glove::util {
 
@@ -42,17 +43,23 @@ class CancelledError : public std::runtime_error {
   CancelledError() : std::runtime_error{"operation cancelled"} {}
 };
 
-/// Thrown by streaming pipelines when the *data* (not the configuration)
-/// turns out to be unusable mid-stream — empty, smaller than the anonymity
-/// level, or changed size between passes.  Collect-first paths learn this
-/// from upfront validation; a streaming pass only learns it while
-/// consuming, so it surfaces as this exception and the glove::api::Engine
-/// maps it to ErrorCode::kInvalidDataset (plain std::invalid_argument
-/// stays kInvalidConfig).
+/// Thrown by the code that consumes a dataset when the *data* (not the
+/// configuration) is unusable: a malformed record, too few fingerprints.
+/// The glove::api::Engine maps it to ErrorCode::kInvalidDataset (plain
+/// std::invalid_argument stays kInvalidConfig).
 class DatasetError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
 };
+
+/// Throws DatasetError when a dataset of `fingerprints` is smaller than k.
+inline void check_dataset_size(std::uint64_t fingerprints, std::uint64_t k) {
+  if (fingerprints < k) {
+    throw DatasetError{"dataset holds " + std::to_string(fingerprints) +
+                       " fingerprints, fewer than the target anonymity level " +
+                       std::to_string(k)};
+  }
+}
 
 /// Progress notification: `done` out of `total` abstract work units.  Both
 /// are loop-specific (pair evaluations, users closed, chunks finished);

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,8 +20,10 @@
 #include "common/fixtures.hpp"
 #include "common/temp_dir.hpp"
 #include "glove/api/cli.hpp"
+#include "glove/cdr/binio.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/core/glove.hpp"
+#include "glove/synth/generator.hpp"
 #include "glove/util/flags.hpp"
 
 namespace glove::api {
@@ -41,13 +45,136 @@ TEST(Engine, RejectsEmptyDataset) {
   EXPECT_EQ(result.error().code, ErrorCode::kInvalidDataset);
 }
 
-TEST(Engine, RejectsDatasetSmallerThanK) {
+/// Expects `result` to fail as kInvalidDataset with `what` in its message.
+void expect_invalid_dataset(const Result<RunReport>& result,
+                            const std::string& what,
+                            const std::string& where) {
+  ASSERT_FALSE(result.ok()) << where;
+  EXPECT_EQ(result.error().code, ErrorCode::kInvalidDataset)
+      << where << ": " << result.error().message;
+  EXPECT_NE(result.error().message.find(what), std::string::npos)
+      << where << ": " << result.error().message;
+}
+
+/// Runs `config` over the dataset file at `path`, CSV or glovebin.
+Result<RunReport> run_file(const Engine& engine, const std::string& path,
+                           const RunConfig& config) {
+  const std::unique_ptr<DatasetSource> source = open_dataset_source(path);
+  MemorySink sink;
+  return engine.run(*source, sink, config);
+}
+
+/// Rewrites the footer summary of fingerprint 0 in the glovebin file at
+/// `path` to claim a group of `size`: the summary's u32 at byte 48, where
+/// the summaries start at the trailer's third u64.
+void patch_first_group_size(const std::string& path, char size) {
+  std::ifstream in{path, std::ios::binary};
+  std::string bytes{std::istreambuf_iterator<char>{in},
+                    std::istreambuf_iterator<char>{}};
+  in.close();
+  std::size_t summaries_at = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const auto byte = static_cast<unsigned char>(bytes[bytes.size() - 32 + i]);
+    summaries_at |= std::size_t{byte} << (8 * i);
+  }
+  ASSERT_EQ(bytes[summaries_at + 48], '\x01');
+  bytes[summaries_at + 48] = size;
+  std::ofstream{path, std::ios::binary | std::ios::trunc} << bytes;
+}
+
+TEST(Engine, EveryDatasetFaultIsInvalidDatasetFromEveryStrategy) {
+  // A dataset fault is refused once, by the code that consumes the data,
+  // as util::DatasetError: the same code from every strategy and run
+  // shape, with the counts or ids at fault in the message.
   const Engine engine;
-  RunConfig config;
-  config.k = 100;  // paired_dataset has 7 users
-  const auto result = engine.run(test::paired_dataset(), config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, ErrorCode::kInvalidDataset);
+  const test::TempDir dir;
+
+  // Smaller than k: paired_dataset holds 7 fingerprints.
+  const std::string too_small =
+      "dataset holds 7 fingerprints, fewer than the target anonymity level 8";
+  for (const std::string& strategy : engine.strategies()) {
+    RunConfig config;
+    config.strategy = strategy;
+    config.k = 8;
+    expect_invalid_dataset(engine.run(test::paired_dataset(), config),
+                           too_small, strategy);
+  }
+
+  // Incremental: a release that is not k-anonymous, grouped newcomers,
+  // and a newcomer whose id is already published.
+  const cdr::FingerprintDataset raw =
+      synth::generate_dataset(synth::civ_like(40, 7));
+  const auto first = engine.run(raw, RunConfig{});
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  const cdr::FingerprintDataset& release = first.value().anonymized;
+  RunConfig incremental;
+  incremental.strategy = kStrategyIncremental;
+  incremental.incremental.published = &raw;  // singles: not 2-anonymous
+  const cdr::FingerprintDataset newcomers =
+      test::random_dataset(4, 9, 6, 10'000);
+  expect_invalid_dataset(engine.run(newcomers, incremental),
+                         "published release is not k-anonymous: group 0 "
+                         "hides 1 users, fewer than the anonymity level 2",
+                         "incremental over a raw release");
+  incremental.incremental.published = &release;
+  const std::string group_size = std::to_string(release[0].group_size());
+  expect_invalid_dataset(engine.run(release, incremental),
+                         "fingerprint 0 is a group of " + group_size,
+                         "incremental with grouped newcomers");
+  const cdr::UserId taken = raw[0].members().front();
+  const cdr::FingerprintDataset returning{
+      {cdr::Fingerprint{taken, {test::cell(0, 0, 0)}}}};
+  expect_invalid_dataset(engine.run(returning, incremental),
+                         "user id " + std::to_string(taken) +
+                             " appears in both the published release and "
+                             "the new users",
+                         "incremental with a published newcomer");
+
+  // A repeated member id: {5, 5} beside users 1 and 2 would publish user
+  // 5 alone.  Both formats refuse it with one check.
+  std::vector<cdr::Fingerprint> rows;
+  rows.emplace_back(1u, std::vector<cdr::Sample>{test::cell(0, 0, 0)});
+  rows.emplace_back(2u, std::vector<cdr::Sample>{test::cell(5'000, 0, 300)});
+  rows.emplace_back(std::vector<cdr::UserId>{5u, 5u},
+                    std::vector<cdr::Sample>{test::cell(9'000, 0, 600)});
+  const cdr::FingerprintDataset repeated{rows, "repeated"};
+  const std::string repeated_csv = dir.file("repeated.csv");
+  const std::string repeated_bin = dir.file("repeated.glovebin");
+  cdr::write_dataset_file(repeated_csv, repeated);
+  cdr::write_dataset_glovebin_file(repeated_bin, repeated);
+  for (const std::string& strategy : engine.strategies()) {
+    RunConfig config;
+    config.strategy = strategy;
+    for (const std::string& path : {repeated_csv, repeated_bin}) {
+      expect_invalid_dataset(run_file(engine, path, config),
+                             "duplicate user id 5", strategy + " " + path);
+    }
+  }
+
+  // A glovebin footer that claims a group of 5 for user 0: the sharded run
+  // plans from the footer alone, and with every fingerprint deferred it
+  // would pass that "group" through reconcile unmerged.
+  const std::string lie = dir.file("lie.glovebin");
+  cdr::write_dataset_glovebin_file(lie, test::small_synth_dataset(60, 1.0, 5));
+  RunConfig deferring;
+  deferring.strategy = kStrategySharded;
+  deferring.sharded.tile_size_m = 1'000.0;
+  deferring.sharded.halo_m = 100'000.0;
+  deferring.sharded.max_shard_users = 4;
+  ASSERT_TRUE(run_file(engine, lie, deferring).ok());
+  patch_first_group_size(lie, '\x05');
+  expect_invalid_dataset(run_file(engine, lie, deferring),
+                         "fingerprint 0 does not match its footer summary",
+                         "sharded over a lying footer");
+
+  // A finite coordinate off the sharded run's tile grid.
+  rows[0] = cdr::Fingerprint{1u, {test::cell(1e300, 0, 0)}};
+  rows[2] = cdr::Fingerprint{3u, {test::cell(9'000, 0, 600)}};
+  RunConfig sharded;
+  sharded.strategy = kStrategySharded;
+  expect_invalid_dataset(engine.run(cdr::FingerprintDataset{rows}, sharded),
+                         "fingerprint 0 lies off the tile grid",
+                         "sharded over a 1e300 m coordinate");
 }
 
 TEST(Engine, RejectsUnknownStrategyListingRegisteredNames) {
@@ -170,30 +297,6 @@ TEST(Engine, RunReportCarriesCountersAndConfigEcho) {
   EXPECT_TRUE(report.config.suppression_enabled);
   EXPECT_DOUBLE_EQ(report.config.max_spatial_extent_m, 15'000.0);
   EXPECT_GE(report.timings.total_seconds, 0.0);
-}
-
-TEST(Engine, IncrementalRejectsDatasetShapedFailuresAsInvalidDataset) {
-  const Engine engine;
-  const cdr::FingerprintDataset raw = test::small_synth_dataset(20);
-
-  // A "published" release that is not k-anonymous is a dataset problem,
-  // not a config problem.
-  RunConfig config;
-  config.strategy = kStrategyIncremental;
-  config.incremental.published = &raw;  // raw singles: not 2-anonymous
-  const cdr::FingerprintDataset newcomers = test::random_dataset(4, 9);
-  const auto bad_published = engine.run(newcomers, config);
-  ASSERT_FALSE(bad_published.ok());
-  EXPECT_EQ(bad_published.error().code, ErrorCode::kInvalidDataset);
-
-  // Newcomers must be single-user records; a grouped input is rejected.
-  RunConfig fresh;
-  fresh.strategy = kStrategyIncremental;
-  const auto first = engine.run(raw, fresh);  // no published: greedy pass
-  ASSERT_TRUE(first.ok()) << first.error().message;
-  const auto grouped_newcomers = engine.run(first.value().anonymized, fresh);
-  ASSERT_FALSE(grouped_newcomers.ok());
-  EXPECT_EQ(grouped_newcomers.error().code, ErrorCode::kInvalidDataset);
 }
 
 TEST(Engine, IncrementalStrategyUpdatesPublishedRelease) {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fixtures.hpp"
@@ -344,6 +346,68 @@ TEST(Glovebin, ReaderRejectsSamplesOutOfTimeOrder) {
                    bytes.begin() + kFirstSampleAt + kSampleBytes);
   write_file(path, bytes);
   expect_block_rejected(path, "out of time order");
+}
+
+TEST(Glovebin, ReaderRejectsRepeatedMemberIds) {
+  // The writer stores a {5, 5} group as given; the reader refuses it with
+  // the CSV decoder's member check, as it would publish user 5 alone.
+  test::TempDir dir;
+  const std::string path = dir.file("repeated.glovebin");
+  const Fingerprint repeated{{5u, 5u}, {test::cell(0, 0, 0)}};
+  write_dataset_glovebin_file(path, FingerprintDataset{{repeated}, "twice"});
+  expect_block_rejected(path, "duplicate user id 5");
+}
+
+/// Overwrites `width` bytes at `at` with `value`, little-endian.
+void patch_le(std::string& bytes, std::size_t at, std::uint64_t value,
+              std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<char>((value >> (8 * i)) & 0xffu);
+  }
+}
+
+TEST(Glovebin, ReaderRejectsFingerprintsThatContradictTheirSummary) {
+  // A sharded run plans from the footer summaries alone, so every decoded
+  // fingerprint must equal its summary bit for bit: a patched bounds
+  // field (one ulp off), group size or sample count is refused once its
+  // block is decoded, while the footer still opens.
+  test::TempDir dir;
+  const std::string path = two_sample_glovebin(dir);
+  const std::string valid = read_file(path);
+  // The trailer's third u64 is the summaries' offset; a summary is six
+  // doubles (x, dx, y, dy, t, dt), then group size and sample count.
+  std::size_t summaries_at = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const auto byte = static_cast<unsigned char>(valid[valid.size() - 32 + i]);
+    summaries_at |= std::size_t{byte} << (8 * i);
+  }
+  FingerprintSummary s;
+  {
+    const GlovebinReader intact{path};
+    s = intact.summaries()[0];
+  }
+  ASSERT_EQ(s.group_size, 1u);
+  ASSERT_EQ(s.sample_count, 2u);
+  const double fields[] = {s.x, s.dx, s.y, s.dy, s.t, s.dt};
+  for (std::size_t field = 0; field < 6; ++field) {
+    std::string bytes = valid;
+    patch_le(bytes, summaries_at + 8 * field,
+             std::bit_cast<std::uint64_t>(std::nextafter(
+                 fields[field], std::numeric_limits<double>::infinity())),
+             8);
+    write_file(path, bytes);
+    expect_block_rejected(path, "fingerprint 0 does not match its footer");
+  }
+  for (const auto& [at, value] :
+       {std::pair<std::size_t, std::uint32_t>{48, 5},
+        std::pair<std::size_t, std::uint32_t>{52, 3}}) {
+    std::string bytes = valid;
+    patch_le(bytes, summaries_at + at, value, 4);
+    write_file(path, bytes);
+    GlovebinReader reader{path};  // the footer alone is consistent
+    EXPECT_EQ(reader.summaries()[0].group_size, at == 48 ? 5u : 1u);
+    expect_block_rejected(path, "fingerprint 0 does not match its footer");
+  }
 }
 
 TEST(Glovebin, FromTimeSortedPreservesSampleOrderAndRejectsEmptyGroups) {

@@ -17,6 +17,7 @@
 
 #include "common/eager_nearest.hpp"
 #include "common/fixtures.hpp"
+#include "glove/geo/geo.hpp"
 #include "glove/synth/generator.hpp"
 #include "glove/util/rng.hpp"
 
@@ -653,6 +654,36 @@ TEST(CandidateGrid, RejectsBadIds) {
   EXPECT_EQ(grid.size(), 0u);
 }
 
+TEST(CandidateGrid, CentresAtTheEdgesOfTheDoubleRangeStillSearchExactly) {
+  // Centres at (+-1.5e308, +-1.5e308): the centres' extent overflows to
+  // infinity on both axes, so the grid shape divides infinity by infinity.
+  // No out-of-range cast may come of it (the sanitizer build checks
+  // float-cast-overflow), and every search still finds what the eager
+  // cascade finds.
+  std::vector<cdr::Fingerprint> candidates;
+  for (const double x : {1.5e308, -1.5e308}) {
+    for (const double y : {1.5e308, -1.5e308}) {
+      candidates.emplace_back(static_cast<cdr::UserId>(candidates.size()),
+                              std::vector<cdr::Sample>{cell(x, y, 0)});
+    }
+  }
+  const std::vector<NodeBounds> bounds = node_bounds_of(candidates);
+  const CandidateGrid grid{bounds};
+  ASSERT_EQ(grid.size(), candidates.size());
+  const std::vector<std::uint32_t> ids = every_id(candidates.size());
+  for (std::uint32_t i = 0; i < candidates.size(); ++i) {
+    SearchTally tally;
+    SearchTally eager;
+    const std::vector<Neighbor> found = nearest(
+        candidates[i], bounds[i], candidates, bounds, grid, {}, 3, i, &tally);
+    const std::vector<Neighbor> expected = test::eager_nearest(
+        candidates[i], bounds[i], candidates, bounds, ids, {}, 3, i, &eager);
+    expect_same_neighbors(found, expected, static_cast<int>(i));
+    expect_same_cascade(tally, eager, static_cast<int>(i));
+    EXPECT_EQ(found.size(), 3u);
+  }
+}
+
 TEST(CandidateGrid, SearchDoesTheEagerCascadesWorkAsTheGridChanges) {
   // Grids over a random part of the candidates, then changed the ways
   // their users change them: members inserted after the build, some far
@@ -924,6 +955,36 @@ TEST(CandidateGrid, GreedySeededAndNewNodeKeysEqualTheEagerLeastBoxBound) {
   EXPECT_GT(keyed, 500u);
   EXPECT_GT(tally.cell_bounds, 0u);
   EXPECT_LT(tally.box_bounds, pairs / 4);
+}
+
+TEST(LocalitySortKey, ClampsEachAxisToTheKeyRange) {
+  // Each axis is the box centre in km plus 10^6, truncated.  A finite
+  // centre can lie past the uint32 range (1e300 m, or the 5e21 m centre of
+  // the glovebin suite's dy = 1e22 box); its axis clamps to the edge cell
+  // instead of reaching an out-of-range cast, and in-range keys keep
+  // their values.
+  const auto key = [](double x, double dx, double y, double dy) {
+    FingerprintBounds bounds;
+    bounds.box = cdr::SpatialExtent{x, dx, y, dy};
+    bounds.interval = cdr::TemporalExtent{0.0, 1.0};
+    return locality_sort_key(bounds);
+  };
+  constexpr std::uint32_t kOrigin = 1'000'000;
+  constexpr std::uint32_t kTop = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(key(-50.0, 100.0, -50.0, 100.0),
+            geo::morton_interleave(kOrigin, kOrigin));
+  EXPECT_EQ(key(2'400.0, 200.0, -1'600.0, 200.0),
+            geo::morton_interleave(kOrigin + 2, kOrigin - 2));
+  EXPECT_EQ(key(1e300, 100.0, -50.0, 100.0),
+            geo::morton_interleave(kTop, kOrigin));
+  EXPECT_EQ(key(-1e300, 100.0, -50.0, 100.0),
+            geo::morton_interleave(0, kOrigin));
+  EXPECT_EQ(key(-50.0, 100.0, 0.3, 1e22),
+            geo::morton_interleave(kOrigin, kTop));
+  // A width that overflows to infinity puts the centre there.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(key(-1.5e308, inf, -50.0, 100.0),
+            geo::morton_interleave(kTop, kOrigin));
 }
 
 TEST(LocalityChunks, SortsByKeyThenPositionAndNeverLeavesASubKTail) {

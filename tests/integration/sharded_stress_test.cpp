@@ -111,13 +111,13 @@ TEST(ShardedStress, ShardedBeatsFullWallClockByThreeX) {
   // cores: `full` rescans its heap keys in parallel batches, and the shard
   // and reconcile jobs of an in-memory run share one batch on the
   // workers.  Neither holds per-pair state, and with the slot bound
-  // tiling cuts little of the exact work at small populations.  The
-  // margin comes from what tiling still cuts, the quadratic box-bound
-  // scans: `full` bounds every pair of the population to seed its keys
-  // (ShardedSeedsFarFewerCandidatesThanFull), and each of its rescans
-  // bounds the owner against every older open node, where a shard job
-  // scans only its shard.  The shard jobs also keep the cores busier than
-  // `full`'s batches do; the margin needs about four free cores.
+  // tiling cuts little of the exact work at small populations.  Nor does
+  // `full` bound every pair: its keys and rescans search one candidate
+  // grid and bound only the boxes of the cells they open.  What is left
+  // of the margin is shard parallelism, and the smaller rescans of shards,
+  // whose greedy loops and grids hold only their own members.  The shard
+  // jobs keep the cores busier than `full`'s rescan batches do; the margin
+  // needs about four free cores.
   EXPECT_LE(sharded_seconds * 3.0, full_seconds)
       << "sharded " << sharded_seconds << "s vs full " << full_seconds
       << "s on " << data.size() << " fingerprints";
@@ -128,10 +128,14 @@ TEST(ShardedStress, ShardedBeatsFullWallClockByThreeX) {
 }
 
 TEST(ShardedStress, ShardedSeedsFarFewerCandidatesThanFull) {
-  // The deterministic half of the 3x wall-clock claim: `full` seeds its
-  // heap with a box bound per pair of the whole population, `sharded` one
-  // per pair within each shard or reconcile chunk.  Measured on this
-  // population: 10.4x fewer at 800 users, 11.3x at 3000.
+  // core.heap.seeded counts the pairs the seeded keys of a GLOVE run
+  // cover, n(n-1)/2 for n fingerprints: every pair of the population for
+  // `full`, the pairs within each shard or reconcile chunk for `sharded`,
+  // the only pairs its greedy loops can merge.  It counts pairs, not box
+  // bounds: a seeded key is one candidate-grid query that bounds only the
+  // boxes of the cells it opens, so this gap is not where the wall-clock
+  // margin of ShardedBeatsFullWallClockByThreeX comes from.  Measured on
+  // this population: 10.4x fewer at 800 users, 11.3x at 3000.
   if (!stress_enabled()) {
     GTEST_SKIP() << "set GLOVE_STRESS=1 to run the stress pass";
   }

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/fixtures.hpp"
+#include "glove/util/hooks.hpp"
 
 namespace glove::shard {
 namespace {
@@ -95,6 +98,26 @@ TEST(Tiling, RejectsNegativeTileSizeAndResolvesZeroAdaptively) {
   std::size_t members = 0;
   for (const Tile& tile : adaptive.tiles) members += tile.members.size();
   EXPECT_EQ(members, data.size());
+}
+
+TEST(Tiling, RefusesAnAnchorOffTheGridAsADatasetError) {
+  // 1e300 m is finite, but no int32 tile index reaches it: a dataset
+  // fault naming the fingerprint, at a fixed and at an adaptive tile size.
+  std::vector<cdr::Fingerprint> fps;
+  fps.emplace_back(0u, std::vector<cdr::Sample>{test::cell(0.0, 0.0, 0.0)});
+  fps.emplace_back(1u, std::vector<cdr::Sample>{test::cell(1e300, 0.0, 0.0)});
+  const cdr::FingerprintDataset data{std::move(fps), "off-grid"};
+  for (const double tile_m : {1'000.0, 0.0}) {
+    try {
+      (void)build_tiling(data, tile_m);
+      ADD_FAILURE() << "expected util::DatasetError at tile " << tile_m;
+    } catch (const util::DatasetError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("fingerprint 1 lies off the tile grid"),
+                std::string::npos)
+          << message;
+    }
+  }
 }
 
 TEST(Tiling, AdaptiveTileSizeIsDeterministicAndTracksDensity) {
