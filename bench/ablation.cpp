@@ -89,14 +89,15 @@ int main() {
   const cdr::FingerprintDataset permuted{std::move(shuffled), "civ-shuffled"};
   add_row(table, "input order shuffled", run(engine, permuted, base));
 
-  // Chunked (W4M-LC-style scaling): smaller chunks trade accuracy for a
-  // quadratic-cost reduction.
-  for (const std::size_t chunk : {90u, 45u}) {
-    api::RunConfig chunked = base;
-    chunked.strategy = api::kStrategyChunked;
-    chunked.chunked.chunk_size = chunk;
-    add_row(table, "chunked (" + std::to_string(chunk) + "/chunk)",
-            run(engine, civ, chunked));
+  // Sharded (the scaling path): smaller shards trade accuracy for a
+  // quadratic-cost reduction.  Adaptive tiles, as the CLI's default.
+  for (const std::size_t users : {90u, 45u}) {
+    api::RunConfig sharded = base;
+    sharded.strategy = api::kStrategySharded;
+    sharded.sharded.tile_size_m = 0.0;
+    sharded.sharded.max_shard_users = users;
+    add_row(table, "sharded (" + std::to_string(users) + "/shard)",
+            run(engine, civ, sharded));
   }
 
   table.print(std::cout);

@@ -3,12 +3,13 @@
 // k-anonymize through glove::Engine and write the publishable dataset.
 //
 //   ./build/examples/example_anonymize_csv input.csv output.csv --k=2
-//       [--strategy=full|chunked|sharded|incremental|w4m-baseline]
+//       [--strategy=full|sharded|incremental|w4m-baseline]
 //       [--origin-lat=6.82 --origin-lon=-5.28] [--suppress-km=15]
 //       [--suppress-hours=6] [--report=run.json]
 //       [--trace-out=trace.json] [--verbose]
 //       [--tile-km=0 --shard-users=2000 --shard-workers=0
-//        --halo-km=1 --border=halo]     (sharded strategy knobs)
+//        --halo-km=1]     (sharded strategy knobs; --shard-workers=1
+//                          holds the fewest fingerprints at once)
 //
 // Streaming mode — for fingerprint-dataset CSVs larger than RAM.  The
 // Engine pulls from a CsvFileSource and pushes finalized groups to a

@@ -6,7 +6,7 @@
 //   4. verify k-anonymity and report the accuracy that survived.
 //
 // Build & run:  ./build/examples/example_quickstart [--users=N] [--k=K]
-//               [--strategy=full|chunked|sharded|...]
+//               [--strategy=full|sharded|incremental|w4m-baseline]
 
 #include <iostream>
 

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   flags.define("k", "2", "anonymity level (every group hides >= k users)");
   flags.define_enum("strategy", std::string{api::kStrategyFull},
                     {std::string{api::kStrategyFull},
-                     std::string{api::kStrategyChunked}},
+                     std::string{api::kStrategySharded}},
                     "suppression-aware anonymization strategy to sweep");
   int exit_code = 0;
   if (!api::parse_cli(flags, argc - 1, argv + 1, exit_code)) return exit_code;

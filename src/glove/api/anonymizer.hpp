@@ -1,6 +1,6 @@
 // Anonymizer: the common abstract interface every anonymization strategy
-// (GLOVE full/chunked, incremental updates, the W4M baseline, the
-// sharded backend) implements to plug into the Engine.
+// (GLOVE full, incremental updates, the W4M baseline, the sharded
+// backend) implements to plug into the Engine.
 //
 // Two run shapes exist, and a strategy implements one of them.  The
 // dataset-in shape (`run`) serves strategies that need the dataset whole;
@@ -63,7 +63,7 @@ class Anonymizer {
  public:
   virtual ~Anonymizer() = default;
 
-  /// Registry key (e.g. "full", "chunked"); also RunConfig::strategy.
+  /// Registry key (e.g. "full", "sharded"); also RunConfig::strategy.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// One-line description for --help output and strategy listings.

@@ -44,8 +44,6 @@ void define_run_flags(util::Flags& flags, const Engine& engine,
                "spatial suppression threshold in km (0 = off)");
   flags.define("suppress-hours", "0",
                "temporal suppression threshold in hours (0 = off)");
-  flags.define("chunk-size", "2000",
-               "users per chunk for --strategy=chunked");
   flags.define("tile-km", "0",
                "spatial tile edge in km for --strategy=sharded (0 = "
                "adaptive from the observed anchor density)");
@@ -56,12 +54,15 @@ void define_run_flags(util::Flags& flags, const Engine& engine,
                "GLOVE_THREADS / hardware concurrency)");
   flags.define("halo-km", "1",
                "border strip width in km deferred to reconciliation");
-  flags.define_enum("border", "halo", {"halo", "none"},
-                    "sharded border policy: defer border fingerprints "
-                    "('halo') or keep them in their home shard ('none')");
-  // Sets nothing: sharded jobs always run on an in-process thread pool.
-  // The flag stays because scripts pass --executor=inprocess (perfbench's
-  // city_halo_k2 among them) and an unknown flag is fatal.
+  // --border and --executor set nothing: a sharded run always defers its
+  // border fingerprints and runs its jobs on an in-process thread pool.
+  // The flags stay because scripts pass --border=halo and
+  // --executor=inprocess (perfbench's city_halo_k2 among them) and an
+  // unknown flag is fatal.
+  flags.define_enum("border", "halo", {"halo"},
+                    "sharded border policy (accepted for compatibility; "
+                    "border fingerprints are always deferred to "
+                    "reconciliation)");
   flags.define_enum("executor", "inprocess", {"inprocess"},
                     "sharded execution backend (accepted for compatibility; "
                     "jobs always run on an in-process thread pool)");
@@ -113,14 +114,10 @@ RunConfig run_config_from_flags(const util::Flags& flags) {
         suppress_hours > 0.0 ? suppress_hours * 60.0
                              : std::numeric_limits<double>::infinity()};
   }
-  config.chunked.chunk_size = flags.get_int<std::size_t>("chunk-size");
   config.sharded.tile_size_m = flags.get_double("tile-km") * 1'000.0;
   config.sharded.max_shard_users = flags.get_int<std::size_t>("shard-users");
   config.sharded.workers = flags.get_int<std::size_t>("shard-workers");
   config.sharded.halo_m = flags.get_double("halo-km") * 1'000.0;
-  config.sharded.border = flags.get("border") == "none"
-                              ? shard::BorderPolicy::kNone
-                              : shard::BorderPolicy::kHalo;
   return config;
 }
 

@@ -23,8 +23,8 @@ bool parse_cli(util::Flags& flags, int argc, const char* const* argv,
                int& exit_code);
 
 /// Registers the Engine run flags: --strategy (enum over
-/// engine.strategies()), --k, --suppress-km / --suppress-hours,
-/// --chunk-size and --report (JSON/CSV run-report path).
+/// engine.strategies()), --k, --suppress-km / --suppress-hours, the
+/// sharded strategy's knobs and --report (JSON/CSV run-report path).
 void define_run_flags(util::Flags& flags, const Engine& engine,
                       std::string_view default_strategy = kStrategyFull);
 

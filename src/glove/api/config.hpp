@@ -12,14 +12,12 @@
 
 #include "glove/cdr/dataset.hpp"
 #include "glove/core/glove.hpp"
-#include "glove/shard/config.hpp"
 #include "glove/util/hooks.hpp"
 
 namespace glove::api {
 
 /// Built-in strategy names (the registry accepts additional ones).
 inline constexpr std::string_view kStrategyFull = "full";
-inline constexpr std::string_view kStrategyChunked = "chunked";
 inline constexpr std::string_view kStrategyIncremental = "incremental";
 inline constexpr std::string_view kStrategyW4M = "w4m-baseline";
 inline constexpr std::string_view kStrategySharded = "sharded";
@@ -40,11 +38,6 @@ struct RunConfig {
       core::LeftoverPolicy::kMergeIntoNearest;
 
   // --- Strategy sections.
-  struct ChunkedSection {
-    /// Users per locality-sorted chunk; must be >= k.
-    std::size_t chunk_size = 2'000;
-  } chunked;
-
   struct W4MSection {
     /// Diameter of the uncertainty cylinder, metres.
     double delta_m = 2'000.0;
@@ -67,12 +60,11 @@ struct RunConfig {
     std::size_t max_shard_users = 2'000;
     /// Threads that run shard and reconcile jobs; 0 = shared-pool
     /// default (GLOVE_THREADS when set, else hardware concurrency).  The
-    /// output is byte-identical for every worker count.
+    /// output is byte-identical for every worker count; 1 holds the
+    /// fewest fingerprints in memory at once.
     std::size_t workers = 0;
-    /// Border handling: kHalo defers fingerprints near a foreign tile to
-    /// the reconciliation pass; kNone keeps everything in its home shard.
-    shard::BorderPolicy border = shard::BorderPolicy::kHalo;
-    /// Border strip width for kHalo, metres.
+    /// Border strip width, metres: fingerprints this close to a tile of
+    /// another shard are deferred to the cross-shard reconciliation.
     double halo_m = 1'000.0;
   } sharded;
 

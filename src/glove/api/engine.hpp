@@ -40,8 +40,8 @@ namespace glove::api {
 
 class Engine {
  public:
-  /// Constructs an Engine with the five built-in strategies registered:
-  /// full, chunked, sharded, incremental, w4m-baseline.
+  /// Constructs an Engine with the four built-in strategies registered:
+  /// full, sharded, incremental, w4m-baseline.
   Engine();
 
   Engine(Engine&&) noexcept = default;

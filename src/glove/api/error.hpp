@@ -16,7 +16,7 @@
 namespace glove::api {
 
 enum class ErrorCode {
-  /// A RunConfig field is out of range (k < 2, chunk_size < k, ...).
+  /// A RunConfig field is out of range (k < 2, max_shard_users < k, ...).
   kInvalidConfig,
   /// RunConfig::strategy names no registered Anonymizer.
   kUnknownStrategy,

@@ -25,14 +25,6 @@ std::string fmt_double(double value) {
   return buffer;
 }
 
-std::string_view border_policy_name(shard::BorderPolicy policy) {
-  switch (policy) {
-    case shard::BorderPolicy::kHalo: return "halo";
-    case shard::BorderPolicy::kNone: return "none";
-  }
-  return "halo";
-}
-
 }  // namespace
 
 double find_metric(const RunReport& report, std::string_view name,
@@ -68,11 +60,9 @@ ConfigEcho echo_config(const RunConfig& config) {
   }
   echo.reshape = config.reshape;
   echo.leftover_policy = leftover_policy_name(config.leftover_policy);
-  echo.chunked_chunk_size = config.chunked.chunk_size;
   echo.sharded_tile_size_m = config.sharded.tile_size_m;
   echo.sharded_max_shard_users = config.sharded.max_shard_users;
   echo.sharded_workers = config.sharded.workers;
-  echo.sharded_border = border_policy_name(config.sharded.border);
   echo.sharded_halo_m = config.sharded.halo_m;
   echo.w4m_delta_m = config.w4m.delta_m;
   echo.w4m_trash_fraction = config.w4m.trash_fraction;
@@ -102,10 +92,6 @@ stats::Json report_json(const RunReport& report) {
       .set("suppression", std::move(suppression))
       .set("reshape", echo.reshape)
       .set("leftover_policy", echo.leftover_policy)
-      .set("chunked",
-           stats::Json::object().set(
-               "chunk_size",
-               static_cast<std::uint64_t>(echo.chunked_chunk_size)))
       .set("sharded",
            stats::Json::object()
                .set("tile_size_m", echo.sharded_tile_size_m)
@@ -113,7 +99,6 @@ stats::Json report_json(const RunReport& report) {
                     static_cast<std::uint64_t>(echo.sharded_max_shard_users))
                .set("workers",
                     static_cast<std::uint64_t>(echo.sharded_workers))
-               .set("border", echo.sharded_border)
                .set("halo_m", echo.sharded_halo_m))
       .set("w4m", stats::Json::object()
                       .set("delta_m", echo.w4m_delta_m)
@@ -172,7 +157,7 @@ stats::Json report_json(const RunReport& report) {
       .set("peak_rss_bytes", report.peak_rss_bytes);
 
   stats::Json doc = stats::Json::object();
-  doc.set("schema", "glove.run_report.v9")
+  doc.set("schema", "glove.run_report.v10")
       .set("strategy", report.strategy)
       .set("dataset", report.dataset_name)
       .set("config", std::move(config))

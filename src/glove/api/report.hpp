@@ -52,11 +52,9 @@ struct ConfigEcho {
   double max_temporal_extent_min = 0.0;
   bool reshape = true;
   std::string leftover_policy;
-  std::size_t chunked_chunk_size = 0;
   double sharded_tile_size_m = 0.0;
   std::size_t sharded_max_shard_users = 0;
   std::size_t sharded_workers = 0;
-  std::string sharded_border;
   double sharded_halo_m = 0.0;
   double w4m_delta_m = 0.0;
   double w4m_trash_fraction = 0.0;

@@ -8,7 +8,6 @@
 #include "glove/baseline/w4m.hpp"
 #include "glove/core/glove.hpp"
 #include "glove/core/incremental.hpp"
-#include "glove/core/scalability.hpp"
 #include "glove/shard/stream.hpp"
 
 namespace glove::api {
@@ -58,30 +57,6 @@ class FullStrategy final : public Anonymizer {
                       const RunContext& context) const override {
     return from_glove_result(
         core::anonymize(data, to_glove_config(config), context.hooks));
-  }
-};
-
-class ChunkedStrategy final : public Anonymizer {
- public:
-  std::string_view name() const noexcept override { return kStrategyChunked; }
-  std::string_view description() const noexcept override {
-    return "GLOVE over locality-sorted chunks (W4M-LC-style scaling)";
-  }
-  std::optional<Error> validate_config(const RunConfig& config) const override {
-    if (config.chunked.chunk_size < config.k) {
-      return Error{ErrorCode::kInvalidConfig,
-                   "chunked.chunk_size must be at least k"};
-    }
-    return std::nullopt;
-  }
-  StrategyOutcome run(const cdr::FingerprintDataset& data,
-                      const RunConfig& config,
-                      const RunContext& context) const override {
-    core::ChunkedConfig chunked;
-    chunked.glove = to_glove_config(config);
-    chunked.chunk_size = config.chunked.chunk_size;
-    return from_glove_result(
-        core::anonymize_chunked(data, chunked, context.hooks));
   }
 };
 
@@ -184,7 +159,6 @@ class ShardedStrategy final : public Anonymizer {
     sharded.tile_size_m = config.sharded.tile_size_m;
     sharded.max_shard_users = config.sharded.max_shard_users;
     sharded.workers = config.sharded.workers;
-    sharded.border = config.sharded.border;
     sharded.halo_m = config.sharded.halo_m;
     return sharded;
   }
@@ -266,7 +240,6 @@ class W4MStrategy final : public Anonymizer {
 
 void register_builtin_strategies(Engine& engine) {
   engine.register_strategy(std::make_unique<FullStrategy>());
-  engine.register_strategy(std::make_unique<ChunkedStrategy>());
   engine.register_strategy(std::make_unique<ShardedStrategy>());
   engine.register_strategy(std::make_unique<IncrementalStrategy>());
   engine.register_strategy(std::make_unique<W4MStrategy>());

@@ -126,6 +126,10 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
   if (config.chunk_size < config.k) {
     throw std::invalid_argument{"chunk size must be at least k"};
   }
+  {
+    std::vector<cdr::UserId> users;
+    cdr::add_distinct_users(users, data.fingerprints(), "input dataset");
+  }
 
   W4MResult result;
   W4MStats& stats = result.stats;
@@ -359,7 +363,8 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
       members.insert(members.end(), data[id].members().begin(),
                      data[id].members().end());
     }
-    published.emplace_back(std::move(members), std::move(samples));
+    cdr::check_generalized(
+        published.emplace_back(std::move(members), std::move(samples)));
     published_members += cluster.size();
     hooks.report(static_cast<std::uint64_t>(n) + published_members,
                  total_work);

@@ -114,10 +114,6 @@ void append_block(std::string& out, const GlovebinBlock& b) {
 
 }  // namespace
 
-std::string_view glovebin_magic() noexcept {
-  return std::string_view{kMagic, sizeof kMagic};
-}
-
 bool is_glovebin_file(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
   char head[sizeof kMagic];
@@ -391,9 +387,6 @@ GlovebinReader::GlovebinReader(std::string path) : path_{std::move(path)} {
   }
   name_.assign(reinterpret_cast<const char*>(p), name_len);
   check_dataset_name(name_, path_);
-
-  payload_begin_ = kHeaderBytes;
-  payload_end_ = summaries_offset;
 }
 
 GlovebinReader::Descriptor::~Descriptor() {

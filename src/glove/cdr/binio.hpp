@@ -35,7 +35,6 @@
 #include <fstream>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "glove/cdr/dataset.hpp"
@@ -50,9 +49,6 @@ inline constexpr std::uint32_t kGlovebinVersion = 1;
 /// untouched (the block-seek fast path's win), large enough that the index
 /// overhead stays below 1% of typical payloads.
 inline constexpr std::uint32_t kGlovebinDefaultBlockFingerprints = 32;
-
-/// The 8-byte magic leading (and trailing) every glovebin file.
-[[nodiscard]] std::string_view glovebin_magic() noexcept;
 
 /// True when the first bytes of `path` carry the glovebin magic.  False
 /// for short, unreadable or non-glovebin files — the cheap sniff CLI
@@ -111,10 +107,6 @@ class GlovebinWriter {
   /// Flushes the last block, writes footer + trailer and validates the
   /// stream.  Call once, after the last fingerprint.
   void finish();
-
-  [[nodiscard]] std::uint64_t fingerprints_written() const noexcept {
-    return summaries_.size();
-  }
 
  private:
   void flush_block();
@@ -196,8 +188,6 @@ class GlovebinReader {
   std::string name_;
   std::vector<FingerprintSummary> summaries_;
   std::vector<GlovebinBlock> blocks_;
-  std::uint64_t payload_begin_ = 0;
-  std::uint64_t payload_end_ = 0;
   std::uint64_t blocks_read_ = 0;
   std::uint64_t bytes_mapped_ = 0;
   /// POSIX descriptor; -1 when using the stream fallback.  A member that

@@ -1,6 +1,8 @@
 #include "glove/cdr/fingerprint.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -68,6 +70,40 @@ void check_members(std::span<const UserId> members,
   if (duplicate != sorted.end()) {
     throw util::DatasetError{context + ": duplicate user id " +
                              std::to_string(*duplicate) + " in members field"};
+  }
+}
+
+void add_distinct_users(std::vector<UserId>& users,
+                        std::span<const Fingerprint> fingerprints,
+                        const std::string& context) {
+  const auto known = static_cast<std::ptrdiff_t>(users.size());
+  for (const Fingerprint& fp : fingerprints) {
+    users.insert(users.end(), fp.members().begin(), fp.members().end());
+  }
+  std::sort(users.begin() + known, users.end());
+  std::inplace_merge(users.begin(), users.begin() + known, users.end());
+  const auto repeated = std::adjacent_find(users.begin(), users.end());
+  if (repeated != users.end()) {
+    throw util::DatasetError{context + ": user id " +
+                             std::to_string(*repeated) +
+                             " appears more than once"};
+  }
+}
+
+void check_generalized(const Fingerprint& group) {
+  for (const Sample& s : group.samples()) {
+    if (std::isfinite(s.sigma.x) && std::isfinite(s.sigma.dx) &&
+        std::isfinite(s.sigma.y) && std::isfinite(s.sigma.dy) &&
+        std::isfinite(s.tau.t) && std::isfinite(s.tau.dt)) {
+      continue;
+    }
+    std::string context = "generalizing users";
+    char separator = ' ';
+    for (const UserId id : group.members()) {
+      context += separator + std::to_string(id);
+      separator = '+';
+    }
+    check_sample(s, context);
   }
 }
 

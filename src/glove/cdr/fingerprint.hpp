@@ -82,6 +82,21 @@ class Fingerprint {
 void check_members(std::span<const UserId> members,
                    const std::string& context);
 
+/// The consumers' user check, across fingerprints: adds the member ids of
+/// `fingerprints` to `users`, a sorted list of distinct ids, and keeps it
+/// so.  Throws util::DatasetError prefixed by `context` (the dataset's
+/// role) naming an id that is then held twice: that user would be
+/// published in two groups, or in a group with itself.
+void add_distinct_users(std::vector<UserId>& users,
+                        std::span<const Fingerprint> fingerprints,
+                        const std::string& context);
+
+/// The generalizers' output check (GLOVE's merge, W4M's perturbation):
+/// members near the edge of the double range generalize to a coordinate
+/// or extent that is not finite, which no decoder accepts back.  Throws
+/// util::DatasetError naming the group's users and the field.
+void check_generalized(const Fingerprint& group);
+
 }  // namespace glove::cdr
 
 #endif  // GLOVE_CDR_FINGERPRINT_HPP

@@ -111,6 +111,10 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
     throw util::DatasetError{"dataset holds " + std::to_string(data.size()) +
                              " fingerprints; GLOVE takes fewer than 2^30"};
   }
+  {
+    std::vector<cdr::UserId> users;
+    cdr::add_distinct_users(users, data.fingerprints(), "input dataset");
+  }
 
   GloveResult result;
   GloveStats& stats = result.stats;

@@ -67,8 +67,8 @@ struct GloveStats {
 
   /// Adds `part`'s per-run cost counters (merges, deletions, discards,
   /// stretch evaluations, phase times) into this one.  Dataset-shape
-  /// fields (input/output sizes) are left alone — aggregating runs
-  /// (chunked, sharded) set those from their own totals.
+  /// fields (input/output sizes) are left alone — the sharded run, which
+  /// aggregates its jobs, sets those from its own totals.
   void accumulate_costs(const GloveStats& part) {
     merges += part.merges;
     deleted_samples += part.deleted_samples;

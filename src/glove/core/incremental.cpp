@@ -17,22 +17,26 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
                               const cdr::FingerprintDataset& new_users,
                               const GloveConfig& config,
                               const util::RunHooks& hooks) {
-  // Reject id collisions across the two inputs up front: a "newcomer"
-  // already inside a published group would be double-counted, and the
-  // released groups would overlap — exactly the cross-release linkage
-  // the incremental update exists to prevent.
-  std::vector<cdr::UserId> published_ids;
+  // Reject a user id held twice, within either input or across the two,
+  // up front: a "newcomer" already inside a published group would be
+  // double-counted, and the released groups would overlap — exactly the
+  // cross-release linkage the incremental update exists to prevent.
   for (std::size_t g = 0; g < published.size(); ++g) {
-    const std::span<const cdr::UserId> members = published[g].members();
-    if (members.size() < config.k) {
+    const std::size_t hidden = published[g].group_size();
+    if (hidden < config.k) {
       throw util::DatasetError{
           "published release is not k-anonymous: group " + std::to_string(g) +
-          " hides " + std::to_string(members.size()) +
+          " hides " + std::to_string(hidden) +
           " users, fewer than the anonymity level " + std::to_string(config.k)};
     }
-    published_ids.insert(published_ids.end(), members.begin(), members.end());
   }
-  std::sort(published_ids.begin(), published_ids.end());
+  std::vector<cdr::UserId> published_ids;
+  cdr::add_distinct_users(published_ids, published.fingerprints(),
+                          "published release");
+  {
+    std::vector<cdr::UserId> new_ids;
+    cdr::add_distinct_users(new_ids, new_users.fingerprints(), "new users");
+  }
   for (std::size_t i = 0; i < new_users.size(); ++i) {
     const std::span<const cdr::UserId> members = new_users[i].members();
     if (members.size() != 1) {

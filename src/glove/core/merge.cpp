@@ -161,7 +161,9 @@ cdr::Fingerprint merge_fingerprints(const cdr::Fingerprint& a,
     }
   }
 
-  return cdr::Fingerprint{std::move(members), std::move(result)};
+  cdr::Fingerprint group{std::move(members), std::move(result)};
+  cdr::check_generalized(group);
+  return group;
 }
 
 }  // namespace glove::core

@@ -608,49 +608,4 @@ std::vector<std::vector<std::uint32_t>> locality_chunks(
   return chunks;
 }
 
-GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
-                              const ChunkedConfig& config,
-                              const util::RunHooks& hooks) {
-  util::check_dataset_size(data.size(), config.glove.k);
-
-  // Locality chunks (locality_chunks checks chunk_size >= k): Morton
-  // order of the bounding-box centres, so chunks hold co-located users.
-  const std::vector<std::vector<std::uint32_t>> chunks = locality_chunks(
-      bounds_of(data.fingerprints()), config.chunk_size, config.glove.k);
-
-  GloveResult total;
-  total.stats.input_users = data.total_users();
-  total.stats.input_samples = data.total_samples();
-  std::vector<cdr::Fingerprint> output;
-
-  // Inner runs observe only the cancellation token; chunk completions are
-  // the outer progress unit (per-chunk progress would not be monotone).
-  util::RunHooks inner;
-  inner.cancel = hooks.cancel;
-
-  std::size_t done = 0;
-  for (const std::vector<std::uint32_t>& positions : chunks) {
-    hooks.throw_if_cancelled();
-    std::vector<cdr::Fingerprint> chunk;
-    chunk.reserve(positions.size());
-    for (const std::uint32_t p : positions) chunk.push_back(data[p]);
-    GloveResult part =
-        anonymize(cdr::FingerprintDataset{std::move(chunk)}, config.glove,
-                  inner);
-    for (cdr::Fingerprint& fp : part.anonymized.mutable_fingerprints()) {
-      output.push_back(std::move(fp));
-    }
-    total.stats.accumulate_costs(part.stats);
-    done += positions.size();
-    hooks.report(done, data.size());
-  }
-
-  total.anonymized = cdr::FingerprintDataset{
-      std::move(output),
-      data.name() + "-chunked-k" + std::to_string(config.glove.k)};
-  total.stats.output_groups = total.anonymized.size();
-  total.stats.output_samples = total.anonymized.total_samples();
-  return total;
-}
-
 }  // namespace glove::core

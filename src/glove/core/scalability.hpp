@@ -1,10 +1,8 @@
-// Scalability variants of the core algorithms.  The paper's full-scale
-// runs (82k-320k users) took ~60 GPU-hours (Sec. 6.3).  anonymize_chunked
-// bounds the quadratic cost for large datasets: GLOVE over locality-sorted
-// chunks (the same scaling idea as W4M's "LC" variant), ordered by a
-// space-filling curve over bounding-box centres and anonymized
-// independently, so the cost drops to O(chunks * chunk_size^2) while the
-// curve keeps co-located users (the natural merge partners) together.
+// The search machinery of GLOVE's exact greedy merge.  The paper's
+// full-scale runs (82k-320k users) took ~60 GPU-hours (Sec. 6.3); the
+// sharded strategy (src/glove/shard) bounds the population of one run,
+// and locality_chunks, a space-filling-curve cut of bounding-box centres,
+// groups its reconcile leftovers.
 //
 // Two lower bounds keep every exact nearest-neighbour decision cheap, and
 // the greedy loop and nearest pass each candidate through them as a
@@ -324,30 +322,12 @@ void add_search_counters(const SearchTally& tally);
 /// Cuts positions 0..bounds.size()-1 into locality chunks: sorted by
 /// (locality_sort_key(bounds[p]), p) and cut into runs of `chunk_size`,
 /// the last run extended to the end rather than leave fewer than k
-/// behind.  The one chunking of anonymize_chunked and of the sharded
-/// run's reconcile plan.  Throws std::invalid_argument unless
-/// chunk_size >= max(k, 1) and bounds.size() < 2^32.
+/// behind: the sharded run's reconcile chunks.  Throws
+/// std::invalid_argument unless chunk_size >= max(k, 1) and
+/// bounds.size() < 2^32.
 [[nodiscard]] std::vector<std::vector<std::uint32_t>> locality_chunks(
     std::span<const FingerprintBounds> bounds, std::size_t chunk_size,
     std::uint32_t k);
-
-/// Chunked GLOVE configuration.
-struct ChunkedConfig {
-  GloveConfig glove;
-  /// Users per chunk; each chunk is anonymized independently.  Must be
-  /// >= glove.k.
-  std::size_t chunk_size = 2'000;
-};
-
-/// Runs GLOVE independently on locality-sorted chunks and concatenates the
-/// results.  Every output group still hides >= k users (chunk sizes are
-/// adjusted so no chunk is smaller than k).  A dataset smaller than k
-/// throws util::DatasetError.  Stats are aggregated.
-/// Progress units are input fingerprints; cancellation is polled between
-/// chunks and inside each chunk's greedy loop.
-[[nodiscard]] GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
-                                            const ChunkedConfig& config,
-                                            const util::RunHooks& hooks = {});
 
 }  // namespace glove::core
 

@@ -62,7 +62,7 @@ class LambertAzimuthalEqualArea {
 
 /// Interleaves the bits of `x` (even positions) and `y` (odd positions)
 /// into one 64-bit Morton (Z-curve) code.  Shared by the locality sorts
-/// (chunked anonymization, shard tiling): nearby (x, y) pairs map to
+/// (reconcile chunks, shard tiling): nearby (x, y) pairs map to
 /// nearby codes, so sorting by code keeps geographic neighbours together.
 [[nodiscard]] std::uint64_t morton_interleave(std::uint32_t x,
                                               std::uint32_t y) noexcept;

@@ -1,5 +1,5 @@
-// Configuration of the spatially-sharded anonymization backend (the
-// ROADMAP's next scale move past `chunked`): the geo space is tiled on a
+// Configuration of the spatially-sharded anonymization backend, the one
+// way to bound the population of a GLOVE run: the geo space is tiled on a
 // regular grid, tiles are packed into load-balanced shards, every shard
 // runs the exact GLOVE pipeline independently (in parallel across a worker
 // pool), and a deterministic reconciliation pass handles fingerprints near
@@ -13,22 +13,6 @@
 #include "glove/core/glove.hpp"
 
 namespace glove::shard {
-
-/// What to do with fingerprints whose bounding geometry comes close to a
-/// shard border — exactly the fingerprints whose best merge partner may
-/// live in a neighbouring shard.
-enum class BorderPolicy {
-  /// Defer border fingerprints (bounding box within `halo_m` of a tile
-  /// owned by another shard) to the cross-shard reconciliation pass, where
-  /// they can merge with partners from any shard.  Default: preserves the
-  /// cross-tile pairs the tiling would otherwise cut.
-  kHalo,
-  /// Anonymize every fingerprint inside its home shard.  Not faster than
-  /// kHalo: on 8k- and 20k-user inputs it used 20-37% more cpu (ROADMAP
-  /// findings).  Border users may pay extra stretch because cross-shard
-  /// pairs are never considered.
-  kNone,
-};
 
 /// Sharded-run configuration.  `glove` carries the shared GLOVE knobs
 /// (k, stretch limits, suppression, reshape, leftover policy); the rest
@@ -54,14 +38,16 @@ struct ShardConfig {
   /// (max_shard_users x workers fingerprints materialized per pass).  The
   /// per-job inner loops additionally use the shared pool, exactly like
   /// the non-sharded strategies.  Output is identical for every worker
-  /// count (byte-stable determinism is tested).
+  /// count (byte-stable determinism is tested); 1 holds the fewest
+  /// fingerprints at once.
   std::size_t workers = 0;
 
-  BorderPolicy border = BorderPolicy::kHalo;
-
-  /// Width of the border strip (metres) for BorderPolicy::kHalo: a
-  /// fingerprint is deferred when its bounding box, inflated by this
-  /// margin, touches a tile owned by a different shard.
+  /// Width of the border strip, metres: a fingerprint is deferred to the
+  /// cross-shard reconciliation, where it can merge with partners from any
+  /// shard, when its bounding box, inflated by this margin, touches a tile
+  /// owned by a different shard.  Keeping every fingerprint in its home
+  /// shard instead cost 14-30% more cpu on 8k-user inputs (ROADMAP
+  /// findings).
   double halo_m = 1'000.0;
 };
 

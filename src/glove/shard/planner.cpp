@@ -16,7 +16,7 @@ constexpr std::size_t kMaxOverlappedCells = 4096;
 
 /// True when the bounds of fingerprint `id`, inflated by `halo_m`, touch
 /// a tile owned by a shard other than `home_shard` — the deferral test of
-/// BorderPolicy::kHalo.
+/// split_borders.
 bool crosses_shard_border(const core::FingerprintBounds& bounds,
                           std::uint32_t id, std::size_t home_shard,
                           const ShardPlan& plan, double tile_size_m,
@@ -103,15 +103,16 @@ BorderSplit split_borders(const Tiling& tiling, const ShardPlan& plan,
 
   // A single shard has no borders; a shard whose kept set dropped below k
   // cannot run GLOVE and defers everything.
-  const bool halo = config.border == BorderPolicy::kHalo && shard_count > 1;
+  const bool bordered = shard_count > 1;
   for (std::size_t s = 0; s < shard_count; ++s) {
     const PlannedShard& shard = plan.shards[s];
     std::vector<std::uint32_t>& kept = split.kept[s];
     std::vector<std::uint32_t>& deferred = split.deferred[s];
     kept.reserve(shard.members.size());
     for (const std::uint32_t id : shard.members) {
-      if (halo && crosses_shard_border(tiling.bounds[id], id, s, plan,
-                                       tiling.tile_size_m, config.halo_m)) {
+      if (bordered && crosses_shard_border(tiling.bounds[id], id, s, plan,
+                                           tiling.tile_size_m,
+                                           config.halo_m)) {
         deferred.push_back(id);
       } else {
         kept.push_back(id);

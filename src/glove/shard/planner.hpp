@@ -55,8 +55,8 @@ class ShardPlanner {
 
 /// The serial kept/deferred split of a plan: per shard, the fingerprints
 /// it anonymizes itself and the ones handed to reconciliation (border
-/// fingerprints under BorderPolicy::kHalo — bounding box, inflated by
-/// halo_m, touching a tile owned by another shard — or the whole shard
+/// fingerprints — bounding box, inflated by halo_m, touching a tile
+/// owned by another shard — or the whole shard
 /// when its kept set would fall below k).  A single-shard plan has no
 /// borders.  Deterministic for a given tiling and plan, independent of
 /// workers.

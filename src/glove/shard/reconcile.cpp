@@ -36,8 +36,8 @@ ReconcilePlan plan_reconcile(std::span<const core::FingerprintBounds> bounds,
   }
 
   // Positions ascend within the sub-k subsequence, so chunking it by
-  // (key, sub-k position) is anonymize_chunked's chunking of the sub-k
-  // dataset; map each chunk member back to its leftover position.
+  // (key, sub-k position) is locality_chunks over the sub-k dataset; map
+  // each chunk member back to its leftover position.
   const std::size_t chunk_size =
       std::max<std::size_t>(config.max_shard_users, config.glove.k);
   plan.chunks = core::locality_chunks(subk_bounds, chunk_size, config.glove.k);

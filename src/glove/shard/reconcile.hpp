@@ -2,8 +2,7 @@
 // sharded output k-anonymous as a whole.
 //
 // Its input is every fingerprint the border split deferred (border
-// fingerprints under BorderPolicy::kHalo plus whole shards whose kept set
-// fell below k).  Groups already at or above k pass straight through; the
+// fingerprints plus whole shards whose kept set fell below k).  Groups already at or above k pass straight through; the
 // sub-k rest is anonymized together over locality-sorted chunks (so
 // cross-tile candidate pairs — the reason the fingerprints were deferred —
 // are merge candidates again).  A remainder smaller than k falls back to
@@ -13,8 +12,8 @@
 // The schedule is planned from per-leftover bounding geometry and group
 // sizes alone (both resident after the pass-1 scan).  The streaming
 // pipeline runs each GLOVE chunk as a job, exactly like a shard (run_jobs);
-// the chunks come from core::locality_chunks, as anonymize_chunked's do,
-// so together they reproduce one anonymize_chunked run over the sub-k
+// the chunks come from core::locality_chunks, so together they publish
+// what core::anonymize publishes over each of those chunks of the sub-k
 // set.  The policy tail runs last, through core::absorb_leftovers over the
 // groups the run holds back for it.
 

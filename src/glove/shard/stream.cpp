@@ -300,6 +300,14 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
     advance(r.timing.input_fingerprints);
   };
 
+  // A user id two fingerprints hold would be published twice.  Each job
+  // sees only its own members, so the run checks every batch against the
+  // users of the batches before it (a materialized source, all at once).
+  std::vector<cdr::UserId> users;
+  if (inmem != nullptr) {
+    cdr::add_distinct_users(users, inmem->fingerprints(), "input dataset");
+  }
+
   std::vector<cdr::Fingerprint> tail;
   for (std::size_t first = 0; first < units.size();) {
     hooks.throw_if_cancelled();
@@ -336,6 +344,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
       store.resize(next_slot);
       result.pass_fingerprints.push_back(
           materialize_pass(source, slot_of_id, store, n, hooks));
+      cdr::add_distinct_users(users, store, "input dataset");
     }
     // Each member is taken once: by the coordinator for pass-throughs and
     // the tail, or by the job that anonymizes it.

@@ -2,8 +2,8 @@
 // at its bounding-box centre and bucketed into the square grid tile
 // containing that anchor.  Tiles are emitted in Morton (Z-curve) order of
 // their cell coordinates so downstream packing keeps geographic neighbours
-// together — the same locality idea as `chunked`, but on an explicit grid
-// the border policy can reason about.
+// together — the locality idea of W4M's "LC" chunks, on an explicit grid
+// the border split can reason about.
 
 #ifndef GLOVE_SHARD_TILING_HPP
 #define GLOVE_SHARD_TILING_HPP

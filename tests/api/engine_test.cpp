@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fixtures.hpp"
@@ -151,6 +152,80 @@ TEST(Engine, EveryDatasetFaultIsInvalidDatasetFromEveryStrategy) {
     }
   }
 
+  // User 5 split across two fingerprints would be published in the group
+  // 5+5, or in two groups.  Four corners at +-1.5e308 m generalize to an
+  // infinite extent that no reader accepts back; the sharded run finds
+  // them off its tile grid first.  Refused in memory and from both
+  // formats.
+  const auto single = [](cdr::UserId user, const cdr::Sample& sample) {
+    return cdr::Fingerprint{user, {sample}};
+  };
+  const double edge = 1.5e308;
+  const std::vector<std::pair<cdr::FingerprintDataset, std::string>> faults{
+      {cdr::FingerprintDataset{{single(5u, test::cell(0, 0, 0)),
+                                single(1u, test::cell(5'000, 0, 300)),
+                                single(5u, test::cell(0, 0, 2)),
+                                single(2u, test::cell(9'000, 0, 600))},
+                               "split"},
+       "user id 5 appears more than once"},
+      {cdr::FingerprintDataset{
+           {single(1u, test::box(edge, 1, edge, 1, 0, 1)),
+            single(2u, test::box(edge, 1, -edge, 1, 0, 1)),
+            single(3u, test::box(-edge, 1, edge, 1, 0, 1)),
+            single(4u, test::box(-edge, 1, -edge, 1, 0, 1))},
+           "overflow"},
+       "must be finite"}};
+  for (const auto& [data, fault] : faults) {
+    const std::string csv = dir.file(data.name() + ".csv");
+    const std::string bin = dir.file(data.name() + ".glovebin");
+    cdr::write_dataset_file(csv, data);
+    cdr::write_dataset_glovebin_file(bin, data);
+    for (const std::string& strategy : engine.strategies()) {
+      RunConfig config;
+      config.strategy = strategy;
+      const std::string what =
+          strategy == kStrategySharded && data.name() == "overflow"
+              ? "lies off the tile grid"
+              : fault;
+      expect_invalid_dataset(engine.run(data, config), what,
+                             strategy + " " + data.name());
+      for (const std::string& path : {csv, bin}) {
+        expect_invalid_dataset(run_file(engine, path, config), what,
+                               strategy + " " + path);
+      }
+    }
+  }
+
+  // User 5 split across two shards, one batch each at one job thread:
+  // each job sees only its own members, so only the sharded run's check
+  // across batches can refuse it.  With user 6 in place of the second 5
+  // the run succeeds, in two shards and two batches.
+  RunConfig two_batches;
+  two_batches.strategy = kStrategySharded;
+  two_batches.sharded.tile_size_m = 10'000.0;
+  two_batches.sharded.max_shard_users = 2;
+  two_batches.sharded.workers = 1;
+  const auto far_apart = [&](cdr::UserId second) {
+    return cdr::FingerprintDataset{{single(5u, test::cell(0, 0, 0)),
+                                    single(1u, test::cell(1'000, 0, 300)),
+                                    single(second, test::cell(100'000, 0, 2)),
+                                    single(2u, test::cell(101'000, 0, 600))},
+                                   "far-split"};
+  };
+  const std::string far_csv = dir.file("far-split.csv");
+  cdr::write_dataset_file(far_csv, far_apart(6u));
+  const auto distinct = run_file(engine, far_csv, two_batches);
+  ASSERT_TRUE(distinct.ok()) << distinct.error().message;
+  EXPECT_EQ(find_metric(distinct.value(), "shards", 0.0), 2.0);
+  EXPECT_EQ(distinct.value().pass_fingerprints.size(), 3u);
+  cdr::write_dataset_file(far_csv, far_apart(5u));
+  expect_invalid_dataset(run_file(engine, far_csv, two_batches),
+                         "user id 5 appears more than once",
+                         "sharded across batches");
+  expect_invalid_dataset(engine.run(far_apart(5u), two_batches),
+                         "user id 5 appears more than once",
+                         "sharded in memory");
+
   // A glovebin footer that claims a group of 5 for user 0: the sharded run
   // plans from the footer alone, and with every fingerprint deferred it
   // would pass that "group" through reconcile unmerged.
@@ -178,26 +253,20 @@ TEST(Engine, EveryDatasetFaultIsInvalidDatasetFromEveryStrategy) {
 }
 
 TEST(Engine, RejectsUnknownStrategyListingRegisteredNames) {
+  // "distributed": a future backend, not yet registered; "chunked": a
+  // retired one, whose low-memory role is the sharded run's with one
+  // worker.
   const Engine engine;
-  RunConfig config;
-  config.strategy = "distributed";  // a future backend, not yet registered
-  const auto result = engine.run(test::paired_dataset(), config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, ErrorCode::kUnknownStrategy);
-  EXPECT_NE(result.error().message.find("full"), std::string::npos);
-  EXPECT_NE(result.error().message.find("sharded"), std::string::npos);
-  EXPECT_NE(result.error().message.find("w4m-baseline"), std::string::npos);
-}
-
-TEST(Engine, RejectsChunkSizeBelowK) {
-  const Engine engine;
-  RunConfig config;
-  config.strategy = kStrategyChunked;
-  config.k = 3;
-  config.chunked.chunk_size = 2;
-  const auto result = engine.run(test::paired_dataset(), config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig);
+  for (const std::string name : {"distributed", "chunked"}) {
+    RunConfig config;
+    config.strategy = name;
+    const auto result = engine.run(test::paired_dataset(), config);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.error().code, ErrorCode::kUnknownStrategy) << name;
+    EXPECT_EQ(result.error().message,
+              "unknown strategy '" + name +
+                  "' (registered: full incremental sharded w4m-baseline)");
+  }
 }
 
 TEST(Engine, RejectsNonPositiveSuppressionThresholds) {
@@ -254,10 +323,9 @@ TEST(Engine, ProgressIsMonotoneAndCompletes) {
   // parallel_for worker threads, the hardest case for monotonicity —
   // as does "sharded", whose shard jobs complete on scheduler workers.
   for (const char* strategy :
-       {"full", "chunked", "sharded", "incremental", "w4m-baseline"}) {
+       {"full", "sharded", "incremental", "w4m-baseline"}) {
     RunConfig config;
     config.strategy = strategy;
-    config.chunked.chunk_size = 16;
     config.sharded.max_shard_users = 16;
     config.sharded.tile_size_m = 2'000.0;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> observed;
@@ -336,7 +404,6 @@ TEST(Engine, RunConfigFromFlagsParsesTheShardedBenchmarkFlags) {
   EXPECT_EQ(config.strategy, kStrategySharded);
   EXPECT_EQ(config.k, 2u);
   EXPECT_FALSE(config.suppression.has_value());
-  EXPECT_EQ(config.sharded.border, shard::BorderPolicy::kHalo);
   EXPECT_EQ(config.sharded.tile_size_m, 0.0);
   EXPECT_EQ(config.sharded.max_shard_users, 2'000u);
   EXPECT_EQ(config.sharded.workers, 4u);
@@ -344,9 +411,9 @@ TEST(Engine, RunConfigFromFlagsParsesTheShardedBenchmarkFlags) {
 }
 
 TEST(Engine, RunConfigFromFlagsRejectsValuesThatDoNotFitTheirField) {
-  // --k=4294967298 used to wrap to k=2 and run; --chunk-size=-1 to ~2^64.
+  // --k=4294967298 used to wrap to k=2 and run; --shard-users=-1 to ~2^64.
   const Engine engine;
-  for (const char* arg : {"--k=4294967298", "--k=-1", "--chunk-size=-1",
+  for (const char* arg : {"--k=4294967298", "--k=-1", "--shard-users=-1",
                           "--shard-workers=-1"}) {
     util::Flags flags{"engine test"};
     define_run_flags(flags, engine);
@@ -402,6 +469,36 @@ TEST(Engine, ExecutorFlagAcceptsOnlyInProcess) {
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string{e.what()},
               "invalid value 'process' for --executor (choices: inprocess)");
+  }
+}
+
+TEST(Engine, BorderFlagAcceptsOnlyHalo) {
+  // --border=halo parses and sets nothing: a sharded run always defers its
+  // border fingerprints.  --border=none, which kept them in their home
+  // shard, is refused.
+  const Engine engine;
+  util::Flags halo{"engine test"};
+  define_run_flags(halo, engine);
+  const char* const halo_argv[] = {"--border=halo"};
+  halo.parse(1, halo_argv);
+  util::Flags unset{"engine test"};
+  define_run_flags(unset, engine);
+  unset.parse(0, nullptr);
+  RunReport with_flag;
+  with_flag.config = echo_config(run_config_from_flags(halo));
+  RunReport without_flag;
+  without_flag.config = echo_config(run_config_from_flags(unset));
+  EXPECT_EQ(to_json(with_flag), to_json(without_flag));
+
+  util::Flags none{"engine test"};
+  define_run_flags(none, engine);
+  const char* const none_argv[] = {"--border=none"};
+  try {
+    none.parse(1, none_argv);
+    FAIL() << "--border=none parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "invalid value 'none' for --border (choices: halo)");
   }
 }
 

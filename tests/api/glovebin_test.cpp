@@ -258,7 +258,6 @@ TEST(GlovebinParity, BorderedShardedStreamingAcrossBudgetsAndWorkers) {
       config.sharded.tile_size_m = 5'000.0;
       config.sharded.max_shard_users = budget;
       config.sharded.workers = workers;
-      config.sharded.border = shard::BorderPolicy::kHalo;
       const std::string label =
           "budget=" + std::to_string(budget) +
           " workers=" + std::to_string(workers);

@@ -21,7 +21,6 @@
 #include "glove/baseline/w4m.hpp"
 #include "glove/core/glove.hpp"
 #include "glove/core/incremental.hpp"
-#include "glove/core/scalability.hpp"
 #include "glove/obs/metrics.hpp"
 #include "glove/util/rng.hpp"
 
@@ -247,22 +246,6 @@ TEST_P(ParityTest, FullMatchesNaiveGreedyReferenceUnderSuppression) {
   EXPECT_GT(emptied, 0u);
 }
 
-TEST_P(ParityTest, ChunkedMatchesFreeFunction) {
-  const Engine engine;
-  const std::uint32_t k = GetParam();
-  const cdr::FingerprintDataset data = test::small_synth_dataset(40);
-  RunConfig config;
-  config.strategy = kStrategyChunked;
-  config.k = k;
-  config.chunked.chunk_size = 16;
-  core::ChunkedConfig legacy;
-  legacy.glove.k = k;
-  legacy.chunk_size = 16;
-  EXPECT_EQ(
-      engine_csv(engine, data, config),
-      test::dataset_to_csv(core::anonymize_chunked(data, legacy).anonymized));
-}
-
 TEST_P(ParityTest, W4MMatchesFreeFunction) {
   const Engine engine;
   const std::uint32_t k = GetParam();
@@ -313,12 +296,10 @@ TEST(Parity, StreamingBoundaryMatchesLegacyOverloadForEveryStrategy) {
   cdr::write_dataset_file(in_path, test::small_synth_dataset(50));
   const cdr::FingerprintDataset parsed = test::read_dataset(in_path);
 
-  for (const char* strategy :
-       {"full", "chunked", "sharded", "w4m-baseline"}) {
+  for (const char* strategy : {"full", "sharded", "w4m-baseline"}) {
     RunConfig config;
     config.strategy = strategy;
     config.k = 2;
-    config.chunked.chunk_size = 16;
     config.sharded.tile_size_m = 5'000.0;
     config.sharded.max_shard_users = 16;
 

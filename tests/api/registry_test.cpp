@@ -15,8 +15,8 @@ namespace {
 TEST(Registry, BuiltinStrategiesAreRegistered) {
   const Engine engine;
   const std::vector<std::string> names = engine.strategies();
-  const std::vector<std::string> expected{"chunked", "full", "incremental",
-                                          "sharded", "w4m-baseline"};
+  const std::vector<std::string> expected{"full", "incremental", "sharded",
+                                          "w4m-baseline"};
   EXPECT_EQ(names, expected);  // strategies() returns sorted names
   for (const std::string& name : expected) {
     const Anonymizer* strategy = engine.find(name);

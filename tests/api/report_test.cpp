@@ -56,7 +56,7 @@ TEST(RunReport, WriteReportFilePicksFormatByExtension) {
   std::ifstream json_in{json_path};
   std::stringstream json_text;
   json_text << json_in.rdbuf();
-  EXPECT_NE(json_text.str().find("\"schema\": \"glove.run_report.v9\""),
+  EXPECT_NE(json_text.str().find("\"schema\": \"glove.run_report.v10\""),
             std::string::npos);
 
   const std::string csv_path = dir.file("report.csv");

@@ -9,7 +9,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -18,7 +17,6 @@
 #include "common/eager_nearest.hpp"
 #include "common/fixtures.hpp"
 #include "glove/geo/geo.hpp"
-#include "glove/synth/generator.hpp"
 #include "glove/util/rng.hpp"
 
 namespace glove::core {
@@ -1002,72 +1000,6 @@ TEST(LocalityChunks, SortsByKeyThenPositionAndNeverLeavesASubKTail) {
                                                      {5, 6, 1, 0}}));
   EXPECT_THROW((void)locality_chunks(bounds, 1, 2), std::invalid_argument);
   EXPECT_TRUE(locality_chunks({}, 3, 2).empty());
-}
-
-TEST(ChunkedGlove, AchievesKAnonymityPerChunk) {
-  synth::SynthConfig config = synth::civ_like(80, 41);
-  config.days = 3.0;
-  const cdr::FingerprintDataset data = synth::generate_dataset(config);
-  ChunkedConfig chunked;
-  chunked.glove.k = 2;
-  chunked.chunk_size = 20;
-  const GloveResult result = anonymize_chunked(data, chunked);
-  EXPECT_TRUE(is_k_anonymous(result.anonymized, 2));
-  EXPECT_EQ(result.anonymized.total_users(), data.total_users());
-}
-
-TEST(ChunkedGlove, NoUserLostAcrossChunks) {
-  synth::SynthConfig config = synth::civ_like(50, 43);
-  config.days = 2.0;
-  const cdr::FingerprintDataset data = synth::generate_dataset(config);
-  ChunkedConfig chunked;
-  chunked.chunk_size = 15;
-  const GloveResult result = anonymize_chunked(data, chunked);
-  std::set<cdr::UserId> users;
-  for (const auto& fp : result.anonymized.fingerprints()) {
-    users.insert(fp.members().begin(), fp.members().end());
-  }
-  EXPECT_EQ(users.size(), data.size());
-}
-
-TEST(ChunkedGlove, TailSmallerThanKAbsorbedIntoLastChunk) {
-  // 11 users with chunk size 5 and k = 3: the final 1-user tail must be
-  // folded into the previous chunk, not anonymized alone.
-  std::vector<cdr::Fingerprint> fps;
-  for (cdr::UserId u = 0; u < 11; ++u) {
-    fps.emplace_back(u, std::vector<cdr::Sample>{
-                            cell(u * 300.0, 0, u * 50.0)});
-  }
-  ChunkedConfig chunked;
-  chunked.glove.k = 3;
-  chunked.chunk_size = 5;
-  const GloveResult result =
-      anonymize_chunked(cdr::FingerprintDataset{std::move(fps)}, chunked);
-  EXPECT_TRUE(is_k_anonymous(result.anonymized, 3));
-  EXPECT_EQ(result.anonymized.total_users(), 11u);
-}
-
-TEST(ChunkedGlove, SingleChunkEqualsPlainGlove) {
-  synth::SynthConfig config = synth::civ_like(30, 47);
-  config.days = 2.0;
-  const cdr::FingerprintDataset data = synth::generate_dataset(config);
-  ChunkedConfig chunked;
-  chunked.chunk_size = 1'000;  // everything in one chunk
-  const GloveResult plain = anonymize(data, chunked.glove);
-  const GloveResult one_chunk = anonymize_chunked(data, chunked);
-  EXPECT_EQ(one_chunk.anonymized.size(), plain.anonymized.size());
-  EXPECT_EQ(one_chunk.stats.merges, plain.stats.merges);
-}
-
-TEST(ChunkedGlove, RejectsBadConfig) {
-  synth::SynthConfig config = synth::civ_like(20, 49);
-  config.days = 1.0;
-  const cdr::FingerprintDataset data = synth::generate_dataset(config);
-  ChunkedConfig chunked;
-  chunked.glove.k = 5;
-  chunked.chunk_size = 3;
-  EXPECT_THROW((void)anonymize_chunked(data, chunked),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -26,10 +26,10 @@ TEST(SelfAudit, BlessedSchemaMatchesReportCpp) {
   const auto emitted = glove::lint::extract_schema(
       glove::lint::read_file(root + "/src/glove/api/report.cpp"));
   const auto blessed = glove::lint::load_schema(
-      root + "/tools/lint/report_schema.v9.json");
+      root + "/tools/lint/report_schema.v10.json");
   std::vector<glove::lint::Finding> findings;
   glove::lint::check_schema_drift(emitted, blessed, "report.cpp",
-                                  "report_schema.v9.json", findings);
+                                  "report_schema.v10.json", findings);
   EXPECT_TRUE(findings.empty())
       << (findings.empty() ? "" : findings.front().message);
 }

@@ -1,6 +1,7 @@
 // The reconciliation plan and its policy tail: the schedule planned from
 // bounding geometry and group sizes alone (the streaming pipeline's pass-1
-// residue) must reproduce chunked GLOVE over the sub-k set byte for byte,
+// residue) must reproduce GLOVE over the locality chunks of the sub-k set
+// byte for byte,
 // and the tail (core::absorb_leftovers) must keep the shared
 // original-samples definition of deletion and absorb into the first
 // nearest group.
@@ -115,8 +116,9 @@ TEST(ReconcilePlan, MisalignedSpansAreRejected) {
 
 TEST(Reconcile, PlannedChunksReproduceChunkedGloveByteForByte) {
   // Each planned chunk runs as an independent GLOVE job, as run_jobs
-  // runs it; concatenated in chunk order their groups must match one
-  // anonymize_chunked run over the same sub-k set.
+  // runs it; concatenated in chunk order their groups must match
+  // core::anonymize over each core::locality_chunks chunk of the same
+  // sub-k set.
   const cdr::FingerprintDataset data = test::small_synth_dataset(24);
   const std::vector<cdr::Fingerprint> leftovers{data.fingerprints().begin(),
                                                 data.fingerprints().end()};
@@ -126,31 +128,35 @@ TEST(Reconcile, PlannedChunksReproduceChunkedGloveByteForByte) {
   ASSERT_TRUE(plan.passthrough.empty());
   ASSERT_GE(plan.chunks.size(), 2u);  // several jobs, not one
 
-  std::vector<cdr::Fingerprint> planned;
-  core::GloveStats stats;
-  for (const std::vector<std::uint32_t>& chunk : plan.chunks) {
-    std::vector<cdr::Fingerprint> members;
-    for (const std::uint32_t position : chunk) {
-      members.push_back(leftovers[position]);
-    }
-    core::GloveResult part = core::anonymize(
-        cdr::FingerprintDataset{std::move(members)}, config.glove);
-    stats.accumulate_costs(part.stats);
-    for (cdr::Fingerprint& fp : part.anonymized.mutable_fingerprints()) {
-      planned.push_back(std::move(fp));
-    }
-  }
-
-  core::ChunkedConfig chunked;
-  chunked.glove = config.glove;
-  chunked.chunk_size = config.max_shard_users;
-  const core::GloveResult reference = core::anonymize_chunked(data, chunked);
-  EXPECT_EQ(test::dataset_to_csv(cdr::FingerprintDataset{std::move(planned)}),
-            test::dataset_to_csv(cdr::FingerprintDataset{
-                {reference.anonymized.fingerprints().begin(),
-                 reference.anonymized.fingerprints().end()}}));
-  EXPECT_EQ(stats.merges, reference.stats.merges);
-  EXPECT_EQ(stats.deleted_samples, reference.stats.deleted_samples);
+  /// GLOVE over each chunk of `leftovers`, concatenated in chunk order.
+  const auto run_chunks =
+      [&](const std::vector<std::vector<std::uint32_t>>& chunks,
+          core::GloveStats& stats) {
+        std::vector<cdr::Fingerprint> groups;
+        for (const std::vector<std::uint32_t>& chunk : chunks) {
+          std::vector<cdr::Fingerprint> members;
+          for (const std::uint32_t position : chunk) {
+            members.push_back(leftovers[position]);
+          }
+          core::GloveResult part = core::anonymize(
+              cdr::FingerprintDataset{std::move(members)}, config.glove);
+          stats.accumulate_costs(part.stats);
+          for (cdr::Fingerprint& fp :
+               part.anonymized.mutable_fingerprints()) {
+            groups.push_back(std::move(fp));
+          }
+        }
+        return test::dataset_to_csv(
+            cdr::FingerprintDataset{std::move(groups)});
+      };
+  const std::vector<std::vector<std::uint32_t>> chunks =
+      core::locality_chunks(core::bounds_of(data.fingerprints()),
+                            config.max_shard_users, config.glove.k);
+  core::GloveStats planned;
+  core::GloveStats reference;
+  EXPECT_EQ(run_chunks(plan.chunks, planned), run_chunks(chunks, reference));
+  EXPECT_EQ(planned.merges, reference.merges);
+  EXPECT_EQ(planned.deleted_samples, reference.deleted_samples);
 }
 
 TEST(ReconcileTail, SuppressCountsOriginalSamplesDeleted) {

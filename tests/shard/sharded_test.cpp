@@ -62,17 +62,12 @@ std::vector<cdr::UserId> sorted_members(const cdr::FingerprintDataset& data) {
 TEST(Sharded, OutputIsKAnonymousAndLosesNoUser) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   for (const std::uint32_t k : {2u, 3u, 5u}) {
-    for (const BorderPolicy border : {BorderPolicy::kHalo,
-                                      BorderPolicy::kNone}) {
-      ShardConfig config = small_shard_config(k);
-      config.border = border;
-      StreamShardedResult result;
-      const cdr::FingerprintDataset out = run_sharded(data, config, &result);
-      EXPECT_TRUE(core::is_k_anonymous(out, k))
-          << "k=" << k << " border=" << static_cast<int>(border);
-      EXPECT_EQ(sorted_members(out), sorted_members(data)) << "k=" << k;
-      EXPECT_GE(result.stats.shards, 2u);
-    }
+    StreamShardedResult result;
+    const cdr::FingerprintDataset out =
+        run_sharded(data, small_shard_config(k), &result);
+    EXPECT_TRUE(core::is_k_anonymous(out, k)) << "k=" << k;
+    EXPECT_EQ(sorted_members(out), sorted_members(data)) << "k=" << k;
+    EXPECT_GE(result.stats.shards, 2u);
   }
 }
 
