@@ -26,16 +26,9 @@
 #include "glove/api/sink.hpp"
 #include "glove/api/source.hpp"
 #include "glove/cdr/dataset.hpp"
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::api {
-
-/// Per-run context handed to a strategy: hooks already adapted by the
-/// Engine (progress monotone-clamped, cancellation token installed).
-/// Strategies thread `hooks` into the core loops they call.
-struct RunContext {
-  util::RunHooks hooks;
-};
 
 /// What a strategy produces: uniform counters, phase timings, optional
 /// strategy-specific metrics, and — for the dataset-in shape — the
@@ -80,17 +73,14 @@ class Anonymizer {
   }
 
   /// Runs the strategy on a materialized, non-empty dataset.  May throw
-  /// util::CancelledError (mapped to kCancelled by the Engine),
   /// util::DatasetError (kInvalidDataset), std::invalid_argument
   /// (kInvalidConfig) or any std::exception (kInternal); the Engine owns
   /// the mapping so strategies can lean on the throwing core.  Only
   /// called when not `supports_streaming()`.
   [[nodiscard]] virtual StrategyOutcome run(
-      const cdr::FingerprintDataset& data, const RunConfig& config,
-      const RunContext& context) const {
+      const cdr::FingerprintDataset& data, const RunConfig& config) const {
     (void)data;
     (void)config;
-    (void)context;
     throw std::logic_error{"strategy '" + std::string{name()} +
                            "' does not implement dataset runs"};
   }
@@ -108,11 +98,9 @@ class Anonymizer {
   /// the outcome with `anonymized` empty.  Only called when
   /// `supports_streaming()`; the same exception mapping as `run` applies.
   [[nodiscard]] virtual StrategyOutcome run_streaming(
-      DatasetSource& source, const RunConfig& config,
-      const RunContext& context, DatasetSink& sink) const {
+      DatasetSource& source, const RunConfig& config, DatasetSink& sink) const {
     (void)source;
     (void)config;
-    (void)context;
     (void)sink;
     throw std::logic_error{"strategy '" + std::string{name()} +
                            "' does not implement streaming runs"};

@@ -12,7 +12,6 @@
 
 #include "glove/cdr/dataset.hpp"
 #include "glove/core/glove.hpp"
-#include "glove/util/hooks.hpp"
 
 namespace glove::api {
 
@@ -75,17 +74,6 @@ struct RunConfig {
     /// grouped among themselves.  The pointee must outlive the run.
     const cdr::FingerprintDataset* published = nullptr;
   } incremental;
-
-  // --- Observability.
-  /// Invoked with monotone non-decreasing `done` out of a fixed `total`
-  /// (the Engine clamps out-of-order reports from worker threads).  The
-  /// callback runs on the Engine's calling thread or a worker; it must be
-  /// fast and must not re-enter the Engine.
-  util::ProgressFn progress;
-  /// Cooperative cancellation; request_cancel() (from any thread,
-  /// including the progress callback) aborts the run with
-  /// ErrorCode::kCancelled and no partial output.
-  std::optional<util::CancellationToken> cancel;
 };
 
 }  // namespace glove::api

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,35 +10,6 @@
 #include "glove/util/mem.hpp"
 
 namespace glove::api {
-
-namespace {
-
-/// Serializes and monotone-clamps progress reports before they reach the
-/// caller: core loops may report from worker threads, and phase handoffs
-/// could otherwise glitch backwards.  Totals are pinned by the first
-/// report so multi-phase strategies present one coherent scale.
-class MonotoneProgress {
- public:
-  explicit MonotoneProgress(util::ProgressFn fn) : fn_{std::move(fn)} {}
-
-  void operator()(std::uint64_t done, std::uint64_t total) {
-    const std::lock_guard lock{mutex_};
-    if (total_ == 0) total_ = total;
-    if (total_ == 0) return;  // degenerate: nothing to report
-    if (done > total_) done = total_;
-    if (done < max_done_) return;
-    max_done_ = done;
-    fn_(done, total_);
-  }
-
- private:
-  std::mutex mutex_;
-  util::ProgressFn fn_;
-  std::uint64_t max_done_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-}  // namespace
 
 Engine::Engine() { register_builtin_strategies(*this); }
 
@@ -98,19 +68,7 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
     }
   }
 
-  // --- Adapt hooks and run inside the typed-error boundary.
-  RunContext context;
-  context.hooks.cancel = config.cancel;
-  source.bind_cancel(config.cancel);
-  std::shared_ptr<MonotoneProgress> progress;
-  if (config.progress) {
-    progress = std::make_shared<MonotoneProgress>(config.progress);
-    context.hooks.progress = [progress](std::uint64_t done,
-                                        std::uint64_t total) {
-      (*progress)(done, total);
-    };
-  }
-
+  // --- Run inside the typed-error boundary.
   const obs::MetricsSnapshot metrics_before = obs::snapshot_metrics();
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -118,7 +76,7 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
     {
       GLOVE_SPAN("engine.strategy");
       if (strategy->supports_streaming()) {
-        outcome = strategy->run_streaming(source, config, context, sink);
+        outcome = strategy->run_streaming(source, config, sink);
       } else {
         // Collect-then-run fallback: materialize the source (or borrow the
         // dataset an in-memory source already wraps — no copy), run the
@@ -134,7 +92,7 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
         if (data.empty()) {
           return Error{ErrorCode::kInvalidDataset, "input dataset is empty"};
         }
-        outcome = strategy->run(data, config, context);
+        outcome = strategy->run(data, config);
         outcome.pass_fingerprints = {data.size()};
         GLOVE_SPAN("engine.drain");
         sink.begin(outcome.anonymized.name());
@@ -173,8 +131,6 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
     report.obs_counters =
         obs::counter_delta(metrics_before, obs::snapshot_metrics());
     return report;
-  } catch (const util::CancelledError&) {
-    return Error{ErrorCode::kCancelled, "run cancelled by its token"};
   } catch (const util::DatasetError& e) {
     return Error{ErrorCode::kInvalidDataset, e.what()};
   } catch (const std::invalid_argument& e) {

@@ -16,9 +16,8 @@
 // MemorySource/MemorySink wrapper over the same path.  Strategies that
 // support streaming (sharded) consume the source in bounded memory;
 // everything else transparently collects the source first.  One call
-// drives every registered Anonymizer behind a uniform validated config,
-// progress callback, cooperative cancellation and a serializable run
-// report.
+// drives every registered Anonymizer behind a uniform validated config and
+// a serializable run report.
 
 #ifndef GLOVE_API_ENGINE_HPP
 #define GLOVE_API_ENGINE_HPP
@@ -48,21 +47,19 @@ class Engine {
   Engine& operator=(Engine&&) noexcept = default;
 
   /// Primary run boundary: streams fingerprints from `source` and pushes
-  /// finalized groups to `sink`.  Never throws on bad input or
-  /// cancellation — those come back as typed errors, a bad dataset as
-  /// kInvalidDataset from every strategy and run shape; the returned
-  /// report's `anonymized` dataset is empty (the sink owns the output)
-  /// and its source/sink kinds and per-pass counts describe the data
-  /// plane.  On error the sink may hold partial output (a file sink's
-  /// bytes stay on disk); treat it as invalid unless the run succeeded.
-  /// `config.progress` observes monotone (done, total) updates ending at
-  /// done == total on success.
+  /// finalized groups to `sink`.  Never throws on bad input — that comes
+  /// back as a typed error, a bad dataset as kInvalidDataset from every
+  /// strategy and run shape; the returned report's `anonymized` dataset
+  /// is empty (the sink owns the output) and its source/sink kinds and
+  /// per-pass counts describe the data plane.  On error the sink may hold
+  /// partial output (a file sink's bytes stay on disk); treat it as
+  /// invalid unless the run succeeded.
   [[nodiscard]] Result<RunReport> run(DatasetSource& source, DatasetSink& sink,
                                       const RunConfig& config) const;
 
   /// Classic dataset-in/dataset-out overload: a MemorySource/MemorySink
   /// wrapper over the streaming boundary.  The report's `anonymized`
-  /// holds the output dataset; a cancelled or failed run produces none.
+  /// holds the output dataset; a failed run produces none.
   [[nodiscard]] Result<RunReport> run(const cdr::FingerprintDataset& data,
                                       const RunConfig& config) const;
 

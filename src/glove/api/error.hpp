@@ -1,8 +1,7 @@
 // Typed error/result model of the glove::api boundary.  Inside the
-// library, algorithms throw (std::invalid_argument on bad input,
-// util::CancelledError on cancellation); the Engine converts every
-// failure into an Error so callers branch on a code instead of parsing
-// exception types.
+// library, algorithms throw (std::invalid_argument on a bad configuration,
+// util::DatasetError on bad data); the Engine converts every failure into
+// an Error so callers branch on a code instead of parsing exception types.
 
 #ifndef GLOVE_API_ERROR_HPP
 #define GLOVE_API_ERROR_HPP
@@ -23,9 +22,6 @@ enum class ErrorCode {
   /// The input dataset cannot be anonymized as configured (malformed,
   /// empty, smaller than k, ...): util::DatasetError from its consumer.
   kInvalidDataset,
-  /// The run was cancelled via its CancellationToken; no output was
-  /// produced.
-  kCancelled,
   /// An unexpected failure inside a strategy (a bug, not a usage error).
   kInternal,
 };
@@ -35,7 +31,6 @@ enum class ErrorCode {
     case ErrorCode::kInvalidConfig: return "invalid-config";
     case ErrorCode::kUnknownStrategy: return "unknown-strategy";
     case ErrorCode::kInvalidDataset: return "invalid-dataset";
-    case ErrorCode::kCancelled: return "cancelled";
     case ErrorCode::kInternal: return "internal";
   }
   return "internal";

@@ -7,7 +7,7 @@
 
 #include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::api {
 
@@ -118,9 +118,6 @@ std::optional<std::uint64_t> GlovebinSource::fetch(
       ++b;
       continue;
     }
-    // Each iteration maps and decodes a whole block run, so this is the
-    // only timely poll point a cancel has during an index-served pass.
-    throw_if_cancelled();
     std::size_t e = b;
     while (e < needed.size() && needed[e] != 0) ++e;
     reader_.read_blocks(b, e, [&](std::uint64_t id, cdr::Fingerprint&& fp) {

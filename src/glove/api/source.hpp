@@ -25,7 +25,7 @@
 #include "glove/cdr/binio.hpp"
 #include "glove/cdr/dataset.hpp"
 #include "glove/cdr/io.hpp"
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::api {
 
@@ -117,24 +117,6 @@ class DatasetSource {
   [[nodiscard]] virtual std::optional<std::string> file_path() const {
     return std::nullopt;
   }
-
-  /// Binds the run's cancellation token so long block loops *inside* the
-  /// source (GlovebinSource::fetch maps whole block runs per call) get
-  /// poll points of their own — without it a cancel only lands between
-  /// fingerprints the strategy pulls.  Engine::run binds config.cancel
-  /// before dispatching; an unbound source never cancels.
-  void bind_cancel(std::optional<util::CancellationToken> token) noexcept {
-    cancel_ = std::move(token);
-  }
-
- protected:
-  /// Poll point for source-side loops (throws util::CancelledError).
-  void throw_if_cancelled() const {
-    if (cancel_ && cancel_->cancelled()) throw util::CancelledError{};
-  }
-
- private:
-  std::optional<util::CancellationToken> cancel_;
 };
 
 /// Streams an existing in-memory dataset (copies on yield; the dataset

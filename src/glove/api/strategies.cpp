@@ -53,10 +53,8 @@ class FullStrategy final : public Anonymizer {
     return "GLOVE greedy k-anonymization over the full pair matrix (Alg. 1)";
   }
   StrategyOutcome run(const cdr::FingerprintDataset& data,
-                      const RunConfig& config,
-                      const RunContext& context) const override {
-    return from_glove_result(
-        core::anonymize(data, to_glove_config(config), context.hooks));
+                      const RunConfig& config) const override {
+    return from_glove_result(core::anonymize(data, to_glove_config(config)));
   }
 };
 
@@ -70,14 +68,13 @@ class IncrementalStrategy final : public Anonymizer {
            "regrouping existing users";
   }
   StrategyOutcome run(const cdr::FingerprintDataset& data,
-                      const RunConfig& config,
-                      const RunContext& context) const override {
+                      const RunConfig& config) const override {
     static const cdr::FingerprintDataset kEmptyPublished;
     const cdr::FingerprintDataset& published =
         config.incremental.published != nullptr ? *config.incremental.published
                                                 : kEmptyPublished;
-    core::UpdateResult result = core::anonymize_update(
-        published, data, to_glove_config(config), context.hooks);
+    core::UpdateResult result =
+        core::anonymize_update(published, data, to_glove_config(config));
 
     StrategyOutcome outcome;
     outcome.counters = from_glove_stats(result.stats.glove);
@@ -132,7 +129,6 @@ class ShardedStrategy final : public Anonymizer {
   bool supports_streaming() const noexcept override { return true; }
 
   StrategyOutcome run_streaming(DatasetSource& source, const RunConfig& config,
-                                const RunContext& context,
                                 DatasetSink& sink) const override {
     // The sharded pipeline is the first true streaming consumer: tile
     // histogram and border split from a bounds-only first pass, shard and
@@ -142,8 +138,7 @@ class ShardedStrategy final : public Anonymizer {
     sink.begin(source.name() + "-sharded-k" + std::to_string(config.k));
     shard::StreamShardedResult result = shard::anonymize_sharded_stream(
         source, to_shard_config(config),
-        [&sink](cdr::Fingerprint&& group) { sink.write(std::move(group)); },
-        context.hooks);
+        [&sink](cdr::Fingerprint&& group) { sink.write(std::move(group)); });
     sink.finish();
     StrategyOutcome outcome =
         outcome_from_stats(result.stats, std::move(result.shard_timings));
@@ -207,16 +202,14 @@ class W4MStrategy final : public Anonymizer {
     return std::nullopt;
   }
   StrategyOutcome run(const cdr::FingerprintDataset& data,
-                      const RunConfig& config,
-                      const RunContext& context) const override {
+                      const RunConfig& config) const override {
     baseline::W4MConfig w4m;
     w4m.k = config.k;
     w4m.delta_m = config.w4m.delta_m;
     w4m.trash_fraction = config.w4m.trash_fraction;
     w4m.chunk_size = config.w4m.chunk_size;
     w4m.match_tolerance_min = config.w4m.match_tolerance_min;
-    baseline::W4MResult result =
-        baseline::anonymize_w4m(data, w4m, context.hooks);
+    baseline::W4MResult result = baseline::anonymize_w4m(data, w4m);
 
     StrategyOutcome outcome;
     outcome.counters.input_users = result.stats.input_users;

@@ -117,8 +117,7 @@ double linear_st_distance(const cdr::Fingerprint& a,
 }
 
 W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
-                        const W4MConfig& config,
-                        const util::RunHooks& hooks) {
+                        const W4MConfig& config) {
   if (config.k < 2) {
     throw std::invalid_argument{"W4M requires k >= 2"};
   }
@@ -147,11 +146,6 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
       config.trash_fraction * static_cast<double>(n));
   std::vector<std::vector<std::size_t>> clusters;
 
-  // Progress: n units for clustering (trajectories consumed) plus n units
-  // for publication (cluster members written), 2n total.
-  const std::uint64_t total_work = 2 * static_cast<std::uint64_t>(n);
-  std::uint64_t consumed = 0;
-
   // --- Greedy k-member clustering within chunks (the LC variant).
   for (std::size_t chunk_begin = 0; chunk_begin < n;
        chunk_begin += config.chunk_size) {
@@ -163,7 +157,6 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
     }
 
     while (unassigned.size() >= config.k) {
-      hooks.throw_if_cancelled();
       const std::size_t pivot = unassigned.front();
       // Distances from the pivot to all other unassigned trajectories.
       std::vector<std::pair<double, std::size_t>> nearest;
@@ -195,7 +188,6 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
         stats.discarded_fingerprints += data[pivot].group_size();
         stats.deleted_samples += data[pivot].total_contributors();
         unassigned.erase(unassigned.begin());
-        hooks.report(++consumed, total_work);
         continue;
       }
 
@@ -211,17 +203,13 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
           rest.push_back(id);
         }
       }
-      consumed += cluster.size();
       unassigned = std::move(rest);
       clusters.push_back(std::move(cluster));
-      hooks.report(consumed, total_work);
     }
 
     // Chunk leftovers (< k): attach to the nearest cluster of this chunk,
     // or trash when the chunk produced none.
     for (const std::size_t id : unassigned) {
-      hooks.throw_if_cancelled();
-      hooks.report(++consumed, total_work);
       double best = kInf;
       std::vector<std::size_t>* best_cluster = nullptr;
       for (auto& cluster : clusters) {
@@ -252,9 +240,7 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
   double time_error_sum = 0.0;
   std::uint64_t error_count = 0;
 
-  std::uint64_t published_members = 0;
   for (const auto& cluster : clusters) {
-    hooks.throw_if_cancelled();
     const std::size_t pivot = cluster.front();
     const Trajectory& pivot_traj = trajectories[pivot];
     const std::size_t slots = pivot_traj.size();
@@ -365,11 +351,7 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
     }
     cdr::check_generalized(
         published.emplace_back(std::move(members), std::move(samples)));
-    published_members += cluster.size();
-    hooks.report(static_cast<std::uint64_t>(n) + published_members,
-                 total_work);
   }
-  hooks.report(total_work, total_work);
 
   if (error_count > 0) {
     stats.mean_position_error_m =

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "glove/cdr/dataset.hpp"
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::baseline {
 
@@ -75,14 +75,11 @@ struct W4MResult {
   W4MStats stats;
 };
 
-/// Runs W4M-LC with observability hooks: progress counts trajectories
-/// consumed by clustering plus cluster members published; cancellation is
-/// polled per pivot and per cluster.  Requires k >= 2 and chunk_size >= k
+/// Runs W4M-LC.  Requires k >= 2 and chunk_size >= k
 /// (std::invalid_argument otherwise) and data.size() >= k
 /// (util::DatasetError otherwise).  Deterministic.
 [[nodiscard]] W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
-                                      const W4MConfig& config,
-                                      const util::RunHooks& hooks = {});
+                                      const W4MConfig& config);
 
 /// Linear spatiotemporal distance between two trajectories (exposed for
 /// tests): time-average Euclidean distance between the two moving points

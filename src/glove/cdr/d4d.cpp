@@ -184,21 +184,13 @@ D4DTrace read_d4d_trace(std::istream& in, const AntennaTable& antennas) {
   // boundaries stay aligned for diurnal analyses.
   trace.origin_min = std::floor(earliest / 1440.0) * 1440.0;
   trace.events.reserve(records.size());
-  std::vector<bool> seen;
-  std::size_t users = 0;
   for (const D4DRecord& record : records) {
     CdrEvent event;
     event.user = record.user;
     event.time_min = record.time_min - trace.origin_min;
     event.antenna = antennas.at(record.antenna);
     trace.events.push_back(event);
-    if (record.user >= seen.size()) seen.resize(record.user + 1, false);
-    if (!seen[record.user]) {
-      seen[record.user] = true;
-      ++users;
-    }
   }
-  trace.users = users;
   return trace;
 }
 

@@ -41,7 +41,6 @@ using AntennaTable = std::unordered_map<long long, geo::LatLon>;
 struct D4DTrace {
   std::vector<CdrEvent> events;  ///< time_min rebased to the trace start
   double origin_min = 0.0;       ///< absolute minutes of the rebased zero
-  std::size_t users = 0;
 };
 
 /// Reads a D4D trace ("user_id,timestamp,antenna_id") against an antenna

@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 #include "glove/util/rng.hpp"
 
 namespace glove::cdr {

@@ -15,7 +15,7 @@
 #include <string>
 #include <string_view>
 
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::cdr {
 

@@ -102,7 +102,7 @@ MergeOptions merge_options(const GloveConfig& config) {
 }
 
 GloveResult anonymize(const cdr::FingerprintDataset& data,
-                      const GloveConfig& config, const util::RunHooks& hooks) {
+                      const GloveConfig& config) {
   if (config.k < 2) {
     throw std::invalid_argument{"GLOVE requires k >= 2"};
   }
@@ -167,8 +167,6 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
 
   const std::size_t rows = open.size();
   const std::size_t pairs = rows >= 2 ? rows * (rows - 1) / 2 : 0;
-  // Work units for progress: seeded pairs plus open nodes to close.
-  const std::uint64_t total_work = static_cast<std::uint64_t>(pairs) + rows;
   // Every open node but the oldest owns a pair; its key is one grid query
   // over the open nodes before it.
   std::vector<NodeKey> heap(rows >= 2 ? rows - 1 : 0);
@@ -179,7 +177,6 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
       [&](std::size_t begin, std::size_t end) {
         SearchTally part;
         for (std::size_t i = begin; i < end; ++i) {
-          hooks.throw_if_cancelled();
           const std::uint32_t x = open[i + 1];
           heap[i] = NodeKey{
               grid.least_box_bound(bounds[x].box, bounds, config.limits, x,
@@ -192,8 +189,6 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
       /*min_chunk=*/64);
   std::make_heap(heap.begin(), heap.end(), std::greater<>{});
   stats.init_seconds = seconds_since(init_start);
-  hooks.throw_if_cancelled();
-  hooks.report(pairs, total_work);
 
   // Candidate-churn accounting: how much of the heap's traffic is useful
   // (rescans, fresh keys) vs wasted (stale pops of merged nodes).  All
@@ -255,7 +250,6 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   // --- Greedy loop (Alg. 1 l. 4-15).
   const auto merge_start = Clock::now();
   while (open.size() >= 2) {
-    hooks.throw_if_cancelled();
     // Pop the least key of an open node.  An exact key whose partner is
     // still open names the pair to merge: every other key is at most the
     // least exact pair of its owner, and the node heap holds them all.
@@ -371,7 +365,6 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
       open.push_back(m_id);
       grid.insert(m_id, bounds[m_id].box);
     }
-    hooks.report(pairs + (rows - open.size()), total_work);
   }
 
   // At most one node is still open: the leftover, which Alg. 1 leaves
@@ -385,7 +378,7 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   for (const std::uint32_t id : finalized) {
     output.push_back(std::move(nodes[id]));
   }
-  absorb_leftovers(std::move(tail), output, config, stats, hooks);
+  absorb_leftovers(std::move(tail), output, config, stats);
   stats.merge_seconds = seconds_since(merge_start);
   stats.stretch_evaluations += tally.evaluations;
   if (popped > 0) c_popped.add(popped);
@@ -396,7 +389,6 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   if (stale > 0) c_stale.add(stale);
   if (pushed > 0) c_pushed.add(pushed);
   add_search_counters(tally);
-  hooks.report(total_work, total_work);
 
   stats.output_groups = output.size();
   cdr::FingerprintDataset anonymized{std::move(output),
@@ -409,8 +401,7 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
 
 std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
                              std::vector<cdr::Fingerprint>& groups,
-                             const GloveConfig& config, GloveStats& stats,
-                             const util::RunHooks& hooks) {
+                             const GloveConfig& config, GloveStats& stats) {
   if (config.leftover_policy == LeftoverPolicy::kSuppress) {
     for (const cdr::Fingerprint& leftover : tail) {
       stats.discarded_fingerprints += leftover.group_size();
@@ -429,7 +420,6 @@ std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
   const MergeOptions options = merge_options(config);
   SearchTally tally;
   for (const cdr::Fingerprint& leftover : tail) {
-    hooks.throw_if_cancelled();
     const std::size_t g =
         nearest(leftover, node_bounds(leftover), groups, group_bounds, grid,
                 config.limits, 1, std::nullopt, &tally)

@@ -14,7 +14,7 @@
 #include "glove/cdr/dataset.hpp"
 #include "glove/core/merge.hpp"
 #include "glove/core/stretch.hpp"
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::core {
 
@@ -87,11 +87,11 @@ struct GloveResult {
   GloveStats stats;
 };
 
-/// Runs GLOVE on `data` with observability hooks threaded into the hot
-/// loops.  Requires k >= 2 (std::invalid_argument otherwise) and
-/// k <= data.size() < 2^30 (a dataset smaller than the target crowd
-/// cannot be k-anonymized; util::DatasetError otherwise).  Deterministic
-/// for a given input and configuration, independent of thread count.
+/// Runs GLOVE on `data`.  Requires k >= 2 (std::invalid_argument
+/// otherwise) and k <= data.size() < 2^30 (a dataset smaller than the
+/// target crowd cannot be k-anonymized; util::DatasetError otherwise).
+/// Deterministic for a given input and configuration, independent of
+/// thread count.
 ///
 /// The candidate heap holds one key per open node, never one entry per
 /// pair, so its state is O(|M|): pair {x, y} belongs to the newer node,
@@ -107,14 +107,8 @@ struct GloveResult {
 /// so the caller must not itself be a task of that pool.  The final sub-k
 /// leftover, if any, goes through absorb_leftovers over the finished
 /// groups.
-///
-/// Progress units: seeded candidate pairs plus fingerprints closed by
-/// the greedy loop; `done` is monotone non-decreasing and reaches `total`
-/// on completion.  Cancellation is polled between work units and aborts
-/// with util::CancelledError before any output dataset is materialized.
 [[nodiscard]] GloveResult anonymize(const cdr::FingerprintDataset& data,
-                                    const GloveConfig& config,
-                                    const util::RunHooks& hooks = {});
+                                    const GloveConfig& config);
 
 /// Applies config.leftover_policy to sub-k leftovers that have nobody left
 /// to pair with (GLOVE's last open fingerprint, or a sharded run's
@@ -124,12 +118,10 @@ struct GloveResult {
 /// std::logic_error when `groups` is empty.  kSuppress counts
 /// each leftover's users as discarded and its original samples (summed
 /// contributors) as deleted.  Cost counters accumulate into `stats`;
-/// returns how many leftovers were absorbed.  Cancellation is polled
-/// between leftovers.
+/// returns how many leftovers were absorbed.
 std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
                              std::vector<cdr::Fingerprint>& groups,
-                             const GloveConfig& config, GloveStats& stats,
-                             const util::RunHooks& hooks = {});
+                             const GloveConfig& config, GloveStats& stats);
 
 /// Checks the k-anonymity postcondition: every fingerprint in `data` hides
 /// at least k members.  (Each member publishes the group's fingerprint, so

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -15,8 +14,7 @@ namespace glove::core {
 
 UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
                               const cdr::FingerprintDataset& new_users,
-                              const GloveConfig& config,
-                              const util::RunHooks& hooks) {
+                              const GloveConfig& config) {
   // Reject a user id held twice, within either input or across the two,
   // up front: a "newcomer" already inside a published group would be
   // double-counted, and the released groups would overlap — exactly the
@@ -76,10 +74,6 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
     double to_peer = std::numeric_limits<double>::infinity();
     SearchTally tally;
   };
-  // Progress: n decision units (parallel phase) then n placement units.
-  const std::uint64_t total_work = 2 * static_cast<std::uint64_t>(n);
-  std::mutex progress_mutex;
-  std::uint64_t decisions_done = 0;
 
   CandidateGrid group_grid{group_bounds};
   const CandidateGrid newcomer_grid{newcomer_bounds};
@@ -88,7 +82,6 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
       n,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          hooks.throw_if_cancelled();
           Choice& choice = choices[i];
           if (!groups.empty()) {
             choice.group =
@@ -103,25 +96,14 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
                       newcomer_grid, config.limits, 1,
                       static_cast<std::uint32_t>(i), &choice.tally);
           if (!peer.empty()) choice.to_peer = peer.front().stretch;
-          if (hooks.progress) {
-            const std::lock_guard lock{progress_mutex};
-            hooks.progress(++decisions_done, total_work);
-          }
         }
       },
       /*min_chunk=*/1);
   SearchTally tally;
   for (const Choice& choice : choices) tally += choice.tally;
 
-  // The embedded greedy pass observes only the cancellation token; its
-  // own progress would not compose monotonically with the outer units.
-  util::RunHooks inner;
-  inner.cancel = hooks.cancel;
-
-  std::uint64_t placed = 0;
   std::vector<cdr::Fingerprint> peer_pool;
   for (std::size_t i = 0; i < n; ++i) {
-    hooks.throw_if_cancelled();
     const bool join = !groups.empty() &&
                       (choices[i].group.stretch <= choices[i].to_peer);
     if (join) {
@@ -130,7 +112,6 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
       group_bounds[g] = node_bounds(groups[g]);
       group_grid.widen(static_cast<std::uint32_t>(g), group_bounds[g].box);
       ++result.stats.joined_existing_groups;
-      hooks.report(static_cast<std::uint64_t>(n) + ++placed, total_work);
     } else {
       peer_pool.push_back(new_users[i]);
     }
@@ -139,8 +120,8 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
   // Newcomers pairing among themselves: run the standard greedy pass when
   // enough of them remain; otherwise fall back to joining groups.
   if (peer_pool.size() >= config.k) {
-    const GloveResult pass = anonymize(
-        cdr::FingerprintDataset{std::move(peer_pool)}, config, inner);
+    const GloveResult pass =
+        anonymize(cdr::FingerprintDataset{std::move(peer_pool)}, config);
     result.stats.glove = pass.stats;
     result.stats.formed_new_groups = pass.anonymized.size();
     for (const cdr::Fingerprint& fp : pass.anonymized.fingerprints()) {
@@ -152,7 +133,6 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
       util::check_dataset_size(peer_pool.size(), config.k);
     }
     for (const cdr::Fingerprint& straggler : peer_pool) {
-      hooks.throw_if_cancelled();
       // Not absorb_leftovers: the group comes first in the merge here,
       // which decides member order when sample counts tie.
       const std::size_t g =
@@ -170,7 +150,6 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
   // After the greedy pass's stats are in, so its count is kept.
   result.stats.glove.stretch_evaluations += tally.evaluations;
   add_search_counters(tally);
-  hooks.report(total_work, total_work);
   result.anonymized = cdr::FingerprintDataset{
       std::move(groups), published.name() + "-updated"};
   return result;

@@ -50,8 +50,7 @@ struct UpdateResult {
 /// pass; a leftover smaller than k merges into the nearest group.
 [[nodiscard]] UpdateResult anonymize_update(
     const cdr::FingerprintDataset& published,
-    const cdr::FingerprintDataset& new_users, const GloveConfig& config,
-    const util::RunHooks& hooks = {});
+    const cdr::FingerprintDataset& new_users, const GloveConfig& config);
 
 }  // namespace glove::core
 

@@ -41,8 +41,8 @@
 #include "glove/synth/generator.hpp"
 #include "glove/synth/network.hpp"
 #include "glove/util/csv.hpp"
+#include "glove/util/dataset_error.hpp"
 #include "glove/util/flags.hpp"
-#include "glove/util/hooks.hpp"
 #include "glove/util/mem.hpp"
 #include "glove/util/parallel.hpp"
 #include "glove/util/rng.hpp"

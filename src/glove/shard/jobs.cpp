@@ -23,9 +23,7 @@ double seconds_since(Clock::time_point start) {
 std::vector<ShardResult> run_jobs(util::ThreadPool& pool,
                                   const std::vector<ShardJob>& jobs,
                                   const MemberFn& member,
-                                  const core::GloveConfig& glove,
-                                  const ShardResultFn& on_result,
-                                  const util::RunHooks& hooks) {
+                                  const core::GloveConfig& glove) {
   // Largest first, ties in job order.  Which thread runs a job never
   // changes its groups.
   std::vector<std::size_t> order(jobs.size());
@@ -37,13 +35,10 @@ std::vector<ShardResult> run_jobs(util::ThreadPool& pool,
                    });
 
   std::vector<ShardResult> results(jobs.size());
-  util::RunHooks inner;
-  inner.cancel = hooks.cancel;
   util::parallel_for(
       pool, order.size(),
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t position = begin; position < end; ++position) {
-          hooks.throw_if_cancelled();
           const std::size_t j = order[position];
           const ShardJob& job = jobs[j];
           ShardResult& out = results[j];
@@ -60,7 +55,7 @@ std::vector<ShardResult> run_jobs(util::ThreadPool& pool,
             inputs.push_back(member(id));
           }
           core::GloveResult run = core::anonymize(
-              cdr::FingerprintDataset{std::move(inputs)}, glove, inner);
+              cdr::FingerprintDataset{std::move(inputs)}, glove);
           out.timing.init_seconds = run.stats.init_seconds;
           out.timing.merge_seconds = run.stats.merge_seconds;
           out.timing.total_seconds = seconds_since(start);
@@ -68,7 +63,6 @@ std::vector<ShardResult> run_jobs(util::ThreadPool& pool,
           job_span.arg("groups", run.anonymized.size());
           out.groups = std::move(run.anonymized.mutable_fingerprints());
           out.stats = run.stats;
-          on_result(out);
         }
       },
       /*min_chunk=*/1);

@@ -14,7 +14,6 @@
 
 #include "glove/cdr/fingerprint.hpp"
 #include "glove/core/glove.hpp"
-#include "glove/util/hooks.hpp"
 #include "glove/util/thread_pool.hpp"
 
 namespace glove::shard {
@@ -54,10 +53,6 @@ struct ShardResult {
 /// most once per id, so it may move the fingerprint out of a store.
 using MemberFn = std::function<cdr::Fingerprint(std::uint32_t id)>;
 
-/// Called once per completed job from a job thread (it must be
-/// thread-safe); drives progress reporting.
-using ShardResultFn = std::function<void(const ShardResult&)>;
-
 /// Runs every job through core::anonymize with `glove` on `pool`, one job
 /// per task, the largest jobs first: a large job started last would run on
 /// alone while the other threads idle.  Each job takes its members from
@@ -66,12 +61,10 @@ using ShardResultFn = std::function<void(const ShardResult&)>;
 /// util::ThreadPool::shared(): core::anonymize hands rescan batches to
 /// the shared pool and waits for them.  Returns the results in job
 /// order, whatever order the jobs ran in, and the groups of a job never
-/// depend on the pool or the start order.  Cancellation propagates from
-/// `hooks.cancel` (util::CancelledError).
+/// depend on the pool or the start order.
 [[nodiscard]] std::vector<ShardResult> run_jobs(
     util::ThreadPool& pool, const std::vector<ShardJob>& jobs,
-    const MemberFn& member, const core::GloveConfig& glove,
-    const ShardResultFn& on_result, const util::RunHooks& hooks);
+    const MemberFn& member, const core::GloveConfig& glove);
 
 }  // namespace glove::shard
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "glove/core/scalability.hpp"
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::shard {
 

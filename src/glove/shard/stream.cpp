@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -37,8 +36,7 @@ struct StreamScan {
   std::uint64_t samples = 0;
 };
 
-StreamScan scan_stream(api::DatasetSource& source,
-                       const util::RunHooks& hooks) {
+StreamScan scan_stream(api::DatasetSource& source) {
   StreamScan scan;
   if (std::vector<cdr::FingerprintSummary> summaries;
       source.summaries(summaries)) {
@@ -70,7 +68,6 @@ StreamScan scan_stream(api::DatasetSource& source,
   }
   cdr::Fingerprint fp;
   while (source.next(fp)) {
-    if ((scan.bounds.size() & 0x3FFu) == 0) hooks.throw_if_cancelled();
     scan.bounds.push_back(core::fingerprint_bounds(fp));
     scan.group_sizes.push_back(fp.group_size());
     scan.users += fp.group_size();
@@ -85,8 +82,7 @@ StreamScan scan_stream(api::DatasetSource& source,
 std::uint64_t materialize_pass(
     api::DatasetSource& source,
     const std::unordered_map<std::uint32_t, std::uint32_t>& slot_of_id,
-    std::vector<cdr::Fingerprint>& store, std::size_t expected,
-    const util::RunHooks& hooks) {
+    std::vector<cdr::Fingerprint>& store, std::size_t expected) {
   // Index-capable sources seek straight to the blocks holding the
   // requested fingerprints; the pass then "streamed" only those.
   if (const std::optional<std::uint64_t> fetched =
@@ -97,7 +93,6 @@ std::uint64_t materialize_pass(
   cdr::Fingerprint fp;
   std::uint64_t index = 0;
   while (source.next(fp)) {
-    if ((index & 0x3FFu) == 0) hooks.throw_if_cancelled();
     if (index < expected) {
       const auto it = slot_of_id.find(static_cast<std::uint32_t>(index));
       if (it != slot_of_id.end()) store[it->second] = std::move(fp);
@@ -129,8 +124,7 @@ struct Unit {
 
 StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
                                              const ShardConfig& config,
-                                             const GroupEmitter& emit,
-                                             const util::RunHooks& hooks) {
+                                             const GroupEmitter& emit) {
   if (config.glove.k < 2) {
     throw std::invalid_argument{"GLOVE requires k >= 2"};
   }
@@ -144,7 +138,6 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   if (config.max_shard_users < config.glove.k) {
     throw std::invalid_argument{"sharded.max_shard_users must be at least k"};
   }
-  hooks.throw_if_cancelled();
 
   // Deterministic plane counters (counts only — they surface in the run
   // report's "obs" section), kept here so they are independent of the
@@ -163,7 +156,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   StreamScan scan;
   {
     GLOVE_SPAN_NAMED(pass1_span, "stream.pass1.scan");
-    scan = scan_stream(source, hooks);
+    scan = scan_stream(source);
     pass1_span.arg("fingerprints", scan.bounds.size());
     pass1_span.arg("users", scan.users);
     pass1_span.arg("samples", scan.samples);
@@ -245,7 +238,6 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
     }
   }
   result.stats.plan_seconds = seconds_since(plan_start);
-  hooks.throw_if_cancelled();
 
   // Absorbing a sub-k tail (fewer than k sub-k leftovers under
   // kMergeIntoNearest) rewrites the nearest already-finalized group, so
@@ -287,19 +279,6 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   const std::size_t budget =
       inmem != nullptr ? n : resolved.max_shard_users * workers;
 
-  const std::uint64_t total_work = n + 1;  // +1: the final tick
-  hooks.report(0, total_work);
-  std::mutex progress_mutex;
-  std::uint64_t done = 0;
-  const auto advance = [&](std::uint64_t fingerprints) {
-    const std::lock_guard lock{progress_mutex};
-    done += fingerprints;
-    hooks.report(done, total_work);
-  };
-  const ShardResultFn on_result = [&](const ShardResult& r) {
-    advance(r.timing.input_fingerprints);
-  };
-
   // A user id two fingerprints hold would be published twice.  Each job
   // sees only its own members, so the run checks every batch against the
   // users of the batches before it (a materialized source, all at once).
@@ -310,7 +289,6 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
 
   std::vector<cdr::Fingerprint> tail;
   for (std::size_t first = 0; first < units.size();) {
-    hooks.throw_if_cancelled();
     std::size_t last = first + 1;
     std::size_t members = units[first].ids.size();
     while (last < units.size() && members + units[last].ids.size() <= budget) {
@@ -343,7 +321,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
       }
       store.resize(next_slot);
       result.pass_fingerprints.push_back(
-          materialize_pass(source, slot_of_id, store, n, hooks));
+          materialize_pass(source, slot_of_id, store, n));
       cdr::add_distinct_users(users, store, "input dataset");
     }
     // Each member is taken once: by the coordinator for pass-throughs and
@@ -370,14 +348,13 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
 
     // Results come back in job order; deliver them in unit order, with
     // the pass-throughs at their place and the tail kept for the end.
-    std::vector<ShardResult> batch_results = run_jobs(
-        job_pool, jobs, member, resolved.glove, on_result, hooks);
+    std::vector<ShardResult> batch_results =
+        run_jobs(job_pool, jobs, member, resolved.glove);
     auto next_result = batch_results.begin();
     for (std::size_t u = first; u < last; ++u) {
       const Unit& unit = units[u];
       if (unit.kind == UnitKind::kPassthrough) {
         for (const std::uint32_t id : unit.ids) deliver(member(id));
-        advance(unit.ids.size());
         continue;
       }
       if (unit.kind == UnitKind::kTail) {
@@ -399,18 +376,15 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
     }
     first = last;
   }
-  hooks.throw_if_cancelled();
 
   // --- The leftover-policy tail, over the held groups when it absorbs:
   // the one reconcile step that waits for every batch.
   if (!tail.empty()) {
-    const std::size_t tail_size = tail.size();
     GLOVE_SPAN_NAMED(reconcile_span, "stream.reconcile");
-    reconcile_span.arg("leftovers", tail_size);
+    reconcile_span.arg("leftovers", tail.size());
     const auto reconcile_start = Clock::now();
     result.stats.absorbed_leftovers = core::absorb_leftovers(
-        std::move(tail), held, resolved.glove, result.stats.glove, hooks);
-    advance(tail_size);
+        std::move(tail), held, resolved.glove, result.stats.glove);
     result.stats.reconcile_seconds = seconds_since(reconcile_start);
   }
   for (cdr::Fingerprint& fp : held) {
@@ -422,7 +396,6 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   result.stats.glove.output_groups = emitted_groups;
   result.stats.glove.output_samples = emitted_samples;
   result.exec_workers = job_pool.size();
-  hooks.report(total_work, total_work);
   return result;
 }
 

@@ -41,7 +41,7 @@
 #include "glove/cdr/fingerprint.hpp"
 #include "glove/shard/config.hpp"
 #include "glove/shard/jobs.hpp"
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::shard {
 
@@ -85,16 +85,13 @@ struct StreamShardedResult {
 /// max_shard_users >= glove.k (std::invalid_argument otherwise); a source
 /// holding fewer than k fingerprints, one whose fingerprint count changes
 /// between passes, or a fingerprint off the tile grid (tile_of) raises
-/// util::DatasetError.  Deterministic for
-/// a given source content and configuration, independent of `workers`
-/// and batch boundaries.  Progress units are input fingerprints — kept
-/// ones as their shard completes, deferred ones as reconciliation
-/// consumes them — plus one final tick; cancellation aborts with
-/// util::CancelledError (groups already emitted stay with the emitter —
-/// file sinks may hold a partial dataset on failure).
+/// util::DatasetError.  Deterministic for a given source content and
+/// configuration, independent of `workers` and batch boundaries.  A run
+/// that throws leaves the groups already emitted with the emitter, so a
+/// file sink may hold a partial dataset on failure.
 [[nodiscard]] StreamShardedResult anonymize_sharded_stream(
     api::DatasetSource& source, const ShardConfig& config,
-    const GroupEmitter& emit, const util::RunHooks& hooks = {});
+    const GroupEmitter& emit);
 
 }  // namespace glove::shard
 

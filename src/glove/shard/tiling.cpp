@@ -7,7 +7,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::shard {
 

@@ -22,13 +22,12 @@ std::string_view trim(std::string_view s) {
 
 }  // namespace
 
-std::vector<std::string_view> split_csv_line(std::string_view line,
-                                             char separator) {
+std::vector<std::string_view> split_csv_line(std::string_view line) {
   std::vector<std::string_view> fields;
   if (line.empty()) return fields;
   std::size_t start = 0;
   for (std::size_t i = 0; i <= line.size(); ++i) {
-    if (i == line.size() || line[i] == separator) {
+    if (i == line.size() || line[i] == ',') {
       fields.push_back(trim(line.substr(start, i - start)));
       start = i + 1;
     }
@@ -36,15 +35,14 @@ std::vector<std::string_view> split_csv_line(std::string_view line,
   return fields;
 }
 
-CsvReader::CsvReader(std::istream& in, char separator)
-    : in_{in}, separator_{separator} {}
+CsvReader::CsvReader(std::istream& in) : in_{in} {}
 
 bool CsvReader::next(std::vector<std::string_view>& fields) {
   while (std::getline(in_, buffer_)) {
     ++line_no_;
     const std::string_view trimmed = trim(buffer_);
     if (trimmed.empty() || trimmed.front() == '#') continue;
-    fields = split_csv_line(buffer_, separator_);
+    fields = split_csv_line(buffer_);
     ++rows_;
     return true;
   }
@@ -61,8 +59,7 @@ void CsvReader::rewind() {
   line_no_ = 0;
 }
 
-CsvWriter::CsvWriter(std::ostream& out, char separator)
-    : out_{out}, separator_{separator} {}
+CsvWriter::CsvWriter(std::ostream& out) : out_{out} {}
 
 void CsvWriter::comment(std::string_view text) {
   out_ << "# " << text << '\n';
@@ -70,7 +67,7 @@ void CsvWriter::comment(std::string_view text) {
 
 void CsvWriter::row(const std::vector<std::string>& fields) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i != 0) out_ << separator_;
+    if (i != 0) out_ << ',';
     out_ << fields[i];
   }
   out_ << '\n';

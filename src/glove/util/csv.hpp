@@ -18,16 +18,17 @@
 
 namespace glove::util {
 
-/// Splits one CSV line into fields.  Leading/trailing whitespace of each
-/// field is trimmed.  Empty input yields an empty vector.
+/// Splits one CSV line into fields at each comma.  Leading/trailing
+/// whitespace of each field is trimmed.  Empty input yields an empty
+/// vector.
 [[nodiscard]] std::vector<std::string_view> split_csv_line(
-    std::string_view line, char separator = ',');
+    std::string_view line);
 
 /// Streaming CSV reader over an istream.  Skips blank lines and lines whose
 /// first non-space character is '#'.
 class CsvReader {
  public:
-  explicit CsvReader(std::istream& in, char separator = ',');
+  explicit CsvReader(std::istream& in);
 
   /// Reads the next data row into `fields` (views into an internal buffer
   /// valid until the next call).  Returns false at end of input.
@@ -47,7 +48,6 @@ class CsvReader {
  private:
   std::istream& in_;
   std::string buffer_;
-  char separator_;
   std::size_t rows_ = 0;
   std::size_t line_no_ = 0;
 };
@@ -55,16 +55,15 @@ class CsvReader {
 /// CSV writer with row-oriented API.
 class CsvWriter {
  public:
-  explicit CsvWriter(std::ostream& out, char separator = ',');
+  explicit CsvWriter(std::ostream& out);
 
   /// Writes a comment line ("# ...").
   void comment(std::string_view text);
-  /// Writes one row; fields are emitted verbatim.
+  /// Writes one row, comma-separated; fields are emitted verbatim.
   void row(const std::vector<std::string>& fields);
 
  private:
   std::ostream& out_;
-  char separator_;
 };
 
 /// Parses a double, throwing std::invalid_argument with context on failure.

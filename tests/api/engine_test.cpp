@@ -1,13 +1,10 @@
 // Engine boundary behavior: typed errors on bad input (no throwing across
-// the API), cooperative cancellation with no partial output, monotone
-// progress reporting, and the RunConfig the shared CLI flags build.
+// the API), and the RunConfig the shared CLI flags build.
 
 #include "glove/api/engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -286,66 +283,9 @@ TEST(Engine, RejectsBadW4MTrashFraction) {
   const auto result = engine.run(test::paired_dataset(), config);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig);
-}
-
-TEST(Engine, PreCancelledTokenYieldsCancelledAndNoOutput) {
-  const Engine engine;
-  RunConfig config;
-  config.cancel = util::CancellationToken{};
-  config.cancel->request_cancel();
-  const auto result = engine.run(test::small_synth_dataset(30), config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, ErrorCode::kCancelled);
-}
-
-TEST(Engine, CancellationMidMergeLeavesNoPartialOutput) {
-  const Engine engine;
-  RunConfig config;
-  util::CancellationToken token;
-  config.cancel = token;
-  std::atomic<std::uint64_t> reports{0};
-  // Cancel from the progress callback once the merge loop has started
-  // (the first report lands after initialization).
-  config.progress = [&](std::uint64_t, std::uint64_t) {
-    if (reports.fetch_add(1) >= 1) token.request_cancel();
-  };
-  const auto result = engine.run(test::small_synth_dataset(40), config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, ErrorCode::kCancelled);
-  // A cancelled Result holds no report, hence no partial dataset; value()
-  // access fails loudly instead of handing back half-merged output.
+  // A failed Result holds no report, hence no dataset; value() access
+  // fails loudly instead of handing one back.
   EXPECT_THROW((void)result.value(), std::logic_error);
-}
-
-TEST(Engine, ProgressIsMonotoneAndCompletes) {
-  const Engine engine;
-  // "incremental" matters here: its decision phase reports from
-  // parallel_for worker threads, the hardest case for monotonicity —
-  // as does "sharded", whose shard jobs complete on scheduler workers.
-  for (const char* strategy :
-       {"full", "sharded", "incremental", "w4m-baseline"}) {
-    RunConfig config;
-    config.strategy = strategy;
-    config.sharded.max_shard_users = 16;
-    config.sharded.tile_size_m = 2'000.0;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> observed;
-    config.progress = [&](std::uint64_t done, std::uint64_t total) {
-      observed.emplace_back(done, total);
-    };
-    const auto result = engine.run(test::small_synth_dataset(30), config);
-    ASSERT_TRUE(result.ok()) << strategy << ": " << result.error().message;
-    ASSERT_FALSE(observed.empty()) << strategy;
-    std::uint64_t previous = 0;
-    for (const auto& [done, total] : observed) {
-      EXPECT_GE(done, previous) << strategy;
-      EXPECT_EQ(total, observed.front().second)
-          << strategy << ": total must stay fixed";
-      EXPECT_LE(done, total) << strategy;
-      previous = done;
-    }
-    EXPECT_EQ(observed.back().first, observed.back().second)
-        << strategy << ": progress must end at done == total";
-  }
 }
 
 TEST(Engine, RunReportCarriesCountersAndConfigEcho) {

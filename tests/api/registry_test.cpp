@@ -35,9 +35,8 @@ class IdentityStrategy final : public Anonymizer {
   std::string_view description() const noexcept override {
     return "returns the input dataset unchanged";
   }
-  StrategyOutcome run(const cdr::FingerprintDataset& data, const RunConfig&,
-                      const RunContext& context) const override {
-    context.hooks.report(1, 1);
+  StrategyOutcome run(const cdr::FingerprintDataset& data,
+                      const RunConfig&) const override {
     StrategyOutcome outcome;
     outcome.anonymized = cdr::FingerprintDataset{
         {data.fingerprints().begin(), data.fingerprints().end()},
@@ -72,8 +71,8 @@ TEST(Registry, RegisteringExistingNameReplacesTheStrategy) {
     std::string_view description() const noexcept override {
       return "replacement";
     }
-    StrategyOutcome run(const cdr::FingerprintDataset& data, const RunConfig&,
-                        const RunContext&) const override {
+    StrategyOutcome run(const cdr::FingerprintDataset& data,
+                        const RunConfig&) const override {
       StrategyOutcome outcome;
       outcome.anonymized = cdr::FingerprintDataset{
           {data.fingerprints().begin(), data.fingerprints().end()},

@@ -26,7 +26,7 @@
 #include "common/temp_dir.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/core/scalability.hpp"
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::cdr {
 namespace {

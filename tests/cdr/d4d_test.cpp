@@ -130,7 +130,6 @@ TEST(D4DTrace, LoadsAndRebasesEvents) {
       "9,2011-12-06 00:15:00,10\n"};
   const D4DTrace trace = read_d4d_trace(in, two_antennas());
   ASSERT_EQ(trace.events.size(), 3u);
-  EXPECT_EQ(trace.users, 2u);
   // Rebased to the midnight before the earliest event (2011-12-05 00:00).
   EXPECT_DOUBLE_EQ(trace.events[0].time_min, 7 * 60.0 + 30.0);
   EXPECT_DOUBLE_EQ(trace.events[2].time_min, 1'440.0 + 15.0);
@@ -162,7 +161,20 @@ TEST(D4DTrace, EmptyInputYieldsEmptyTrace) {
   std::istringstream in{"# nothing\n"};
   const D4DTrace trace = read_d4d_trace(in, two_antennas());
   EXPECT_TRUE(trace.events.empty());
-  EXPECT_EQ(trace.users, 0u);
+}
+
+TEST(D4DTrace, ReadsTheLargestUserIds) {
+  // A user id near the top of UserId is an id like any other: the reader
+  // must neither index nor size anything by it.
+  std::istringstream in{"4294967295,2011-12-05 07:30:00,10\n"
+                        "4294967294,2011-12-05 07:45:00,20\n"
+                        "4294967295,2011-12-05 08:30:00,20\n"};
+  const D4DTrace trace = read_d4d_trace(in, two_antennas());
+  ASSERT_EQ(trace.events.size(), 3u);
+  EXPECT_EQ(trace.events[0].user, 4294967295u);
+  EXPECT_EQ(trace.events[1].user, 4294967294u);
+  EXPECT_EQ(trace.events[2].user, 4294967295u);
+  EXPECT_DOUBLE_EQ(trace.events[2].time_min, 8 * 60.0 + 30.0);
 }
 
 TEST(D4DTrace, WriteReadRoundTrip) {

@@ -15,7 +15,7 @@
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
 #include "common/temp_dir.hpp"
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::cdr {
 namespace {

@@ -173,29 +173,6 @@ TEST(IncrementalUpdate, RejectsNewcomerIdAlreadyPublished) {
   }
 }
 
-TEST(IncrementalUpdate, PreCancelledTokenAborts) {
-  const cdr::FingerprintDataset base = base_release();
-  util::RunHooks hooks;
-  hooks.cancel.emplace();
-  hooks.cancel->request_cancel();
-  EXPECT_THROW((void)anonymize_update(base, newcomers(6, 81), {}, hooks),
-               util::CancelledError);
-}
-
-TEST(IncrementalUpdate, CancellationMidUpdateAborts) {
-  // Cancel from inside the progress callback — the way an interactive
-  // caller aborts a run it is watching.  The update must stop with
-  // CancelledError instead of returning a partial release.
-  const cdr::FingerprintDataset base = base_release();
-  util::RunHooks hooks;
-  hooks.cancel.emplace();
-  hooks.progress = [&hooks](std::uint64_t, std::uint64_t) {
-    hooks.cancel->request_cancel();
-  };
-  EXPECT_THROW((void)anonymize_update(base, newcomers(8, 82), {}, hooks),
-               util::CancelledError);
-}
-
 TEST(IncrementalUpdate, RejectsUnanonymizedBase) {
   std::vector<cdr::Fingerprint> fps;
   fps.emplace_back(0u, std::vector<cdr::Sample>{cell(0, 0, 0)});

@@ -41,8 +41,6 @@ std::string groups_csv(std::vector<cdr::Fingerprint> groups) {
       cdr::FingerprintDataset{std::move(groups), "jobs"});
 }
 
-const ShardResultFn ignore_result = [](const ShardResult&) {};
-
 std::vector<ShardJob> jobs_of(
     const std::vector<std::vector<std::uint32_t>>& slices) {
   std::vector<ShardJob> jobs;
@@ -85,8 +83,8 @@ TEST(ShardJobs, ResultsKeepJobOrderWhateverTheStartOrder) {
   for (const bool resident : {true, false}) {
     util::ThreadPool pool{2};
     const MemberFn& member = resident ? copy_from_resident : move_from_store;
-    std::vector<ShardResult> results = run_jobs(
-        pool, jobs_of(slices), member, glove, ignore_result, {});
+    std::vector<ShardResult> results =
+        run_jobs(pool, jobs_of(slices), member, glove);
     ASSERT_EQ(results.size(), slices.size());
     for (std::size_t s = 0; s < slices.size(); ++s) {
       EXPECT_EQ(results[s].timing.shard, s);
@@ -121,8 +119,8 @@ TEST(ShardJobs, JobsRefineLargeBatchesOnTheSharedPool) {
   const MemberFn copy = [&](std::uint32_t id) { return data[id]; };
   util::ThreadPool pool{2};
   const obs::MetricsSnapshot before = obs::snapshot_metrics();
-  std::vector<ShardResult> results = run_jobs(
-      pool, jobs_of(slices), copy, glove, ignore_result, {});
+  std::vector<ShardResult> results =
+      run_jobs(pool, jobs_of(slices), copy, glove);
   const obs::MetricsSnapshot after = obs::snapshot_metrics();
   EXPECT_GT(after.counter_value("core.heap.pool_batches") -
                 before.counter_value("core.heap.pool_batches"),

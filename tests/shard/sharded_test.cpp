@@ -232,18 +232,5 @@ TEST(Sharded, AdaptiveTileSizeIsUsedWhenConfiguredZero) {
             test::dataset_to_csv(result.value().anonymized));
 }
 
-TEST(Sharded, CancellationAbortsWithoutOutput) {
-  const glove::Engine engine;
-  api::RunConfig config;
-  config.strategy = api::kStrategySharded;
-  config.sharded.tile_size_m = 5'000.0;
-  config.sharded.max_shard_users = 16;
-  config.cancel = util::CancellationToken{};
-  config.cancel->request_cancel();
-  const auto result = engine.run(test::small_synth_dataset(40), config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, api::ErrorCode::kCancelled);
-}
-
 }  // namespace
 }  // namespace glove::shard

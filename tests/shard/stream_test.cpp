@@ -519,60 +519,6 @@ TEST(ShardStream, PassThroughsKeepTheirPlaceInTheMaterializedBatch) {
       test::dataset_to_csv(cdr::FingerprintDataset{std::move(text_groups)}));
 }
 
-TEST(ShardStream, ProgressCountsDeferredFingerprintsDuringReconcile) {
-  // Progress must keep advancing through the reconcile phase: the last
-  // report before the final tick covers all n fingerprints, kept and
-  // deferred alike (deferred ones used to stall below n).
-  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
-  MemorySource stream{data};
-  util::RunHooks hooks;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> reports;
-  hooks.progress = [&](std::uint64_t done, std::uint64_t total) {
-    reports.emplace_back(done, total);
-  };
-  StreamShardedResult result = anonymize_sharded_stream(
-      stream, small_config(), [](cdr::Fingerprint&&) {}, hooks);
-  ASSERT_GT(result.stats.deferred_fingerprints, 0u);
-  ASSERT_FALSE(reports.empty());
-  const std::uint64_t total = static_cast<std::uint64_t>(data.size()) + 1;
-  EXPECT_EQ(reports.back().first, total);
-  EXPECT_EQ(reports.back().second, total);
-  // The second-to-last distinct value must already cover every
-  // fingerprint — reconcile consumed the deferred ones.
-  ASSERT_GE(reports.size(), 2u);
-  EXPECT_EQ(reports[reports.size() - 2].first, data.size());
-}
-
-TEST(ShardStream, CancellationFiresMidReconcileChunk) {
-  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
-  std::ostringstream serialized;
-  cdr::write_dataset_csv(serialized, data);
-  ShardConfig config = many_chunks_config();
-  config.workers = 1;  // one reconcile GLOVE chunk per batch
-
-  // Probe run: learn where the reconcile work starts (progress counts
-  // kept fingerprints first) and confirm several reconcile chunks run, so
-  // the cancel below lands between them.
-  TextStream probe{serialized.str()};
-  const obs::MetricsSnapshot before = obs::snapshot_metrics();
-  StreamShardedResult full;
-  (void)run_stream(probe, config, &full);
-  ASSERT_GE(counter_delta(before, "stream.reconcile_chunks"), 2u);
-  const std::uint64_t kept =
-      data.size() - full.stats.deferred_fingerprints;
-
-  util::CancellationToken token;
-  util::RunHooks hooks;
-  hooks.cancel = token;
-  hooks.progress = [&](std::uint64_t done, std::uint64_t) {
-    if (done > kept) token.request_cancel();
-  };
-  TextStream stream{serialized.str()};
-  EXPECT_THROW((void)anonymize_sharded_stream(
-                   stream, config, [](cdr::Fingerprint&&) {}, hooks),
-               util::CancelledError);
-}
-
 TEST(ShardStream, StreamThatShrinksBetweenPassesIsRejected) {
   /// Yields the dataset on the first pass, then one fingerprint fewer on
   /// every later pass — a file truncated mid-run.

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/fixtures.hpp"
-#include "glove/util/hooks.hpp"
+#include "glove/util/dataset_error.hpp"
 
 namespace glove::shard {
 namespace {

@@ -37,12 +37,6 @@ TEST(SplitCsvLine, EmptyInputYieldsNoFields) {
   EXPECT_TRUE(split_csv_line("").empty());
 }
 
-TEST(SplitCsvLine, HonorsCustomSeparator) {
-  const auto fields = split_csv_line("a;b;c", ';');
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[2], "c");
-}
-
 TEST(CsvReader, SkipsCommentsAndBlankLines) {
   std::istringstream in{"# header\n\n1,2\n  # another\n3,4\n"};
   CsvReader reader{in};
