@@ -66,8 +66,7 @@ void define_run_flags(util::Flags& flags, const Engine& engine,
   flags.define_enum("executor", "inprocess", {"inprocess"},
                     "sharded execution backend (accepted for compatibility; "
                     "jobs always run on an in-process thread pool)");
-  flags.define("report", "",
-               "write the run report to this path (.json or .csv)");
+  flags.define("report", "", "write the run report (JSON) to this path");
 }
 
 void define_observability_flags(util::Flags& flags) {

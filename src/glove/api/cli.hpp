@@ -24,7 +24,7 @@ bool parse_cli(util::Flags& flags, int argc, const char* const* argv,
 
 /// Registers the Engine run flags: --strategy (enum over
 /// engine.strategies()), --k, --suppress-km / --suppress-hours, the
-/// sharded strategy's knobs and --report (JSON/CSV run-report path).
+/// sharded strategy's knobs and --report (JSON run-report path).
 void define_run_flags(util::Flags& flags, const Engine& engine,
                       std::string_view default_strategy = kStrategyFull);
 

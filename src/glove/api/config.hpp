@@ -1,7 +1,9 @@
 // RunConfig: the one validated configuration for every anonymization
 // strategy the Engine can drive.  Shared knobs (k, stretch limits,
 // suppression) sit at the top level; strategy-specific knobs live in
-// per-strategy sections that are ignored by the other strategies.
+// per-strategy sections that are ignored by the other strategies.  The
+// Engine checks every field before it reads any data: a non-finite or
+// out-of-range value is kInvalidConfig.
 
 #ifndef GLOVE_API_CONFIG_HPP
 #define GLOVE_API_CONFIG_HPP
@@ -15,14 +17,14 @@
 
 namespace glove::api {
 
-/// Built-in strategy names (the registry accepts additional ones).
+/// The four strategy names, the whole set Engine::run dispatches on.
 inline constexpr std::string_view kStrategyFull = "full";
 inline constexpr std::string_view kStrategyIncremental = "incremental";
 inline constexpr std::string_view kStrategyW4M = "w4m-baseline";
 inline constexpr std::string_view kStrategySharded = "sharded";
 
 struct RunConfig {
-  /// Registered Anonymizer to run (see Engine::strategies()).
+  /// Strategy to run: one of the four names above (Engine::strategies()).
   std::string strategy{kStrategyFull};
 
   // --- Shared knobs (GLOVE family; W4M uses only `k`).

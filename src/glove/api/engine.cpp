@@ -1,69 +1,239 @@
 #include "glove/api/engine.hpp"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
-#include <memory>
-#include <sstream>
+#include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
+#include "glove/baseline/w4m.hpp"
+#include "glove/core/glove.hpp"
+#include "glove/core/incremental.hpp"
 #include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
+#include "glove/shard/stream.hpp"
+#include "glove/util/dataset_error.hpp"
 #include "glove/util/mem.hpp"
 
 namespace glove::api {
 
-Engine::Engine() { register_builtin_strategies(*this); }
+namespace {
 
-void Engine::register_strategy(std::unique_ptr<Anonymizer> strategy) {
-  std::string key{strategy->name()};
-  registry_[std::move(key)] = std::move(strategy);
+/// The closed strategy set, sorted by name.
+constexpr std::array<std::string_view, 4> kStrategies{
+    kStrategyFull, kStrategyIncremental, kStrategySharded, kStrategyW4M};
+
+Error config_error(std::string message) {
+  return Error{ErrorCode::kInvalidConfig, std::move(message)};
 }
+
+/// Every configuration check, run before any data is read: the strategy
+/// name, the shared knobs, then the section of the strategy that runs
+/// (the other sections are ignored).  Each test is written so that NaN
+/// fails it.  A bad dataset is refused by the code that consumes it.
+std::optional<Error> check_config(const RunConfig& config) {
+  if (std::find(kStrategies.begin(), kStrategies.end(), config.strategy) ==
+      kStrategies.end()) {
+    std::string message =
+        "unknown strategy '" + config.strategy + "' (registered:";
+    for (const std::string_view name : kStrategies) {
+      message += ' ';
+      message += name;
+    }
+    return Error{ErrorCode::kUnknownStrategy, message + ')'};
+  }
+  const auto positive = [](double x) { return x > 0.0 && std::isfinite(x); };
+  const auto non_negative = [](double x) {
+    return x >= 0.0 && std::isfinite(x);
+  };
+  if (config.k < 2) {
+    return config_error("k must be >= 2 (got " + std::to_string(config.k) +
+                        ")");
+  }
+  if (!positive(config.limits.phi_max_sigma_m) ||
+      !positive(config.limits.phi_max_tau_min)) {
+    return config_error(
+        "stretch saturation limits must be positive and finite");
+  }
+  // A negative weight would make the box and slot lower bounds that every
+  // core::nearest search prunes by unsound.
+  if (!non_negative(config.limits.w_sigma) ||
+      !non_negative(config.limits.w_tau)) {
+    return config_error("stretch weights must be finite and non-negative");
+  }
+  // +inf stays legal: it leaves an axis unbounded, as the CLI sets an
+  // unset one.
+  if (config.suppression &&
+      !(config.suppression->max_spatial_extent_m > 0.0 &&
+        config.suppression->max_temporal_extent_min > 0.0)) {
+    return config_error("suppression thresholds must be positive");
+  }
+  if (config.strategy == kStrategySharded) {
+    const RunConfig::ShardedSection& sharded = config.sharded;
+    if (!non_negative(sharded.tile_size_m)) {
+      return config_error(
+          "sharded.tile_size_m must be finite and positive (or 0 for an "
+          "adaptive, density-derived tile size)");
+    }
+    if (!non_negative(sharded.halo_m)) {
+      return config_error("sharded.halo_m must be finite and non-negative");
+    }
+    if (sharded.max_shard_users < config.k) {
+      return config_error("sharded.max_shard_users must be at least k");
+    }
+    // The run spawns this many job threads; an absurd value is a config
+    // mistake (e.g. an integer wrap), not a parallelism request.
+    if (sharded.workers > 4'096) {
+      return config_error(
+          "sharded.workers must be at most 4096 (0 = hardware concurrency)");
+    }
+  } else if (config.strategy == kStrategyW4M) {
+    const RunConfig::W4MSection& w4m = config.w4m;
+    if (!positive(w4m.delta_m)) {
+      return config_error("w4m.delta_m must be positive and finite");
+    }
+    if (!(w4m.trash_fraction >= 0.0 && w4m.trash_fraction < 1.0)) {
+      return config_error("w4m.trash_fraction must be in [0, 1)");
+    }
+    if (w4m.chunk_size < config.k) {
+      return config_error("w4m.chunk_size must be at least k");
+    }
+    if (!non_negative(w4m.match_tolerance_min)) {
+      return config_error(
+          "w4m.match_tolerance_min must be finite and non-negative");
+    }
+  }
+  return std::nullopt;
+}
+
+core::GloveConfig to_glove_config(const RunConfig& config) {
+  core::GloveConfig glove;
+  glove.k = config.k;
+  glove.limits = config.limits;
+  glove.suppression = config.suppression;
+  glove.reshape = config.reshape;
+  glove.leftover_policy = config.leftover_policy;
+  return glove;
+}
+
+/// Copies a GLOVE run's counters and phase timings into the report.
+void record_glove_stats(const core::GloveStats& stats, RunReport& report) {
+  RunCounters& counters = report.counters;
+  counters.input_users = stats.input_users;
+  counters.input_samples = stats.input_samples;
+  counters.output_groups = stats.output_groups;
+  counters.output_samples = stats.output_samples;
+  counters.merges = stats.merges;
+  counters.deleted_samples = stats.deleted_samples;
+  counters.discarded_fingerprints = stats.discarded_fingerprints;
+  counters.stretch_evaluations = stats.stretch_evaluations;
+  report.timings.init_seconds = stats.init_seconds;
+  report.timings.merge_seconds = stats.merge_seconds;
+}
+
+/// `sharded`: a bounds-only first pass plans the shards, later passes
+/// materialize the batches, and groups go to the sink as batches finish.
+void run_sharded(DatasetSource& source, DatasetSink& sink,
+                 const RunConfig& config, RunReport& report) {
+  shard::ShardConfig sharded;
+  sharded.glove = to_glove_config(config);
+  sharded.tile_size_m = config.sharded.tile_size_m;
+  sharded.max_shard_users = config.sharded.max_shard_users;
+  sharded.workers = config.sharded.workers;
+  sharded.halo_m = config.sharded.halo_m;
+
+  sink.begin(source.name() + "-sharded-k" + std::to_string(config.k));
+  shard::StreamShardedResult result = shard::anonymize_sharded_stream(
+      source, sharded,
+      [&sink](cdr::Fingerprint&& group) { sink.write(std::move(group)); });
+  sink.finish();
+
+  const shard::ShardedStats& stats = result.stats;
+  record_glove_stats(stats.glove, report);
+  report.extra_metrics = {
+      {"tiles", static_cast<double>(stats.tiles)},
+      {"shards", static_cast<double>(stats.shards)},
+      {"deferred_fingerprints",
+       static_cast<double>(stats.deferred_fingerprints)},
+      {"reconciled_groups", static_cast<double>(stats.reconciled_groups)},
+      {"absorbed_leftovers", static_cast<double>(stats.absorbed_leftovers)},
+      {"tile_size_m", stats.tile_size_m},
+      {"plan_seconds", stats.plan_seconds},
+      {"reconcile_seconds", stats.reconcile_seconds}};
+  report.shard_timings = std::move(result.shard_timings);
+  report.exec_workers = result.exec_workers;
+  report.pass_fingerprints = std::move(result.pass_fingerprints);
+}
+
+/// `full`, `incremental` or `w4m-baseline` over the collected, non-empty
+/// dataset; returns the release.
+cdr::FingerprintDataset run_collected(const cdr::FingerprintDataset& data,
+                                      const RunConfig& config,
+                                      RunReport& report) {
+  if (config.strategy == kStrategyFull) {
+    core::GloveResult result = core::anonymize(data, to_glove_config(config));
+    record_glove_stats(result.stats, report);
+    return std::move(result.anonymized);
+  }
+
+  RunCounters& counters = report.counters;
+  if (config.strategy == kStrategyIncremental) {
+    static const cdr::FingerprintDataset kEmptyPublished;
+    const cdr::FingerprintDataset& published =
+        config.incremental.published != nullptr ? *config.incremental.published
+                                                : kEmptyPublished;
+    core::UpdateResult result =
+        core::anonymize_update(published, data, to_glove_config(config));
+    record_glove_stats(result.stats.glove, report);
+    counters.input_users = published.total_users() + data.total_users();
+    counters.input_samples = published.total_samples() + data.total_samples();
+    counters.output_groups = result.anonymized.size();
+    counters.output_samples = result.anonymized.total_samples();
+    report.extra_metrics = {
+        {"new_users", static_cast<double>(result.stats.new_users)},
+        {"joined_existing_groups",
+         static_cast<double>(result.stats.joined_existing_groups)},
+        {"formed_new_groups",
+         static_cast<double>(result.stats.formed_new_groups)}};
+    return std::move(result.anonymized);
+  }
+
+  baseline::W4MConfig w4m;
+  w4m.k = config.k;
+  w4m.delta_m = config.w4m.delta_m;
+  w4m.trash_fraction = config.w4m.trash_fraction;
+  w4m.chunk_size = config.w4m.chunk_size;
+  w4m.match_tolerance_min = config.w4m.match_tolerance_min;
+  baseline::W4MResult result = baseline::anonymize_w4m(data, w4m);
+  counters.input_users = result.stats.input_users;
+  counters.input_samples = result.stats.input_samples;
+  counters.output_groups = result.anonymized.size();
+  counters.output_samples = result.anonymized.total_samples();
+  counters.deleted_samples = result.stats.deleted_samples;
+  counters.created_samples = result.stats.created_samples;
+  counters.discarded_fingerprints = result.stats.discarded_fingerprints;
+  report.extra_metrics = {
+      {"clusters", static_cast<double>(result.stats.clusters)},
+      {"mean_position_error_m", result.stats.mean_position_error_m},
+      {"mean_time_error_min", result.stats.mean_time_error_min}};
+  return std::move(result.anonymized);
+}
+
+}  // namespace
 
 std::vector<std::string> Engine::strategies() const {
-  std::vector<std::string> names;
-  names.reserve(registry_.size());
-  for (const auto& [name, strategy] : registry_) names.push_back(name);
-  return names;
-}
-
-const Anonymizer* Engine::find(std::string_view name) const {
-  const auto it = registry_.find(name);
-  return it == registry_.end() ? nullptr : it->second.get();
+  return {kStrategies.begin(), kStrategies.end()};
 }
 
 Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
                               const RunConfig& config) const {
   GLOVE_SPAN_NAMED(run_span, "engine.run");
-
-  // --- Resolve the strategy.
-  const Anonymizer* strategy = find(config.strategy);
-  if (strategy == nullptr) {
-    std::ostringstream message;
-    message << "unknown strategy '" << config.strategy << "' (registered:";
-    for (const std::string& name : strategies()) message << ' ' << name;
-    message << ')';
-    return Error{ErrorCode::kUnknownStrategy, message.str()};
-  }
-
-  // --- Shared configuration validation; strategies add their own checks.
-  // The code that consumes the data refuses it (util::DatasetError).
   {
     GLOVE_SPAN("engine.validate");
-    if (config.k < 2) {
-      return Error{ErrorCode::kInvalidConfig,
-                   "k must be >= 2 (got " + std::to_string(config.k) + ")"};
-    }
-    if (config.limits.phi_max_sigma_m <= 0.0 ||
-        config.limits.phi_max_tau_min <= 0.0) {
-      return Error{ErrorCode::kInvalidConfig,
-                   "stretch saturation limits must be positive"};
-    }
-    if (config.suppression &&
-        (config.suppression->max_spatial_extent_m <= 0.0 ||
-         config.suppression->max_temporal_extent_min <= 0.0)) {
-      return Error{ErrorCode::kInvalidConfig,
-                   "suppression thresholds must be positive"};
-    }
-    if (std::optional<Error> error = strategy->validate_config(config)) {
+    if (std::optional<Error> error = check_config(config)) {
       return *std::move(error);
     }
   }
@@ -72,15 +242,17 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
   const obs::MetricsSnapshot metrics_before = obs::snapshot_metrics();
   const auto start = std::chrono::steady_clock::now();
   try {
-    StrategyOutcome outcome;
+    RunReport report;
     {
       GLOVE_SPAN("engine.strategy");
-      if (strategy->supports_streaming()) {
-        outcome = strategy->run_streaming(source, config, sink);
+      // A run reads the whole source, whatever was read from it before.
+      source.rewind();
+      if (config.strategy == kStrategySharded) {
+        run_sharded(source, sink, config, report);
       } else {
-        // Collect-then-run fallback: materialize the source (or borrow the
-        // dataset an in-memory source already wraps — no copy), run the
-        // dataset-shaped strategy, drain its output into the sink.
+        // Collect-then-run: materialize the source (or borrow the dataset
+        // an in-memory source already wraps — no copy), run the strategy,
+        // drain its release into the sink.
         const cdr::FingerprintDataset* inmem = source.materialized();
         cdr::FingerprintDataset collected;
         {
@@ -92,35 +264,25 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
         if (data.empty()) {
           return Error{ErrorCode::kInvalidDataset, "input dataset is empty"};
         }
-        outcome = strategy->run(data, config);
-        outcome.pass_fingerprints = {data.size()};
+        cdr::FingerprintDataset release = run_collected(data, config, report);
+        report.pass_fingerprints = {data.size()};
         GLOVE_SPAN("engine.drain");
-        sink.begin(outcome.anonymized.name());
-        for (cdr::Fingerprint& fp :
-             outcome.anonymized.mutable_fingerprints()) {
+        sink.begin(release.name());
+        for (cdr::Fingerprint& fp : release.mutable_fingerprints()) {
           sink.write(std::move(fp));
         }
         sink.finish();
-        outcome.anonymized = cdr::FingerprintDataset{};
       }
     }
 
-    RunReport report;
     report.strategy = config.strategy;
     report.dataset_name = source.name();
-    report.counters = outcome.counters;
-    report.timings.init_seconds = outcome.init_seconds;
-    report.timings.merge_seconds = outcome.merge_seconds;
     report.timings.total_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     report.config = echo_config(config);
-    report.extra_metrics = std::move(outcome.extra_metrics);
-    report.shard_timings = std::move(outcome.shard_timings);
-    report.exec_workers = outcome.exec_workers;
     report.source_kind = source.kind();
     report.sink_kind = sink.kind();
-    report.pass_fingerprints = std::move(outcome.pass_fingerprints);
     if (const SourceIoStats* io = source.io_stats()) {
       report.pass_blocks = io->pass_blocks;
       report.file_blocks = io->file_blocks;

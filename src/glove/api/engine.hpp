@@ -13,21 +13,17 @@
 //   // result.value().pass_fingerprints: fingerprints streamed per pass
 //
 // The classic dataset-in/dataset-out overload is a thin
-// MemorySource/MemorySink wrapper over the same path.  Strategies that
-// support streaming (sharded) consume the source in bounded memory;
-// everything else transparently collects the source first.  One call
-// drives every registered Anonymizer behind a uniform validated config and
-// a serializable run report.
+// MemorySource/MemorySink wrapper over the same path.  The strategy set
+// is closed: `config.strategy` names one of the four strategies, and the
+// Engine dispatches on it.  `sharded` consumes the source in bounded
+// memory; the other three collect the source first.
 
 #ifndef GLOVE_API_ENGINE_HPP
 #define GLOVE_API_ENGINE_HPP
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "glove/api/anonymizer.hpp"
 #include "glove/api/config.hpp"
 #include "glove/api/error.hpp"
 #include "glove/api/report.hpp"
@@ -39,21 +35,17 @@ namespace glove::api {
 
 class Engine {
  public:
-  /// Constructs an Engine with the four built-in strategies registered:
-  /// full, sharded, incremental, w4m-baseline.
-  Engine();
-
-  Engine(Engine&&) noexcept = default;
-  Engine& operator=(Engine&&) noexcept = default;
-
   /// Primary run boundary: streams fingerprints from `source` and pushes
-  /// finalized groups to `sink`.  Never throws on bad input — that comes
-  /// back as a typed error, a bad dataset as kInvalidDataset from every
-  /// strategy and run shape; the returned report's `anonymized` dataset
-  /// is empty (the sink owns the output) and its source/sink kinds and
-  /// per-pass counts describe the data plane.  On error the sink may hold
-  /// partial output (a file sink's bytes stay on disk); treat it as
-  /// invalid unless the run succeeded.
+  /// finalized groups to `sink`.  The configuration is checked before any
+  /// data is read; then the source is rewound once, so a run reads the
+  /// whole source whatever was read from it before.  Never throws on bad
+  /// input — that comes back as a typed error, a bad dataset as
+  /// kInvalidDataset from every strategy, in memory or streamed; the
+  /// returned report's `anonymized` dataset is empty (the sink owns the
+  /// output) and its source/sink kinds and per-pass counts describe the
+  /// data plane.  On error the sink may hold partial output (a file
+  /// sink's bytes stay on disk); treat it as invalid unless the run
+  /// succeeded.
   [[nodiscard]] Result<RunReport> run(DatasetSource& source, DatasetSink& sink,
                                       const RunConfig& config) const;
 
@@ -63,28 +55,14 @@ class Engine {
   [[nodiscard]] Result<RunReport> run(const cdr::FingerprintDataset& data,
                                       const RunConfig& config) const;
 
-  /// Registers (or replaces) a strategy under its name().  This is the
-  /// drop-in point for future backends — callers keep calling run().
-  void register_strategy(std::unique_ptr<Anonymizer> strategy);
-
-  /// Registered strategy names, sorted.
+  /// The strategy names, sorted: full, incremental, sharded, w4m-baseline.
   [[nodiscard]] std::vector<std::string> strategies() const;
-
-  /// Looks up a strategy; nullptr when unknown.
-  [[nodiscard]] const Anonymizer* find(std::string_view name) const;
-
- private:
-  std::map<std::string, std::unique_ptr<Anonymizer>, std::less<>> registry_;
 };
-
-/// Registers the built-in strategies on `engine` (called by the Engine
-/// constructor; exposed for tests that build a bare registry).
-void register_builtin_strategies(Engine& engine);
 
 }  // namespace glove::api
 
 // The Engine is the library's front door; make the short spelling
-// glove::Engine (and its companions) available as the issue/README use it.
+// glove::Engine (and its companions) available as the README uses it.
 namespace glove {
 using api::Engine;
 using api::RunConfig;

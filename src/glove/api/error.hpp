@@ -15,9 +15,11 @@
 namespace glove::api {
 
 enum class ErrorCode {
-  /// A RunConfig field is out of range (k < 2, max_shard_users < k, ...).
+  /// A RunConfig field is out of range or not finite (k < 2,
+  /// max_shard_users < k, a NaN limit, ...).
   kInvalidConfig,
-  /// RunConfig::strategy names no registered Anonymizer.
+  /// RunConfig::strategy names none of the four strategies; the message
+  /// lists them (Engine::strategies()).
   kUnknownStrategy,
   /// The input dataset cannot be anonymized as configured (malformed,
   /// empty, smaller than k, ...): util::DatasetError from its consumer.

@@ -1,11 +1,7 @@
 #include "glove/api/report.hpp"
 
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
-
-#include "glove/util/csv.hpp"
 
 namespace glove::api {
 
@@ -17,12 +13,6 @@ std::string_view leftover_policy_name(core::LeftoverPolicy policy) {
     case core::LeftoverPolicy::kSuppress: return "suppress";
   }
   return "merge-into-nearest";
-}
-
-std::string fmt_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", value);
-  return buffer;
 }
 
 }  // namespace
@@ -191,44 +181,12 @@ std::string to_json(const RunReport& report, int indent) {
   return report_json(report).dump(indent) + "\n";
 }
 
-std::string report_csv_header() {
-  return "strategy,dataset,k,input_users,input_samples,output_groups,"
-         "output_samples,merges,deleted_samples,created_samples,"
-         "discarded_fingerprints,stretch_evaluations,init_seconds,"
-         "merge_seconds,total_seconds";
-}
-
-std::string to_csv_row(const RunReport& report) {
-  std::ostringstream out;
-  util::CsvWriter writer{out};
-  const RunCounters& c = report.counters;
-  writer.row({report.strategy, report.dataset_name,
-              std::to_string(report.config.k), std::to_string(c.input_users),
-              std::to_string(c.input_samples), std::to_string(c.output_groups),
-              std::to_string(c.output_samples), std::to_string(c.merges),
-              std::to_string(c.deleted_samples),
-              std::to_string(c.created_samples),
-              std::to_string(c.discarded_fingerprints),
-              std::to_string(c.stretch_evaluations),
-              fmt_double(report.timings.init_seconds),
-              fmt_double(report.timings.merge_seconds),
-              fmt_double(report.timings.total_seconds)});
-  std::string row = out.str();
-  // CsvWriter terminates rows with '\n'; the caller appends rows itself.
-  if (!row.empty() && row.back() == '\n') row.pop_back();
-  return row;
-}
-
 void write_report_file(const std::string& path, const RunReport& report) {
   std::ofstream out{path};
   if (!out) {
     throw std::runtime_error{"cannot open report file: " + path};
   }
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
-    out << to_json(report);
-  } else {
-    out << report_csv_header() << '\n' << to_csv_row(report) << '\n';
-  }
+  out << to_json(report);
   if (!out) {
     throw std::runtime_error{"failed writing report file: " + path};
   }

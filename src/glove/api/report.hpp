@@ -1,7 +1,8 @@
 // RunReport: the structured outcome of an Engine run — the anonymized
 // dataset plus uniform counters, phase timings, a config echo, and
-// strategy-specific extra metrics.  Serializable to JSON (schema locked by
-// a golden test) and to a flat CSV row for sweep scripts.
+// strategy-specific extra metrics.  Serializable to JSON, its one file
+// form (schema locked by a golden test and glove_lint's schema-drift
+// rule).
 
 #ifndef GLOVE_API_REPORT_HPP
 #define GLOVE_API_REPORT_HPP
@@ -128,13 +129,8 @@ void set_metric(RunReport& report, std::string name, double value);
 [[nodiscard]] stats::Json report_json(const RunReport& report);
 [[nodiscard]] std::string to_json(const RunReport& report, int indent = 2);
 
-/// Flat CSV form: a stable header plus one row per report, for appending
-/// sweep results.  Extra metrics are not included (they vary by strategy).
-[[nodiscard]] std::string report_csv_header();
-[[nodiscard]] std::string to_csv_row(const RunReport& report);
-
-/// Writes `to_json` or a header+row CSV to `path`, chosen by extension
-/// (".json" vs anything else).  Throws std::runtime_error on I/O failure.
+/// Writes `to_json` to `path`, whatever its extension.  Throws
+/// std::runtime_error on I/O failure.
 void write_report_file(const std::string& path, const RunReport& report);
 
 }  // namespace glove::api

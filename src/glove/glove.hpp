@@ -10,7 +10,6 @@
 #include "glove/analysis/descriptors.hpp"
 #include "glove/analysis/entropy.hpp"
 #include "glove/analysis/utility.hpp"
-#include "glove/api/anonymizer.hpp"
 #include "glove/api/cli.hpp"
 #include "glove/api/config.hpp"
 #include "glove/api/engine.hpp"

@@ -11,9 +11,9 @@
 //
 // Determinism: the queue is FIFO and the single consumer folds events in
 // arrival (= file) order, windows close on event-time watermarks, and
-// every strategy in the registry is byte-stable across worker counts —
-// so for a fixed event stream the published snapshot bytes are identical
-// across queue capacities, poll timings, and worker counts.
+// every strategy is byte-stable across worker counts — so for a fixed
+// event stream the published snapshot bytes are identical across queue
+// capacities, poll timings, and worker counts.
 
 #ifndef GLOVE_SERVE_DAEMON_HPP
 #define GLOVE_SERVE_DAEMON_HPP

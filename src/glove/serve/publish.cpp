@@ -154,9 +154,8 @@ void SnapshotPublisher::write_report(api::RunReport report,
                   static_cast<double>(result.total_groups));
   const std::string file =
       config_->out_dir + "/report-" + epoch_tag(epoch_) + ".json";
-  // The temp name keeps the ".json" suffix (write_report_file picks its
-  // format by extension) but a dotted prefix, so it stays invisible to
-  // "report-*.json" globs until the rename.
+  // The dotted temp name stays invisible to "report-*.json" globs until
+  // the rename.
   const std::string tmp =
       config_->out_dir + "/.tmp-report-" + epoch_tag(epoch_) + ".json";
   api::write_report_file(tmp, report);

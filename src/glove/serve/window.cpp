@@ -1,6 +1,8 @@
 #include "glove/serve/window.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -10,8 +12,8 @@ namespace glove::serve {
 
 WindowAccumulator::WindowAccumulator(double window_min)
     : window_min_{window_min} {
-  if (!(window_min > 0.0)) {
-    throw std::invalid_argument{"window length must be positive"};
+  if (!(window_min > 0.0 && std::isfinite(window_min))) {
+    throw std::invalid_argument{"window length must be positive and finite"};
   }
 }
 
@@ -36,6 +38,14 @@ ClosedWindow WindowAccumulator::close_window() {
   static const obs::Counter c_closed = obs::counter("serve.windows_closed");
   ClosedWindow closed;
   closed.bounds = WindowBounds{window_begin_, window_begin_ + window_min_};
+  if (!(closed.bounds.end_min > closed.bounds.begin_min)) {
+    std::ostringstream message;
+    message << "event time " << window_begin_
+            << " min is too large for the " << window_min_
+            << "-minute window grid: a window starting there ends where it "
+               "begins";
+    throw std::invalid_argument{message.str()};
+  }
   // Split by event time, preserving arrival order in both halves: the
   // kept remainder must replay in the same order it arrived or a later
   // window's fingerprints would depend on when earlier windows closed.
@@ -48,7 +58,22 @@ ClosedWindow WindowAccumulator::close_window() {
     }
   }
   buffer_ = std::move(kept);
-  window_begin_ += window_min_;
+  if (closed.events.empty() && !buffer_.empty()) {
+    // Every buffered event lies at or past this window's end: close the
+    // whole empty run up to the window of the earliest one, so a gap in
+    // event time costs one close, not one per window.  The run ends on
+    // the grid at begin + j windows, j >= 1, at or before that event; the
+    // comparison undoes a division that rounded j up.
+    double earliest = buffer_.front().time_min;
+    for (const cdr::CdrEvent& event : buffer_) {
+      earliest = std::min(earliest, event.time_min);
+    }
+    const double begin = closed.bounds.begin_min;
+    double windows = std::floor((earliest - begin) / window_min_);
+    if (begin + windows * window_min_ > earliest) windows -= 1.0;
+    if (windows > 1.0) closed.bounds.end_min = begin + windows * window_min_;
+  }
+  window_begin_ = closed.bounds.end_min;
   c_closed.add();
   return closed;
 }

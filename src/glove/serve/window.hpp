@@ -33,7 +33,8 @@ struct ClosedWindow {
 
 class WindowAccumulator {
  public:
-  /// `window_min` must be positive; throws std::invalid_argument.
+  /// `window_min` must be positive and finite; throws
+  /// std::invalid_argument.
   explicit WindowAccumulator(double window_min);
 
   /// Buffers one event and advances the watermark.
@@ -45,8 +46,15 @@ class WindowAccumulator {
 
   /// Closes the current window: returns its bounds plus every buffered
   /// event with time < end (arrival order preserved), then advances to
-  /// the next window.  A gap in event time yields empty closed windows —
-  /// the publisher skips those.  Precondition: window_ready().
+  /// the next window.  When the current window holds no buffered event,
+  /// the whole empty run up to the window of the earliest buffered event
+  /// closes as one empty window, so a gap in event time costs one close
+  /// however long it is: serve.windows_closed, serve.windows_deferred and
+  /// ServeSummary::windows_closed count one close per empty run.  The
+  /// publisher skips empty windows.  Throws std::invalid_argument, naming
+  /// the event time and the window length, when the grid cannot advance
+  /// past the current window (begin + window_min == begin in doubles).
+  /// Precondition: window_ready().
   [[nodiscard]] ClosedWindow close_window();
 
   /// Drain path: returns everything still buffered as a final partial

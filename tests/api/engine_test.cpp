@@ -8,10 +8,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -266,26 +268,73 @@ TEST(Engine, RejectsUnknownStrategyListingRegisteredNames) {
   }
 }
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST(Engine, RejectsNonPositiveSuppressionThresholds) {
   const Engine engine;
-  RunConfig config;
-  config.suppression = core::SuppressionThresholds{0.0, 360.0};
-  const auto result = engine.run(test::paired_dataset(), config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig);
+  for (const auto& [spatial_m, temporal_min] :
+       std::vector<std::pair<double, double>>{
+           {0.0, 360.0}, {kNaN, 360.0}, {15'000.0, kNaN}, {-kInf, 360.0}}) {
+    RunConfig config;
+    config.suppression = core::SuppressionThresholds{spatial_m, temporal_min};
+    const auto result = engine.run(test::paired_dataset(), config);
+    ASSERT_FALSE(result.ok()) << spatial_m << ' ' << temporal_min;
+    EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig);
+  }
+  // +inf leaves an axis unbounded: the CLI sets an unset axis to it.
+  RunConfig unbounded;
+  unbounded.suppression = core::SuppressionThresholds{kInf, 360.0};
+  const auto result = engine.run(test::paired_dataset(), unbounded);
+  EXPECT_TRUE(result.ok()) << result.error().message;
 }
 
 TEST(Engine, RejectsBadW4MTrashFraction) {
   const Engine engine;
-  RunConfig config;
-  config.strategy = kStrategyW4M;
-  config.w4m.trash_fraction = 1.5;
-  const auto result = engine.run(test::paired_dataset(), config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig);
-  // A failed Result holds no report, hence no dataset; value() access
-  // fails loudly instead of handing one back.
-  EXPECT_THROW((void)result.value(), std::logic_error);
+  for (const double fraction : {1.5, 1.0, -0.1, kNaN, kInf}) {
+    RunConfig config;
+    config.strategy = kStrategyW4M;
+    config.w4m.trash_fraction = fraction;
+    const auto result = engine.run(test::paired_dataset(), config);
+    ASSERT_FALSE(result.ok()) << fraction;
+    EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig) << fraction;
+    // A failed Result holds no report, hence no dataset; value() access
+    // fails loudly instead of handing one back.
+    EXPECT_THROW((void)result.value(), std::logic_error);
+  }
+}
+
+TEST(Engine, RejectsNonFiniteOrNegativeLimitsAndW4MDistances) {
+  // Checked before any data is read: these values used to run and
+  // "succeed", or fail later with the fault blamed on the data.
+  const Engine engine;
+  std::vector<std::pair<std::string, RunConfig>> faults;
+  const auto fault = [&faults](const std::string& field, double value,
+                               std::string_view strategy) -> RunConfig& {
+    RunConfig& config =
+        faults.emplace_back(field + "=" + std::to_string(value), RunConfig{})
+            .second;
+    config.strategy = std::string{strategy};
+    return config;
+  };
+  for (const double bad : {kNaN, kInf, 0.0}) {
+    fault("phi_max_sigma_m", bad, kStrategyFull).limits.phi_max_sigma_m = bad;
+    fault("phi_max_tau_min", bad, kStrategySharded).limits.phi_max_tau_min =
+        bad;
+    fault("w4m.delta_m", bad, kStrategyW4M).w4m.delta_m = bad;
+  }
+  for (const double bad : {kNaN, kInf, -1.0}) {
+    fault("w_sigma", bad, kStrategyFull).limits.w_sigma = bad;
+    fault("w_tau", bad, kStrategyIncremental).limits.w_tau = bad;
+    fault("w4m.match_tolerance_min", bad, kStrategyW4M)
+        .w4m.match_tolerance_min = bad;
+  }
+  for (const auto& [what, config] : faults) {
+    const auto result = engine.run(test::paired_dataset(), config);
+    ASSERT_FALSE(result.ok()) << what;
+    EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig)
+        << what << ": " << result.error().message;
+  }
 }
 
 TEST(Engine, RunReportCarriesCountersAndConfigEcho) {

@@ -1,5 +1,5 @@
 // RunReport serialization: a golden file locks the JSON schema (key set,
-// nesting, ordering), and the CSV row must stay aligned with its header.
+// nesting, ordering), and a report file is JSON whatever its extension.
 
 #include "glove/api/report.hpp"
 
@@ -12,7 +12,6 @@
 #include "common/golden.hpp"
 #include "common/temp_dir.hpp"
 #include "glove/api/engine.hpp"
-#include "glove/util/csv.hpp"
 
 namespace glove::api {
 namespace {
@@ -37,34 +36,18 @@ TEST(RunReport, JsonSchemaMatchesGoldenFile) {
                               to_json(deterministic_report()));
 }
 
-TEST(RunReport, CsvRowAlignsWithHeader) {
-  const RunReport report = deterministic_report();
-  const auto header = util::split_csv_line(report_csv_header());
-  const std::string row_text = to_csv_row(report);
-  const auto row = util::split_csv_line(row_text);
-  ASSERT_EQ(header.size(), row.size());
-  EXPECT_EQ(row[0], "full");
-  EXPECT_EQ(row[2], "2");  // k
-}
-
-TEST(RunReport, WriteReportFilePicksFormatByExtension) {
+TEST(RunReport, WriteReportFileWritesJsonWhateverTheExtension) {
   const RunReport report = deterministic_report();
   test::TempDir dir;
 
-  const std::string json_path = dir.file("report.json");
-  write_report_file(json_path, report);
-  std::ifstream json_in{json_path};
-  std::stringstream json_text;
-  json_text << json_in.rdbuf();
-  EXPECT_NE(json_text.str().find("\"schema\": \"glove.run_report.v10\""),
-            std::string::npos);
-
-  const std::string csv_path = dir.file("report.csv");
-  write_report_file(csv_path, report);
-  std::ifstream csv_in{csv_path};
-  std::string header_line;
-  std::getline(csv_in, header_line);
-  EXPECT_EQ(header_line, report_csv_header());
+  for (const char* name : {"report.json", "report.csv"}) {
+    const std::string path = dir.file(name);
+    write_report_file(path, report);
+    std::ifstream in{path};
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), to_json(report)) << name;
+  }
 }
 
 TEST(RunReport, ExtraMetricsSerializeUnderMetrics) {

@@ -1,20 +1,24 @@
 // The streaming run boundary: DatasetSource/DatasetSink contracts
 // (iteration, rewind — including after EOF —, error context, byte parity
 // of the file sink with the bulk writer) and the Engine's streaming
-// overload (collect-then-run fallback, sharded streaming passes, typed
-// errors on empty/short sources).
+// overload (collect-then-run fallback, sharded streaming passes, a whole
+// read of a source read from before, typed errors on empty/short
+// sources).
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
 #include "common/temp_dir.hpp"
 #include "glove/api/engine.hpp"
+#include "glove/cdr/binio.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/core/glove.hpp"
 
@@ -194,6 +198,49 @@ TEST(EngineStreaming, ShardedStreamsInMultiplePassesAndStaysKAnonymous) {
   EXPECT_EQ(report.counters.input_users, data.size());
   EXPECT_TRUE(
       core::is_k_anonymous(test::read_dataset(out_path), 2));
+}
+
+TEST(EngineStreaming, RunReadsTheWholeSourceWhateverWasReadBefore) {
+  // A source that a caller has read from, or that an earlier run
+  // drained, publishes what a fresh source of the same file does.
+  const test::TempDir dir;
+  const cdr::FingerprintDataset data = test::small_synth_dataset(30);
+  const std::string csv = dir.file("in.csv");
+  const std::string bin = dir.file("in.glovebin");
+  cdr::write_dataset_file(csv, data);
+  cdr::write_dataset_glovebin_file(bin, data);
+
+  const Engine engine;
+  for (const std::string& strategy : engine.strategies()) {
+    RunConfig config;
+    config.strategy = strategy;
+    config.sharded.tile_size_m = 5'000.0;
+    config.sharded.max_shard_users = 16;
+    const auto release = [&](DatasetSource& source) {
+      MemorySink sink;
+      const auto result = engine.run(source, sink, config);
+      EXPECT_TRUE(result.ok()) << strategy << ": " << result.error().message;
+      return std::pair{
+          result.ok() ? result.value().counters.input_users : 0,
+          test::dataset_to_csv(std::move(sink).take_dataset())};
+    };
+    for (const std::string& path : {csv, bin}) {
+      const auto fresh = release(*open_dataset_source(path));
+      EXPECT_EQ(fresh.first, data.total_users()) << strategy << ' ' << path;
+
+      const std::unique_ptr<DatasetSource> source = open_dataset_source(path);
+      cdr::Fingerprint fp;
+      ASSERT_TRUE(source->next(fp));
+      for (const char* when : {"after reading one fingerprint",
+                               "on its second run"}) {
+        const auto again = release(*source);
+        EXPECT_EQ(again.first, fresh.first) << strategy << ' ' << path << ' '
+                                            << when;
+        EXPECT_TRUE(again.second == fresh.second)
+            << strategy << ' ' << path << ' ' << when << ": release differs";
+      }
+    }
+  }
 }
 
 TEST(EngineStreaming, EmptySourceIsInvalidDataset) {

@@ -18,8 +18,8 @@ using glove::lint::extract_schema;
 using glove::lint::Finding;
 using glove::lint::ReportSchema;
 
-// A miniature report.cpp: the extractor only cares about `.set("key"`,
-// the glove.run_report.vN literal, and the report_csv_header() literal.
+// A miniature report.cpp: the extractor only cares about `.set("key"`
+// and the glove.run_report.vN literal.
 const char* kBaseReport = R"cpp(
 #include "glove/stats/stats.hpp"
 
@@ -31,10 +31,6 @@ stats::Json report_json(const RunReport& report) {
       .set("dataset", report.dataset)
       .set("strategy", report.strategy)
       .set("k", static_cast<std::uint64_t>(report.k));
-}
-
-std::string report_csv_header() {
-  return "dataset,strategy,k";
 }
 
 }  // namespace glove::api
@@ -54,10 +50,9 @@ std::vector<Finding> drift(const ReportSchema& emitted,
   return findings;
 }
 
-TEST(SchemaExtract, FindsKeysVersionAndCsvHeader) {
+TEST(SchemaExtract, FindsKeysAndVersion) {
   const ReportSchema schema = extract_schema(kBaseReport);
   EXPECT_EQ(schema.version, "glove.run_report.v5");
-  EXPECT_EQ(schema.csv_header, "dataset,strategy,k");
   const std::vector<std::string> expected{"dataset", "k", "schema",
                                           "strategy"};
   EXPECT_EQ(schema.keys, expected);
@@ -103,13 +98,6 @@ TEST(SchemaDrift, RemovedKeyWithoutBumpFails) {
   EXPECT_EQ(drift(emitted, blessed).size(), 1u);
 }
 
-TEST(SchemaDrift, CsvHeaderChangeWithoutBumpFails) {
-  const ReportSchema blessed = extract_schema(kBaseReport);
-  ReportSchema emitted = blessed;
-  emitted.csv_header = "dataset,strategy,k,extra";
-  EXPECT_EQ(drift(emitted, blessed).size(), 1u);
-}
-
 TEST(SchemaJson, RoundTripsThroughBlessedSpelling) {
   const ReportSchema schema = extract_schema(kBaseReport);
   const std::string json = glove::lint::schema_to_json(schema);
@@ -124,7 +112,6 @@ TEST(SchemaJson, RoundTripsThroughBlessedSpelling) {
   const ReportSchema loaded = glove::lint::load_schema(path);
   EXPECT_EQ(loaded.version, schema.version);
   EXPECT_EQ(loaded.keys, schema.keys);
-  EXPECT_EQ(loaded.csv_header, schema.csv_header);
 }
 
 }  // namespace

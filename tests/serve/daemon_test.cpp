@@ -191,6 +191,39 @@ TEST(ServeDaemon, SnapshotBytesStableAcrossQueueDepthsAndWorkers) {
   }
 }
 
+TEST(ServeDaemon, FarFutureEventPublishesTheSameSnapshots) {
+  // One event 1e12 minutes in, about 1e10 windows past the stream: the
+  // gap before it closes as one empty window, so the run ends, and it
+  // publishes the snapshots of the stream without that event (user 9 is
+  // already published, so the event is dropped).
+  const test::TempDir dir;
+  std::vector<cdr::CdrEvent> events = test_stream();
+  const std::string plain = dir.file("plain.csv");
+  cdr::write_cdr_file(plain, events);
+  events.push_back(cdr::CdrEvent{9u, 1e12, geo::LatLon{6.82, -5.28}});
+  const std::string far = dir.file("far.csv");
+  cdr::write_cdr_file(far, events);
+
+  std::vector<std::vector<std::string>> published;
+  for (const std::string& input : {plain, far}) {
+    const std::string out =
+        dir.file("out-" + std::to_string(published.size()));
+    ServeDaemon daemon{base_config(input, out)};
+    const ServeSummary summary = daemon.run();
+    ASSERT_EQ(summary.exit_code, 0) << summary.error;
+    // [0,100), [100,200), then [200,300) and the empty run [300, 1e12).
+    EXPECT_EQ(summary.windows_closed, input == far ? 4u : 2u);
+    std::vector<std::string> bytes;
+    for (const std::string& path : snapshot_files(out)) {
+      bytes.push_back(std::filesystem::path{path}.filename().string() + "\n" +
+                      slurp(path));
+    }
+    published.push_back(std::move(bytes));
+  }
+  EXPECT_EQ(published[0].size(), 3u);
+  EXPECT_EQ(published[1], published[0]);
+}
+
 TEST(ServeDaemon, MalformedRowFailsWithPathAndLine) {
   const test::TempDir dir;
   const std::string input = dir.file("broken.csv");

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace glove::serve {
@@ -12,9 +14,13 @@ cdr::CdrEvent event(cdr::UserId user, double time_min) {
   return cdr::CdrEvent{user, time_min, geo::LatLon{6.8, -5.3}};
 }
 
-TEST(WindowAccumulator, RejectsNonPositiveWindow) {
+TEST(WindowAccumulator, RejectsNonPositiveOrNonFiniteWindow) {
   EXPECT_THROW(WindowAccumulator{0.0}, std::invalid_argument);
   EXPECT_THROW(WindowAccumulator{-10.0}, std::invalid_argument);
+  EXPECT_THROW(WindowAccumulator{std::numeric_limits<double>::infinity()},
+               std::invalid_argument);
+  EXPECT_THROW(WindowAccumulator{std::numeric_limits<double>::quiet_NaN()},
+               std::invalid_argument);
 }
 
 TEST(WindowAccumulator, FirstEventAlignsWindowToMultiples) {
@@ -52,20 +58,59 @@ TEST(WindowAccumulator, SplitPreservesArrivalOrder) {
   EXPECT_EQ(closed.events[2].user, 1u);
 }
 
-TEST(WindowAccumulator, EventTimeGapYieldsEmptyWindows) {
-  // A silent day produces empty closed windows, not a stall: the
-  // publisher skips them and the stream stays aligned to the grid.
+TEST(WindowAccumulator, EventTimeGapYieldsOneEmptyWindow) {
+  // A silent stretch closes as one empty window, not a stall: the
+  // publisher skips it and the stream stays aligned to the grid.
   WindowAccumulator window{100.0};
   window.add(event(1, 50.0));
   window.add(event(2, 350.0));  // skips windows [100,200) and [200,300)
   ASSERT_TRUE(window.window_ready());
   EXPECT_EQ(window.close_window().events.size(), 1u);  // [0, 100)
   ASSERT_TRUE(window.window_ready());
-  EXPECT_EQ(window.close_window().events.size(), 0u);  // [100, 200)
-  ASSERT_TRUE(window.window_ready());
-  EXPECT_EQ(window.close_window().events.size(), 0u);  // [200, 300)
-  EXPECT_FALSE(window.window_ready());                 // [300, 400) open
+  const ClosedWindow gap = window.close_window();
+  EXPECT_TRUE(gap.events.empty());
+  EXPECT_DOUBLE_EQ(gap.bounds.begin_min, 100.0);
+  EXPECT_DOUBLE_EQ(gap.bounds.end_min, 300.0);
+  EXPECT_FALSE(window.window_ready());  // [300, 400) open
   EXPECT_EQ(window.pending_events(), 1u);
+}
+
+TEST(WindowAccumulator, FarFutureEventClosesTheGapAtOnce) {
+  // 1e12 minutes lies about 8.3e9 two-hour windows past t = 50; the gap
+  // before it is one close, so the accumulator is ready at most twice.
+  WindowAccumulator window{120.0};
+  window.add(event(1, 50.0));
+  window.add(event(2, 1e12));
+  int closes = 0;
+  std::size_t closed_events = 0;
+  for (; closes < 3 && window.window_ready(); ++closes) {
+    closed_events += window.close_window().events.size();
+  }
+  EXPECT_LE(closes, 2);
+  EXPECT_FALSE(window.window_ready());
+  EXPECT_EQ(closed_events, 1u);  // the t = 50 event
+  const ClosedWindow last = window.close_final();
+  ASSERT_EQ(last.events.size(), 1u);
+  EXPECT_EQ(last.events[0].user, 2u);
+  EXPECT_LE(last.bounds.begin_min, 1e12);
+  EXPECT_GT(last.bounds.begin_min + 120.0, 1e12);
+}
+
+TEST(WindowAccumulator, RefusesAnEventTimeTheGridCannotPass) {
+  // At 1e300 minutes a 1-minute step rounds away: begin + 1 == begin, so
+  // the window could never close.
+  WindowAccumulator window{1.0};
+  window.add(event(1, 1e300));
+  ASSERT_TRUE(window.window_ready());
+  try {
+    (void)window.close_window();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("event time 1e+300 min"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("1-minute window"), std::string::npos) << message;
+  }
 }
 
 TEST(WindowAccumulator, LateEventsFoldIntoNextClose) {

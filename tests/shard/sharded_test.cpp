@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -180,11 +181,16 @@ TEST(Sharded, EngineValidatesConfig) {
   const glove::Engine engine;
   const cdr::FingerprintDataset data = test::small_synth_dataset(30);
 
-  api::RunConfig bad_tile;
-  bad_tile.strategy = api::kStrategySharded;
-  bad_tile.sharded.tile_size_m = -5.0;
-  EXPECT_EQ(engine.run(data, bad_tile).error().code,
-            api::ErrorCode::kInvalidConfig);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double tile_m : {-5.0, kNaN, kInf}) {
+    api::RunConfig bad_tile;
+    bad_tile.strategy = api::kStrategySharded;
+    bad_tile.sharded.tile_size_m = tile_m;
+    EXPECT_EQ(engine.run(data, bad_tile).error().code,
+              api::ErrorCode::kInvalidConfig)
+        << tile_m;
+  }
 
   api::RunConfig bad_budget;
   bad_budget.strategy = api::kStrategySharded;
@@ -193,11 +199,14 @@ TEST(Sharded, EngineValidatesConfig) {
   EXPECT_EQ(engine.run(data, bad_budget).error().code,
             api::ErrorCode::kInvalidConfig);
 
-  api::RunConfig bad_halo;
-  bad_halo.strategy = api::kStrategySharded;
-  bad_halo.sharded.halo_m = -1.0;
-  EXPECT_EQ(engine.run(data, bad_halo).error().code,
-            api::ErrorCode::kInvalidConfig);
+  for (const double halo_m : {-1.0, kNaN, kInf}) {
+    api::RunConfig bad_halo;
+    bad_halo.strategy = api::kStrategySharded;
+    bad_halo.sharded.halo_m = halo_m;
+    EXPECT_EQ(engine.run(data, bad_halo).error().code,
+              api::ErrorCode::kInvalidConfig)
+        << halo_m;
+  }
 
   // A wrapped negative (e.g. --shard-workers=-1 cast to size_t) must be
   // rejected before it drives thread creation.

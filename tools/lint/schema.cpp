@@ -62,16 +62,6 @@ ReportSchema extract_schema(const std::string& report_source) {
         schema.version = value;
       }
     }
-    // The CSV header: adjacent string literals inside report_csv_header().
-    if (toks[i].kind == TokKind::kIdentifier &&
-        toks[i].text == "report_csv_header" && toks[i + 1].text == "(") {
-      for (std::size_t j = i + 1; j < toks.size() && toks[j].text != "}";
-           ++j) {
-        if (toks[j].kind == TokKind::kString) {
-          schema.csv_header += literal_value(toks[j].text);
-        }
-      }
-    }
   }
   schema.keys.assign(keys.begin(), keys.end());
   if (schema.version.empty()) {
@@ -89,7 +79,6 @@ ReportSchema load_schema(const std::string& path) {
   ReportSchema schema;
   const JsonValue* version = doc.find("schema_version");
   const JsonValue* keys = doc.find("keys");
-  const JsonValue* header = doc.find("csv_header");
   if (version == nullptr || version->kind != JsonValue::Kind::kString ||
       keys == nullptr || keys->kind != JsonValue::Kind::kArray) {
     throw std::runtime_error{
@@ -106,16 +95,12 @@ ReportSchema load_schema(const std::string& path) {
   std::sort(schema.keys.begin(), schema.keys.end());
   schema.keys.erase(std::unique(schema.keys.begin(), schema.keys.end()),
                     schema.keys.end());
-  if (header != nullptr && header->kind == JsonValue::Kind::kString) {
-    schema.csv_header = header->string;
-  }
   return schema;
 }
 
 std::string schema_to_json(const ReportSchema& schema) {
   std::string out = "{\n";
   out += "  \"schema_version\": \"" + schema.version + "\",\n";
-  out += "  \"csv_header\": \"" + schema.csv_header + "\",\n";
   out += "  \"keys\": [\n";
   for (std::size_t i = 0; i < schema.keys.size(); ++i) {
     out += "    \"" + schema.keys[i] + "\"";
@@ -138,15 +123,12 @@ void check_schema_drift(const ReportSchema& emitted,
   std::set_difference(blessed.keys.begin(), blessed.keys.end(),
                       emitted.keys.begin(), emitted.keys.end(),
                       std::back_inserter(removed));
-  const bool keys_drifted =
-      !added.empty() || !removed.empty() ||
-      emitted.csv_header != blessed.csv_header;
+  const bool keys_drifted = !added.empty() || !removed.empty();
 
   const auto describe = [&]() {
     std::string what;
     for (const std::string& key : added) what += " +" + key;
     for (const std::string& key : removed) what += " -" + key;
-    if (emitted.csv_header != blessed.csv_header) what += " ~csv_header";
     return what;
   };
 

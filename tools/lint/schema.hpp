@@ -10,10 +10,10 @@
 //   both match                       ->  pass
 //
 // The blessed file stores the keys as a flat sorted array of the string
-// literals passed to stats::Json `.set("...")` plus the CSV header, so a
-// rename shows up as one removal + one addition.  Free-form key families
-// (the `metrics` object, which strategies extend at runtime) are emitted
-// through a variable and therefore intentionally invisible here.
+// literals passed to stats::Json `.set("...")`, so a rename shows up as
+// one removal + one addition.  Free-form key families (the `metrics`
+// object, which strategies extend at runtime) are emitted through a
+// variable and therefore intentionally invisible here.
 
 #ifndef GLOVE_TOOLS_LINT_SCHEMA_HPP
 #define GLOVE_TOOLS_LINT_SCHEMA_HPP
@@ -28,7 +28,6 @@ namespace glove::lint {
 struct ReportSchema {
   std::string version;             // e.g. "glove.run_report.v5"
   std::vector<std::string> keys;   // sorted, unique
-  std::string csv_header;          // report_csv_header() literal
 };
 
 /// Extracts the emitted schema from report.cpp source text.
