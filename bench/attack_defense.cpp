@@ -79,7 +79,7 @@ int main() {
   // --- After partial GLOVE (top-3 surface): the in-surface attack is
   // defeated; the full-knowledge attack is out of the threat model.
   core::PartialConfig partial_config;
-  partial_config.glove.k = 2;
+  partial_config.k = 2;
   partial_config.top_locations = 3;
   const core::PartialResult partial =
       core::anonymize_partial(civ, partial_config);

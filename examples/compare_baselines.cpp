@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     const double mean_time_error_min =
         api::find_metric(w4m, "mean_time_error_min");
     table.row({"W4M-LC",
-               "(k," + stats::fmt(w4m.config.w4m_delta_m, 0) + "m)-anonymity",
+               "(k," + stats::fmt(w4m.config.w4m.delta_m, 0) + "m)-anonymity",
                std::to_string(w4m.counters.created_samples),
                std::to_string(w4m.counters.deleted_samples),
                stats::fmt(mean_pos_error_m / 1'000.0, 2) + "km (mean err)",
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
         core::count_uncovered_samples(data, glove.anonymized);
     const auto summary =
         core::summarize_accuracy(core::measure_accuracy(glove.anonymized));
-    table.row({"GLOVE (" + glove.strategy + ")",
+    table.row({"GLOVE (" + glove.config.strategy + ")",
                ok ? "100% of users" : "FAILED", "0",
                std::to_string(glove.counters.deleted_samples),
                stats::fmt(summary.median_position_m / 1'000.0, 2) + "km",

@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
       core::count_uncovered_samples(data, report.anonymized);
   const auto summary =
       core::summarize_accuracy(core::measure_accuracy(report.anonymized));
-  std::cout << "GLOVE (" << report.strategy << "): " << report.counters.merges
+  std::cout << "GLOVE (" << report.config.strategy << "): "
+            << report.counters.merges
             << " merges -> " << report.anonymized.size()
             << " groups, every user hidden among " << config.k << "+ others\n"
             << "truthfulness: " << uncovered

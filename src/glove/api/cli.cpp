@@ -230,7 +230,7 @@ void maybe_write_report(const util::Flags& flags, const RunReport& report,
 
 std::string summarize_report(const RunReport& report) {
   std::ostringstream out;
-  out << report.strategy << ": " << report.counters.output_groups
+  out << report.config.strategy << ": " << report.counters.output_groups
       << " groups (k=" << report.config.k << "), "
       << report.counters.output_samples << " samples";
   if (report.counters.deleted_samples > 0) {

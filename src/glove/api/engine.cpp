@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string_view>
@@ -26,14 +25,10 @@ namespace {
 constexpr std::array<std::string_view, 4> kStrategies{
     kStrategyFull, kStrategyIncremental, kStrategySharded, kStrategyW4M};
 
-Error config_error(std::string message) {
-  return Error{ErrorCode::kInvalidConfig, std::move(message)};
-}
-
 /// Every configuration check, run before any data is read: the strategy
-/// name, the shared knobs, then the section of the strategy that runs
-/// (the other sections are ignored).  Each test is written so that NaN
-/// fails it.  A bad dataset is refused by the code that consumes it.
+/// name, then each layer's own check of its section — the GLOVE knobs,
+/// and the section of the strategy that runs (the other sections are
+/// ignored).  A bad dataset is refused by the code that consumes it.
 std::optional<Error> check_config(const RunConfig& config) {
   if (std::find(kStrategies.begin(), kStrategies.end(), config.strategy) ==
       kStrategies.end()) {
@@ -45,78 +40,17 @@ std::optional<Error> check_config(const RunConfig& config) {
     }
     return Error{ErrorCode::kUnknownStrategy, message + ')'};
   }
-  const auto positive = [](double x) { return x > 0.0 && std::isfinite(x); };
-  const auto non_negative = [](double x) {
-    return x >= 0.0 && std::isfinite(x);
-  };
-  if (config.k < 2) {
-    return config_error("k must be >= 2 (got " + std::to_string(config.k) +
-                        ")");
-  }
-  if (!positive(config.limits.phi_max_sigma_m) ||
-      !positive(config.limits.phi_max_tau_min)) {
-    return config_error(
-        "stretch saturation limits must be positive and finite");
-  }
-  // A negative weight would make the box and slot lower bounds that every
-  // core::nearest search prunes by unsound.
-  if (!non_negative(config.limits.w_sigma) ||
-      !non_negative(config.limits.w_tau)) {
-    return config_error("stretch weights must be finite and non-negative");
-  }
-  // +inf stays legal: it leaves an axis unbounded, as the CLI sets an
-  // unset one.
-  if (config.suppression &&
-      !(config.suppression->max_spatial_extent_m > 0.0 &&
-        config.suppression->max_temporal_extent_min > 0.0)) {
-    return config_error("suppression thresholds must be positive");
-  }
-  if (config.strategy == kStrategySharded) {
-    const RunConfig::ShardedSection& sharded = config.sharded;
-    if (!non_negative(sharded.tile_size_m)) {
-      return config_error(
-          "sharded.tile_size_m must be finite and positive (or 0 for an "
-          "adaptive, density-derived tile size)");
+  try {
+    core::check_config(config);
+    if (config.strategy == kStrategySharded) {
+      shard::check_config(config.sharded, config.k);
+    } else if (config.strategy == kStrategyW4M) {
+      baseline::check_config(config.w4m, config.k);
     }
-    if (!non_negative(sharded.halo_m)) {
-      return config_error("sharded.halo_m must be finite and non-negative");
-    }
-    if (sharded.max_shard_users < config.k) {
-      return config_error("sharded.max_shard_users must be at least k");
-    }
-    // The run spawns this many job threads; an absurd value is a config
-    // mistake (e.g. an integer wrap), not a parallelism request.
-    if (sharded.workers > 4'096) {
-      return config_error(
-          "sharded.workers must be at most 4096 (0 = hardware concurrency)");
-    }
-  } else if (config.strategy == kStrategyW4M) {
-    const RunConfig::W4MSection& w4m = config.w4m;
-    if (!positive(w4m.delta_m)) {
-      return config_error("w4m.delta_m must be positive and finite");
-    }
-    if (!(w4m.trash_fraction >= 0.0 && w4m.trash_fraction < 1.0)) {
-      return config_error("w4m.trash_fraction must be in [0, 1)");
-    }
-    if (w4m.chunk_size < config.k) {
-      return config_error("w4m.chunk_size must be at least k");
-    }
-    if (!non_negative(w4m.match_tolerance_min)) {
-      return config_error(
-          "w4m.match_tolerance_min must be finite and non-negative");
-    }
+  } catch (const std::invalid_argument& e) {
+    return Error{ErrorCode::kInvalidConfig, e.what()};
   }
   return std::nullopt;
-}
-
-core::GloveConfig to_glove_config(const RunConfig& config) {
-  core::GloveConfig glove;
-  glove.k = config.k;
-  glove.limits = config.limits;
-  glove.suppression = config.suppression;
-  glove.reshape = config.reshape;
-  glove.leftover_policy = config.leftover_policy;
-  return glove;
 }
 
 /// Copies a GLOVE run's counters and phase timings into the report.
@@ -138,16 +72,9 @@ void record_glove_stats(const core::GloveStats& stats, RunReport& report) {
 /// materialize the batches, and groups go to the sink as batches finish.
 void run_sharded(DatasetSource& source, DatasetSink& sink,
                  const RunConfig& config, RunReport& report) {
-  shard::ShardConfig sharded;
-  sharded.glove = to_glove_config(config);
-  sharded.tile_size_m = config.sharded.tile_size_m;
-  sharded.max_shard_users = config.sharded.max_shard_users;
-  sharded.workers = config.sharded.workers;
-  sharded.halo_m = config.sharded.halo_m;
-
   sink.begin(source.name() + "-sharded-k" + std::to_string(config.k));
   shard::StreamShardedResult result = shard::anonymize_sharded_stream(
-      source, sharded,
+      source, config, config.sharded,
       [&sink](cdr::Fingerprint&& group) { sink.write(std::move(group)); });
   sink.finish();
 
@@ -174,7 +101,7 @@ cdr::FingerprintDataset run_collected(const cdr::FingerprintDataset& data,
                                       const RunConfig& config,
                                       RunReport& report) {
   if (config.strategy == kStrategyFull) {
-    core::GloveResult result = core::anonymize(data, to_glove_config(config));
+    core::GloveResult result = core::anonymize(data, config);
     record_glove_stats(result.stats, report);
     return std::move(result.anonymized);
   }
@@ -186,7 +113,7 @@ cdr::FingerprintDataset run_collected(const cdr::FingerprintDataset& data,
         config.incremental.published != nullptr ? *config.incremental.published
                                                 : kEmptyPublished;
     core::UpdateResult result =
-        core::anonymize_update(published, data, to_glove_config(config));
+        core::anonymize_update(published, data, config);
     record_glove_stats(result.stats.glove, report);
     counters.input_users = published.total_users() + data.total_users();
     counters.input_samples = published.total_samples() + data.total_samples();
@@ -201,13 +128,8 @@ cdr::FingerprintDataset run_collected(const cdr::FingerprintDataset& data,
     return std::move(result.anonymized);
   }
 
-  baseline::W4MConfig w4m;
-  w4m.k = config.k;
-  w4m.delta_m = config.w4m.delta_m;
-  w4m.trash_fraction = config.w4m.trash_fraction;
-  w4m.chunk_size = config.w4m.chunk_size;
-  w4m.match_tolerance_min = config.w4m.match_tolerance_min;
-  baseline::W4MResult result = baseline::anonymize_w4m(data, w4m);
+  baseline::W4MResult result =
+      baseline::anonymize_w4m(data, config.k, config.w4m);
   counters.input_users = result.stats.input_users;
   counters.input_samples = result.stats.input_samples;
   counters.output_groups = result.anonymized.size();
@@ -275,12 +197,12 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
       }
     }
 
-    report.strategy = config.strategy;
     report.dataset_name = source.name();
     report.timings.total_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    report.config = echo_config(config);
+    report.config = config;
+    report.config.incremental.published = nullptr;
     report.source_kind = source.kind();
     report.sink_kind = sink.kind();
     if (const SourceIoStats* io = source.io_stats()) {

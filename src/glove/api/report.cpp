@@ -35,68 +35,45 @@ void set_metric(RunReport& report, std::string name, double value) {
   report.extra_metrics.emplace_back(std::move(name), value);
 }
 
-ConfigEcho echo_config(const RunConfig& config) {
-  ConfigEcho echo;
-  echo.strategy = config.strategy;
-  echo.k = config.k;
-  echo.phi_max_sigma_m = config.limits.phi_max_sigma_m;
-  echo.phi_max_tau_min = config.limits.phi_max_tau_min;
-  echo.w_sigma = config.limits.w_sigma;
-  echo.w_tau = config.limits.w_tau;
-  echo.suppression_enabled = config.suppression.has_value();
-  if (config.suppression) {
-    echo.max_spatial_extent_m = config.suppression->max_spatial_extent_m;
-    echo.max_temporal_extent_min = config.suppression->max_temporal_extent_min;
-  }
-  echo.reshape = config.reshape;
-  echo.leftover_policy = leftover_policy_name(config.leftover_policy);
-  echo.sharded_tile_size_m = config.sharded.tile_size_m;
-  echo.sharded_max_shard_users = config.sharded.max_shard_users;
-  echo.sharded_workers = config.sharded.workers;
-  echo.sharded_halo_m = config.sharded.halo_m;
-  echo.w4m_delta_m = config.w4m.delta_m;
-  echo.w4m_trash_fraction = config.w4m.trash_fraction;
-  echo.w4m_chunk_size = config.w4m.chunk_size;
-  echo.w4m_match_tolerance_min = config.w4m.match_tolerance_min;
-  return echo;
-}
-
 stats::Json report_json(const RunReport& report) {
-  const ConfigEcho& echo = report.config;
+  const RunConfig& config = report.config;
 
   stats::Json limits = stats::Json::object();
-  limits.set("phi_max_sigma_m", echo.phi_max_sigma_m)
-      .set("phi_max_tau_min", echo.phi_max_tau_min)
-      .set("w_sigma", echo.w_sigma)
-      .set("w_tau", echo.w_tau);
+  limits.set("phi_max_sigma_m", config.limits.phi_max_sigma_m)
+      .set("phi_max_tau_min", config.limits.phi_max_tau_min)
+      .set("w_sigma", config.limits.w_sigma)
+      .set("w_tau", config.limits.w_tau);
 
+  // A disabled suppression echoes zero thresholds.
+  const core::SuppressionThresholds thresholds =
+      config.suppression.value_or(core::SuppressionThresholds{0.0, 0.0});
   stats::Json suppression = stats::Json::object();
-  suppression.set("enabled", echo.suppression_enabled)
-      .set("max_spatial_extent_m", echo.max_spatial_extent_m)
-      .set("max_temporal_extent_min", echo.max_temporal_extent_min);
+  suppression.set("enabled", config.suppression.has_value())
+      .set("max_spatial_extent_m", thresholds.max_spatial_extent_m)
+      .set("max_temporal_extent_min", thresholds.max_temporal_extent_min);
 
-  stats::Json config = stats::Json::object();
-  config.set("strategy", echo.strategy)
-      .set("k", echo.k)
+  const shard::ShardConfig& sharded = config.sharded;
+  const baseline::W4MConfig& w4m = config.w4m;
+  stats::Json config_json = stats::Json::object();
+  config_json.set("strategy", config.strategy)
+      .set("k", config.k)
       .set("limits", std::move(limits))
       .set("suppression", std::move(suppression))
-      .set("reshape", echo.reshape)
-      .set("leftover_policy", echo.leftover_policy)
+      .set("reshape", config.reshape)
+      .set("leftover_policy", leftover_policy_name(config.leftover_policy))
       .set("sharded",
            stats::Json::object()
-               .set("tile_size_m", echo.sharded_tile_size_m)
+               .set("tile_size_m", sharded.tile_size_m)
                .set("max_shard_users",
-                    static_cast<std::uint64_t>(echo.sharded_max_shard_users))
-               .set("workers",
-                    static_cast<std::uint64_t>(echo.sharded_workers))
-               .set("halo_m", echo.sharded_halo_m))
+                    static_cast<std::uint64_t>(sharded.max_shard_users))
+               .set("workers", static_cast<std::uint64_t>(sharded.workers))
+               .set("halo_m", sharded.halo_m))
       .set("w4m", stats::Json::object()
-                      .set("delta_m", echo.w4m_delta_m)
-                      .set("trash_fraction", echo.w4m_trash_fraction)
+                      .set("delta_m", w4m.delta_m)
+                      .set("trash_fraction", w4m.trash_fraction)
                       .set("chunk_size",
-                           static_cast<std::uint64_t>(echo.w4m_chunk_size))
-                      .set("match_tolerance_min",
-                           echo.w4m_match_tolerance_min));
+                           static_cast<std::uint64_t>(w4m.chunk_size))
+                      .set("match_tolerance_min", w4m.match_tolerance_min));
 
   const RunCounters& c = report.counters;
   stats::Json counters = stats::Json::object();
@@ -148,9 +125,9 @@ stats::Json report_json(const RunReport& report) {
 
   stats::Json doc = stats::Json::object();
   doc.set("schema", "glove.run_report.v10")
-      .set("strategy", report.strategy)
+      .set("strategy", config.strategy)
       .set("dataset", report.dataset_name)
-      .set("config", std::move(config))
+      .set("config", std::move(config_json))
       .set("counters", std::move(counters))
       .set("timings", std::move(timings))
       .set("io", std::move(io))

@@ -1,8 +1,8 @@
 // RunReport: the structured outcome of an Engine run — the anonymized
-// dataset plus uniform counters, phase timings, a config echo, and
-// strategy-specific extra metrics.  Serializable to JSON, its one file
-// form (schema locked by a golden test and glove_lint's schema-drift
-// rule).
+// dataset plus uniform counters, phase timings, the RunConfig the run
+// used, and strategy-specific extra metrics.  Serializable to JSON, its
+// one file form (schema locked by a golden test and glove_lint's
+// schema-drift rule); the JSON "config" object echoes that RunConfig.
 
 #ifndef GLOVE_API_REPORT_HPP
 #define GLOVE_API_REPORT_HPP
@@ -40,33 +40,7 @@ struct RunTimings {
   double total_seconds = 0.0;  ///< wall clock of Engine::run
 };
 
-/// Scalar echo of the validated configuration the run actually used.
-struct ConfigEcho {
-  std::string strategy;
-  std::uint32_t k = 0;
-  double phi_max_sigma_m = 0.0;
-  double phi_max_tau_min = 0.0;
-  double w_sigma = 0.0;
-  double w_tau = 0.0;
-  bool suppression_enabled = false;
-  double max_spatial_extent_m = 0.0;
-  double max_temporal_extent_min = 0.0;
-  bool reshape = true;
-  std::string leftover_policy;
-  double sharded_tile_size_m = 0.0;
-  std::size_t sharded_max_shard_users = 0;
-  std::size_t sharded_workers = 0;
-  double sharded_halo_m = 0.0;
-  double w4m_delta_m = 0.0;
-  double w4m_trash_fraction = 0.0;
-  std::size_t w4m_chunk_size = 0;
-  double w4m_match_tolerance_min = 0.0;
-};
-
-[[nodiscard]] ConfigEcho echo_config(const RunConfig& config);
-
 struct RunReport {
-  std::string strategy;
   std::string dataset_name;
   /// The anonymized dataset for dataset-out runs (the legacy Engine
   /// overload).  Streaming runs deliver groups to the DatasetSink instead
@@ -74,7 +48,9 @@ struct RunReport {
   cdr::FingerprintDataset anonymized;
   RunCounters counters;
   RunTimings timings;
-  ConfigEcho config;
+  /// The configuration the run used, its strategy included.  Its
+  /// `incremental.published` is null: the report may outlive that release.
+  RunConfig config;
   /// Strategy-specific scalar metrics (e.g. W4M mean errors, incremental
   /// join counts), serialized under "metrics" in declaration order.
   std::vector<std::pair<std::string, double>> extra_metrics;
@@ -123,9 +99,10 @@ struct RunReport {
 /// through this rather than growing the locked top-level schema.
 void set_metric(RunReport& report, std::string name, double value);
 
-/// JSON document of everything but the dataset itself (strategy, config
-/// echo, counters, timings, metrics).  Key order is fixed; the schema is
-/// locked by tests/api/report_test.cpp.
+/// JSON document of everything but the dataset itself (strategy, config,
+/// counters, timings, metrics).  Key order is fixed; the schema is locked
+/// by tests/api/report_test.cpp.  A disabled suppression echoes
+/// "enabled": false with zero thresholds.
 [[nodiscard]] stats::Json report_json(const RunReport& report);
 [[nodiscard]] std::string to_json(const RunReport& report, int indent = 2);
 

@@ -116,15 +116,31 @@ double linear_st_distance(const cdr::Fingerprint& a,
   return linear_st_distance_impl(to_trajectory(a), to_trajectory(b));
 }
 
-W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
+void check_config(const W4MConfig& config, std::uint32_t k) {
+  if (k < 2) {
+    throw std::invalid_argument{"k must be >= 2 (got " + std::to_string(k) +
+                                ")"};
+  }
+  if (!(config.delta_m > 0.0 && std::isfinite(config.delta_m))) {
+    throw std::invalid_argument{"w4m.delta_m must be positive and finite"};
+  }
+  if (!(config.trash_fraction >= 0.0 && config.trash_fraction < 1.0)) {
+    throw std::invalid_argument{"w4m.trash_fraction must be in [0, 1)"};
+  }
+  if (config.chunk_size < k) {
+    throw std::invalid_argument{"w4m.chunk_size must be at least k"};
+  }
+  if (!(config.match_tolerance_min >= 0.0 &&
+        std::isfinite(config.match_tolerance_min))) {
+    throw std::invalid_argument{
+        "w4m.match_tolerance_min must be finite and non-negative"};
+  }
+}
+
+W4MResult anonymize_w4m(const cdr::FingerprintDataset& data, std::uint32_t k,
                         const W4MConfig& config) {
-  if (config.k < 2) {
-    throw std::invalid_argument{"W4M requires k >= 2"};
-  }
-  util::check_dataset_size(data.size(), config.k);
-  if (config.chunk_size < config.k) {
-    throw std::invalid_argument{"chunk size must be at least k"};
-  }
+  check_config(config, k);
+  util::check_dataset_size(data.size(), k);
   {
     std::vector<cdr::UserId> users;
     cdr::add_distinct_users(users, data.fingerprints(), "input dataset");
@@ -156,7 +172,7 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
       unassigned.push_back(i);
     }
 
-    while (unassigned.size() >= config.k) {
+    while (unassigned.size() >= k) {
       const std::size_t pivot = unassigned.front();
       // Distances from the pivot to all other unassigned trajectories.
       std::vector<std::pair<double, std::size_t>> nearest;
@@ -168,7 +184,7 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
                                     trajectories[other]),
             other);
       }
-      const std::size_t need = config.k - 1;
+      const std::size_t need = k - 1;
       std::partial_sort(
           nearest.begin(),
           nearest.begin() + static_cast<std::ptrdiff_t>(need),
@@ -360,7 +376,7 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
         time_error_sum / static_cast<double>(error_count);
   }
   result.anonymized = cdr::FingerprintDataset{
-      std::move(published), data.name() + "-w4m-k" + std::to_string(config.k)};
+      std::move(published), data.name() + "-w4m-k" + std::to_string(k)};
   return result;
 }
 

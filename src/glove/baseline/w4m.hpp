@@ -29,15 +29,18 @@
 namespace glove::baseline {
 
 /// W4M-LC parameters.  Defaults follow the paper's comparative setup
-/// (Sec. 7.2): delta = 2 km and 10% trashing.
+/// (Sec. 7.2): delta = 2 km and 10% trashing.  The anonymity level k is
+/// the run's, passed beside this struct; the Engine's api::RunConfig
+/// holds this struct as its `w4m` section.
 struct W4MConfig {
-  std::uint32_t k = 2;
   /// Diameter of the uncertainty cylinder, metres.
   double delta_m = 2'000.0;
-  /// Maximum fraction of trajectories that may be discarded as outliers.
+  /// Maximum fraction of trajectories that may be discarded as outliers,
+  /// in [0, 1).
   double trash_fraction = 0.10;
   /// Chunk size for the LC variant: clustering runs within chunks of this
-  /// many trajectories, bounding the O(n^2) distance computations.
+  /// many trajectories, bounding the O(n^2) distance computations.  Must
+  /// be >= k.
   std::size_t chunk_size = 512;
   /// Tolerance for matching a published timestamp to an original sample
   /// (minutes); published points farther than this from every original
@@ -75,10 +78,17 @@ struct W4MResult {
   W4MStats stats;
 };
 
-/// Runs W4M-LC.  Requires k >= 2 and chunk_size >= k
-/// (std::invalid_argument otherwise) and data.size() >= k
+/// Throws std::invalid_argument unless k >= 2, delta_m is positive and
+/// finite, trash_fraction in [0, 1), chunk_size >= k and
+/// match_tolerance_min finite and non-negative.  Each test is written so
+/// that NaN fails it.
+void check_config(const W4MConfig& config, std::uint32_t k);
+
+/// Runs W4M-LC at anonymity level k.  Requires a config that passes
+/// check_config (std::invalid_argument otherwise) and data.size() >= k
 /// (util::DatasetError otherwise).  Deterministic.
 [[nodiscard]] W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
+                                      std::uint32_t k,
                                       const W4MConfig& config);
 
 /// Linear spatiotemporal distance between two trajectories (exposed for

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -93,19 +94,34 @@ void push(std::vector<NodeKey>& heap, const NodeKey& key) {
 
 }  // namespace
 
-MergeOptions merge_options(const GloveConfig& config) {
-  MergeOptions options;
-  options.limits = config.limits;
-  options.reshape = config.reshape;
-  options.suppression = config.suppression;
-  return options;
+void check_config(const GloveConfig& config) {
+  if (config.k < 2) {
+    throw std::invalid_argument{"k must be >= 2 (got " +
+                                std::to_string(config.k) + ")"};
+  }
+  const auto positive = [](double x) { return x > 0.0 && std::isfinite(x); };
+  const auto non_negative = [](double x) {
+    return x >= 0.0 && std::isfinite(x);
+  };
+  const StretchLimits& limits = config.limits;
+  if (!positive(limits.phi_max_sigma_m) || !positive(limits.phi_max_tau_min)) {
+    throw std::invalid_argument{
+        "stretch saturation limits must be positive and finite"};
+  }
+  if (!non_negative(limits.w_sigma) || !non_negative(limits.w_tau)) {
+    throw std::invalid_argument{
+        "stretch weights must be finite and non-negative"};
+  }
+  if (config.suppression &&
+      !(config.suppression->max_spatial_extent_m > 0.0 &&
+        config.suppression->max_temporal_extent_min > 0.0)) {
+    throw std::invalid_argument{"suppression thresholds must be positive"};
+  }
 }
 
 GloveResult anonymize(const cdr::FingerprintDataset& data,
                       const GloveConfig& config) {
-  if (config.k < 2) {
-    throw std::invalid_argument{"GLOVE requires k >= 2"};
-  }
+  check_config(config);
   util::check_dataset_size(data.size(), config.k);
   if (data.size() >= kMaxFingerprints) {
     throw util::DatasetError{"dataset holds " + std::to_string(data.size()) +
@@ -120,8 +136,6 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
   GloveStats& stats = result.stats;
   stats.input_users = data.total_users();
   stats.input_samples = data.total_samples();
-
-  const MergeOptions options = merge_options(config);
 
   // Node store: input fingerprints first, merged fingerprints appended.
   std::vector<cdr::Fingerprint> nodes{data.fingerprints().begin(),
@@ -339,7 +353,7 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
     known[b] = std::vector<KnownStretch>{};
     MergeStats merge_stats;
     cdr::Fingerprint merged =
-        merge_fingerprints(nodes[a], nodes[b], options, &merge_stats);
+        merge_fingerprints(nodes[a], nodes[b], config, &merge_stats);
     nodes[a] = cdr::Fingerprint{};
     nodes[b] = cdr::Fingerprint{};
     stats.deleted_samples += merge_stats.suppressed_original_samples;
@@ -417,7 +431,6 @@ std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
   }
   std::vector<NodeBounds> group_bounds = node_bounds_of(groups);
   CandidateGrid grid{group_bounds};
-  const MergeOptions options = merge_options(config);
   SearchTally tally;
   for (const cdr::Fingerprint& leftover : tail) {
     const std::size_t g =
@@ -426,7 +439,7 @@ std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
             .front()
             .index;
     MergeStats merge_stats;
-    groups[g] = merge_fingerprints(leftover, groups[g], options, &merge_stats);
+    groups[g] = merge_fingerprints(leftover, groups[g], config, &merge_stats);
     group_bounds[g] = node_bounds(groups[g]);
     grid.widen(static_cast<std::uint32_t>(g), group_bounds[g].box);
     stats.deleted_samples += merge_stats.suppressed_original_samples;

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "glove/cdr/dataset.hpp"
@@ -30,21 +29,23 @@ enum class LeftoverPolicy {
   kSuppress,
 };
 
-/// GLOVE configuration.
-struct GloveConfig {
+/// GLOVE configuration: the merge options every merge runs with (stretch
+/// limits, suppression, reshaping) plus the anonymity level and the
+/// leftover policy.  The layers above extend or hold this struct (the
+/// sharded run, the Engine's api::RunConfig) instead of mirroring it, so
+/// each knob is declared, documented and defaulted here once.
+struct GloveConfig : MergeOptions {
   /// Target anonymity level; every output fingerprint hides >= k users.
   std::uint32_t k = 2;
-  StretchLimits limits;
-  /// Per-merge suppression thresholds (Sec. 7.1); disabled when empty.
-  std::optional<SuppressionThresholds> suppression;
-  /// Resolve temporal overlaps after each merge (Fig. 6b).
-  bool reshape = true;
   LeftoverPolicy leftover_policy = LeftoverPolicy::kMergeIntoNearest;
 };
 
-/// The merge options GLOVE runs with: `config`'s limits, reshape and
-/// suppression.
-[[nodiscard]] MergeOptions merge_options(const GloveConfig& config);
+/// Throws std::invalid_argument unless k >= 2, both stretch saturation
+/// limits are positive and finite, both weights finite and non-negative
+/// (a negative weight would make the bounds every core::nearest search
+/// prunes by unsound), and every suppression threshold > 0 (+inf leaves
+/// an axis unbounded).  Each test is written so that NaN fails it.
+void check_config(const GloveConfig& config);
 
 /// Run counters for the paper's cost accounting (Tab. 2 rows and Sec. 6.3).
 struct GloveStats {
@@ -87,9 +88,10 @@ struct GloveResult {
   GloveStats stats;
 };
 
-/// Runs GLOVE on `data`.  Requires k >= 2 (std::invalid_argument
-/// otherwise) and k <= data.size() < 2^30 (a dataset smaller than the
-/// target crowd cannot be k-anonymized; util::DatasetError otherwise).
+/// Runs GLOVE on `data`.  Requires a config that passes check_config
+/// (std::invalid_argument otherwise) and k <= data.size() < 2^30 (a
+/// dataset smaller than the target crowd cannot be k-anonymized;
+/// util::DatasetError otherwise).
 /// Deterministic for a given input and configuration, independent of
 /// thread count.
 ///

@@ -15,6 +15,7 @@ namespace glove::core {
 UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
                               const cdr::FingerprintDataset& new_users,
                               const GloveConfig& config) {
+  check_config(config);
   // Reject a user id held twice, within either input or across the two,
   // up front: a "newcomer" already inside a published group would be
   // double-counted, and the released groups would overlap — exactly the
@@ -62,7 +63,6 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
   std::vector<NodeBounds> group_bounds = node_bounds_of(groups);
   const std::vector<NodeBounds> newcomer_bounds =
       node_bounds_of(new_users.fingerprints());
-  const MergeOptions options = merge_options(config);
 
   // Decide each newcomer's fate: nearest existing group vs nearest fellow
   // newcomer.  Computed in parallel, applied sequentially (joins mutate
@@ -108,7 +108,7 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
                       (choices[i].group.stretch <= choices[i].to_peer);
     if (join) {
       const std::size_t g = choices[i].group.index;
-      groups[g] = merge_fingerprints(groups[g], new_users[i], options);
+      groups[g] = merge_fingerprints(groups[g], new_users[i], config);
       group_bounds[g] = node_bounds(groups[g]);
       group_grid.widen(static_cast<std::uint32_t>(g), group_bounds[g].box);
       ++result.stats.joined_existing_groups;
@@ -140,7 +140,7 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
                   group_grid, config.limits, 1, std::nullopt, &tally)
               .front()
               .index;
-      groups[g] = merge_fingerprints(groups[g], straggler, options);
+      groups[g] = merge_fingerprints(groups[g], straggler, config);
       group_bounds[g] = node_bounds(groups[g]);
       group_grid.widen(static_cast<std::uint32_t>(g), group_bounds[g].box);
       ++result.stats.joined_existing_groups;

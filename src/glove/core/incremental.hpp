@@ -39,7 +39,8 @@ struct UpdateResult {
 };
 
 /// Adds `new_users` (group size 1 each) to the already-k-anonymized
-/// `published` dataset.  Requires `published` to satisfy config.k, the
+/// `published` dataset.  Requires a config that passes check_config
+/// (std::invalid_argument otherwise), `published` to satisfy config.k, the
 /// newcomers to be single-user fingerprints whose ids do not appear in
 /// any published group, and k newcomers when nothing is published;
 /// throws util::DatasetError naming the group, fingerprint or id otherwise.

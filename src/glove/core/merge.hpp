@@ -38,12 +38,15 @@ struct MergeStats {
 [[nodiscard]] cdr::Sample merge_samples(const cdr::Sample& a,
                                         const cdr::Sample& b) noexcept;
 
-/// Options controlling `merge_fingerprints`.
+/// Options controlling `merge_fingerprints`, the first layer of the run
+/// configuration: core::GloveConfig extends them with k and the leftover
+/// policy.
 struct MergeOptions {
   StretchLimits limits;
   /// Resolve temporal overlaps after merging (Fig. 6b).  GLOVE's default.
   bool reshape = true;
-  /// When set, drop merged samples exceeding the thresholds (Sec. 7.1).
+  /// When set, drop merged samples exceeding the thresholds (Sec. 7.1);
+  /// disabled when empty.
   std::optional<SuppressionThresholds> suppression;
 };
 

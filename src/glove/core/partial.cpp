@@ -67,7 +67,7 @@ PartialResult anonymize_partial(const cdr::FingerprintDataset& data,
   const cdr::FingerprintDataset reduced =
       reduce_to_top_locations(data, config.top_locations, config.tile_m);
   result.withheld_samples = data.total_samples() - reduced.total_samples();
-  result.glove = anonymize(reduced, config.glove);
+  result.glove = anonymize(reduced, config);
   return result;
 }
 

@@ -18,9 +18,9 @@
 
 namespace glove::core {
 
-/// Partial anonymization configuration.
-struct PartialConfig {
-  GloveConfig glove;
+/// Partial anonymization configuration: the GLOVE knobs plus the assumed
+/// adversary knowledge.
+struct PartialConfig : GloveConfig {
   /// Size of the assumed adversary knowledge: the L most frequented
   /// spatial tiles per user.
   std::size_t top_locations = 3;

@@ -1,6 +1,7 @@
 #include "glove/shard/planner.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "glove/core/scalability.hpp"
 #include "glove/util/dataset_error.hpp"
@@ -12,7 +13,7 @@ namespace {
 /// Above this many overlapped tiles the fingerprint is a wide wanderer
 /// whose geometry spans a large part of the map; defer it outright rather
 /// than enumerating cells.
-constexpr std::size_t kMaxOverlappedCells = 4096;
+constexpr double kMaxOverlappedCells = 4096;
 
 /// True when the bounds of fingerprint `id`, inflated by `halo_m`, touch
 /// a tile owned by a shard other than `home_shard` — the deferral test of
@@ -25,11 +26,18 @@ bool crosses_shard_border(const core::FingerprintBounds& bounds,
   const geo::PlanarPoint low{bounds.box.x - halo_m, bounds.box.y - halo_m};
   const geo::PlanarPoint high{bounds.box.x_end() + halo_m,
                               bounds.box.y_end() + halo_m};
+  // Count the overlapped tiles in doubles, as the grid indexes them, before
+  // asking for the corner cells: a halo wider than the int32 grid makes a
+  // wanderer, not a fingerprint off the grid.
+  const auto span = [tile_size_m](double from, double to) {
+    return std::floor(to / tile_size_m) - std::floor(from / tile_size_m) + 1;
+  };
+  if (span(low.x_m, high.x_m) * span(low.y_m, high.y_m) >
+      kMaxOverlappedCells) {
+    return true;
+  }
   const geo::GridCell lo = tile_of(grid, low, id);
   const geo::GridCell hi = tile_of(grid, high, id);
-  const auto span_x = static_cast<std::size_t>(hi.ix - lo.ix) + 1;
-  const auto span_y = static_cast<std::size_t>(hi.iy - lo.iy) + 1;
-  if (span_x * span_y > kMaxOverlappedCells) return true;
   for (std::int32_t ix = lo.ix; ix <= hi.ix; ++ix) {
     for (std::int32_t iy = lo.iy; iy <= hi.iy; ++iy) {
       const auto it = plan.shard_of_cell.find(geo::GridCell{ix, iy});
@@ -44,8 +52,8 @@ bool crosses_shard_border(const core::FingerprintBounds& bounds,
 
 }  // namespace
 
-ShardPlan ShardPlanner::plan(const Tiling& tiling) const {
-  const std::size_t k = config_.glove.k;
+ShardPlan plan_shards(const Tiling& tiling, std::uint32_t k,
+                      std::size_t max_shard_users) {
   std::size_t total = 0;
   for (const Tile& tile : tiling.tiles) total += tile.members.size();
   util::check_dataset_size(total, k);
@@ -64,8 +72,7 @@ ShardPlan ShardPlanner::plan(const Tiling& tiling) const {
   };
   for (const Tile& tile : tiling.tiles) {
     if (!current.members.empty() && current.members.size() >= k &&
-        current.members.size() + tile.members.size() >
-            config_.max_shard_users) {
+        current.members.size() + tile.members.size() > max_shard_users) {
       flush();
     }
     current.cells.push_back(tile.cell);
@@ -95,7 +102,7 @@ ShardPlan ShardPlanner::plan(const Tiling& tiling) const {
 }
 
 BorderSplit split_borders(const Tiling& tiling, const ShardPlan& plan,
-                          const ShardConfig& config) {
+                          double halo_m, std::uint32_t k) {
   const std::size_t shard_count = plan.shards.size();
   BorderSplit split;
   split.kept.resize(shard_count);
@@ -111,14 +118,13 @@ BorderSplit split_borders(const Tiling& tiling, const ShardPlan& plan,
     kept.reserve(shard.members.size());
     for (const std::uint32_t id : shard.members) {
       if (bordered && crosses_shard_border(tiling.bounds[id], id, s, plan,
-                                           tiling.tile_size_m,
-                                           config.halo_m)) {
+                                           tiling.tile_size_m, halo_m)) {
         deferred.push_back(id);
       } else {
         kept.push_back(id);
       }
     }
-    if (kept.size() < config.glove.k) {
+    if (kept.size() < k) {
       deferred.insert(deferred.end(), kept.begin(), kept.end());
       std::sort(deferred.begin(), deferred.end());
       kept.clear();

@@ -1,6 +1,7 @@
-// ShardPlanner: packs Morton-ordered tiles into load-balanced shards, and
+// plan_shards packs Morton-ordered tiles into load-balanced shards, and
 // split_borders decides which fingerprints each shard anonymizes itself
-// and which it defers to the cross-shard reconciliation.
+// and which it defers to the cross-shard reconciliation.  Each takes the
+// knobs it reads (k, the shard budget, the halo), not a whole config.
 //
 // Invariants of a plan (for any dataset with >= k fingerprints):
 //   * every fingerprint belongs to exactly one shard;
@@ -21,7 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "glove/shard/config.hpp"
 #include "glove/shard/tiling.hpp"
 
 namespace glove::shard {
@@ -41,25 +41,20 @@ struct ShardPlan {
   std::size_t tiles = 0;
 };
 
-class ShardPlanner {
- public:
-  explicit ShardPlanner(const ShardConfig& config) : config_{config} {}
-
-  /// Deterministic for a given tiling and configuration.  Requires the
-  /// tiling to hold at least config.glove.k fingerprints.
-  [[nodiscard]] ShardPlan plan(const Tiling& tiling) const;
-
- private:
-  ShardConfig config_;
-};
+/// Packs the tiles of `tiling`, in order, into shards of at most
+/// `max_shard_users` fingerprints and at least k.  Deterministic in its
+/// inputs.  Requires the tiling to hold at least k fingerprints
+/// (util::DatasetError otherwise).
+[[nodiscard]] ShardPlan plan_shards(const Tiling& tiling, std::uint32_t k,
+                                    std::size_t max_shard_users);
 
 /// The serial kept/deferred split of a plan: per shard, the fingerprints
 /// it anonymizes itself and the ones handed to reconciliation (border
 /// fingerprints — bounding box, inflated by halo_m, touching a tile
-/// owned by another shard — or the whole shard
-/// when its kept set would fall below k).  A single-shard plan has no
-/// borders.  Deterministic for a given tiling and plan, independent of
-/// workers.
+/// owned by another shard, or overlapping more tiles than the split
+/// enumerates, however wide the halo — or the whole shard when its kept
+/// set would fall below k).  A single-shard plan has no borders.
+/// Deterministic for a given tiling and plan, independent of workers.
 struct BorderSplit {
   /// Per shard: dataset indices anonymized inside the shard, in planned
   /// member order.
@@ -70,8 +65,8 @@ struct BorderSplit {
 };
 
 [[nodiscard]] BorderSplit split_borders(const Tiling& tiling,
-                                        const ShardPlan& plan,
-                                        const ShardConfig& config);
+                                        const ShardPlan& plan, double halo_m,
+                                        std::uint32_t k);
 
 }  // namespace glove::shard
 

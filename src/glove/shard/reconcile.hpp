@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "glove/core/scalability.hpp"
-#include "glove/shard/config.hpp"
 
 namespace glove::shard {
 
@@ -54,11 +53,13 @@ struct ReconcilePlan {
 
 /// Plans the reconciliation from pass-1 residue.  `bounds[i]` and
 /// `group_sizes[i]` describe the i-th deferred leftover; the spans must
-/// have equal length (std::invalid_argument otherwise).  Deterministic in
-/// its inputs and configuration.
+/// have equal length (std::invalid_argument otherwise).  Reads the run's
+/// anonymity level k and its shard budget, the chunk size.  Deterministic
+/// in its inputs.
 [[nodiscard]] ReconcilePlan plan_reconcile(
     std::span<const core::FingerprintBounds> bounds,
-    std::span<const std::uint32_t> group_sizes, const ShardConfig& config);
+    std::span<const std::uint32_t> group_sizes, std::uint32_t k,
+    std::size_t max_shard_users);
 
 }  // namespace glove::shard
 

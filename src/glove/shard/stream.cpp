@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -122,22 +123,34 @@ struct Unit {
 
 }  // namespace
 
-StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
-                                             const ShardConfig& config,
-                                             const GroupEmitter& emit) {
-  if (config.glove.k < 2) {
-    throw std::invalid_argument{"GLOVE requires k >= 2"};
-  }
-  if (config.tile_size_m < 0.0) {
+void check_config(const ShardConfig& config, std::uint32_t k) {
+  const auto non_negative = [](double x) {
+    return x >= 0.0 && std::isfinite(x);
+  };
+  if (!non_negative(config.tile_size_m)) {
     throw std::invalid_argument{
-        "sharded.tile_size_m must be positive (or 0 for adaptive)"};
+        "sharded.tile_size_m must be finite and positive (or 0 for an "
+        "adaptive, density-derived tile size)"};
   }
-  if (config.halo_m < 0.0) {
-    throw std::invalid_argument{"sharded.halo_m must be non-negative"};
+  if (!non_negative(config.halo_m)) {
+    throw std::invalid_argument{
+        "sharded.halo_m must be finite and non-negative"};
   }
-  if (config.max_shard_users < config.glove.k) {
+  if (config.max_shard_users < k) {
     throw std::invalid_argument{"sharded.max_shard_users must be at least k"};
   }
+  if (config.workers > 4'096) {
+    throw std::invalid_argument{
+        "sharded.workers must be at most 4096 (0 = hardware concurrency)"};
+  }
+}
+
+StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
+                                             const core::GloveConfig& glove,
+                                             const ShardConfig& sharded,
+                                             const GroupEmitter& emit) {
+  core::check_config(glove);
+  check_config(sharded, glove.k);
 
   // Deterministic plane counters (counts only — they surface in the run
   // report's "obs" section), kept here so they are independent of the
@@ -164,24 +177,21 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   const std::size_t n = scan.bounds.size();
   result.pass_fingerprints.push_back(n);
   if (n == 0) throw util::DatasetError{"input dataset is empty"};
-  util::check_dataset_size(n, config.glove.k);
+  util::check_dataset_size(n, glove.k);
   result.stats.glove.input_users = scan.users;
   result.stats.glove.input_samples = scan.samples;
 
   const Tiling tiling = [&] {
     GLOVE_SPAN("stream.plan");
     return build_tiling_from_bounds(std::move(scan.bounds),
-                                    config.tile_size_m,
-                                    config.max_shard_users);
+                                    sharded.tile_size_m,
+                                    sharded.max_shard_users);
   }();
-  // Downstream phases (border test, reconcile chunking) read the resolved
-  // tile size from the config they are handed.
-  ShardConfig resolved = config;
-  resolved.tile_size_m = tiling.tile_size_m;
   result.stats.tile_size_m = tiling.tile_size_m;
 
-  const ShardPlan plan = ShardPlanner{resolved}.plan(tiling);
-  BorderSplit split = split_borders(tiling, plan, resolved);
+  const ShardPlan plan =
+      plan_shards(tiling, glove.k, sharded.max_shard_users);
+  BorderSplit split = split_borders(tiling, plan, sharded.halo_m, glove.k);
   const std::size_t shard_count = plan.shards.size();
   result.stats.tiles = plan.tiles;
   result.stats.shards = shard_count;
@@ -216,8 +226,8 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
       leftover_bounds.push_back(tiling.bounds[id]);
       leftover_sizes.push_back(scan.group_sizes[id]);
     }
-    const ReconcilePlan rplan =
-        plan_reconcile(leftover_bounds, leftover_sizes, resolved);
+    const ReconcilePlan rplan = plan_reconcile(
+        leftover_bounds, leftover_sizes, glove.k, sharded.max_shard_users);
     const auto ids_at = [&](const std::vector<std::uint32_t>& positions) {
       std::vector<std::uint32_t> ids;
       ids.reserve(positions.size());
@@ -244,9 +254,9 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   // that rare run holds every group back until the tail is absorbed.
   // Every other shape only appends, so groups flow to the emitter as
   // their batch completes.
-  const bool hold = resolved.glove.leftover_policy ==
-                        core::LeftoverPolicy::kMergeIntoNearest &&
-                    !units.empty() && units.back().kind == UnitKind::kTail;
+  const bool hold =
+      glove.leftover_policy == core::LeftoverPolicy::kMergeIntoNearest &&
+      !units.empty() && units.back().kind == UnitKind::kTail;
   std::uint64_t emitted_groups = 0;
   std::uint64_t emitted_samples = 0;
   std::vector<cdr::Fingerprint> held;
@@ -271,13 +281,13 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   // pool is the run's own: each job's core::anonymize hands refinement
   // batches to ThreadPool::shared() and waits for them, so a job must
   // never run on that pool.
-  std::size_t workers = resolved.workers;
+  std::size_t workers = sharded.workers;
   if (workers == 0) workers = util::ThreadPool::shared().size();
   workers = std::min(std::max<std::size_t>(workers, 1),
                      std::max<std::size_t>(job_count, 1));
   util::ThreadPool job_pool{workers};
   const std::size_t budget =
-      inmem != nullptr ? n : resolved.max_shard_users * workers;
+      inmem != nullptr ? n : sharded.max_shard_users * workers;
 
   // A user id two fingerprints hold would be published twice.  Each job
   // sees only its own members, so the run checks every batch against the
@@ -349,7 +359,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
     // Results come back in job order; deliver them in unit order, with
     // the pass-throughs at their place and the tail kept for the end.
     std::vector<ShardResult> batch_results =
-        run_jobs(job_pool, jobs, member, resolved.glove);
+        run_jobs(job_pool, jobs, member, glove);
     auto next_result = batch_results.begin();
     for (std::size_t u = first; u < last; ++u) {
       const Unit& unit = units[u];
@@ -384,7 +394,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
     reconcile_span.arg("leftovers", tail.size());
     const auto reconcile_start = Clock::now();
     result.stats.absorbed_leftovers = core::absorb_leftovers(
-        std::move(tail), held, resolved.glove, result.stats.glove);
+        std::move(tail), held, glove, result.stats.glove);
     result.stats.reconcile_seconds = seconds_since(reconcile_start);
   }
   for (cdr::Fingerprint& fp : held) {

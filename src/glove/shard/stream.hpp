@@ -80,18 +80,19 @@ struct StreamShardedResult {
 };
 
 /// Runs the sharded pipeline over a restartable source, emitting groups
-/// to `emit` as they are finalized.  Requires glove.k >= 2, tile_size_m
-/// >= 0 (0 = adaptive from observed anchor density), halo_m >= 0 and
-/// max_shard_users >= glove.k (std::invalid_argument otherwise); a source
-/// holding fewer than k fingerprints, one whose fingerprint count changes
-/// between passes, or a fingerprint off the tile grid (tile_of) raises
-/// util::DatasetError.  Deterministic for a given source content and
-/// configuration, independent of `workers` and batch boundaries.  A run
-/// that throws leaves the groups already emitted with the emitter, so a
-/// file sink may hold a partial dataset on failure.
+/// to `emit` as they are finalized: every shard job and reconcile chunk is
+/// core::anonymize with `glove`, over the decomposition `sharded` shapes.
+/// Checks both configs before reading the source (core::check_config,
+/// shard::check_config; std::invalid_argument).  A source holding fewer
+/// than k fingerprints, one whose fingerprint count changes between
+/// passes, or a fingerprint whose anchor lies off the tile grid (tile_of)
+/// raises util::DatasetError.  Deterministic for a given source content
+/// and configuration, independent of `workers` and batch boundaries.  A
+/// run that throws leaves the groups already emitted with the emitter, so
+/// a file sink may hold a partial dataset on failure.
 [[nodiscard]] StreamShardedResult anonymize_sharded_stream(
-    api::DatasetSource& source, const ShardConfig& config,
-    const GroupEmitter& emit);
+    api::DatasetSource& source, const core::GloveConfig& glove,
+    const ShardConfig& sharded, const GroupEmitter& emit);
 
 }  // namespace glove::shard
 

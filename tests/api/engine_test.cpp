@@ -345,14 +345,14 @@ TEST(Engine, RunReportCarriesCountersAndConfigEcho) {
   const auto result = engine.run(test::small_synth_dataset(30), config);
   ASSERT_TRUE(result.ok()) << result.error().message;
   const RunReport& report = result.value();
-  EXPECT_EQ(report.strategy, "full");
+  EXPECT_EQ(report.config.strategy, "full");
   EXPECT_EQ(report.counters.input_users, 30u);
   EXPECT_GT(report.counters.output_groups, 0u);
   EXPECT_GT(report.counters.merges, 0u);
   EXPECT_TRUE(core::is_k_anonymous(report.anonymized, 2));
   EXPECT_EQ(report.config.k, 2u);
-  EXPECT_TRUE(report.config.suppression_enabled);
-  EXPECT_DOUBLE_EQ(report.config.max_spatial_extent_m, 15'000.0);
+  ASSERT_TRUE(report.config.suppression.has_value());
+  EXPECT_DOUBLE_EQ(report.config.suppression->max_spatial_extent_m, 15'000.0);
   EXPECT_GE(report.timings.total_seconds, 0.0);
 }
 
@@ -474,9 +474,9 @@ TEST(Engine, BorderFlagAcceptsOnlyHalo) {
   define_run_flags(unset, engine);
   unset.parse(0, nullptr);
   RunReport with_flag;
-  with_flag.config = echo_config(run_config_from_flags(halo));
+  with_flag.config = run_config_from_flags(halo);
   RunReport without_flag;
-  without_flag.config = echo_config(run_config_from_flags(unset));
+  without_flag.config = run_config_from_flags(unset);
   EXPECT_EQ(to_json(with_flag), to_json(without_flag));
 
   util::Flags none{"engine test"};

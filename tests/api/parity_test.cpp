@@ -253,11 +253,10 @@ TEST_P(ParityTest, W4MMatchesFreeFunction) {
   RunConfig config;
   config.strategy = kStrategyW4M;
   config.k = k;
-  baseline::W4MConfig legacy;
-  legacy.k = k;
-  EXPECT_EQ(
-      engine_csv(engine, data, config),
-      test::dataset_to_csv(baseline::anonymize_w4m(data, legacy).anonymized));
+  EXPECT_EQ(engine_csv(engine, data, config),
+            test::dataset_to_csv(
+                baseline::anonymize_w4m(data, k, baseline::W4MConfig{})
+                    .anonymized));
 }
 
 TEST_P(ParityTest, IncrementalMatchesFreeFunction) {

@@ -81,6 +81,12 @@ cdr::FingerprintDataset random_dataset(std::size_t users, std::uint64_t seed,
   return cdr::FingerprintDataset{std::move(fps), "random"};
 }
 
+core::GloveConfig glove_config(std::uint32_t k) {
+  core::GloveConfig config;
+  config.k = k;
+  return config;
+}
+
 cdr::FingerprintDataset small_synth_dataset(std::size_t users, double days,
                                             std::uint64_t seed) {
   synth::SynthConfig config = synth::civ_like(users, seed);

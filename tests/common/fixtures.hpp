@@ -14,6 +14,7 @@
 
 #include "glove/cdr/dataset.hpp"
 #include "glove/cdr/sample.hpp"
+#include "glove/core/glove.hpp"
 
 namespace glove::test {
 
@@ -48,6 +49,9 @@ namespace glove::test {
 [[nodiscard]] cdr::FingerprintDataset random_dataset(
     std::size_t users, std::uint64_t seed,
     std::size_t max_samples_per_user = 6, cdr::UserId first_user = 0);
+
+/// GLOVE's default knobs at anonymity level k.
+[[nodiscard]] core::GloveConfig glove_config(std::uint32_t k = 2);
 
 /// Small seeded synthetic population (civ-like preset) for end-to-end
 /// tests: `users` users over `days` days at the original granularity.

@@ -14,11 +14,6 @@ namespace glove::test {
 
 cdr::FingerprintDataset naive_glove(const cdr::FingerprintDataset& data,
                                     const core::GloveConfig& config) {
-  core::MergeOptions options;
-  options.limits = config.limits;
-  options.reshape = config.reshape;
-  options.suppression = config.suppression;
-
   const std::size_t inputs = data.size();
   std::vector<cdr::Fingerprint> nodes{data.fingerprints().begin(),
                                       data.fingerprints().end()};
@@ -51,7 +46,7 @@ cdr::FingerprintDataset naive_glove(const cdr::FingerprintDataset& data,
     const auto [stretch, a, b] = best;
     alive[a] = false;
     alive[b] = false;
-    nodes.push_back(core::merge_fingerprints(nodes[a], nodes[b], options));
+    nodes.push_back(core::merge_fingerprints(nodes[a], nodes[b], config));
     alive.push_back(true);
     if (!is_open(nodes.size() - 1)) finished.push_back(nodes.size() - 1);
   }
@@ -74,7 +69,7 @@ cdr::FingerprintDataset naive_glove(const cdr::FingerprintDataset& data,
       }
     }
     output[nearest] =
-        core::merge_fingerprints(nodes[id], output[nearest], options);
+        core::merge_fingerprints(nodes[id], output[nearest], config);
   }
   return cdr::FingerprintDataset{std::move(output),
                                  data.name() + "-k" + std::to_string(config.k)};

@@ -63,7 +63,7 @@ TEST(ReduceToTopLocations, RejectsZeroLocations) {
 
 TEST(AnonymizePartial, AchievesKOnTheReducedSurface) {
   PartialConfig config;
-  config.glove.k = 2;
+  config.k = 2;
   config.top_locations = 2;
   const PartialResult result = anonymize_partial(commuters(), config);
   EXPECT_TRUE(is_k_anonymous(result.glove.anonymized, 2));
@@ -87,7 +87,7 @@ TEST(AnonymizePartial, CheaperThanFullLength) {
   const PartialResult partial = anonymize_partial(data, config);
   EXPECT_GT(partial.withheld_samples, 0u);
   EXPECT_LT(partial.glove.stats.input_samples, data.total_samples());
-  EXPECT_TRUE(is_k_anonymous(partial.glove.anonymized, config.glove.k));
+  EXPECT_TRUE(is_k_anonymous(partial.glove.anonymized, config.k));
   // Accounting consistency: published surface + withheld = original.
   EXPECT_EQ(partial.glove.stats.input_samples + partial.withheld_samples,
             data.total_samples());
@@ -101,7 +101,7 @@ TEST(AnonymizePartial, DefeatsTopLocationAttackWithinSurface) {
   const cdr::FingerprintDataset data =
       synth::generate_dataset(synth_config);
   PartialConfig config;
-  config.glove.k = 2;
+  config.k = 2;
   config.top_locations = 3;
   const PartialResult result = anonymize_partial(data, config);
 

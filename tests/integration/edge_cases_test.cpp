@@ -123,11 +123,8 @@ TEST(EdgeCases, W4MWithKEqualUsers) {
     fps.emplace_back(u, std::vector<cdr::Sample>{cell(u * 100.0, 0, 10),
                                                  cell(u * 100.0, 0, 500)});
   }
-  baseline::W4MConfig config;
-  config.k = 3;
-  const baseline::W4MResult result =
-      baseline::anonymize_w4m(cdr::FingerprintDataset{std::move(fps)},
-                              config);
+  const baseline::W4MResult result = baseline::anonymize_w4m(
+      cdr::FingerprintDataset{std::move(fps)}, /*k=*/3, {});
   ASSERT_EQ(result.anonymized.size(), 1u);
   EXPECT_EQ(result.anonymized[0].group_size(), 3u);
 }

@@ -1,4 +1,4 @@
-// ShardPlanner: every fingerprint lands in exactly one shard, shards
+// plan_shards: every fingerprint lands in exactly one shard, shards
 // respect the >= k floor and the max_shard_users budget (except where the
 // floor or an oversized tile forces them over), and the cell-to-shard map
 // covers every occupied tile.
@@ -16,15 +16,6 @@
 namespace glove::shard {
 namespace {
 
-ShardConfig config_with(std::uint32_t k, std::size_t max_users,
-                        double tile_m) {
-  ShardConfig config;
-  config.glove.k = k;
-  config.max_shard_users = max_users;
-  config.tile_size_m = tile_m;
-  return config;
-}
-
 void expect_partition(const ShardPlan& plan, std::size_t dataset_size) {
   std::vector<bool> seen(dataset_size, false);
   for (const PlannedShard& shard : plan.shards) {
@@ -41,22 +32,22 @@ void expect_partition(const ShardPlan& plan, std::size_t dataset_size) {
 
 TEST(ShardPlanner, PartitionsEveryFingerprintOnce) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
-  const ShardConfig config = config_with(2, 12, 10'000.0);
-  const Tiling tiling = build_tiling(data, config.tile_size_m);
-  const ShardPlan plan = ShardPlanner{config}.plan(tiling);
+  const std::uint32_t k = 2;
+  const std::size_t max_shard_users = 12;
+  const Tiling tiling = build_tiling(data, 10'000.0);
+  const ShardPlan plan = plan_shards(tiling, k, max_shard_users);
 
   EXPECT_GE(plan.shards.size(), 2u);
   expect_partition(plan, data.size());
   for (const PlannedShard& shard : plan.shards) {
-    EXPECT_GE(shard.members.size(), config.glove.k);
+    EXPECT_GE(shard.members.size(), k);
   }
 }
 
 TEST(ShardPlanner, CellMapCoversEveryTile) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(40);
-  const ShardConfig config = config_with(2, 10, 10'000.0);
-  const Tiling tiling = build_tiling(data, config.tile_size_m);
-  const ShardPlan plan = ShardPlanner{config}.plan(tiling);
+  const Tiling tiling = build_tiling(data, 10'000.0);
+  const ShardPlan plan = plan_shards(tiling, /*k=*/2, /*max_shard_users=*/10);
 
   EXPECT_EQ(plan.tiles, tiling.tiles.size());
   EXPECT_EQ(plan.shard_of_cell.size(), tiling.tiles.size());
@@ -71,9 +62,9 @@ TEST(ShardPlanner, CellMapCoversEveryTile) {
 
 TEST(ShardPlanner, RespectsBudgetUpToTheFloor) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(80);
-  const ShardConfig config = config_with(2, 15, 5'000.0);
-  const Tiling tiling = build_tiling(data, config.tile_size_m);
-  const ShardPlan plan = ShardPlanner{config}.plan(tiling);
+  const std::size_t max_shard_users = 15;
+  const Tiling tiling = build_tiling(data, 5'000.0);
+  const ShardPlan plan = plan_shards(tiling, /*k=*/2, max_shard_users);
 
   // A shard may exceed the budget only by one tile (closing happens when
   // the *next* tile would overflow) or through the tail fold; it can
@@ -83,8 +74,7 @@ TEST(ShardPlanner, RespectsBudgetUpToTheFloor) {
     biggest_tile = std::max(biggest_tile, tile.members.size());
   }
   for (const PlannedShard& shard : plan.shards) {
-    EXPECT_LE(shard.members.size(),
-              2 * config.max_shard_users + biggest_tile);
+    EXPECT_LE(shard.members.size(), 2 * max_shard_users + biggest_tile);
   }
 }
 
@@ -97,9 +87,8 @@ TEST(ShardPlanner, OversizedTileBecomesItsOwnShard) {
                             test::cell(50.0, 50.0, 10.0 + u)});
   }
   const cdr::FingerprintDataset data{std::move(fps), "dense"};
-  const ShardConfig config = config_with(2, 8, 25'000.0);
-  const Tiling tiling = build_tiling(data, config.tile_size_m);
-  const ShardPlan plan = ShardPlanner{config}.plan(tiling);
+  const Tiling tiling = build_tiling(data, 25'000.0);
+  const ShardPlan plan = plan_shards(tiling, /*k=*/2, /*max_shard_users=*/8);
 
   ASSERT_EQ(plan.shards.size(), 1u);
   EXPECT_EQ(plan.shards[0].members.size(), 30u);
@@ -116,9 +105,8 @@ TEST(ShardPlanner, TailBelowKFoldsIntoPreviousShard) {
   fps.emplace_back(6u, std::vector<cdr::Sample>{
                            test::cell(200'000.0, 0.0, 10.0)});
   const cdr::FingerprintDataset data{std::move(fps), "tail"};
-  const ShardConfig config = config_with(2, 6, 25'000.0);
-  const Tiling tiling = build_tiling(data, config.tile_size_m);
-  const ShardPlan plan = ShardPlanner{config}.plan(tiling);
+  const Tiling tiling = build_tiling(data, 25'000.0);
+  const ShardPlan plan = plan_shards(tiling, /*k=*/2, /*max_shard_users=*/6);
 
   ASSERT_EQ(plan.shards.size(), 1u);
   EXPECT_EQ(plan.shards[0].members.size(), 7u);
@@ -127,9 +115,8 @@ TEST(ShardPlanner, TailBelowKFoldsIntoPreviousShard) {
 
 TEST(ShardPlanner, RejectsDatasetSmallerThanK) {
   const cdr::FingerprintDataset data = test::paired_dataset();  // 7 users
-  const ShardConfig config = config_with(100, 200, 25'000.0);
-  const Tiling tiling = build_tiling(data, config.tile_size_m);
-  EXPECT_THROW((void)ShardPlanner{config}.plan(tiling),
+  const Tiling tiling = build_tiling(data, 25'000.0);
+  EXPECT_THROW((void)plan_shards(tiling, /*k=*/100, /*max_shard_users=*/200),
                std::invalid_argument);
 }
 

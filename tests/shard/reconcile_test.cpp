@@ -21,14 +21,6 @@
 namespace glove::shard {
 namespace {
 
-ShardConfig reconcile_config(std::uint32_t k = 2,
-                             std::size_t max_shard_users = 4) {
-  ShardConfig config;
-  config.glove.k = k;
-  config.max_shard_users = max_shard_users;
-  return config;
-}
-
 /// A single-user fingerprint anchored at (x_km, y_km) km — far enough
 /// apart per kilometre that the 1 km locality quantization orders anchors
 /// exactly by their coordinates.
@@ -65,9 +57,9 @@ TEST(ReconcilePlan, SplitsPassthroughAndLocalitySortedChunks) {
   leftovers.push_back(user_at(2, 20.0, 0.0));
   leftovers.push_back(user_at(3, 10.0, 0.0));
 
-  const ShardConfig config = reconcile_config(/*k=*/2, /*max_shard_users=*/2);
   const ReconcilePlan plan =
-      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), config);
+      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), /*k=*/2,
+                     /*max_shard_users=*/2);
 
   EXPECT_EQ(plan.passthrough, (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(plan.subk_count, 4u);
@@ -84,9 +76,9 @@ TEST(ReconcilePlan, NeverLeavesATailChunkSmallerThanK) {
   for (cdr::UserId u = 0; u < 5; ++u) {
     leftovers.push_back(user_at(u, 10.0 * (u + 1), 0.0));
   }
-  const ShardConfig config = reconcile_config(/*k=*/2, /*max_shard_users=*/4);
   const ReconcilePlan plan =
-      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), config);
+      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), /*k=*/2,
+                     /*max_shard_users=*/4);
   // 5 sub-k members with chunk size 4: a naive split would leave a
   // 1-member tail < k, so the last chunk extends to hold all 5.
   ASSERT_EQ(plan.chunks.size(), 1u);
@@ -97,9 +89,9 @@ TEST(ReconcilePlan, FewerThanKSubKLeftoversBecomeTheTail) {
   std::vector<cdr::Fingerprint> leftovers;
   leftovers.push_back(user_at(0, 30.0, 0.0));
   leftovers.push_back(user_at(1, 10.0, 0.0));
-  const ShardConfig config = reconcile_config(/*k=*/3);
   const ReconcilePlan plan =
-      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), config);
+      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), /*k=*/3,
+                     /*max_shard_users=*/4);
   EXPECT_TRUE(plan.chunks.empty());
   // The tail keeps leftover order, not locality order.
   EXPECT_EQ(plan.tail, (std::vector<std::uint32_t>{0, 1}));
@@ -109,9 +101,9 @@ TEST(ReconcilePlan, FewerThanKSubKLeftoversBecomeTheTail) {
 TEST(ReconcilePlan, MisalignedSpansAreRejected) {
   std::vector<cdr::Fingerprint> leftovers{user_at(0, 1.0, 0.0)};
   const std::vector<std::uint32_t> sizes;  // wrong length
-  EXPECT_THROW(
-      (void)plan_reconcile(bounds_of(leftovers), sizes, reconcile_config()),
-      std::invalid_argument);
+  EXPECT_THROW((void)plan_reconcile(bounds_of(leftovers), sizes, /*k=*/2,
+                                    /*max_shard_users=*/4),
+               std::invalid_argument);
 }
 
 TEST(Reconcile, PlannedChunksReproduceChunkedGloveByteForByte) {
@@ -122,9 +114,10 @@ TEST(Reconcile, PlannedChunksReproduceChunkedGloveByteForByte) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(24);
   const std::vector<cdr::Fingerprint> leftovers{data.fingerprints().begin(),
                                                 data.fingerprints().end()};
-  const ShardConfig config = reconcile_config(/*k=*/2, /*max_shard_users=*/5);
-  const ReconcilePlan plan =
-      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), config);
+  const core::GloveConfig glove = test::glove_config(2);
+  const std::size_t max_shard_users = 5;
+  const ReconcilePlan plan = plan_reconcile(
+      bounds_of(leftovers), sizes_of(leftovers), glove.k, max_shard_users);
   ASSERT_TRUE(plan.passthrough.empty());
   ASSERT_GE(plan.chunks.size(), 2u);  // several jobs, not one
 
@@ -139,7 +132,7 @@ TEST(Reconcile, PlannedChunksReproduceChunkedGloveByteForByte) {
             members.push_back(leftovers[position]);
           }
           core::GloveResult part = core::anonymize(
-              cdr::FingerprintDataset{std::move(members)}, config.glove);
+              cdr::FingerprintDataset{std::move(members)}, glove);
           stats.accumulate_costs(part.stats);
           for (cdr::Fingerprint& fp :
                part.anonymized.mutable_fingerprints()) {
@@ -151,7 +144,7 @@ TEST(Reconcile, PlannedChunksReproduceChunkedGloveByteForByte) {
       };
   const std::vector<std::vector<std::uint32_t>> chunks =
       core::locality_chunks(core::bounds_of(data.fingerprints()),
-                            config.max_shard_users, config.glove.k);
+                            max_shard_users, glove.k);
   core::GloveStats planned;
   core::GloveStats reference;
   EXPECT_EQ(run_chunks(plan.chunks, planned), run_chunks(chunks, reference));
@@ -176,11 +169,10 @@ TEST(ReconcileTail, SuppressCountsOriginalSamplesDeleted) {
   groups.push_back(cdr::Fingerprint{
       {1u, 2u}, {test::cell(0.0, 0.0, 0.0), test::cell(0.0, 100.0, 3.0)}});
 
-  ShardConfig config = reconcile_config(/*k=*/2);
-  config.glove.leftover_policy = core::LeftoverPolicy::kSuppress;
+  core::GloveConfig glove = test::glove_config(2);
+  glove.leftover_policy = core::LeftoverPolicy::kSuppress;
   core::GloveStats stats;
-  EXPECT_EQ(core::absorb_leftovers(std::move(tail), groups, config.glove,
-                                   stats),
+  EXPECT_EQ(core::absorb_leftovers(std::move(tail), groups, glove, stats),
             0u);
   EXPECT_EQ(stats.discarded_fingerprints, 1u);
   EXPECT_EQ(stats.deleted_samples, original_samples);
@@ -198,10 +190,9 @@ TEST(ReconcileTail, AbsorbMergesIntoNearestGroup) {
       {3u, 4u},
       {test::cell(90'000.0, 0.0, 0.0), test::cell(90'100.0, 0.0, 3.0)}});
 
-  const ShardConfig config = reconcile_config(/*k=*/2);
   core::GloveStats stats;
-  EXPECT_EQ(core::absorb_leftovers(std::move(tail), groups, config.glove,
-                                   stats),
+  EXPECT_EQ(core::absorb_leftovers(std::move(tail), groups,
+                                   test::glove_config(2), stats),
             1u);
   EXPECT_EQ(stats.merges, 1u);
   EXPECT_EQ(stats.discarded_fingerprints, 0u);
@@ -237,7 +228,7 @@ TEST(ReconcileTail, ExactTieAbsorbsIntoFirstGroup) {
   std::vector<cdr::Fingerprint> tail{leftover};
   core::GloveStats stats;
   EXPECT_EQ(core::absorb_leftovers(std::move(tail), groups,
-                                   reconcile_config(/*k=*/2).glove, stats),
+                                   test::glove_config(2), stats),
             1u);
   EXPECT_EQ(groups[0].group_size(), 3u);
   EXPECT_EQ(groups[1].group_size(), 2u);

@@ -26,29 +26,29 @@ namespace {
 /// Config that splits the ~50 km-wide synthetic population into several
 /// small shards, so every phase (halo deferral, parallel shard runs,
 /// reconciliation) is exercised.
-ShardConfig small_shard_config(std::uint32_t k = 2) {
+ShardConfig small_shard_config() {
   ShardConfig config;
-  config.glove.k = k;
   config.tile_size_m = 5'000.0;
   config.max_shard_users = 16;
   config.halo_m = 500.0;
   return config;
 }
 
-/// Runs the sharded pipeline over an in-memory dataset and collects the
-/// groups under the canonical output name ("<name>-sharded-k<k>").
+/// Runs the sharded pipeline over an in-memory dataset, with GLOVE's
+/// default knobs unless `glove` names others, and collects the groups
+/// under the canonical output name ("<name>-sharded-k<k>").
 cdr::FingerprintDataset run_sharded(const cdr::FingerprintDataset& data,
                                     const ShardConfig& config,
-                                    StreamShardedResult* result = nullptr) {
+                                    StreamShardedResult* result = nullptr,
+                                    const core::GloveConfig& glove = {}) {
   api::MemorySource stream{data};
   std::vector<cdr::Fingerprint> groups;
   StreamShardedResult streamed = anonymize_sharded_stream(
-      stream, config,
+      stream, glove, config,
       [&](cdr::Fingerprint&& fp) { groups.push_back(std::move(fp)); });
   if (result != nullptr) *result = std::move(streamed);
   return cdr::FingerprintDataset{
-      std::move(groups),
-      data.name() + "-sharded-k" + std::to_string(config.glove.k)};
+      std::move(groups), data.name() + "-sharded-k" + std::to_string(glove.k)};
 }
 
 std::vector<cdr::UserId> sorted_members(const cdr::FingerprintDataset& data) {
@@ -65,7 +65,7 @@ TEST(Sharded, OutputIsKAnonymousAndLosesNoUser) {
   for (const std::uint32_t k : {2u, 3u, 5u}) {
     StreamShardedResult result;
     const cdr::FingerprintDataset out =
-        run_sharded(data, small_shard_config(k), &result);
+        run_sharded(data, small_shard_config(), &result, test::glove_config(k));
     EXPECT_TRUE(core::is_k_anonymous(out, k)) << "k=" << k;
     EXPECT_EQ(sorted_members(out), sorted_members(data)) << "k=" << k;
     EXPECT_GE(result.stats.shards, 2u);
@@ -99,10 +99,11 @@ TEST(Sharded, ByteStableAcrossWorkerCounts) {
 
 TEST(Sharded, SuppressLeftoverPolicyIsHonoured) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(50);
-  ShardConfig config = small_shard_config(3);
-  config.glove.leftover_policy = core::LeftoverPolicy::kSuppress;
+  core::GloveConfig glove = test::glove_config(3);
+  glove.leftover_policy = core::LeftoverPolicy::kSuppress;
   StreamShardedResult result;
-  const cdr::FingerprintDataset out = run_sharded(data, config, &result);
+  const cdr::FingerprintDataset out =
+      run_sharded(data, small_shard_config(), &result, glove);
   EXPECT_TRUE(core::is_k_anonymous(out, 3));
   // Users either survive in a group or are counted as discarded.
   EXPECT_EQ(sorted_members(out).size() +
@@ -128,7 +129,7 @@ TEST(Sharded, AccuracyStaysWithinToleranceOfFull) {
       core::summarize_accuracy(core::measure_accuracy(full.anonymized));
 
   const cdr::FingerprintDataset sharded =
-      run_sharded(data, small_shard_config(2));
+      run_sharded(data, small_shard_config());
   const auto sharded_summary =
       core::summarize_accuracy(core::measure_accuracy(sharded));
 
@@ -215,6 +216,29 @@ TEST(Sharded, EngineValidatesConfig) {
   bad_workers.sharded.workers = static_cast<std::size_t>(-1);
   EXPECT_EQ(engine.run(data, bad_workers).error().code,
             api::ErrorCode::kInvalidConfig);
+}
+
+TEST(Sharded, HaloWiderThanTheTileGridDefersEveryFingerprint) {
+  // A finite halo whose inflated boxes reach past the int32 tile grid
+  // makes every fingerprint a wide wanderer: the border split counts its
+  // overlapped tiles in doubles and defers it to reconciliation.  Asking
+  // the grid for the inflated corners used to fail the run as
+  // invalid-dataset ("fingerprint 5 lies off the tile grid").
+  const glove::Engine engine;
+  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
+  api::RunConfig config;
+  config.strategy = api::kStrategySharded;
+  config.sharded.tile_size_m = 5'000.0;
+  config.sharded.max_shard_users = 16;
+  config.sharded.halo_m = 1e14;
+  const auto result = engine.run(data, config);
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  const api::RunReport& report = result.value();
+  EXPECT_GE(api::find_metric(report, "shards"), 2.0);
+  EXPECT_EQ(api::find_metric(report, "deferred_fingerprints"),
+            static_cast<double>(data.size()));
+  EXPECT_TRUE(core::is_k_anonymous(report.anonymized, 2));
+  EXPECT_EQ(sorted_members(report.anonymized), sorted_members(data));
 }
 
 TEST(Sharded, AdaptiveTileSizeIsUsedWhenConfiguredZero) {

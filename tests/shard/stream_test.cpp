@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <regex>
@@ -26,6 +27,7 @@
 #include "glove/obs/span.hpp"
 #include "glove/shard/planner.hpp"
 #include "glove/shard/tiling.hpp"
+#include "glove/synth/generator.hpp"
 
 namespace glove::shard {
 namespace {
@@ -33,9 +35,8 @@ namespace {
 using api::DatasetSource;
 using api::MemorySource;
 
-ShardConfig small_config(std::uint32_t k = 2) {
+ShardConfig small_config() {
   ShardConfig config;
-  config.glove.k = k;
   config.tile_size_m = 5'000.0;
   config.max_shard_users = 16;
   config.halo_m = 500.0;
@@ -66,12 +67,14 @@ class TextStream final : public DatasetSource {
   std::optional<cdr::DatasetStreamReader> reader_;
 };
 
-std::vector<cdr::Fingerprint> run_stream(DatasetSource& stream,
-                                         const ShardConfig& config,
-                                         StreamShardedResult* result_out) {
+/// Runs the sharded pipeline with GLOVE's default knobs unless `glove`
+/// names others.
+std::vector<cdr::Fingerprint> run_stream(
+    DatasetSource& stream, const ShardConfig& config,
+    StreamShardedResult* result_out, const core::GloveConfig& glove = {}) {
   std::vector<cdr::Fingerprint> groups;
   StreamShardedResult result = anonymize_sharded_stream(
-      stream, config,
+      stream, glove, config,
       [&](cdr::Fingerprint&& fp) { groups.push_back(std::move(fp)); });
   if (result_out != nullptr) *result_out = std::move(result);
   return groups;
@@ -251,9 +254,9 @@ TEST(ShardStream, AbsorbedTailMatchesGoldenFromEveryStream) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(40);
   std::ostringstream serialized;
   cdr::write_dataset_csv(serialized, data);
-  const ShardConfig config = small_config(/*k=*/4);
-  ASSERT_EQ(config.glove.leftover_policy,
-            core::LeftoverPolicy::kMergeIntoNearest);
+  const ShardConfig config = small_config();
+  const core::GloveConfig glove = test::glove_config(4);
+  ASSERT_EQ(glove.leftover_policy, core::LeftoverPolicy::kMergeIntoNearest);
 
   TextStream text_stream{serialized.str()};
   MemorySource memory_stream{data};
@@ -261,9 +264,10 @@ TEST(ShardStream, AbsorbedTailMatchesGoldenFromEveryStream) {
        {static_cast<DatasetSource*>(&text_stream),
         static_cast<DatasetSource*>(&memory_stream)}) {
     StreamShardedResult result;
-    std::vector<cdr::Fingerprint> groups = run_stream(*stream, config, &result);
+    std::vector<cdr::Fingerprint> groups =
+        run_stream(*stream, config, &result, glove);
     EXPECT_GT(result.stats.absorbed_leftovers, 0u);
-    EXPECT_LT(result.stats.deferred_fingerprints, config.glove.k);
+    EXPECT_LT(result.stats.deferred_fingerprints, glove.k);
     EXPECT_GE(result.stats.shards, 2u);
     test::expect_matches_golden(
         "sharded_absorb_synth40_k4.csv",
@@ -498,12 +502,13 @@ TEST(ShardStream, PassThroughsKeepTheirPlaceInTheMaterializedBatch) {
   // The plan defers at least one fingerprint that already hides k users.
   const Tiling tiling =
       build_tiling(data, config.tile_size_m, config.max_shard_users);
-  const BorderSplit split =
-      split_borders(tiling, ShardPlanner{config}.plan(tiling), config);
+  const BorderSplit split = split_borders(
+      tiling, plan_shards(tiling, pairs.k, config.max_shard_users),
+      config.halo_m, pairs.k);
   bool passthrough = false;
   for (const std::vector<std::uint32_t>& deferred : split.deferred) {
     for (const std::uint32_t id : deferred) {
-      passthrough |= data[id].group_size() >= config.glove.k;
+      passthrough |= data[id].group_size() >= pairs.k;
     }
   }
   ASSERT_TRUE(passthrough);
@@ -561,11 +566,33 @@ TEST(ShardStream, EmptyAndSubKStreamsRaiseDatasetError) {
                util::DatasetError);
 
   const cdr::FingerprintDataset three = test::small_synth_dataset(3);
-  ShardConfig demanding = small_config(100);
+  ShardConfig demanding = small_config();
   demanding.max_shard_users = 128;  // keep the *config* itself valid
   MemorySource short_stream{three};
-  EXPECT_THROW((void)run_stream(short_stream, demanding, nullptr),
+  EXPECT_THROW((void)run_stream(short_stream, demanding, nullptr,
+                                test::glove_config(100)),
                util::DatasetError);
+}
+
+TEST(ShardStream, NonFiniteHaloIsRefusedAsConfigNotBlamedOnTheData) {
+  // The stream checks both of its configs before it reads the source: a
+  // NaN halo used to pass its own weaker check and reach the border test,
+  // which failed as util::DatasetError ("fingerprint 6 lies off the tile
+  // grid").
+  const cdr::FingerprintDataset data =
+      synth::generate_dataset(synth::civ_like(400, 7));
+  ShardConfig config;
+  config.max_shard_users = 50;
+  config.halo_m = std::numeric_limits<double>::quiet_NaN();
+  MemorySource source{data};
+  try {
+    (void)run_stream(source, config, nullptr);
+    FAIL() << "a NaN halo ran";
+  } catch (const util::DatasetError& e) {
+    FAIL() << "blamed on the data: " << e.what();
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "sharded.halo_m must be finite and non-negative");
+  }
 }
 
 }  // namespace
