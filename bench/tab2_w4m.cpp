@@ -48,12 +48,11 @@ Row run_case(const Engine& engine, const cdr::FingerprintDataset& data,
   row.input_users = data.total_users();
 
   // Both sides of the table are one Engine run each; only the strategy
-  // (and the paper's per-algorithm knobs) differ.
+  // (and GLOVE's suppression setting) differ.  W4M-LC's delta and trash
+  // fraction are the library's constants (baseline/w4m.hpp).
   api::RunConfig w4m_config;
   w4m_config.strategy = api::kStrategyW4M;
   w4m_config.k = k;
-  w4m_config.w4m.delta_m = 2'000.0;
-  w4m_config.w4m.trash_fraction = 0.10;
   const RunReport w4m = api::run_or_exit(engine, data, w4m_config);
   row.w4m_discarded = w4m.counters.discarded_fingerprints;
   row.w4m_created = w4m.counters.created_samples;

@@ -36,10 +36,9 @@ void BM_SampleStretch(benchmark::State& state) {
   util::Xoshiro256 rng{1};
   const cdr::Fingerprint a = random_fingerprint(rng, 0, 2);
   const cdr::Fingerprint b = random_fingerprint(rng, 1, 2);
-  const core::StretchLimits limits;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::sample_stretch(
-        a.samples()[0], 1, b.samples()[1], 1, limits));
+    benchmark::DoNotOptimize(
+        core::sample_stretch(a.samples()[0], 1, b.samples()[1], 1));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -53,9 +52,8 @@ void BM_FingerprintStretchPair(benchmark::State& state) {
   const auto length = static_cast<std::size_t>(state.range(0));
   const cdr::Fingerprint a = random_fingerprint(rng, 0, length);
   const cdr::Fingerprint b = random_fingerprint(rng, 1, length + 1);
-  const core::StretchLimits limits;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::fingerprint_stretch(a, b, limits));
+    benchmark::DoNotOptimize(core::fingerprint_stretch(a, b));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -70,16 +68,15 @@ void BM_FingerprintStretchNearPair(benchmark::State& state) {
   synth::SynthConfig config = synth::civ_like(200, 7);
   config.days = 3.0;
   const cdr::FingerprintDataset data = synth::generate_dataset(config);
-  const core::StretchLimits limits;
   std::size_t longest = 0;
   for (std::size_t i = 1; i < data.size(); ++i) {
     if (data[i].size() > data[longest].size()) longest = i;
   }
   std::size_t nearest = longest == 0 ? 1 : 0;
-  double best = core::fingerprint_stretch(data[longest], data[nearest], limits);
+  double best = core::fingerprint_stretch(data[longest], data[nearest]);
   for (std::size_t i = 0; i < data.size(); ++i) {
     if (i == longest) continue;
-    const double d = core::fingerprint_stretch(data[longest], data[i], limits);
+    const double d = core::fingerprint_stretch(data[longest], data[i]);
     if (d < best) {
       best = d;
       nearest = i;
@@ -88,7 +85,7 @@ void BM_FingerprintStretchNearPair(benchmark::State& state) {
   const cdr::Fingerprint& a = data[longest];
   const cdr::Fingerprint& b = data[nearest];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::fingerprint_stretch(a, b, limits));
+    benchmark::DoNotOptimize(core::fingerprint_stretch(a, b));
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["samples_a"] = static_cast<double>(a.size());

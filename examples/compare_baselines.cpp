@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "glove/api/cli.hpp"
+#include "glove/baseline/w4m.hpp"
 #include "glove/core/accuracy.hpp"
 #include "glove/core/generalize.hpp"
 #include "glove/core/glove.hpp"
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
     const double mean_time_error_min =
         api::find_metric(w4m, "mean_time_error_min");
     table.row({"W4M-LC",
-               "(k," + stats::fmt(w4m.config.w4m.delta_m, 0) + "m)-anonymity",
+               "(k," + stats::fmt(baseline::kW4MDeltaM, 0) + "m)-anonymity",
                std::to_string(w4m.counters.created_samples),
                std::to_string(w4m.counters.deleted_samples),
                stats::fmt(mean_pos_error_m / 1'000.0, 2) + "km (mean err)",

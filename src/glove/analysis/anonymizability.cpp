@@ -10,8 +10,7 @@ namespace glove::analysis {
 
 std::vector<UserStretchProfile> stretch_profiles(
     const cdr::FingerprintDataset& data,
-    const std::vector<core::KGapEntry>& kgaps,
-    const core::StretchLimits& limits) {
+    const std::vector<core::KGapEntry>& kgaps) {
   std::vector<UserStretchProfile> profiles(data.size());
   util::parallel_for(
       data.size(),
@@ -27,7 +26,7 @@ std::vector<UserStretchProfile> stretch_profiles(
               double best_total = std::numeric_limits<double>::infinity();
               for (const cdr::Sample& si : inner.samples()) {
                 const core::SampleStretch d = core::sample_stretch(
-                    so, outer.group_size(), si, inner.group_size(), limits);
+                    so, outer.group_size(), si, inner.group_size());
                 if (d.total() < best_total) {
                   best_total = d.total();
                   best = d;

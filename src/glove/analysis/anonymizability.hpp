@@ -28,8 +28,7 @@ struct UserStretchProfile {
 /// sets (from core::k_gaps).  Parallel over users; deterministic.
 [[nodiscard]] std::vector<UserStretchProfile> stretch_profiles(
     const cdr::FingerprintDataset& data,
-    const std::vector<core::KGapEntry>& kgaps,
-    const core::StretchLimits& limits = {});
+    const std::vector<core::KGapEntry>& kgaps);
 
 /// The Fig. 5 aggregates across users.
 struct TailAnalysis {

@@ -1,14 +1,16 @@
 // RunConfig: the one configuration of every anonymization strategy the
 // Engine can drive, built from the layer configs rather than mirroring
-// them.  It is a core::GloveConfig (k, stretch limits, suppression,
-// reshape, leftover policy, shared by every strategy; W4M reads only k)
-// plus the strategy name and one section per strategy that needs more:
-// `sharded` is the shard::ShardConfig and `w4m` the baseline::W4MConfig
-// the run hands to its layer, and the other strategies ignore them.  Each
-// knob is declared, documented and defaulted once, in its layer's struct,
-// and checked there (core::check_config, shard::check_config,
-// baseline::check_config); the Engine runs those checks before it reads
-// any data, and a failing one is kInvalidConfig.
+// them.  It is a core::GloveConfig (k, suppression, reshape, leftover
+// policy, shared by every strategy; W4M reads only k) plus the strategy
+// name and one section per strategy that needs more: `sharded` is the
+// shard::ShardConfig the run hands to its layer, and `incremental` names
+// the release to update.  The stretch effort's thresholds and weights
+// (core/stretch.hpp) and W4M-LC's delta, trash fraction and chunk size
+// (baseline/w4m.hpp) are the paper's constants, not knobs.  Each knob is
+// declared, documented and defaulted once, in its layer's struct, and
+// checked there (core::check_config, shard::check_config, and
+// baseline::check_config for W4M's k); the Engine runs those checks
+// before it reads any data, and a failing one is kInvalidConfig.
 
 #ifndef GLOVE_API_CONFIG_HPP
 #define GLOVE_API_CONFIG_HPP
@@ -16,7 +18,6 @@
 #include <string>
 #include <string_view>
 
-#include "glove/baseline/w4m.hpp"
 #include "glove/cdr/dataset.hpp"
 #include "glove/core/glove.hpp"
 #include "glove/shard/config.hpp"
@@ -34,9 +35,6 @@ inline constexpr std::string_view kStrategySharded = "sharded";
 struct RunConfig : core::GloveConfig {
   /// Strategy to run: one of the four names above (Engine::strategies()).
   std::string strategy{kStrategyFull};
-
-  /// `w4m-baseline`'s W4M-LC parameters.
-  baseline::W4MConfig w4m;
 
   /// `sharded`'s decomposition and scheduler.
   shard::ShardConfig sharded;

@@ -45,7 +45,7 @@ std::optional<Error> check_config(const RunConfig& config) {
     if (config.strategy == kStrategySharded) {
       shard::check_config(config.sharded, config.k);
     } else if (config.strategy == kStrategyW4M) {
-      baseline::check_config(config.w4m, config.k);
+      baseline::check_config(config.k);
     }
   } catch (const std::invalid_argument& e) {
     return Error{ErrorCode::kInvalidConfig, e.what()};
@@ -128,8 +128,7 @@ cdr::FingerprintDataset run_collected(const cdr::FingerprintDataset& data,
     return std::move(result.anonymized);
   }
 
-  baseline::W4MResult result =
-      baseline::anonymize_w4m(data, config.k, config.w4m);
+  baseline::W4MResult result = baseline::anonymize_w4m(data, config.k);
   counters.input_users = result.stats.input_users;
   counters.input_samples = result.stats.input_samples;
   counters.output_groups = result.anonymized.size();

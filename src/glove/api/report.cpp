@@ -38,12 +38,6 @@ void set_metric(RunReport& report, std::string name, double value) {
 stats::Json report_json(const RunReport& report) {
   const RunConfig& config = report.config;
 
-  stats::Json limits = stats::Json::object();
-  limits.set("phi_max_sigma_m", config.limits.phi_max_sigma_m)
-      .set("phi_max_tau_min", config.limits.phi_max_tau_min)
-      .set("w_sigma", config.limits.w_sigma)
-      .set("w_tau", config.limits.w_tau);
-
   // A disabled suppression echoes zero thresholds.
   const core::SuppressionThresholds thresholds =
       config.suppression.value_or(core::SuppressionThresholds{0.0, 0.0});
@@ -53,11 +47,9 @@ stats::Json report_json(const RunReport& report) {
       .set("max_temporal_extent_min", thresholds.max_temporal_extent_min);
 
   const shard::ShardConfig& sharded = config.sharded;
-  const baseline::W4MConfig& w4m = config.w4m;
   stats::Json config_json = stats::Json::object();
   config_json.set("strategy", config.strategy)
       .set("k", config.k)
-      .set("limits", std::move(limits))
       .set("suppression", std::move(suppression))
       .set("reshape", config.reshape)
       .set("leftover_policy", leftover_policy_name(config.leftover_policy))
@@ -67,13 +59,7 @@ stats::Json report_json(const RunReport& report) {
                .set("max_shard_users",
                     static_cast<std::uint64_t>(sharded.max_shard_users))
                .set("workers", static_cast<std::uint64_t>(sharded.workers))
-               .set("halo_m", sharded.halo_m))
-      .set("w4m", stats::Json::object()
-                      .set("delta_m", w4m.delta_m)
-                      .set("trash_fraction", w4m.trash_fraction)
-                      .set("chunk_size",
-                           static_cast<std::uint64_t>(w4m.chunk_size))
-                      .set("match_tolerance_min", w4m.match_tolerance_min));
+               .set("halo_m", sharded.halo_m));
 
   const RunCounters& c = report.counters;
   stats::Json counters = stats::Json::object();
@@ -124,7 +110,7 @@ stats::Json report_json(const RunReport& report) {
       .set("peak_rss_bytes", report.peak_rss_bytes);
 
   stats::Json doc = stats::Json::object();
-  doc.set("schema", "glove.run_report.v10")
+  doc.set("schema", "glove.run_report.v11")
       .set("strategy", config.strategy)
       .set("dataset", report.dataset_name)
       .set("config", std::move(config_json))

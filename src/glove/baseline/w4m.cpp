@@ -105,9 +105,7 @@ double linear_st_distance_impl(const Trajectory& a, const Trajectory& b) {
 /// before we accept it as a cluster; beyond this it goes to the trash bin
 /// (budget permitting).  Tuned to the delta scale: clusters that would need
 /// perturbations of many cylinder diameters are outliers.
-double outlier_threshold_m(const W4MConfig& config) {
-  return 15.0 * config.delta_m;
-}
+constexpr double kOutlierThresholdM = 15.0 * kW4MDeltaM;
 
 }  // namespace
 
@@ -116,30 +114,22 @@ double linear_st_distance(const cdr::Fingerprint& a,
   return linear_st_distance_impl(to_trajectory(a), to_trajectory(b));
 }
 
-void check_config(const W4MConfig& config, std::uint32_t k) {
+void check_config(std::uint32_t k) {
   if (k < 2) {
     throw std::invalid_argument{"k must be >= 2 (got " + std::to_string(k) +
                                 ")"};
   }
-  if (!(config.delta_m > 0.0 && std::isfinite(config.delta_m))) {
-    throw std::invalid_argument{"w4m.delta_m must be positive and finite"};
-  }
-  if (!(config.trash_fraction >= 0.0 && config.trash_fraction < 1.0)) {
-    throw std::invalid_argument{"w4m.trash_fraction must be in [0, 1)"};
-  }
-  if (config.chunk_size < k) {
-    throw std::invalid_argument{"w4m.chunk_size must be at least k"};
-  }
-  if (!(config.match_tolerance_min >= 0.0 &&
-        std::isfinite(config.match_tolerance_min))) {
-    throw std::invalid_argument{
-        "w4m.match_tolerance_min must be finite and non-negative"};
+  if (k > kW4MChunkSize) {
+    throw std::invalid_argument{"k must be at most " +
+                                std::to_string(kW4MChunkSize) +
+                                ", the W4M-LC chunk size (got " +
+                                std::to_string(k) + ")"};
   }
 }
 
-W4MResult anonymize_w4m(const cdr::FingerprintDataset& data, std::uint32_t k,
-                        const W4MConfig& config) {
-  check_config(config, k);
+W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
+                        std::uint32_t k) {
+  check_config(k);
   util::check_dataset_size(data.size(), k);
   {
     std::vector<cdr::UserId> users;
@@ -159,14 +149,13 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data, std::uint32_t k,
   }
 
   std::uint64_t trash_budget = static_cast<std::uint64_t>(
-      config.trash_fraction * static_cast<double>(n));
+      kW4MTrashFraction * static_cast<double>(n));
   std::vector<std::vector<std::size_t>> clusters;
 
   // --- Greedy k-member clustering within chunks (the LC variant).
   for (std::size_t chunk_begin = 0; chunk_begin < n;
-       chunk_begin += config.chunk_size) {
-    const std::size_t chunk_end =
-        std::min(chunk_begin + config.chunk_size, n);
+       chunk_begin += kW4MChunkSize) {
+    const std::size_t chunk_end = std::min(chunk_begin + kW4MChunkSize, n);
     std::vector<std::size_t> unassigned;
     for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
       unassigned.push_back(i);
@@ -194,7 +183,7 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data, std::uint32_t k,
       mean_distance /= static_cast<double>(need);
 
       if ((!std::isfinite(mean_distance) ||
-           mean_distance > outlier_threshold_m(config)) &&
+           mean_distance > kOutlierThresholdM) &&
           trash_budget > 0) {
         // Outlier: to the trash bin.  Deletion is counted in *original*
         // samples (summed contributors), the one definition every
@@ -318,10 +307,6 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data, std::uint32_t k,
           }
           point.position = {traj.x[best], traj.y[best]};
           point.time_error = std::abs(traj.t[best] - slot_t);
-          if (point.time_error > config.match_tolerance_min) {
-            // The sample had to be translated in time ("wait for me").
-            // It is neither created nor deleted, only displaced.
-          }
           for (const std::size_t s : assigned[slot]) {
             if (s != best) stats.deleted_samples += traj.c[s];
           }
@@ -351,10 +336,8 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data, std::uint32_t k,
         stats.time_errors_min.push_back(point.time_error);
       }
       cdr::Sample s;
-      s.sigma = cdr::SpatialExtent{centroid.x_m - config.delta_m / 2,
-                                   config.delta_m,
-                                   centroid.y_m - config.delta_m / 2,
-                                   config.delta_m};
+      s.sigma = cdr::SpatialExtent{centroid.x_m - kW4MDeltaM / 2, kW4MDeltaM,
+                                   centroid.y_m - kW4MDeltaM / 2, kW4MDeltaM};
       s.tau = cdr::TemporalExtent{pivot_traj.t[slot], 1.0};
       s.contributors = static_cast<std::uint32_t>(cluster.size());
       samples.push_back(s);

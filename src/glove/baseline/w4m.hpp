@@ -20,6 +20,7 @@
 #ifndef GLOVE_BASELINE_W4M_HPP
 #define GLOVE_BASELINE_W4M_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,25 +29,16 @@
 
 namespace glove::baseline {
 
-/// W4M-LC parameters.  Defaults follow the paper's comparative setup
-/// (Sec. 7.2): delta = 2 km and 10% trashing.  The anonymity level k is
-/// the run's, passed beside this struct; the Engine's api::RunConfig
-/// holds this struct as its `w4m` section.
-struct W4MConfig {
-  /// Diameter of the uncertainty cylinder, metres.
-  double delta_m = 2'000.0;
-  /// Maximum fraction of trajectories that may be discarded as outliers,
-  /// in [0, 1).
-  double trash_fraction = 0.10;
-  /// Chunk size for the LC variant: clustering runs within chunks of this
-  /// many trajectories, bounding the O(n^2) distance computations.  Must
-  /// be >= k.
-  std::size_t chunk_size = 512;
-  /// Tolerance for matching a published timestamp to an original sample
-  /// (minutes); published points farther than this from every original
-  /// sample of a member count as *created* (synthetic).
-  double match_tolerance_min = 1.0;
-};
+// W4M-LC runs at the one setting of the paper's comparison (Tab. 2,
+// Sec. 7.2); only the anonymity level k is the run's.
+
+/// Diameter of the uncertainty cylinder, metres (delta = 2 km).
+inline constexpr double kW4MDeltaM = 2'000.0;
+/// Fraction of the trajectories the trash bin may discard as outliers.
+inline constexpr double kW4MTrashFraction = 0.10;
+/// Chunk size of the LC variant: clustering runs within chunks of this
+/// many trajectories, bounding the O(n^2) distance computations.
+inline constexpr std::size_t kW4MChunkSize = 512;
 
 /// Cost accounting matching the rows of Tab. 2.
 struct W4MStats {
@@ -78,18 +70,15 @@ struct W4MResult {
   W4MStats stats;
 };
 
-/// Throws std::invalid_argument unless k >= 2, delta_m is positive and
-/// finite, trash_fraction in [0, 1), chunk_size >= k and
-/// match_tolerance_min finite and non-negative.  Each test is written so
-/// that NaN fails it.
-void check_config(const W4MConfig& config, std::uint32_t k);
+/// Throws std::invalid_argument unless 2 <= k <= kW4MChunkSize: a chunk
+/// must hold a whole cluster.
+void check_config(std::uint32_t k);
 
-/// Runs W4M-LC at anonymity level k.  Requires a config that passes
+/// Runs W4M-LC at anonymity level k.  Requires a k that passes
 /// check_config (std::invalid_argument otherwise) and data.size() >= k
 /// (util::DatasetError otherwise).  Deterministic.
 [[nodiscard]] W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
-                                      std::uint32_t k,
-                                      const W4MConfig& config);
+                                      std::uint32_t k);
 
 /// Linear spatiotemporal distance between two trajectories (exposed for
 /// tests): time-average Euclidean distance between the two moving points

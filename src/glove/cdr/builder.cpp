@@ -53,14 +53,15 @@ FingerprintDataset build_from_planar(const std::vector<PlanarEvent>& events,
     const long long minute = minute_index(ev.time_min, config.time_step_min);
     const SampleKey key{cell, minute};
     auto& samples = per_user[ev.user];
-    if (config.deduplicate && samples.contains(key)) continue;
+    // A sample is a function of its key: a duplicate event adds nothing.
+    if (samples.contains(key)) continue;
     const geo::PlanarPoint sw = grid.cell_origin(cell);
     Sample s;
     s.sigma = SpatialExtent{sw.x_m, config.grid_cell_m, sw.y_m,
                             config.grid_cell_m};
     s.tau = TemporalExtent{static_cast<double>(minute) * config.time_step_min,
                            config.time_step_min};
-    samples.insert_or_assign(key, s);
+    samples.emplace(key, s);
   }
 
   std::vector<Fingerprint> fingerprints;

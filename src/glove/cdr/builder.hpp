@@ -42,10 +42,6 @@ struct BuilderConfig {
   double grid_cell_m = 100.0;
   /// Temporal discretization step (paper: 1 min).
   double time_step_min = 1.0;
-  /// Drop events that duplicate an existing sample of the same user
-  /// (same grid cell and same minute).  Multiple network events within a
-  /// minute at one antenna carry no extra trajectory information.
-  bool deduplicate = true;
 };
 
 /// Builds a fingerprint dataset from geographic CDR events.  Throws

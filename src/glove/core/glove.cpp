@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -99,19 +98,6 @@ void check_config(const GloveConfig& config) {
     throw std::invalid_argument{"k must be >= 2 (got " +
                                 std::to_string(config.k) + ")"};
   }
-  const auto positive = [](double x) { return x > 0.0 && std::isfinite(x); };
-  const auto non_negative = [](double x) {
-    return x >= 0.0 && std::isfinite(x);
-  };
-  const StretchLimits& limits = config.limits;
-  if (!positive(limits.phi_max_sigma_m) || !positive(limits.phi_max_tau_min)) {
-    throw std::invalid_argument{
-        "stretch saturation limits must be positive and finite"};
-  }
-  if (!non_negative(limits.w_sigma) || !non_negative(limits.w_tau)) {
-    throw std::invalid_argument{
-        "stretch weights must be finite and non-negative"};
-  }
   if (config.suppression &&
       !(config.suppression->max_spatial_extent_m > 0.0 &&
         config.suppression->max_temporal_extent_min > 0.0)) {
@@ -193,9 +179,7 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
         for (std::size_t i = begin; i < end; ++i) {
           const std::uint32_t x = open[i + 1];
           heap[i] = NodeKey{
-              grid.least_box_bound(bounds[x].box, bounds, config.limits, x,
-                                   &part),
-              x, x};
+              grid.least_box_bound(bounds[x].box, bounds, x, &part), x, x};
         }
         const std::lock_guard lock{tally_mutex};
         tally += part;
@@ -248,8 +232,8 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
         continue;
       }
       const Neighbor found =
-          nearest(nodes[x], bounds[x], nodes, bounds, grid, config.limits, 1,
-                  std::nullopt, &tallies[i], &known[x], x)
+          nearest(nodes[x], bounds[x], nodes, bounds, grid, 1, std::nullopt,
+                  &tallies[i], &known[x], x)
               .front();
       const auto y = static_cast<std::uint32_t>(found.index);
       rescanned[i] = x < data.size() ? NodeKey{found.stretch, y | kExactBit, x}
@@ -371,8 +355,8 @@ GloveResult anonymize(const cdr::FingerprintDataset& data,
       // and its key starts as their least box bound.
       bounds[m_id] = node_bounds(nodes[m_id]);
       if (!open.empty()) {
-        push(heap, NodeKey{grid.least_box_bound(bounds[m_id].box, bounds,
-                                                config.limits, m_id, &tally),
+        push(heap, NodeKey{grid.least_box_bound(bounds[m_id].box, bounds, m_id,
+                                                &tally),
                            m_id, m_id});
         ++pushed;
       }
@@ -434,8 +418,8 @@ std::size_t absorb_leftovers(std::vector<cdr::Fingerprint> tail,
   SearchTally tally;
   for (const cdr::Fingerprint& leftover : tail) {
     const std::size_t g =
-        nearest(leftover, node_bounds(leftover), groups, group_bounds, grid,
-                config.limits, 1, std::nullopt, &tally)
+        nearest(leftover, node_bounds(leftover), groups, group_bounds, grid, 1,
+                std::nullopt, &tally)
             .front()
             .index;
     MergeStats merge_stats;

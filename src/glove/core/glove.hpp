@@ -29,22 +29,22 @@ enum class LeftoverPolicy {
   kSuppress,
 };
 
-/// GLOVE configuration: the merge options every merge runs with (stretch
-/// limits, suppression, reshaping) plus the anonymity level and the
-/// leftover policy.  The layers above extend or hold this struct (the
-/// sharded run, the Engine's api::RunConfig) instead of mirroring it, so
-/// each knob is declared, documented and defaulted here once.
+/// GLOVE configuration: the merge options every merge runs with
+/// (suppression, reshaping) plus the anonymity level and the leftover
+/// policy.  The stretch effort's thresholds and weights are the paper's
+/// constants (stretch.hpp), not knobs.  The layers above extend or hold
+/// this struct (the sharded run, the Engine's api::RunConfig) instead of
+/// mirroring it, so each knob is declared, documented and defaulted here
+/// once.
 struct GloveConfig : MergeOptions {
   /// Target anonymity level; every output fingerprint hides >= k users.
   std::uint32_t k = 2;
   LeftoverPolicy leftover_policy = LeftoverPolicy::kMergeIntoNearest;
 };
 
-/// Throws std::invalid_argument unless k >= 2, both stretch saturation
-/// limits are positive and finite, both weights finite and non-negative
-/// (a negative weight would make the bounds every core::nearest search
-/// prunes by unsound), and every suppression threshold > 0 (+inf leaves
-/// an axis unbounded).  Each test is written so that NaN fails it.
+/// Throws std::invalid_argument unless k >= 2 and every suppression
+/// threshold > 0 (+inf leaves an axis unbounded).  The test is written so
+/// that NaN fails it.
 void check_config(const GloveConfig& config);
 
 /// Run counters for the paper's cost accounting (Tab. 2 rows and Sec. 6.3).

@@ -86,15 +86,13 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
           if (!groups.empty()) {
             choice.group =
                 nearest(new_users[i], newcomer_bounds[i], groups, group_bounds,
-                        group_grid, config.limits, 1, std::nullopt,
-                        &choice.tally)
+                        group_grid, 1, std::nullopt, &choice.tally)
                     .front();
           }
           const std::vector<Neighbor> peer =
               nearest(new_users[i], newcomer_bounds[i],
-                      new_users.fingerprints(), newcomer_bounds,
-                      newcomer_grid, config.limits, 1,
-                      static_cast<std::uint32_t>(i), &choice.tally);
+                      new_users.fingerprints(), newcomer_bounds, newcomer_grid,
+                      1, static_cast<std::uint32_t>(i), &choice.tally);
           if (!peer.empty()) choice.to_peer = peer.front().stretch;
         }
       },
@@ -137,7 +135,7 @@ UpdateResult anonymize_update(const cdr::FingerprintDataset& published,
       // which decides member order when sample counts tie.
       const std::size_t g =
           nearest(straggler, node_bounds(straggler), groups, group_bounds,
-                  group_grid, config.limits, 1, std::nullopt, &tally)
+                  group_grid, 1, std::nullopt, &tally)
               .front()
               .index;
       groups[g] = merge_fingerprints(groups[g], straggler, config);

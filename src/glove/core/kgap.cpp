@@ -9,7 +9,7 @@
 namespace glove::core {
 
 std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
-                              std::uint32_t k, const StretchLimits& limits) {
+                              std::uint32_t k) {
   if (k < 2) throw std::invalid_argument{"k-gap requires k >= 2"};
   if (data.size() < k) {
     throw std::invalid_argument{
@@ -29,7 +29,7 @@ std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
           double total = 0.0;
           for (const Neighbor& n :
                nearest(fingerprints[a], bounds[a], fingerprints, bounds, grid,
-                       limits, neighbors, static_cast<std::uint32_t>(a))) {
+                       neighbors, static_cast<std::uint32_t>(a))) {
             total += n.stretch;
             entry.neighbors.push_back(n.index);
           }
@@ -41,9 +41,8 @@ std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
 }
 
 std::vector<double> k_gap_values(const cdr::FingerprintDataset& data,
-                                 std::uint32_t k,
-                                 const StretchLimits& limits) {
-  const std::vector<KGapEntry> entries = k_gaps(data, k, limits);
+                                 std::uint32_t k) {
+  const std::vector<KGapEntry> entries = k_gaps(data, k);
   std::vector<double> values;
   values.reserve(entries.size());
   for (const KGapEntry& e : entries) values.push_back(e.gap);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "glove/cdr/dataset.hpp"
-#include "glove/core/stretch.hpp"
 
 namespace glove::core {
 
@@ -29,13 +28,11 @@ struct KGapEntry {
 /// Requires k >= 2 and data.size() >= k; throws std::invalid_argument
 /// otherwise.
 [[nodiscard]] std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
-                                            std::uint32_t k,
-                                            const StretchLimits& limits = {});
+                                            std::uint32_t k);
 
 /// Convenience: just the gap values, same order as `data`.
 [[nodiscard]] std::vector<double> k_gap_values(
-    const cdr::FingerprintDataset& data, std::uint32_t k,
-    const StretchLimits& limits = {});
+    const cdr::FingerprintDataset& data, std::uint32_t k);
 
 }  // namespace glove::core
 

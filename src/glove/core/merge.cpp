@@ -4,6 +4,8 @@
 #include <limits>
 #include <vector>
 
+#include "glove/core/stretch.hpp"
+
 namespace glove::core {
 
 cdr::Sample merge_samples(const cdr::Sample& a,
@@ -97,8 +99,7 @@ cdr::Fingerprint merge_fingerprints(const cdr::Fingerprint& a,
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < short_samples.size(); ++j) {
       const double d =
-          sample_stretch(sl, short_samples[j], long_to_short, options.limits)
-              .total();
+          sample_stretch(sl, short_samples[j], long_to_short).total();
       if (d < best) {
         best = d;
         best_j = j;
@@ -132,9 +133,7 @@ cdr::Fingerprint merge_fingerprints(const cdr::Fingerprint& a,
     std::size_t best_i = 0;
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < result.size(); ++i) {
-      const double d =
-          sample_stretch(ss, result[i], short_to_long, options.limits)
-              .total();
+      const double d = sample_stretch(ss, result[i], short_to_long).total();
       if (d < best) {
         best = d;
         best_i = i;

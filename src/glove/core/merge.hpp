@@ -10,7 +10,6 @@
 #include <optional>
 
 #include "glove/cdr/fingerprint.hpp"
-#include "glove/core/stretch.hpp"
 
 namespace glove::core {
 
@@ -40,9 +39,9 @@ struct MergeStats {
 
 /// Options controlling `merge_fingerprints`, the first layer of the run
 /// configuration: core::GloveConfig extends them with k and the leftover
-/// policy.
+/// policy.  Samples are matched by the fixed stretch effort of eq. 1-3
+/// (stretch.hpp), which no option changes.
 struct MergeOptions {
-  StretchLimits limits;
   /// Resolve temporal overlaps after merging (Fig. 6b).  GLOVE's default.
   bool reshape = true;
   /// When set, drop merged samples exceeding the thresholds (Sec. 7.1);

@@ -98,31 +98,27 @@ constexpr double kRoundingMargin = 1.0 - 0x1p-30;
 /// The box-gap term of both bounds, before the rounding margin: what
 /// merging a sample inside one rectangle and interval with a sample inside
 /// another costs at least, given the gaps between them.
-double gap_term(double gap_x, double gap_y, double gap_t,
-                const StretchLimits& limits) {
-  const double phi_sigma =
-      std::min((gap_x + gap_y) / limits.phi_max_sigma_m, 1.0);
-  const double phi_tau = std::min(gap_t / limits.phi_max_tau_min, 1.0);
-  return limits.w_sigma * phi_sigma + limits.w_tau * phi_tau;
+double gap_term(double gap_x, double gap_y, double gap_t) {
+  const double phi_sigma = std::min((gap_x + gap_y) / kPhiMaxSigmaM, 1.0);
+  const double phi_tau = std::min(gap_t / kPhiMaxTauMin, 1.0);
+  return kWSigma * phi_sigma + kWTau * phi_tau;
 }
 
-double slot_gap(const TimeSlot& a, const TimeSlot& b,
-                const StretchLimits& limits) {
+double slot_gap(const TimeSlot& a, const TimeSlot& b) {
   return gap_term(axis_gap(a.x_lo, a.x_hi, b.x_lo, b.x_hi),
                   axis_gap(a.y_lo, a.y_hi, b.y_lo, b.y_hi),
-                  axis_gap(a.t_lo, a.t_hi, b.t_lo, b.t_hi), limits);
+                  axis_gap(a.t_lo, a.t_hi, b.t_lo, b.t_hi));
 }
 
 /// One direction of slot_lower_bound: for each slot of `outer`, its count
 /// times the least slot_gap to a slot of `inner`, summed and averaged over
 /// `outer`'s samples.
-double directed_slot_bound(const SlotSummary& outer, const SlotSummary& inner,
-                           const StretchLimits& limits) {
+double directed_slot_bound(const SlotSummary& outer, const SlotSummary& inner) {
   double total = 0.0;
   for (const TimeSlot& s : outer.slots) {
     double best = std::numeric_limits<double>::infinity();
     for (const TimeSlot& u : inner.slots) {
-      best = std::min(best, slot_gap(s, u, limits));
+      best = std::min(best, slot_gap(s, u));
     }
     total += static_cast<double>(s.count) * best;
   }
@@ -162,8 +158,7 @@ SlotSummary slot_summary(const cdr::Fingerprint& fp) {
   return summary;
 }
 
-double slot_lower_bound(const SlotSummary& a, const SlotSummary& b,
-                        const StretchLimits& limits) {
+double slot_lower_bound(const SlotSummary& a, const SlotSummary& b) {
   // eq. 10's choice of direction, and fingerprint_stretch's average at
   // equal sample counts.  kRoundingMargin covers the rounding of eq. 10
   // as in stretch_lower_bound; the per-slot products and the sum here add
@@ -171,13 +166,11 @@ double slot_lower_bound(const SlotSummary& a, const SlotSummary& b,
   if (a.samples == 0 || b.samples == 0) return 0.0;
   double bound = 0.0;
   if (a.samples > b.samples) {
-    bound = directed_slot_bound(a, b, limits);
+    bound = directed_slot_bound(a, b);
   } else if (b.samples > a.samples) {
-    bound = directed_slot_bound(b, a, limits);
+    bound = directed_slot_bound(b, a);
   } else {
-    bound = (directed_slot_bound(a, b, limits) +
-             directed_slot_bound(b, a, limits)) /
-            2.0;
+    bound = (directed_slot_bound(a, b) + directed_slot_bound(b, a)) / 2.0;
   }
   return bound * kRoundingMargin;
 }
@@ -206,8 +199,7 @@ std::uint64_t locality_sort_key(const FingerprintBounds& bounds) noexcept {
 }
 
 double stretch_lower_bound(const FingerprintBounds& a,
-                           const FingerprintBounds& b,
-                           const StretchLimits& limits) {
+                           const FingerprintBounds& b) {
   // Any sample of a lies inside a.box; any sample of b inside b.box.  To
   // merge a pair, each rectangle must grow at least across the gap between
   // the boxes (in the weighted two-direction sum of eq. 4, *both*
@@ -224,7 +216,7 @@ double stretch_lower_bound(const FingerprintBounds& a,
   const double gap_t =
       axis_gap(a.interval.t, upper_end(a.interval.t, a.interval.dt),
                b.interval.t, upper_end(b.interval.t, b.interval.dt));
-  return gap_term(gap_x, gap_y, gap_t, limits) * kRoundingMargin;
+  return gap_term(gap_x, gap_y, gap_t) * kRoundingMargin;
 }
 
 namespace {
@@ -377,7 +369,6 @@ void CandidateGrid::widen(std::uint32_t id, const FingerprintBounds& box) {
 }
 
 CandidateGrid::CellHeap CandidateGrid::cell_heap(const FingerprintBounds& own,
-                                                 const StretchLimits& limits,
                                                  std::uint32_t below,
                                                  SearchTally& tally) const {
   CellHeap heap;
@@ -394,8 +385,7 @@ CandidateGrid::CellHeap CandidateGrid::cell_heap(const FingerprintBounds& own,
             ? 0.0
             : gap_term(axis_gap(p.x_lo, p.x_hi, cell.x_lo, cell.x_hi),
                        axis_gap(p.y_lo, p.y_hi, cell.y_lo, cell.y_hi),
-                       axis_gap(p.t_lo, p.t_hi, cell.t_lo, cell.t_hi),
-                       limits) *
+                       axis_gap(p.t_lo, p.t_hi, cell.t_lo, cell.t_hi)) *
                   kRoundingMargin;
     heap.emplace_back(bound, c);
   }
@@ -406,18 +396,17 @@ CandidateGrid::CellHeap CandidateGrid::cell_heap(const FingerprintBounds& own,
 
 double CandidateGrid::least_box_bound(const FingerprintBounds& own,
                                       std::span<const NodeBounds> bounds,
-                                      const StretchLimits& limits,
                                       std::uint32_t below,
                                       SearchTally* tally) const {
   SearchTally done;
-  CellHeap cells = cell_heap(own, limits, below, done);
+  CellHeap cells = cell_heap(own, below, done);
   double least = std::numeric_limits<double>::infinity();
   // A cell whose bound is not below the least so far holds no lower one.
   while (!cells.empty() && cells.front().first < least) {
     std::pop_heap(cells.begin(), cells.end(), std::greater<>{});
     for (const std::uint32_t m : cells_[cells.back().second].members) {
       if (m >= below) break;
-      least = std::min(least, stretch_lower_bound(own, bounds[m].box, limits));
+      least = std::min(least, stretch_lower_bound(own, bounds[m].box));
       ++done.box_bounds;
     }
     cells.pop_back();
@@ -430,8 +419,7 @@ std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
                               const NodeBounds& own,
                               std::span<const cdr::Fingerprint> candidates,
                               std::span<const NodeBounds> bounds,
-                              const CandidateGrid& grid,
-                              const StretchLimits& limits, std::size_t count,
+                              const CandidateGrid& grid, std::size_t count,
                               std::optional<std::uint32_t> skip,
                               SearchTally* tally,
                               std::vector<KnownStretch>* known,
@@ -495,8 +483,7 @@ std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
   SearchTally done;
   // Unopened cells, least bound first.  Every considered candidate with
   // no known value sits in one, with a box bound at or above the cell's.
-  CandidateGrid::CellHeap cells =
-      grid.cell_heap(own.box, limits, below, done);
+  CandidateGrid::CellHeap cells = grid.cell_heap(own.box, below, done);
   std::vector<KnownStretch> fresh;  // values computed here, for `known`
   for (;;) {
     // A cell whose bound is at or below the heap's least value might hold
@@ -516,8 +503,8 @@ std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
       for (const std::uint32_t c : grid.cells_[cells.back().second].members) {
         if (c >= below) break;
         if (c == skip || (known != nullptr && is_known(c))) continue;
-        order.emplace_back(stretch_lower_bound(own.box, bounds[c].box, limits),
-                           c, false);
+        order.emplace_back(stretch_lower_bound(own.box, bounds[c].box), c,
+                           false);
         std::push_heap(order.begin(), order.end(), std::greater<>{});
         ++done.box_bounds;
       }
@@ -528,7 +515,7 @@ std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
     const auto [bound, c, slot_stage] = order.back();
     if (!slot_stage) {
       const double slot =
-          std::max(bound, slot_lower_bound(own.slots, bounds[c].slots, limits));
+          std::max(bound, slot_lower_bound(own.slots, bounds[c].slots));
       ++done.slot_bounds;
       if (known != nullptr) fresh.push_back(KnownStretch{slot, c, false});
       order.back() = {slot, c, true};
@@ -537,7 +524,7 @@ std::vector<Neighbor> nearest(const cdr::Fingerprint& fp,
     }
     order.pop_back();
     const Neighbor found{
-        c, fingerprint_stretch(fp, candidates[c], limits, &done.sample_pairs)};
+        c, fingerprint_stretch(fp, candidates[c], &done.sample_pairs)};
     ++done.evaluations;
     if (known != nullptr) fresh.push_back(KnownStretch{found.stretch, c, true});
     keep(found);

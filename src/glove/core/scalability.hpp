@@ -52,7 +52,9 @@ namespace glove::core {
 /// A sound lower bound on fingerprint_stretch(a, b): both fingerprints'
 /// bounding geometries must at least bridge the gap between them for any
 /// sample pair to merge.  Sound for samples with finite, non-negative
-/// extents, which the dataset decoders enforce (cdr::check_sample).
+/// extents, which the dataset decoders enforce (cdr::check_sample), and
+/// for the positive saturation thresholds and non-negative weights of
+/// eq. 1-3, which stretch.hpp asserts of its constants.
 struct FingerprintBounds {
   cdr::SpatialExtent box;        ///< spatial bounding rectangle
   cdr::TemporalExtent interval;  ///< temporal bounding interval
@@ -68,8 +70,7 @@ struct FingerprintBounds {
     std::span<const cdr::Fingerprint> fingerprints);
 
 [[nodiscard]] double stretch_lower_bound(const FingerprintBounds& a,
-                                         const FingerprintBounds& b,
-                                         const StretchLimits& limits);
+                                         const FingerprintBounds& b);
 
 /// Width of the fixed time slots of a SlotSummary, in minutes.  One
 /// constant, chosen by measurement: narrower slots give a tighter bound
@@ -116,8 +117,8 @@ struct SlotSummary {
 /// directions.  The result is scaled by stretch_lower_bound's rounding
 /// margin, so it stays at or below the *computed* stretch, and it is 0
 /// when either side has no samples.
-[[nodiscard]] double slot_lower_bound(
-    const SlotSummary& a, const SlotSummary& b, const StretchLimits& limits);
+[[nodiscard]] double slot_lower_bound(const SlotSummary& a,
+                                      const SlotSummary& b);
 
 /// What the exact GLOVE decisions know of a node before evaluating its
 /// stretch: the box and the slot stage of the cascade.
@@ -219,7 +220,6 @@ class CandidateGrid {
   /// `tally` counts the cell and box bounds computed.
   [[nodiscard]] double least_box_bound(const FingerprintBounds& own,
                                        std::span<const NodeBounds> bounds,
-                                       const StretchLimits& limits,
                                        std::uint32_t below,
                                        SearchTally* tally = nullptr) const;
 
@@ -228,9 +228,9 @@ class CandidateGrid {
       const cdr::Fingerprint& fp, const NodeBounds& own,
       std::span<const cdr::Fingerprint> candidates,
       std::span<const NodeBounds> bounds, const CandidateGrid& grid,
-      const StretchLimits& limits, std::size_t count,
-      std::optional<std::uint32_t> skip, SearchTally* tally,
-      std::vector<KnownStretch>* known, std::uint32_t below);
+      std::size_t count, std::optional<std::uint32_t> skip,
+      SearchTally* tally, std::vector<KnownStretch>* known,
+      std::uint32_t below);
 
   static constexpr std::uint32_t kNoCell =
       std::numeric_limits<std::uint32_t>::max();
@@ -251,7 +251,6 @@ class CandidateGrid {
   /// `below`.
   using CellHeap = std::vector<std::pair<double, std::uint32_t>>;
   [[nodiscard]] CellHeap cell_heap(const FingerprintBounds& own,
-                                   const StretchLimits& limits,
                                    std::uint32_t below,
                                    SearchTally& tally) const;
   [[nodiscard]] std::uint32_t position_of(const FingerprintBounds& box) const;
@@ -303,8 +302,7 @@ class CandidateGrid {
     const cdr::Fingerprint& fp, const NodeBounds& own,
     std::span<const cdr::Fingerprint> candidates,
     std::span<const NodeBounds> bounds, const CandidateGrid& grid,
-    const StretchLimits& limits, std::size_t count,
-    std::optional<std::uint32_t> skip = std::nullopt,
+    std::size_t count, std::optional<std::uint32_t> skip = std::nullopt,
     SearchTally* tally = nullptr, std::vector<KnownStretch>* known = nullptr,
     std::uint32_t below = std::numeric_limits<std::uint32_t>::max());
 

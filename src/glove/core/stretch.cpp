@@ -57,20 +57,18 @@ double raw_temporal_stretch_min(const cdr::TemporalExtent& a,
 }
 
 SampleStretch sample_stretch(const cdr::Sample& a, const cdr::Sample& b,
-                             PairWeights weights,
-                             const StretchLimits& limits) noexcept {
+                             PairWeights weights) noexcept {
   const double raw_sigma = raw_spatial_stretch_m(a.sigma, b.sigma, weights);
   const double raw_tau = raw_temporal_stretch_min(a.tau, b.tau, weights);
   // eq. 2-3: linear in the granularity loss, saturating at 1.
-  const double phi_sigma = std::min(raw_sigma / limits.phi_max_sigma_m, 1.0);
-  const double phi_tau = std::min(raw_tau / limits.phi_max_tau_min, 1.0);
-  return SampleStretch{limits.w_sigma * phi_sigma, limits.w_tau * phi_tau};
+  const double phi_sigma = std::min(raw_sigma / kPhiMaxSigmaM, 1.0);
+  const double phi_tau = std::min(raw_tau / kPhiMaxTauMin, 1.0);
+  return SampleStretch{kWSigma * phi_sigma, kWTau * phi_tau};
 }
 
 SampleStretch sample_stretch(const cdr::Sample& a, std::uint32_t na,
-                             const cdr::Sample& b, std::uint32_t nb,
-                             const StretchLimits& limits) noexcept {
-  return sample_stretch(a, b, pair_weights(na, nb), limits);
+                             const cdr::Sample& b, std::uint32_t nb) noexcept {
+  return sample_stretch(a, b, pair_weights(na, nb));
 }
 
 namespace {
@@ -91,28 +89,24 @@ namespace {
 /// with or without FMA contraction.  A skipped sample therefore cannot
 /// lower `best`, and a minimum does not depend on scan order, so the result
 /// is bit-identical to the full O(m_a * m_b) scan.  The argument needs
-/// non-negative weights and positive saturation limits; other limits scan
-/// every pair.  The floor is also monotone in the gap, so instead of
-/// evaluating it per sample the scan recomputes a cutoff gap whenever
-/// `best` drops and stops at the first sample that far away.
+/// non-negative weights and positive saturation thresholds, which stretch.hpp
+/// asserts of its constants.  The floor is also monotone in the gap, so
+/// instead of evaluating it per sample the scan recomputes a cutoff gap
+/// whenever `best` drops and stops at the first sample that far away.
 ///
 /// `flatten` keeps sample_stretch inlined in both scan loops; GCC's
 /// heuristics otherwise call it out of line, which costs more than pruning
 /// saves on pairs it cannot prune.
 [[gnu::flatten]] double directed_stretch(
     const cdr::Fingerprint& outer, const cdr::Fingerprint& inner,
-    const StretchLimits& limits, std::uint64_t& sample_pairs) noexcept {
+    std::uint64_t& sample_pairs) noexcept {
   // The population weights are constant across the whole fingerprint pair;
   // computing them once here instead of per sample pair keeps the inner
   // loop free of the weight divisions.
   const PairWeights weights =
       pair_weights(outer.group_size(), inner.group_size());
-  const bool prune = limits.w_sigma >= 0.0 && limits.w_tau >= 0.0 &&
-                     limits.phi_max_sigma_m > 0.0 &&
-                     limits.phi_max_tau_min > 0.0;
-  const auto temporal_floor = [&](double gap, double weight) {
-    return limits.w_tau *
-           std::min((gap * weight) / limits.phi_max_tau_min, 1.0);
+  const auto temporal_floor = [](double gap, double weight) {
+    return kWTau * std::min((gap * weight) / kPhiMaxTauMin, 1.0);
   };
   // A gap from which on the floor reaches `best`, or NaN — which no gap
   // compares >= to — when the floor never does (best above the saturated
@@ -123,10 +117,9 @@ namespace {
   // such gap, so a sample right at it is still evaluated.
   constexpr double kNoCutoff = std::numeric_limits<double>::quiet_NaN();
   const auto cutoff = [&](double best, double weight) {
-    if (!prune || !(limits.w_tau >= best)) return kNoCutoff;
+    if (!(kWTau >= best)) return kNoCutoff;
     if (temporal_floor(0.0, weight) >= best) return 0.0;
-    double gap = best / limits.w_tau * limits.phi_max_tau_min / weight *
-                 (1.0 + 0x1p-50);
+    double gap = best / kWTau * kPhiMaxTauMin / weight * (1.0 + 0x1p-50);
     for (int step = 0; step < 4; ++step) {
       if (temporal_floor(gap, weight) >= best) return gap;
       gap = std::nextafter(gap, std::numeric_limits<double>::infinity());
@@ -146,7 +139,7 @@ namespace {
     for (; hi < m; ++hi) {
       const cdr::Sample& si = inner_samples[hi];
       if (si.tau.t - so.tau.t >= stop) break;
-      const double d = sample_stretch(so, si, weights, limits).total();
+      const double d = sample_stretch(so, si, weights).total();
       if (d < best) {
         best = d;
         stop = cutoff(best, weights.wb);
@@ -157,7 +150,7 @@ namespace {
     for (; lo > 0; --lo) {
       const cdr::Sample& si = inner_samples[lo - 1];
       if (so.tau.t - si.tau.t >= stop) break;
-      const double d = sample_stretch(so, si, weights, limits).total();
+      const double d = sample_stretch(so, si, weights).total();
       if (d < best) {
         best = d;
         stop = cutoff(best, weights.wa);
@@ -173,7 +166,6 @@ namespace {
 
 double fingerprint_stretch(const cdr::Fingerprint& a,
                            const cdr::Fingerprint& b,
-                           const StretchLimits& limits,
                            std::uint64_t* sample_pairs) noexcept {
   // eq. 10: iterate over the longer fingerprint, matching each sample to
   // the cheapest sample of the shorter one.  The paper leaves the equal-
@@ -184,13 +176,12 @@ double fingerprint_stretch(const cdr::Fingerprint& a,
   std::uint64_t pairs = 0;
   double stretch = 0.0;
   if (a.size() > b.size()) {
-    stretch = directed_stretch(a, b, limits, pairs);
+    stretch = directed_stretch(a, b, pairs);
   } else if (b.size() > a.size()) {
-    stretch = directed_stretch(b, a, limits, pairs);
+    stretch = directed_stretch(b, a, pairs);
   } else {
-    stretch = (directed_stretch(a, b, limits, pairs) +
-               directed_stretch(b, a, limits, pairs)) /
-              2.0;
+    stretch =
+        (directed_stretch(a, b, pairs) + directed_stretch(b, a, pairs)) / 2.0;
   }
   if (sample_pairs != nullptr) *sample_pairs += pairs;
   return stretch;

@@ -9,7 +9,9 @@
 //
 // All efforts are normalized to [0, 1] by the spatial/temporal saturation
 // thresholds phi_max (footnote 3: 20 km and 8 h, chosen so that ~0.5 km of
-// spatial generalization weighs like ~15 min of temporal generalization).
+// spatial generalization weighs like ~15 min of temporal generalization)
+// and weighted by w_sigma = w_tau = 1/2.  These are the paper's constants,
+// not run knobs: every stretch, bound and k-gap of this library uses them.
 
 #ifndef GLOVE_CORE_STRETCH_HPP
 #define GLOVE_CORE_STRETCH_HPP
@@ -21,18 +23,22 @@
 
 namespace glove::core {
 
-/// Saturation thresholds and dimension weights of eq. 1-3.
-struct StretchLimits {
-  /// phi_max_sigma: spatial stretch (metres) above which information loss
-  /// saturates at 1 (paper: 20 km).
-  double phi_max_sigma_m = 20'000.0;
-  /// phi_max_tau: temporal stretch (minutes) saturating at 1 (paper: 8 h).
-  double phi_max_tau_min = 480.0;
-  /// w_sigma, w_tau: dimension weights; the paper fixes both at 1/2 so that
-  /// delta in eq. 1 stays within [0, 1].
-  double w_sigma = 0.5;
-  double w_tau = 0.5;
-};
+/// phi_max_sigma of eq. 2: the spatial stretch (metres) above which
+/// information loss saturates at 1.
+inline constexpr double kPhiMaxSigmaM = 20'000.0;
+/// phi_max_tau of eq. 3: the temporal stretch (minutes) saturating at 1.
+inline constexpr double kPhiMaxTauMin = 480.0;
+/// w_sigma and w_tau of eq. 1: the dimension weights, both 1/2 so that
+/// delta stays within [0, 1].
+inline constexpr double kWSigma = 0.5;
+inline constexpr double kWTau = 0.5;
+
+// fingerprint_stretch's time-window pruning and the lower bounds of
+// scalability.hpp drop non-negative terms of eq. 1-3; that holds only for
+// positive saturation thresholds and non-negative weights.
+static_assert(kPhiMaxSigmaM > 0.0 && kPhiMaxTauMin > 0.0 && kWSigma >= 0.0 &&
+                  kWTau >= 0.0,
+              "the stretch bounds need positive thresholds and weights >= 0");
 
 /// The two weighted components of a sample stretch effort:
 /// spatial = w_sigma * phi_sigma, temporal = w_tau * phi_tau.
@@ -85,15 +91,14 @@ struct PairWeights {
 /// Sample stretch effort delta_ab(i, j) (eq. 1-3) split into components,
 /// with the per-group weights precomputed by the caller.
 [[nodiscard]] SampleStretch sample_stretch(
-    const cdr::Sample& a, const cdr::Sample& b, PairWeights weights,
-    const StretchLimits& limits) noexcept;
+    const cdr::Sample& a, const cdr::Sample& b, PairWeights weights) noexcept;
 
 /// Sample stretch effort delta_ab(i, j) (eq. 1-3) split into components.
 /// `na` and `nb` are the group sizes of the fingerprints the samples belong
 /// to (1 for not-yet-merged users).
 [[nodiscard]] SampleStretch sample_stretch(
     const cdr::Sample& a, std::uint32_t na, const cdr::Sample& b,
-    std::uint32_t nb, const StretchLimits& limits) noexcept;
+    std::uint32_t nb) noexcept;
 
 /// Fingerprint stretch effort Delta_ab (eq. 10): for each sample of the
 /// longer fingerprint, the minimum-effort sample of the shorter one;
@@ -106,7 +111,6 @@ struct PairWeights {
 /// evaluated is added to it.
 [[nodiscard]] double fingerprint_stretch(
     const cdr::Fingerprint& a, const cdr::Fingerprint& b,
-    const StretchLimits& limits,
     std::uint64_t* sample_pairs = nullptr) noexcept;
 
 }  // namespace glove::core

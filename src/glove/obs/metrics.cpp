@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <charconv>
 #include <map>
 #include <mutex>
@@ -12,22 +11,17 @@
 namespace glove::obs {
 namespace {
 
-/// One thread's slice of every counter and histogram.  Updates are relaxed
-/// atomic stores from the owning thread; `snapshot_metrics` reads them from
-/// another thread, which is exactly the race relaxed atomics make benign
-/// (a snapshot may miss in-flight increments, never tear).
+/// One thread's slice of every counter.  Updates are relaxed atomic stores
+/// from the owning thread; `snapshot_metrics` reads them from another
+/// thread, which is exactly the race relaxed atomics make benign (a
+/// snapshot may miss in-flight increments, never tear).
 struct ThreadShard {
   std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-  std::array<std::atomic<std::uint64_t>, kMaxHistograms * kHistogramBuckets>
-      hist_counts{};
-  std::array<std::atomic<std::uint64_t>, kMaxHistograms> hist_sums{};
 };
 
 /// Plain (mutex-guarded) totals folded in from threads that have exited.
 struct RetiredTotals {
   std::array<std::uint64_t, kMaxCounters> counters{};
-  std::array<std::uint64_t, kMaxHistograms * kHistogramBuckets> hist_counts{};
-  std::array<std::uint64_t, kMaxHistograms> hist_sums{};
 };
 
 class Registry {
@@ -60,9 +54,6 @@ class Registry {
   std::uint32_t register_gauge(std::string_view name) {
     return register_name(gauge_names_, kMaxGauges, name, "gauge");
   }
-  std::uint32_t register_histogram(std::string_view name) {
-    return register_name(histogram_names_, kMaxHistograms, name, "histogram");
-  }
 
   void attach(ThreadShard* shard) {
     const std::lock_guard lock{mutex_};
@@ -77,14 +68,6 @@ class Registry {
     for (std::size_t i = 0; i < kMaxCounters; ++i) {
       retired_.counters[i] +=
           shard->counters[i].load(std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < kMaxHistograms * kHistogramBuckets; ++i) {
-      retired_.hist_counts[i] +=
-          shard->hist_counts[i].load(std::memory_order_relaxed);
-    }
-    for (std::size_t i = 0; i < kMaxHistograms; ++i) {
-      retired_.hist_sums[i] +=
-          shard->hist_sums[i].load(std::memory_order_relaxed);
     }
   }
 
@@ -108,38 +91,11 @@ class Registry {
       snap.gauges.emplace_back(gauge_names_[i],
                                gauges_[i].load(std::memory_order_relaxed));
     }
-    snap.histograms.reserve(histogram_names_.size());
-    for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
-      HistogramSnapshot hist;
-      hist.name = histogram_names_[i];
-      hist.sum = retired_.hist_sums[i];
-      for (const ThreadShard* shard : live_) {
-        hist.sum += shard->hist_sums[i].load(std::memory_order_relaxed);
-      }
-      hist.buckets.assign(kHistogramBuckets, 0);
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        const std::size_t slot = i * kHistogramBuckets + b;
-        std::uint64_t n = retired_.hist_counts[slot];
-        for (const ThreadShard* shard : live_) {
-          n += shard->hist_counts[slot].load(std::memory_order_relaxed);
-        }
-        hist.buckets[b] = n;
-        hist.count += n;
-      }
-      while (!hist.buckets.empty() && hist.buckets.back() == 0) {
-        hist.buckets.pop_back();
-      }
-      snap.histograms.push_back(std::move(hist));
-    }
     const auto by_name = [](const auto& a, const auto& b) {
       return a.first < b.first;
     };
     std::sort(snap.counters.begin(), snap.counters.end(), by_name);
     std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-    std::sort(snap.histograms.begin(), snap.histograms.end(),
-              [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
-                return a.name < b.name;
-              });
     return snap;
   }
 
@@ -147,7 +103,6 @@ class Registry {
   std::mutex mutex_;
   std::vector<std::string> counter_names_;
   std::vector<std::string> gauge_names_;
-  std::vector<std::string> histogram_names_;
   std::vector<ThreadShard*> live_;
   RetiredTotals retired_;
   std::array<std::atomic<double>, kMaxGauges> gauges_{};
@@ -174,11 +129,6 @@ ThreadShard& local_shard() {
   return handle.shard;
 }
 
-std::size_t bucket_index(std::uint64_t value) noexcept {
-  const std::size_t width = static_cast<std::size_t>(std::bit_width(value));
-  return width < kHistogramBuckets ? width : kHistogramBuckets - 1;
-}
-
 }  // namespace
 
 bool valid_metric_name(std::string_view name) noexcept {
@@ -199,23 +149,12 @@ void Gauge::set(double value) const noexcept {
   registry().set_gauge(id_, value);
 }
 
-void Histogram::observe(std::uint64_t value) const noexcept {
-  ThreadShard& shard = local_shard();
-  shard.hist_counts[id_ * kHistogramBuckets + bucket_index(value)].fetch_add(
-      1, std::memory_order_relaxed);
-  shard.hist_sums[id_].fetch_add(value, std::memory_order_relaxed);
-}
-
 Counter counter(std::string_view name) {
   return Counter{registry().register_counter(name)};
 }
 
 Gauge gauge(std::string_view name) {
   return Gauge{registry().register_gauge(name)};
-}
-
-Histogram histogram(std::string_view name) {
-  return Histogram{registry().register_histogram(name)};
 }
 
 std::uint64_t MetricsSnapshot::counter_value(std::string_view name) const {
@@ -244,15 +183,6 @@ std::string render_metrics_text(const MetricsSnapshot& snapshot) {
     out += name;
     out += ' ';
     out.append(buffer, static_cast<std::size_t>(result.ptr - buffer));
-    out += '\n';
-  }
-  for (const HistogramSnapshot& hist : snapshot.histograms) {
-    out += "histogram ";
-    out += hist.name;
-    out += " count=";
-    out += std::to_string(hist.count);
-    out += " sum=";
-    out += std::to_string(hist.sum);
     out += '\n';
   }
   return out;

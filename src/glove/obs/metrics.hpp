@@ -1,4 +1,4 @@
-// Thread-safe metrics registry: counters, gauges, and log-scale histograms.
+// Thread-safe metrics registry: counters and gauges.
 //
 // Hot-path updates go to per-thread shards (relaxed atomics, no locks), so
 // shard workers can count events without contention; `snapshot()` folds the
@@ -10,8 +10,8 @@
 //   c_rows.add(batch.size());
 //
 // Only *deterministic* quantities (counts, bytes, passes) may flow into the
-// run report via counters; wall-clock durations belong in histograms and
-// spans, which stay trace-side so goldens never see timing jitter.
+// run report via counters; wall-clock durations belong in spans, which stay
+// trace-side so goldens never see timing jitter.
 //
 // Names must match [a-z0-9_.]+ (enforced here at registration and by the
 // glove_lint obs-naming rule at the literal site).
@@ -32,12 +32,6 @@ namespace glove::obs {
 /// metric names, not a tuning problem.
 inline constexpr std::size_t kMaxCounters = 160;
 inline constexpr std::size_t kMaxGauges = 32;
-inline constexpr std::size_t kMaxHistograms = 32;
-
-/// Histogram buckets are fixed log2 scale: bucket 0 counts value 0 and
-/// bucket i counts values with bit_width i, i.e. [2^(i-1), 2^i).  The top
-/// bucket absorbs everything wider.
-inline constexpr std::size_t kHistogramBuckets = 48;
 
 /// Monotonic event counter.  Copyable handle; `add` touches only the
 /// calling thread's shard.
@@ -63,35 +57,15 @@ class Gauge {
   std::uint32_t id_;
 };
 
-/// Log-scale distribution (typically nanosecond durations or byte sizes).
-class Histogram {
- public:
-  void observe(std::uint64_t value) const noexcept;
-
- private:
-  friend Histogram histogram(std::string_view name);
-  explicit Histogram(std::uint32_t id) noexcept : id_{id} {}
-  std::uint32_t id_;
-};
-
 /// Registers (or looks up) a metric by name.  Thread-safe and idempotent:
 /// the same name always yields the same slot.  Throws std::invalid_argument
 /// on a name outside [a-z0-9_.]+ and std::length_error past capacity.
 [[nodiscard]] Counter counter(std::string_view name);
 [[nodiscard]] Gauge gauge(std::string_view name);
-[[nodiscard]] Histogram histogram(std::string_view name);
 
 /// True when `name` is non-empty and matches [a-z0-9_.]+ — the project
 /// naming convention for spans and metrics.
 [[nodiscard]] bool valid_metric_name(std::string_view name) noexcept;
-
-struct HistogramSnapshot {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  /// bucket[i] per the fixed log2 scale above; trailing zeros trimmed.
-  std::vector<std::uint64_t> buckets;
-};
 
 /// Point-in-time fold of every thread's shard (plus totals retired by
 /// exited threads).  All vectors are sorted by name, so two snapshots of
@@ -99,7 +73,6 @@ struct HistogramSnapshot {
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
 
   /// Value of counter `name`, or 0 when never registered.
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
@@ -112,7 +85,6 @@ struct MetricsSnapshot {
 ///
 ///   counter serve.events_ingested 1200
 ///   gauge serve.queue_depth 0
-///   histogram source.read_ns count=12 sum=34567
 ///
 /// Gauges use shortest-round-trip doubles (std::to_chars), so two
 /// snapshots of the same state render byte-identically.  This is the

@@ -6,9 +6,9 @@
 // shard borders so candidate merge pairs spanning tiles are not lost.
 //
 // ShardConfig declares only the knobs of the decomposition and the
-// scheduler; the GLOVE knobs (k, stretch limits, suppression, reshape,
-// leftover policy) travel beside it as a core::GloveConfig.  The Engine's
-// api::RunConfig holds this struct as its `sharded` section.
+// scheduler; the GLOVE knobs (k, suppression, reshape, leftover policy)
+// travel beside it as a core::GloveConfig.  The Engine's api::RunConfig
+// holds this struct as its `sharded` section.
 
 #ifndef GLOVE_SHARD_CONFIG_HPP
 #define GLOVE_SHARD_CONFIG_HPP

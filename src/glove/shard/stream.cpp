@@ -157,8 +157,6 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   // job threads.
   static const obs::Counter c_batches = obs::counter("stream.shard_batches");
   static const obs::Counter c_shards = obs::counter("stream.shards_run");
-  static const obs::Histogram h_shard_members =
-      obs::histogram("stream.shard.members");
   static const obs::Counter c_chunks = obs::counter("stream.reconcile_chunks");
 
   StreamShardedResult result;
@@ -347,7 +345,6 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
       const Unit& unit = units[u];
       if (unit.kind == UnitKind::kShard) {
         c_shards.add();
-        h_shard_members.observe(unit.ids.size());
       } else if (unit.kind == UnitKind::kChunk) {
         c_chunks.add();
       } else {

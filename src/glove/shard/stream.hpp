@@ -85,11 +85,13 @@ struct StreamShardedResult {
 /// Checks both configs before reading the source (core::check_config,
 /// shard::check_config; std::invalid_argument).  A source holding fewer
 /// than k fingerprints, one whose fingerprint count changes between
-/// passes, or a fingerprint whose anchor lies off the tile grid (tile_of)
-/// raises util::DatasetError.  Deterministic for a given source content
-/// and configuration, independent of `workers` and batch boundaries.  A
-/// run that throws leaves the groups already emitted with the emitter, so
-/// a file sink may hold a partial dataset on failure.
+/// passes, or a fingerprint whose anchor lies off even a 1 km tile grid
+/// raises util::DatasetError; an anchor off the grid of a smaller
+/// tile_size_m but on the 1 km grid is the tile size's fault and raises
+/// std::invalid_argument (tile_of).  Deterministic for a given source
+/// content and configuration, independent of `workers` and batch
+/// boundaries.  A run that throws leaves the groups already emitted with
+/// the emitter, so a file sink may hold a partial dataset on failure.
 [[nodiscard]] StreamShardedResult anonymize_sharded_stream(
     api::DatasetSource& source, const core::GloveConfig& glove,
     const ShardConfig& sharded, const GroupEmitter& emit);

@@ -20,20 +20,36 @@ std::uint64_t morton_code(geo::GridCell cell) noexcept {
   return geo::morton_interleave(bias(cell.ix), bias(cell.iy));
 }
 
+namespace {
+
+/// The smallest tile choose_tile_size picks.
+constexpr double kMinTileM = 1'000.0;
+
+}  // namespace
+
 geo::GridCell tile_of(const geo::Grid& grid, geo::PlanarPoint point,
                       std::uint64_t id) {
   try {
     return grid.cell_of(point);
   } catch (const std::out_of_range& e) {
-    throw util::DatasetError{"fingerprint " + std::to_string(id) +
-                             " lies off the tile grid: " + e.what()};
+    try {
+      (void)geo::Grid{kMinTileM}.cell_of(point);
+    } catch (const std::out_of_range&) {
+      throw util::DatasetError{"fingerprint " + std::to_string(id) +
+                               " lies off the tile grid: " + e.what()};
+    }
   }
+  // A 1 km tile, the smallest adaptive one, holds the point: the tile size
+  // is at fault.
+  throw std::invalid_argument{
+      "sharded.tile_size_m is too small: fingerprint " + std::to_string(id) +
+      " lies off its int32 tile grid (a 1 km tile, or 0 for an adaptive "
+      "size, holds it)"};
 }
 
 double choose_tile_size(std::span<const core::FingerprintBounds> bounds,
                         std::size_t max_shard_users) {
   constexpr double kFallbackM = 25'000.0;
-  constexpr double kMinM = 1'000.0;
   constexpr double kMaxM = 200'000.0;
   if (bounds.empty()) return kFallbackM;
   const std::size_t budget = std::max<std::size_t>(max_shard_users, 1);
@@ -63,13 +79,13 @@ double choose_tile_size(std::span<const core::FingerprintBounds> bounds,
   // A degenerate axis still spans one tile; flooring both at the minimum
   // tile edge keeps the density estimate finite for linear or pointlike
   // deployments (e.g. a highway corridor).
-  const double extent_x = std::max(max_x - min_x, kMinM);
-  const double extent_y = std::max(max_y - min_y, kMinM);
+  const double extent_x = std::max(max_x - min_x, kMinTileM);
+  const double extent_y = std::max(max_y - min_y, kMinTileM);
   const double density =
       static_cast<double>(bounds.size()) / (extent_x * extent_y);
   double tile = std::sqrt(target / density);
   if (!std::isfinite(tile)) return kFallbackM;
-  tile = std::clamp(tile, kMinM, kMaxM);
+  tile = std::clamp(tile, kMinTileM, kMaxM);
 
   // Mean density lies about skewed deployments: one downtown tile can
   // hold 50x the average and would become an oversized single-tile shard
@@ -77,7 +93,7 @@ double choose_tile_size(std::span<const core::FingerprintBounds> bounds,
   // edge until the densest occupied tile fits the shard budget (or the
   // clamp floor is reached) — the histogram is O(n) over in-memory
   // anchors, so refinement costs no extra pass over the data.
-  for (int step = 0; step < 16 && tile > kMinM; ++step) {
+  for (int step = 0; step < 16 && tile > kMinTileM; ++step) {
     const geo::Grid grid{tile};
     std::unordered_map<geo::GridCell, std::size_t> occupancy;
     std::size_t densest = 0;
@@ -85,7 +101,7 @@ double choose_tile_size(std::span<const core::FingerprintBounds> bounds,
       densest = std::max(densest, ++occupancy[tile_of(grid, anchors[i], i)]);
     }
     if (densest <= budget) break;
-    tile = std::max(tile / 2.0, kMinM);
+    tile = std::max(tile / 2.0, kMinTileM);
   }
   return tile;
 }

@@ -40,8 +40,11 @@ struct Tiling {
 /// bias-mapped so the interleave stays monotone per axis).
 [[nodiscard]] std::uint64_t morton_code(geo::GridCell cell) noexcept;
 
-/// The tile of `grid` holding `point`, a point of fingerprint `id`; a point
-/// off the int32 grid of cells throws util::DatasetError naming `id`.
+/// The tile of `grid` holding `point`, a point of fingerprint `id`.  A
+/// point off the int32 grid of cells throws, naming `id`: when a 1 km
+/// tile (choose_tile_size's smallest) would hold it, the tile size is at
+/// fault (std::invalid_argument); when even that tile would not, the data
+/// is (util::DatasetError).
 [[nodiscard]] geo::GridCell tile_of(const geo::Grid& grid,
                                     geo::PlanarPoint point, std::uint64_t id);
 
@@ -61,7 +64,7 @@ struct Tiling {
 /// == 0 selects `choose_tile_size`; the size actually used is recorded in
 /// Tiling::tile_size_m.  Deterministic single-threaded bookkeeping;
 /// requires tile_size_m >= 0 (std::invalid_argument otherwise) and every
-/// anchor on the grid (util::DatasetError otherwise, see tile_of).
+/// anchor on the grid (see tile_of for the error).
 [[nodiscard]] Tiling build_tiling_from_bounds(
     std::vector<core::FingerprintBounds> bounds, double tile_size_m,
     std::size_t max_shard_users);

@@ -20,6 +20,7 @@
 #include "common/fixtures.hpp"
 #include "common/temp_dir.hpp"
 #include "glove/api/cli.hpp"
+#include "glove/baseline/w4m.hpp"
 #include "glove/cdr/binio.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/core/glove.hpp"
@@ -36,6 +37,41 @@ TEST(Engine, RejectsKBelowTwo) {
   const auto result = engine.run(test::paired_dataset(), config);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig);
+  // A failed Result holds no report, hence no dataset; value() access
+  // fails loudly instead of handing one back.
+  EXPECT_THROW((void)result.value(), std::logic_error);
+}
+
+TEST(Engine, RejectsAW4MKAboveItsChunkSizeBeforeReadingData) {
+  // W4M-LC clusters within fixed chunks, so k = 513 can never form a
+  // cluster; the 7-fingerprint input would fail as a dataset fault if the
+  // config were not checked first.
+  const Engine engine;
+  RunConfig config;
+  config.strategy = kStrategyW4M;
+  config.k = static_cast<std::uint32_t>(baseline::kW4MChunkSize) + 1;
+  const auto result = engine.run(test::paired_dataset(), config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig)
+      << result.error().message;
+}
+
+TEST(Engine, RefusesATileTooSmallForTheDataAsAConfigFault) {
+  // A 1e-9 m tile puts every anchor off the int32 tile grid, which a 1 km
+  // tile would hold: the tile size is at fault, not the data.
+  const Engine engine;
+  RunConfig config;
+  config.strategy = kStrategySharded;
+  config.sharded.tile_size_m = 1e-9;
+  const auto result = engine.run(test::small_synth_dataset(30), config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig)
+      << result.error().message;
+  EXPECT_NE(result.error().message.find("sharded.tile_size_m"),
+            std::string::npos)
+      << result.error().message;
+  EXPECT_NE(result.error().message.find("fingerprint "), std::string::npos)
+      << result.error().message;
 }
 
 TEST(Engine, RejectsEmptyDataset) {
@@ -287,54 +323,6 @@ TEST(Engine, RejectsNonPositiveSuppressionThresholds) {
   unbounded.suppression = core::SuppressionThresholds{kInf, 360.0};
   const auto result = engine.run(test::paired_dataset(), unbounded);
   EXPECT_TRUE(result.ok()) << result.error().message;
-}
-
-TEST(Engine, RejectsBadW4MTrashFraction) {
-  const Engine engine;
-  for (const double fraction : {1.5, 1.0, -0.1, kNaN, kInf}) {
-    RunConfig config;
-    config.strategy = kStrategyW4M;
-    config.w4m.trash_fraction = fraction;
-    const auto result = engine.run(test::paired_dataset(), config);
-    ASSERT_FALSE(result.ok()) << fraction;
-    EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig) << fraction;
-    // A failed Result holds no report, hence no dataset; value() access
-    // fails loudly instead of handing one back.
-    EXPECT_THROW((void)result.value(), std::logic_error);
-  }
-}
-
-TEST(Engine, RejectsNonFiniteOrNegativeLimitsAndW4MDistances) {
-  // Checked before any data is read: these values used to run and
-  // "succeed", or fail later with the fault blamed on the data.
-  const Engine engine;
-  std::vector<std::pair<std::string, RunConfig>> faults;
-  const auto fault = [&faults](const std::string& field, double value,
-                               std::string_view strategy) -> RunConfig& {
-    RunConfig& config =
-        faults.emplace_back(field + "=" + std::to_string(value), RunConfig{})
-            .second;
-    config.strategy = std::string{strategy};
-    return config;
-  };
-  for (const double bad : {kNaN, kInf, 0.0}) {
-    fault("phi_max_sigma_m", bad, kStrategyFull).limits.phi_max_sigma_m = bad;
-    fault("phi_max_tau_min", bad, kStrategySharded).limits.phi_max_tau_min =
-        bad;
-    fault("w4m.delta_m", bad, kStrategyW4M).w4m.delta_m = bad;
-  }
-  for (const double bad : {kNaN, kInf, -1.0}) {
-    fault("w_sigma", bad, kStrategyFull).limits.w_sigma = bad;
-    fault("w_tau", bad, kStrategyIncremental).limits.w_tau = bad;
-    fault("w4m.match_tolerance_min", bad, kStrategyW4M)
-        .w4m.match_tolerance_min = bad;
-  }
-  for (const auto& [what, config] : faults) {
-    const auto result = engine.run(test::paired_dataset(), config);
-    ASSERT_FALSE(result.ok()) << what;
-    EXPECT_EQ(result.error().code, ErrorCode::kInvalidConfig)
-        << what << ": " << result.error().message;
-  }
 }
 
 TEST(Engine, RunReportCarriesCountersAndConfigEcho) {

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "glove/synth/generator.hpp"
 
@@ -70,23 +70,21 @@ TEST(LinearStDistance, PenalizesShortOverlap) {
 }
 
 TEST(W4M, EveryClusterHasAtLeastKMembers) {
-  const W4MResult result = anonymize_w4m(parallel_users(11, 300.0), 2, {});
+  const W4MResult result = anonymize_w4m(parallel_users(11, 300.0), 2);
   for (const auto& fp : result.anonymized.fingerprints()) {
     EXPECT_GE(fp.group_size(), 2u);
   }
 }
 
 TEST(W4M, HigherKGivesBiggerClusters) {
-  const W4MResult result = anonymize_w4m(parallel_users(12, 300.0), 4, {});
+  const W4MResult result = anonymize_w4m(parallel_users(12, 300.0), 4);
   for (const auto& fp : result.anonymized.fingerprints()) {
     EXPECT_GE(fp.group_size(), 4u);
   }
 }
 
 TEST(W4M, PublishedSamplesCarryDeltaExtent) {
-  W4MConfig config;
-  config.delta_m = 2'000.0;
-  const W4MResult result = anonymize_w4m(parallel_users(8, 300.0), 2, config);
+  const W4MResult result = anonymize_w4m(parallel_users(8, 300.0), 2);
   for (const auto& fp : result.anonymized.fingerprints()) {
     for (const auto& s : fp.samples()) {
       EXPECT_DOUBLE_EQ(s.sigma.dx, 2'000.0);
@@ -109,7 +107,7 @@ TEST(W4M, CreatesSyntheticSamplesOnMisalignedUsers) {
     fps.emplace_back(u, std::move(samples));
   }
   const W4MResult result =
-      anonymize_w4m(cdr::FingerprintDataset{std::move(fps)}, 2, {});
+      anonymize_w4m(cdr::FingerprintDataset{std::move(fps)}, 2);
   EXPECT_GT(result.stats.created_samples, 0u);
 }
 
@@ -120,7 +118,7 @@ TEST(W4M, NoCreationForPerfectlyAlignedUsers) {
     fps.push_back(line_user(u, u * 100.0, 0.0));  // same time offsets
   }
   const W4MResult result =
-      anonymize_w4m(cdr::FingerprintDataset{std::move(fps)}, 2, {});
+      anonymize_w4m(cdr::FingerprintDataset{std::move(fps)}, 2);
   EXPECT_EQ(result.stats.created_samples, 0u);
   EXPECT_EQ(result.stats.deleted_samples, 0u);
 }
@@ -132,10 +130,8 @@ TEST(W4M, TrashBinDiscardsOutliers) {
     fps.push_back(line_user(u, u * 150.0, u * 3.0));
   }
   fps.push_back(line_user(9, 400'000.0, 0.0));
-  W4MConfig config;
-  config.trash_fraction = 0.2;
   const W4MResult result =
-      anonymize_w4m(cdr::FingerprintDataset{std::move(fps)}, 2, config);
+      anonymize_w4m(cdr::FingerprintDataset{std::move(fps)}, 2);
   EXPECT_GE(result.stats.discarded_fingerprints, 1u);
 }
 
@@ -160,13 +156,13 @@ TEST(W4M, TrashedFingerprintCountsOriginalSamplesDeleted) {
   fps.push_back(std::move(merged));
 
   const W4MResult result =
-      anonymize_w4m(cdr::FingerprintDataset{std::move(fps)}, 2, {});
+      anonymize_w4m(cdr::FingerprintDataset{std::move(fps)}, 2);
   EXPECT_EQ(result.stats.discarded_fingerprints, 2u);  // the merged pair
   EXPECT_EQ(result.stats.deleted_samples, original_samples);
 }
 
 TEST(W4M, StatsErrorVectorsMatchMeans) {
-  const W4MResult result = anonymize_w4m(parallel_users(8, 250.0), 2, {});
+  const W4MResult result = anonymize_w4m(parallel_users(8, 250.0), 2);
   ASSERT_FALSE(result.stats.position_errors_m.empty());
   double sum = 0.0;
   for (const double e : result.stats.position_errors_m) sum += e;
@@ -177,33 +173,23 @@ TEST(W4M, StatsErrorVectorsMatchMeans) {
 
 TEST(W4M, RejectsInvalidConfig) {
   const auto data = parallel_users(6, 100.0);
-  EXPECT_THROW((void)anonymize_w4m(data, 1, {}), std::invalid_argument);
-  W4MConfig config;
-  config.chunk_size = 1;
-  EXPECT_THROW((void)anonymize_w4m(data, 2, config), std::invalid_argument);
-}
-
-TEST(W4M, NonFiniteDeltaIsRefusedAsConfigNotBlamedOnTheData) {
-  // anonymize_w4m checks its own config before reading the data: a NaN
-  // delta used to run until a generalized sample failed as
-  // util::DatasetError ("generalizing users 0+14: x must be finite").
-  const cdr::FingerprintDataset data =
-      synth::generate_dataset(synth::civ_like(400, 7));
-  W4MConfig config;
-  config.delta_m = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)anonymize_w4m(data, 1), std::invalid_argument);
+  // No 512-trajectory chunk holds a cluster of 513: a config fault, not
+  // one blamed on the 6 trajectories, too few for it.
   try {
-    (void)anonymize_w4m(data, 2, config);
-    FAIL() << "a NaN delta ran";
+    (void)anonymize_w4m(data, 513);
+    FAIL() << "k = 513 ran";
   } catch (const util::DatasetError& e) {
     FAIL() << "blamed on the data: " << e.what();
   } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "w4m.delta_m must be positive and finite");
+    EXPECT_NE(std::string{e.what()}.find("at most 512"), std::string::npos)
+        << e.what();
   }
 }
 
 TEST(W4M, AllUsersAccountedFor) {
   const cdr::FingerprintDataset input = parallel_users(10, 300.0);
-  const W4MResult result = anonymize_w4m(input, 2, {});
+  const W4MResult result = anonymize_w4m(input, 2);
   std::set<cdr::UserId> published;
   for (const auto& fp : result.anonymized.fingerprints()) {
     published.insert(fp.members().begin(), fp.members().end());
@@ -219,7 +205,7 @@ TEST(W4M, WorseThanGloveOnSparseCdr) {
   synth::SynthConfig config = synth::civ_like(40, 19);
   config.days = 2.0;
   const cdr::FingerprintDataset data = synth::generate_dataset(config);
-  const W4MResult w4m = anonymize_w4m(data, 2, {});
+  const W4MResult w4m = anonymize_w4m(data, 2);
   EXPECT_GT(w4m.stats.created_samples, 0u);
   EXPECT_GT(w4m.stats.mean_time_error_min, 1.0);
 }

@@ -52,21 +52,6 @@ TEST(Builder, DeduplicatesSameCellSameMinute) {
   EXPECT_EQ(data[0].size(), 2u);
 }
 
-TEST(Builder, DeduplicationCanBeDisabled) {
-  std::vector<PlanarEvent> events{
-      {0u, 10.1, {50.0, 50.0}},
-      {0u, 10.9, {80.0, 20.0}},
-  };
-  BuilderConfig config = planar_config();
-  config.deduplicate = false;
-  // Without dedup the two events collapse onto the same key only in the
-  // map; keep them distinct by disabling dedup -> map insert_or_assign
-  // still keeps one.  The builder contract: dedup=false keeps the last
-  // event of the key.
-  const FingerprintDataset data = build_fingerprints(events, config);
-  EXPECT_EQ(data[0].size(), 1u);
-}
-
 TEST(Builder, SamplesAreTimeSorted) {
   std::vector<PlanarEvent> events{
       {0u, 500.0, {0.0, 0.0}},

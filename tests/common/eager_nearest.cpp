@@ -16,8 +16,8 @@ std::vector<core::Neighbor> eager_nearest(
     const cdr::Fingerprint& fp, const core::NodeBounds& own,
     std::span<const cdr::Fingerprint> candidates,
     std::span<const core::NodeBounds> bounds,
-    std::span<const std::uint32_t> ids, const core::StretchLimits& limits,
-    std::size_t count, std::optional<std::uint32_t> skip,
+    std::span<const std::uint32_t> ids, std::size_t count,
+    std::optional<std::uint32_t> skip,
     core::SearchTally* tally, std::vector<core::KnownStretch>* known) {
   if (ids.empty() || candidates.size() != bounds.size() || count == 0) {
     throw std::invalid_argument{
@@ -61,7 +61,7 @@ std::vector<core::Neighbor> eager_nearest(
       }
     }
     order.emplace_back(
-        core::stretch_lower_bound(own.box, bounds[c].box, limits), c, false);
+        core::stretch_lower_bound(own.box, bounds[c].box), c, false);
     ++done.box_bounds;
   }
   std::make_heap(order.begin(), order.end(), std::greater<>{});
@@ -73,7 +73,7 @@ std::vector<core::Neighbor> eager_nearest(
     if (best.size() == count && bound > best.back().stretch) break;
     if (!slot_stage) {
       const double slot = std::max(
-          bound, core::slot_lower_bound(own.slots, bounds[c].slots, limits));
+          bound, core::slot_lower_bound(own.slots, bounds[c].slots));
       ++done.slot_bounds;
       if (known != nullptr) fresh.push_back(core::KnownStretch{slot, c, false});
       order.back() = {slot, c, true};
@@ -82,8 +82,7 @@ std::vector<core::Neighbor> eager_nearest(
     }
     order.pop_back();
     const core::Neighbor found{
-        c, core::fingerprint_stretch(fp, candidates[c], limits,
-                                     &done.sample_pairs)};
+        c, core::fingerprint_stretch(fp, candidates[c], &done.sample_pairs)};
     ++done.evaluations;
     if (known != nullptr) {
       fresh.push_back(core::KnownStretch{found.stretch, c, true});
@@ -113,12 +112,10 @@ std::vector<core::Neighbor> eager_nearest(
 
 double eager_least_box_bound(const core::FingerprintBounds& own,
                              std::span<const core::NodeBounds> bounds,
-                             std::span<const std::uint32_t> ids,
-                             const core::StretchLimits& limits) {
+                             std::span<const std::uint32_t> ids) {
   double least = std::numeric_limits<double>::infinity();
   for (const std::uint32_t id : ids) {
-    least = std::min(least,
-                     core::stretch_lower_bound(own, bounds[id].box, limits));
+    least = std::min(least, core::stretch_lower_bound(own, bounds[id].box));
   }
   return least;
 }

@@ -27,8 +27,8 @@ namespace glove::test {
     const cdr::Fingerprint& fp, const core::NodeBounds& own,
     std::span<const cdr::Fingerprint> candidates,
     std::span<const core::NodeBounds> bounds,
-    std::span<const std::uint32_t> ids, const core::StretchLimits& limits,
-    std::size_t count, std::optional<std::uint32_t> skip = std::nullopt,
+    std::span<const std::uint32_t> ids, std::size_t count,
+    std::optional<std::uint32_t> skip = std::nullopt,
     core::SearchTally* tally = nullptr,
     std::vector<core::KnownStretch>* known = nullptr);
 
@@ -37,7 +37,7 @@ namespace glove::test {
 [[nodiscard]] double eager_least_box_bound(
     const core::FingerprintBounds& own,
     std::span<const core::NodeBounds> bounds,
-    std::span<const std::uint32_t> ids, const core::StretchLimits& limits);
+    std::span<const std::uint32_t> ids);
 
 }  // namespace glove::test
 

@@ -27,6 +27,19 @@ cdr::Fingerprint group_fingerprint(std::uint32_t size, cdr::UserId first,
   return cdr::Fingerprint{std::move(members), std::move(samples)};
 }
 
+cdr::Fingerprint scaled(const cdr::Fingerprint& fp, double space,
+                        double time) {
+  std::vector<cdr::Sample> samples(fp.samples().begin(), fp.samples().end());
+  for (cdr::Sample& s : samples) {
+    s.sigma = cdr::SpatialExtent{s.sigma.x * space, s.sigma.dx * space,
+                                 s.sigma.y * space, s.sigma.dy * space};
+    s.tau = cdr::TemporalExtent{s.tau.t * time, s.tau.dt * time};
+  }
+  return cdr::Fingerprint{
+      std::vector<cdr::UserId>(fp.members().begin(), fp.members().end()),
+      std::move(samples)};
+}
+
 cdr::FingerprintDataset paired_dataset() {
   std::vector<cdr::Fingerprint> fps;
   const auto add_pair = [&](cdr::UserId base, double ox, double ot) {

@@ -30,6 +30,13 @@ namespace glove::test {
 [[nodiscard]] cdr::Fingerprint group_fingerprint(
     std::uint32_t size, cdr::UserId first, std::vector<cdr::Sample> samples);
 
+/// `fp` with every sample's position and extent scaled by `space` and its
+/// start and duration by `time`.  Scaled by 10 and 8, geometry that
+/// saturates a 2 km / 60 min stretch reaches the same saturation at the
+/// paper's 20 km / 480 min thresholds.
+[[nodiscard]] cdr::Fingerprint scaled(const cdr::Fingerprint& fp, double space,
+                                      double time);
+
 /// Seven users: three pairs of near-identical fingerprints at mutual
 /// distance ~5 km / ~10 h, plus one far outlier (user 6).  The pairs are
 /// each other's nearest neighbours, so a correct GLOVE run at k=2 merges

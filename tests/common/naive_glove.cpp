@@ -36,8 +36,7 @@ cdr::FingerprintDataset naive_glove(const cdr::FingerprintDataset& data,
         const std::size_t a = y < inputs ? x : y;
         const std::size_t b = y < inputs ? y : x;
         const std::tuple<double, std::size_t, std::size_t> candidate{
-            core::fingerprint_stretch(nodes[a], nodes[b], config.limits), a,
-            b};
+            core::fingerprint_stretch(nodes[a], nodes[b]), a, b};
         if (!found || candidate < best) best = candidate;
         found = true;
       }
@@ -61,8 +60,7 @@ cdr::FingerprintDataset naive_glove(const cdr::FingerprintDataset& data,
     std::size_t nearest = 0;
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t g = 0; g < output.size(); ++g) {
-      const double d =
-          core::fingerprint_stretch(nodes[id], output[g], config.limits);
+      const double d = core::fingerprint_stretch(nodes[id], output[g]);
       if (d < best) {
         best = d;
         nearest = g;

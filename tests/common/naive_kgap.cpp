@@ -9,8 +9,7 @@
 namespace glove::test {
 
 std::vector<core::KGapEntry> naive_k_gaps(const cdr::FingerprintDataset& data,
-                                          std::uint32_t k,
-                                          const core::StretchLimits& limits) {
+                                          std::uint32_t k) {
   const std::size_t n = data.size();
   const std::size_t neighbors = k - 1;
   std::vector<core::KGapEntry> result(n);
@@ -19,7 +18,7 @@ std::vector<core::KGapEntry> naive_k_gaps(const cdr::FingerprintDataset& data,
     row.clear();
     for (std::size_t b = 0; b < n; ++b) {
       if (b == a) continue;
-      row.emplace_back(core::fingerprint_stretch(data[a], data[b], limits), b);
+      row.emplace_back(core::fingerprint_stretch(data[a], data[b]), b);
     }
     std::sort(row.begin(), row.end());
     core::KGapEntry& entry = result[a];

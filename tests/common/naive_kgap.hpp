@@ -18,8 +18,7 @@ namespace glove::test {
 /// neighbours, and the gap is their stretches summed in that order and
 /// divided by k-1.  Requires 2 <= k <= data.size().
 [[nodiscard]] std::vector<core::KGapEntry> naive_k_gaps(
-    const cdr::FingerprintDataset& data, std::uint32_t k,
-    const core::StretchLimits& limits = {});
+    const cdr::FingerprintDataset& data, std::uint32_t k);
 
 }  // namespace glove::test
 

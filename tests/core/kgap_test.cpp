@@ -89,8 +89,8 @@ TEST(KGap, MatchesManualAverageOfNearestStretches) {
   const cdr::FingerprintDataset data = triangle_dataset();
   const auto entries = k_gaps(data, 3);
   // For k=3 every other user is a neighbour; gap = mean of both stretches.
-  const double expected0 = (fingerprint_stretch(data[0], data[1], {}) +
-                            fingerprint_stretch(data[0], data[2], {})) /
+  const double expected0 = (fingerprint_stretch(data[0], data[1]) +
+                            fingerprint_stretch(data[0], data[2])) /
                            2.0;
   EXPECT_DOUBLE_EQ(entries[0].gap, expected0);
 }

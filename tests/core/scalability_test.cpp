@@ -12,6 +12,7 @@
 #include <span>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/eager_nearest.hpp"
@@ -44,21 +45,20 @@ TEST(FingerprintBounds, CoversAllSamples) {
 TEST(StretchLowerBound, ZeroForOverlappingBoxes) {
   const cdr::Fingerprint a{0u, {cell(0, 0, 10), cell(2'000, 0, 100)}};
   const cdr::Fingerprint b{1u, {cell(1'000, 0, 50)}};
-  EXPECT_DOUBLE_EQ(stretch_lower_bound(fingerprint_bounds(a),
-                                       fingerprint_bounds(b), {}),
-                   0.0);
+  EXPECT_DOUBLE_EQ(
+      stretch_lower_bound(fingerprint_bounds(a), fingerprint_bounds(b)), 0.0);
 }
 
 TEST(StretchLowerBound, ZeroForEmptyFingerprints) {
   // A group suppression emptied merges with anything at stretch 0.
   const cdr::Fingerprint empty{std::vector<cdr::UserId>{1u, 2u}, {}};
   const cdr::Fingerprint far{3u, {cell(90'000, 90'000, 5'000)}};
-  ASSERT_EQ(fingerprint_stretch(empty, far, {}), 0.0);
+  ASSERT_EQ(fingerprint_stretch(empty, far), 0.0);
   EXPECT_EQ(stretch_lower_bound(fingerprint_bounds(empty),
-                                fingerprint_bounds(far), {}),
+                                fingerprint_bounds(far)),
             0.0);
   EXPECT_EQ(stretch_lower_bound(fingerprint_bounds(far),
-                                fingerprint_bounds(empty), {}),
+                                fingerprint_bounds(empty)),
             0.0);
 }
 
@@ -73,8 +73,8 @@ TEST(StretchLowerBound, NeverExceedsTrueStretch) {
   for (const auto& a : fps) {
     for (const auto& b : fps) {
       const double lb = stretch_lower_bound(fingerprint_bounds(a),
-                                            fingerprint_bounds(b), {});
-      const double d = fingerprint_stretch(a, b, {});
+                                            fingerprint_bounds(b));
+      const double d = fingerprint_stretch(a, b);
       EXPECT_LE(lb, d);
     }
   }
@@ -88,8 +88,8 @@ cdr::Sample point(double x, double y, double t) {
 void expect_bound_at_most_stretch(const cdr::Fingerprint& a,
                                   const cdr::Fingerprint& b) {
   const double lb =
-      stretch_lower_bound(fingerprint_bounds(a), fingerprint_bounds(b), {});
-  EXPECT_LE(lb, fingerprint_stretch(a, b, {}));
+      stretch_lower_bound(fingerprint_bounds(a), fingerprint_bounds(b));
+  EXPECT_LE(lb, fingerprint_stretch(a, b));
 }
 
 TEST(StretchLowerBound, PointSamplesWithUnequalGroupsDoNotOvershoot) {
@@ -144,10 +144,9 @@ TEST(StretchLowerBound, BoxEndRoundingDoesNotWidenTheGap) {
 }
 
 void expect_slot_bound_at_most_stretch(const cdr::Fingerprint& a,
-                                       const cdr::Fingerprint& b,
-                                       const StretchLimits& limits = {}) {
-  EXPECT_LE(slot_lower_bound(slot_summary(a), slot_summary(b), limits),
-            fingerprint_stretch(a, b, limits));
+                                       const cdr::Fingerprint& b) {
+  EXPECT_LE(slot_lower_bound(slot_summary(a), slot_summary(b)),
+            fingerprint_stretch(a, b));
 }
 
 TEST(SlotLowerBound, SummaryGroupsSamplesByStartSlot) {
@@ -185,10 +184,9 @@ TEST(SlotLowerBound, SummaryGroupsSamplesByStartSlot) {
 TEST(SlotLowerBound, ZeroForEmptyFingerprints) {
   const cdr::Fingerprint empty{std::vector<cdr::UserId>{1u, 2u}, {}};
   const cdr::Fingerprint far{3u, {cell(90'000, 90'000, 5'000)}};
-  EXPECT_EQ(slot_lower_bound(slot_summary(empty), slot_summary(far), {}), 0.0);
-  EXPECT_EQ(slot_lower_bound(slot_summary(far), slot_summary(empty), {}), 0.0);
-  EXPECT_EQ(slot_lower_bound(slot_summary(empty), slot_summary(empty), {}),
-            0.0);
+  EXPECT_EQ(slot_lower_bound(slot_summary(empty), slot_summary(far)), 0.0);
+  EXPECT_EQ(slot_lower_bound(slot_summary(far), slot_summary(empty)), 0.0);
+  EXPECT_EQ(slot_lower_bound(slot_summary(empty), slot_summary(empty)), 0.0);
 }
 
 TEST(SlotLowerBound, SeesTimeTheBoxBoundCannot) {
@@ -206,12 +204,12 @@ TEST(SlotLowerBound, SeesTimeTheBoxBoundCannot) {
   const cdr::Fingerprint early = commuter(0, 6.0);
   const cdr::Fingerprint late = commuter(1, 10.0);
   EXPECT_EQ(stretch_lower_bound(fingerprint_bounds(early),
-                                fingerprint_bounds(late), {}),
+                                fingerprint_bounds(late)),
             0.0);
   const SlotSummary early_slots = slot_summary(early);
-  const double slot = slot_lower_bound(early_slots, slot_summary(late), {});
+  const double slot = slot_lower_bound(early_slots, slot_summary(late));
   EXPECT_GT(slot, 0.0);
-  EXPECT_LE(slot, fingerprint_stretch(early, late, {}));
+  EXPECT_LE(slot, fingerprint_stretch(early, late));
 }
 
 TEST(SlotLowerBound, SampleSpanningSlotsKeepsItsEnd) {
@@ -279,18 +277,6 @@ double sweep_spread(int i) {
   return i % 3 == 1 ? 1'000.0 : 30'000.0;
 }
 
-/// The limit sets of the slot-bound sweeps: PrunedStretch's default and
-/// tight ones, and a purely spatial one (w_tau = 0).
-std::vector<StretchLimits> sweep_limits() {
-  StretchLimits tight;
-  tight.phi_max_sigma_m = 2'000.0;
-  tight.phi_max_tau_min = 60.0;
-  StretchLimits spatial;
-  spatial.w_sigma = 1.0;
-  spatial.w_tau = 0.0;
-  return {StretchLimits{}, tight, spatial};
-}
-
 TEST(SlotLowerBound, SeededSweepNeverOvershoots) {
   // Brute force: the bound must sit at or below the computed stretch, on
   // the doubles, with no slack.  Every third pair has equal sample counts
@@ -308,12 +294,16 @@ TEST(SlotLowerBound, SeededSweepNeverOvershoots) {
       a = regrouped(a, 1, 0);
       b = regrouped(b, 7, 100);
     }
-    const SlotSummary sa = slot_summary(a);
-    const SlotSummary sb = slot_summary(b);
-    for (const StretchLimits& limits : sweep_limits()) {
-      const double bound = slot_lower_bound(sa, sb, limits);
-      EXPECT_LE(bound, fingerprint_stretch(a, b, limits)) << "pair " << i;
-      EXPECT_EQ(bound, slot_lower_bound(sb, sa, limits)) << "pair " << i;
+    // As drawn, and scaled by 10 in space and 8 in time, where the gaps
+    // saturate as at 2 km / 60 min thresholds.
+    const std::pair<cdr::Fingerprint, cdr::Fingerprint> scales[] = {
+        {a, b}, {test::scaled(a, 10.0, 8.0), test::scaled(b, 10.0, 8.0)}};
+    for (const auto& [x, y] : scales) {
+      const SlotSummary sx = slot_summary(x);
+      const SlotSummary sy = slot_summary(y);
+      const double bound = slot_lower_bound(sx, sy);
+      EXPECT_LE(bound, fingerprint_stretch(x, y)) << "pair " << i;
+      EXPECT_EQ(bound, slot_lower_bound(sy, sx)) << "pair " << i;
       if (bound > 0.0) ++positive;
     }
   }
@@ -361,7 +351,7 @@ std::vector<Neighbor> full_scan(const cdr::Fingerprint& fp,
   std::vector<Neighbor> all;
   for (const std::uint32_t c : ids) {
     if (c == skip) continue;
-    all.push_back(Neighbor{c, fingerprint_stretch(fp, candidates[c], {})});
+    all.push_back(Neighbor{c, fingerprint_stretch(fp, candidates[c])});
   }
   std::sort(all.begin(), all.end(), [](const Neighbor& x, const Neighbor& y) {
     return std::tie(x.stretch, x.index) < std::tie(y.stretch, y.index);
@@ -465,8 +455,8 @@ TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
     const cdr::Fingerprint leftover = lattice_fingerprint(rng, 1, 0);
     const NodeBounds own = node_bounds(leftover);
     const auto cascade_bound = [&](std::size_t g) {
-      return std::max(stretch_lower_bound(own.box, bounds[g].box, {}),
-                      slot_lower_bound(own.slots, bounds[g].slots, {}));
+      return std::max(stretch_lower_bound(own.box, bounds[g].box),
+                      slot_lower_bound(own.slots, bounds[g].slots));
     };
 
     const CandidateGrid grid{bounds};
@@ -481,9 +471,9 @@ TEST(Nearest, SeededLatticeSweepMatchesFullScan) {
         SearchTally one;
         SearchTally eager;
         const std::vector<Neighbor> found = nearest(
-            leftover, own, groups, bounds, grid, {}, wanted, skip, &one);
+            leftover, own, groups, bounds, grid, wanted, skip, &one);
         const std::vector<Neighbor> expected = test::eager_nearest(
-            leftover, own, groups, bounds, ids, {}, wanted, skip, &eager);
+            leftover, own, groups, bounds, ids, wanted, skip, &eager);
         ASSERT_EQ(found.size(), std::min(wanted, scan.size()))
             << "trial " << trial;
         for (std::size_t i = 0; i < found.size(); ++i) {
@@ -566,12 +556,12 @@ TEST(Nearest, KnownValuesKeepTheResultAndSpareTheWork) {
       SearchTally reused;
       SearchTally eager;
       const std::vector<Neighbor> expected = nearest(
-          fp, own, candidates, bounds, grid, {}, 1, std::nullopt, &fresh);
+          fp, own, candidates, bounds, grid, 1, std::nullopt, &fresh);
       const std::vector<Neighbor> found =
-          nearest(fp, own, candidates, bounds, grid, {}, 1, std::nullopt,
+          nearest(fp, own, candidates, bounds, grid, 1, std::nullopt,
                   &reused, &known);
       const std::vector<Neighbor> eager_found =
-          test::eager_nearest(fp, own, candidates, bounds, ids, {}, 1,
+          test::eager_nearest(fp, own, candidates, bounds, ids, 1,
                               std::nullopt, &eager, &eager_known);
       ASSERT_EQ(found.size(), 1u) << "trial " << trial;
       expect_same_neighbors(found, expected, trial);
@@ -588,8 +578,7 @@ TEST(Nearest, KnownValuesKeepTheResultAndSpareTheWork) {
         if (i > 0) {
           EXPECT_LT(known[i - 1].id, value.id);
         }
-        const double stretch =
-            fingerprint_stretch(fp, candidates[value.id], {});
+        const double stretch = fingerprint_stretch(fp, candidates[value.id]);
         if (value.exact) {
           EXPECT_EQ(value.value, stretch);
           ++exact_known;
@@ -623,18 +612,17 @@ TEST(Nearest, RejectsEmptyOrMisalignedCandidates) {
   const CandidateGrid grid{one_bounds};
   CandidateGrid emptied{one_bounds};
   emptied.erase(0);
-  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, emptied, {}, 1),
+  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, emptied, 1),
                std::invalid_argument);
-  EXPECT_THROW((void)nearest(fp, own, one, {}, grid, {}, 1),
-               std::invalid_argument);
-  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, grid, {}, 0),
+  EXPECT_THROW((void)nearest(fp, own, one, {}, grid, 1), std::invalid_argument);
+  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, grid, 0),
                std::invalid_argument);
   const std::vector<NodeBounds> two_bounds{own, own};
   const CandidateGrid past{two_bounds};
-  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, past, {}, 1),
+  EXPECT_THROW((void)nearest(fp, own, one, one_bounds, past, 1),
                std::invalid_argument);
   // Only the candidate itself, skipped: nothing to return.
-  EXPECT_TRUE(nearest(fp, own, one, one_bounds, grid, {}, 1, 0u).empty());
+  EXPECT_TRUE(nearest(fp, own, one, one_bounds, grid, 1, 0u).empty());
 }
 
 TEST(CandidateGrid, RejectsBadIds) {
@@ -673,9 +661,9 @@ TEST(CandidateGrid, CentresAtTheEdgesOfTheDoubleRangeStillSearchExactly) {
     SearchTally tally;
     SearchTally eager;
     const std::vector<Neighbor> found = nearest(
-        candidates[i], bounds[i], candidates, bounds, grid, {}, 3, i, &tally);
+        candidates[i], bounds[i], candidates, bounds, grid, 3, i, &tally);
     const std::vector<Neighbor> expected = test::eager_nearest(
-        candidates[i], bounds[i], candidates, bounds, ids, {}, 3, i, &eager);
+        candidates[i], bounds[i], candidates, bounds, ids, 3, i, &eager);
     expect_same_neighbors(found, expected, static_cast<int>(i));
     expect_same_cascade(tally, eager, static_cast<int>(i));
     EXPECT_EQ(found.size(), 3u);
@@ -770,7 +758,7 @@ TEST(CandidateGrid, SearchDoesTheEagerCascadesWorkAsTheGridChanges) {
           for (const std::size_t wanted : counts) {
             SearchTally one;
             const std::vector<Neighbor> found =
-                nearest(fp, own, candidates, bounds, grid, {}, wanted, skip,
+                nearest(fp, own, candidates, bounds, grid, wanted, skip,
                         &one, nullptr, below);
             if (scope.empty()) {
               EXPECT_TRUE(found.empty()) << "trial " << trial;
@@ -778,7 +766,7 @@ TEST(CandidateGrid, SearchDoesTheEagerCascadesWorkAsTheGridChanges) {
             }
             SearchTally eager;
             const std::vector<Neighbor> expected = test::eager_nearest(
-                fp, own, candidates, bounds, scope, {}, wanted, std::nullopt,
+                fp, own, candidates, bounds, scope, wanted, std::nullopt,
                 &eager);
             expect_same_neighbors(found, expected, trial);
             expect_same_cascade(one, eager, trial);
@@ -831,10 +819,10 @@ TEST(CandidateGrid, ShrinkingOpenSetWithKnownDoesTheEagerCascadesWork) {
       SearchTally one;
       SearchTally eager;
       const std::vector<Neighbor> found =
-          nearest(nodes[x], bounds[x], nodes, bounds, grid, {}, 1,
+          nearest(nodes[x], bounds[x], nodes, bounds, grid, 1,
                   std::nullopt, &one, &known[x], x);
       const std::vector<Neighbor> expected =
-          test::eager_nearest(nodes[x], bounds[x], nodes, bounds, older, {}, 1,
+          test::eager_nearest(nodes[x], bounds[x], nodes, bounds, older, 1,
                               std::nullopt, &eager, &eager_known[x]);
       expect_same_neighbors(found, expected, trial);
       expect_same_cascade(one, eager, trial);
@@ -912,10 +900,10 @@ TEST(CandidateGrid, GreedySeededAndNewNodeKeysEqualTheEagerLeastBoxBound) {
     const CandidateGrid seeding{bounds, open};
     for (std::size_t row = 1; row < open.size(); ++row) {
       const std::uint32_t x = open[row];
-      const double key = seeding.least_box_bound(bounds[x].box, bounds, {}, x,
+      const double key = seeding.least_box_bound(bounds[x].box, bounds, x,
                                                  &trial_tally);
       const double expected = test::eager_least_box_bound(
-          bounds[x].box, bounds, std::span{open}.first(row), {});
+          bounds[x].box, bounds, std::span{open}.first(row));
       EXPECT_EQ(std::bit_cast<std::uint64_t>(key),
                 std::bit_cast<std::uint64_t>(expected))
           << "trial " << trial << " node " << x;
@@ -933,9 +921,9 @@ TEST(CandidateGrid, GreedySeededAndNewNodeKeysEqualTheEagerLeastBoxBound) {
       nodes.push_back(merge_fingerprints(nodes[a], nodes[b], options));
       bounds.push_back(node_bounds(nodes.back()));
       const double key =
-          grid.least_box_bound(bounds[m].box, bounds, {}, m, &trial_tally);
+          grid.least_box_bound(bounds[m].box, bounds, m, &trial_tally);
       const double expected =
-          test::eager_least_box_bound(bounds[m].box, bounds, open, {});
+          test::eager_least_box_bound(bounds[m].box, bounds, open);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(key),
                 std::bit_cast<std::uint64_t>(expected))
           << "trial " << trial << " node " << m;

@@ -17,7 +17,7 @@ using test::cell;
 
 TEST(SampleStretch, IdenticalSamplesCostNothing) {
   const cdr::Sample s = cell(0, 0, 100);
-  const SampleStretch d = sample_stretch(s, 1, s, 1, {});
+  const SampleStretch d = sample_stretch(s, 1, s, 1);
   EXPECT_DOUBLE_EQ(d.spatial, 0.0);
   EXPECT_DOUBLE_EQ(d.temporal, 0.0);
   EXPECT_DOUBLE_EQ(d.total(), 0.0);
@@ -28,7 +28,7 @@ TEST(SampleStretch, PureTemporalGapHandComputed) {
   // 10 min, so phi*_tau = 10; phi_tau = 10/480; weighted by 1/2.
   const cdr::Sample a = cell(0, 0, 0);
   const cdr::Sample b = cell(0, 0, 10);
-  const SampleStretch d = sample_stretch(a, 1, b, 1, {});
+  const SampleStretch d = sample_stretch(a, 1, b, 1);
   EXPECT_DOUBLE_EQ(d.spatial, 0.0);
   EXPECT_DOUBLE_EQ(d.temporal, 0.5 * 10.0 / 480.0);
 }
@@ -38,7 +38,7 @@ TEST(SampleStretch, PureSpatialGapHandComputed) {
   // 1000 m towards the other: phi*_sigma = 1000; phi_sigma = 1000/20000.
   const cdr::Sample a = cell(0, 0, 50);
   const cdr::Sample b = cell(1'000, 0, 50);
-  const SampleStretch d = sample_stretch(a, 1, b, 1, {});
+  const SampleStretch d = sample_stretch(a, 1, b, 1);
   EXPECT_DOUBLE_EQ(d.temporal, 0.0);
   EXPECT_DOUBLE_EQ(d.spatial, 0.5 * 1'000.0 / 20'000.0);
 }
@@ -47,7 +47,7 @@ TEST(SampleStretch, DiagonalGapSumsAxes) {
   // 1 km east and 2 km north: l+r = 3000 in each direction.
   const cdr::Sample a = cell(0, 0, 50);
   const cdr::Sample b = cell(1'000, 2'000, 50);
-  const SampleStretch d = sample_stretch(a, 1, b, 1, {});
+  const SampleStretch d = sample_stretch(a, 1, b, 1);
   EXPECT_DOUBLE_EQ(d.spatial, 0.5 * 3'000.0 / 20'000.0);
 }
 
@@ -88,34 +88,23 @@ TEST(SampleStretch, SaturatesAtLimits) {
   // 30 km apart in space (> 20 km limit) and 10 h apart in time (> 8 h).
   const cdr::Sample a = cell(0, 0, 0);
   const cdr::Sample b = cell(30'000, 0, 600);
-  const SampleStretch d = sample_stretch(a, 1, b, 1, {});
+  const SampleStretch d = sample_stretch(a, 1, b, 1);
   EXPECT_DOUBLE_EQ(d.spatial, 0.5);
   EXPECT_DOUBLE_EQ(d.temporal, 0.5);
   EXPECT_DOUBLE_EQ(d.total(), 1.0);
 }
 
-TEST(SampleStretch, CustomLimitsChangeNormalization) {
-  StretchLimits limits;
-  limits.phi_max_sigma_m = 10'000.0;
-  limits.phi_max_tau_min = 240.0;
-  const cdr::Sample a = cell(0, 0, 0);
-  const cdr::Sample b = cell(1'000, 0, 24);
-  const SampleStretch d = sample_stretch(a, 1, b, 1, limits);
-  EXPECT_DOUBLE_EQ(d.spatial, 0.5 * 1'000.0 / 10'000.0);
-  EXPECT_DOUBLE_EQ(d.temporal, 0.5 * 24.0 / 240.0);
-}
-
 TEST(SampleStretch, IsSymmetricForEqualGroups) {
   const cdr::Sample a = test::box(0, 100, 50, 200, 10, 5);
   const cdr::Sample b = test::box(900, 300, -100, 100, 200, 15);
-  const SampleStretch ab = sample_stretch(a, 1, b, 1, {});
-  const SampleStretch ba = sample_stretch(b, 1, a, 1, {});
+  const SampleStretch ab = sample_stretch(a, 1, b, 1);
+  const SampleStretch ba = sample_stretch(b, 1, a, 1);
   EXPECT_DOUBLE_EQ(ab.total(), ba.total());
 }
 
 TEST(FingerprintStretch, IdenticalFingerprintsAreZero) {
   const cdr::Fingerprint fp{0u, {cell(0, 0, 10), cell(1'000, 0, 700)}};
-  EXPECT_DOUBLE_EQ(fingerprint_stretch(fp, fp, {}), 0.0);
+  EXPECT_DOUBLE_EQ(fingerprint_stretch(fp, fp), 0.0);
 }
 
 TEST(FingerprintStretch, AveragesOverLongerFingerprint) {
@@ -123,16 +112,14 @@ TEST(FingerprintStretch, AveragesOverLongerFingerprint) {
   // delta(a2, b1) = temporal 10 min -> 10/960.
   const cdr::Fingerprint a{0u, {cell(0, 0, 0), cell(0, 0, 10)}};
   const cdr::Fingerprint b{1u, {cell(0, 0, 0)}};
-  EXPECT_DOUBLE_EQ(fingerprint_stretch(a, b, {}),
-                   (0.0 + 0.5 * 10.0 / 480.0) / 2.0);
+  EXPECT_DOUBLE_EQ(fingerprint_stretch(a, b), (0.0 + 0.5 * 10.0 / 480.0) / 2.0);
 }
 
 TEST(FingerprintStretch, IsSymmetric) {
   const cdr::Fingerprint a{0u, {cell(0, 0, 0), cell(500, 0, 300),
                                 cell(2'000, 100, 800)}};
   const cdr::Fingerprint b{1u, {cell(100, 0, 30), cell(700, 0, 500)}};
-  EXPECT_DOUBLE_EQ(fingerprint_stretch(a, b, {}),
-                   fingerprint_stretch(b, a, {}));
+  EXPECT_DOUBLE_EQ(fingerprint_stretch(a, b), fingerprint_stretch(b, a));
 }
 
 TEST(FingerprintStretch, PicksMinimumMatchPerSample) {
@@ -144,20 +131,20 @@ TEST(FingerprintStretch, PicksMinimumMatchPerSample) {
   // spatial 19000/20000/2 + temporal 470/480/2.
   const double expected =
       (0.0 + 0.5 * 19'000.0 / 20'000.0 + 0.5 * 470.0 / 480.0) / 2.0;
-  EXPECT_DOUBLE_EQ(fingerprint_stretch(a, b, {}), expected);
+  EXPECT_DOUBLE_EQ(fingerprint_stretch(a, b), expected);
 }
 
 TEST(FingerprintStretch, BoundedByOne) {
   const cdr::Fingerprint a{0u, {cell(0, 0, 0)}};
   const cdr::Fingerprint b{1u, {cell(1e7, 1e7, 1e5)}};
-  EXPECT_LE(fingerprint_stretch(a, b, {}), 1.0);
-  EXPECT_DOUBLE_EQ(fingerprint_stretch(a, b, {}), 1.0);
+  EXPECT_LE(fingerprint_stretch(a, b), 1.0);
+  EXPECT_DOUBLE_EQ(fingerprint_stretch(a, b), 1.0);
 }
 
 TEST(FingerprintStretch, EmptyFingerprintCostsNothing) {
   const cdr::Fingerprint a{0u, {}};
   const cdr::Fingerprint b{1u, {cell(0, 0, 0)}};
-  EXPECT_DOUBLE_EQ(fingerprint_stretch(a, b, {}), 0.0);
+  EXPECT_DOUBLE_EQ(fingerprint_stretch(a, b), 0.0);
 }
 
 // --- Property sweep: delta stays within [0, 1] and is monotone in the gap.
@@ -169,8 +156,8 @@ TEST_P(StretchGapSweep, BoundedAndMonotone) {
   const cdr::Sample a = cell(0, 0, 0);
   const cdr::Sample near = cell(gap, 0, gap / 10.0);
   const cdr::Sample far = cell(gap * 2, 0, gap / 5.0);
-  const double d_near = sample_stretch(a, 1, near, 1, {}).total();
-  const double d_far = sample_stretch(a, 1, far, 1, {}).total();
+  const double d_near = sample_stretch(a, 1, near, 1).total();
+  const double d_far = sample_stretch(a, 1, far, 1).total();
   EXPECT_GE(d_near, 0.0);
   EXPECT_LE(d_near, 1.0);
   EXPECT_LE(d_near, d_far);
@@ -185,15 +172,14 @@ INSTANTIATE_TEST_SUITE_P(Gaps, StretchGapSweep,
 
 /// Reference eq. 10: every sample pair of one direction.
 double full_scan_directed(const cdr::Fingerprint& outer,
-                          const cdr::Fingerprint& inner,
-                          const StretchLimits& limits) {
+                          const cdr::Fingerprint& inner) {
   const PairWeights weights =
       pair_weights(outer.group_size(), inner.group_size());
   double total = 0.0;
   for (const cdr::Sample& so : outer.samples()) {
     double best = 2.0;
     for (const cdr::Sample& si : inner.samples()) {
-      const double d = sample_stretch(so, si, weights, limits).total();
+      const double d = sample_stretch(so, si, weights).total();
       if (d < best) best = d;
     }
     total += best;
@@ -201,21 +187,18 @@ double full_scan_directed(const cdr::Fingerprint& outer,
   return total / static_cast<double>(outer.size());
 }
 
-double full_scan_stretch(const cdr::Fingerprint& a, const cdr::Fingerprint& b,
-                         const StretchLimits& limits) {
+double full_scan_stretch(const cdr::Fingerprint& a,
+                         const cdr::Fingerprint& b) {
   if (a.empty() || b.empty()) return 0.0;
-  if (a.size() > b.size()) return full_scan_directed(a, b, limits);
-  if (b.size() > a.size()) return full_scan_directed(b, a, limits);
-  return (full_scan_directed(a, b, limits) +
-          full_scan_directed(b, a, limits)) /
-         2.0;
+  if (a.size() > b.size()) return full_scan_directed(a, b);
+  if (b.size() > a.size()) return full_scan_directed(b, a);
+  return (full_scan_directed(a, b) + full_scan_directed(b, a)) / 2.0;
 }
 
 void expect_full_scan_value(const cdr::Fingerprint& a,
-                            const cdr::Fingerprint& b,
-                            const StretchLimits& limits = {}) {
-  EXPECT_EQ(fingerprint_stretch(a, b, limits), full_scan_stretch(a, b, limits));
-  EXPECT_EQ(fingerprint_stretch(b, a, limits), full_scan_stretch(b, a, limits));
+                            const cdr::Fingerprint& b) {
+  EXPECT_EQ(fingerprint_stretch(a, b), full_scan_stretch(a, b));
+  EXPECT_EQ(fingerprint_stretch(b, a), full_scan_stretch(b, a));
 }
 
 TEST(PrunedStretch, StartTimeTiesWithDifferentLengths) {
@@ -271,16 +254,7 @@ TEST(PrunedStretch, NoEarlyBreakWhileBestExceedsTheTemporalWeight) {
   const cdr::Fingerprint a{0u, {cell(0, 0, 0), cell(0, 0, 1), cell(0, 0, 2)}};
   const cdr::Fingerprint b{1u, {cell(100'000, 0, 10), cell(0, 0, 2'000)}};
   expect_full_scan_value(a, b);
-  EXPECT_EQ(fingerprint_stretch(a, b, {}), 0.5);
-}
-
-TEST(PrunedStretch, ZeroTemporalWeightScansEveryPairUntilAnExactMatch) {
-  StretchLimits limits;
-  limits.w_tau = 0.0;
-  const cdr::Fingerprint a{0u, {cell(0, 0, 0), cell(5'000, 0, 3'000)}};
-  const cdr::Fingerprint b{1u, {cell(5'000, 0, 10), cell(300, 0, 4'000),
-                                cell(0, 0, 9'000)}};
-  expect_full_scan_value(a, b, limits);
+  EXPECT_EQ(fingerprint_stretch(a, b), 0.5);
 }
 
 TEST(PrunedStretch, ZeroExtentSamples) {
@@ -295,8 +269,10 @@ TEST(PrunedStretch, ZeroExtentSamples) {
 TEST(PrunedStretch, SeededSweepMatchesFullScan) {
   // Random fingerprints of 1-60 samples: clustered start times (minute
   // grid, so ties are common), negative starts, lengths from 0 to hours,
-  // zero and wide extents, group sizes 1-8, both default and tight
-  // saturation limits.
+  // zero and wide extents, group sizes 1-8.  Each pair also runs scaled
+  // by 10 in space and 8 in time, which saturates as 2 km / 60 min
+  // thresholds would: its best matches often cost more than the saturated
+  // temporal floor w_tau, which then must not stop the scan.
   util::Xoshiro256 rng{2024};
   const auto random_fp = [&](cdr::UserId first) {
     const std::size_t n = 1 + util::uniform_index(rng, 60);
@@ -319,14 +295,12 @@ TEST(PrunedStretch, SeededSweepMatchesFullScan) {
         static_cast<std::uint32_t>(1 + util::uniform_index(rng, 8));
     return test::group_fingerprint(group, first, std::move(samples));
   };
-  StretchLimits tight;
-  tight.phi_max_sigma_m = 2'000.0;
-  tight.phi_max_tau_min = 60.0;
   for (int i = 0; i < 300; ++i) {
     const cdr::Fingerprint a = random_fp(0);
     const cdr::Fingerprint b = random_fp(100);
     expect_full_scan_value(a, b);
-    expect_full_scan_value(a, b, tight);
+    expect_full_scan_value(test::scaled(a, 10.0, 8.0),
+                           test::scaled(b, 10.0, 8.0));
   }
 }
 
@@ -340,7 +314,7 @@ TEST(PrunedStretch, CountsOnlyTheSamplePairsItEvaluates) {
   const cdr::Fingerprint a{0u, samples};
   const cdr::Fingerprint b{1u, samples};
   std::uint64_t pairs = 5;
-  EXPECT_EQ(fingerprint_stretch(a, b, {}, &pairs), 0.0);
+  EXPECT_EQ(fingerprint_stretch(a, b, &pairs), 0.0);
   EXPECT_EQ(pairs, 5u + 2u * 10u);
 }
 

@@ -109,8 +109,7 @@ TEST(EdgeCases, SamplesAtExtremeCoordinates) {
   // Values near the numeric edges must not overflow the stretch math.
   cdr::Sample far_east = cell(1e12, 1e12, 1e9);
   cdr::Sample origin = cell(0, 0, 0);
-  const core::SampleStretch d =
-      core::sample_stretch(origin, 1, far_east, 1, {});
+  const core::SampleStretch d = core::sample_stretch(origin, 1, far_east, 1);
   EXPECT_DOUBLE_EQ(d.total(), 1.0);  // saturated, not inf/nan
   const cdr::Sample m = core::merge_samples(origin, far_east);
   EXPECT_TRUE(std::isfinite(m.sigma.dx));
@@ -124,7 +123,7 @@ TEST(EdgeCases, W4MWithKEqualUsers) {
                                                  cell(u * 100.0, 0, 500)});
   }
   const baseline::W4MResult result = baseline::anonymize_w4m(
-      cdr::FingerprintDataset{std::move(fps)}, /*k=*/3, {});
+      cdr::FingerprintDataset{std::move(fps)}, /*k=*/3);
   ASSERT_EQ(result.anonymized.size(), 1u);
   EXPECT_EQ(result.anonymized[0].group_size(), 3u);
 }

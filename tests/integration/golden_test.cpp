@@ -27,7 +27,7 @@ TEST(Golden, SampleStretchMixedGeometry) {
   // delta = 0.5*675/20000 + 0.5*59.5/480.
   const cdr::Sample a = box(0, 100, 0, 100, 0, 1);
   const cdr::Sample b = box(400, 200, 250, 50, 45, 30);
-  const core::SampleStretch d = core::sample_stretch(a, 1, b, 1, {});
+  const core::SampleStretch d = core::sample_stretch(a, 1, b, 1);
   EXPECT_DOUBLE_EQ(d.spatial, 0.5 * 675.0 / 20'000.0);
   EXPECT_DOUBLE_EQ(d.temporal, 0.5 * 59.5 / 480.0);
 }
@@ -38,7 +38,7 @@ TEST(Golden, WeightedSampleStretch) {
   // Temporal: 74*(3/4) + 45*(1/4) = 66.75.
   const cdr::Sample a = box(0, 100, 0, 100, 0, 1);
   const cdr::Sample b = box(400, 200, 250, 50, 45, 30);
-  const core::SampleStretch d = core::sample_stretch(a, 3, b, 1, {});
+  const core::SampleStretch d = core::sample_stretch(a, 3, b, 1);
   EXPECT_DOUBLE_EQ(d.spatial, 0.5 * 687.5 / 20'000.0);
   EXPECT_DOUBLE_EQ(d.temporal, 0.5 * 66.75 / 480.0);
 }
@@ -59,8 +59,7 @@ TEST(Golden, FingerprintStretchThreeByTwo) {
   const double d1 = 0.5 * 10.0 / 480.0;
   const double d2 = 0.5 * 200.0 / 20'000.0 + 0.5 * 20.0 / 480.0;
   const double d3 = 0.5 * 1'200.0 / 20'000.0 + 0.5 * 380.0 / 480.0;
-  EXPECT_DOUBLE_EQ(core::fingerprint_stretch(a, b, {}),
-                   (d1 + d2 + d3) / 3.0);
+  EXPECT_DOUBLE_EQ(core::fingerprint_stretch(a, b), (d1 + d2 + d3) / 3.0);
 }
 
 TEST(Golden, MergeProducesExactUnion) {

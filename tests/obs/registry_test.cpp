@@ -1,7 +1,6 @@
 // Metrics registry: exact cross-thread sums (this suite runs under the
-// TSan CI job via the obs. test-name prefix), log2 histogram bucket
-// edges, retired-thread folding, and the snapshot/delta contracts the
-// run report's "obs" section depends on.
+// TSan CI job via the obs. test-name prefix), retired-thread folding, and
+// the snapshot/delta contracts the run report's "obs" section depends on.
 
 #include "glove/obs/metrics.hpp"
 
@@ -15,14 +14,6 @@
 
 namespace glove::obs {
 namespace {
-
-const HistogramSnapshot* find_histogram(const MetricsSnapshot& snapshot,
-                                        std::string_view name) {
-  for (const HistogramSnapshot& h : snapshot.histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
 
 TEST(ObsRegistry, CounterSumsExactlyAcrossThreads) {
   const Counter c = counter("test.registry.thread_sum");
@@ -56,23 +47,16 @@ TEST(ObsRegistry, RetiredThreadTotalsSurviveThreadExit) {
 TEST(ObsRegistry, RenderMetricsTextIsSortedAndTyped) {
   const Counter c = counter("test.render.aa_count");
   const Gauge g = gauge("test.render.bb_gauge");
-  const Histogram h = histogram("test.render.cc_hist");
   c.add(3);
   g.set(2.5);
-  h.observe(4);
-  h.observe(8);
   const std::string text = render_metrics_text(snapshot_metrics());
-  // One "<type> <name> <value...>" line per metric, in the snapshot's
+  // One "<type> <name> <value>" line per metric, in the snapshot's
   // name-sorted order — the admin `metrics` wire format.
   const std::size_t c_pos = text.find("counter test.render.aa_count ");
   const std::size_t g_pos = text.find("gauge test.render.bb_gauge 2.5\n");
-  const std::size_t h_pos =
-      text.find("histogram test.render.cc_hist count=2 sum=12");
   ASSERT_NE(c_pos, std::string::npos) << text;
   ASSERT_NE(g_pos, std::string::npos) << text;
-  ASSERT_NE(h_pos, std::string::npos) << text;
   EXPECT_LT(c_pos, g_pos);
-  EXPECT_LT(g_pos, h_pos);
   EXPECT_EQ(text.back(), '\n');
 }
 
@@ -86,44 +70,6 @@ TEST(ObsRegistry, RegistrationIsIdempotent) {
   EXPECT_EQ(after.counter_value("test.registry.same_slot") -
                 before.counter_value("test.registry.same_slot"),
             5u);
-}
-
-TEST(ObsRegistry, HistogramBucketEdgesFollowBitWidth) {
-  const Histogram h = histogram("test.registry.hist_edges");
-  // bucket 0 <- value 0; bucket i <- bit_width i = [2^(i-1), 2^i).
-  h.observe(0);
-  h.observe(1);            // bucket 1
-  h.observe(2);            // bucket 2
-  h.observe(3);            // bucket 2 (upper edge of [2, 4))
-  h.observe(4);            // bucket 3
-  h.observe(7);            // bucket 3
-  h.observe(8);            // bucket 4
-  h.observe(1ull << 20);   // bucket 21
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  const HistogramSnapshot* edges =
-      find_histogram(snapshot, "test.registry.hist_edges");
-  ASSERT_NE(edges, nullptr);
-  EXPECT_EQ(edges->count, 8u);
-  EXPECT_EQ(edges->sum, 0u + 1 + 2 + 3 + 4 + 7 + 8 + (1ull << 20));
-  ASSERT_EQ(edges->buckets.size(), 22u);  // trailing zeros trimmed
-  EXPECT_EQ(edges->buckets[0], 1u);
-  EXPECT_EQ(edges->buckets[1], 1u);
-  EXPECT_EQ(edges->buckets[2], 2u);
-  EXPECT_EQ(edges->buckets[3], 2u);
-  EXPECT_EQ(edges->buckets[4], 1u);
-  EXPECT_EQ(edges->buckets[21], 1u);
-}
-
-TEST(ObsRegistry, HistogramTopBucketAbsorbsHugeValues) {
-  const Histogram h = histogram("test.registry.hist_top");
-  h.observe(~0ull);  // bit_width 64 > last bucket index
-  // The snapshot must outlive `top`, which points into it.
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  const HistogramSnapshot* top =
-      find_histogram(snapshot, "test.registry.hist_top");
-  ASSERT_NE(top, nullptr);
-  ASSERT_EQ(top->buckets.size(), kHistogramBuckets);
-  EXPECT_EQ(top->buckets.back(), 1u);
 }
 
 TEST(ObsRegistry, GaugeIsLastWriteWins) {
@@ -142,7 +88,6 @@ TEST(ObsRegistry, InvalidNamesThrow) {
   EXPECT_THROW((void)counter(""), std::invalid_argument);
   EXPECT_THROW((void)counter("Upper.case"), std::invalid_argument);
   EXPECT_THROW((void)gauge("has space"), std::invalid_argument);
-  EXPECT_THROW((void)histogram("hy-phen"), std::invalid_argument);
   EXPECT_TRUE(valid_metric_name("stream.pass1.scan"));
   EXPECT_TRUE(valid_metric_name("a_b.c_0"));
   EXPECT_FALSE(valid_metric_name(""));

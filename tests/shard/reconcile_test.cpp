@@ -214,16 +214,12 @@ TEST(ReconcileTail, ExactTieAbsorbsIntoFirstGroup) {
   groups.push_back(
       test::group_fingerprint(2, 3, {test::cell(-5'000.0, 0, 0)}));
 
-  const core::StretchLimits limits;
-  ASSERT_EQ(core::fingerprint_stretch(leftover, groups[0], limits), 0.125);
-  ASSERT_EQ(core::fingerprint_stretch(leftover, groups[1], limits), 0.125);
+  ASSERT_EQ(core::fingerprint_stretch(leftover, groups[0]), 0.125);
+  ASSERT_EQ(core::fingerprint_stretch(leftover, groups[1]), 0.125);
   const core::FingerprintBounds bounds = core::fingerprint_bounds(leftover);
-  ASSERT_LT(core::stretch_lower_bound(bounds,
-                                      core::fingerprint_bounds(groups[1]),
-                                      limits),
-            core::stretch_lower_bound(bounds,
-                                      core::fingerprint_bounds(groups[0]),
-                                      limits));
+  ASSERT_LT(
+      core::stretch_lower_bound(bounds, core::fingerprint_bounds(groups[1])),
+      core::stretch_lower_bound(bounds, core::fingerprint_bounds(groups[0])));
 
   std::vector<cdr::Fingerprint> tail{leftover};
   core::GloveStats stats;

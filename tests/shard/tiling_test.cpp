@@ -101,13 +101,16 @@ TEST(Tiling, RejectsNegativeTileSizeAndResolvesZeroAdaptively) {
 }
 
 TEST(Tiling, RefusesAnAnchorOffTheGridAsADatasetError) {
-  // 1e300 m is finite, but no int32 tile index reaches it: a dataset
-  // fault naming the fingerprint, at a fixed and at an adaptive tile size.
+  // 1e300 m is finite, but no int32 tile index reaches it, not even of a
+  // 1 km tile: a dataset fault naming the fingerprint, at a fixed, an
+  // adaptive and a tiny tile size (the point at the origin lies on all
+  // three grids).
   std::vector<cdr::Fingerprint> fps;
-  fps.emplace_back(0u, std::vector<cdr::Sample>{test::cell(0.0, 0.0, 0.0)});
+  fps.emplace_back(
+      0u, std::vector<cdr::Sample>{test::box(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)});
   fps.emplace_back(1u, std::vector<cdr::Sample>{test::cell(1e300, 0.0, 0.0)});
   const cdr::FingerprintDataset data{std::move(fps), "off-grid"};
-  for (const double tile_m : {1'000.0, 0.0}) {
+  for (const double tile_m : {1'000.0, 0.0, 1e-9}) {
     try {
       (void)build_tiling(data, tile_m);
       ADD_FAILURE() << "expected util::DatasetError at tile " << tile_m;
